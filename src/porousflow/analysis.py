@@ -41,15 +41,6 @@ def h1dot_masked(
     return float(np.sqrt((g.values[mask] ** 2).sum() * g.h**2))
 
 
-def l2_masked(
-    vals: np.ndarray, h: float, mask: np.ndarray | None = None
-) -> float:
-    vals = np.asarray(vals, dtype=float)
-    if mask is not None:
-        vals = vals[np.asarray(mask, dtype=bool)]
-    return float(np.sqrt((vals**2).sum() * h**2))
-
-
 def hminus1(g: ScalarGridField) -> float:
     """Spectral H^-1 norm on the grid's own periodic box.
 
@@ -263,14 +254,6 @@ def gamma_decomposition_report(
         n_cells=int(mask.sum()),
         used_oracle=oracle_sol is not None,
     )
-
-
-def masked_h1_error(
-    grad_a: np.ndarray, grad_b: np.ndarray, h: float
-) -> float:
-    """H^1-dot distance between two gradient samplings on masked points."""
-    diff = np.asarray(grad_a) - np.asarray(grad_b)
-    return float(np.sqrt((diff**2).sum() * h**2))
 
 
 def reflection_vs_oracle_h1(

@@ -35,6 +35,11 @@ from .geometry import (
 from .homogenized import EffectiveMatrix
 
 SCHEMA_VERSION = "v1"
+# the only spellings a boolean key accepts (compared case-insensitively)
+_BOOLEANS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
 
 class ConfigError(ValueError):
@@ -79,9 +84,9 @@ class RunConfig:
         raw = self.parser.get(section, key).strip()
         try:
             if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
+                return _BOOLEANS[raw.lower()]
             return cast(raw)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid value for [{section}] {key}: {raw!r}") from exc
 
     def floats(self, section, key, default=None, required=False):

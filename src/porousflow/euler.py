@@ -46,9 +46,6 @@ class VortexParticles:
     def total_circulation(self) -> float:
         return float(self.weights.sum())
 
-    def absolute_circulation(self) -> float:
-        return float(np.abs(self.weights).sum())
-
 
 @dataclass
 class FlowState:
@@ -101,9 +98,6 @@ class PerforatedSetting:
     n_levels: int = 3
     margin: float = 0.0  # support-control distance delta
 
-    def label(self) -> str:
-        return "perforated"
-
 
 @dataclass
 class HomogenizedSetting:
@@ -113,9 +107,6 @@ class HomogenizedSetting:
     full_solve: bool = False
     tol: float = 1e-10
     max_iter: int = 50
-
-    def label(self) -> str:
-        return "homogenized"
 
     def kpm_box(self) -> Box | None:
         box = self.k.field.support_box()

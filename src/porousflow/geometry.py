@@ -16,6 +16,8 @@ import numpy as np
 
 from .fields import ScalarGridField, fmt
 
+_POINT_BLOCK = 1 << 15  # points per block of the nearest-center scan (cache sized)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -104,11 +106,7 @@ class PorousConfig:
     def distance_to_holes(self, x: np.ndarray) -> np.ndarray:
         """Distance from points (m,2) to the nearest disk boundary (negative inside)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.n_holes == 0:
-            return np.full(x.shape[0], np.inf)
-        diff = x[:, None, :] - self.centers[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1]).min(axis=1)
-        return dist - self.a
+        return _nearest_center_distance(self.centers, x) - self.a
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """True where points lie strictly inside some hole (boundary excluded
@@ -336,12 +334,29 @@ def _centers_path(path):
 
 def fluid_mask(config: PorousConfig, grid: ScalarGridField) -> np.ndarray:
     """Boolean mask of cells lying fully outside every hole."""
-    if config.n_holes == 0:
-        return np.ones(grid.shape, dtype=bool)
-    xs, ys = grid.cell_centers()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     clearance = config.a + grid.h / np.sqrt(2.0)
-    diff = pts[:, None, :] - config.centers[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1]).min(axis=1)
+    dist = _nearest_center_distance(config.centers, grid.centers_flat())
     return (dist >= clearance).reshape(grid.shape)
+
+
+def _nearest_center_distance(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest center (inf with no centers).
+
+    Keeps a running minimum of squared distance over centers, one block of
+    points at a time, so memory is O(points) whatever the number of centers.
+    """
+    best = np.full(pts.shape[0], np.inf)
+    for start in range(0, pts.shape[0], _POINT_BLOCK):
+        px = pts[start : start + _POINT_BLOCK, 0].copy()
+        py = pts[start : start + _POINT_BLOCK, 1].copy()
+        sq = np.empty_like(px)
+        dy2 = np.empty_like(px)
+        block_best = best[start : start + _POINT_BLOCK]
+        for cx, cy in centers:
+            np.subtract(px, cx, out=sq)
+            sq *= sq
+            np.subtract(py, cy, out=dy2)
+            dy2 *= dy2
+            sq += dy2
+            np.minimum(block_best, sq, out=block_best)
+    return np.sqrt(best)

@@ -6,6 +6,14 @@ flux-free). The coefficients are fit by least-squares collocation so that the
 total stream function is constant on every hole boundary; the unknown
 boundary constants are eliminated by subtracting per-hole means inside the
 objective. Used as ground truth when validating the method of reflections.
+
+With z = x - c and w = a/z, the cos_m and sin_m columns are (a/r)^m cos(m t)
+= Re w^m and (a/r)^m sin(m t) = -Im w^m. A hole's coefficient pair (alpha_m,
+beta_m) therefore contributes Re(gamma_m w^m) with gamma_m = alpha_m +
+i beta_m, so the hole's field is Re P(w) with P(w) = sum_m gamma_m w^m and its
+gradient is conj(P'(w) dw/dz) = conj(-(w/z) P'(w)). Probe-point evaluation
+sums these complex polynomials over holes by Horner's rule instead of
+materializing one real column per basis function.
 """
 
 from __future__ import annotations
@@ -61,25 +69,6 @@ def _basis_matrix(config: PorousConfig, order: int, pts: np.ndarray) -> np.ndarr
         cols[:, :, 2 * (m - 1)] = power.real
         cols[:, :, 2 * (m - 1) + 1] = -power.imag
     return cols.reshape(pts.shape[0], config.n_holes * 2 * order)
-
-
-def _basis_gradients(config: PorousConfig, order: int, pts: np.ndarray) -> np.ndarray:
-    """Gradients of the basis functions, shape (npts, ncols, 2)."""
-    z = (pts[:, 0] + 1j * pts[:, 1])[:, None] - (
-        config.centers[:, 0] + 1j * config.centers[:, 1]
-    )[None, :]
-    out = np.empty((pts.shape[0], config.n_holes, 2 * order, 2))
-    am = 1.0
-    zpow = 1.0 / z  # z^-(m+1) accumulator starts at z^-1, updated in loop
-    for m in range(1, order + 1):
-        am *= config.a
-        zpow = zpow / z  # now z^-(m+1)
-        deriv = -m * am * zpow  # F'(z) for F = a^m z^-m
-        out[:, :, 2 * (m - 1), 0] = deriv.real
-        out[:, :, 2 * (m - 1), 1] = -deriv.imag
-        out[:, :, 2 * (m - 1) + 1, 0] = -deriv.imag
-        out[:, :, 2 * (m - 1) + 1, 1] = -deriv.real
-    return out.reshape(pts.shape[0], config.n_holes * 2 * order, 2)
 
 
 def _center_per_hole(arr: np.ndarray, n_holes: int) -> np.ndarray:
@@ -140,17 +129,38 @@ def solve_collocation(
     )
 
 
+def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> np.ndarray:
+    """Sum over holes of P(w), or of -(w/z) P'(w) when ``derivative`` is set,
+    evaluated by Horner's rule in blocks of points."""
+    config = sol.config
+    gamma = sol.coeffs[:, 0::2] + 1j * sol.coeffs[:, 1::2]  # (N, M)
+    if derivative:
+        gamma = gamma * np.arange(1, sol.order + 1)
+    zp = pts[:, 0] + 1j * pts[:, 1]
+    zc = config.centers[:, 0] + 1j * config.centers[:, 1]
+    out = np.empty(pts.shape[0], dtype=complex)
+    for sl in potential._chunks(pts.shape[0], config.n_holes):
+        z = zp[sl, None] - zc[None, :]
+        w = config.a / z
+        acc = np.zeros_like(z)
+        for m in range(sol.order - 1, -1, -1):
+            acc *= w
+            acc += gamma[:, m]
+        acc *= -w / z if derivative else w
+        out[sl] = acc.sum(axis=1)
+    return out
+
+
 def multipole_part_eval(sol: MultipoleSolution, x) -> np.ndarray:
     """The hole corrections alone (without psi_0)."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    basis = _basis_matrix(sol.config, sol.order, pts)
-    return basis @ sol.coeffs.ravel()
+    return _hole_series(sol, pts, derivative=False).real
 
 
 def multipole_part_grad(sol: MultipoleSolution, x) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    grads = _basis_gradients(sol.config, sol.order, pts)
-    return np.einsum("pcd,c->pd", grads, sol.coeffs.ravel())
+    s = _hole_series(sol, pts, derivative=True)
+    return np.stack([s.real, -s.imag], axis=1)
 
 
 def oracle_eval(sol: MultipoleSolution, x):

@@ -146,24 +146,18 @@ def init_dipoles(source, config: PorousConfig) -> DipoleSet:
 
 def iterate_dipoles(prev: DipoleSet, config: PorousConfig) -> DipoleSet:
     """Next level: A'_l = - sum_{m != l} grad V^a[A_m](x_l - x_m), direct O(N^2)."""
-    centers = config.centers
-    n = centers.shape[0]
-    a2 = config.a**2
-    vecs = prev.vectors
-    out = np.zeros_like(vecs)
-    step = max((1 << 22) // max(n, 1), 1)
-    for start in range(0, n, step):
-        sl = slice(start, min(start + step, n))
-        z = centers[sl, None, :] - centers[None, :, :]
-        r2 = (z**2).sum(axis=2)
-        # suppress self-interaction: entry [i, start + i] is the hole itself
-        np.fill_diagonal(r2[:, start : start + z.shape[0]], np.inf)
-        inv = 1.0 / r2
-        az = (z * vecs[None, :, :]).sum(axis=2)
-        grad = vecs[None, :, :] * inv[:, :, None] - 2.0 * az[:, :, None] * z * (
-            inv**2
-        )[:, :, None]
-        out[sl] = -a2 * grad.sum(axis=1)
+    zc = config.centers[:, 0] + 1j * config.centers[:, 1]
+    n = zc.shape[0]
+    q = config.a**2 * (prev.vectors[:, 0] + 1j * prev.vectors[:, 1])
+    out = np.zeros_like(prev.vectors)
+    for sl in potential._chunks(n, n):
+        z = zc[sl, None] - zc[None, :]
+        # suppress self-interaction: entry [i, sl.start + i] is the hole itself
+        diag = np.arange(z.shape[0]), sl.start + np.arange(z.shape[0])
+        z[diag] = 1.0
+        inv = 1.0 / z
+        inv[diag] = 0.0
+        out[sl] = -potential._dipole_field(inv, q, grad=True)
     return DipoleSet(prev.level + 1, out)
 
 
@@ -182,11 +176,10 @@ def run_reflections(source, config: PorousConfig, n_levels: int = 3) -> HybridSt
     return HybridStream(source, config, levels)
 
 
-def contraction_report(norms, q: float | None = None) -> float:
+def contraction_report(norms) -> float:
     """Geometric mean of successive norm ratios; truncates at a zero norm.
 
-    ``norms`` is the per-level sequence of l^q norms (q is recorded by the
-    caller; it does not enter the computation).
+    ``norms`` is the per-level sequence of l^q norms of one stream.
     """
     norms = [float(v) for v in norms]
     if len(norms) < 2:

@@ -179,6 +179,18 @@ def test_runtime_failure_exit_1(tmp_path):
     assert err["error_kind"] == "runtime"
 
 
+def test_bool_typo_exit_2(tmp_path):
+    text = EULER_COMPARE.replace("[euler]\n", "[euler]\nfull_solve = ture\n")
+    code, out = run_cli(tmp_path, text, name="typo")
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_kind"] == "config"
+    assert "full_solve" in err["message"]
+    for raw, value in (("TRUE", True), ("On", True), ("1", True), ("no", False), ("OFF", False)):
+        cfg = cli.RunConfig(f"[run]\nexperiment = euler\n[euler]\nfull_solve = {raw}\n")
+        assert cfg.get("euler", "full_solve", bool, None) is value
+
+
 def test_config_hash_stable_under_whitespace(tmp_path):
     c1 = cli.RunConfig(REFLECT_TWOHOLE)
     c2 = cli.RunConfig(REFLECT_TWOHOLE.replace("\n[solver]", "\n\n[solver]"))

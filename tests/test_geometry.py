@@ -182,3 +182,46 @@ def test_fluid_mask_excludes_hole_cells():
     inside = cfg.contains(pts).reshape(grid.shape)
     assert not np.any(mask & inside)
     assert mask.sum() > 0.8 * mask.size  # holes are small
+
+
+def _reference_nearest_distance(centers, pts):
+    """Dense hypot distance to the nearest center."""
+    diff = pts[:, None, :] - centers[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1]).min(axis=1)
+
+
+def _reference_fluid_mask(config, grid):
+    """The hypot test |x - c| >= a + h/sqrt(2), applied per center to the cells
+    within twice the clearance of it (every other cell passes it trivially)."""
+    xs, ys = grid.cell_centers()
+    clearance = config.a + grid.h / np.sqrt(2.0)
+    mask = np.ones(grid.shape, dtype=bool)
+    for cx, cy in config.centers:
+        ix = np.abs(xs - cx) < 2.0 * clearance
+        iy = np.abs(ys - cy) < 2.0 * clearance
+        near = np.hypot(xs[ix, None] - cx, ys[None, iy] - cy) >= clearance
+        mask[np.ix_(ix, iy)] &= near
+    return mask
+
+
+@pytest.mark.parametrize(
+    "n, ratio", [(4, 0.05), (4, 0.1), (4, 0.2), (8, 0.1), (16, 0.1)]
+)
+def test_fluid_mask_matches_hypot_reference(n, ratio):
+    # the probe grids of the reflection-vs-oracle sweep: box + 0.25, h = a/4
+    cfg = build_lattice(n, ratio, UNIT)
+    grid = make_grid(cfg.kpm_box.inflate(0.25).as_tuple(), cfg.a / 4)
+    assert np.array_equal(fluid_mask(cfg, grid), _reference_fluid_mask(cfg, grid))
+
+
+def test_distance_to_holes_matches_hypot_reference():
+    cfg = build_random(30, 0.01, 0.1, UNIT, seed=3)
+    rng = np.random.default_rng(4)
+    pts = np.concatenate(
+        [rng.uniform(-0.5, 1.5, (500, 2)), cfg.centers, cfg.centers + [cfg.a, 0.0]]
+    )
+    ref = _reference_nearest_distance(cfg.centers, pts) - cfg.a
+    np.testing.assert_allclose(cfg.distance_to_holes(pts), ref, rtol=1e-15, atol=1e-17)
+    empty = PorousConfig(np.zeros((0, 2)), 0.01, 0.1, 0.25, UNIT)
+    assert np.all(np.isinf(empty.distance_to_holes(pts)))
+    assert fluid_mask(empty, make_grid((0, 0, 1, 1), 0.1)).all()

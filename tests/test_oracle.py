@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from porousflow import oracle as orc
 from porousflow import potential as pot
 from porousflow import reflections as refl
 from porousflow.fields import make_grid
-from porousflow.geometry import Box, PorousConfig, build_lattice
+from porousflow.geometry import Box, PorousConfig, build_lattice, build_random
 
 
 def single_hole(a=0.05, at=(3.0, 0.0)):
@@ -161,3 +165,120 @@ def test_velocity_matches_gradient_rotation():
     g = orc.oracle_gradient(sol, x)
     u = orc.oracle_velocity(sol, x)
     assert np.allclose(u, [-g[1], g[0]], rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Horner-form evaluation against the materialized basis it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_basis_gradients(config, order, pts):
+    """Gradients of every basis column, shape (npts, ncols, 2): the dense
+    tensor the probe-point gradient used to be contracted from."""
+    z = (pts[:, 0] + 1j * pts[:, 1])[:, None] - (
+        config.centers[:, 0] + 1j * config.centers[:, 1]
+    )[None, :]
+    out = np.empty((pts.shape[0], config.n_holes, 2 * order, 2))
+    am = 1.0
+    zpow = 1.0 / z
+    for m in range(1, order + 1):
+        am *= config.a
+        zpow = zpow / z
+        deriv = -m * am * zpow
+        out[:, :, 2 * (m - 1), 0] = deriv.real
+        out[:, :, 2 * (m - 1), 1] = -deriv.imag
+        out[:, :, 2 * (m - 1) + 1, 0] = -deriv.imag
+        out[:, :, 2 * (m - 1) + 1, 1] = -deriv.real
+    return out.reshape(pts.shape[0], config.n_holes * 2 * order, 2)
+
+
+def _random_solution(order, seed):
+    rng = np.random.default_rng(seed)
+    n_holes = int(rng.integers(1, 13))
+    ratio = rng.uniform(0.05, 0.24)
+    d = 0.2
+    cfg = build_random(n_holes, ratio * d, d, Box(0.0, 0.0, 1.0, 1.0), seed=seed)
+    coeffs = rng.standard_normal((n_holes, 2 * order))
+    return orc.MultipoleSolution(
+        cfg, None, order, coeffs, np.zeros(n_holes), 0.0, 2 * order * n_holes, 1.0, False
+    )
+
+
+def _near_and_far_points(cfg, seed):
+    rng = np.random.default_rng(seed + 1)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 8)
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    near = np.concatenate(
+        [c + cfg.a * f * ring for c in cfg.centers for f in (1.0, 1.0 + 1e-9, 1.3, 3.0)]
+    )
+    bulk = rng.uniform(-0.5, 1.5, (400, 2))
+    bulk = bulk[~cfg.contains(bulk)]
+    far = 1e3 * ring + 0.5
+    return np.concatenate([near, bulk, far])
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_horner_matches_materialized_basis(order):
+    sol = _random_solution(order, seed=100 + order)
+    cfg = sol.config
+    pts = _near_and_far_points(cfg, seed=100 + order)
+    c = sol.coeffs.ravel()
+    # roundoff scale per point: sum over holes and orders of |term|
+    diff = pts[:, None, :] - cfg.centers[None, :, :]
+    z = np.hypot(diff[..., 0], diff[..., 1])
+    mags = np.hypot(sol.coeffs[:, 0::2], sol.coeffs[:, 1::2])  # |gamma_m|
+    w = cfg.a / z
+    ms = np.arange(1, order + 1)
+    val_scale = np.einsum("pjm,jm->p", w[:, :, None] ** ms, mags)
+    grad_scale = np.einsum("pjm,jm->p", ms * w[:, :, None] ** ms / z[:, :, None], mags)
+
+    ref_val = orc._basis_matrix(cfg, order, pts) @ c
+    ref_grad = np.einsum("pcd,c->pd", _reference_basis_gradients(cfg, order, pts), c)
+    val = orc.multipole_part_eval(sol, pts)
+    grad = orc.multipole_part_grad(sol, pts)
+    assert np.all(np.abs(val - ref_val) <= 1e-12 * val_scale)
+    assert np.all(np.abs(grad - ref_grad) <= 1e-12 * grad_scale[:, None])
+
+
+def test_horner_inside_hole_still_rejected():
+    sol = _random_solution(4, seed=7)
+    inside = sol.config.centers[:1] + 0.5 * sol.config.a
+    with pytest.raises(ValueError, match="oracle evaluated inside a hole"):
+        orc.oracle_gradient(sol, inside)
+    with pytest.raises(ValueError, match="oracle evaluated inside a hole"):
+        orc.oracle_eval(sol, inside)
+
+
+_CRITERION_4A_CHILD = """
+import resource
+import numpy as np
+from porousflow import analysis, oracle, reflections
+from porousflow.euler import VortexParticles
+from porousflow.geometry import Box, build_lattice
+src = VortexParticles(np.array([[0.5, 2.0]]), np.array([2.0]), blob=0.0)
+cfg = build_lattice(4, 0.05, Box(0.0, 0.0, 1.0, 1.0))
+stream = reflections.run_reflections(src, cfg, 3)
+sol = oracle.solve_collocation(src, cfg, 8, 64)
+err = analysis.reflection_vs_oracle_h1(stream, sol, cfg.kpm_box.inflate(0.25), cfg.a / 4)
+print(repr(err), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_criterion_4a_evaluation_memory_bounded():
+    # the a/d = 0.05 case of criterion 4(a): 229k probe points x 16 holes
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    # a forked child's ru_maxrss starts at its parent's peak, so the measured
+    # process is started by a fresh, small interpreter rather than by pytest
+    launcher = (
+        "import subprocess, sys; "
+        "sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, _CRITERION_4A_CHILD],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    err, maxrss_kib = proc.stdout.split()
+    assert float(err) == pytest.approx(9.354490263314028e-05, rel=1e-6)
+    assert int(maxrss_kib) / 1024 < 400.0

@@ -171,6 +171,64 @@ def test_dipole_inside_hole_rejected():
         dipole_grad(spec, (0.0, 0.01))
 
 
+def _reference_dipole_sum(centers, a, vectors, pts, grad):
+    """The real-arithmetic dipole sum the complex form replaced."""
+    z = pts[:, None, :] - centers[None, :, :]
+    r2 = (z**2).sum(axis=2)
+    if np.any(r2 < a * a * (1.0 - 1e-12)):
+        raise ValueError("evaluation point inside a hole")
+    az = (z * vectors[None, :, :]).sum(axis=2)
+    if grad:
+        term = vectors[None, :, :] / r2[:, :, None] - (
+            2.0 * az[:, :, None] * z / (r2**2)[:, :, None]
+        )
+        return a * a * term.sum(axis=1)
+    return a * a * (az / r2).sum(axis=1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dipole_sum_matches_real_arithmetic_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    a = rng.uniform(0.005, 0.05)
+    centers = rng.uniform(0.0, 1.0, (n, 2))
+    vectors = rng.standard_normal((n, 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi, (n, 4))
+    radius = a * np.array([1.0, 1.0 + 1e-9, 1.5, 4.0])
+    near = (centers[:, None, :] + radius[None, :, None] * np.stack(
+        [np.cos(theta), np.sin(theta)], axis=2)).reshape(-1, 2)
+    far = rng.uniform(-1.0, 1.0, (20, 2)) * 1e3
+    bulk = rng.uniform(-0.5, 1.5, (300, 2))
+    pts = np.concatenate([near, far, bulk])
+    r = np.hypot(*(pts[:, None, :] - centers[None, :, :]).transpose(2, 0, 1))
+    pts = pts[(r >= a).all(axis=1)]
+    r = r[(r >= a).all(axis=1)]
+    # roundoff scale per point: sum over holes of |q| / |z|^k
+    qmag = a * a * np.hypot(vectors[:, 0], vectors[:, 1])
+    val_scale = (qmag / r).sum(axis=1)
+    grad_scale = (qmag / r**2).sum(axis=1)
+    val = pot.dipole_sum(centers, a, vectors, pts)
+    grad = pot.dipole_sum(centers, a, vectors, pts, grad=True)
+    ref_val = _reference_dipole_sum(centers, a, vectors, pts, False)
+    ref_grad = _reference_dipole_sum(centers, a, vectors, pts, True)
+    assert np.all(np.abs(val - ref_val) <= 1e-12 * val_scale)
+    assert np.all(np.abs(grad - ref_grad) <= 1e-12 * grad_scale[:, None])
+
+
+def test_dipole_sum_inside_hole_rejected():
+    centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+    vectors = np.array([[1.0, 0.5], [-0.3, 0.2]])
+    a = 0.1
+    inside = np.array([[0.3, 0.0], [1.0, a * (1.0 - 1e-9)]])
+    on_boundary = np.array([[0.0, a], [1.0 - a, 0.0]])
+    for grad in (False, True):
+        with pytest.raises(ValueError, match="evaluation point inside a hole"):
+            pot.dipole_sum(centers, a, vectors, inside, grad=grad)
+        with pytest.raises(ValueError, match="evaluation point inside a hole"):
+            _reference_dipole_sum(centers, a, vectors, inside, grad)
+        assert np.all(np.isfinite(pot.dipole_sum(centers, a, vectors, on_boundary, grad=grad)))
+
+
 def test_bounds_check_zero_field():
     f = make_grid((0, 0, 1, 1), 0.1)
     rep = pot.psi0_bounds_check(f)
