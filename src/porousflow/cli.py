@@ -147,6 +147,16 @@ def geometry_from_config(cfg: RunConfig, seed: int) -> PorousConfig:
     raise ConfigError(f"unknown geometry kind '{kind}'")
 
 
+def _require_lattice(cfg: RunConfig) -> None:
+    # lattice_fraction, the only volume fraction, describes no other kind
+    kind = cfg.get("geometry", "kind", str, "lattice")
+    if kind != "lattice":
+        raise ConfigError(
+            f"[geometry] kind = {kind} has no volume fraction; "
+            f"the {cfg.experiment} experiment needs kind = lattice"
+        )
+
+
 def source_from_config(cfg: RunConfig):
     shape = cfg.get("vorticity", "shape", str, "bump")
     center = cfg.floats("vorticity", "center", [0.5, 2.0])
@@ -285,6 +295,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, threads: int = 1) -> dict
             "slope_err_tilde": s1, "r2_err_tilde": r1,
             "iterations": [r[3] for r in rows],
         }
+    _require_lattice(cfg)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
     world = world_grid_for(cfg, config, source)
@@ -366,6 +377,11 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int) -> dict:
         raise ConfigError("euler dt and t_final must be positive")
     if shape == "pair":
         return _euler_pair(cfg, outdir, dt, t_final)
+    try:
+        euler.step_count(t_final, dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _require_lattice(cfg)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
     margin = cfg.get("euler", "margin", float, 1.0)
@@ -503,6 +519,12 @@ _EXPERIMENTS = {
 
 
 def run(cfg: RunConfig, outdir: Path, seed: int = 0, threads: int = 1) -> dict:
+    if threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {threads}")
+    if threads > 1 and not (
+        cfg.experiment == "homog" and cfg.floats("sweep", "values", None)
+    ):
+        raise ConfigError("--threads above 1 applies only to the homog sweep")
     outdir.mkdir(parents=True, exist_ok=True)
     fn = _EXPERIMENTS[cfg.experiment]
     if cfg.experiment == "homog":
@@ -538,7 +560,7 @@ def main(argv=None) -> int:
     outdir = Path(args.out)
     try:
         cfg = RunConfig.from_file(args.config)
-        run(cfg, outdir, seed=args.seed, threads=max(args.threads, 1))
+        run(cfg, outdir, seed=args.seed, threads=args.threads)
     except ConfigError as exc:
         _write_error(outdir, "config", exc)
         print(f"config error: {exc}", file=sys.stderr)

@@ -152,24 +152,21 @@ def _homog_correction_grad(pts, particles, setting: HomogenizedSetting) -> np.nd
     centers, kvals = kf.nonzero_cells()
     if centers.shape[0] == 0:
         return np.zeros((pts.shape[0], 2))
-    ixs, iys = np.nonzero(kf.values)
     grad_cells = potential.grad_psi0_eval(particles, centers)
     if setting.full_solve:
-        grad_cells = _iterate_on_cells(
-            centers, kvals, kf.h, grad_cells, setting, ixs, iys
-        )
+        grad_cells = _iterate_on_cells(centers, kvals, kf.h, grad_cells, setting)
     w = kvals[:, None] * (grad_cells @ setting.M.m.T)
     return -homogenized.k2_kernel_sum(centers, w, kf.h, pts)
 
 
-def _iterate_on_cells(centers, kvals, h, grad0, setting, ixs, iys):
+def _iterate_on_cells(centers, kvals, h, grad0, setting):
     """Fixed-point iteration restricted to the k cells (direct backend)."""
-    self_pairs = (ixs[None, :] == ixs[:, None]) & (iys[None, :] == iys[:, None])
+    own = np.arange(centers.shape[0])  # each cell excludes itself
     grad = grad0.copy()
     ref = max(float(np.sqrt((grad0**2).sum() * h * h)), 1e-300)
     for _ in range(setting.max_iter):
         w = kvals[:, None] * (grad @ setting.M.m.T)
-        corr = homogenized.k2_kernel_sum(centers, w, h, centers, self_pairs=self_pairs)
+        corr = homogenized.k2_kernel_sum(centers, w, h, centers, own=own)
         corr += 0.5 * w
         new = grad0 - corr
         inc = float(np.sqrt(((new - grad) ** 2).sum() * h * h)) / ref
@@ -262,6 +259,18 @@ class ComparisonRecord:
     status_homogenized: str
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Number of steps of size dt that reach t_final; raises ValueError
+    unless t_final/dt is an integer to 1e-9 relative."""
+    ratio = t_final / dt
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * abs(ratio):
+        raise ValueError(
+            f"t_final = {t_final!r} is not a whole number of steps dt = {dt!r}"
+        )
+    return n_steps
+
+
 def run_comparison(
     particles: VortexParticles,
     perforated: PerforatedSetting,
@@ -278,6 +287,7 @@ def run_comparison(
     difference, and the sup over the probe set of the blob-smoothed vorticity
     difference. An early halt of either run is recorded, not fatal.
     """
+    n_steps = step_count(t_final, dt)
     probe_points = np.atleast_2d(probe_points)
     state_n = FlowState(0.0, particles, _support_distance(particles, perforated))
     state_c = FlowState(0.0, particles, _support_distance(particles, homogenized_setting))
@@ -285,7 +295,6 @@ def run_comparison(
     status_c = run_status(state_c, homogenized_setting)
     records = [_record(state_n, state_c, perforated, homogenized_setting,
                        probe_points, status_n, status_c)]
-    n_steps = int(round(t_final / dt))
     for i in range(1, n_steps + 1):
         if status_n == "running":
             state_n = step(state_n, dt, perforated)

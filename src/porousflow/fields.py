@@ -97,6 +97,17 @@ class ScalarGridField:
         inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
         return ix, iy, inside
 
+    def nonzero_cell_index(self, x: np.ndarray) -> np.ndarray:
+        """Position in ``nonzero_cells()`` of the nonzero cell containing each
+        point, or -1 when the point lies in a zero cell or off the grid."""
+        ix, iy, inside = self.cell_index(x)
+        index = np.full(self.values.shape, -1)
+        nonzero = self.values != 0.0
+        index[nonzero] = np.arange(np.count_nonzero(nonzero))
+        out = np.full(ix.shape, -1)
+        out[inside] = index[ix[inside], iy[inside]]
+        return out
+
     def sample_bilinear(self, x: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the field at points x, clamped at edges."""
         x = np.atleast_2d(np.asarray(x, dtype=float))

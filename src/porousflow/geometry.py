@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .fields import ScalarGridField, fmt
 
 _POINT_BLOCK = 1 << 15  # points per block of the nearest-center scan (cache sized)
@@ -95,18 +96,18 @@ class PorousConfig:
         if pts.shape[0] < 2:
             return np.inf
         best = np.inf
-        for i in range(0, pts.shape[0], 512):
-            chunk = pts[i : i + 512]
-            diff = chunk[:, None, :] - pts[None, :, :]
+        for sl in kernels.chunks(pts.shape[0], pts.shape[0]):
+            diff = pts[sl, None, :] - pts[None, :, :]
             dist = np.hypot(diff[..., 0], diff[..., 1])
-            dist[np.arange(chunk.shape[0]), i + np.arange(chunk.shape[0])] = np.inf
+            rows = np.arange(diff.shape[0])
+            dist[rows, sl.start + rows] = np.inf
             best = min(best, float(dist.min()))
         return best
 
     def distance_to_holes(self, x: np.ndarray) -> np.ndarray:
         """Distance from points (m,2) to the nearest disk boundary (negative inside)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _nearest_center_distance(self.centers, x) - self.a
+        return np.sqrt(nearest_center_sq(self.centers, x)) - self.a
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """True where points lie strictly inside some hole (boundary excluded
@@ -230,26 +231,32 @@ def rasterize_mu(
             f"{config.a / 4:.4g}"
         )
     values = np.zeros(grid.shape)
+    for _, window, frac in disk_cell_fractions(config.centers, config.a, grid, subcells):
+        values[window] += frac
+    np.clip(values, 0.0, 1.0, out=values)
+    return ScalarGridField(grid.origin.copy(), grid.h, values)
+
+
+def disk_cell_fractions(centers, radius: float, grid: ScalarGridField, subcells: int):
+    """Yield (disk index, window, fraction) for each disk meeting the grid: the
+    slices of the cells overlapping its bounding box, and the share of each
+    such cell inside the disk over subcells x subcells midpoints."""
     h = grid.h
     off = (np.arange(subcells) + 0.5) / subcells * h
     nx, ny = grid.shape
-    for cx, cy in config.centers:
-        # cell index range overlapping the disk's bounding box
-        i0 = max(int(np.floor((cx - config.a - grid.origin[0]) / h)) - 1, 0)
-        i1 = min(int(np.ceil((cx + config.a - grid.origin[0]) / h)) + 1, nx)
-        j0 = max(int(np.floor((cy - config.a - grid.origin[1]) / h)) - 1, 0)
-        j1 = min(int(np.ceil((cy + config.a - grid.origin[1]) / h)) + 1, ny)
+    for idx, (cx, cy) in enumerate(centers):
+        i0 = max(int(np.floor((cx - radius - grid.origin[0]) / h)) - 1, 0)
+        i1 = min(int(np.ceil((cx + radius - grid.origin[0]) / h)) + 1, nx)
+        j0 = max(int(np.floor((cy - radius - grid.origin[1]) / h)) - 1, 0)
+        j1 = min(int(np.ceil((cy + radius - grid.origin[1]) / h)) + 1, ny)
         if i0 >= i1 or j0 >= j1:
             continue
         bx = grid.origin[0] + np.arange(i0, i1)[:, None] * h + off[None, :]
         by = grid.origin[1] + np.arange(j0, j1)[:, None] * h + off[None, :]
         dx2 = (bx - cx) ** 2  # (bi, s)
         dy2 = (by - cy) ** 2  # (bj, s)
-        inside = dx2[:, None, :, None] + dy2[None, :, None, :] < config.a**2
-        frac = inside.mean(axis=(2, 3))
-        values[i0:i1, j0:j1] += frac
-    np.clip(values, 0.0, 1.0, out=values)
-    return ScalarGridField(grid.origin.copy(), grid.h, values)
+        inside = dx2[:, None, :, None] + dy2[None, :, None, :] < radius**2
+        yield idx, (slice(i0, i1), slice(j0, j1)), inside.mean(axis=(2, 3))
 
 
 @dataclass
@@ -335,12 +342,13 @@ def _centers_path(path):
 def fluid_mask(config: PorousConfig, grid: ScalarGridField) -> np.ndarray:
     """Boolean mask of cells lying fully outside every hole."""
     clearance = config.a + grid.h / np.sqrt(2.0)
-    dist = _nearest_center_distance(config.centers, grid.centers_flat())
+    dist = np.sqrt(nearest_center_sq(config.centers, grid.centers_flat()))
     return (dist >= clearance).reshape(grid.shape)
 
 
-def _nearest_center_distance(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest center (inf with no centers).
+def nearest_center_sq(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to its nearest center (inf with no
+    centers).
 
     Keeps a running minimum of squared distance over centers, one block of
     points at a time, so memory is O(points) whatever the number of centers.
@@ -359,4 +367,4 @@ def _nearest_center_distance(centers: np.ndarray, pts: np.ndarray) -> np.ndarray
             dy2 *= dy2
             sq += dy2
             np.minimum(block_best, sq, out=block_best)
-    return np.sqrt(best)
+    return best

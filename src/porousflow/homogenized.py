@@ -16,9 +16,7 @@ import numpy as np
 
 from .fields import ScalarGridField, VectorGridField
 from .geometry import VolumeFraction
-from .potential import grad_psi0_on_grid
-
-_K2_CHUNK = 1 << 24
+from .potential import _dipole_field, grad_psi0_on_grid
 
 
 @dataclass
@@ -120,32 +118,13 @@ def k2_kernel_sum(
     src_values: np.ndarray,
     h: float,
     targets: np.ndarray,
-    self_pairs: np.ndarray | None = None,
+    own: np.ndarray | None = None,
 ) -> np.ndarray:
     """Midpoint quadrature of the kernel (d_ij|z|^2 - 2 z_i z_j)/(2 pi |z|^4)
-    applied to a vector density; optional boolean (m, n) mask removes
-    target/source pairs (the excluded self cells of the PV sum)."""
-    targets = np.atleast_2d(targets)
-    m = targets.shape[0]
-    n = src_centers.shape[0]
-    out = np.zeros((m, 2))
-    step = max(_K2_CHUNK // max(n, 1), 1)
-    for start in range(0, m, step):
-        sl = slice(start, min(start + step, m))
-        zx = targets[sl, 0:1] - src_centers[None, :, 0]
-        zy = targets[sl, 1:2] - src_centers[None, :, 1]
-        r2 = zx * zx + zy * zy
-        bad = r2 <= 0.0
-        if self_pairs is not None:
-            bad = bad | self_pairs[sl]
-        inv2 = np.where(bad, 0.0, 1.0 / np.where(bad, 1.0, r2))
-        inv4 = inv2 * inv2
-        wx = src_values[None, :, 0]
-        wy = src_values[None, :, 1]
-        zw = zx * wx + zy * wy
-        out[sl, 0] = (wx * inv2 - 2.0 * zw * zx * inv4).sum(axis=1)
-        out[sl, 1] = (wy * inv2 - 2.0 * zw * zy * inv4).sum(axis=1)
-    return out * h * h / (2.0 * np.pi)
+    applied to a vector density w: the unit-radius dipole gradient with
+    A = w. ``own[i] >= 0`` removes source cell ``own[i]`` from target i (the
+    excluded self cell of the PV sum)."""
+    return _dipole_field(targets, src_centers, 1.0, src_values, True, own) * h * h / (2.0 * np.pi)
 
 
 def k1_kernel_sum(
@@ -154,23 +133,10 @@ def k1_kernel_sum(
     h: float,
     targets: np.ndarray,
 ) -> np.ndarray:
-    """Midpoint quadrature of div Delta^{-1} applied to a vector density:
-    sum of (z . w)/(2 pi |z|^2); the self cell (z = 0) contributes zero."""
-    targets = np.atleast_2d(targets)
-    m = targets.shape[0]
-    n = src_centers.shape[0]
-    out = np.zeros(m)
-    step = max(_K2_CHUNK // max(n, 1), 1)
-    for start in range(0, m, step):
-        sl = slice(start, min(start + step, m))
-        zx = targets[sl, 0:1] - src_centers[None, :, 0]
-        zy = targets[sl, 1:2] - src_centers[None, :, 1]
-        r2 = zx * zx + zy * zy
-        inv = np.where(r2 > 0.0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
-        out[sl] = (
-            (zx * src_values[None, :, 0] + zy * src_values[None, :, 1]) * inv
-        ).sum(axis=1)
-    return out * h * h / (2.0 * np.pi)
+    """Midpoint quadrature of div Delta^{-1} applied to a vector density w:
+    sum of (z . w)/(2 pi |z|^2), the unit-radius dipole value with A = w; the
+    self cell (z = 0) contributes zero."""
+    return _dipole_field(targets, src_centers, 1.0, src_values, False) * h * h / (2.0 * np.pi)
 
 
 def apply_l_direct(
@@ -181,25 +147,14 @@ def apply_l_direct(
     kf = _k_values(k)
     if kf.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
     w_all = kf.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
-    ixs, iys = np.nonzero(kf.values)
-    centers = np.stack(
-        [
-            kf.origin[0] + (ixs + 0.5) * kf.h,
-            kf.origin[1] + (iys + 0.5) * kf.h,
-        ],
-        axis=1,
-    )
-    w = w_all[ixs, iys]
-    tix, tiy, inside = kf.cell_index(targets)
-    self_pairs = (ixs[None, :] == tix[:, None]) & (iys[None, :] == tiy[:, None])
-    out = k2_kernel_sum(centers, w, kf.h, targets, self_pairs=self_pairs)
+    centers, _ = kf.nonzero_cells()
+    w = w_all[kf.values != 0.0]
+    own = kf.nonzero_cell_index(targets)
+    out = k2_kernel_sum(centers, w, kf.h, targets, own=own)
     # local delta term at targets landing on a source cell
-    hit = inside & (kf.values[np.clip(tix, 0, kf.shape[0] - 1),
-                              np.clip(tiy, 0, kf.shape[1] - 1)] != 0.0)
-    if np.any(hit):
-        out[hit] += 0.5 * w_all[tix[hit], tiy[hit]]
+    hit = own >= 0
+    out[hit] += 0.5 * w[own[hit]]
     return out
 
 

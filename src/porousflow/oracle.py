@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import potential
+from . import kernels, potential
 from .geometry import PorousConfig
 
 MAX_ORACLE_HOLES = 64  # desk-scale guard
@@ -139,7 +139,7 @@ def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> n
     zp = pts[:, 0] + 1j * pts[:, 1]
     zc = config.centers[:, 0] + 1j * config.centers[:, 1]
     out = np.empty(pts.shape[0], dtype=complex)
-    for sl in potential._chunks(pts.shape[0], config.n_holes):
+    for sl in kernels.chunks(pts.shape[0], config.n_holes):
         z = zp[sl, None] - zc[None, :]
         w = config.a / z
         acc = np.zeros_like(z)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .fields import ScalarGridField, VectorGridField
-
-_CHUNK = 1 << 22  # target x source pairs handled per vectorized block
+from .geometry import nearest_center_sq
 
 
 def _is_particles(source) -> bool:
@@ -97,91 +97,32 @@ def _as_points(x):
 
 
 def _particle_psi0(particles, pts):
-    d2 = float(particles.blob) ** 2
-    out = np.zeros(pts.shape[0])
-    pos = particles.positions
-    w = particles.weights
-    for sl in _chunks(pts.shape[0], max(pos.shape[0], 1)):
-        dx = pts[sl, 0:1] - pos[None, :, 0]
-        dy = pts[sl, 1:2] - pos[None, :, 1]
-        r2 = dx * dx + dy * dy + d2
-        with np.errstate(divide="ignore"):
-            lg = np.where(r2 > 0.0, np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
-        out[sl] = (lg * w[None, :]).sum(axis=1) / (4.0 * np.pi)
-    return out
+    s = kernels.pair_sum(pts, particles.positions, particles.weights, 0, particles.blob)
+    return s / (2.0 * np.pi)
 
 
 def _particle_grad_psi0(particles, pts):
-    d2 = float(particles.blob) ** 2
-    out = np.zeros((pts.shape[0], 2))
-    pos = particles.positions
-    w = particles.weights
-    for sl in _chunks(pts.shape[0], max(pos.shape[0], 1)):
-        dx = pts[sl, 0:1] - pos[None, :, 0]
-        dy = pts[sl, 1:2] - pos[None, :, 1]
-        r2 = dx * dx + dy * dy + d2
-        inv = np.where(r2 > 0.0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
-        out[sl, 0] = (dx * inv * w[None, :]).sum(axis=1) / (2.0 * np.pi)
-        out[sl, 1] = (dy * inv * w[None, :]).sum(axis=1) / (2.0 * np.pi)
-    return out
+    s = kernels.pair_sum(pts, particles.positions, particles.weights, 1, particles.blob)
+    return np.stack([s.real, -s.imag], axis=1) / (2.0 * np.pi)
 
 
 def _grid_psi0(f: ScalarGridField, pts):
     centers, vals = f.nonzero_cells()
-    ixs, iys = np.nonzero(f.values)
-    tix, tiy, inside = f.cell_index(pts)
-    out = np.zeros(pts.shape[0])
-    h2 = f.h**2
-    for sl in _chunks(pts.shape[0], max(centers.shape[0], 1)):
-        dx = pts[sl, 0:1] - centers[None, :, 0]
-        dy = pts[sl, 1:2] - centers[None, :, 1]
-        r2 = dx * dx + dy * dy
-        own = (ixs[None, :] == tix[sl, None]) & (iys[None, :] == tiy[sl, None])
-        with np.errstate(divide="ignore"):
-            lg = 0.5 * np.log(np.where(r2 > 0, r2, 1.0))
-        lg[own] = 0.0
-        out[sl] = (lg * vals[None, :]).sum(axis=1) * h2
+    own = f.nonzero_cell_index(pts)
+    out = kernels.pair_sum(pts, centers, vals, 0, own=own) * f.h**2
     # replace the containing cell's contribution by the exact integral
-    if np.any(inside):
-        sub = np.where(inside)[0]
-        fown = f.values[tix[sub], tiy[sub]]
-        live = sub[fown != 0.0]
-        if live.size:
-            cx = f.origin[0] + (tix[live] + 0.5) * f.h
-            cy = f.origin[1] + (tiy[live] + 0.5) * f.h
-            dx0 = cx - f.h / 2 - pts[live, 0]
-            dx1 = cx + f.h / 2 - pts[live, 0]
-            dy0 = cy - f.h / 2 - pts[live, 1]
-            dy1 = cy + f.h / 2 - pts[live, 1]
-            out[live] += f.values[tix[live], tiy[live]] * cell_log_integral(
-                dx0, dx1, dy0, dy1
-            )
+    live = np.flatnonzero(own >= 0)
+    lo = centers[own[live]] - f.h / 2 - pts[live]
+    hi = centers[own[live]] + f.h / 2 - pts[live]
+    out[live] += vals[own[live]] * cell_log_integral(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
     return out / (2.0 * np.pi)
 
 
 def _grid_grad_psi0(f: ScalarGridField, pts):
     centers, vals = f.nonzero_cells()
-    ixs, iys = np.nonzero(f.values)
-    tix, tiy, _ = f.cell_index(pts)
-    out = np.zeros((pts.shape[0], 2))
-    h2 = f.h**2
-    for sl in _chunks(pts.shape[0], max(centers.shape[0], 1)):
-        dx = pts[sl, 0:1] - centers[None, :, 0]
-        dy = pts[sl, 1:2] - centers[None, :, 1]
-        r2 = dx * dx + dy * dy
-        inv = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
-        # self cell: exact symmetric value 0 for a constant cell
-        own = (ixs[None, :] == tix[sl, None]) & (iys[None, :] == tiy[sl, None])
-        inv[own] = 0.0
-        out[sl, 0] = (dx * inv * vals[None, :]).sum(axis=1) * h2
-        out[sl, 1] = (dy * inv * vals[None, :]).sum(axis=1) * h2
-    return out / (2.0 * np.pi)
-
-
-def _chunks(n_targets, n_sources):
-    step = max(_CHUNK // max(n_sources, 1), 1)
-    for start in range(0, n_targets, step):
-        yield slice(start, min(start + step, n_targets))
+    # self cell: exact symmetric value 0 for a constant cell
+    s = kernels.pair_sum(pts, centers, vals, 1, own=f.nonzero_cell_index(pts))
+    return np.stack([s.real, -s.imag], axis=1) * f.h**2 / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -288,28 +229,20 @@ def dipole_sum(centers, a, vectors, x, grad: bool = False):
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     centers = np.atleast_2d(centers)
-    vectors = np.atleast_2d(vectors)
+    if np.any(nearest_center_sq(centers, pts) < a * a * (1.0 - 1e-12)):
+        raise ValueError("evaluation point inside a hole")
+    return _dipole_field(pts, centers, a, np.atleast_2d(vectors), grad)
+
+
+def _dipole_field(x, centers, a, vectors, grad: bool, own=None) -> np.ndarray:
+    """Sum over centers of V^a[A] at points x: values Re sum_j q_j / z_j, or
+    gradients (-Re, Im) of sum_j q_j / z_j^2, with q = a^2 (A_x + i A_y)
+    (see ``kernels.pair_sum`` for ``own``)."""
     q = a * a * (vectors[:, 0] + 1j * vectors[:, 1])
-    zp = pts[:, 0] + 1j * pts[:, 1]
-    zc = centers[:, 0] + 1j * centers[:, 1]
-    m = pts.shape[0]
-    out = np.zeros((m, 2)) if grad else np.zeros(m)
-    for sl in _chunks(m, centers.shape[0]):
-        z = zp[sl, None] - zc[None, :]
-        if np.any(z.real**2 + z.imag**2 < a * a * (1.0 - 1e-12)):
-            raise ValueError("evaluation point inside a hole")
-        out[sl] = _dipole_field(1.0 / z, q, grad)
-    return out
-
-
-def _dipole_field(inv_z, q, grad: bool) -> np.ndarray:
-    """Dipole values Re sum_j q_j / z_j, or gradients (-Re, Im) of
-    sum_j q_j / z_j^2, from reciprocal separations ``inv_z`` (m, n) and
-    complex strengths q = a^2 (A_x + i A_y); a zero entry drops its pair."""
     if grad:
-        s = (inv_z * inv_z) @ q
+        s = kernels.pair_sum(x, centers, q, 2, own=own)
         return np.stack([-s.real, s.imag], axis=1)
-    return (inv_z @ q).real
+    return kernels.pair_sum(x, centers, q, 1, own=own).real
 
 
 # ---------------------------------------------------------------------------

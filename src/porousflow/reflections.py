@@ -16,7 +16,7 @@ import numpy as np
 
 from . import potential
 from .fields import fmt
-from .geometry import PorousConfig
+from .geometry import PorousConfig, disk_cell_fractions
 
 
 @dataclass
@@ -146,18 +146,9 @@ def init_dipoles(source, config: PorousConfig) -> DipoleSet:
 
 def iterate_dipoles(prev: DipoleSet, config: PorousConfig) -> DipoleSet:
     """Next level: A'_l = - sum_{m != l} grad V^a[A_m](x_l - x_m), direct O(N^2)."""
-    zc = config.centers[:, 0] + 1j * config.centers[:, 1]
-    n = zc.shape[0]
-    q = config.a**2 * (prev.vectors[:, 0] + 1j * prev.vectors[:, 1])
-    out = np.zeros_like(prev.vectors)
-    for sl in potential._chunks(n, n):
-        z = zc[sl, None] - zc[None, :]
-        # suppress self-interaction: entry [i, sl.start + i] is the hole itself
-        diag = np.arange(z.shape[0]), sl.start + np.arange(z.shape[0])
-        z[diag] = 1.0
-        inv = 1.0 / z
-        inv[diag] = 0.0
-        out[sl] = -potential._dipole_field(inv, q, grad=True)
+    own = np.arange(config.n_holes)
+    out = -potential._dipole_field(config.centers, config.centers, config.a, prev.vectors,
+                                   grad=True, own=own)
     return DipoleSet(prev.level + 1, out)
 
 
@@ -202,25 +193,10 @@ def rasterize_phi(dipoles: DipoleSet, config: PorousConfig, grid, subcells: int 
 
     coef = 4.0 / np.pi**2
     comps = [np.zeros(grid.shape), np.zeros(grid.shape)]
-    h = grid.h
-    off = (np.arange(subcells) + 0.5) / subcells * h
-    nx, ny = grid.shape
-    radius = config.d / 2.0
-    for (cx, cy), vec in zip(config.centers, dipoles.vectors):
-        i0 = max(int(np.floor((cx - radius - grid.origin[0]) / h)) - 1, 0)
-        i1 = min(int(np.ceil((cx + radius - grid.origin[0]) / h)) + 1, nx)
-        j0 = max(int(np.floor((cy - radius - grid.origin[1]) / h)) - 1, 0)
-        j1 = min(int(np.ceil((cy + radius - grid.origin[1]) / h)) + 1, ny)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        bx = grid.origin[0] + np.arange(i0, i1)[:, None] * h + off[None, :]
-        by = grid.origin[1] + np.arange(j0, j1)[:, None] * h + off[None, :]
-        dx2 = (bx - cx) ** 2
-        dy2 = (by - cy) ** 2
-        inside = dx2[:, None, :, None] + dy2[None, :, None, :] < radius**2
-        frac = inside.mean(axis=(2, 3))
-        comps[0][i0:i1, j0:j1] += coef * vec[0] * frac
-        comps[1][i0:i1, j0:j1] += coef * vec[1] * frac
+    for idx, window, frac in disk_cell_fractions(config.centers, config.d / 2.0, grid, subcells):
+        vec = dipoles.vectors[idx]
+        comps[0][window] += coef * vec[0] * frac
+        comps[1][window] += coef * vec[1] * frac
     return (
         ScalarGridField(grid.origin.copy(), grid.h, comps[0]),
         ScalarGridField(grid.origin.copy(), grid.h, comps[1]),

@@ -271,3 +271,47 @@ def test_threads_flag_preserves_results(tmp_path):
     code2, out2 = run_cli(tmp_path, HOMOG_SWEEP, name="t2", extra=("--threads", "3"))
     assert code1 == code2 == 0
     assert (out1 / "homog_sweep.csv").read_bytes() == (out2 / "homog_sweep.csv").read_bytes()
+
+
+def _config_error(out, fragment):
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_kind"] == "config"
+    assert fragment in err["message"]
+
+
+def test_threads_flag_rejected_where_it_does_nothing(tmp_path):
+    for name, text, threads in (
+        ("zero", HOMOG_SWEEP, "0"),
+        ("negative", HOMOG_SWEEP, "-2"),
+        ("reflect", REFLECT_TWOHOLE, "2"),
+        ("homog_single", HOMOG_LATTICE, "2"),
+    ):
+        code, out = run_cli(tmp_path, text, name=name, extra=("--threads", threads))
+        assert code == 2, name
+        _config_error(out, "--threads")
+    code, _ = run_cli(tmp_path, REFLECT_TWOHOLE, name="one", extra=("--threads", "1"))
+    assert code == 0
+
+
+def test_volume_fraction_experiments_need_a_lattice(tmp_path):
+    random_geometry = "[geometry]\nkind = random\ncount = 4\na = 0.02\ndmin = 0.2\nbox = 0 0 1 1\n"
+    twohole_geometry = "[geometry]\nkind = twohole\na = 0.02\ndmin = 0.4\nbox = 0 0 1 1\n"
+    lattice_geometry = "[geometry]\nkind = lattice\nn = 2\nepsilon = 0.1\nbox = 0 0 1 1\n"
+    for name, text in (
+        ("homog_random", HOMOG_LATTICE.replace(lattice_geometry, random_geometry)),
+        ("homog_twohole", HOMOG_LATTICE.replace(lattice_geometry, twohole_geometry)),
+        ("euler_random", EULER_COMPARE.replace(
+            lattice_geometry.replace("n = 2", "n = 4"), random_geometry)),
+    ):
+        assert "kind = lattice" not in text
+        code, out = run_cli(tmp_path, text, name=name)
+        assert code == 2, name
+        _config_error(out, "kind")
+
+
+def test_euler_t_final_must_be_whole_steps(tmp_path):
+    text = EULER_COMPARE.replace("t_final = 0.3", "t_final = 0.25")
+    code, out = run_cli(tmp_path, text, name="partial")
+    assert code == 2
+    _config_error(out, "t_final")
+    assert not (out / "timeseries.csv").exists()

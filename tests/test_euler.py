@@ -268,3 +268,19 @@ def test_export_csv(tmp_path):
     plines = (tmp_path / "p.csv").read_text().strip().splitlines()
     assert plines[0] == "t,x,y,w"
     assert len(plines) == 3
+
+
+def test_step_count_requires_whole_steps():
+    assert eu.step_count(0.3, 0.1) == 3  # 0.3/0.1 = 2.9999999999999996
+    assert eu.step_count(0.25, 0.05) == 5
+    assert eu.step_count(8.0, 0.5) == 16
+    for t_final, dt in ((0.25, 0.1), (1.0, 0.3), (1e-3, 0.1)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            eu.step_count(t_final, dt)
+    parts = corotating_pair()
+    k0 = lattice_fraction(build_lattice(2, 0.1, FAR_BOX), make_grid(FAR_BOX.as_tuple(), 1 / 16))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        eu.run_comparison(
+            parts, empty_setting(), eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
+            t_final=0.25, dt=0.1, probe_points=np.array([[2.0, 2.0]]),
+        )

@@ -1,0 +1,90 @@
+"""The complex Laplace pair sums against dense real-arithmetic references."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from porousflow import kernels
+
+
+def dense_reference(targets, sources, q, m, blob=0.0, own=None):
+    """sum_j q_j K_m(t_i - s_j) in real arithmetic, returned as (Re, Im)."""
+    q = np.asarray(q, dtype=complex)
+    dx = targets[:, 0:1] - sources[None, :, 0]
+    dy = targets[:, 1:2] - sources[None, :, 1]
+    r2 = dx * dx + dy * dy + blob * blob
+    drop = r2 == 0.0
+    if own is not None:
+        rows = np.flatnonzero(own >= 0)
+        drop[rows, own[rows]] = True
+    safe = np.where(drop, 1.0, r2)
+    if m == 0:
+        kr = np.where(drop, 0.0, 0.5 * np.log(safe))
+        ki = np.zeros_like(kr)
+    elif m == 1:  # conj(z) / (|z|^2 + blob^2)
+        kr = np.where(drop, 0.0, dx / safe)
+        ki = np.where(drop, 0.0, -dy / safe)
+    else:  # 1/z^2 = conj(z)^2 / |z|^4
+        kr = np.where(drop, 0.0, (dx * dx - dy * dy) / safe**2)
+        ki = np.where(drop, 0.0, -2.0 * dx * dy / safe**2)
+    re = kr @ q.real - ki @ q.imag
+    im = kr @ q.imag + ki @ q.real
+    scale = (np.abs(kr) + np.abs(ki)) @ np.abs(q)
+    return re, im, scale
+
+
+def assert_matches(targets, sources, q, m, blob=0.0, own=None):
+    got = kernels.pair_sum(targets, sources, q, m, blob, own)
+    re, im, scale = dense_reference(targets, sources, q, m, blob, own)
+    scale = np.maximum(scale, 1e-300)
+    assert np.all(np.abs(got.real - re) <= 1e-12 * scale)
+    assert np.all(np.abs(np.imag(got) - im) <= 1e-12 * scale)
+
+
+def cloud(seed, n_sources=300):
+    rng = np.random.default_rng(seed)
+    sources = rng.random((n_sources, 2)) * 2.0 - 1.0
+    # targets on top of sources, plus a count that no chunk step divides
+    n_targets = kernels.PAIR_BUDGET // n_sources + 7
+    extra = rng.random((n_targets - 50, 2)) * 3.0 - 1.5
+    targets = np.vstack([sources[:50], extra])
+    return rng, targets, sources
+
+
+@pytest.mark.parametrize("m,blob", [(0, 0.0), (0, 0.05), (1, 0.0), (1, 0.05), (2, 0.0)])
+@pytest.mark.parametrize("complex_q", [False, True])
+def test_pair_sum_matches_dense_reference(m, blob, complex_q):
+    rng, targets, sources = cloud(m + 10 * complex_q)
+    assert targets.shape[0] % max(kernels.PAIR_BUDGET // sources.shape[0], 1) != 0
+    q = rng.standard_normal(sources.shape[0])
+    if complex_q:
+        q = q + 1j * rng.standard_normal(sources.shape[0])
+    assert_matches(targets, sources, q, m, blob)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_own_drops_one_source_per_target(m):
+    rng, targets, sources = cloud(20 + m)
+    own = np.full(targets.shape[0], -1)
+    own[:50] = np.arange(50)  # the coincident source (also dropped as z = 0)
+    own[60:90] = rng.integers(0, sources.shape[0], 30)  # some distinct source
+    q = rng.standard_normal(sources.shape[0]) + 1j * rng.standard_normal(sources.shape[0])
+    assert_matches(targets, sources, q, m, own=own)
+    blob = 0.05 if m < 2 else 0.0
+    assert_matches(targets, sources, q, m, blob, own=own)
+
+
+def test_chunks_cover_targets_within_budget():
+    for n_targets, n_sources in ((0, 5), (7, 0), (1000, 3), (10, kernels.PAIR_BUDGET * 2)):
+        slices = list(kernels.chunks(n_targets, n_sources))
+        covered = np.concatenate([np.arange(n_targets)[sl] for sl in slices] or [[]])
+        assert np.array_equal(covered, np.arange(n_targets))
+        for sl in slices:
+            assert (sl.stop - sl.start) * n_sources <= max(kernels.PAIR_BUDGET, n_sources)
+
+
+def test_empty_inputs():
+    pts = np.zeros((3, 2))
+    assert np.array_equal(kernels.pair_sum(pts, np.zeros((0, 2)), np.zeros(0), 1), np.zeros(3))
+    assert kernels.pair_sum(np.zeros((0, 2)), pts, np.ones(3), 0).shape == (0,)
