@@ -38,7 +38,6 @@ from .homogenized import (
     HomogSolution,
     apply_l_direct,
     apply_l_spectral,
-    first_order_expansion,
     solve_psic,
     velocity_c,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import homogenized, oracle as oracle_mod, potential
-from .fields import ScalarGridField, VectorGridField, make_grid
+from .fields import ScalarGridField, VectorGridField, check_padding, make_grid, wavenumbers
 from .geometry import Box, PorousConfig, VolumeFraction, fluid_mask, rasterize_mu
 from .homogenized import EffectiveMatrix
 from .reflections import HybridStream
@@ -49,32 +49,13 @@ def hminus1(g: ScalarGridField) -> float:
     clearance at least its own extent from every edge so the box emulates the
     plane (constants are equivalent-norm only).
     """
-    _check_hminus1_padding(g)
+    check_padding(g)
     nx, ny = g.shape
     ghat = np.fft.fft2(g.values) * g.h**2
-    kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=g.h)[:, None]
-    ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=g.h)[None, :]
+    kx, ky = wavenumbers(g.shape, g.h)
     weight = 1.0 / (1.0 + kx**2 + ky**2)
     area = nx * ny * g.h**2
     return float(np.sqrt((np.abs(ghat) ** 2 * weight).sum() / area))
-
-
-def _check_hminus1_padding(g: ScalarGridField):
-    box = g.support_box()
-    if box is None:
-        return
-    nx, ny = g.shape
-    x1 = g.origin[0] + nx * g.h
-    y1 = g.origin[1] + ny * g.h
-    extent = max(box[2] - box[0], box[3] - box[1])
-    clearance = min(
-        box[0] - g.origin[0], box[1] - g.origin[1], x1 - box[2], y1 - box[3]
-    )
-    if clearance < extent - 1e-12:
-        raise ValueError(
-            "support touches the pad zone: clearance "
-            f"{clearance:.3g} < extent {extent:.3g}"
-        )
 
 
 @dataclass

@@ -114,15 +114,21 @@ class RunConfig:
 # config -> domain objects
 # ---------------------------------------------------------------------------
 
-def geometry_from_config(cfg: RunConfig, seed: int) -> PorousConfig:
+def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
+                         epsilon: float | None = None, box: Box | None = None) -> PorousConfig:
+    """The [geometry] configuration; a sweep point's lattice ``n``,
+    ``epsilon`` or ``box``, when given, replace the config values."""
     kind = cfg.get("geometry", "kind", str, "lattice")
-    box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
+    if box is None:
+        box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
     eps0 = cfg.get("geometry", "eps0", float, 0.25)
     if eps0 <= 0.0 or eps0 >= 0.5:
         raise ConfigError("eps0 must lie in (0, 1/2)")
     if kind == "lattice":
-        n = cfg.get("geometry", "n", int, required=True)
-        epsilon = cfg.get("geometry", "epsilon", float, required=True)
+        if n is None:
+            n = cfg.get("geometry", "n", int, required=True)
+        if epsilon is None:
+            epsilon = cfg.get("geometry", "epsilon", float, required=True)
         try:
             return build_lattice(n, epsilon, box, eps0)
         except ValueError as exc:
@@ -320,15 +326,14 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int) -> dict:
     order = cfg.get("solver", "oracle_order", int, 8)
     pts_per_hole = cfg.get("solver", "oracle_points", int, 64)
     tol = cfg.get("solver", "tol", float, 1e-10)
+    _require_lattice(cfg)
     epsilon = cfg.get("geometry", "epsilon", float, required=True)
-    box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
-    eps0 = cfg.get("geometry", "eps0", float, 0.25)
     source = source_from_config(cfg)
     M = EffectiveMatrix.disk()
     rows = []
     for nf in nsides:
         n = int(nf)
-        config = build_lattice(n, epsilon, box, eps0)
+        config = geometry_from_config(cfg, seed, n=n)
         # one discrete source for every solver: f resampled on the world grid
         world = world_grid_for(cfg, config, source)
         k = lattice_fraction(config, world)
@@ -462,8 +467,8 @@ def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict
 def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int) -> dict:
     mode = cfg.get("sweep", "mode", str, "ratio")
     values = cfg.floats("sweep", "values", required=True)
+    _require_lattice(cfg)
     n = cfg.get("geometry", "n", int, 4)
-    eps0 = cfg.get("geometry", "eps0", float, 0.25)
     depth = cfg.get("solver", "reflection_depth", int, 3)
     order = cfg.get("solver", "oracle_order", int, 8)
     pts_per_hole = cfg.get("solver", "oracle_points", int, 64)
@@ -472,8 +477,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int) -> dict:
     rows = []
     for v in values:
         if mode == "ratio":
-            box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
-            config = build_lattice(n, v, box, eps0)
+            config = geometry_from_config(cfg, seed, n=n, epsilon=v)
         elif mode == "quadratic":
             # a held proportional to d^2: shrink the box at fixed hole count
             base = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
@@ -481,7 +485,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int) -> dict:
             scale = v / ratio0
             side = base.width * scale
             box = Box(base.x0, base.y0, base.x0 + side, base.y0 + side)
-            config = build_lattice(n, v, box, eps0)
+            config = geometry_from_config(cfg, seed, n=n, epsilon=v, box=box)
         else:
             raise ConfigError(f"unknown sweep mode '{mode}'")
         stream = reflections.run_reflections(source, config, depth)

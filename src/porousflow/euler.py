@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import homogenized, potential, reflections
+from . import homogenized, kernels, potential, reflections
 from .fields import ScalarGridField, fmt
 from .geometry import Box, PorousConfig, VolumeFraction
 from .homogenized import EffectiveMatrix
@@ -106,7 +106,6 @@ class HomogenizedSetting:
     margin: float = 0.0
     full_solve: bool = False
     tol: float = 1e-10
-    max_iter: int = 50
 
     def kpm_box(self) -> Box | None:
         box = self.k.field.support_box()
@@ -154,26 +153,9 @@ def _homog_correction_grad(pts, particles, setting: HomogenizedSetting) -> np.nd
         return np.zeros((pts.shape[0], 2))
     grad_cells = potential.grad_psi0_eval(particles, centers)
     if setting.full_solve:
-        grad_cells = _iterate_on_cells(centers, kvals, kf.h, grad_cells, setting)
+        grad_cells = homogenized.solve_on_cells(grad_cells, kf, setting.M, setting.tol)
     w = kvals[:, None] * (grad_cells @ setting.M.m.T)
     return -homogenized.k2_kernel_sum(centers, w, kf.h, pts)
-
-
-def _iterate_on_cells(centers, kvals, h, grad0, setting):
-    """Fixed-point iteration restricted to the k cells (direct backend)."""
-    own = np.arange(centers.shape[0])  # each cell excludes itself
-    grad = grad0.copy()
-    ref = max(float(np.sqrt((grad0**2).sum() * h * h)), 1e-300)
-    for _ in range(setting.max_iter):
-        w = kvals[:, None] * (grad @ setting.M.m.T)
-        corr = homogenized.k2_kernel_sum(centers, w, h, centers, own=own)
-        corr += 0.5 * w
-        new = grad0 - corr
-        inc = float(np.sqrt(((new - grad) ** 2).sum() * h * h)) / ref
-        grad = new
-        if inc < setting.tol:
-            break
-    return grad
 
 
 def _min_gap(setting) -> float:
@@ -227,11 +209,10 @@ def _at(parts: VortexParticles, positions) -> VortexParticles:
 def run_status(state: FlowState, setting) -> str:
     """'running', or 'halted' when the support control fails (the analogue of
     the exit time T_N) or a particle has entered a hole."""
-    if isinstance(setting, PerforatedSetting) and setting.config.n_holes:
-        if state.particles.count and np.any(
-            setting.config.contains(state.particles.positions)
-        ):
-            return "halted"
+    if isinstance(setting, PerforatedSetting) and reflections.overlaps_hole(
+        state.particles, setting.config
+    ):
+        return "halted"
     if setting.margin and state.support_distance < 0.5 * setting.margin:
         return "halted"
     return "running"
@@ -243,10 +224,13 @@ def smoothed_vorticity(particles: VortexParticles, pts: np.ndarray) -> np.ndarra
         return np.zeros(np.atleast_2d(pts).shape[0])
     pts = np.atleast_2d(pts)
     d2 = max(float(particles.blob) ** 2, 1e-300)
-    dx = pts[:, 0:1] - particles.positions[None, :, 0]
-    dy = pts[:, 1:2] - particles.positions[None, :, 1]
-    r2 = dx * dx + dy * dy + d2
-    return (particles.weights[None, :] * d2 / (np.pi * r2 * r2)).sum(axis=1)
+    out = np.empty(pts.shape[0])
+    for sl in kernels.chunks(pts.shape[0], particles.count):
+        dx = pts[sl, 0:1] - particles.positions[None, :, 0]
+        dy = pts[sl, 1:2] - particles.positions[None, :, 1]
+        r2 = dx * dx + dy * dy + d2
+        out[sl] = (particles.weights[None, :] * d2 / (np.pi * r2 * r2)).sum(axis=1)
+    return out
 
 
 @dataclass
@@ -285,7 +269,9 @@ def run_comparison(
     Records, per output time, the max over matched particles of the
     trajectory separation, the sup over the probe set of the velocity
     difference, and the sup over the probe set of the blob-smoothed vorticity
-    difference. An early halt of either run is recorded, not fatal.
+    difference. An early halt of either run is recorded, not fatal; after a
+    particle of the perforated run enters a hole its velocity difference is
+    nan.
     """
     n_steps = step_count(t_final, dt)
     probe_points = np.atleast_2d(probe_points)
@@ -318,9 +304,12 @@ def _record(state_n, state_c, perf, homog, probe, status_n, status_c):
             *(state_n.particles.positions - state_c.particles.positions).T
         ).max()
     ) if state_n.particles.count else 0.0
-    un = _velocity_batch(probe, state_n.particles, perf)
-    uc = _velocity_batch(probe, state_c.particles, homog)
-    vel_diff = float(np.hypot(*(un - uc).T).max()) if probe.size else 0.0
+    if status_n == "halted" and reflections.overlaps_hole(state_n.particles, perf.config):
+        vel_diff = np.nan  # the reflections reject particles in a hole
+    else:
+        un = _velocity_batch(probe, state_n.particles, perf)
+        uc = _velocity_batch(probe, state_c.particles, homog)
+        vel_diff = float(np.hypot(*(un - uc).T).max()) if probe.size else 0.0
     wn = smoothed_vorticity(state_n.particles, probe)
     wc = smoothed_vorticity(state_c.particles, probe)
     omega_diff = float(np.abs(wn - wc).max()) if probe.size else 0.0

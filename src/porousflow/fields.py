@@ -195,6 +195,33 @@ class VectorGridField:
                 fh.write(f"{fmt(gx)},{fmt(gy)}\n")
 
 
+def check_padding(f: ScalarGridField) -> None:
+    """Raise unless the support of f keeps clearance at least its own extent
+    from every edge of the grid, so that the grid's periodic box emulates the
+    plane."""
+    box = f.support_box()
+    if box is None:
+        return
+    nx, ny = f.shape
+    x1 = f.origin[0] + nx * f.h
+    y1 = f.origin[1] + ny * f.h
+    extent = max(box[2] - box[0], box[3] - box[1])
+    clearance = min(box[0] - f.origin[0], box[1] - f.origin[1], x1 - box[2], y1 - box[3])
+    if clearance < extent - 1e-12:
+        raise ValueError(
+            "insufficient padding: the support needs clearance >= its extent on "
+            f"every side of the periodic box (clearance {clearance:.3g}, extent {extent:.3g})"
+        )
+
+
+def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Angular wavenumbers of the periodic box of an (nx, ny) grid in ``fft2``
+    order: kx as an (nx, 1) column and ky as a (1, ny) row."""
+    nx, ny = shape
+    return (2.0 * np.pi * np.fft.fftfreq(nx, d=h)[:, None],
+            2.0 * np.pi * np.fft.fftfreq(ny, d=h)[None, :])
+
+
 def _bilinear(origin, h, values, x):
     """Shared bilinear kernel on cell-centered data; clamps to the edge cells."""
     nx, ny = values.shape[:2]

@@ -5,7 +5,9 @@ L[grad psi_{n-1}] with L g = grad Delta^{-1} div(k M g), which contracts for
 small sup k. The operator L has two interchangeable backends: a Fourier
 multiplier xi (xi.g_hat)/|xi|^2 on a padded periodic box, and a direct
 principal-value quadrature of the second-derivative kernel used as an
-independent cross-check.
+independent cross-check. The grid solve (spectral) and the Euler closure's
+full solve on the k cells (direct) share one loop, ``_fixed_point``, and so
+one stopping rule.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarGridField, VectorGridField
+from .fields import ScalarGridField, VectorGridField, check_padding, wavenumbers
 from .geometry import VolumeFraction
 from .potential import _dipole_field, grad_psi0_on_grid
+
+MAX_ITER = 50  # fixed-point iterations before a solve returns unconverged
 
 
 @dataclass
@@ -53,24 +57,6 @@ def _k_values(k) -> ScalarGridField:
     return k.field if isinstance(k, VolumeFraction) else k
 
 
-def _check_padding(k_field: ScalarGridField):
-    box = k_field.support_box()
-    if box is None:
-        return
-    nx, ny = k_field.shape
-    x0 = k_field.origin[0]
-    y0 = k_field.origin[1]
-    x1 = x0 + nx * k_field.h
-    y1 = y0 + ny * k_field.h
-    extent = max(box[2] - box[0], box[3] - box[1])
-    clearance = min(box[0] - x0, box[1] - y0, x1 - box[2], y1 - box[3])
-    if clearance < extent - 1e-12:
-        raise ValueError(
-            "insufficient padding: support of k needs clearance >= its extent "
-            f"on every side (clearance {clearance:.3g}, extent {extent:.3g})"
-        )
-
-
 def apply_l_spectral(
     g: VectorGridField, k, M: EffectiveMatrix
 ) -> VectorGridField:
@@ -85,15 +71,14 @@ def apply_l_spectral(
     restored so the output follows the decay-at-infinity convention.
     """
     kf = _k_values(k)
-    _check_padding(kf)
+    check_padding(kf)
     if kf.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
     w = kf.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
     nx, ny = w.shape[:2]
     wx_hat = np.fft.fft2(w[:, :, 0])
     wy_hat = np.fft.fft2(w[:, :, 1])
-    kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=g.h)[:, None]
-    ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=g.h)[None, :]
+    kx, ky = wavenumbers((nx, ny), g.h)
     k2 = kx**2 + ky**2
     k2[0, 0] = 1.0
     div_hat = (kx * wx_hat + ky * wy_hat) / k2
@@ -139,6 +124,16 @@ def k1_kernel_sum(
     return _dipole_field(targets, src_centers, 1.0, src_values, False) * h * h / (2.0 * np.pi)
 
 
+def _pv_on_cells(centers, w, h, targets, own) -> np.ndarray:
+    """The direct PV operator: the k2 quadrature of the density w (K, 2) on
+    the source cells ``centers``, without cell ``own[i]`` for target i, plus
+    the local term +1/2 w[own[i]] at targets that land on a source cell."""
+    out = k2_kernel_sum(centers, w, h, targets, own=own)
+    hit = own >= 0
+    out[hit] += 0.5 * w[own[hit]]
+    return out
+
+
 def apply_l_direct(
     g: VectorGridField, k, M: EffectiveMatrix, targets: np.ndarray
 ) -> np.ndarray:
@@ -147,66 +142,72 @@ def apply_l_direct(
     kf = _k_values(k)
     if kf.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
-    w_all = kf.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
-    centers, _ = kf.nonzero_cells()
-    w = w_all[kf.values != 0.0]
-    own = kf.nonzero_cell_index(targets)
-    out = k2_kernel_sum(centers, w, kf.h, targets, own=own)
-    # local delta term at targets landing on a source cell
-    hit = own >= 0
-    out[hit] += 0.5 * w[own[hit]]
-    return out
+    centers, kvals = kf.nonzero_cells()
+    w = kvals[:, None] * (g.values[kf.values != 0.0] @ M.m.T)
+    return _pv_on_cells(centers, w, kf.h, targets, kf.nonzero_cell_index(targets))
 
 
-def solve_psic_from_grad(
-    psi0_grad: VectorGridField,
-    k,
-    M: EffectiveMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> HomogSolution:
-    """Fixed-point iteration from a precomputed free-space gradient."""
-    kf = _k_values(k)
-    if isinstance(k, VolumeFraction) and k.inf_norm > k.eps0**2 + 1e-12:
-        raise ValueError("volume fraction exceeds its declared eps0^2 bound")
+def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float):
+    """Iterate g <- g0 - apply_l(g) from g = g0 over cell values of spacing h.
+
+    Each increment is ||g_new - g|| / ||g0|| (h-weighted l2). Stops at the
+    first increment below tol or after MAX_ITER iterations; three growing
+    increments in a row raise RuntimeError. Returns (g, increments).
+    """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    ref = max(psi0_grad.l2_norm(), 1e-300)
-    grad = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, psi0_grad.values.copy())
+    ref = max(float(np.sqrt((g0**2).sum() * h**2)), 1e-300)
+    g = g0
     increments: list[float] = []
-    for it in range(1, max_iter + 1):
-        correction = apply_l_spectral(grad, kf, M)
-        new_vals = psi0_grad.values - correction.values
-        inc = float(np.sqrt(((new_vals - grad.values) ** 2).sum() * grad.h**2)) / ref
+    for _ in range(MAX_ITER):
+        new = g0 - apply_l(g)
+        inc = float(np.sqrt(((new - g) ** 2).sum() * h**2)) / ref
         increments.append(inc)
-        grad = VectorGridField(grad.origin, grad.h, new_vals)
+        g = new
         if inc < tol:
-            return HomogSolution(grad, it, inc, increments)
+            break
         if len(increments) >= 3 and increments[-1] > increments[-2] > increments[-3]:
             raise RuntimeError(
                 "fixed point is not contracting (two consecutive increment "
                 "growths); reduce sup|k|"
             )
-    return HomogSolution(grad, max_iter, increments[-1], increments)
+    return g, increments
 
 
-def solve_psic(
-    f: ScalarGridField,
-    k,
-    M: EffectiveMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 50,
+def solve_psic_from_grad(
+    psi0_grad: VectorGridField, k, M: EffectiveMatrix, tol: float = 1e-10
 ) -> HomogSolution:
+    """Fixed-point iteration on the grid (spectral backend) from a
+    precomputed free-space gradient."""
+    kf = _k_values(k)
+    if isinstance(k, VolumeFraction) and k.inf_norm > k.eps0**2 + 1e-12:
+        raise ValueError("volume fraction exceeds its declared eps0^2 bound")
+
+    def apply_l(values):
+        g = VectorGridField(psi0_grad.origin, psi0_grad.h, values)
+        return apply_l_spectral(g, kf, M).values
+
+    values, increments = _fixed_point(psi0_grad.values, apply_l, psi0_grad.h, tol)
+    grad = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, values)
+    return HomogSolution(grad, len(increments), increments[-1], increments)
+
+
+def solve_psic(f: ScalarGridField, k, M: EffectiveMatrix, tol: float = 1e-10) -> HomogSolution:
     """Solve for grad psi_c with f given on the same (padded) grid as k."""
-    return solve_psic_from_grad(grad_psi0_on_grid(f), k, M, tol, max_iter)
+    return solve_psic_from_grad(grad_psi0_on_grid(f), k, M, tol)
 
 
-def first_order_expansion(
-    f: ScalarGridField, k, M: EffectiveMatrix
-) -> VectorGridField:
-    """One fixed-point step: grad(psi_0) - L[grad(psi_0)]."""
-    g0 = grad_psi0_on_grid(f)
-    return first_order_from_grad(g0, k, M)
+def solve_on_cells(grad0: np.ndarray, k, M: EffectiveMatrix, tol: float = 1e-10) -> np.ndarray:
+    """grad psi_c on the nonzero cells of k (direct backend), from
+    grad0 = grad psi_0 at the centers of ``nonzero_cells()``, in that order."""
+    kf = _k_values(k)
+    centers, kvals = kf.nonzero_cells()
+    own = np.arange(centers.shape[0])  # each cell excludes itself
+
+    def apply_l(g):
+        return _pv_on_cells(centers, kvals[:, None] * (g @ M.m.T), kf.h, centers, own)
+
+    return _fixed_point(grad0, apply_l, kf.h, tol)[0]
 
 
 def first_order_from_grad(g0: VectorGridField, k, M: EffectiveMatrix) -> VectorGridField:

@@ -59,10 +59,6 @@ class HybridStream:
     def depth(self) -> int:
         return len(self.levels)
 
-    def _check_outside(self, pts):
-        if self.config.n_holes and np.any(self.config.contains(pts)):
-            raise ValueError("stream evaluated inside a hole")
-
     def combined_vectors(self, depth: int | None = None) -> np.ndarray:
         """Sum of dipole vectors over levels (dipole fields are linear in A)."""
         depth = self.depth if depth is None else depth
@@ -71,22 +67,15 @@ class HybridStream:
         return np.sum([lev.vectors for lev in self.levels[:depth]], axis=0)
 
     def correction_eval(self, x, depth: int | None = None) -> np.ndarray:
-        """Dipole part only: sum over levels and holes of V^a[A](x - x_l)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_outside(pts)
-        if self.config.n_holes == 0 or not self.levels:
-            return np.zeros(pts.shape[0])
+        """Dipole part only: sum over levels and holes of V^a[A](x - x_l).
+        Raises ValueError at points inside a hole (``dipole_sum``'s check)."""
         return potential.dipole_sum(
-            self.config.centers, self.config.a, self.combined_vectors(depth), pts
+            self.config.centers, self.config.a, self.combined_vectors(depth), x
         )
 
     def correction_grad(self, x, depth: int | None = None) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        self._check_outside(pts)
-        if self.config.n_holes == 0 or not self.levels:
-            return np.zeros((pts.shape[0], 2))
         return potential.dipole_sum(
-            self.config.centers, self.config.a, self.combined_vectors(depth), pts, grad=True
+            self.config.centers, self.config.a, self.combined_vectors(depth), x, grad=True
         )
 
     def stream_eval(self, x, depth: int | None = None):
@@ -119,22 +108,21 @@ class HybridStream:
         return worst
 
 
-def _check_support_clear(source, config: PorousConfig):
+def overlaps_hole(source, config: PorousConfig) -> bool:
+    """True when a particle, or a nonzero cell of a grid source, reaches a
+    hole (distance to it <= 0, or <= the cell half-diagonal)."""
     if config.n_holes == 0:
-        return
+        return False
     if potential._is_particles(source):
-        pts = source.positions
-        if pts.shape[0] == 0:
-            return
-        if np.any(config.distance_to_holes(pts) <= 0.0):
-            raise ValueError("vorticity support overlaps a hole")
+        pts, margin = source.positions, 0.0
     else:
-        centers, _ = source.nonzero_cells()
-        if centers.shape[0] == 0:
-            return
-        margin = source.h / np.sqrt(2.0)
-        if np.any(config.distance_to_holes(centers) <= margin):
-            raise ValueError("vorticity support overlaps a hole")
+        pts, margin = source.nonzero_cells()[0], source.h / np.sqrt(2.0)
+    return pts.shape[0] > 0 and bool(np.any(config.distance_to_holes(pts) <= margin))
+
+
+def _check_support_clear(source, config: PorousConfig):
+    if overlaps_hole(source, config):
+        raise ValueError("vorticity support overlaps a hole")
 
 
 def init_dipoles(source, config: PorousConfig) -> DipoleSet:

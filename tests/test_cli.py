@@ -315,3 +315,17 @@ def test_euler_t_final_must_be_whole_steps(tmp_path):
     assert code == 2
     _config_error(out, "t_final")
     assert not (out / "timeseries.csv").exists()
+
+
+def test_sweep_geometry_errors_exit_2(tmp_path):
+    # lattices built per sweep point reject bad parameters as config errors
+    for name, text, fragment in (
+        ("divcurl_epsilon", DIVCURL_SMALL.replace("epsilon = 0.1", "epsilon = 0.6"), "epsilon"),
+        ("sweep_value", SWEEP_RATIO.replace("values = 0.1 0.2", "values = 0.6"), "epsilon"),
+        ("sweep_n", SWEEP_RATIO.replace("n = 2", "n = 0"), "n_per_side"),
+        ("divcurl_n", DIVCURL_SMALL.replace("n = 2", "n = 0"), "n_per_side"),
+    ):
+        assert text not in (DIVCURL_SMALL, SWEEP_RATIO)
+        code, out = run_cli(tmp_path, text, name=name)
+        assert code == 2, name
+        _config_error(out, fragment)

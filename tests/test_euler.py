@@ -5,6 +5,7 @@ import pytest
 
 from porousflow import euler as eu
 from porousflow import potential as pot
+from porousflow import reflections as refl
 from porousflow.fields import make_grid, radial_bump, rasterize
 from porousflow.geometry import Box, PorousConfig, build_lattice, lattice_fraction
 from porousflow.homogenized import EffectiveMatrix
@@ -284,3 +285,70 @@ def test_step_count_requires_whole_steps():
             parts, empty_setting(), eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
             t_final=0.25, dt=0.1, probe_points=np.array([[2.0, 2.0]]),
         )
+
+
+def test_full_solve_not_contracting_raises():
+    # the Euler full solve shares the grid solve's guard instead of returning
+    # a diverged field
+    parts = eu.discretize_vorticity(blob_omega0(), 0.12, 0.12, kpm_box=UNIT, margin=5.0)
+    k = lattice_fraction(build_lattice(4, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
+    k.field.values *= 40.0
+    setting = eu.HomogenizedSetting(k, EffectiveMatrix.disk(), full_solve=True)
+    with pytest.raises(RuntimeError, match="not contracting"):
+        eu.velocity_field(eu.FlowState(0.0, parts), setting, np.array([[0.5, 2.5]]))
+
+
+def test_particle_in_hole_halts_and_is_recorded():
+    cfg = build_lattice(2, 0.1, UNIT)
+    parts = eu.discretize_vorticity(blob_omega0(), 0.2, 0.2)
+    inside = eu.VortexParticles(
+        np.concatenate([parts.positions, cfg.centers[:1]]),
+        np.concatenate([parts.weights, [0.01]]),
+        parts.blob,
+    )
+    k = lattice_fraction(cfg, make_grid((0, 0, 1, 1), 1 / 16))
+    records = eu.run_comparison(
+        inside, eu.PerforatedSetting(cfg), eu.HomogenizedSetting(k, EffectiveMatrix.disk()),
+        t_final=0.1, dt=0.05, probe_points=np.array([[0.5, 2.5], [1.5, 3.0]]),
+    )
+    assert len(records) == 3
+    assert all(r.status_perforated == "halted" for r in records)
+    assert all(r.status_homogenized == "running" for r in records)
+    assert all(np.isnan(r.vel_diff_sup) for r in records)
+    assert records[-1].traj_div_max > 0.0
+    assert np.isfinite(records[-1].omega_diff)
+
+
+def test_hole_halt_predicate_matches_support_check():
+    # a particle exactly on a hole boundary (distance 0) halts the run, as
+    # the reflections reject it; a margin halt keeps the perforated closure
+    cfg = PorousConfig(np.array([[0.5, 0.5]]), 0.25, 1.0, 0.25, UNIT)
+    on_boundary = eu.VortexParticles(np.array([[0.75, 0.5], [0.5, 2.0]]), np.ones(2), 0.05)
+    assert cfg.distance_to_holes(on_boundary.positions)[0] == 0.0
+    with pytest.raises(ValueError, match="overlaps a hole"):
+        refl.run_reflections(on_boundary, cfg)
+    setting = eu.PerforatedSetting(cfg)
+    assert eu.run_status(eu.FlowState(0.0, on_boundary), setting) == "halted"
+    clear = eu.VortexParticles(np.array([[0.5, 1.5]]), np.ones(1), 0.05)
+    near = eu.PerforatedSetting(cfg, margin=2.0)
+    state = eu.FlowState(0.0, clear, eu._support_distance(clear, near))
+    assert eu.run_status(state, near) == "halted"
+    k0 = lattice_fraction(build_lattice(2, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
+    rec = eu._record(state, state, near, eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
+                     np.array([[0.5, 2.5]]), "halted", "running")
+    assert np.isfinite(rec.vel_diff_sup)
+
+
+def test_smoothed_vorticity_chunked_matches_dense(monkeypatch):
+    from porousflow import kernels
+
+    rng = np.random.default_rng(4)
+    parts = eu.VortexParticles(rng.uniform(-1, 1, (13, 2)), rng.standard_normal(13), 0.1)
+    pts = rng.uniform(-1.5, 1.5, (301, 2))
+    monkeypatch.setattr(kernels, "PAIR_BUDGET", 13 * 20)  # 16 chunks
+    assert len(list(kernels.chunks(pts.shape[0], parts.count))) > 1
+    d2 = parts.blob**2
+    r2 = ((pts[:, None, :] - parts.positions[None, :, :]) ** 2).sum(axis=2) + d2
+    dense = (parts.weights[None, :] * d2 / (np.pi * r2 * r2)).sum(axis=1)
+    got = eu.smoothed_vorticity(parts, pts)
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * np.abs(dense).max())

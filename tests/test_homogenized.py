@@ -6,7 +6,7 @@ import pytest
 from porousflow import homogenized as hom
 from porousflow import potential as pot
 from porousflow.fields import VectorGridField, make_grid, radial_bump, rasterize
-from porousflow.geometry import VolumeFraction
+from porousflow.geometry import Box, VolumeFraction, build_lattice, lattice_fraction
 from porousflow.homogenized import EffectiveMatrix
 
 WORLD = (-2.0, -2.0, 2.0, 2.0)
@@ -332,3 +332,74 @@ def test_pad_doubling_converges():
         vals[half] = out.values[ix, iy]
     scale = np.abs(vals[4.0]).max()
     assert np.abs(vals[2.0] - vals[4.0]).max() < 5e-3 * scale
+
+
+def _pv_reference(k, g, M, targets):
+    """Dense PV quadrature of (I |z|^2 - 2 z z^T) w / (2 pi |z|^4) over the
+    nonzero k cells, w = k M g built on the whole grid, without the cell that
+    holds the target, plus +1/2 w on that cell."""
+    w_all = k.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
+    ix, iy = np.nonzero(k.values)
+    w = w_all[ix, iy]
+    centers = k.origin + (np.stack([ix, iy], axis=1) + 0.5) * k.h
+    tx, ty, _ = k.cell_index(targets)
+    z = targets[:, None, :] - centers[None, :, :]
+    r2 = (z**2).sum(axis=2)
+    own = (ix[None, :] == tx[:, None]) & (iy[None, :] == ty[:, None])
+    r2 = np.where(own, 1.0, r2)
+    zw = np.einsum("tsi,si->ts", z, w)
+    kern = (w[None, :, :] * r2[..., None] - 2.0 * z * zw[..., None]) / r2[..., None] ** 2
+    kern[own] = 0.0
+    out = kern.sum(axis=1) * k.h**2 / (2.0 * np.pi)
+    return out + 0.5 * np.einsum("ts,si->ti", own.astype(float), w)
+
+
+def test_apply_l_direct_matches_dense_reference():
+    h = 1 / 16
+    k = rasterize((-1, -1, 1, 1), h, radial_bump((0.1, -0.1), 0.5, 0.04, power=3))
+    rng = np.random.default_rng(11)
+    g = VectorGridField(k.origin, h, rng.standard_normal(k.shape + (2,)))
+    M = EffectiveMatrix(np.array([[2.0, 0.3], [-0.5, 1.5]]))  # not symmetric
+    on_cells = k.nonzero_cells()[0][::7]
+    off = rng.uniform(-1.0, 1.0, (40, 2))  # in zero cells, nonzero cells and between
+    targets = np.concatenate([on_cells, off, [[3.0, 0.2]]])
+    got = hom.apply_l_direct(g, k, M, targets)
+    ref = _pv_reference(k, g, M, targets)
+    assert (k.nonzero_cell_index(targets) >= 0).sum() > on_cells.shape[0]
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def _iterate_on_cells_reference(centers, kvals, h, grad0, M, tol, max_iter=50):
+    """The Euler full solve as a standalone loop without a contraction guard."""
+    own = np.arange(centers.shape[0])
+    grad = grad0.copy()
+    ref = max(float(np.sqrt((grad0**2).sum() * h * h)), 1e-300)
+    for _ in range(max_iter):
+        w = kvals[:, None] * (grad @ M.m.T)
+        corr = hom.k2_kernel_sum(centers, w, h, centers, own=own)
+        corr += 0.5 * w
+        new = grad0 - corr
+        inc = float(np.sqrt(((new - grad) ** 2).sum() * h * h)) / ref
+        grad = new
+        if inc < tol:
+            break
+    return grad
+
+
+def test_solve_on_cells_matches_reference_iteration():
+    k = lattice_fraction(build_lattice(4, 0.1, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
+    M = EffectiveMatrix(np.array([[2.0, 0.3], [-0.5, 1.5]]))
+    centers, kvals = k.field.nonzero_cells()
+    grad0 = np.random.default_rng(3).standard_normal(centers.shape)
+    for tol in (1e-6, 1e-12):
+        got = hom.solve_on_cells(grad0, k, M, tol)
+        ref = _iterate_on_cells_reference(centers, kvals, k.field.h, grad0, M, tol)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(got - grad0).max() > 1e-3 * np.abs(grad0).max()
+
+
+def test_solve_on_cells_rejects_nonpositive_tol():
+    k = world_k(0.04, h=1 / 8)
+    grad0 = np.ones((np.count_nonzero(k.values), 2))
+    with pytest.raises(ValueError, match="tol"):
+        hom.solve_on_cells(grad0, k, EffectiveMatrix.disk(), tol=0.0)

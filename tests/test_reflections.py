@@ -229,3 +229,17 @@ def test_blob_particles_as_source():
     cfg = build_lattice(2, 0.1, UNIT)
     hs = refl.run_reflections(parts, cfg, 3)
     assert all(np.all(np.isfinite(lev.vectors)) for lev in hs.levels)
+
+
+def test_stream_without_levels_still_rejects_inside_points():
+    # dipole_sum's inside-hole check is the only guard, so it runs on zero
+    # vectors when there are no levels
+    src = point_vortex(0.5, 1.6, 2.0)
+    cfg = build_lattice(2, 0.1, UNIT)
+    hs = refl.HybridStream(src, cfg)
+    outside = np.array([[0.5, 0.5], [0.1, 0.9]])
+    assert np.all(hs.correction_eval(outside) == 0.0)
+    assert np.all(hs.correction_grad(outside) == 0.0)
+    for evaluate in (hs.correction_eval, hs.correction_grad, hs.stream_eval):
+        with pytest.raises(ValueError, match="inside"):
+            evaluate(cfg.centers[1])
