@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import homogenized, oracle as oracle_mod, potential
+from . import homogenized, oracle as oracle_mod
 from .fields import ScalarGridField, VectorGridField, check_padding, make_grid, wavenumbers
 from .geometry import Box, PorousConfig, VolumeFraction, fluid_mask, rasterize_mu
 from .homogenized import EffectiveMatrix
@@ -74,13 +74,7 @@ class ErrorBudget:
 
     @property
     def f_value(self) -> float:
-        hm1 = self.mu_minus_k_hm1
-        return (
-            self.a_over_d ** (3.0 - self.eta)
-            + hm1 ** (self.p * (1.0 - self.eta) / (self.p + 2.0))
-            + hm1**0.5
-            + self.k_inf**2
-        )
+        return sum(self.terms.values())
 
     @property
     def terms(self) -> dict:

@@ -19,6 +19,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +109,36 @@ class RunConfig:
             return Box(*vals)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+
+class SolverSettings(NamedTuple):
+    """Numerical settings shared by the experiments, read and checked once."""
+
+    reflection_depth: int
+    oracle_order: int
+    oracle_points: int
+    tol: float
+    eta: float
+
+
+def solver_settings(cfg: RunConfig) -> SolverSettings:
+    s = SolverSettings(
+        cfg.get("solver", "reflection_depth", int, 3),
+        cfg.get("solver", "oracle_order", int, 8),
+        cfg.get("solver", "oracle_points", int, 64),
+        cfg.get("solver", "tol", float, 1e-10),
+        cfg.get("analysis", "eta", float, 0.5),
+    )
+    for ok, message in (
+        (s.reflection_depth >= 1, "reflection_depth must be >= 1"),
+        (s.oracle_order >= 1, "oracle_order must be >= 1"),
+        (s.oracle_points >= 4 * s.oracle_order, "oracle_points must be >= 4 * oracle_order"),
+        (s.tol > 0.0, "tol must be positive"),
+        (0.0 < s.eta < 1.0, "eta must lie in (0, 1)"),
+    ):
+        if not ok:
+            raise ConfigError(message)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +276,10 @@ def world_grid_for(cfg: RunConfig, config: PorousConfig, source) -> ScalarGridFi
 # experiments
 # ---------------------------------------------------------------------------
 
-def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int) -> dict:
+def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
-    depth = cfg.get("solver", "reflection_depth", int, 3)
+    depth = settings.reflection_depth
     stream = reflections.run_reflections(source, config, depth)
     reflections.export_dipoles_csv(stream.levels, outdir / "dipoles.csv")
     reflections.export_norms_csv(stream, outdir / "norms.csv")
@@ -267,22 +298,21 @@ def _knorm_sweep_point(args):
     knorm, g0, kgrid_box, h, M, tol = args
     kfield = rasterize(kgrid_box, h, radial_bump((0.0, 0.0), 0.5, knorm, power=3))
     sol = homogenized.solve_psic_from_grad(g0, kfield, M, tol=tol)
-    tilde = homogenized.first_order_from_grad(g0, kfield, M)
     err0 = float(np.sqrt(((sol.grad.values - g0.values) ** 2).sum()) * g0.h)
-    errt = float(np.sqrt(((sol.grad.values - tilde.values) ** 2).sum()) * g0.h)
+    errt = float(np.sqrt(((sol.grad.values - sol.first_order.values) ** 2).sum()) * g0.h)
     return knorm, err0, errt, sol.iterations
 
 
-def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, threads: int = 1) -> dict:
+def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
+              threads: int = 1) -> dict:
     M = EffectiveMatrix.disk()
-    tol = cfg.get("solver", "tol", float, 1e-10)
     values = cfg.floats("sweep", "values", None)
     h = cfg.get("solver", "grid_h", float, 1.0 / 64.0)
     if values:
         world_box = (-2.0, -2.0, 2.0, 2.0)
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         g0 = potential.grad_psi0_on_grid(f)
-        jobs = [(v, g0, world_box, h, M, tol) for v in values]
+        jobs = [(v, g0, world_box, h, M, settings.tol) for v in values]
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 rows = list(pool.map(_knorm_sweep_point, jobs))
@@ -306,7 +336,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, threads: int = 1) -> dict
     source = source_from_config(cfg)
     world = world_grid_for(cfg, config, source)
     k = lattice_fraction(config, world)
-    sol = homogenized.solve_psic(world, k, M, tol=tol)
+    sol = homogenized.solve_psic(world, k, M, tol=settings.tol)
     sol.grad.to_csv(outdir / "psic_grad.csv")
     return {
         "iterations": sol.iterations,
@@ -315,17 +345,12 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, threads: int = 1) -> dict
     }
 
 
-def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int) -> dict:
+def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     nsides = cfg.floats("sweep", "values", None)
     if nsides is None:
         nsides = [float(cfg.get("geometry", "n", int, required=True))]
-    eta = cfg.get("analysis", "eta", float, 0.5)
     probe = cfg.box("analysis", "probe", Box(1.3, 0.0, 2.3, 1.0))
     probe_h = cfg.get("analysis", "probe_h", float, 1.0 / 64.0)
-    depth = cfg.get("solver", "reflection_depth", int, 3)
-    order = cfg.get("solver", "oracle_order", int, 8)
-    pts_per_hole = cfg.get("solver", "oracle_points", int, 64)
-    tol = cfg.get("solver", "tol", float, 1e-10)
     _require_lattice(cfg)
     epsilon = cfg.get("geometry", "epsilon", float, required=True)
     source = source_from_config(cfg)
@@ -338,15 +363,16 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int) -> dict:
         world = world_grid_for(cfg, config, source)
         k = lattice_fraction(config, world)
         g0 = potential.grad_psi0_on_grid(world)
-        sol = homogenized.solve_psic_from_grad(g0, k, M, tol=tol)
-        tilde = homogenized.first_order_from_grad(g0, k, M)
-        stream = reflections.run_reflections(world, config, depth)
+        sol = homogenized.solve_psic_from_grad(g0, k, M, tol=settings.tol)
+        stream = reflections.run_reflections(world, config, settings.reflection_depth)
         osol = None
         if config.n_holes <= oracle.MAX_ORACLE_HOLES:
-            osol = oracle.solve_collocation(world, config, order, pts_per_hole)
+            osol = oracle.solve_collocation(
+                world, config, settings.oracle_order, settings.oracle_points
+            )
         report = analysis.gamma_decomposition_report(
-            stream, g0, sol.grad, tilde, k, M, probe, probe_h,
-            oracle_sol=osol, eta=eta,
+            stream, g0, sol.grad, sol.first_order, k, M, probe, probe_h,
+            oracle_sol=osol, eta=settings.eta,
         )
         rows.append((n, report))
         (outdir / f"gamma_n{n}.json").write_text(report.to_json())
@@ -374,7 +400,7 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int) -> dict:
     return results
 
 
-def cmd_euler(cfg: RunConfig, outdir: Path, seed: int) -> dict:
+def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     shape = cfg.get("vorticity", "shape", str, "bump")
     dt = cfg.get("euler", "dt", float, required=True)
     t_final = cfg.get("euler", "t_final", float, required=True)
@@ -402,12 +428,10 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int) -> dict:
     # fraction lives on a grid of the porous box itself
     kgrid = make_grid(config.kpm_box.as_tuple(), cfg.get("solver", "grid_h", float, 1.0 / 32.0))
     k = lattice_fraction(config, kgrid)
-    perf = euler.PerforatedSetting(
-        config, cfg.get("solver", "reflection_depth", int, 3), margin=margin
-    )
+    perf = euler.PerforatedSetting(config, settings.reflection_depth, margin=margin)
     homog = euler.HomogenizedSetting(
         k, EffectiveMatrix.disk(), margin=margin,
-        full_solve=cfg.get("euler", "full_solve", bool, False),
+        full_solve=cfg.get("euler", "full_solve", bool, False), tol=settings.tol,
     )
     probe = cfg.box("analysis", "probe", Box(1.5, 1.5, 2.5, 2.5))
     pg = make_grid(probe.as_tuple(), cfg.get("analysis", "probe_h", float, 0.25))
@@ -464,14 +488,11 @@ def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict
     return result
 
 
-def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int) -> dict:
+def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     mode = cfg.get("sweep", "mode", str, "ratio")
     values = cfg.floats("sweep", "values", required=True)
     _require_lattice(cfg)
     n = cfg.get("geometry", "n", int, 4)
-    depth = cfg.get("solver", "reflection_depth", int, 3)
-    order = cfg.get("solver", "oracle_order", int, 8)
-    pts_per_hole = cfg.get("solver", "oracle_points", int, 64)
     probe_h = cfg.get("analysis", "probe_h", float, None)
     source = source_from_config(cfg)
     rows = []
@@ -488,8 +509,10 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int) -> dict:
             config = geometry_from_config(cfg, seed, n=n, epsilon=v, box=box)
         else:
             raise ConfigError(f"unknown sweep mode '{mode}'")
-        stream = reflections.run_reflections(source, config, depth)
-        osol = oracle.solve_collocation(source, config, order, pts_per_hole)
+        stream = reflections.run_reflections(source, config, settings.reflection_depth)
+        osol = oracle.solve_collocation(
+            source, config, settings.oracle_order, settings.oracle_points
+        )
         region = config.kpm_box.inflate(0.25 * config.kpm_box.width)
         h = probe_h if probe_h is not None else config.a / 4.0
         err = analysis.reflection_vs_oracle_h1(stream, osol, region, h)
@@ -529,22 +552,23 @@ def run(cfg: RunConfig, outdir: Path, seed: int = 0, threads: int = 1) -> dict:
         cfg.experiment == "homog" and cfg.floats("sweep", "values", None)
     ):
         raise ConfigError("--threads above 1 applies only to the homog sweep")
+    settings = solver_settings(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     fn = _EXPERIMENTS[cfg.experiment]
     if cfg.experiment == "homog":
-        results = fn(cfg, outdir, seed, threads)
+        results = fn(cfg, outdir, seed, settings, threads)
     else:
-        results = fn(cfg, outdir, seed)
+        results = fn(cfg, outdir, seed, settings)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,
         "config_hash": cfg.hash(),
         "seed": seed,
         "tolerances": {
-            "solver_tol": cfg.get("solver", "tol", float, 1e-10),
-            "oracle_order": cfg.get("solver", "oracle_order", int, 8),
-            "reflection_depth": cfg.get("solver", "reflection_depth", int, 3),
-            "eta": cfg.get("analysis", "eta", float, 0.5),
+            "solver_tol": settings.tol,
+            "oracle_order": settings.oracle_order,
+            "reflection_depth": settings.reflection_depth,
+            "eta": settings.eta,
         },
         "results": results,
     }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import homogenized, kernels, potential, reflections
-from .fields import ScalarGridField, fmt
+from .fields import ScalarGridField, fmt, perp
 from .geometry import Box, PorousConfig, VolumeFraction
 from .homogenized import EffectiveMatrix
 
@@ -128,15 +128,9 @@ def _velocity_batch(pts: np.ndarray, particles: VortexParticles, setting) -> np.
         if cfg.n_holes == 0:
             return u
         stream = reflections.run_reflections(particles, cfg, setting.n_levels)
-        grad = stream.correction_grad(pts)
-        u[:, 0] -= grad[:, 1]
-        u[:, 1] += grad[:, 0]
-        return u
+        return u + perp(stream.correction_grad(pts))
     if isinstance(setting, HomogenizedSetting):
-        grad = _homog_correction_grad(pts, particles, setting)
-        u[:, 0] -= grad[:, 1]
-        u[:, 1] += grad[:, 0]
-        return u
+        return u + perp(_homog_correction_grad(pts, particles, setting))
     raise TypeError(f"unknown velocity setting {setting!r}")
 
 

@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def perp(g: np.ndarray) -> np.ndarray:
+    """(g1, g2) -> (-g2, g1) on the last axis: the velocity of a stream gradient."""
+    return np.stack([-g[..., 1], g[..., 0]], axis=-1)
+
+
 def fmt(v) -> str:
     """Stable float formatting for CSV output (shortest round-trip repr)."""
     return repr(float(v))
@@ -165,25 +170,15 @@ class VectorGridField:
         if self.h <= 0.0:
             raise ValueError("grid spacing h must be positive")
 
-    def component(self, i: int) -> ScalarGridField:
-        return ScalarGridField(self.origin, self.h, self.values[:, :, i])
-
     def cell_centers(self):
         return ScalarGridField(self.origin, self.h, self.values[:, :, 0]).cell_centers()
-
-    def l2_norm(self) -> float:
-        return float(np.sqrt((self.values**2).sum() * self.h**2))
 
     def sample_bilinear(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return _bilinear(self.origin, self.h, self.values, x)
 
     def perp(self) -> "VectorGridField":
-        """Rotate by 90 degrees: (g1, g2) -> (-g2, g1)."""
-        out = np.empty_like(self.values)
-        out[:, :, 0] = -self.values[:, :, 1]
-        out[:, :, 1] = self.values[:, :, 0]
-        return VectorGridField(self.origin, self.h, out)
+        return VectorGridField(self.origin, self.h, perp(self.values))
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:

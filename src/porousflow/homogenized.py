@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarGridField, VectorGridField, check_padding, wavenumbers
+from .fields import ScalarGridField, VectorGridField, check_padding, perp, wavenumbers
 from .geometry import VolumeFraction
 from .potential import _dipole_field, grad_psi0_on_grid
 
@@ -48,6 +48,7 @@ class EffectiveMatrix:
 @dataclass
 class HomogSolution:
     grad: VectorGridField
+    first_order: VectorGridField  # the first iterate g0 - L g0 = grad psi_tilde
     iterations: int
     last_increment: float
     increments: list[float] = field(default_factory=list)
@@ -152,18 +153,21 @@ def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float):
 
     Each increment is ||g_new - g|| / ||g0|| (h-weighted l2). Stops at the
     first increment below tol or after MAX_ITER iterations; three growing
-    increments in a row raise RuntimeError. Returns (g, increments).
+    increments in a row raise RuntimeError. Returns (g, first iterate, increments).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     ref = max(float(np.sqrt((g0**2).sum() * h**2)), 1e-300)
     g = g0
+    first = None
     increments: list[float] = []
     for _ in range(MAX_ITER):
         new = g0 - apply_l(g)
         inc = float(np.sqrt(((new - g) ** 2).sum() * h**2)) / ref
         increments.append(inc)
         g = new
+        if first is None:
+            first = new
         if inc < tol:
             break
         if len(increments) >= 3 and increments[-1] > increments[-2] > increments[-3]:
@@ -171,7 +175,7 @@ def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float):
                 "fixed point is not contracting (two consecutive increment "
                 "growths); reduce sup|k|"
             )
-    return g, increments
+    return g, first, increments
 
 
 def solve_psic_from_grad(
@@ -187,9 +191,10 @@ def solve_psic_from_grad(
         g = VectorGridField(psi0_grad.origin, psi0_grad.h, values)
         return apply_l_spectral(g, kf, M).values
 
-    values, increments = _fixed_point(psi0_grad.values, apply_l, psi0_grad.h, tol)
+    values, first, increments = _fixed_point(psi0_grad.values, apply_l, psi0_grad.h, tol)
     grad = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, values)
-    return HomogSolution(grad, len(increments), increments[-1], increments)
+    first_order = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, first)
+    return HomogSolution(grad, first_order, len(increments), increments[-1], increments)
 
 
 def solve_psic(f: ScalarGridField, k, M: EffectiveMatrix, tol: float = 1e-10) -> HomogSolution:
@@ -210,23 +215,16 @@ def solve_on_cells(grad0: np.ndarray, k, M: EffectiveMatrix, tol: float = 1e-10)
     return _fixed_point(grad0, apply_l, kf.h, tol)[0]
 
 
-def first_order_from_grad(g0: VectorGridField, k, M: EffectiveMatrix) -> VectorGridField:
-    corr = apply_l_spectral(g0, _k_values(k), M)
-    return VectorGridField(g0.origin.copy(), g0.h, g0.values - corr.values)
-
-
 def velocity_c(sol: HomogSolution, x) -> np.ndarray:
     """Bilinear interpolation of the perpendicular gradient at interior points."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     g = sol.grad
     nx, ny = g.values.shape[:2]
     lo = g.origin + 0.5 * g.h
     hi = g.origin + (np.array([nx, ny]) - 0.5) * g.h
-    if np.any(pts < lo[None, :]) or np.any(pts > hi[None, :]):
+    if np.any(x < lo) or np.any(x > hi):
         raise ValueError("velocity requested outside the grid interior")
-    grads = g.sample_bilinear(pts)
-    out = np.stack([-grads[:, 1], grads[:, 0]], axis=1)
-    return out[0] if np.asarray(x).ndim == 1 else out
+    return perp(g.sample_bilinear(x).reshape(x.shape))
 
 
 def scalar_from_gradient(grad: VectorGridField, anchor_value: float = 0.0) -> ScalarGridField:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, potential
+from .fields import perp
 from .geometry import PorousConfig
 
 MAX_ORACLE_HOLES = 64  # desk-scale guard
@@ -178,9 +179,7 @@ def oracle_gradient(sol: MultipoleSolution, x) -> np.ndarray:
 
 
 def oracle_velocity(sol: MultipoleSolution, x) -> np.ndarray:
-    g = np.atleast_2d(oracle_gradient(sol, x))
-    out = np.stack([-g[:, 1], g[:, 0]], axis=1)
-    return out[0] if np.asarray(x).ndim == 1 else out
+    return perp(oracle_gradient(sol, x))
 
 
 def _check_outside(config, pts):

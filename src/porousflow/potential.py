@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import ScalarGridField, VectorGridField
+from .fields import ScalarGridField, VectorGridField, perp
 from .geometry import nearest_center_sq
 
 
@@ -84,9 +84,7 @@ def grad_psi0_eval(source, x) -> np.ndarray:
 
 def velocity0_eval(source, x) -> np.ndarray:
     """Free-space velocity perp-grad psi_0 = (-d2 psi, d1 psi)."""
-    g = np.atleast_2d(grad_psi0_eval(source, x))
-    out = np.stack([-g[:, 1], g[:, 0]], axis=1)
-    return out[0] if np.asarray(x).ndim == 1 else out
+    return perp(grad_psi0_eval(source, x))
 
 
 def _as_points(x):

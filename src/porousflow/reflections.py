@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potential
-from .fields import fmt
+from .fields import fmt, perp
 from .geometry import PorousConfig, disk_cell_fractions
 
 
@@ -59,51 +59,48 @@ class HybridStream:
     def depth(self) -> int:
         return len(self.levels)
 
-    def combined_vectors(self, depth: int | None = None) -> np.ndarray:
+    def combined_vectors(self) -> np.ndarray:
         """Sum of dipole vectors over levels (dipole fields are linear in A)."""
-        depth = self.depth if depth is None else depth
-        if depth == 0 or not self.levels:
+        if not self.levels:
             return np.zeros((self.config.n_holes, 2))
-        return np.sum([lev.vectors for lev in self.levels[:depth]], axis=0)
+        return np.sum([lev.vectors for lev in self.levels], axis=0)
 
-    def correction_eval(self, x, depth: int | None = None) -> np.ndarray:
+    def correction_eval(self, x) -> np.ndarray:
         """Dipole part only: sum over levels and holes of V^a[A](x - x_l).
         Raises ValueError at points inside a hole (``dipole_sum``'s check)."""
         return potential.dipole_sum(
-            self.config.centers, self.config.a, self.combined_vectors(depth), x
+            self.config.centers, self.config.a, self.combined_vectors(), x
         )
 
-    def correction_grad(self, x, depth: int | None = None) -> np.ndarray:
+    def correction_grad(self, x) -> np.ndarray:
         return potential.dipole_sum(
-            self.config.centers, self.config.a, self.combined_vectors(depth), x, grad=True
+            self.config.centers, self.config.a, self.combined_vectors(), x, grad=True
         )
 
-    def stream_eval(self, x, depth: int | None = None):
+    def stream_eval(self, x):
         pts, single = potential._as_points(x)
-        out = potential.psi0_eval(self.base, pts) + self.correction_eval(pts, depth)
+        out = potential.psi0_eval(self.base, pts) + self.correction_eval(pts)
         return float(out[0]) if single else out
 
-    def gradient_eval(self, x, depth: int | None = None) -> np.ndarray:
+    def gradient_eval(self, x) -> np.ndarray:
         pts, single = potential._as_points(x)
-        out = potential.grad_psi0_eval(self.base, pts) + self.correction_grad(pts, depth)
+        out = potential.grad_psi0_eval(self.base, pts) + self.correction_grad(pts)
         return out[0] if single else out
 
-    def velocity_eval(self, x, depth: int | None = None) -> np.ndarray:
-        g = np.atleast_2d(self.gradient_eval(x, depth))
-        out = np.stack([-g[:, 1], g[:, 0]], axis=1)
-        return out[0] if np.asarray(x).ndim == 1 else out
+    def velocity_eval(self, x) -> np.ndarray:
+        return perp(self.gradient_eval(x))
 
     def norms(self, q: float) -> list[float]:
         return [lev.norm(q) for lev in self.levels]
 
     def boundary_residual(self, depth: int | None = None, samples: int = 64) -> float:
         """Max over holes of the oscillation of psi^(depth) on the hole boundary."""
-        depth = self.depth if depth is None else depth
+        prefix = HybridStream(self.base, self.config, self.levels[:depth])
         theta = (np.arange(samples) + 0.5) / samples * 2 * np.pi
         ring = self.config.a * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         worst = 0.0
         for c in self.config.centers:
-            vals = self.stream_eval(c[None, :] + ring, depth)
+            vals = prefix.stream_eval(c[None, :] + ring)
             worst = max(worst, float(np.abs(vals - vals.mean()).max()))
         return worst
 

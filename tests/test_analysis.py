@@ -213,7 +213,7 @@ def _gamma_setup(n, eps=0.1, h=1 / 64):
     k = lattice_fraction(cfg, world)
     M = EffectiveMatrix.disk()
     sol = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
-    tilde = hom.first_order_from_grad(g0, k, M)
+    tilde = sol.first_order
     stream = refl.run_reflections(world, cfg, 3)
     osol = orc.solve_collocation(world, cfg, 8, 64)
     return stream, g0, sol, tilde, k, M, osol
@@ -236,7 +236,7 @@ def test_gamma_report_no_medium_vanishes():
     stream = refl.run_reflections(world, empty, 1)
     M = EffectiveMatrix.disk()
     sol = hom.solve_psic_from_grad(g0, k0, M)
-    tilde = hom.first_order_from_grad(g0, k0, M)
+    tilde = sol.first_order
     rep = ana.gamma_decomposition_report(
         stream, g0, sol.grad, tilde, k0, M, Box(1.3, 0.0, 2.3, 1.0), 1 / 32
     )

@@ -317,6 +317,39 @@ def test_euler_t_final_must_be_whole_steps(tmp_path):
     assert not (out / "timeseries.csv").exists()
 
 
+def test_solver_settings_out_of_range_exit_2(tmp_path):
+    # checked before any numerics, whichever experiment would first use them
+    euler_full = EULER_COMPARE.replace("[euler]\n", "[euler]\nfull_solve = true\n")
+    for name, text, fragment in (
+        ("depth", REFLECT_TWOHOLE.replace("reflection_depth = 4", "reflection_depth = 0"),
+         "reflection_depth"),
+        ("homog_tol", HOMOG_SWEEP.replace("tol = 1e-10", "tol = -1"), "tol"),
+        ("euler_tol", euler_full.replace("[solver]\n", "[solver]\ntol = -1\n"), "tol"),
+        ("order", SWEEP_RATIO + "[solver]\noracle_order = 0\n", "oracle_order"),
+        ("points", SWEEP_RATIO + "[solver]\noracle_points = 8\n", "oracle_points"),
+        ("eta_one", DIVCURL_SMALL + "eta = 1\n", "eta"),
+        ("eta_zero", DIVCURL_SMALL + "eta = 0\n", "eta"),
+    ):
+        code, out = run_cli(tmp_path, text, name=name)
+        assert code == 2, name
+        _config_error(out, fragment)
+        assert not (out / "summary.json").exists()
+
+
+def test_euler_full_solve_honours_tol(tmp_path):
+    euler_full = EULER_COMPARE.replace("[euler]\n", "[euler]\nfull_solve = true\n")
+    series = {}
+    for name, tol in (("tight", 1e-10), ("loose", 0.5)):  # 0.5 stops after one iteration
+        code, out = run_cli(
+            tmp_path, euler_full.replace("[solver]\n", f"[solver]\ntol = {tol}\n"), name=name
+        )
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["tolerances"]["solver_tol"] == tol
+        series[name] = (out / "timeseries.csv").read_bytes()
+    assert series["tight"] != series["loose"]
+
+
 def test_sweep_geometry_errors_exit_2(tmp_path):
     # lattices built per sweep point reject bad parameters as config errors
     for name, text, fragment in (

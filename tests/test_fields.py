@@ -5,13 +5,21 @@ import json
 import numpy as np
 import pytest
 
+from conftest import point_vortex
+from porousflow import euler as eu
+from porousflow import homogenized as hom
+from porousflow import oracle as orc
+from porousflow import potential as pot
+from porousflow import reflections as refl
 from porousflow.fields import (
     ScalarGridField,
     VectorGridField,
     make_grid,
+    perp,
     radial_bump,
     rasterize,
 )
+from porousflow.geometry import Box, build_lattice, lattice_fraction
 
 
 def test_cell_centers_layout():
@@ -59,6 +67,50 @@ def test_vector_field_perp():
     p = v.perp()
     assert np.allclose(p.values[..., 0], -1.0)
     assert np.allclose(p.values[..., 1], 1.0)
+
+
+def test_perp_rotates_the_last_axis():
+    assert np.array_equal(perp(np.array([1.0, 2.0])), [-2.0, 1.0])
+    rng = np.random.default_rng(5)
+    for shape in ((2,), (7, 2), (3, 4, 2)):
+        g = rng.standard_normal(shape)
+        p = perp(g)
+        assert p.shape == shape
+        assert np.array_equal(p[..., 0], -g[..., 1])
+        assert np.array_equal(p[..., 1], g[..., 0])
+
+
+def test_velocities_are_perp_of_gradients():
+    src = point_vortex(0.5, 2.0, 2.0)
+    cfg = build_lattice(2, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    stream = refl.run_reflections(src, cfg, 3)
+    osol = orc.solve_collocation(src, cfg, 4, 32)
+    f = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 32, radial_bump((1.2, 0.3), 0.3, 1.0))
+    k = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 32, radial_bump((0.0, 0.0), 0.5, 0.02, 3))
+    hsol = hom.solve_psic(f, k, hom.EffectiveMatrix.disk())
+    state = eu.FlowState(0.0, src)
+    homog = eu.HomogenizedSetting(
+        lattice_fraction(cfg, make_grid((0.0, 0.0, 1.0, 1.0), 1 / 16)),
+        hom.EffectiveMatrix.disk(),
+    )
+    pairs = (
+        (lambda x: pot.velocity0_eval(src, x), lambda x: pot.grad_psi0_eval(src, x)),
+        (stream.velocity_eval, stream.gradient_eval),
+        (lambda x: orc.oracle_velocity(osol, x), lambda x: orc.oracle_gradient(osol, x)),
+        (lambda x: hom.velocity_c(hsol, x),
+         lambda x: hsol.grad.sample_bilinear(x).reshape(np.shape(x))),
+        (lambda x: eu.velocity_field(state, eu.PerforatedSetting(cfg, 3), x),
+         stream.gradient_eval),
+        (lambda x: eu.velocity_field(state, homog, x),
+         lambda x: pot.grad_psi0_eval(src, x) + eu._homog_correction_grad(
+             np.reshape(x, (-1, 2)), src, homog).reshape(np.shape(x))),
+    )
+    batch = np.array([[0.3, 1.4], [-0.6, 0.2], [1.7, -0.4]])
+    for velocity, gradient in pairs:
+        for x in (batch[0], batch):
+            u = velocity(x)
+            assert u.shape == x.shape
+            assert np.array_equal(u, perp(gradient(x)))
 
 
 def test_invalid_fields_rejected():

@@ -197,6 +197,21 @@ def test_volume_fraction_bound_enforced():
     assert sol.iterations >= 1
 
 
+def test_first_order_is_the_first_iterate():
+    f = world_f()
+    g0 = pot.grad_psi0_on_grid(f)
+    k = world_k(0.04)
+    M = EffectiveMatrix.disk()
+    expected = g0.values - hom.apply_l_spectral(g0, k, M).values
+    full = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
+    assert full.iterations > 1
+    assert np.array_equal(full.first_order.values, expected)
+    one = hom.solve_psic_from_grad(g0, k, M, tol=1.0)  # stops after one iteration
+    assert one.iterations == 1
+    assert np.array_equal(one.first_order.values, expected)
+    assert np.array_equal(one.grad.values, expected)
+
+
 def test_expansion_sweep_slopes():
     f = world_f()
     g0 = pot.grad_psi0_on_grid(f)
@@ -207,7 +222,7 @@ def test_expansion_sweep_slopes():
     for amp in (0.01, 0.02, 0.04):
         k = world_k(amp)
         sol = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
-        tilde = hom.first_order_from_grad(g0, k, M)
+        tilde = sol.first_order
         amps.append(amp)
         e0s.append(float(np.sqrt(((sol.grad.values - g0.values) ** 2).sum()) * H))
         ets.append(float(np.sqrt(((sol.grad.values - tilde.values) ** 2).sum()) * H))

@@ -150,6 +150,15 @@ def test_boundary_residual_non_increasing_in_depth():
     assert res[0] >= res[1] >= res[2]
 
 
+def test_boundary_residual_evaluates_the_prefix_stream():
+    src = point_vortex(0.5, 1.6, 2.0)
+    cfg = build_lattice(3, 0.1, UNIT)
+    hs = refl.run_reflections(src, cfg, 3)
+    for depth in (1, 2, 3):
+        prefix = refl.run_reflections(src, cfg, depth)
+        assert hs.boundary_residual(depth) == prefix.boundary_residual()
+
+
 def test_boundary_cancellation_single_hole():
     # level 1 cancels the linear trace: residual <= a * osc(grad psi0)
     src = point_vortex(0.0, 0.0, 3.0)
