@@ -90,6 +90,13 @@ class RunConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid value for [{section}] {key}: {raw!r}") from exc
 
+    def spacing(self, section, key, default=None, required=False):
+        """A grid spacing: a finite float above zero."""
+        h = self.get(section, key, float, default, required)
+        if h is not None and not 0.0 < h < np.inf:
+            raise ConfigError(f"[{section}] {key} must be a positive grid spacing, got {h!r}")
+        return h
+
     def floats(self, section, key, default=None, required=False):
         raw = self.get(section, key, str, None, required)
         if raw is None:
@@ -218,7 +225,7 @@ def source_from_config(cfg: RunConfig):
             np.array([amp, amp]),
             blob=cfg.get("euler", "blob", float, radius / 25.0),
         )
-    h = cfg.get("vorticity", "grid_h", float, radius / 24.0)
+    h = cfg.spacing("vorticity", "grid_h", radius / 24.0)
     power = {"bump": 2, "disk": 0}.get(shape)
     if power is None:
         raise ConfigError(f"unknown vorticity shape '{shape}'")
@@ -236,14 +243,13 @@ def source_from_config(cfg: RunConfig):
     return rasterize(box, h, radial_bump(center, radius, amp, power))
 
 
-def world_grid_for(cfg: RunConfig, config: PorousConfig, source) -> ScalarGridField:
-    """Grid whose box pads the porous box by the configured factor and covers
-    the vorticity support; f is rasterized onto it."""
+def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
+    """Grid whose box pads the porous box ``box`` by the configured factor and
+    covers the vorticity support; f is rasterized onto it."""
     pad = cfg.get("solver", "pad_factor", float, 4.0)
     if pad < 3.0:
         raise ConfigError("pad_factor must be >= 3 for the periodic backends")
-    h = cfg.get("solver", "grid_h", float, 1.0 / 128.0)
-    box = config.kpm_box
+    h = cfg.spacing("solver", "grid_h", 1.0 / 128.0)
     extent = max(box.width, box.height)
     margin = (pad - 1.0) / 2.0 * extent
     world_box = box.inflate(margin)
@@ -307,7 +313,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
               threads: int = 1) -> dict:
     M = EffectiveMatrix.disk()
     values = cfg.floats("sweep", "values", None)
-    h = cfg.get("solver", "grid_h", float, 1.0 / 64.0)
+    h = cfg.spacing("solver", "grid_h", 1.0 / 64.0)
     if values:
         world_box = (-2.0, -2.0, 2.0, 2.0)
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
@@ -334,7 +340,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
     _require_lattice(cfg)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
-    world = world_grid_for(cfg, config, source)
+    world = world_grid_for(cfg, config.kpm_box, source)
     k = lattice_fraction(config, world)
     sol = homogenized.solve_psic(world, k, M, tol=settings.tol)
     sol.grad.to_csv(outdir / "psic_grad.csv")
@@ -346,34 +352,50 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
 
 
 def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
+    """The two-term decomposition for each lattice size n of the sweep.
+
+    The world grid, f on it and g0 = grad psi0 depend on the porous box and
+    the source only, so they are built once. k is rebuilt for each n; the
+    homogenized solve and its probe half (psi_tilde - psi_c and phi = -k1 at
+    every probe cell) are computed once per distinct k, i.e. again only when
+    k's values differ from the previous n's. The lattice k = N pi a^2/|box|
+    is pi epsilon^2 for every n, so a sweep usually solves once; the
+    reflections, the oracle and the report run for every n.
+    """
     nsides = cfg.floats("sweep", "values", None)
     if nsides is None:
         nsides = [float(cfg.get("geometry", "n", int, required=True))]
+    for nf in nsides:
+        if not (nf >= 1 and nf.is_integer()):
+            raise ConfigError(f"n_per_side must be a whole number >= 1, got {nf!r}")
     probe = cfg.box("analysis", "probe", Box(1.3, 0.0, 2.3, 1.0))
-    probe_h = cfg.get("analysis", "probe_h", float, 1.0 / 64.0)
+    probe_h = cfg.spacing("analysis", "probe_h", 1.0 / 64.0)
     _require_lattice(cfg)
     epsilon = cfg.get("geometry", "epsilon", float, required=True)
     source = source_from_config(cfg)
     M = EffectiveMatrix.disk()
+    configs = [(int(nf), geometry_from_config(cfg, seed, n=int(nf))) for nf in nsides]
+    # one discrete source for every solver: f resampled on the world grid;
+    # every lattice of the sweep fills the same configured box
+    world = world_grid_for(cfg, configs[0][1].kpm_box, source)
+    g0 = potential.grad_psi0_on_grid(world)
     rows = []
-    for nf in nsides:
-        n = int(nf)
-        config = geometry_from_config(cfg, seed, n=n)
-        # one discrete source for every solver: f resampled on the world grid
-        world = world_grid_for(cfg, config, source)
+    k_prev = homog = None
+    for n, config in configs:
         k = lattice_fraction(config, world)
-        g0 = potential.grad_psi0_on_grid(world)
-        sol = homogenized.solve_psic_from_grad(g0, k, M, tol=settings.tol)
+        if k_prev is None or not np.array_equal(k.field.values, k_prev.field.values):
+            sol = homogenized.solve_psic_from_grad(g0, k, M, tol=settings.tol)
+            homog = analysis.homogenized_probe(
+                g0, sol.grad, sol.first_order, k, M, probe, probe_h
+            )
+        k_prev = k
         stream = reflections.run_reflections(world, config, settings.reflection_depth)
         osol = None
         if config.n_holes <= oracle.MAX_ORACLE_HOLES:
             osol = oracle.solve_collocation(
                 world, config, settings.oracle_order, settings.oracle_points
             )
-        report = analysis.gamma_decomposition_report(
-            stream, g0, sol.grad, sol.first_order, k, M, probe, probe_h,
-            oracle_sol=osol, eta=settings.eta,
-        )
+        report = analysis.gamma_report(stream, homog, k, oracle_sol=osol, eta=settings.eta)
         rows.append((n, report))
         (outdir / f"gamma_n{n}.json").write_text(report.to_json())
     with open(outdir / "gamma.csv", "w", newline="") as fh:
@@ -416,8 +438,11 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
     margin = cfg.get("euler", "margin", float, 1.0)
-    h_p = cfg.get("euler", "particle_h", float, required=True)
+    h_p = cfg.spacing("euler", "particle_h", required=True)
     blob = cfg.get("euler", "blob", float, h_p)
+    k_h = cfg.spacing("solver", "grid_h", 1.0 / 32.0)
+    probe = cfg.box("analysis", "probe", Box(1.5, 1.5, 2.5, 2.5))
+    probe_h = cfg.spacing("analysis", "probe_h", 0.25)
     if potential._is_particles(source):
         particles = source
     else:
@@ -426,15 +451,14 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
         )
     # the homogenized closure integrates over supp k only, so the volume
     # fraction lives on a grid of the porous box itself
-    kgrid = make_grid(config.kpm_box.as_tuple(), cfg.get("solver", "grid_h", float, 1.0 / 32.0))
+    kgrid = make_grid(config.kpm_box.as_tuple(), k_h)
     k = lattice_fraction(config, kgrid)
     perf = euler.PerforatedSetting(config, settings.reflection_depth, margin=margin)
     homog = euler.HomogenizedSetting(
         k, EffectiveMatrix.disk(), margin=margin,
         full_solve=cfg.get("euler", "full_solve", bool, False), tol=settings.tol,
     )
-    probe = cfg.box("analysis", "probe", Box(1.5, 1.5, 2.5, 2.5))
-    pg = make_grid(probe.as_tuple(), cfg.get("analysis", "probe_h", float, 0.25))
+    pg = make_grid(probe.as_tuple(), probe_h)
     records = euler.run_comparison(
         particles, perf, homog, t_final, dt, pg.centers_flat()
     )
@@ -493,7 +517,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     values = cfg.floats("sweep", "values", required=True)
     _require_lattice(cfg)
     n = cfg.get("geometry", "n", int, 4)
-    probe_h = cfg.get("analysis", "probe_h", float, None)
+    probe_h = cfg.spacing("analysis", "probe_h", None)
     source = source_from_config(cfg)
     rows = []
     for v in values:

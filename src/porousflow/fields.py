@@ -217,15 +217,22 @@ def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarra
             2.0 * np.pi * np.fft.fftfreq(ny, d=h)[None, :])
 
 
+def bilinear_stencil(origin: float, h: float, n: int, c: np.ndarray):
+    """Along one axis of an n-cell grid: the lower stencil cell i0 (the stencil
+    is i0, i0 + 1, clamped to the edge cells) and the weight t of cell i0 + 1
+    for coordinates c."""
+    f = (c - origin) / h - 0.5
+    i0 = np.clip(np.floor(f).astype(int), 0, n - 2)
+    return i0, np.clip(f - i0, 0.0, 1.0)
+
+
 def _bilinear(origin, h, values, x):
     """Shared bilinear kernel on cell-centered data; clamps to the edge cells."""
     nx, ny = values.shape[:2]
-    fx = (x[:, 0] - origin[0]) / h - 0.5
-    fy = (x[:, 1] - origin[1]) / h - 0.5
-    i0 = np.clip(np.floor(fx).astype(int), 0, nx - 2)
-    j0 = np.clip(np.floor(fy).astype(int), 0, ny - 2)
-    tx = np.clip(fx - i0, 0.0, 1.0)[:, None]
-    ty = np.clip(fy - j0, 0.0, 1.0)[:, None]
+    i0, tx = bilinear_stencil(origin[0], h, nx, x[:, 0])
+    j0, ty = bilinear_stencil(origin[1], h, ny, x[:, 1])
+    tx = tx[:, None]
+    ty = ty[:, None]
     v00 = values[i0, j0]
     v10 = values[i0 + 1, j0]
     v01 = values[i0, j0 + 1]

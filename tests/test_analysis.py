@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from porousflow import analysis as ana
-from porousflow.fields import VectorGridField, make_grid
-from porousflow.geometry import Box, build_lattice, lattice_fraction
+from porousflow.fields import ScalarGridField, VectorGridField, make_grid
+from porousflow.geometry import Box, build_lattice, lattice_fraction, rasterize_mu
 
 
 def test_h1dot_zero_field():
@@ -159,6 +164,82 @@ def test_predictor_smoothed_mu_dominated_by_aspect_and_kinf():
     weak = budget.terms["weak_low"] + budget.terms["weak_half"]
     assert weak < 0.2 * (budget.terms["aspect"] + budget.terms["kinf_sq"])
     assert np.isfinite(budget.radius_ratio(cfg.a))
+
+
+def _mu_minus_k_every_cell(cfg, k, grid):
+    """mu - k on ``grid`` with k sampled at every cell. Bilinear samples are
+    pointwise, so blocks of rows give the values of one sample_bilinear call
+    on grid.centers_flat() in a fraction of its memory."""
+    xs, ys = grid.cell_centers()
+    kvals = np.empty(grid.shape)
+    for rows in np.array_split(np.arange(xs.size), 16):
+        gx, gy = np.meshgrid(xs[rows], ys, indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        kvals[rows] = k.sample_bilinear(pts).reshape(gx.shape)
+    return rasterize_mu(cfg, grid).values - kvals
+
+
+@pytest.mark.parametrize("case", ["divcurl_n16", "smoothed_mu", "k_at_its_grid_edge"])
+def test_mu_minus_k_field_matches_sampling_every_cell(case):
+    # k is sampled only where its bilinear stencil meets a nonzero k cell;
+    # the field must equal sampling k everywhere bit for bit
+    if case == "divcurl_n16":
+        cfg = build_lattice(16, 0.1, Box(0, 0, 1, 1))
+        k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1 / 128)).field
+    elif case == "smoothed_mu":
+        # the k of test_predictor_smoothed_mu_dominated_by_aspect_and_kinf
+        cfg = build_lattice(4, 0.1, Box(0, 0, 1, 1))
+        k = make_grid((-1.2, -1.2, 2.2, 2.2), cfg.a / 4)
+        k.values = rasterize_mu(cfg, k).values
+        for _ in range(2):
+            k.values[1:-1, 1:-1] = (
+                k.values[1:-1, 1:-1]
+                + k.values[2:, 1:-1] + k.values[:-2, 1:-1]
+                + k.values[1:-1, 2:] + k.values[1:-1, :-2]
+            ) / 5.0
+    else:
+        # the Euler closure's k fills its own grid, so the edge clamp extends
+        # it over the whole world grid
+        cfg = build_lattice(4, 0.1, Box(0, 0, 1, 1))
+        k = lattice_fraction(cfg, make_grid(cfg.kpm_box.as_tuple(), 1 / 32)).field
+        assert np.all(k.values != 0.0)
+    field = ana.mu_minus_k_field(cfg, k)
+    grid = ScalarGridField(field.origin, field.h, np.zeros(field.shape))
+    assert field.values.tobytes() == _mu_minus_k_every_cell(cfg, k, grid).tobytes()
+
+
+_PREDICTOR_N16_CHILD = """
+import resource
+from porousflow import analysis
+from porousflow.fields import make_grid
+from porousflow.geometry import Box, build_lattice, lattice_fraction
+cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1.0 / 128.0))
+budget = analysis.predictor_f(cfg, k)
+print(repr(budget.mu_minus_k_hm1), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
+def test_predictor_memory_bounded():
+    # divcurl's n = 16 predictor: mu - k on a 2056^2 grid at h = a/4, with k
+    # nonzero on the unit square only
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    # a forked child's ru_maxrss starts at its parent's peak, so the measured
+    # process is started by a fresh, small interpreter rather than by pytest
+    launcher = (
+        "import subprocess, sys; "
+        "sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, _PREDICTOR_N16_CHILD],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    hm1, maxrss_kib = proc.stdout.split()
+    assert float(hm1) == pytest.approx(0.0008782516739463156, rel=1e-12)
+    assert int(maxrss_kib) / 1024 < 300.0
 
 
 def test_fit_exponent_exact_cubic():

@@ -362,3 +362,90 @@ def test_sweep_geometry_errors_exit_2(tmp_path):
         code, out = run_cli(tmp_path, text, name=name)
         assert code == 2, name
         _config_error(out, fragment)
+
+
+@pytest.mark.parametrize("values", ["4.5", "0", "-2", "2 4.5"])
+def test_divcurl_lattice_sizes_must_be_whole_and_positive(tmp_path, values):
+    # checked for every sweep point before any numerics run
+    text = DIVCURL_SMALL + f"[sweep]\nvalues = {values}\n"
+    code, out = run_cli(tmp_path, text, name="nsides")
+    assert code == 2
+    _config_error(out, "n_per_side")
+    assert not list(out.glob("gamma*"))
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, fragment",
+    [
+        ("probe_h", DIVCURL_SMALL.replace("probe_h = 0.0625", "probe_h = 0"), "probe_h"),
+        ("solver_grid_h", DIVCURL_SMALL.replace("grid_h = 0.03125", "grid_h = -0.01"),
+         "[solver] grid_h"),
+        ("particle_h", EULER_COMPARE.replace("particle_h = 0.12", "particle_h = 0"),
+         "particle_h"),
+        ("vorticity_grid_h", EULER_COMPARE.replace("grid_h = 0.03125", "grid_h = 0"),
+         "[vorticity] grid_h"),
+    ],
+)
+def test_non_positive_grid_spacing_exit_2(tmp_path, name, text, fragment):
+    assert text not in (DIVCURL_SMALL, EULER_COMPARE)
+    code, out = run_cli(tmp_path, text, name=name)
+    assert code == 2
+    _config_error(out, fragment)
+    assert not (out / "summary.json").exists()
+
+
+def _divcurl_one_n(text, n, fraction):
+    """The divcurl steps for one lattice size, every one rebuilt from scratch."""
+    from porousflow import analysis, homogenized, oracle, potential, reflections
+
+    cfg = cli.RunConfig(text)
+    settings = cli.solver_settings(cfg)
+    config = cli.geometry_from_config(cfg, 0, n=n)
+    world = cli.world_grid_for(cfg, config.kpm_box, cli.source_from_config(cfg))
+    k = fraction(config, world)
+    g0 = potential.grad_psi0_on_grid(world)
+    M = homogenized.EffectiveMatrix.disk()
+    sol = homogenized.solve_psic_from_grad(g0, k, M, tol=settings.tol)
+    stream = reflections.run_reflections(world, config, settings.reflection_depth)
+    osol = None
+    if config.n_holes <= oracle.MAX_ORACLE_HOLES:
+        osol = oracle.solve_collocation(
+            world, config, settings.oracle_order, settings.oracle_points
+        )
+    report = analysis.gamma_decomposition_report(
+        stream, g0, sol.grad, sol.first_order, k, M,
+        cfg.box("analysis", "probe"), cfg.get("analysis", "probe_h", float),
+        oracle_sol=osol, eta=settings.eta,
+    )
+    return report.to_json()
+
+
+def test_divcurl_solves_once_per_distinct_k(tmp_path, monkeypatch):
+    from porousflow import homogenized
+    from porousflow.geometry import lattice_fraction
+
+    def perturbed(config, grid):
+        # a volume fraction that differs from one lattice size to the next
+        k = lattice_fraction(config, grid)
+        k.field.values *= 1.0 + 1e-3 * config.n_holes
+        return k
+
+    calls = {}
+    for name in ("solve_psic_from_grad", "k1_kernel_sum"):
+        def counted(*args, _fn=getattr(homogenized, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(homogenized, name, counted)
+    text = DIVCURL_SMALL + "[sweep]\nvalues = 4 8\n"
+    for label, fraction, expected_calls in (
+        ("same_k", lattice_fraction, 1), ("k_per_n", perturbed, 2)
+    ):
+        monkeypatch.setattr(cli, "lattice_fraction", fraction)
+        calls.update(solve_psic_from_grad=0, k1_kernel_sum=0)
+        code, out = run_cli(tmp_path, text, name=label)
+        assert code == 0
+        assert calls == {"solve_psic_from_grad": expected_calls, "k1_kernel_sum": expected_calls}
+        for n in (4, 8):
+            assert (out / f"gamma_n{n}.json").read_text() == _divcurl_one_n(text, n, fraction)
