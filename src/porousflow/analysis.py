@@ -52,15 +52,19 @@ def hminus1(g: ScalarGridField) -> float:
     """Spectral H^-1 norm on the grid's own periodic box.
 
     sqrt( (1/|box|) sum_xi |ghat(xi)|^2 / (1 + |xi|^2) ) with ghat = h^2 DFT,
-    the zero mode included with weight one. The support of g must keep
-    clearance at least its own extent from every edge so the box emulates the
-    plane (constants are equivalent-norm only).
+    the zero mode included with weight one, summed over the half spectrum of
+    ``rfft2``: every column counts twice (for its conjugate) except column 0
+    and, for even ny, the Nyquist column. The support of g must keep clearance
+    at least its own extent from every edge so the box emulates the plane
+    (constants are equivalent-norm only).
     """
     check_padding(g)
     nx, ny = g.shape
-    ghat = np.fft.fft2(g.values) * g.h**2
+    ghat = np.fft.rfft2(g.values) * g.h**2
     kx, ky = wavenumbers(g.shape, g.h)
-    weight = 1.0 / (1.0 + kx**2 + ky**2)
+    count = np.ones_like(ky)
+    count[:, 1:(ny + 1) // 2] = 2.0
+    weight = count / (1.0 + kx**2 + ky**2)
     area = nx * ny * g.h**2
     return float(np.sqrt((np.abs(ghat) ** 2 * weight).sum() / area))
 

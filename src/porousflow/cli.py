@@ -84,16 +84,17 @@ class RunConfig:
             return default
         raw = self.parser.get(section, key).strip()
         try:
-            if cast is bool:
-                return _BOOLEANS[raw.lower()]
-            return cast(raw)
+            value = _BOOLEANS[raw.lower()] if cast is bool else cast(raw)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"invalid value for [{section}] {key}: {raw!r}") from exc
+        if cast is float and not np.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}")
+        return value
 
     def spacing(self, section, key, default=None, required=False):
         """A grid spacing: a finite float above zero."""
         h = self.get(section, key, float, default, required)
-        if h is not None and not 0.0 < h < np.inf:
+        if h is not None and not h > 0.0:
             raise ConfigError(f"[{section}] {key} must be a positive grid spacing, got {h!r}")
         return h
 
@@ -102,9 +103,12 @@ class RunConfig:
         if raw is None:
             return default
         try:
-            return [float(v) for v in raw.split()]
+            vals = [float(v) for v in raw.split()]
         except ValueError as exc:
             raise ConfigError(f"invalid numbers for [{section}] {key}") from exc
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"[{section}] {key} must be finite numbers, got {raw!r}")
+        return vals
 
     def box(self, section, key, default=None) -> Box:
         vals = self.floats(section, key, None)

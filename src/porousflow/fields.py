@@ -8,6 +8,7 @@ hold gradient iterates of the homogenized solver.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -70,13 +71,14 @@ class ScalarGridField:
 
     def support_box(self) -> tuple[float, float, float, float] | None:
         """Bounding box of nonzero cells, or None for the zero field."""
-        ix, iy = np.nonzero(self.values)
+        ix = np.flatnonzero(self.values.any(axis=1))
         if ix.size == 0:
             return None
-        x0 = self.origin[0] + ix.min() * self.h
-        x1 = self.origin[0] + (ix.max() + 1) * self.h
-        y0 = self.origin[1] + iy.min() * self.h
-        y1 = self.origin[1] + (iy.max() + 1) * self.h
+        iy = np.flatnonzero(self.values.any(axis=0))
+        x0 = self.origin[0] + ix[0] * self.h
+        x1 = self.origin[0] + (ix[-1] + 1) * self.h
+        y0 = self.origin[1] + iy[0] * self.h
+        y1 = self.origin[1] + (iy[-1] + 1) * self.h
         return (float(x0), float(y0), float(x1), float(y1))
 
     def nonzero_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -210,11 +212,30 @@ def check_padding(f: ScalarGridField) -> None:
 
 
 def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angular wavenumbers of the periodic box of an (nx, ny) grid in ``fft2``
-    order: kx as an (nx, 1) column and ky as a (1, ny) row."""
+    """Angular wavenumbers of the periodic box of an (nx, ny) grid in the half
+    spectrum of ``rfft2``: kx as an (nx, 1) column, ky as a (1, ny // 2 + 1) row."""
     nx, ny = shape
     return (2.0 * np.pi * np.fft.fftfreq(nx, d=h)[:, None],
-            2.0 * np.pi * np.fft.fftfreq(ny, d=h)[None, :])
+            2.0 * np.pi * np.fft.rfftfreq(ny, d=h)[None, :])
+
+
+@functools.lru_cache(maxsize=4)
+def gradient_multipliers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, ...]:
+    """(kx, ky, kx/|xi|^2, ky/|xi|^2) of ``wavenumbers``, cached per grid and
+    read-only. The multipliers vanish at xi = 0 and on the unpaired Nyquist
+    lines of an even axis, which break the Hermitian symmetry of the cross
+    terms (their content is below the truncation error of resolved fields)."""
+    kx, ky = wavenumbers(shape, h)
+    k2 = kx**2 + ky**2
+    k2[0, 0] = 1.0  # xi = 0 there, so m = 0 / 1
+    if shape[0] % 2 == 0:
+        k2[shape[0] // 2, :] = np.inf
+    if shape[1] % 2 == 0:
+        k2[:, -1] = np.inf
+    out = (kx, ky, kx / k2, ky / k2)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def bilinear_stencil(origin: float, h: float, n: int, c: np.ndarray):

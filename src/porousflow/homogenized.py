@@ -3,11 +3,11 @@
 Solved by the fixed-point iteration grad psi_n = grad Delta^{-1} f -
 L[grad psi_{n-1}] with L g = grad Delta^{-1} div(k M g), which contracts for
 small sup k. The operator L has two interchangeable backends: a Fourier
-multiplier xi (xi.g_hat)/|xi|^2 on a padded periodic box, and a direct
-principal-value quadrature of the second-derivative kernel used as an
-independent cross-check. The grid solve (spectral) and the Euler closure's
-full solve on the k cells (direct) share one loop, ``_fixed_point``, and so
-one stopping rule.
+multiplier xi (xi.g_hat)/|xi|^2 on a padded periodic box (real transforms,
+multipliers cached per grid), and a direct principal-value quadrature of the
+second-derivative kernel used as an independent cross-check. The grid solve
+(spectral) and the Euler closure's full solve on the k cells (direct) share
+one loop, ``_fixed_point``, and so one stopping rule.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ScalarGridField, VectorGridField, check_padding, perp, wavenumbers
+from .fields import ScalarGridField, VectorGridField, check_padding, gradient_multipliers, perp
 from .geometry import VolumeFraction
 from .potential import _dipole_field, grad_psi0_on_grid
 
@@ -66,36 +66,23 @@ def apply_l_spectral(
     The grid itself is the padded box; the support of k must keep clearance
     at least its own extent from every edge so periodization images stay
     negligible (their leading contributions cancel by lattice symmetry).
-    Killing the zero mode forces a zero box mean, whereas the free-space
-    field of a density with integral P has box mean P/(2 |box|) (the kernel
-    integrated over a large disk contributes exactly P/2); that constant is
-    restored so the output follows the decay-at-infinity convention.
+    w = k M g takes one batched real transform each way, with the cached
+    ``fields.gradient_multipliers``. Killing the zero mode forces a zero box
+    mean, whereas the free-space field of a density with integral P has box
+    mean P/(2 |box|) (the kernel integrated over a large disk contributes
+    exactly P/2); that constant is restored so the output follows the
+    decay-at-infinity convention.
     """
     kf = _k_values(k)
     check_padding(kf)
     if kf.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
-    w = kf.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
-    nx, ny = w.shape[:2]
-    wx_hat = np.fft.fft2(w[:, :, 0])
-    wy_hat = np.fft.fft2(w[:, :, 1])
-    kx, ky = wavenumbers((nx, ny), g.h)
-    k2 = kx**2 + ky**2
-    k2[0, 0] = 1.0
-    div_hat = (kx * wx_hat + ky * wy_hat) / k2
-    div_hat[0, 0] = 0.0
-    # the unpaired Nyquist modes break Hermitian symmetry for the cross
-    # terms of the multiplier; drop them (their content is below the
-    # truncation error of any resolved field)
-    if nx % 2 == 0:
-        div_hat[nx // 2, :] = 0.0
-    if ny % 2 == 0:
-        div_hat[:, ny // 2] = 0.0
-    out = np.stack(
-        [np.fft.ifft2(kx * div_hat).real, np.fft.ifft2(ky * div_hat).real], axis=2
-    )
-    area = nx * ny * g.h**2
-    out += w.sum(axis=(0, 1)) * g.h**2 / (2.0 * area)
+    w = np.einsum("ij,xyj->ixy", M.m, g.values) * kf.values
+    kx, ky, mx, my = gradient_multipliers(kf.shape, g.h)
+    w_hat = np.fft.rfft2(w)
+    div_hat = mx * w_hat[0] + my * w_hat[1]
+    out = np.moveaxis(np.fft.irfft2(np.stack([kx * div_hat, ky * div_hat]), s=kf.shape), 0, 2)
+    out += w.sum(axis=(1, 2)) / (2.0 * kf.values.size)  # P / (2 |box|), P = h^2 sum w
     return VectorGridField(g.origin.copy(), g.h, out)
 
 

@@ -130,17 +130,14 @@ def _grid_grad_psi0(f: ScalarGridField, pts):
 def psi0_on_grid(f: ScalarGridField) -> ScalarGridField:
     """psi_0 sampled at every cell center of f's own grid (free space, exact
     discrete sum: identical to psi0_eval at the centers up to FFT roundoff)."""
-    ker = _log_kernel(f)
-    vals = _fft_convolve(f.values, ker) * f.h**2 / (2.0 * np.pi)
+    vals = _fft_convolve(f.values, [_log_kernel(f)])[0] * f.h**2 / (2.0 * np.pi)
     return ScalarGridField(f.origin.copy(), f.h, vals)
 
 
 def grad_psi0_on_grid(f: ScalarGridField) -> VectorGridField:
     """grad psi_0 on f's own grid via the same discrete free-space sums."""
-    kx, ky = _grad_kernel(f)
-    gx = _fft_convolve(f.values, kx) * f.h**2 / (2.0 * np.pi)
-    gy = _fft_convolve(f.values, ky) * f.h**2 / (2.0 * np.pi)
-    return VectorGridField(f.origin.copy(), f.h, np.stack([gx, gy], axis=2))
+    grad = np.stack(_fft_convolve(f.values, _grad_kernel(f)), axis=2)
+    return VectorGridField(f.origin.copy(), f.h, grad * f.h**2 / (2.0 * np.pi))
 
 
 def _displacements(f):
@@ -168,12 +165,15 @@ def _grad_kernel(f):
     return dx * inv, dy * inv
 
 
-def _fft_convolve(values, kernel):
+def _fft_convolve(values, kernels):
+    """Linear convolutions of values with each kernel on the kernels' shared
+    (2 nx, 2 ny) zero-padded box; the padded source is transformed once."""
     nx, ny = values.shape
-    pad = np.zeros_like(kernel)
-    pad[:nx, :ny] = values
-    out = np.fft.irfft2(np.fft.rfft2(pad) * np.fft.rfft2(kernel), s=kernel.shape)
-    return out[:nx, :ny]
+    src_hat = np.fft.rfft2(np.pad(values, ((0, nx), (0, ny))))
+    # np.multiply, not *: numpy may run `src_hat * temporary` in place as temporary * src_hat,
+    # and swapped complex products can round differently
+    return [np.fft.irfft2(np.multiply(src_hat, np.fft.rfft2(k)), s=k.shape)[:nx, :ny].copy()
+            for k in kernels]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,29 @@ def test_hminus1_norm_axioms(rng):
         assert ana.hminus1(summed) <= na + nb + 1e-12
 
 
+def _hminus1_fft2(g):
+    """H^-1 over the full complex spectrum (fft2), every mode once: the
+    reference for the half-spectrum sum."""
+    nx, ny = g.shape
+    ghat = np.fft.fft2(g.values) * g.h**2
+    kx = 2 * np.pi * np.fft.fftfreq(nx, d=g.h)[:, None]
+    ky = 2 * np.pi * np.fft.fftfreq(ny, d=g.h)[None, :]
+    return float(np.sqrt((np.abs(ghat) ** 2 / (1.0 + kx**2 + ky**2)).sum() / (nx * ny * g.h**2)))
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (45, 45), (48, 39)])
+def test_hminus1_matches_complex_fft_reference(shape):
+    # even x even, odd x odd and a non-square even x odd box; a coarse h
+    # and random data give the Nyquist column a visible share of the sum
+    nx, ny = shape
+    h = 0.5
+    g = make_grid((0.0, 0.0, nx * h, ny * h), h)
+    g.values[nx // 3: nx // 3 + nx // 4, ny // 3: ny // 3 + ny // 4] = np.random.default_rng(
+        nx + ny
+    ).standard_normal((nx // 4, ny // 4))
+    assert ana.hminus1(g) == pytest.approx(_hminus1_fft2(g), rel=1e-13, abs=0.0)
+
+
 def test_hminus1_padding_guard():
     g = make_grid((0, 0, 2, 2), 0.05)
     g.values[:, :] = 1.0

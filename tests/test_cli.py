@@ -395,6 +395,23 @@ def test_non_positive_grid_spacing_exit_2(tmp_path, name, text, fragment):
     assert not (out / "summary.json").exists()
 
 
+def test_non_finite_numbers_exit_2(tmp_path):
+    # NaN fails every range check, so it is refused where numbers are read
+    for name, text, fragment in (
+        ("epsilon_nan", DIVCURL_SMALL.replace("epsilon = 0.1", "epsilon = nan"),
+         "[geometry] epsilon"),
+        ("values_inf", HOMOG_SWEEP.replace("values = 0.01 0.02 0.04", "values = 0.01 inf"),
+         "[sweep] values"),
+        ("probe_nan", DIVCURL_SMALL.replace("probe = 1.3 0.0 2.3 1.0", "probe = 1.3 0.0 nan 1.0"),
+         "[analysis] probe"),
+    ):
+        assert text not in (DIVCURL_SMALL, HOMOG_SWEEP)
+        code, out = run_cli(tmp_path, text, name=name)
+        assert code == 2, name
+        _config_error(out, fragment)
+        assert not (out / "summary.json").exists()
+
+
 def _divcurl_one_n(text, n, fraction):
     """The divcurl steps for one lattice size, every one rebuilt from scratch."""
     from porousflow import analysis, homogenized, oracle, potential, reflections

@@ -37,6 +37,25 @@ def test_integral_and_support():
     assert make_grid((0, 0, 1, 1), 0.25).support_box() is None
 
 
+def test_support_box_matches_nonzero_cells():
+    # the row/column scan gives the box of the full nonzero-index scan bit for bit
+    rng = np.random.default_rng(4)
+    for shape, cells in (((9, 7), [(0, 0)]), ((9, 7), [(8, 6)]), ((9, 7), [(3, 6), (8, 0)]),
+                         ((40, 33), None)):
+        g = ScalarGridField(np.array([-1.3, 0.7]), 0.1, np.zeros(shape))
+        if cells is None:
+            g.values[rng.random(shape) < 0.01] = -2.5
+        else:
+            for c in cells:
+                g.values[c] = 1.0
+        ix, iy = np.nonzero(g.values)
+        expected = tuple(float(v) for v in (
+            g.origin[0] + ix.min() * g.h, g.origin[1] + iy.min() * g.h,
+            g.origin[0] + (ix.max() + 1) * g.h, g.origin[1] + (iy.max() + 1) * g.h,
+        ))
+        assert g.support_box() == expected
+
+
 def test_csv_roundtrip(tmp_path):
     g = rasterize((-1, -1, 1, 1), 0.125, radial_bump((0, 0), 0.7, 2.0))
     path = tmp_path / "field.csv"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from porousflow import fields
 from porousflow import homogenized as hom
 from porousflow import potential as pot
 from porousflow.fields import VectorGridField, make_grid, radial_bump, rasterize
@@ -132,6 +133,62 @@ def test_apply_l_padding_guard():
     g = VectorGridField(np.array([-1.0, -1.0]), h, np.ones((64, 64, 2)))
     with pytest.raises(ValueError, match="padding"):
         hom.apply_l_spectral(g, k, EffectiveMatrix.disk())
+
+
+def _apply_l_fft2(g, k, M):
+    """The operator on the full complex spectrum (fft2/ifft2), with the same
+    zero-mode, Nyquist and box-mean conventions: the reference for the
+    real-transform operator."""
+    w = k.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
+    nx, ny = k.shape
+    kx = 2 * np.pi * np.fft.fftfreq(nx, d=g.h)[:, None]
+    ky = 2 * np.pi * np.fft.fftfreq(ny, d=g.h)[None, :]
+    k2 = kx**2 + ky**2
+    k2[0, 0] = 1.0
+    div_hat = (kx * np.fft.fft2(w[:, :, 0]) + ky * np.fft.fft2(w[:, :, 1])) / k2
+    div_hat[0, 0] = 0.0
+    if nx % 2 == 0:
+        div_hat[nx // 2, :] = 0.0
+    if ny % 2 == 0:
+        div_hat[:, ny // 2] = 0.0
+    out = np.stack([np.fft.ifft2(kx * div_hat).real, np.fft.ifft2(ky * div_hat).real], axis=2)
+    return out + w.sum(axis=(0, 1)) / (2.0 * nx * ny)
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (45, 45), (48, 39)])
+def test_apply_l_spectral_matches_complex_fft_reference(shape):
+    # even x even, odd x odd and a non-square even x odd box; random g has
+    # content up to the Nyquist lines, and M is not symmetric
+    nx, ny = shape
+    h = 0.05
+    rng = np.random.default_rng(nx * ny)
+    k = make_grid((0.0, 0.0, nx * h, ny * h), h)
+    k.values[nx // 3: nx // 3 + nx // 4, ny // 3: ny // 3 + ny // 4] = 0.05 * rng.random(
+        (nx // 4, ny // 4)
+    )
+    g = VectorGridField(k.origin, h, rng.standard_normal((nx, ny, 2)))
+    M = EffectiveMatrix(np.array([[2.0, 0.7], [-0.4, 1.3]]))
+    got = hom.apply_l_spectral(g, k, M).values
+    ref = _apply_l_fft2(g, k, M)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_gradient_multipliers_cache_is_bounded():
+    maxsize = fields.gradient_multipliers.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(maxsize + 3):
+        fields.gradient_multipliers((16 + n, 12), 0.1)
+        assert fields.gradient_multipliers.cache_info().currsize <= maxsize
+
+
+def test_gradient_multipliers_are_read_only():
+    # one cached set is shared by every call on the grid: no caller may write it
+    for shape in ((16, 12), (15, 11)):
+        for a in fields.gradient_multipliers(shape, 0.1):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
 
 def test_solve_zero_k_converges_immediately():
