@@ -14,9 +14,6 @@ from .geometry import (
     validate,
 )
 from .potential import (
-    DipoleSpec,
-    dipole_eval,
-    dipole_grad,
     grad_psi0_eval,
     grad_psi0_on_grid,
     psi0_bounds_check,

@@ -98,6 +98,13 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} must be a positive grid spacing, got {h!r}")
         return h
 
+    def nonnegative(self, section, key, default=None, required=False):
+        """A blob radius or a margin: a finite float, zero or above."""
+        value = self.get(section, key, float, default, required)
+        if value is not None and value < 0.0:
+            raise ConfigError(f"[{section}] {key} must be nonnegative, got {value!r}")
+        return value
+
     def floats(self, section, key, default=None, required=False):
         raw = self.get(section, key, str, None, required)
         if raw is None:
@@ -227,7 +234,7 @@ def source_from_config(cfg: RunConfig):
                 ]
             ),
             np.array([amp, amp]),
-            blob=cfg.get("euler", "blob", float, radius / 25.0),
+            blob=cfg.nonnegative("euler", "blob", radius / 25.0),
         )
     h = cfg.spacing("vorticity", "grid_h", radius / 24.0)
     power = {"bump": 2, "disk": 0}.get(shape)
@@ -441,9 +448,9 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     _require_lattice(cfg)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
-    margin = cfg.get("euler", "margin", float, 1.0)
+    margin = cfg.nonnegative("euler", "margin", 1.0)
     h_p = cfg.spacing("euler", "particle_h", required=True)
-    blob = cfg.get("euler", "blob", float, h_p)
+    blob = cfg.nonnegative("euler", "blob", h_p)
     k_h = cfg.spacing("solver", "grid_h", 1.0 / 32.0)
     probe = cfg.box("analysis", "probe", Box(1.5, 1.5, 2.5, 2.5))
     probe_h = cfg.spacing("analysis", "probe_h", 0.25)
@@ -480,7 +487,10 @@ def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict
     center = cfg.floats("vorticity", "center", [0.0, 0.0])
     rho = cfg.get("vorticity", "radius", float, 0.5)
     gamma = cfg.get("vorticity", "amplitude", float, required=True)
-    blob = cfg.get("euler", "blob", float, rho / 25.0)
+    if not (len(center) == 2 and rho > 0.0 and gamma > 0.0):
+        # the period is read off the angle unwrapped counterclockwise
+        raise ConfigError("the vortex pair needs a center x y, a positive radius and amplitude")
+    blob = cfg.nonnegative("euler", "blob", rho / 25.0)
     parts = euler.VortexParticles(
         np.array([[center[0] - rho, center[1]], [center[0] + rho, center[1]]]),
         np.array([gamma, gamma]),

@@ -110,9 +110,15 @@ class PorousConfig:
         return np.sqrt(nearest_center_sq(self.centers, x)) - self.a
 
     def contains(self, x: np.ndarray) -> np.ndarray:
-        """True where points lie strictly inside some hole (boundary excluded
-        up to roundoff)."""
-        return self.distance_to_holes(x) < -1e-9 * self.a
+        """True where points lie inside some hole (``inside_holes``)."""
+        return inside_holes(self.centers, self.a, x)
+
+    def boundary_points(self, samples: int) -> np.ndarray:
+        """``samples`` points on each hole boundary, at angles (j + 1/2) 2 pi /
+        samples; hole-major, shape (n_holes * samples, 2)."""
+        theta = (np.arange(samples) + 0.5) / samples * 2.0 * np.pi
+        ring = self.a * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return (self.centers[:, None, :] + ring[None, :, :]).reshape(-1, 2)
 
 
 @dataclass
@@ -344,6 +350,13 @@ def fluid_mask(config: PorousConfig, grid: ScalarGridField) -> np.ndarray:
     clearance = config.a + grid.h / np.sqrt(2.0)
     dist = np.sqrt(nearest_center_sq(config.centers, grid.centers_flat()))
     return (dist >= clearance).reshape(grid.shape)
+
+
+def inside_holes(centers, a: float, x) -> np.ndarray:
+    """The one inside-hole rule: True where |x - c|^2 < a^2 (1 - 1e-12) for some
+    center c, so boundary points (up to roundoff) count as outside."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    return nearest_center_sq(centers, pts) < a * a * (1.0 - 1e-12)
 
 
 def nearest_center_sq(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -48,12 +48,6 @@ class MultipoleSolution:
             raise ValueError("collocation residual must be finite")
 
 
-def collocation_points(config: PorousConfig, pts_per_hole: int) -> np.ndarray:
-    theta = (np.arange(pts_per_hole) + 0.5) / pts_per_hole * 2.0 * np.pi
-    ring = config.a * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return (config.centers[:, None, :] + ring[None, :, :]).reshape(-1, 2)
-
-
 def _basis_matrix(config: PorousConfig, order: int, pts: np.ndarray) -> np.ndarray:
     """Values of every multipole basis function at every point.
 
@@ -100,7 +94,7 @@ def solve_collocation(
         raise ValueError("order must be >= 1")
     if pts_per_hole < 4 * order:
         raise ValueError("need pts_per_hole >= 4*order collocation points")
-    pts = collocation_points(config, pts_per_hole)
+    pts = config.boundary_points(pts_per_hole)
     psi0 = potential.psi0_eval(source, pts)
     basis = _basis_matrix(config, order, pts)
     a_mat = _center_per_hole(basis, config.n_holes)
@@ -183,7 +177,7 @@ def oracle_velocity(sol: MultipoleSolution, x) -> np.ndarray:
 
 
 def _check_outside(config, pts):
-    if config.n_holes and np.any(config.contains(pts)):
+    if np.any(config.contains(pts)):
         raise ValueError("oracle evaluated inside a hole")
 
 

@@ -3,8 +3,8 @@
 Evaluates the Newtonian potential psi_0 = (1/2pi) int ln|x-y| f(y) dy and its
 gradient from either a grid field (midpoint quadrature with an exact analytic
 integral on the cell containing the target) or a set of blob-regularized
-vortex particles. Also provides the single-disk correction field
-V^a[A](x) = a^2 A.(x-c)/|x-c|^2 with its exact gradient.
+vortex particles. Also provides the disk-dipole correction field
+V^a[A](x) = a^2 A.(x-c)/|x-c|^2, summed over holes, with its exact gradient.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .fields import ScalarGridField, VectorGridField, perp
-from .geometry import nearest_center_sq
+from .geometry import inside_holes
 
 
 def _is_particles(source) -> bool:
@@ -177,57 +177,19 @@ def _fft_convolve(values, kernels):
 
 
 # ---------------------------------------------------------------------------
-# single-disk reflection field
+# disk-dipole reflection fields
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DipoleSpec:
-    """Exterior harmonic field equal to A.(x-center) on the disk of radius a."""
-
-    center: np.ndarray
-    a: float
-    A: np.ndarray
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
-        if self.a <= 0.0:
-            raise ValueError("dipole radius must be positive")
-
-
-def dipole_eval(spec: DipoleSpec, x) -> np.ndarray | float:
-    pts, single = _as_points(x)
-    z = pts - spec.center[None, :]
-    r2 = (z**2).sum(axis=1)
-    _check_outside(r2, spec.a)
-    out = spec.a**2 * (z @ spec.A) / r2
-    return float(out[0]) if single else out
-
-
-def dipole_grad(spec: DipoleSpec, x) -> np.ndarray:
-    pts, single = _as_points(x)
-    z = pts - spec.center[None, :]
-    r2 = (z**2).sum(axis=1)
-    _check_outside(r2, spec.a)
-    az = z @ spec.A
-    out = spec.a**2 * (spec.A[None, :] / r2[:, None] - 2.0 * az[:, None] * z / r2[:, None] ** 2)
-    return out[0] if single else out
-
-
-def _check_outside(r2, a):
-    if np.any(r2 < a * a * (1.0 - 1e-12)):
-        raise ValueError("dipole field evaluated inside the hole")
-
-
 def dipole_sum(centers, a, vectors, x, grad: bool = False):
-    """Sum of disk-dipole fields over many holes, batched over targets.
+    """Sum over holes of the disk-dipole field V^a[A](x) = a^2 A.(x-c)/|x-c|^2
+    (one center gives the single-disk field), batched over targets.
 
     Returns values (m,) or gradients (m, 2). Raises if any target lies
-    strictly inside a hole.
+    inside a hole (``geometry.inside_holes``).
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     centers = np.atleast_2d(centers)
-    if np.any(nearest_center_sq(centers, pts) < a * a * (1.0 - 1e-12)):
+    if np.any(inside_holes(centers, a, pts)):
         raise ValueError("evaluation point inside a hole")
     return _dipole_field(pts, centers, a, np.atleast_2d(vectors), grad)
 

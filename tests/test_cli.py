@@ -466,3 +466,44 @@ def test_divcurl_solves_once_per_distinct_k(tmp_path, monkeypatch):
         assert calls == {"solve_psic_from_grad": expected_calls, "k1_kernel_sum": expected_calls}
         for n in (4, 8):
             assert (out / f"gamma_n{n}.json").read_text() == _divcurl_one_n(text, n, fraction)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(EULER_COMPARE.replace("blob = 0.12", "blob = -0.12"), "[euler] blob",
+                     id="blob"),
+        pytest.param(EULER_COMPARE.replace("margin = 5.0", "margin = -0.5"), "[euler] margin",
+                     id="margin"),
+        pytest.param(EULER_PAIR.replace("blob = 0.02", "blob = -0.02"), "[euler] blob",
+                     id="pair_blob"),
+    ],
+)
+def test_negative_blob_or_margin_exit_2(tmp_path, text, fragment):
+    assert text not in (EULER_COMPARE, EULER_PAIR)
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, fragment)
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("radius = 0.5", "radius = 0"),
+        ("radius = 0.5", "radius = -0.5"),
+        ("amplitude = 3.14159265358979", "amplitude = 0"),
+        ("amplitude = 3.14159265358979", "amplitude = -3.14159265358979"),
+        ("center = 0.0 0.0", "center = 0.0"),
+    ],
+    ids=["radius_zero", "radius_negative", "amplitude_zero", "amplitude_negative",
+         "center_one_number"],
+)
+def test_vortex_pair_settings_exit_2(tmp_path, old, new):
+    # the period is read off a counterclockwise unwrap of the pair's angle
+    text = EULER_PAIR.replace(old, new)
+    assert text != EULER_PAIR
+    code, out = run_cli(tmp_path, text, name="pair")
+    assert code == 2
+    _config_error(out, "vortex pair")
+    assert not (out / "pair_angle.csv").exists()

@@ -23,6 +23,31 @@ def single_hole(a=0.05, at=(3.0, 0.0)):
     )
 
 
+def test_inside_rule_shared_at_the_boundary():
+    # contains, dipole_sum and every evaluator built on them draw the
+    # inside/outside line at the same place, a hair either side of r = a
+    cfg = single_hole()
+    src = point_vortex(0.0, 0.0, 3.0)
+    sol = orc.solve_collocation(src, cfg, order=4)
+    stream = refl.run_reflections(src, cfg, 1)
+    evaluators = (
+        lambda x: pot.dipole_sum(cfg.centers, cfg.a, [[1.0, 0.5]], x),
+        lambda x: orc.oracle_eval(sol, x),
+        stream.stream_eval,
+    )
+    theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    ring = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for factor, inside in ((1.0 - 1e-10, True), (1.0 + 1e-10, False)):
+        for x in cfg.centers[0] + cfg.a * factor * ring:
+            assert cfg.contains(x).tolist() == [inside]
+            for evaluate in evaluators:
+                if inside:
+                    with pytest.raises(ValueError, match="inside"):
+                        evaluate(x)
+                else:
+                    assert np.isfinite(evaluate(x)).all()
+
+
 def test_zero_source_all_zero():
     f = make_grid((10, 10, 11, 11), 0.1)
     sol = orc.solve_collocation(f, single_hole(), order=4)

@@ -92,8 +92,9 @@ def test_run_reflections_depth_one_is_definition():
     cfg = build_lattice(2, 0.1, UNIT)
     hs = refl.run_reflections(src, cfg, 1)
     x = np.array([0.5, 1.2])
+    # closed form of the disk-dipole field: a^2 A.(x - c) / |x - c|^2
     expected = pot.psi0_eval(src, x) + sum(
-        pot.dipole_eval(pot.DipoleSpec(c, cfg.a, v), x)
+        cfg.a**2 * np.dot(v, x - c) / np.dot(x - c, x - c)
         for c, v in zip(cfg.centers, hs.levels[0].vectors)
     )
     assert hs.stream_eval(x) == pytest.approx(expected, rel=1e-12)
@@ -157,6 +158,21 @@ def test_boundary_residual_evaluates_the_prefix_stream():
     for depth in (1, 2, 3):
         prefix = refl.run_reflections(src, cfg, depth)
         assert hs.boundary_residual(depth) == prefix.boundary_residual()
+
+
+def test_boundary_residual_is_the_worst_hole_of_a_per_hole_loop():
+    src = point_vortex(0.5, 1.6, 2.0)
+    cfg = build_lattice(3, 0.1, UNIT)
+    hs = refl.run_reflections(src, cfg, 3)
+    theta = (np.arange(64) + 0.5) / 64 * 2 * np.pi
+    ring = cfg.a * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for depth in (1, 2, 3):
+        prefix = refl.run_reflections(src, cfg, depth)
+        per_hole = [prefix.stream_eval(c + ring) for c in cfg.centers]
+        expected = max(np.abs(v - v.mean()).max() for v in per_hole)
+        assert hs.boundary_residual(depth) == pytest.approx(expected, rel=1e-13)
+    empty = PorousConfig(np.zeros((0, 2)), 0.01, 1.0, 0.25, Box(5, 5, 6, 6))
+    assert refl.run_reflections(src, empty, 1).boundary_residual() == 0.0
 
 
 def test_boundary_cancellation_single_hole():
