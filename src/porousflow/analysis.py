@@ -71,13 +71,13 @@ def hminus1(g: ScalarGridField) -> float:
 
 @dataclass
 class ErrorBudget:
-    """The composite predictor built from the geometry and the weak distance."""
+    """The composite predictor built from the geometry and the weak distance,
+    at p = 2."""
 
     a_over_d: float
     mu_minus_k_hm1: float
     k_inf: float
     eta: float
-    p: float = 2.0
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
@@ -92,30 +92,29 @@ class ErrorBudget:
         hm1 = self.mu_minus_k_hm1
         return {
             "aspect": self.a_over_d ** (3.0 - self.eta),
-            "weak_low": hm1 ** (self.p * (1.0 - self.eta) / (self.p + 2.0)),
+            "weak_low": hm1 ** ((1.0 - self.eta) / 2.0),
             "weak_half": hm1**0.5,
             "kinf_sq": self.k_inf**2,
         }
 
     def radius_ratio(self, a: float) -> float:
-        """Diagnostic constant a / ||mu - k||^{p/(p+2)} (should stay bounded)."""
+        """Diagnostic constant a / ||mu - k||^{1/2} (should stay bounded)."""
         hm1 = self.mu_minus_k_hm1
         if hm1 == 0.0:
             return np.inf if a > 0 else 0.0
-        return a / hm1 ** (self.p / (self.p + 2.0))
+        return a / hm1**0.5
 
 
-def mu_minus_k_field(
-    config: PorousConfig, k, h: float | None = None
-) -> ScalarGridField:
-    """mu - k rasterized on a shared padded grid (clearance = box extent).
+def mu_minus_k_field(config: PorousConfig, k) -> ScalarGridField:
+    """mu - k rasterized on a shared padded grid (clearance = box extent) of
+    spacing a/4.
 
     k is sampled only on the rows and columns of cells whose bilinear stencil
     (edge clamp included) meets a nonzero k cell; elsewhere every stencil
     value is zero, so the sample is exactly 0 and mu is left as it is.
     """
     kf = k.field if isinstance(k, VolumeFraction) else k
-    h = h if h is not None else config.a / 4.0
+    h = config.a / 4.0
     box = config.kpm_box
     extent = max(box.width, box.height)
     world = make_grid(box.inflate(1.1 * extent + 4.0 * h).as_tuple(), h)
@@ -132,12 +131,10 @@ def mu_minus_k_field(
     return ScalarGridField(world.origin, world.h, diff)
 
 
-def predictor_f(
-    config: PorousConfig, k, eta: float = 0.5, h: float | None = None
-) -> ErrorBudget:
-    """Assemble the budget at p = 2; the weak norm uses the spectral surrogate."""
+def predictor_f(config: PorousConfig, k, eta: float = 0.5) -> ErrorBudget:
+    """Assemble the budget; the weak norm uses the spectral surrogate."""
     kf = k.field if isinstance(k, VolumeFraction) else k
-    diff = mu_minus_k_field(config, kf, h)
+    diff = mu_minus_k_field(config, kf)
     return ErrorBudget(
         a_over_d=config.aspect,
         mu_minus_k_hm1=hminus1(diff),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import sys
@@ -24,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, euler, homogenized, oracle, potential, reflections
-from .fields import ScalarGridField, make_grid, radial_bump, rasterize
+from .fields import ScalarGridField, make_grid, radial_bump, rasterize, write_table
 from .geometry import (
     Box,
     PorousConfig,
@@ -98,10 +97,10 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} must be a positive grid spacing, got {h!r}")
         return h
 
-    def nonnegative(self, section, key, default=None, required=False):
+    def nonnegative(self, section, key, default):
         """A blob radius or a margin: a finite float, zero or above."""
-        value = self.get(section, key, float, default, required)
-        if value is not None and value < 0.0:
+        value = self.get(section, key, float, default)
+        if value < 0.0:
             raise ConfigError(f"[{section}] {key} must be nonnegative, got {value!r}")
         return value
 
@@ -256,7 +255,13 @@ def source_from_config(cfg: RunConfig):
 
 def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
     """Grid whose box pads the porous box ``box`` by the configured factor and
-    covers the vorticity support; f is rasterized onto it."""
+    covers the vorticity support; f is rasterized onto it, so ``source`` must
+    be a grid source."""
+    if potential._is_particles(source):
+        raise ConfigError(
+            f"the {cfg.experiment} experiment needs a grid source: "
+            "[vorticity] shape = bump | disk"
+        )
     pad = cfg.get("solver", "pad_factor", float, 4.0)
     if pad < 3.0:
         raise ConfigError("pad_factor must be >= 3 for the periodic backends")
@@ -264,13 +269,7 @@ def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
     extent = max(box.width, box.height)
     margin = (pad - 1.0) / 2.0 * extent
     world_box = box.inflate(margin)
-    if potential._is_particles(source):
-        pts = source.positions
-        sb = (
-            pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max()
-        ) if pts.size else None
-    else:
-        sb = source.support_box()
+    sb = source.support_box()
     # the free-space gradient is computed by exact discrete convolution, so f
     # only has to lie inside the grid (k's periodization clearance is checked
     # by the spectral operator itself)
@@ -284,8 +283,7 @@ def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
         ):
             raise ConfigError("vorticity support outside the padded grid")
     world = make_grid(world_box.as_tuple(), h)
-    if not potential._is_particles(source):
-        world.values = source.sample_bilinear(world.centers_flat()).reshape(world.shape)
+    world.values = source.sample_bilinear(world.centers_flat()).reshape(world.shape)
     return world
 
 
@@ -330,16 +328,10 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         g0 = potential.grad_psi0_on_grid(f)
         jobs = [(v, g0, world_box, h, M, settings.tol) for v in values]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(_knorm_sweep_point, jobs))
-        else:
-            rows = [_knorm_sweep_point(j) for j in jobs]
-        with open(outdir / "homog_sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["knorm", "err_psi0", "err_tilde", "iterations"])
-            for row in rows:
-                writer.writerow([repr(row[0]), repr(row[1]), repr(row[2]), row[3]])
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(_knorm_sweep_point, jobs))
+        write_table(outdir / "homog_sweep.csv", ["knorm", "err_psi0", "err_tilde", "iterations"],
+                    ([repr(v), repr(e0), repr(et), it] for v, e0, et, it in rows))
         ks = [r[0] for r in rows]
         s0, r0 = analysis.fit_exponent(ks, [r[1] for r in rows])
         s1, r1 = analysis.fit_exponent(ks, [r[2] for r in rows])
@@ -409,16 +401,12 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         report = analysis.gamma_report(stream, homog, k, oracle_sol=osol, eta=settings.eta)
         rows.append((n, report))
         (outdir / f"gamma_n{n}.json").write_text(report.to_json())
-    with open(outdir / "gamma.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n_per_side", "grad_gamma1", "gamma2", "total", "f_value", "used_oracle"]
-        )
-        for n, rep in rows:
-            writer.writerow(
-                [n, repr(rep.grad_gamma1), repr(rep.gamma2), repr(rep.total),
-                 repr(rep.budget.f_value), int(rep.used_oracle)]
-            )
+    write_table(
+        outdir / "gamma.csv",
+        ["n_per_side", "grad_gamma1", "gamma2", "total", "f_value", "used_oracle"],
+        ([n, repr(rep.grad_gamma1), repr(rep.gamma2), repr(rep.total),
+          repr(rep.budget.f_value), int(rep.used_oracle)] for n, rep in rows),
+    )
     results = {
         "totals": {str(n): rep.total for n, rep in rows},
         "k_inf": float(np.pi * epsilon**2),
@@ -514,11 +502,8 @@ def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict
             frac = (2.0 * np.pi - prev_ang) / (ang - prev_ang)
             period = state.t - dt + frac * dt
         prev_ang = ang
-    with open(outdir / "pair_angle.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "angle"])
-        for t, ang in rowsout:
-            writer.writerow([repr(t), repr(ang)])
+    write_table(outdir / "pair_angle.csv", ["t", "angle"],
+                ([repr(t), repr(ang)] for t, ang in rowsout))
     analytic = 8.0 * np.pi**2 * rho**2 / gamma
     result = {"period": period, "analytic_period": analytic}
     if period is not None:
@@ -555,11 +540,8 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
         h = probe_h if probe_h is not None else config.a / 4.0
         err = analysis.reflection_vs_oracle_h1(stream, osol, region, h)
         rows.append((v, err, osol.residual))
-    with open(outdir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["aspect", "h1_error", "oracle_residual"])
-        for v, err, res in rows:
-            writer.writerow([repr(v), repr(err), repr(res)])
+    write_table(outdir / "sweep.csv", ["aspect", "h1_error", "oracle_residual"],
+                ([repr(v), repr(err), repr(res)] for v, err, res in rows))
     slope, r2 = analysis.fit_exponent([r[0] for r in rows], [r[1] for r in rows])
     return {
         "mode": mode,

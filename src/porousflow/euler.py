@@ -11,13 +11,12 @@ Side-by-side runs from identical particles produce the stability time series.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import homogenized, kernels, potential, reflections
-from .fields import ScalarGridField, fmt, perp
+from .fields import ScalarGridField, fmt, perp, write_table
 from .geometry import Box, PorousConfig, VolumeFraction
 from .homogenized import EffectiveMatrix
 
@@ -27,7 +26,6 @@ class VortexParticles:
     positions: np.ndarray  # (P, 2)
     weights: np.ndarray  # (P,)
     blob: float
-    omega_max: float = 0.0
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float)).reshape(-1, 2)
@@ -51,13 +49,10 @@ class VortexParticles:
 class FlowState:
     t: float
     particles: VortexParticles
-    support_distance: float = np.inf
 
     def __post_init__(self):
         if self.t < 0.0:
             raise ValueError("time must be nonnegative")
-        if self.support_distance < 0.0:
-            raise ValueError("support distance must be nonnegative")
 
 
 def discretize_vorticity(
@@ -89,7 +84,7 @@ def discretize_vorticity(
             raise ValueError(
                 "vorticity support violates the required margin from the porous box"
             )
-    return VortexParticles(pts, vals * h_p**2, blob, omega_max=omega0.inf_norm())
+    return VortexParticles(pts, vals * h_p**2, blob)
 
 
 @dataclass
@@ -176,28 +171,27 @@ def step(state: FlowState, dt: float, setting) -> FlowState:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     parts = state.particles
+
+    def velocity(pos):
+        return _velocity_batch(pos, _at(parts, pos), setting)
+
     p0 = parts.positions
-    k1 = _velocity_batch(p0, parts, setting)
+    k1 = velocity(p0)
     speed = float(np.hypot(k1[:, 0], k1[:, 1]).max()) if parts.count else 0.0
     limit = 0.5 * min(_min_gap(setting), setting.margin or np.inf)
     if np.isfinite(limit) and speed * dt > limit:
         raise ValueError(
             f"CFL guard violated: dt*max|u| = {speed * dt:.3g} exceeds {limit:.3g}"
         )
-    k2 = _velocity_batch(p0 + 0.5 * dt * k1, _at(parts, p0 + 0.5 * dt * k1), setting)
-    k3 = _velocity_batch(p0 + 0.5 * dt * k2, _at(parts, p0 + 0.5 * dt * k2), setting)
-    k4 = _velocity_batch(p0 + dt * k3, _at(parts, p0 + dt * k3), setting)
+    k2 = velocity(p0 + 0.5 * dt * k1)
+    k3 = velocity(p0 + 0.5 * dt * k2)
+    k4 = velocity(p0 + dt * k3)
     new_pos = p0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    new_parts = _at(parts, new_pos)
-    return FlowState(
-        t=state.t + dt,
-        particles=new_parts,
-        support_distance=_support_distance(new_parts, setting),
-    )
+    return FlowState(state.t + dt, _at(parts, new_pos))
 
 
 def _at(parts: VortexParticles, positions) -> VortexParticles:
-    return VortexParticles(positions, parts.weights, parts.blob, parts.omega_max)
+    return VortexParticles(positions, parts.weights, parts.blob)
 
 
 def run_status(state: FlowState, setting) -> str:
@@ -207,7 +201,7 @@ def run_status(state: FlowState, setting) -> str:
         state.particles, setting.config
     ):
         return "halted"
-    if setting.margin and state.support_distance < 0.5 * setting.margin:
+    if setting.margin and _support_distance(state.particles, setting) < 0.5 * setting.margin:
         return "halted"
     return "running"
 
@@ -269,8 +263,7 @@ def run_comparison(
     """
     n_steps = step_count(t_final, dt)
     probe_points = np.atleast_2d(probe_points)
-    state_n = FlowState(0.0, particles, _support_distance(particles, perforated))
-    state_c = FlowState(0.0, particles, _support_distance(particles, homogenized_setting))
+    state_n = state_c = FlowState(0.0, particles)
     status_n = run_status(state_n, perforated)
     status_c = run_status(state_c, homogenized_setting)
     records = [_record(state_n, state_c, perforated, homogenized_setting,
@@ -318,24 +311,18 @@ def _record(state_n, state_c, perf, homog, probe, status_n, status_c):
 
 
 def export_timeseries_csv(records: list[ComparisonRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "traj_div_max", "vel_diff_sup_O", "smoothed_omega_diff", "status"]
-        )
-        for r in records:
-            status = r.status_perforated if r.status_perforated != "running" else (
-                r.status_homogenized
-            )
-            writer.writerow(
-                [fmt(r.t), fmt(r.traj_div_max), fmt(r.vel_diff_sup),
-                 fmt(r.omega_diff), status]
-            )
+    """One row per record; the status is the perforated run's once it has
+    stopped running, the homogenized run's until then."""
+    write_table(
+        path, ["t", "traj_div_max", "vel_diff_sup_O", "smoothed_omega_diff", "status"],
+        ([fmt(r.t), fmt(r.traj_div_max), fmt(r.vel_diff_sup), fmt(r.omega_diff),
+          r.status_perforated if r.status_perforated != "running" else r.status_homogenized]
+         for r in records),
+    )
 
 
 def export_particles_csv(state: FlowState, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "y", "w"])
-        for (x, y), w in zip(state.particles.positions, state.particles.weights):
-            writer.writerow([fmt(state.t), fmt(x), fmt(y), fmt(w)])
+    write_table(path, ["t", "x", "y", "w"], (
+        [fmt(state.t), fmt(x), fmt(y), fmt(w)]
+        for (x, y), w in zip(state.particles.positions, state.particles.weights)
+    ))

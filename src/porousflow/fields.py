@@ -8,6 +8,7 @@ hold gradient iterates of the homogenized solver.
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 from dataclasses import dataclass, field
@@ -23,6 +24,14 @@ def perp(g: np.ndarray) -> np.ndarray:
 def fmt(v) -> str:
     """Stable float formatting for CSV output (shortest round-trip repr)."""
     return repr(float(v))
+
+
+def write_table(path, header, rows) -> None:
+    """CSV table at ``path``: the header row, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass

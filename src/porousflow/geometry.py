@@ -9,13 +9,12 @@ and ``lattice_fraction`` its continuum limit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .fields import ScalarGridField, fmt
+from .fields import ScalarGridField, fmt, write_table
 
 _POINT_BLOCK = 1 << 15  # points per block of the nearest-center scan (cache sized)
 
@@ -223,13 +222,11 @@ def lattice_fraction(config: PorousConfig, grid: ScalarGridField) -> VolumeFract
     return VolumeFraction(out, config.eps0)
 
 
-def rasterize_mu(
-    config: PorousConfig, grid: ScalarGridField, subcells: int = 16
-) -> ScalarGridField:
+def rasterize_mu(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField:
     """Area-fraction rasterization of the union-of-disks indicator.
 
     Requires h <= a/4 so each disk spans several cells. Cells are subsampled
-    subcells x subcells; only cells near a disk are touched.
+    16 x 16; only cells near a disk are touched.
     """
     if grid.h > config.a / 4 + 1e-15:
         raise ValueError(
@@ -237,7 +234,7 @@ def rasterize_mu(
             f"{config.a / 4:.4g}"
         )
     values = np.zeros(grid.shape)
-    for _, window, frac in disk_cell_fractions(config.centers, config.a, grid, subcells):
+    for _, window, frac in disk_cell_fractions(config.centers, config.a, grid, 16):
         values[window] += frac
     np.clip(values, 0.0, 1.0, out=values)
     return ScalarGridField(grid.origin.copy(), grid.h, values)
@@ -313,11 +310,7 @@ def save_config(config: PorousConfig, path, lattice_meta: dict | None = None, se
         lines.append(f"seed = {seed}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(_centers_path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for cx, cy in config.centers:
-            writer.writerow([fmt(cx), fmt(cy)])
+    write_table(_centers_path(path), ["x", "y"], ([fmt(cx), fmt(cy)] for cx, cy in config.centers))
 
 
 def load_config(path) -> PorousConfig:
@@ -332,12 +325,10 @@ def load_config(path) -> PorousConfig:
     box = Box(
         float(kv["box.x0"]), float(kv["box.y0"]), float(kv["box.x1"]), float(kv["box.y1"])
     )
-    with open(_centers_path(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x", "y"]:
+    with open(_centers_path(path)) as fh:
+        if fh.readline().strip() != "x,y":
             raise ValueError("centers CSV must have columns x,y")
-        centers = np.array([[float(r[0]), float(r[1])] for r in reader])
+        centers = np.array([[float(x), float(y)] for x, y in (line.split(",") for line in fh)])
     return PorousConfig(centers, float(kv["a"]), float(kv["d"]), float(kv["eps0"]), box)
 
 

@@ -214,9 +214,9 @@ def velocity_c(sol: HomogSolution, x) -> np.ndarray:
     return perp(g.sample_bilinear(x).reshape(x.shape))
 
 
-def scalar_from_gradient(grad: VectorGridField, anchor_value: float = 0.0) -> ScalarGridField:
-    """Path integral of the gradient along grid lines, anchored at the
-    lower-left cell (display helper; the solution is defined up to a constant)."""
+def scalar_from_gradient(grad: VectorGridField) -> ScalarGridField:
+    """Path integral of the gradient along grid lines, zero at the lower-left
+    cell (display helper; the solution is defined up to a constant)."""
     gx = grad.values[:, :, 0]
     gy = grad.values[:, :, 1]
     h = grad.h
@@ -225,4 +225,4 @@ def scalar_from_gradient(grad: VectorGridField, anchor_value: float = 0.0) -> Sc
     # integrate along the first row in x, then along columns in y
     psi[1:, 0] = np.cumsum(0.5 * (gx[:-1, 0] + gx[1:, 0]) * h)
     psi[:, 1:] = psi[:, 0:1] + np.cumsum(0.5 * (gy[:, :-1] + gy[:, 1:]) * h, axis=1)
-    return ScalarGridField(grad.origin.copy(), h, psi + anchor_value)
+    return ScalarGridField(grad.origin.copy(), h, psi)

@@ -186,9 +186,10 @@ def equivalent_dipoles(sol: MultipoleSolution) -> np.ndarray:
     return sol.coeffs[:, 0:2] / sol.config.a
 
 
-def boundary_deviation(sol: MultipoleSolution, samples: int = 256) -> float:
-    """Max sampled standard deviation of the solution over hole boundaries."""
-    theta = (np.arange(samples) + 0.3) / samples * 2.0 * np.pi
+def boundary_deviation(sol: MultipoleSolution) -> float:
+    """Max sampled standard deviation of the solution over hole boundaries,
+    at 256 angles offset from the collocation angles."""
+    theta = (np.arange(256) + 0.3) / 256 * 2.0 * np.pi
     ring = sol.config.a * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     worst = 0.0
     for c in sol.config.centers:
@@ -197,29 +198,27 @@ def boundary_deviation(sol: MultipoleSolution, samples: int = 256) -> float:
     return worst
 
 
-def flux_integral(sol: MultipoleSolution, hole: int, radius_factor: float = 1.0,
-                  samples: int = 512) -> float:
-    """Quadrature of the normal derivative around one hole (should vanish)."""
-    c = sol.config.centers[hole]
+def _ring(sol: MultipoleSolution, hole: int, radius_factor: float):
+    """Midpoint rule on the circle of radius radius_factor * a around one
+    hole: 512 points, their unit normals and the arc length per point."""
     r = sol.config.a * radius_factor
-    theta = (np.arange(samples) + 0.5) / samples * 2.0 * np.pi
+    theta = (np.arange(512) + 0.5) / 512 * 2.0 * np.pi
     normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = c[None, :] + r * normals
-    grads = oracle_gradient(sol, pts)
-    return float((grads * normals).sum() * (2.0 * np.pi * r / samples))
+    pts = sol.config.centers[hole][None, :] + r * normals
+    return pts, normals, 2.0 * np.pi * r / 512
 
 
-def circulation(sol: MultipoleSolution, hole: int, radius_factor: float = 1.5,
-                samples: int = 512) -> float:
-    """Line integral of velocity . tangent around one hole (zero: no log terms)."""
-    c = sol.config.centers[hole]
-    r = sol.config.a * radius_factor
-    theta = (np.arange(samples) + 0.5) / samples * 2.0 * np.pi
-    normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    tangents = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-    pts = c[None, :] + r * normals
-    vel = oracle_velocity(sol, pts)
-    return float((vel * tangents).sum() * (2.0 * np.pi * r / samples))
+def flux_integral(sol: MultipoleSolution, hole: int) -> float:
+    """Quadrature of the normal derivative around one hole's boundary (should vanish)."""
+    pts, normals, arc = _ring(sol, hole, 1.0)
+    return float((oracle_gradient(sol, pts) * normals).sum() * arc)
+
+
+def circulation(sol: MultipoleSolution, hole: int) -> float:
+    """Line integral of velocity . tangent on the circle of radius 1.5 a
+    around one hole (zero: no log terms)."""
+    pts, normals, arc = _ring(sol, hole, 1.5)
+    return float((oracle_velocity(sol, pts) * perp(normals)).sum() * arc)
 
 
 def export_json(sol: MultipoleSolution, path) -> None:

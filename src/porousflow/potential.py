@@ -216,10 +216,10 @@ class BoundsReport:
     lipschitz_ratio: float
 
 
-def psi0_bounds_check(f, n_pairs: int = 1000, seed: int = 0) -> BoundsReport:
+def psi0_bounds_check(f, n_pairs: int = 1000) -> BoundsReport:
     """Sampled sup|grad psi_0|, its interpolation bound, and the log-Lipschitz
-    modulus ratio against h(r) = r max(-ln r, 1). Diagnostic only: the sharp
-    constants are not asserted.
+    modulus ratio against h(r) = r max(-ln r, 1), from a fixed sample seed.
+    Diagnostic only: the sharp constants are not asserted.
     """
     if _is_particles(f):
         l1 = float(np.abs(f.weights).sum())
@@ -233,7 +233,7 @@ def psi0_bounds_check(f, n_pairs: int = 1000, seed: int = 0) -> BoundsReport:
         return BoundsReport(0.0, 0.0, 0.0)
     cx, cy = (box[0] + box[2]) / 2, (box[1] + box[3]) / 2
     radius = max(box[2] - box[0], box[3] - box[1])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     samples = np.column_stack(
         [
             cx + (rng.random(4 * n_pairs) - 0.5) * 4 * radius,

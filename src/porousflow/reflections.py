@@ -9,13 +9,12 @@ levels, evaluable pointwise together with its exact gradient.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import potential
-from .fields import fmt, perp
+from .fields import fmt, perp, write_table
 from .geometry import PorousConfig, disk_cell_fractions
 
 
@@ -93,10 +92,11 @@ class HybridStream:
     def norms(self, q: float) -> list[float]:
         return [lev.norm(q) for lev in self.levels]
 
-    def boundary_residual(self, depth: int | None = None, samples: int = 64) -> float:
-        """Max over holes of the oscillation of psi^(depth) on the hole boundary."""
+    def boundary_residual(self, depth: int | None = None) -> float:
+        """Max over holes of the oscillation of psi^(depth) over 64 points of
+        the hole boundary."""
         prefix = HybridStream(self.base, self.config, self.levels[:depth])
-        vals = prefix.stream_eval(self.config.boundary_points(samples)).reshape(-1, samples)
+        vals = prefix.stream_eval(self.config.boundary_points(64)).reshape(-1, 64)
         return float(np.abs(vals - vals.mean(axis=1, keepdims=True)).max(initial=0.0))
 
 
@@ -161,15 +161,15 @@ def contraction_report(norms) -> float:
     return float(np.exp(np.mean(np.log(ratios))))
 
 
-def rasterize_phi(dipoles: DipoleSet, config: PorousConfig, grid, subcells: int = 8):
+def rasterize_phi(dipoles: DipoleSet, config: PorousConfig, grid):
     """Diagnostic rasterization of the piecewise-constant field
     (4/pi^2) sum_l A_l 1_{B(x_l, d/2)} as two scalar grids (area-fraction
-    weighted on boundary cells)."""
+    weighted on boundary cells, 8 x 8 subsamples per cell)."""
     from .fields import ScalarGridField
 
     coef = 4.0 / np.pi**2
     comps = [np.zeros(grid.shape), np.zeros(grid.shape)]
-    for idx, window, frac in disk_cell_fractions(config.centers, config.d / 2.0, grid, subcells):
+    for idx, window, frac in disk_cell_fractions(config.centers, config.d / 2.0, grid, 8):
         vec = dipoles.vectors[idx]
         comps[0][window] += coef * vec[0] * frac
         comps[1][window] += coef * vec[1] * frac
@@ -190,18 +190,15 @@ def phi_lp_identity(dipoles: DipoleSet, config: PorousConfig, p: float) -> float
 
 
 def export_dipoles_csv(levels: list[DipoleSet], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "hole_index", "Ax", "Ay"])
-        for lev in levels:
-            for idx, (ax, ay) in enumerate(lev.vectors):
-                writer.writerow([lev.level, idx, fmt(ax), fmt(ay)])
+    write_table(path, ["level", "hole_index", "Ax", "Ay"], (
+        [lev.level, idx, fmt(ax), fmt(ay)]
+        for lev in levels for idx, (ax, ay) in enumerate(lev.vectors)
+    ))
 
 
-def export_norms_csv(stream: HybridStream, path, qs=(2.0, 4.0, np.inf)) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "q", "norm"])
-        for q in qs:
-            for lev in stream.levels:
-                writer.writerow([lev.level, "inf" if np.isinf(q) else q, fmt(lev.norm(q))])
+def export_norms_csv(stream: HybridStream, path) -> None:
+    """Every level's l^q norm for q = 2, 4 and infinity."""
+    write_table(path, ["level", "q", "norm"], (
+        [lev.level, "inf" if np.isinf(q) else q, fmt(lev.norm(q))]
+        for q in (2.0, 4.0, np.inf) for lev in stream.levels
+    ))

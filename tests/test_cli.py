@@ -507,3 +507,20 @@ def test_vortex_pair_settings_exit_2(tmp_path, old, new):
     assert code == 2
     _config_error(out, "vortex pair")
     assert not (out / "pair_angle.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(DIVCURL_SMALL.replace("shape = bump", "shape = point"), id="divcurl_point"),
+        pytest.param(DIVCURL_SMALL.replace("shape = bump", "shape = pair"), id="divcurl_pair"),
+        pytest.param(HOMOG_LATTICE.replace("shape = bump", "shape = point"), id="homog_point"),
+    ],
+)
+def test_grid_experiments_refuse_particle_sources(tmp_path, text):
+    # f is resampled onto the world grid, which a particle source cannot fill
+    assert text not in (DIVCURL_SMALL, HOMOG_LATTICE)
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, "shape = bump | disk")
+    assert not (out / "summary.json").exists()

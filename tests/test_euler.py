@@ -181,10 +181,10 @@ def test_support_halt_detected():
     cfg = build_lattice(2, 0.1, UNIT)
     setting = eu.PerforatedSetting(cfg, margin=1.0)
     close = eu.VortexParticles(np.array([[0.5, 1.2]]), np.array([1.0]), 0.02)
-    state = eu.FlowState(0.0, close, eu._support_distance(close, setting))
+    state = eu.FlowState(0.0, close)
     assert eu.run_status(state, setting) == "halted"
     far = eu.VortexParticles(np.array([[0.5, 3.0]]), np.array([1.0]), 0.02)
-    state2 = eu.FlowState(0.0, far, eu._support_distance(far, setting))
+    state2 = eu.FlowState(0.0, far)
     assert eu.run_status(state2, setting) == "running"
 
 
@@ -331,7 +331,7 @@ def test_hole_halt_predicate_matches_support_check():
     assert eu.run_status(eu.FlowState(0.0, on_boundary), setting) == "halted"
     clear = eu.VortexParticles(np.array([[0.5, 1.5]]), np.ones(1), 0.05)
     near = eu.PerforatedSetting(cfg, margin=2.0)
-    state = eu.FlowState(0.0, clear, eu._support_distance(clear, near))
+    state = eu.FlowState(0.0, clear)
     assert eu.run_status(state, near) == "halted"
     k0 = lattice_fraction(build_lattice(2, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
     rec = eu._record(state, state, near, eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
