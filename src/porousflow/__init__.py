@@ -5,7 +5,6 @@ from .fields import ScalarGridField, VectorGridField, make_grid, radial_bump, ra
 from .geometry import (
     Box,
     PorousConfig,
-    VolumeFraction,
     build_lattice,
     build_random,
     fluid_mask,

@@ -24,7 +24,7 @@ from .fields import (
     make_grid,
     wavenumbers,
 )
-from .geometry import Box, PorousConfig, VolumeFraction, fluid_mask, rasterize_mu
+from .geometry import Box, PorousConfig, fluid_mask, rasterize_mu
 from .homogenized import EffectiveMatrix
 from .reflections import HybridStream
 
@@ -105,7 +105,7 @@ class ErrorBudget:
         return a / hm1**0.5
 
 
-def mu_minus_k_field(config: PorousConfig, k) -> ScalarGridField:
+def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridField:
     """mu - k rasterized on a shared padded grid (clearance = box extent) of
     spacing a/4.
 
@@ -113,7 +113,6 @@ def mu_minus_k_field(config: PorousConfig, k) -> ScalarGridField:
     (edge clamp included) meets a nonzero k cell; elsewhere every stencil
     value is zero, so the sample is exactly 0 and mu is left as it is.
     """
-    kf = k.field if isinstance(k, VolumeFraction) else k
     h = config.a / 4.0
     box = config.kpm_box
     extent = max(box.width, box.height)
@@ -122,23 +121,22 @@ def mu_minus_k_field(config: PorousConfig, k) -> ScalarGridField:
     centers = world.cell_centers()
     touched = []
     for axis in (0, 1):
-        i0, _ = bilinear_stencil(kf.origin[axis], kf.h, kf.shape[axis], centers[axis])
-        nonzero = np.flatnonzero(kf.values.any(axis=1 - axis))
+        i0, _ = bilinear_stencil(k.origin[axis], k.h, k.shape[axis], centers[axis])
+        nonzero = np.flatnonzero(k.values.any(axis=1 - axis))
         touched.append(np.isin(i0, nonzero) | np.isin(i0 + 1, nonzero))
     gx, gy = np.meshgrid(centers[0][touched[0]], centers[1][touched[1]], indexing="ij")
-    kvals = kf.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1))
+    kvals = k.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1))
     diff[np.ix_(*touched)] -= kvals.reshape(gx.shape)
     return ScalarGridField(world.origin, world.h, diff)
 
 
-def predictor_f(config: PorousConfig, k, eta: float = 0.5) -> ErrorBudget:
+def predictor_f(config: PorousConfig, k: ScalarGridField, eta: float = 0.5) -> ErrorBudget:
     """Assemble the budget; the weak norm uses the spectral surrogate."""
-    kf = k.field if isinstance(k, VolumeFraction) else k
-    diff = mu_minus_k_field(config, kf)
+    diff = mu_minus_k_field(config, k)
     return ErrorBudget(
         a_over_d=config.aspect,
         mu_minus_k_hm1=hminus1(diff),
-        k_inf=kf.inf_norm(),
+        k_inf=k.inf_norm(),
         eta=eta,
     )
 
@@ -207,24 +205,18 @@ def homogenized_probe(
     psi0_grad: VectorGridField,
     psic_grad: VectorGridField,
     psitilde_grad: VectorGridField,
-    k,
+    k: ScalarGridField,
     M: EffectiveMatrix,
     region: Box,
     h: float,
 ) -> HomogenizedProbe:
-    """``psi_tilde - psi_c`` (gradient) and phi = -k1 quadrature over the k
-    cells, evaluated at every cell center of the probe grid on ``region``."""
-    kf = k.field if isinstance(k, VolumeFraction) else k
+    """``psi_tilde - psi_c`` (gradient) and phi (``homogenized.correction``
+    of grad psi_0), evaluated at every cell center of the probe grid on
+    ``region``."""
     probe = make_grid(region.as_tuple(), h)
     pts = probe.centers_flat()
     d_homog = psitilde_grad.sample_bilinear(pts) - psic_grad.sample_bilinear(pts)
-    centers, kvals = kf.nonzero_cells()
-    if centers.shape[0]:
-        ixs, iys = np.nonzero(kf.values)
-        w = kvals[:, None] * (psi0_grad.values[ixs, iys] @ M.m.T)
-        phi = -homogenized.k1_kernel_sum(centers, w, kf.h, pts)
-    else:
-        phi = np.zeros(pts.shape[0])
+    phi = homogenized.correction(k, M, psi0_grad.values[k.values != 0.0], pts)
     return HomogenizedProbe(probe, region, d_homog, phi)
 
 

@@ -90,12 +90,12 @@ class RunConfig:
             raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}")
         return value
 
-    def spacing(self, section, key, default=None, required=False):
-        """A grid spacing: a finite float above zero."""
-        h = self.get(section, key, float, default, required)
-        if h is not None and not h > 0.0:
-            raise ConfigError(f"[{section}] {key} must be a positive grid spacing, got {h!r}")
-        return h
+    def positive(self, section, key, default=None, required=False):
+        """A grid spacing, length or time: a finite float above zero."""
+        value = self.get(section, key, float, default, required)
+        if value is not None and not value > 0.0:
+            raise ConfigError(f"[{section}] {key} must be positive, got {value!r}")
+        return value
 
     def nonnegative(self, section, key, default):
         """A blob radius or a margin: a finite float, zero or above."""
@@ -183,15 +183,17 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
             raise ConfigError(str(exc)) from exc
     if kind == "random":
         count = cfg.get("geometry", "count", int, required=True)
-        a = cfg.get("geometry", "a", float, required=True)
-        dmin = cfg.get("geometry", "dmin", float, required=True)
+        if count < 1:
+            raise ConfigError(f"[geometry] count must be a whole number >= 1, got {count!r}")
+        a = cfg.positive("geometry", "a", required=True)
+        dmin = cfg.positive("geometry", "dmin", required=True)
         try:
             return build_random(count, a, dmin, box, eps0, seed=seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if kind == "twohole":
-        a = cfg.get("geometry", "a", float, required=True)
-        dmin = cfg.get("geometry", "dmin", float, required=True)
+        a = cfg.positive("geometry", "a", required=True)
+        dmin = cfg.positive("geometry", "dmin", required=True)
         cy = (box.y0 + box.y1) / 2
         cx = (box.x0 + box.x1) / 2
         centers = np.array([[cx - dmin / 2, cy], [cx + dmin / 2, cy]])
@@ -211,15 +213,21 @@ def _require_lattice(cfg: RunConfig) -> None:
         )
 
 
+def volume_fraction(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField:
+    """``lattice_fraction`` on ``grid``, its eps0^2 bound a config error."""
+    try:
+        return lattice_fraction(config, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def source_from_config(cfg: RunConfig):
     shape = cfg.get("vorticity", "shape", str, "bump")
     center = cfg.floats("vorticity", "center", [0.5, 2.0])
     if len(center) != 2:
         raise ConfigError("[vorticity] center needs two numbers")
-    radius = cfg.get("vorticity", "radius", float, 0.3)
+    radius = cfg.positive("vorticity", "radius", 0.3)
     amp = cfg.get("vorticity", "amplitude", float, 1.0)
-    if radius <= 0.0:
-        raise ConfigError("vorticity radius must be positive")
     if shape == "point":
         return euler.VortexParticles(
             np.array([center]), np.array([amp]), blob=0.0
@@ -235,7 +243,7 @@ def source_from_config(cfg: RunConfig):
             np.array([amp, amp]),
             blob=cfg.nonnegative("euler", "blob", radius / 25.0),
         )
-    h = cfg.spacing("vorticity", "grid_h", radius / 24.0)
+    h = cfg.positive("vorticity", "grid_h", radius / 24.0)
     power = {"bump": 2, "disk": 0}.get(shape)
     if power is None:
         raise ConfigError(f"unknown vorticity shape '{shape}'")
@@ -265,7 +273,7 @@ def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
     pad = cfg.get("solver", "pad_factor", float, 4.0)
     if pad < 3.0:
         raise ConfigError("pad_factor must be >= 3 for the periodic backends")
-    h = cfg.spacing("solver", "grid_h", 1.0 / 128.0)
+    h = cfg.positive("solver", "grid_h", 1.0 / 128.0)
     extent = max(box.width, box.height)
     margin = (pad - 1.0) / 2.0 * extent
     world_box = box.inflate(margin)
@@ -322,7 +330,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
               threads: int = 1) -> dict:
     M = EffectiveMatrix.disk()
     values = cfg.floats("sweep", "values", None)
-    h = cfg.spacing("solver", "grid_h", 1.0 / 64.0)
+    h = cfg.positive("solver", "grid_h", 1.0 / 64.0)
     if values:
         world_box = (-2.0, -2.0, 2.0, 2.0)
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
@@ -344,7 +352,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
     world = world_grid_for(cfg, config.kpm_box, source)
-    k = lattice_fraction(config, world)
+    k = volume_fraction(config, world)
     sol = homogenized.solve_psic(world, k, M, tol=settings.tol)
     sol.grad.to_csv(outdir / "psic_grad.csv")
     return {
@@ -372,7 +380,7 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         if not (nf >= 1 and nf.is_integer()):
             raise ConfigError(f"n_per_side must be a whole number >= 1, got {nf!r}")
     probe = cfg.box("analysis", "probe", Box(1.3, 0.0, 2.3, 1.0))
-    probe_h = cfg.spacing("analysis", "probe_h", 1.0 / 64.0)
+    probe_h = cfg.positive("analysis", "probe_h", 1.0 / 64.0)
     _require_lattice(cfg)
     epsilon = cfg.get("geometry", "epsilon", float, required=True)
     source = source_from_config(cfg)
@@ -381,12 +389,13 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     # one discrete source for every solver: f resampled on the world grid;
     # every lattice of the sweep fills the same configured box
     world = world_grid_for(cfg, configs[0][1].kpm_box, source)
-    g0 = potential.grad_psi0_on_grid(world)
     rows = []
     k_prev = homog = None
     for n, config in configs:
-        k = lattice_fraction(config, world)
-        if k_prev is None or not np.array_equal(k.field.values, k_prev.field.values):
+        k = volume_fraction(config, world)
+        if k_prev is None:  # once, after the first k has passed its eps0^2 bound
+            g0 = potential.grad_psi0_on_grid(world)
+        if k_prev is None or not np.array_equal(k.values, k_prev.values):
             sol = homogenized.solve_psic_from_grad(g0, k, M, tol=settings.tol)
             homog = analysis.homogenized_probe(
                 g0, sol.grad, sol.first_order, k, M, probe, probe_h
@@ -423,10 +432,8 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
 
 def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     shape = cfg.get("vorticity", "shape", str, "bump")
-    dt = cfg.get("euler", "dt", float, required=True)
-    t_final = cfg.get("euler", "t_final", float, required=True)
-    if dt <= 0 or t_final <= 0:
-        raise ConfigError("euler dt and t_final must be positive")
+    dt = cfg.positive("euler", "dt", required=True)
+    t_final = cfg.positive("euler", "t_final", required=True)
     if shape == "pair":
         return _euler_pair(cfg, outdir, dt, t_final)
     try:
@@ -437,11 +444,11 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
     margin = cfg.nonnegative("euler", "margin", 1.0)
-    h_p = cfg.spacing("euler", "particle_h", required=True)
+    h_p = cfg.positive("euler", "particle_h", required=True)
     blob = cfg.nonnegative("euler", "blob", h_p)
-    k_h = cfg.spacing("solver", "grid_h", 1.0 / 32.0)
+    k_h = cfg.positive("solver", "grid_h", 1.0 / 32.0)
     probe = cfg.box("analysis", "probe", Box(1.5, 1.5, 2.5, 2.5))
-    probe_h = cfg.spacing("analysis", "probe_h", 0.25)
+    probe_h = cfg.positive("analysis", "probe_h", 0.25)
     if potential._is_particles(source):
         particles = source
     else:
@@ -451,7 +458,7 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     # the homogenized closure integrates over supp k only, so the volume
     # fraction lives on a grid of the porous box itself
     kgrid = make_grid(config.kpm_box.as_tuple(), k_h)
-    k = lattice_fraction(config, kgrid)
+    k = volume_fraction(config, kgrid)
     perf = euler.PerforatedSetting(config, settings.reflection_depth, margin=margin)
     homog = euler.HomogenizedSetting(
         k, EffectiveMatrix.disk(), margin=margin,
@@ -516,7 +523,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     values = cfg.floats("sweep", "values", required=True)
     _require_lattice(cfg)
     n = cfg.get("geometry", "n", int, 4)
-    probe_h = cfg.spacing("analysis", "probe_h", None)
+    probe_h = cfg.positive("analysis", "probe_h", None)
     source = source_from_config(cfg)
     rows = []
     for v in values:

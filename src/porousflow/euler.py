@@ -17,7 +17,7 @@ import numpy as np
 
 from . import homogenized, kernels, potential, reflections
 from .fields import ScalarGridField, fmt, perp, write_table
-from .geometry import Box, PorousConfig, VolumeFraction
+from .geometry import Box, PorousConfig
 from .homogenized import EffectiveMatrix
 
 
@@ -96,14 +96,14 @@ class PerforatedSetting:
 
 @dataclass
 class HomogenizedSetting:
-    k: VolumeFraction
+    k: ScalarGridField
     M: EffectiveMatrix
     margin: float = 0.0
     full_solve: bool = False
     tol: float = 1e-10
 
     def kpm_box(self) -> Box | None:
-        box = self.k.field.support_box()
+        box = self.k.support_box()
         return Box(*box) if box is not None else None
 
 
@@ -136,15 +136,11 @@ def _homog_correction_grad(pts, particles, setting: HomogenizedSetting) -> np.nd
     iterates grad psi on the k cells with the direct backend before the final
     evaluation.
     """
-    kf = setting.k.field
-    centers, kvals = kf.nonzero_cells()
-    if centers.shape[0] == 0:
-        return np.zeros((pts.shape[0], 2))
-    grad_cells = potential.grad_psi0_eval(particles, centers)
+    k = setting.k
+    grad_cells = potential.grad_psi0_eval(particles, k.nonzero_cells()[0])
     if setting.full_solve:
-        grad_cells = homogenized.solve_on_cells(grad_cells, kf, setting.M, setting.tol)
-    w = kvals[:, None] * (grad_cells @ setting.M.m.T)
-    return -homogenized.k2_kernel_sum(centers, w, kf.h, pts)
+        grad_cells = homogenized.solve_on_cells(grad_cells, k, setting.M, setting.tol)
+    return homogenized.correction(k, setting.M, grad_cells, pts, grad=True)
 
 
 def _min_gap(setting) -> float:

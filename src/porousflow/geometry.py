@@ -79,7 +79,12 @@ class PorousConfig:
     kpm_box: Box
 
     def __post_init__(self):
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        centers = np.asarray(self.centers, dtype=float)
+        if centers.size == 0:
+            centers = centers.reshape(0, 2)
+        if centers.ndim != 2 or centers.shape[1] != 2:
+            raise ValueError(f"centers must have shape (N, 2), got {centers.shape}")
+        self.centers = centers
 
     @property
     def n_holes(self) -> int:
@@ -118,25 +123,6 @@ class PorousConfig:
         theta = (np.arange(samples) + 0.5) / samples * 2.0 * np.pi
         ring = self.a * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return (self.centers[:, None, :] + ring[None, :, :]).reshape(-1, 2)
-
-
-@dataclass
-class VolumeFraction:
-    """Bounded density approximating the disks' indicator, with sup bound eps0^2."""
-
-    field: ScalarGridField
-    eps0: float
-
-    def __post_init__(self):
-        if self.field.inf_norm() > self.eps0**2 + 1e-12:
-            raise ValueError(
-                f"volume fraction sup {self.field.inf_norm():.4g} exceeds "
-                f"eps0^2 = {self.eps0**2:.4g}"
-            )
-
-    @property
-    def inf_norm(self) -> float:
-        return self.field.inf_norm()
 
 
 def build_lattice(
@@ -205,21 +191,26 @@ def build_random(
     return PorousConfig(np.asarray(centers), a, d, eps0, box)
 
 
-def lattice_fraction(config: PorousConfig, grid: ScalarGridField) -> VolumeFraction:
-    """Continuum volume fraction of a lattice config: N*pi*a^2/|box| on the box.
+def lattice_fraction(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField:
+    """Continuum volume fraction k of a lattice config: N*pi*a^2/|box| on the box.
 
     For the standard lattice with a = epsilon*side/n this value equals
-    pi*epsilon^2 regardless of n.
+    pi*epsilon^2 regardless of n. Raises ValueError when it exceeds the
+    declared bound eps0^2.
     """
     box = config.kpm_box
     value = config.n_holes * np.pi * config.a**2 / box.area
+    if value > config.eps0**2 + 1e-12:
+        raise ValueError(
+            f"volume fraction N pi a^2/|box| = {value:.4g} exceeds "
+            f"eps0^2 = {config.eps0**2:.4g}"
+        )
     xs, ys = grid.cell_centers()
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     inside = (
         (gx > box.x0) & (gx < box.x1) & (gy > box.y0) & (gy < box.y1)
     )
-    out = ScalarGridField(grid.origin.copy(), grid.h, np.where(inside, value, 0.0))
-    return VolumeFraction(out, config.eps0)
+    return ScalarGridField(grid.origin.copy(), grid.h, np.where(inside, value, 0.0))
 
 
 def rasterize_mu(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField:

@@ -5,7 +5,9 @@ L[grad psi_{n-1}] with L g = grad Delta^{-1} div(k M g), which contracts for
 small sup k. The operator L has two interchangeable backends: a Fourier
 multiplier xi (xi.g_hat)/|xi|^2 on a padded periodic box (real transforms,
 multipliers cached per grid), and a direct principal-value quadrature of the
-second-derivative kernel used as an independent cross-check. The grid solve
+second-derivative kernel used as an independent cross-check. The
+volume-fraction correction phi = -div Delta^{-1}(k M grad psi) and its
+gradient have one quadrature, ``correction``. The grid solve
 (spectral) and the Euler closure's full solve on the k cells (direct) share
 one loop, ``_fixed_point``, and so one stopping rule.
 """
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ScalarGridField, VectorGridField, check_padding, gradient_multipliers, perp
-from .geometry import VolumeFraction
 from .potential import _dipole_field, grad_psi0_on_grid
 
 MAX_ITER = 50  # fixed-point iterations before a solve returns unconverged
@@ -54,10 +55,6 @@ class HomogSolution:
     increments: list[float] = field(default_factory=list)
 
 
-def _k_values(k) -> ScalarGridField:
-    return k.field if isinstance(k, VolumeFraction) else k
-
-
 def apply_l_spectral(
     g: VectorGridField, k, M: EffectiveMatrix
 ) -> VectorGridField:
@@ -73,16 +70,15 @@ def apply_l_spectral(
     exactly P/2); that constant is restored so the output follows the
     decay-at-infinity convention.
     """
-    kf = _k_values(k)
-    check_padding(kf)
-    if kf.shape != g.values.shape[:2]:
+    check_padding(k)
+    if k.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
-    w = np.einsum("ij,xyj->ixy", M.m, g.values) * kf.values
-    kx, ky, mx, my = gradient_multipliers(kf.shape, g.h)
+    w = np.einsum("ij,xyj->ixy", M.m, g.values) * k.values
+    kx, ky, mx, my = gradient_multipliers(k.shape, g.h)
     w_hat = np.fft.rfft2(w)
     div_hat = mx * w_hat[0] + my * w_hat[1]
-    out = np.moveaxis(np.fft.irfft2(np.stack([kx * div_hat, ky * div_hat]), s=kf.shape), 0, 2)
-    out += w.sum(axis=(1, 2)) / (2.0 * kf.values.size)  # P / (2 |box|), P = h^2 sum w
+    out = np.moveaxis(np.fft.irfft2(np.stack([kx * div_hat, ky * div_hat]), s=k.shape), 0, 2)
+    out += w.sum(axis=(1, 2)) / (2.0 * k.values.size)  # P / (2 |box|), P = h^2 sum w
     return VectorGridField(g.origin.copy(), g.h, out)
 
 
@@ -127,12 +123,23 @@ def apply_l_direct(
 ) -> np.ndarray:
     """Independent backend: PV quadrature excluding the self cell plus the
     local term +1/2 (k M g)(x); evaluated at arbitrary target points."""
-    kf = _k_values(k)
-    if kf.shape != g.values.shape[:2]:
+    if k.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
-    centers, kvals = kf.nonzero_cells()
-    w = kvals[:, None] * (g.values[kf.values != 0.0] @ M.m.T)
-    return _pv_on_cells(centers, w, kf.h, targets, kf.nonzero_cell_index(targets))
+    centers, kvals = k.nonzero_cells()
+    w = kvals[:, None] * (g.values[k.values != 0.0] @ M.m.T)
+    return _pv_on_cells(centers, w, k.h, targets, k.nonzero_cell_index(targets))
+
+
+def correction(k, M: EffectiveMatrix, g_cells: np.ndarray, targets, grad: bool = False):
+    """The volume-fraction correction phi = -div Delta^{-1}(k M g) at
+    ``targets`` (its gradient with ``grad``): the k1 (k2) quadrature of
+    w = k M g over the nonzero cells of k, with ``g_cells`` the values of g
+    at the centers of ``k.nonzero_cells()``, in that order."""
+    centers, kvals = k.nonzero_cells()
+    w = kvals[:, None] * (g_cells @ M.m.T)
+    if grad:
+        return -k2_kernel_sum(centers, w, k.h, targets)
+    return -k1_kernel_sum(centers, w, k.h, targets)
 
 
 def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float):
@@ -170,13 +177,10 @@ def solve_psic_from_grad(
 ) -> HomogSolution:
     """Fixed-point iteration on the grid (spectral backend) from a
     precomputed free-space gradient."""
-    kf = _k_values(k)
-    if isinstance(k, VolumeFraction) and k.inf_norm > k.eps0**2 + 1e-12:
-        raise ValueError("volume fraction exceeds its declared eps0^2 bound")
 
     def apply_l(values):
         g = VectorGridField(psi0_grad.origin, psi0_grad.h, values)
-        return apply_l_spectral(g, kf, M).values
+        return apply_l_spectral(g, k, M).values
 
     values, first, increments = _fixed_point(psi0_grad.values, apply_l, psi0_grad.h, tol)
     grad = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, values)
@@ -192,14 +196,13 @@ def solve_psic(f: ScalarGridField, k, M: EffectiveMatrix, tol: float = 1e-10) ->
 def solve_on_cells(grad0: np.ndarray, k, M: EffectiveMatrix, tol: float = 1e-10) -> np.ndarray:
     """grad psi_c on the nonzero cells of k (direct backend), from
     grad0 = grad psi_0 at the centers of ``nonzero_cells()``, in that order."""
-    kf = _k_values(k)
-    centers, kvals = kf.nonzero_cells()
+    centers, kvals = k.nonzero_cells()
     own = np.arange(centers.shape[0])  # each cell excludes itself
 
     def apply_l(g):
-        return _pv_on_cells(centers, kvals[:, None] * (g @ M.m.T), kf.h, centers, own)
+        return _pv_on_cells(centers, kvals[:, None] * (g @ M.m.T), k.h, centers, own)
 
-    return _fixed_point(grad0, apply_l, kf.h, tol)[0]
+    return _fixed_point(grad0, apply_l, k.h, tol)[0]
 
 
 def velocity_c(sol: HomogSolution, x) -> np.ndarray:

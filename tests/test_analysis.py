@@ -208,7 +208,7 @@ def test_mu_minus_k_field_matches_sampling_every_cell(case):
     # the field must equal sampling k everywhere bit for bit
     if case == "divcurl_n16":
         cfg = build_lattice(16, 0.1, Box(0, 0, 1, 1))
-        k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1 / 128)).field
+        k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1 / 128))
     elif case == "smoothed_mu":
         # the k of test_predictor_smoothed_mu_dominated_by_aspect_and_kinf
         cfg = build_lattice(4, 0.1, Box(0, 0, 1, 1))
@@ -224,7 +224,7 @@ def test_mu_minus_k_field_matches_sampling_every_cell(case):
         # the Euler closure's k fills its own grid, so the edge clamp extends
         # it over the whole world grid
         cfg = build_lattice(4, 0.1, Box(0, 0, 1, 1))
-        k = lattice_fraction(cfg, make_grid(cfg.kpm_box.as_tuple(), 1 / 32)).field
+        k = lattice_fraction(cfg, make_grid(cfg.kpm_box.as_tuple(), 1 / 32))
         assert np.all(k.values != 0.0)
     field = ana.mu_minus_k_field(cfg, k)
     grid = ScalarGridField(field.origin, field.h, np.zeros(field.shape))

@@ -1,10 +1,14 @@
 """The benchmark tracer wraps layer functions by name and reports zeros for a
-name the program no longer defines, so every name it lists must resolve."""
+name the program no longer defines, so every name it lists must resolve; its
+work counters read the wrapped functions' arguments by name, so every name
+they read must be a parameter."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import porousflow.cli  # noqa: F401  (loads every layer module, as the tracer does)
@@ -28,3 +32,40 @@ def test_every_tracer_target_resolves():
         for attr in attrs[:-1]:
             owner = getattr(owner, attr)
         assert callable(vars(owner).get(attrs[-1])), name
+
+
+def _counter_reads():
+    """{target: argument names its counter reads as a["name"]}, from the
+    tracer's source: a counter is a lambda or a module-level function whose
+    first parameter is the bound-arguments mapping."""
+    tree = ast.parse(TRACER.read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    reads = {}
+    for key, value in zip(table.keys, table.values):
+        counter = value.elts[0]
+        if isinstance(counter, ast.Name):
+            counter = functions[counter.id]
+        mapping = counter.args.args[0].arg
+        reads[key.value] = {
+            node.slice.value for node in ast.walk(counter)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == mapping and isinstance(node.slice, ast.Constant)
+        }
+    return reads
+
+
+def test_tracer_counters_read_real_parameters():
+    reads = _counter_reads()
+    assert reads.keys() == _tracer_targets().keys()
+    assert {"x", "source", "targets", "src_centers", "self"} <= set().union(*reads.values())
+    for name, keys in reads.items():
+        modname, *attrs = name.split(".")
+        owner = importlib.import_module(f"porousflow.{modname}")
+        for attr in attrs:
+            owner = getattr(owner, attr)
+        params = inspect.signature(owner).parameters
+        assert keys <= params.keys(), (name, keys - params.keys())

@@ -445,7 +445,7 @@ def test_divcurl_solves_once_per_distinct_k(tmp_path, monkeypatch):
     def perturbed(config, grid):
         # a volume fraction that differs from one lattice size to the next
         k = lattice_fraction(config, grid)
-        k.field.values *= 1.0 + 1e-3 * config.n_holes
+        k.values *= 1.0 + 1e-3 * config.n_holes
         return k
 
     calls = {}
@@ -524,3 +524,59 @@ def test_grid_experiments_refuse_particle_sources(tmp_path, text):
     assert code == 2
     _config_error(out, "shape = bump | disk")
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(HOMOG_LATTICE, id="homog"),
+    pytest.param(DIVCURL_SMALL, id="divcurl"),
+    pytest.param(EULER_COMPARE, id="euler"),
+])
+def test_volume_fraction_above_eps0_squared_exit_2(tmp_path, monkeypatch, text):
+    # k = pi epsilon^2 = 0.126 exceeds eps0^2 = 0.0625, known from the config alone
+    from porousflow import potential
+
+    calls = []
+    monkeypatch.setattr(potential, "grad_psi0_on_grid", lambda *args: calls.append(args))
+    code, out = run_cli(tmp_path, text.replace("epsilon = 0.1", "epsilon = 0.2"))
+    assert code == 2
+    _config_error(out, "eps0")
+    assert not (out / "summary.json").exists()
+    assert calls == []
+
+
+REFLECT_RANDOM = REFLECT_TWOHOLE.replace("kind = twohole", "kind = random\ncount = 4").replace(
+    "dmin = 0.4", "dmin = 0.2"
+)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(REFLECT_RANDOM.replace("count = 4", "count = 0"), "[geometry] count",
+                     id="count_zero"),
+        pytest.param(REFLECT_RANDOM.replace("count = 4", "count = -3"), "[geometry] count",
+                     id="count_negative"),
+        pytest.param(REFLECT_RANDOM.replace("a = 0.02", "a = -0.05"), "[geometry] a",
+                     id="random_a_negative"),
+        pytest.param(REFLECT_RANDOM.replace("dmin = 0.2", "dmin = 0"), "[geometry] dmin",
+                     id="random_dmin_zero"),
+        pytest.param(REFLECT_TWOHOLE.replace("dmin = 0.4", "dmin = 0"), "[geometry] dmin",
+                     id="twohole_dmin_zero"),
+        pytest.param(REFLECT_TWOHOLE.replace("amplitude = 2.0", "amplitude = 2.0\nradius = -0.3"),
+                     "[vorticity] radius", id="radius_negative"),
+        pytest.param(EULER_COMPARE.replace("dt = 0.1", "dt = 0"), "[euler] dt", id="dt_zero"),
+        pytest.param(EULER_COMPARE.replace("t_final = 0.3", "t_final = -0.3"),
+                     "[euler] t_final", id="t_final_negative"),
+    ],
+)
+def test_degenerate_sizes_and_times_exit_2(tmp_path, text, fragment):
+    assert text not in (REFLECT_RANDOM, REFLECT_TWOHOLE, EULER_COMPARE)
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, fragment)
+    assert not (out / "summary.json").exists()
+
+
+def test_random_reflect_baseline_runs(tmp_path):
+    code, _ = run_cli(tmp_path, REFLECT_RANDOM)
+    assert code == 0

@@ -77,7 +77,7 @@ def test_both_settings_agree_without_medium():
     state = eu.FlowState(0.0, parts)
     x = np.array([[0.6, 5.5], [1.5, 7.0]])
     k0 = lattice_fraction(build_lattice(2, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
-    k0.field.values *= 0.0
+    k0.values *= 0.0
     hset = eu.HomogenizedSetting(k0, EffectiveMatrix.disk())
     u_perf = eu.velocity_field(state, empty_setting(), x)
     u_hom = eu.velocity_field(state, hset, x)
@@ -191,7 +191,7 @@ def test_support_halt_detected():
 def test_comparison_no_medium_zero_divergence():
     parts = corotating_pair()
     k0 = lattice_fraction(build_lattice(2, 0.1, FAR_BOX), make_grid(FAR_BOX.as_tuple(), 1 / 16))
-    k0.field.values *= 0.0
+    k0.values *= 0.0
     records = eu.run_comparison(
         parts,
         empty_setting(),
@@ -255,7 +255,7 @@ def test_full_solve_flag_close_to_first_order():
 def test_export_csv(tmp_path):
     parts = corotating_pair()
     k0 = lattice_fraction(build_lattice(2, 0.1, FAR_BOX), make_grid(FAR_BOX.as_tuple(), 1 / 16))
-    k0.field.values *= 0.0
+    k0.values *= 0.0
     records = eu.run_comparison(
         parts, empty_setting(), eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
         t_final=0.2, dt=0.05, probe_points=np.array([[2.0, 2.0]]),
@@ -292,7 +292,7 @@ def test_full_solve_not_contracting_raises():
     # a diverged field
     parts = eu.discretize_vorticity(blob_omega0(), 0.12, 0.12, kpm_box=UNIT, margin=5.0)
     k = lattice_fraction(build_lattice(4, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
-    k.field.values *= 40.0
+    k.values *= 40.0
     setting = eu.HomogenizedSetting(k, EffectiveMatrix.disk(), full_solve=True)
     with pytest.raises(RuntimeError, match="not contracting"):
         eu.velocity_field(eu.FlowState(0.0, parts), setting, np.array([[0.5, 2.5]]))

@@ -64,24 +64,24 @@ def test_lattice_fraction_value():
     grid = make_grid((-0.5, -0.5, 1.5, 1.5), 0.05)
     cfg = build_lattice(4, 0.1, UNIT)
     k = lattice_fraction(cfg, grid)
-    inside = k.field.values[k.field.values > 0]
+    inside = k.values[k.values > 0]
     assert inside.size > 0
     assert np.allclose(inside, np.pi * 0.01)
     # zero outside the box
-    assert k.field.values[0, 0] == 0.0
+    assert k.values[0, 0] == 0.0
 
 
 def test_lattice_fraction_quadratic_scaling():
     grid = make_grid((-0.5, -0.5, 1.5, 1.5), 0.05)
-    v1 = lattice_fraction(build_lattice(4, 0.1, UNIT), grid).field.values.max()
-    v2 = lattice_fraction(build_lattice(4, 0.2, UNIT, eps0=0.36), grid).field.values.max()
+    v1 = lattice_fraction(build_lattice(4, 0.1, UNIT), grid).values.max()
+    v2 = lattice_fraction(build_lattice(4, 0.2, UNIT, eps0=0.36), grid).values.max()
     assert v2 == pytest.approx(4.0 * v1, rel=1e-12)
 
 
 def test_lattice_fraction_independent_of_n():
     grid = make_grid((-0.5, -0.5, 1.5, 1.5), 0.05)
     vals = [
-        lattice_fraction(build_lattice(n, 0.1, UNIT), grid).field.values.max()
+        lattice_fraction(build_lattice(n, 0.1, UNIT), grid).values.max()
         for n in (2, 4, 8)
     ]
     assert np.allclose(vals, vals[0])
@@ -170,6 +170,21 @@ def test_config_serialization_roundtrip(tmp_path):
     assert back.kpm_box.as_tuple() == cfg.kpm_box.as_tuple()
     text = path.read_text()
     assert "lattice.n = 3" in text and "eps0" in text
+
+
+def test_zero_hole_config_survives_roundtrip(tmp_path):
+    empty = PorousConfig(np.zeros((0, 2)), 0.01, 0.1, 0.25, UNIT)
+    path = tmp_path / "empty.txt"
+    save_config(empty, path)
+    back = load_config(path)
+    assert back.centers.shape == (0, 2)
+    assert back.n_holes == 0
+
+
+@pytest.mark.parametrize("shape", [(2,), (3, 3), (1, 2, 2)])
+def test_centers_must_be_n_by_2(shape):
+    with pytest.raises(ValueError, match="shape"):
+        PorousConfig(np.zeros(shape), 0.01, 0.1, 0.25, UNIT)
 
 
 def test_fluid_mask_excludes_hole_cells():

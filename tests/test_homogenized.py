@@ -7,7 +7,7 @@ from porousflow import fields
 from porousflow import homogenized as hom
 from porousflow import potential as pot
 from porousflow.fields import VectorGridField, make_grid, radial_bump, rasterize
-from porousflow.geometry import Box, VolumeFraction, build_lattice, lattice_fraction
+from porousflow.geometry import Box, build_lattice, lattice_fraction
 from porousflow.homogenized import EffectiveMatrix
 
 WORLD = (-2.0, -2.0, 2.0, 2.0)
@@ -247,10 +247,10 @@ def test_non_contraction_detected():
 def test_volume_fraction_bound_enforced():
     k = world_k(0.04)
     with pytest.raises(ValueError, match="eps0"):
-        VolumeFraction(k, eps0=0.1)  # 0.04 > 0.01
-    vf = VolumeFraction(k, eps0=0.25)
+        # pi 0.2^2 = 0.126 > eps0^2 = 0.0625
+        lattice_fraction(build_lattice(4, 0.2, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
     f = world_f()
-    sol = hom.solve_psic(f, vf, EffectiveMatrix.disk())
+    sol = hom.solve_psic(f, k, EffectiveMatrix.disk())
     assert sol.iterations >= 1
 
 
@@ -461,11 +461,11 @@ def _iterate_on_cells_reference(centers, kvals, h, grad0, M, tol, max_iter=50):
 def test_solve_on_cells_matches_reference_iteration():
     k = lattice_fraction(build_lattice(4, 0.1, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
     M = EffectiveMatrix(np.array([[2.0, 0.3], [-0.5, 1.5]]))
-    centers, kvals = k.field.nonzero_cells()
+    centers, kvals = k.nonzero_cells()
     grad0 = np.random.default_rng(3).standard_normal(centers.shape)
     for tol in (1e-6, 1e-12):
         got = hom.solve_on_cells(grad0, k, M, tol)
-        ref = _iterate_on_cells_reference(centers, kvals, k.field.h, grad0, M, tol)
+        ref = _iterate_on_cells_reference(centers, kvals, k.h, grad0, M, tol)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(got - grad0).max() > 1e-3 * np.abs(grad0).max()
 
