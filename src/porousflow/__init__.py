@@ -17,7 +17,6 @@ from .potential import (
     grad_psi0_on_grid,
     psi0_bounds_check,
     psi0_eval,
-    psi0_on_grid,
     velocity0_eval,
 )
 from .reflections import (
@@ -51,7 +50,6 @@ from .analysis import (
     ErrorBudget,
     fit_exponent,
     gamma_decomposition_report,
-    h1dot_masked,
     hminus1,
     predictor_f,
 )

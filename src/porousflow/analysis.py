@@ -1,10 +1,11 @@
 """Error functionals and convergence-rate fitting.
 
-Discrete masked H^1-dot and L^2 norms on fluid regions, the spectral H^-1
-surrogate for the weak distance between the disk indicator and the volume
-fraction, the composite error predictor F, log-log exponent fits, and the
-two-term decomposition report comparing the perforated solution against the
-homogenized one.
+The spectral H^-1 surrogate for the weak distance between the disk
+indicator and the volume fraction, the composite error predictor F, log-log
+exponent fits, and the two-term decomposition report comparing the perforated
+solution against the homogenized one. That report and
+``reflection_vs_oracle_h1`` sum their masked H^1-dot and L^2 norms inline,
+over the fluid cells of a probe grid.
 """
 
 from __future__ import annotations
@@ -27,25 +28,6 @@ from .fields import (
 from .geometry import Box, PorousConfig, fluid_mask, rasterize_mu
 from .homogenized import EffectiveMatrix
 from .reflections import HybridStream
-
-
-def h1dot_masked(
-    g: VectorGridField, mask: np.ndarray, region: Box | None = None
-) -> float:
-    """sqrt of the masked cellwise sum of |g|^2 h^2, optionally restricted to
-    cells whose centers lie in ``region``."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != g.values.shape[:2]:
-        raise ValueError("mask shape must match the grid")
-    if region is not None:
-        xs, ys = g.cell_centers()
-        inx = (xs >= region.x0) & (xs <= region.x1)
-        iny = (ys >= region.y0) & (ys <= region.y1)
-        mask = mask & (inx[:, None] & iny[None, :])
-    if not mask.any():
-        warnings.warn("h1dot_masked: empty mask", stacklevel=2)
-        return 0.0
-    return float(np.sqrt((g.values[mask] ** 2).sum() * g.h**2))
 
 
 def hminus1(g: ScalarGridField) -> float:
@@ -96,13 +78,6 @@ class ErrorBudget:
             "weak_half": hm1**0.5,
             "kinf_sq": self.k_inf**2,
         }
-
-    def radius_ratio(self, a: float) -> float:
-        """Diagnostic constant a / ||mu - k||^{1/2} (should stay bounded)."""
-        hm1 = self.mu_minus_k_hm1
-        if hm1 == 0.0:
-            return np.inf if a > 0 else 0.0
-        return a / hm1**0.5
 
 
 def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridField:

@@ -31,6 +31,7 @@ from .geometry import (
     build_random,
     lattice_fraction,
     save_config,
+    validate,
 )
 from .homogenized import EffectiveMatrix
 
@@ -165,7 +166,8 @@ def solver_settings(cfg: RunConfig) -> SolverSettings:
 def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
                          epsilon: float | None = None, box: Box | None = None) -> PorousConfig:
     """The [geometry] configuration; a sweep point's lattice ``n``,
-    ``epsilon`` or ``box``, when given, replace the config values."""
+    ``epsilon`` or ``box``, when given, replace the config values. Every
+    configuration must pass ``validate``."""
     kind = cfg.get("geometry", "kind", str, "lattice")
     if box is None:
         box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
@@ -178,29 +180,39 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
         if epsilon is None:
             epsilon = cfg.get("geometry", "epsilon", float, required=True)
         try:
-            return build_lattice(n, epsilon, box, eps0)
+            config = build_lattice(n, epsilon, box, eps0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if kind == "random":
+    elif kind == "random":
         count = cfg.get("geometry", "count", int, required=True)
         if count < 1:
             raise ConfigError(f"[geometry] count must be a whole number >= 1, got {count!r}")
         a = cfg.positive("geometry", "a", required=True)
         dmin = cfg.positive("geometry", "dmin", required=True)
         try:
-            return build_random(count, a, dmin, box, eps0, seed=seed)
+            config = build_random(count, a, dmin, box, eps0, seed=seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if kind == "twohole":
+    elif kind == "twohole":
         a = cfg.positive("geometry", "a", required=True)
         dmin = cfg.positive("geometry", "dmin", required=True)
         cy = (box.y0 + box.y1) / 2
         cx = (box.x0 + box.x1) / 2
         centers = np.array([[cx - dmin / 2, cy], [cx + dmin / 2, cy]])
-        if a / dmin > eps0:
-            raise ConfigError("twohole violates a/d <= eps0")
-        return PorousConfig(centers, a, dmin, eps0, box)
-    raise ConfigError(f"unknown geometry kind '{kind}'")
+        config = PorousConfig(centers, a, dmin, eps0, box)
+    else:
+        raise ConfigError(f"unknown geometry kind '{kind}'")
+    report = validate(config)
+    if not report.ok:
+        box_text = " ".join(f"{v:g}" for v in box.as_tuple())
+        broken = [text for ok, text in (
+            (report.distance_ok,
+             f"center distance {report.min_distance:.4g} below d = {config.d:.4g}"),
+            (report.aspect_ok, f"a/d = {report.a_over_d:.4g} above eps0 = {eps0:.4g}"),
+            (report.containment_ok, f"a disk outside the box {box_text}"),
+        ) if not ok]
+        raise ConfigError(f"[geometry] kind = {kind}: " + "; ".join(broken))
+    return config
 
 
 def _require_lattice(cfg: RunConfig) -> None:
@@ -357,7 +369,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
     sol.grad.to_csv(outdir / "psic_grad.csv")
     return {
         "iterations": sol.iterations,
-        "last_increment": sol.last_increment,
+        "last_increment": sol.increments[-1],
         "increments": sol.increments,
     }
 

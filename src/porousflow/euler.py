@@ -41,9 +41,6 @@ class VortexParticles:
     def count(self) -> int:
         return self.positions.shape[0]
 
-    def total_circulation(self) -> float:
-        return float(self.weights.sum())
-
 
 @dataclass
 class FlowState:
@@ -246,16 +243,15 @@ def run_comparison(
     t_final: float,
     dt: float,
     probe_points: np.ndarray,
-    record_every: int = 1,
 ) -> list[ComparisonRecord]:
     """Evolve the two closures side by side from identical particles.
 
-    Records, per output time, the max over matched particles of the
-    trajectory separation, the sup over the probe set of the velocity
-    difference, and the sup over the probe set of the blob-smoothed vorticity
-    difference. An early halt of either run is recorded, not fatal; after a
-    particle of the perforated run enters a hole its velocity difference is
-    nan.
+    Records, at the start and after every step, the max over matched
+    particles of the trajectory separation, the sup over the probe set of the
+    velocity difference, and the sup over the probe set of the blob-smoothed
+    vorticity difference. An early halt of either run is recorded, not fatal;
+    after a particle of the perforated run enters a hole its velocity
+    difference is nan.
     """
     n_steps = step_count(t_final, dt)
     probe_points = np.atleast_2d(probe_points)
@@ -264,18 +260,17 @@ def run_comparison(
     status_c = run_status(state_c, homogenized_setting)
     records = [_record(state_n, state_c, perforated, homogenized_setting,
                        probe_points, status_n, status_c)]
-    for i in range(1, n_steps + 1):
+    for _ in range(n_steps):
         if status_n == "running":
             state_n = step(state_n, dt, perforated)
             status_n = run_status(state_n, perforated)
         if status_c == "running":
             state_c = step(state_c, dt, homogenized_setting)
             status_c = run_status(state_c, homogenized_setting)
-        if i % record_every == 0 or i == n_steps:
-            records.append(
-                _record(state_n, state_c, perforated, homogenized_setting,
-                        probe_points, status_n, status_c)
-            )
+        records.append(
+            _record(state_n, state_c, perforated, homogenized_setting,
+                    probe_points, status_n, status_c)
+        )
         if status_n != "running" and status_c != "running":
             break
     return records
@@ -315,10 +310,3 @@ def export_timeseries_csv(records: list[ComparisonRecord], path) -> None:
           r.status_perforated if r.status_perforated != "running" else r.status_homogenized]
          for r in records),
     )
-
-
-def export_particles_csv(state: FlowState, path) -> None:
-    write_table(path, ["t", "x", "y", "w"], (
-        [fmt(state.t), fmt(x), fmt(y), fmt(w)]
-        for (x, y), w in zip(state.particles.positions, state.particles.weights)
-    ))

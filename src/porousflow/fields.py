@@ -1,4 +1,4 @@
-"""Cell-centered Cartesian grid fields and their CSV/JSON serialization.
+"""Cell-centered Cartesian grid fields.
 
 A field samples a compactly supported function at cell centers
 ``origin + (i + 1/2) * h`` with uniform spacing ``h`` in both directions.
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,41 +128,6 @@ class ScalarGridField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return _bilinear(self.origin, self.h, self.values[..., None], x)[:, 0]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            nx, ny = self.values.shape
-            fh.write("origin_x,origin_y,h,nx,ny\n")
-            fh.write(f"{fmt(self.origin[0])},{fmt(self.origin[1])},{fmt(self.h)},{nx},{ny}\n")
-            for row in self.values:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "ScalarGridField":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if header[:5] != ["origin_x", "origin_y", "h", "nx", "ny"]:
-                raise ValueError(f"unrecognized grid CSV header in {path}")
-            ox, oy, h, nx, ny = fh.readline().strip().split(",")
-            vals = np.loadtxt(fh, delimiter=",", ndmin=2)
-        vals = vals.reshape(int(nx), int(ny))
-        return cls(np.array([float(ox), float(oy)]), float(h), vals)
-
-    def descriptor(self) -> dict:
-        """JSON-ready summary used in run outputs."""
-        return {
-            "origin": [float(self.origin[0]), float(self.origin[1])],
-            "h": float(self.h),
-            "nx": int(self.values.shape[0]),
-            "ny": int(self.values.shape[1]),
-            "min": float(self.values.min()) if self.values.size else 0.0,
-            "max": float(self.values.max()) if self.values.size else 0.0,
-            "integral": self.integral(),
-            "support_box": self.support_box(),
-        }
-
-    def descriptor_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
-
 
 @dataclass
 class VectorGridField:
@@ -180,9 +144,6 @@ class VectorGridField:
             raise ValueError("vector field values must have shape (nx, ny, 2)")
         if self.h <= 0.0:
             raise ValueError("grid spacing h must be positive")
-
-    def cell_centers(self):
-        return ScalarGridField(self.origin, self.h, self.values[:, :, 0]).cell_centers()
 
     def sample_bilinear(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

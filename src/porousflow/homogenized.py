@@ -14,7 +14,7 @@ one loop, ``_fixed_point``, and so one stopping rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class HomogSolution:
     grad: VectorGridField
     first_order: VectorGridField  # the first iterate g0 - L g0 = grad psi_tilde
     iterations: int
-    last_increment: float
-    increments: list[float] = field(default_factory=list)
+    increments: list[float]
 
 
 def apply_l_spectral(
@@ -185,7 +184,7 @@ def solve_psic_from_grad(
     values, first, increments = _fixed_point(psi0_grad.values, apply_l, psi0_grad.h, tol)
     grad = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, values)
     first_order = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, first)
-    return HomogSolution(grad, first_order, len(increments), increments[-1], increments)
+    return HomogSolution(grad, first_order, len(increments), increments)
 
 
 def solve_psic(f: ScalarGridField, k, M: EffectiveMatrix, tol: float = 1e-10) -> HomogSolution:
@@ -215,17 +214,3 @@ def velocity_c(sol: HomogSolution, x) -> np.ndarray:
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError("velocity requested outside the grid interior")
     return perp(g.sample_bilinear(x).reshape(x.shape))
-
-
-def scalar_from_gradient(grad: VectorGridField) -> ScalarGridField:
-    """Path integral of the gradient along grid lines, zero at the lower-left
-    cell (display helper; the solution is defined up to a constant)."""
-    gx = grad.values[:, :, 0]
-    gy = grad.values[:, :, 1]
-    h = grad.h
-    nx, ny = gx.shape
-    psi = np.zeros((nx, ny))
-    # integrate along the first row in x, then along columns in y
-    psi[1:, 0] = np.cumsum(0.5 * (gx[:-1, 0] + gx[1:, 0]) * h)
-    psi[:, 1:] = psi[:, 0:1] + np.cumsum(0.5 * (gy[:, :-1] + gy[:, 1:]) * h, axis=1)
-    return ScalarGridField(grad.origin.copy(), h, psi)

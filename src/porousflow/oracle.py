@@ -18,8 +18,6 @@ materializing one real column per basis function.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +27,7 @@ from .fields import perp
 from .geometry import PorousConfig
 
 MAX_ORACLE_HOLES = 64  # desk-scale guard
+RESIDUAL_TOL = 1e-6  # boundary oscillation above which a solution is flagged
 
 
 @dataclass
@@ -78,7 +77,6 @@ def solve_collocation(
     config: PorousConfig,
     order: int = 8,
     pts_per_hole: int = 64,
-    residual_tol: float = 1e-6,
 ) -> MultipoleSolution:
     """Least-squares fit of the multipole coefficients.
 
@@ -120,7 +118,7 @@ def solve_collocation(
         residual=residual,
         rank=int(rank),
         cond=cond,
-        flagged=bool(residual > residual_tol),
+        flagged=bool(residual > RESIDUAL_TOL),
     )
 
 
@@ -219,30 +217,3 @@ def circulation(sol: MultipoleSolution, hole: int) -> float:
     around one hole (zero: no log terms)."""
     pts, normals, arc = _ring(sol, hole, 1.5)
     return float((oracle_velocity(sol, pts) * perp(normals)).sum() * arc)
-
-
-def export_json(sol: MultipoleSolution, path) -> None:
-    payload = {
-        "config_hash": config_hash(sol.config),
-        "order": sol.order,
-        "residual": sol.residual,
-        "flagged": sol.flagged,
-        "boundary_constants": sol.boundary_constants.tolist(),
-        "coefficients": sol.coeffs.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-
-
-def config_hash(config: PorousConfig) -> str:
-    blob = json.dumps(
-        {
-            "centers": np.round(config.centers, 15).tolist(),
-            "a": config.a,
-            "d": config.d,
-            "eps0": config.eps0,
-            "box": config.kpm_box.as_tuple(),
-        },
-        sort_keys=True,
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]

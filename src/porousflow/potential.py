@@ -52,12 +52,6 @@ def cell_log_integral(dx0, dx1, dy0, dy1):
     )
 
 
-def self_cell_log_integral(h: float) -> float:
-    """ln-kernel integral over a centered square cell of side h."""
-    s = h / 2.0
-    return float(2.0 * s * s * (np.log(2.0 * s * s) - 3.0 + np.pi / 2.0))
-
-
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 # ---------------------------------------------------------------------------
@@ -127,15 +121,10 @@ def _grid_grad_psi0(f: ScalarGridField, pts):
 # whole-grid evaluation via zero-padded FFT convolution
 # ---------------------------------------------------------------------------
 
-def psi0_on_grid(f: ScalarGridField) -> ScalarGridField:
-    """psi_0 sampled at every cell center of f's own grid (free space, exact
-    discrete sum: identical to psi0_eval at the centers up to FFT roundoff)."""
-    vals = _fft_convolve(f.values, [_log_kernel(f)])[0] * f.h**2 / (2.0 * np.pi)
-    return ScalarGridField(f.origin.copy(), f.h, vals)
-
-
 def grad_psi0_on_grid(f: ScalarGridField) -> VectorGridField:
-    """grad psi_0 on f's own grid via the same discrete free-space sums."""
+    """grad psi_0 sampled at every cell center of f's own grid (free space,
+    exact discrete sum: identical to grad_psi0_eval at the centers up to FFT
+    roundoff)."""
     grad = np.stack(_fft_convolve(f.values, _grad_kernel(f)), axis=2)
     return VectorGridField(f.origin.copy(), f.h, grad * f.h**2 / (2.0 * np.pi))
 
@@ -147,15 +136,6 @@ def _displacements(f):
     dx = np.where(ix <= nx, ix, ix - 2 * nx) * f.h
     dy = np.where(iy <= ny, iy, iy - 2 * ny) * f.h
     return dx[:, None], dy[None, :]
-
-
-def _log_kernel(f):
-    dx, dy = _displacements(f)
-    r2 = dx * dx + dy * dy
-    with np.errstate(divide="ignore"):
-        ker = 0.5 * np.log(np.where(r2 > 0, r2, 1.0))
-    ker[0, 0] = self_cell_log_integral(f.h) / f.h**2
-    return ker
 
 
 def _grad_kernel(f):

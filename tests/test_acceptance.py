@@ -253,7 +253,7 @@ def test_criterion_8_euler_stability_trend():
             parts,
             eu.PerforatedSetting(cfg, 3, margin=5.0),
             eu.HomogenizedSetting(k, M, margin=5.0),
-            t_final=1.0, dt=0.05, probe_points=probe, record_every=4,
+            t_final=1.0, dt=0.05, probe_points=probe,
         )
         finals[eps] = recs[-1]
         halted = halted or any(

@@ -562,6 +562,9 @@ REFLECT_RANDOM = REFLECT_TWOHOLE.replace("kind = twohole", "kind = random\ncount
                      id="random_dmin_zero"),
         pytest.param(REFLECT_TWOHOLE.replace("dmin = 0.4", "dmin = 0"), "[geometry] dmin",
                      id="twohole_dmin_zero"),
+        pytest.param(REFLECT_TWOHOLE.replace("a = 0.02", "a = 0.2")
+                     .replace("dmin = 0.4", "dmin = 3.0"),
+                     "a disk outside the box 0 0 1 1", id="twohole_outside_box"),
         pytest.param(REFLECT_TWOHOLE.replace("amplitude = 2.0", "amplitude = 2.0\nradius = -0.3"),
                      "[vorticity] radius", id="radius_negative"),
         pytest.param(EULER_COMPARE.replace("dt = 0.1", "dt = 0"), "[euler] dt", id="dt_zero"),

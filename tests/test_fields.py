@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -54,24 +52,6 @@ def test_support_box_matches_nonzero_cells():
             g.origin[0] + (ix.max() + 1) * g.h, g.origin[1] + (iy.max() + 1) * g.h,
         ))
         assert g.support_box() == expected
-
-
-def test_csv_roundtrip(tmp_path):
-    g = rasterize((-1, -1, 1, 1), 0.125, radial_bump((0, 0), 0.7, 2.0))
-    path = tmp_path / "field.csv"
-    g.to_csv(path)
-    back = ScalarGridField.from_csv(path)
-    assert back.h == g.h
-    assert np.array_equal(back.values, g.values)
-    assert np.array_equal(back.origin, g.origin)
-
-
-def test_descriptor_json():
-    g = make_grid((0, 0, 1, 1), 0.5)
-    g.values[0, 0] = 2.0
-    d = json.loads(g.descriptor_json())
-    assert d["nx"] == 2 and d["ny"] == 2
-    assert d["integral"] == pytest.approx(0.5)
 
 
 def test_bilinear_reproduces_linear_fields():

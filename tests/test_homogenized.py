@@ -378,15 +378,6 @@ def test_gradient_uniqueness_across_resolutions():
     assert abs(c_measured[0] - c_measured[1]) < 0.05 * c_measured[1]
 
 
-def test_scalar_from_gradient_consistency():
-    # reconstructing a linear potential from its constant gradient
-    g = VectorGridField(np.zeros(2), 0.1, np.tile([2.0, -1.0], (20, 20, 1)))
-    psi = hom.scalar_from_gradient(g)
-    xs, ys = psi.cell_centers()
-    gx, gy = np.meshgrid(xs - xs[0], ys - ys[0], indexing="ij")
-    assert np.allclose(psi.values, 2.0 * gx - 1.0 * gy, atol=1e-12)
-
-
 def test_pad_doubling_converges():
     # doubling the padded box changes apply_L on supp k by a small amount,
     # and the change shrinks again when doubling once more

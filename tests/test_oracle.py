@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -165,22 +164,11 @@ def test_eval_inside_hole_rejected():
         orc.oracle_eval(sol, sol.config.centers[0])
 
 
-def test_flagged_residual_not_fatal():
+def test_flagged_residual_not_fatal(monkeypatch):
+    monkeypatch.setattr(orc, "RESIDUAL_TOL", 1e-30)
     src = point_vortex(0.0, 0.0, 3.0)
-    sol = orc.solve_collocation(src, single_hole(), order=8, residual_tol=1e-30)
+    sol = orc.solve_collocation(src, single_hole(), order=8)
     assert sol.flagged  # threshold below machine noise: flagged but returned
-
-
-def test_export_json(tmp_path):
-    src = point_vortex(0.0, 0.0, 3.0)
-    sol = orc.solve_collocation(src, single_hole(), order=4)
-    path = tmp_path / "oracle.json"
-    orc.export_json(sol, path)
-    data = json.loads(path.read_text())
-    assert data["order"] == 4
-    assert len(data["coefficients"]) == 1
-    assert len(data["coefficients"][0]) == 8
-    assert "config_hash" in data
 
 
 def test_velocity_matches_gradient_rotation():

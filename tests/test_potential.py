@@ -17,13 +17,6 @@ def brute_cell_log(dx0, dx1, dy0, dy1, n=1500):
     return 0.5 * np.log(gu**2 + gv**2).mean() * (dx1 - dx0) * (dy1 - dy0)
 
 
-def test_self_cell_integral_matches_brute_force():
-    h = 0.3
-    assert pot.self_cell_log_integral(h) == pytest.approx(
-        brute_cell_log(-h / 2, h / 2, -h / 2, h / 2), abs=1e-7
-    )
-
-
 def test_general_cell_integral_matches_brute_force():
     val = pot.cell_log_integral(-0.1, 0.2, -0.05, 0.25)
     assert val == pytest.approx(brute_cell_log(-0.1, 0.2, -0.05, 0.25), abs=1e-7)
@@ -110,8 +103,6 @@ def test_grid_evaluation_matches_direct_sums():
     pts = f.centers_flat()
     gg = pot.grad_psi0_on_grid(f)
     assert np.abs(gg.values.reshape(-1, 2) - pot.grad_psi0_eval(f, pts)).max() < 1e-13
-    pg = pot.psi0_on_grid(f)
-    assert np.abs(pg.values.ravel() - pot.psi0_eval(f, pts)).max() < 1e-13
 
 
 def test_dipole_boundary_value():
