@@ -36,6 +36,20 @@ from .geometry import (
 from .homogenized import EffectiveMatrix
 
 SCHEMA_VERSION = "v1"
+# fixed settings that no config key sets (summary.json records ORACLE_ORDER and ETA)
+ORACLE_ORDER = 8  # multipole order per hole of the collocation oracle
+ORACLE_POINTS = 64  # collocation points per hole
+ETA = 0.5  # the error predictor's aspect term is (a/d)^(3 - ETA)
+# every section and key an experiment reads; RunConfig refuses any other
+CONFIG_KEYS = {
+    "run": {"experiment"},
+    "geometry": {"kind", "n", "epsilon", "count", "a", "dmin", "box", "eps0"},
+    "vorticity": {"shape", "center", "radius", "amplitude", "grid_h"},
+    "solver": {"reflection_depth", "grid_h", "tol"},
+    "euler": {"dt", "t_final", "blob", "particle_h", "margin", "full_solve"},
+    "analysis": {"probe", "probe_h"},
+    "sweep": {"values", "mode"},
+}
 # the only spellings a boolean key accepts (compared case-insensitively)
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -57,6 +71,12 @@ class RunConfig:
             self.parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
+        for section in self.parser.sections():
+            if section not in CONFIG_KEYS:
+                raise ConfigError(f"unknown section [{section}]")
+            unknown = set(self.parser.options(section)) - CONFIG_KEYS[section]
+            if unknown:
+                raise ConfigError(f"unknown key [{section}] {', '.join(sorted(unknown))}")
         if not self.parser.has_option("run", "experiment"):
             raise ConfigError("missing [run] experiment")
         self.experiment = self.parser.get("run", "experiment").strip()
@@ -133,30 +153,30 @@ class SolverSettings(NamedTuple):
     """Numerical settings shared by the experiments, read and checked once."""
 
     reflection_depth: int
-    oracle_order: int
-    oracle_points: int
     tol: float
-    eta: float
 
 
 def solver_settings(cfg: RunConfig) -> SolverSettings:
-    s = SolverSettings(
-        cfg.get("solver", "reflection_depth", int, 3),
-        cfg.get("solver", "oracle_order", int, 8),
-        cfg.get("solver", "oracle_points", int, 64),
-        cfg.get("solver", "tol", float, 1e-10),
-        cfg.get("analysis", "eta", float, 0.5),
-    )
-    for ok, message in (
-        (s.reflection_depth >= 1, "reflection_depth must be >= 1"),
-        (s.oracle_order >= 1, "oracle_order must be >= 1"),
-        (s.oracle_points >= 4 * s.oracle_order, "oracle_points must be >= 4 * oracle_order"),
-        (s.tol > 0.0, "tol must be positive"),
-        (0.0 < s.eta < 1.0, "eta must lie in (0, 1)"),
-    ):
-        if not ok:
-            raise ConfigError(message)
-    return s
+    depth = cfg.get("solver", "reflection_depth", int, 3)
+    if depth < 1:
+        raise ConfigError(f"[solver] reflection_depth must be >= 1, got {depth}")
+    return SolverSettings(depth, cfg.positive("solver", "tol", 1e-10))
+
+
+# what [sweep] values lists in each experiment that reads it, and how many it
+# needs: two where a log-log slope is fitted
+_SWEPT = {"sweep": ("aspect ratios a/d", 2), "homog": ("k norms", 2),
+          "divcurl": ("lattice sizes n_per_side", 1)}
+
+
+def sweep_values(cfg: RunConfig) -> list[float] | None:
+    """[sweep] values, required by the sweep experiment and None where an
+    optional sweep is unset."""
+    what, least = _SWEPT[cfg.experiment]
+    values = cfg.floats("sweep", "values", required=cfg.experiment == "sweep")
+    if values is not None and (len(values) < least or min(values) <= 0.0):
+        raise ConfigError(f"[sweep] values needs {least} or more {what} above 0, got {values}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +184,14 @@ def solver_settings(cfg: RunConfig) -> SolverSettings:
 # ---------------------------------------------------------------------------
 
 def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
-                         epsilon: float | None = None, box: Box | None = None) -> PorousConfig:
-    """The [geometry] configuration; a sweep point's lattice ``n``,
-    ``epsilon`` or ``box``, when given, replace the config values. Every
-    configuration must pass ``validate``."""
+                         epsilon: float | None = None, scale: float | None = None) -> PorousConfig:
+    """The [geometry] configuration; a sweep point's lattice ``n`` or ``epsilon``
+    replaces the config value, and its ``scale`` stretches the configured box
+    about the lower-left corner. Every configuration must pass ``validate``."""
     kind = cfg.get("geometry", "kind", str, "lattice")
-    if box is None:
-        box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
+    box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
+    if scale is not None:
+        box = Box(box.x0, box.y0, box.x0 + box.width * scale, box.y0 + box.height * scale)
     eps0 = cfg.get("geometry", "eps0", float, 0.25)
     if eps0 <= 0.0 or eps0 >= 0.5:
         raise ConfigError("eps0 must lie in (0, 1/2)")
@@ -183,23 +204,22 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
             config = build_lattice(n, epsilon, box, eps0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    elif kind == "random":
-        count = cfg.get("geometry", "count", int, required=True)
-        if count < 1:
-            raise ConfigError(f"[geometry] count must be a whole number >= 1, got {count!r}")
+    elif kind in ("random", "twohole"):
         a = cfg.positive("geometry", "a", required=True)
         dmin = cfg.positive("geometry", "dmin", required=True)
-        try:
-            config = build_random(count, a, dmin, box, eps0, seed=seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif kind == "twohole":
-        a = cfg.positive("geometry", "a", required=True)
-        dmin = cfg.positive("geometry", "dmin", required=True)
-        cy = (box.y0 + box.y1) / 2
-        cx = (box.x0 + box.x1) / 2
-        centers = np.array([[cx - dmin / 2, cy], [cx + dmin / 2, cy]])
-        config = PorousConfig(centers, a, dmin, eps0, box)
+        if kind == "twohole":
+            cy = (box.y0 + box.y1) / 2
+            cx = (box.x0 + box.x1) / 2
+            centers = np.array([[cx - dmin / 2, cy], [cx + dmin / 2, cy]])
+            config = PorousConfig(centers, a, dmin, eps0, box)
+        else:
+            count = cfg.get("geometry", "count", int, required=True)
+            if count < 1:
+                raise ConfigError(f"[geometry] count must be a whole number >= 1, got {count!r}")
+            try:
+                config = build_random(count, a, dmin, box, eps0, seed=seed)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError(f"unknown geometry kind '{kind}'")
     report = validate(config)
@@ -274,21 +294,16 @@ def source_from_config(cfg: RunConfig):
 
 
 def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
-    """Grid whose box pads the porous box ``box`` by the configured factor and
-    covers the vorticity support; f is rasterized onto it, so ``source`` must
-    be a grid source."""
+    """Grid whose box pads the porous box ``box`` to four times its extent
+    (the periodic backends need three) and covers the vorticity support; f is
+    rasterized onto it, so ``source`` must be a grid source."""
     if potential._is_particles(source):
         raise ConfigError(
             f"the {cfg.experiment} experiment needs a grid source: "
             "[vorticity] shape = bump | disk"
         )
-    pad = cfg.get("solver", "pad_factor", float, 4.0)
-    if pad < 3.0:
-        raise ConfigError("pad_factor must be >= 3 for the periodic backends")
     h = cfg.positive("solver", "grid_h", 1.0 / 128.0)
-    extent = max(box.width, box.height)
-    margin = (pad - 1.0) / 2.0 * extent
-    world_box = box.inflate(margin)
+    world_box = box.inflate(1.5 * max(box.width, box.height))
     sb = source.support_box()
     # the free-space gradient is computed by exact discrete convolution, so f
     # only has to lie inside the grid (k's periodization clearance is checked
@@ -341,9 +356,11 @@ def _knorm_sweep_point(args):
 def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
               threads: int = 1) -> dict:
     M = EffectiveMatrix.disk()
-    values = cfg.floats("sweep", "values", None)
+    values = sweep_values(cfg)
+    if threads < 1 or (threads > 1 and values is None):
+        raise ConfigError(f"--threads must be 1, or more for the homog sweep, got {threads}")
     h = cfg.positive("solver", "grid_h", 1.0 / 64.0)
-    if values:
+    if values is not None:
         world_box = (-2.0, -2.0, 2.0, 2.0)
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         g0 = potential.grad_psi0_on_grid(f)
@@ -385,7 +402,7 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     is pi epsilon^2 for every n, so a sweep usually solves once; the
     reflections, the oracle and the report run for every n.
     """
-    nsides = cfg.floats("sweep", "values", None)
+    nsides = sweep_values(cfg)
     if nsides is None:
         nsides = [float(cfg.get("geometry", "n", int, required=True))]
     for nf in nsides:
@@ -416,10 +433,8 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         stream = reflections.run_reflections(world, config, settings.reflection_depth)
         osol = None
         if config.n_holes <= oracle.MAX_ORACLE_HOLES:
-            osol = oracle.solve_collocation(
-                world, config, settings.oracle_order, settings.oracle_points
-            )
-        report = analysis.gamma_report(stream, homog, k, oracle_sol=osol, eta=settings.eta)
+            osol = oracle.solve_collocation(world, config, ORACLE_ORDER, ORACLE_POINTS)
+        report = analysis.gamma_report(stream, homog, k, oracle_sol=osol, eta=ETA)
         rows.append((n, report))
         (outdir / f"gamma_n{n}.json").write_text(report.to_json())
     write_table(
@@ -443,10 +458,9 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
 
 
 def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
-    shape = cfg.get("vorticity", "shape", str, "bump")
     dt = cfg.positive("euler", "dt", required=True)
     t_final = cfg.positive("euler", "t_final", required=True)
-    if shape == "pair":
+    if cfg.get("vorticity", "shape", str, "bump") == "pair":
         return _euler_pair(cfg, outdir, dt, t_final)
     try:
         euler.step_count(t_final, dt)
@@ -491,18 +505,12 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
 
 
 def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict:
-    center = cfg.floats("vorticity", "center", [0.0, 0.0])
-    rho = cfg.get("vorticity", "radius", float, 0.5)
-    gamma = cfg.get("vorticity", "amplitude", float, required=True)
-    if not (len(center) == 2 and rho > 0.0 and gamma > 0.0):
+    parts = source_from_config(cfg)
+    gamma = float(parts.weights[0])
+    if not gamma > 0.0:
         # the period is read off the angle unwrapped counterclockwise
-        raise ConfigError("the vortex pair needs a center x y, a positive radius and amplitude")
-    blob = cfg.nonnegative("euler", "blob", rho / 25.0)
-    parts = euler.VortexParticles(
-        np.array([[center[0] - rho, center[1]], [center[0] + rho, center[1]]]),
-        np.array([gamma, gamma]),
-        blob,
-    )
+        raise ConfigError(f"the vortex pair needs a positive [vorticity] amplitude, got {gamma!r}")
+    rho = 0.5 * float(np.linalg.norm(parts.positions[1] - parts.positions[0]))
     empty = euler.PerforatedSetting(
         PorousConfig(np.zeros((0, 2)), 1e-6, 1.0, 0.25, Box(1e5, 1e5, 1e5 + 1, 1e5 + 1)),
         margin=0.0,
@@ -532,29 +540,19 @@ def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict
 
 def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     mode = cfg.get("sweep", "mode", str, "ratio")
-    values = cfg.floats("sweep", "values", required=True)
+    if mode not in ("ratio", "quadratic"):
+        raise ConfigError(f"unknown sweep mode '{mode}'")
+    values = sweep_values(cfg)
     _require_lattice(cfg)
-    n = cfg.get("geometry", "n", int, 4)
     probe_h = cfg.positive("analysis", "probe_h", None)
     source = source_from_config(cfg)
     rows = []
     for v in values:
-        if mode == "ratio":
-            config = geometry_from_config(cfg, seed, n=n, epsilon=v)
-        elif mode == "quadratic":
-            # a held proportional to d^2: shrink the box at fixed hole count
-            base = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
-            ratio0 = max(values)
-            scale = v / ratio0
-            side = base.width * scale
-            box = Box(base.x0, base.y0, base.x0 + side, base.y0 + side)
-            config = geometry_from_config(cfg, seed, n=n, epsilon=v, box=box)
-        else:
-            raise ConfigError(f"unknown sweep mode '{mode}'")
+        # quadratic: a held proportional to d^2, the box shrunk at fixed hole count
+        scale = v / max(values) if mode == "quadratic" else None
+        config = geometry_from_config(cfg, seed, epsilon=v, scale=scale)
         stream = reflections.run_reflections(source, config, settings.reflection_depth)
-        osol = oracle.solve_collocation(
-            source, config, settings.oracle_order, settings.oracle_points
-        )
+        osol = oracle.solve_collocation(source, config, ORACLE_ORDER, ORACLE_POINTS)
         region = config.kpm_box.inflate(0.25 * config.kpm_box.width)
         h = probe_h if probe_h is not None else config.a / 4.0
         err = analysis.reflection_vs_oracle_h1(stream, osol, region, h)
@@ -585,19 +583,14 @@ _EXPERIMENTS = {
 
 
 def run(cfg: RunConfig, outdir: Path, seed: int = 0, threads: int = 1) -> dict:
-    if threads < 1:
-        raise ConfigError(f"--threads must be at least 1, got {threads}")
-    if threads > 1 and not (
-        cfg.experiment == "homog" and cfg.floats("sweep", "values", None)
-    ):
-        raise ConfigError("--threads above 1 applies only to the homog sweep")
+    if threads != 1 and cfg.experiment != "homog":
+        raise ConfigError(f"--threads must be 1 outside the homog sweep, got {threads}")
     settings = solver_settings(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    fn = _EXPERIMENTS[cfg.experiment]
     if cfg.experiment == "homog":
-        results = fn(cfg, outdir, seed, settings, threads)
+        results = cmd_homog(cfg, outdir, seed, settings, threads)
     else:
-        results = fn(cfg, outdir, seed, settings)
+        results = _EXPERIMENTS[cfg.experiment](cfg, outdir, seed, settings)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,
@@ -605,9 +598,9 @@ def run(cfg: RunConfig, outdir: Path, seed: int = 0, threads: int = 1) -> dict:
         "seed": seed,
         "tolerances": {
             "solver_tol": settings.tol,
-            "oracle_order": settings.oracle_order,
+            "oracle_order": ORACLE_ORDER,
             "reflection_depth": settings.reflection_depth,
-            "eta": settings.eta,
+            "eta": ETA,
         },
         "results": results,
     }

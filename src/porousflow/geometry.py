@@ -283,20 +283,18 @@ def validate(config: PorousConfig) -> ValidationReport:
     )
 
 
-def save_config(config: PorousConfig, path, lattice_meta: dict | None = None, seed=None):
+def save_config(config: PorousConfig, path, seed=None):
     """Flat key-value serialization plus a sibling .centers.csv file."""
-    lines = []
-    if lattice_meta:
-        lines.append(f"lattice.n = {lattice_meta['n']}")
-        lines.append(f"lattice.epsilon = {fmt(lattice_meta['epsilon'])}")
     box = config.kpm_box
-    lines.append(f"box.x0 = {fmt(box.x0)}")
-    lines.append(f"box.y0 = {fmt(box.y0)}")
-    lines.append(f"box.x1 = {fmt(box.x1)}")
-    lines.append(f"box.y1 = {fmt(box.y1)}")
-    lines.append(f"a = {fmt(config.a)}")
-    lines.append(f"d = {fmt(config.d)}")
-    lines.append(f"eps0 = {fmt(config.eps0)}")
+    lines = [
+        f"box.x0 = {fmt(box.x0)}",
+        f"box.y0 = {fmt(box.y0)}",
+        f"box.x1 = {fmt(box.x1)}",
+        f"box.y1 = {fmt(box.y1)}",
+        f"a = {fmt(config.a)}",
+        f"d = {fmt(config.d)}",
+        f"eps0 = {fmt(config.eps0)}",
+    ]
     if seed is not None:
         lines.append(f"seed = {seed}")
     with open(path, "w") as fh:

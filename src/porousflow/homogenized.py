@@ -50,8 +50,11 @@ class EffectiveMatrix:
 class HomogSolution:
     grad: VectorGridField
     first_order: VectorGridField  # the first iterate g0 - L g0 = grad psi_tilde
-    iterations: int
     increments: list[float]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.increments)
 
 
 def apply_l_spectral(
@@ -184,7 +187,7 @@ def solve_psic_from_grad(
     values, first, increments = _fixed_point(psi0_grad.values, apply_l, psi0_grad.h, tol)
     grad = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, values)
     first_order = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, first)
-    return HomogSolution(grad, first_order, len(increments), increments)
+    return HomogSolution(grad, first_order, increments)
 
 
 def solve_psic(f: ScalarGridField, k, M: EffectiveMatrix, tol: float = 1e-10) -> HomogSolution:

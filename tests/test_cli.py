@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +80,6 @@ amplitude = 1.0
 grid_h = 0.015625
 [solver]
 grid_h = 0.03125
-pad_factor = 4
 [analysis]
 probe = 1.3 0.0 2.3 1.0
 probe_h = 0.0625
@@ -213,7 +214,6 @@ amplitude = 1.0
 grid_h = 0.03125
 [solver]
 grid_h = 0.03125
-pad_factor = 4
 """
 
 
@@ -325,10 +325,6 @@ def test_solver_settings_out_of_range_exit_2(tmp_path):
          "reflection_depth"),
         ("homog_tol", HOMOG_SWEEP.replace("tol = 1e-10", "tol = -1"), "tol"),
         ("euler_tol", euler_full.replace("[solver]\n", "[solver]\ntol = -1\n"), "tol"),
-        ("order", SWEEP_RATIO + "[solver]\noracle_order = 0\n", "oracle_order"),
-        ("points", SWEEP_RATIO + "[solver]\noracle_points = 8\n", "oracle_points"),
-        ("eta_one", DIVCURL_SMALL + "eta = 1\n", "eta"),
-        ("eta_zero", DIVCURL_SMALL + "eta = 0\n", "eta"),
     ):
         code, out = run_cli(tmp_path, text, name=name)
         assert code == 2, name
@@ -354,7 +350,7 @@ def test_sweep_geometry_errors_exit_2(tmp_path):
     # lattices built per sweep point reject bad parameters as config errors
     for name, text, fragment in (
         ("divcurl_epsilon", DIVCURL_SMALL.replace("epsilon = 0.1", "epsilon = 0.6"), "epsilon"),
-        ("sweep_value", SWEEP_RATIO.replace("values = 0.1 0.2", "values = 0.6"), "epsilon"),
+        ("sweep_value", SWEEP_RATIO.replace("values = 0.1 0.2", "values = 0.1 0.6"), "epsilon"),
         ("sweep_n", SWEEP_RATIO.replace("n = 2", "n = 0"), "n_per_side"),
         ("divcurl_n", DIVCURL_SMALL.replace("n = 2", "n = 0"), "n_per_side"),
     ):
@@ -413,7 +409,8 @@ def test_non_finite_numbers_exit_2(tmp_path):
 
 
 def _divcurl_one_n(text, n, fraction):
-    """The divcurl steps for one lattice size, every one rebuilt from scratch."""
+    """The divcurl steps for one lattice size, every one rebuilt from scratch,
+    with the oracle order and eta left at the library defaults."""
     from porousflow import analysis, homogenized, oracle, potential, reflections
 
     cfg = cli.RunConfig(text)
@@ -427,13 +424,10 @@ def _divcurl_one_n(text, n, fraction):
     stream = reflections.run_reflections(world, config, settings.reflection_depth)
     osol = None
     if config.n_holes <= oracle.MAX_ORACLE_HOLES:
-        osol = oracle.solve_collocation(
-            world, config, settings.oracle_order, settings.oracle_points
-        )
+        osol = oracle.solve_collocation(world, config)
     report = analysis.gamma_decomposition_report(
         stream, g0, sol.grad, sol.first_order, k, M,
-        cfg.box("analysis", "probe"), cfg.get("analysis", "probe_h", float),
-        oracle_sol=osol, eta=settings.eta,
+        cfg.box("analysis", "probe"), cfg.get("analysis", "probe_h", float), oracle_sol=osol,
     )
     return report.to_json()
 
@@ -488,24 +482,24 @@ def test_negative_blob_or_margin_exit_2(tmp_path, text, fragment):
 
 
 @pytest.mark.parametrize(
-    "old, new",
+    "old, new, fragment",
     [
-        ("radius = 0.5", "radius = 0"),
-        ("radius = 0.5", "radius = -0.5"),
-        ("amplitude = 3.14159265358979", "amplitude = 0"),
-        ("amplitude = 3.14159265358979", "amplitude = -3.14159265358979"),
-        ("center = 0.0 0.0", "center = 0.0"),
+        ("radius = 0.5", "radius = 0", "[vorticity] radius"),
+        ("radius = 0.5", "radius = -0.5", "[vorticity] radius"),
+        ("amplitude = 3.14159265358979", "amplitude = 0", "vortex pair"),
+        ("amplitude = 3.14159265358979", "amplitude = -3.14159265358979", "vortex pair"),
+        ("center = 0.0 0.0", "center = 0.0", "[vorticity] center"),
     ],
     ids=["radius_zero", "radius_negative", "amplitude_zero", "amplitude_negative",
          "center_one_number"],
 )
-def test_vortex_pair_settings_exit_2(tmp_path, old, new):
+def test_vortex_pair_settings_exit_2(tmp_path, old, new, fragment):
     # the period is read off a counterclockwise unwrap of the pair's angle
     text = EULER_PAIR.replace(old, new)
     assert text != EULER_PAIR
     code, out = run_cli(tmp_path, text, name="pair")
     assert code == 2
-    _config_error(out, "vortex pair")
+    _config_error(out, fragment)
     assert not (out / "pair_angle.csv").exists()
 
 
@@ -583,3 +577,80 @@ def test_degenerate_sizes_and_times_exit_2(tmp_path, text, fragment):
 def test_random_reflect_baseline_runs(tmp_path):
     code, _ = run_cli(tmp_path, REFLECT_RANDOM)
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(REFLECT_TWOHOLE.replace("reflection_depth", "reflection_dpeth"),
+                     "[solver] reflection_dpeth", id="misspelt_key"),
+        pytest.param(REFLECT_TWOHOLE.replace("[vorticity]", "[vorticty]"), "[vorticty]",
+                     id="misspelt_section"),
+        pytest.param(REFLECT_TWOHOLE + "oracle_order = 10\n", "[solver] oracle_order",
+                     id="removed_key"),
+    ],
+)
+def test_unknown_section_or_key_exit_2(tmp_path, text, fragment):
+    # an unread setting would otherwise run silently at its default
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, fragment)
+    assert not (out / "summary.json").exists()
+
+
+SWEEP_QUADRATIC = SWEEP_RATIO.replace("mode = ratio", "mode = quadratic")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(SWEEP_RATIO.replace("values = 0.1 0.2", "values = 0.1"), id="sweep_one"),
+        pytest.param(SWEEP_RATIO.replace("values = 0.1 0.2", "values ="), id="sweep_empty"),
+        pytest.param(SWEEP_RATIO.replace("values = 0.1 0.2", "values = -0.1 0.2"),
+                     id="ratio_negative"),
+        pytest.param(SWEEP_QUADRATIC.replace("values = 0.1 0.2", "values = 0 0.2"),
+                     id="quadratic_zero"),
+        pytest.param(SWEEP_QUADRATIC.replace("values = 0.1 0.2", "values = -0.1 0.2"),
+                     id="quadratic_negative"),
+        pytest.param(HOMOG_SWEEP.replace("values = 0.01 0.02 0.04", "values = 0.01"),
+                     id="homog_one"),
+        pytest.param(HOMOG_SWEEP.replace("values = 0.01 0.02 0.04", "values = 0 0.02 0.04"),
+                     id="homog_zero"),
+        pytest.param(HOMOG_SWEEP.replace("values = 0.01 0.02 0.04", "values ="),
+                     id="homog_empty"),
+        pytest.param(DIVCURL_SMALL + "[sweep]\nvalues =\n", id="divcurl_empty"),
+    ],
+)
+def test_sweep_values_checked_before_numerics(tmp_path, monkeypatch, text):
+    # two values where a slope is fitted, one for divcurl; all finite and above 0
+    from porousflow import potential
+
+    calls = []
+    monkeypatch.setattr(potential, "grad_psi0_on_grid", lambda *args: calls.append(args))
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, "[sweep] values")
+    assert not (out / "summary.json").exists()
+    assert not list(out.glob("*.csv"))
+    assert calls == []
+
+
+def _readme_block(heading):
+    """The first fenced block after ``heading`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text[text.index(heading):]
+    return after.split("```\n")[1]
+
+
+def test_readme_config_keys_match_cli():
+    # each line: an optional [section] column, then ';'-separated entries
+    # whose first word is a key, then (after two spaces) a description
+    documented = {}
+    for line in _readme_block("### Config format").splitlines():
+        match = re.match(r"(?:\[(\w+)\])?\s*(.*)", line)
+        if match.group(1):
+            section = documented.setdefault(match.group(1), set())
+        entries = re.split(r"\s{2,}", match.group(2))[0].split(";")
+        section.update(re.match(r"\s*(\w+)", entry).group(1) for entry in entries)
+    assert documented == cli.CONFIG_KEYS
+    cli.RunConfig(_readme_block("### Example"))

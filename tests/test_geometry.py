@@ -163,13 +163,12 @@ def test_random_config_rejection_cap():
 def test_config_serialization_roundtrip(tmp_path):
     cfg = build_lattice(3, 0.15, Box(-1.0, 2.0, 1.0, 4.0))
     path = tmp_path / "config.txt"
-    save_config(cfg, path, lattice_meta={"n": 3, "epsilon": 0.15}, seed=11)
+    save_config(cfg, path, seed=11)
     back = load_config(path)
     assert np.allclose(back.centers, cfg.centers)
     assert back.a == cfg.a and back.d == cfg.d and back.eps0 == cfg.eps0
     assert back.kpm_box.as_tuple() == cfg.kpm_box.as_tuple()
-    text = path.read_text()
-    assert "lattice.n = 3" in text and "eps0" in text
+    assert "eps0" in path.read_text()
 
 
 def test_zero_hole_config_survives_roundtrip(tmp_path):
