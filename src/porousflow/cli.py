@@ -15,6 +15,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, euler, homogenized, oracle, potential, reflections
-from .fields import ScalarGridField, make_grid, radial_bump, rasterize, write_table
+from .fields import ScalarGridField, disk_indicator, make_grid, radial_bump, rasterize, write_table
 from .geometry import (
     Box,
     PorousConfig,
@@ -189,6 +190,13 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
     replaces the config value, and its ``scale`` stretches the configured box
     about the lower-left corner. Every configuration must pass ``validate``."""
     kind = cfg.get("geometry", "kind", str, "lattice")
+    if kind != "lattice" and cfg.experiment != "reflect":
+        # every other experiment uses lattice_fraction, the only volume
+        # fraction, or sweeps the lattice's n or epsilon
+        raise ConfigError(
+            f"[geometry] kind = {kind} has no volume fraction; "
+            f"the {cfg.experiment} experiment needs kind = lattice"
+        )
     box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
     if scale is not None:
         box = Box(box.x0, box.y0, box.x0 + box.width * scale, box.y0 + box.height * scale)
@@ -222,27 +230,10 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
                 raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError(f"unknown geometry kind '{kind}'")
-    report = validate(config)
-    if not report.ok:
-        box_text = " ".join(f"{v:g}" for v in box.as_tuple())
-        broken = [text for ok, text in (
-            (report.distance_ok,
-             f"center distance {report.min_distance:.4g} below d = {config.d:.4g}"),
-            (report.aspect_ok, f"a/d = {report.a_over_d:.4g} above eps0 = {eps0:.4g}"),
-            (report.containment_ok, f"a disk outside the box {box_text}"),
-        ) if not ok]
+    broken = validate(config)
+    if broken:
         raise ConfigError(f"[geometry] kind = {kind}: " + "; ".join(broken))
     return config
-
-
-def _require_lattice(cfg: RunConfig) -> None:
-    # lattice_fraction, the only volume fraction, describes no other kind
-    kind = cfg.get("geometry", "kind", str, "lattice")
-    if kind != "lattice":
-        raise ConfigError(
-            f"[geometry] kind = {kind} has no volume fraction; "
-            f"the {cfg.experiment} experiment needs kind = lattice"
-        )
 
 
 def volume_fraction(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField:
@@ -253,8 +244,15 @@ def volume_fraction(config: PorousConfig, grid: ScalarGridField) -> ScalarGridFi
         raise ConfigError(str(exc)) from exc
 
 
-def source_from_config(cfg: RunConfig):
+def _vorticity_shape(cfg: RunConfig) -> str:
     shape = cfg.get("vorticity", "shape", str, "bump")
+    if shape not in ("bump", "disk", "point", "pair"):
+        raise ConfigError(f"unknown vorticity shape '{shape}'")
+    return shape
+
+
+def source_from_config(cfg: RunConfig):
+    shape = _vorticity_shape(cfg)
     center = cfg.floats("vorticity", "center", [0.5, 2.0])
     if len(center) != 2:
         raise ConfigError("[vorticity] center needs two numbers")
@@ -276,9 +274,6 @@ def source_from_config(cfg: RunConfig):
             blob=cfg.nonnegative("euler", "blob", radius / 25.0),
         )
     h = cfg.positive("vorticity", "grid_h", radius / 24.0)
-    power = {"bump": 2, "disk": 0}.get(shape)
-    if power is None:
-        raise ConfigError(f"unknown vorticity shape '{shape}'")
     pad = 2.0 * h
     box = (
         center[0] - radius - pad,
@@ -286,11 +281,9 @@ def source_from_config(cfg: RunConfig):
         center[0] + radius + pad,
         center[1] + radius + pad,
     )
-    if power == 0:
-        from .fields import disk_indicator
-
+    if shape == "disk":
         return rasterize(box, h, disk_indicator(center, radius, amp))
-    return rasterize(box, h, radial_bump(center, radius, amp, power))
+    return rasterize(box, h, radial_bump(center, radius, amp, power=2))
 
 
 def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
@@ -377,7 +370,6 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
             "slope_err_tilde": s1, "r2_err_tilde": r1,
             "iterations": [r[3] for r in rows],
         }
-    _require_lattice(cfg)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
     world = world_grid_for(cfg, config.kpm_box, source)
@@ -403,24 +395,23 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     reflections, the oracle and the report run for every n.
     """
     nsides = sweep_values(cfg)
-    if nsides is None:
-        nsides = [float(cfg.get("geometry", "n", int, required=True))]
-    for nf in nsides:
+    for nf in nsides or ():
         if not (nf >= 1 and nf.is_integer()):
             raise ConfigError(f"n_per_side must be a whole number >= 1, got {nf!r}")
     probe = cfg.box("analysis", "probe", Box(1.3, 0.0, 2.3, 1.0))
     probe_h = cfg.positive("analysis", "probe_h", 1.0 / 64.0)
-    _require_lattice(cfg)
-    epsilon = cfg.get("geometry", "epsilon", float, required=True)
+    # without a sweep, the one lattice size is [geometry] n
+    configs = [geometry_from_config(cfg, seed, n=n)
+               for n in ([None] if nsides is None else map(int, nsides))]
     source = source_from_config(cfg)
     M = EffectiveMatrix.disk()
-    configs = [(int(nf), geometry_from_config(cfg, seed, n=int(nf))) for nf in nsides]
     # one discrete source for every solver: f resampled on the world grid;
     # every lattice of the sweep fills the same configured box
-    world = world_grid_for(cfg, configs[0][1].kpm_box, source)
+    world = world_grid_for(cfg, configs[0].kpm_box, source)
     rows = []
     k_prev = homog = None
-    for n, config in configs:
+    for config in configs:
+        n = math.isqrt(config.n_holes)  # the lattice is n x n
         k = volume_fraction(config, world)
         if k_prev is None:  # once, after the first k has passed its eps0^2 bound
             g0 = potential.grad_psi0_on_grid(world)
@@ -445,7 +436,7 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     )
     results = {
         "totals": {str(n): rep.total for n, rep in rows},
-        "k_inf": float(np.pi * epsilon**2),
+        "k_inf": float(np.pi * configs[0].aspect**2),  # pi epsilon^2
     }
     if len(rows) >= 2:
         ns = [n for n, _ in rows]
@@ -460,13 +451,12 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
 def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     dt = cfg.positive("euler", "dt", required=True)
     t_final = cfg.positive("euler", "t_final", required=True)
-    if cfg.get("vorticity", "shape", str, "bump") == "pair":
+    if _vorticity_shape(cfg) == "pair":
         return _euler_pair(cfg, outdir, dt, t_final)
     try:
         euler.step_count(t_final, dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _require_lattice(cfg)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
     margin = cfg.nonnegative("euler", "margin", 1.0)
@@ -518,7 +508,8 @@ def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict
     state = euler.FlowState(0.0, parts)
     prev_ang, period = 0.0, None
     rowsout = [(0.0, 0.0)]
-    while state.t < t_final:
+    # the fewest steps that reach t_final, to 1e-9 relative
+    for _ in range(math.ceil(t_final / dt * (1.0 - 1e-9))):
         state = euler.step(state, dt, empty)
         d = state.particles.positions[1] - state.particles.positions[0]
         ang = float(np.arctan2(d[1], d[0]))
@@ -543,14 +534,14 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     if mode not in ("ratio", "quadratic"):
         raise ConfigError(f"unknown sweep mode '{mode}'")
     values = sweep_values(cfg)
-    _require_lattice(cfg)
+    # quadratic: a held proportional to d^2, the box shrunk at fixed hole count
+    configs = [geometry_from_config(cfg, seed, epsilon=v,
+                                    scale=v / max(values) if mode == "quadratic" else None)
+               for v in values]
     probe_h = cfg.positive("analysis", "probe_h", None)
     source = source_from_config(cfg)
     rows = []
-    for v in values:
-        # quadratic: a held proportional to d^2, the box shrunk at fixed hole count
-        scale = v / max(values) if mode == "quadratic" else None
-        config = geometry_from_config(cfg, seed, epsilon=v, scale=scale)
+    for v, config in zip(values, configs):
         stream = reflections.run_reflections(source, config, settings.reflection_depth)
         osol = oracle.solve_collocation(source, config, ORACLE_ORDER, ORACLE_POINTS)
         region = config.kpm_box.inflate(0.25 * config.kpm_box.width)

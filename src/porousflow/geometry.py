@@ -253,34 +253,19 @@ def disk_cell_fractions(centers, radius: float, grid: ScalarGridField, subcells:
         yield idx, (slice(i0, i1), slice(j0, j1)), inside.mean(axis=(2, 3))
 
 
-@dataclass
-class ValidationReport:
-    min_distance: float
-    a_over_d: float
-    distance_ok: bool
-    aspect_ok: bool
-    containment_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.distance_ok and self.aspect_ok and self.containment_ok
-
-
-def validate(config: PorousConfig) -> ValidationReport:
-    """Check the configuration invariants; reports rather than raises."""
+def validate(config: PorousConfig) -> list[str]:
+    """The broken configuration invariants, one message each (distance, aspect,
+    containment); empty when all hold. Reports rather than raises."""
+    broken = []
     min_dist = config.min_center_distance()
-    distance_ok = bool(min_dist >= config.d * (1.0 - 1e-12))
-    aspect_ok = bool(config.a / config.d <= config.eps0 and config.eps0 < 0.5)
-    containment_ok = all(
-        config.kpm_box.contains_disk(c, config.a) for c in config.centers
-    )
-    return ValidationReport(
-        min_distance=float(min_dist),
-        a_over_d=config.a / config.d,
-        distance_ok=distance_ok,
-        aspect_ok=aspect_ok,
-        containment_ok=containment_ok,
-    )
+    if not min_dist >= config.d * (1.0 - 1e-12):
+        broken.append(f"center distance {min_dist:.4g} below d = {config.d:.4g}")
+    if not (config.aspect <= config.eps0 and config.eps0 < 0.5):
+        broken.append(f"a/d = {config.aspect:.4g} above eps0 = {config.eps0:.4g}")
+    box = config.kpm_box
+    if not all(box.contains_disk(c, config.a) for c in config.centers):
+        broken.append("a disk outside the box " + " ".join(f"{v:g}" for v in box.as_tuple()))
+    return broken
 
 
 def save_config(config: PorousConfig, path, seed=None):

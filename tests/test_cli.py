@@ -124,6 +124,19 @@ def test_euler_pair_period(tmp_path):
     assert summary["results"]["period_rel_err"] < 0.02
 
 
+def test_euler_pair_takes_the_fewest_steps_reaching_t_final(tmp_path):
+    # ten steps of 0.1 sum to 0.9999999999999999, short of 1.0 by roundoff only
+    text = EULER_PAIR.replace("dt = 0.03", "dt = 0.1").replace("t_final = 8.0", "t_final = 1.0")
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    rows = (out / "pair_angle.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 11
+    assert float(rows[-1].split(",")[0]) == pytest.approx(1.0, rel=1e-12)
+    code, out = run_cli(tmp_path, EULER_PAIR, name="default")
+    assert code == 0
+    assert len((out / "pair_angle.csv").read_text().strip().splitlines()) == 1 + 1 + 267
+
+
 def test_sweep_ratio_decreasing(tmp_path):
     code, out = run_cli(tmp_path, SWEEP_RATIO)
     assert code == 0
@@ -302,8 +315,13 @@ def test_volume_fraction_experiments_need_a_lattice(tmp_path):
         ("homog_twohole", HOMOG_LATTICE.replace(lattice_geometry, twohole_geometry)),
         ("euler_random", EULER_COMPARE.replace(
             lattice_geometry.replace("n = 2", "n = 4"), random_geometry)),
+        ("divcurl_random", DIVCURL_SMALL.replace(lattice_geometry, random_geometry)),
+        ("divcurl_twohole", DIVCURL_SMALL.replace(lattice_geometry, twohole_geometry)),
+        ("sweep_random", SWEEP_RATIO.replace("[geometry]\nn = 2\n", random_geometry)),
+        ("sweep_twohole", SWEEP_RATIO.replace("[geometry]\nn = 2\n", twohole_geometry)),
     ):
         assert "kind = lattice" not in text
+        assert "kind = random" in text or "kind = twohole" in text
         code, out = run_cli(tmp_path, text, name=name)
         assert code == 2, name
         _config_error(out, "kind")

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,23 +131,42 @@ def test_rasterize_mu_refinement_converges():
 
 
 def test_validate_passing_lattice():
-    rep = validate(build_lattice(2, 0.1, UNIT))
-    assert rep.ok
-    assert rep.a_over_d == pytest.approx(0.1)
-    assert rep.min_distance == pytest.approx(0.5)
+    cfg = build_lattice(2, 0.1, UNIT)
+    assert validate(cfg) == []
+    assert cfg.aspect == pytest.approx(0.1)
+    assert cfg.min_center_distance() == pytest.approx(0.5)
 
 
 def test_validate_min_distance_failure():
     d = 0.5
     cfg = PorousConfig(np.array([[0.2, 0.5], [0.2 + 0.9 * d, 0.5]]), 0.01, d, 0.25, UNIT)
-    rep = validate(cfg)
-    assert not rep.distance_ok and not rep.ok
+    assert validate(cfg) == ["center distance 0.45 below d = 0.5"]
 
 
 def test_validate_containment_failure():
     cfg = PorousConfig(np.array([[0.99, 0.5]]), 0.05, 1.0, 0.25, UNIT)
-    rep = validate(cfg)
-    assert not rep.containment_ok
+    assert validate(cfg) == ["a disk outside the box 0 0 1 1"]
+
+
+def test_validate_names_every_broken_invariant_in_order():
+    # too close, too large for eps0, and over the right edge of the box
+    cfg = PorousConfig(np.array([[0.5, 0.5], [0.9, 0.5]]), 0.2, 0.6, 0.25, UNIT)
+    assert validate(cfg) == [
+        "center distance 0.4 below d = 0.6",
+        "a/d = 0.3333 above eps0 = 0.25",
+        "a disk outside the box 0 0 1 1",
+    ]
+
+
+def test_importing_a_layer_loads_only_its_imports():
+    # the package re-exports nothing, so geometry brings in fields and kernels only
+    code = ("import sys, porousflow.geometry; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'porousflow')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["porousflow", "porousflow.fields", "porousflow.geometry", "porousflow.kernels"]
 
 
 def test_random_config_respects_distance_and_seed():
