@@ -191,7 +191,7 @@ def homogenized_probe(
     probe = make_grid(region.as_tuple(), h)
     pts = probe.centers_flat()
     d_homog = psitilde_grad.sample_bilinear(pts) - psic_grad.sample_bilinear(pts)
-    phi = homogenized.correction(k, M, psi0_grad.values[k.values != 0.0], pts)
+    phi = homogenized.correction(k, M, psi0_grad.values[k.values != 0.0], probe)
     return HomogenizedProbe(probe, region, d_homog, phi)
 
 

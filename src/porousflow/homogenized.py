@@ -7,7 +7,11 @@ multiplier xi (xi.g_hat)/|xi|^2 on a padded periodic box (real transforms,
 multipliers cached per grid), and a direct principal-value quadrature of the
 second-derivative kernel used as an independent cross-check. The
 volume-fraction correction phi = -div Delta^{-1}(k M grad psi) and its
-gradient have one quadrature, ``correction``. The grid solve
+gradient have one quadrature, ``correction``: phi on a probe grid whose
+spacing is a whole multiple of the k grid's (divcurl's probe) is one
+zero-padded FFT convolution where that is less work than the direct sum, and
+points (the Euler closure's particles), other grids and the gradient take the
+direct sum. The grid solve
 (spectral) and the Euler closure's full solve on the k cells (direct) share
 one loop, ``_fixed_point``, and so one stopping rule.
 """
@@ -19,9 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarGridField, VectorGridField, check_padding, gradient_multipliers, perp
-from .potential import _dipole_field, grad_psi0_on_grid
+from .potential import (
+    _dipole_field,
+    _displacements,
+    _fft_convolve,
+    _grad_kernel,
+    grad_psi0_on_grid,
+)
 
 MAX_ITER = 50  # fixed-point iterations before a solve returns unconverged
+# work of one cell of the correction's FFT box in direct pairs (2-core VM: 110 to
+# 700 ns per cell, with the FFT length's factors, against 8 to 12 ns per pair)
+FFT_CELL_PAIRS = 64
 
 
 @dataclass
@@ -136,12 +149,49 @@ def correction(k, M: EffectiveMatrix, g_cells: np.ndarray, targets, grad: bool =
     """The volume-fraction correction phi = -div Delta^{-1}(k M g) at
     ``targets`` (its gradient with ``grad``): the k1 (k2) quadrature of
     w = k M g over the nonzero cells of k, with ``g_cells`` the values of g
-    at the centers of ``k.nonzero_cells()``, in that order."""
+    at the centers of ``k.nonzero_cells()``, in that order.
+
+    ``targets`` are points (T, 2) or a grid, whose cell centers are then the
+    targets in ``centers_flat`` order. phi on a grid whose spacing is a whole
+    multiple of ``k.h`` (to 1e-12 relative) is the same sum taken as one FFT
+    convolution (``_k1_on_grid``) unless the direct sum is less work; points,
+    any other grid and the gradient take the direct sum."""
     centers, kvals = k.nonzero_cells()
     w = kvals[:, None] * (g_cells @ M.m.T)
+    if isinstance(targets, ScalarGridField):
+        ratio = targets.h / k.h
+        step = round(ratio)
+        if not grad and w.size and step >= 1 and abs(ratio - step) <= 1e-12 * ratio:
+            phi = _k1_on_grid(k, w, targets, step)
+            if phi is not None:
+                return -phi
+        targets = targets.centers_flat()
     if grad:
         return -k2_kernel_sum(centers, w, k.h, targets)
     return -k1_kernel_sum(centers, w, k.h, targets)
+
+
+def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarray | None:
+    """``k1_kernel_sum`` of the density w on the nonzero cells of k at every
+    cell center of ``probe``, whose spacing is ``step`` cells of k. Every
+    probe-to-cell separation lies on the shifted lattice (offset + n) k.h, so
+    the sum is one zero-padded FFT convolution of w over the bounding box of
+    the nonzero cells, read at every step-th output sample. None when the
+    padded box, which grows with step, costs more than the direct sum."""
+    ix, iy = np.nonzero(k.values)
+    lo = np.array([ix.min(), iy.min()])
+    n_src = (ix.max() - lo[0] + 1, iy.max() - lo[1] + 1)
+    n_out = tuple((np.array(probe.shape) - 1) * step + 1)
+    cells = (n_src[0] + n_out[0]) * (n_src[1] + n_out[1])
+    if cells * FFT_CELL_PAIRS > probe.values.size * w.shape[0]:
+        return None
+    box = np.zeros(n_src + (2,))
+    box[ix - lo[0], iy - lo[1]] = w
+    # first probe center minus first box cell center, in cells of k
+    offset = (probe.origin - k.origin) / k.h + 0.5 * (step - 1) - lo
+    kx, ky = _grad_kernel(*_displacements(n_src, n_out, k.h, offset))
+    s = _fft_convolve(box[..., 0], [kx], n_out)[0] + _fft_convolve(box[..., 1], [ky], n_out)[0]
+    return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
 
 
 def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float):

@@ -10,13 +10,16 @@ q = A_x + i A_y, Re of the m = 1 sum is the dipole field sum A.z/|z|^2 and
 (-Re, Im) of the m = 2 sum its gradient.
 
 Targets go in blocks of at most ``PAIR_BUDGET`` pairs, so memory stays bounded.
+1 << 16 pairs (1 MB of complex data) stay in cache: a 1316 x 1316 m = 1 blob sum
+took 55.6, 12.1, 11.3 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and 1 << 14
+(2-core VM), as fresh large blocks are page-faulted in on every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-PAIR_BUDGET = 1 << 22  # target x source pairs handled per vectorized block
+PAIR_BUDGET = 1 << 16  # target x source pairs handled per vectorized block
 
 
 def chunks(n_targets: int, n_sources: int):

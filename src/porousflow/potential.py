@@ -125,34 +125,41 @@ def grad_psi0_on_grid(f: ScalarGridField) -> VectorGridField:
     """grad psi_0 sampled at every cell center of f's own grid (free space,
     exact discrete sum: identical to grad_psi0_eval at the centers up to FFT
     roundoff)."""
-    grad = np.stack(_fft_convolve(f.values, _grad_kernel(f)), axis=2)
+    kern = _grad_kernel(*_displacements(f.shape, f.shape, f.h))
+    grad = np.stack(_fft_convolve(f.values, kern, f.shape), axis=2)
     return VectorGridField(f.origin.copy(), f.h, grad * f.h**2 / (2.0 * np.pi))
 
 
-def _displacements(f):
-    nx, ny = f.shape
-    ix = np.arange(2 * nx)
-    iy = np.arange(2 * ny)
-    dx = np.where(ix <= nx, ix, ix - 2 * nx) * f.h
-    dy = np.where(iy <= ny, iy, iy - 2 * ny) * f.h
-    return dx[:, None], dy[None, :]
+def _displacements(n_src, n_out, h, offset=(0.0, 0.0)):
+    """Target-minus-source displacements (offset + n) h, per axis, on the
+    (n_src + n_out) box of a linear convolution with n_src source and n_out
+    output samples: n = 0..n_out at the front and n = -(n_src - 1)..-1
+    wrapped to the back. ``offset`` (in cells) places output 0 relative to
+    source 0."""
+    axes = []
+    for ns, no, off in zip(n_src, n_out, offset):
+        n = np.arange(ns + no)
+        axes.append((np.where(n <= no, n, n - ns - no) + off) * h)
+    return axes[0][:, None], axes[1][None, :]
 
 
-def _grad_kernel(f):
-    dx, dy = _displacements(f)
+def _grad_kernel(dx, dy):
+    """d / |d|^2 at the displacements d = (dx, dy), 0 at d = 0."""
     r2 = dx * dx + dy * dy
     inv = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
     return dx * inv, dy * inv
 
 
-def _fft_convolve(values, kernels):
+def _fft_convolve(values, kernels, out_shape):
     """Linear convolutions of values with each kernel on the kernels' shared
-    (2 nx, 2 ny) zero-padded box; the padded source is transformed once."""
-    nx, ny = values.shape
-    src_hat = np.fft.rfft2(np.pad(values, ((0, nx), (0, ny))))
+    zero-padded box (see ``_displacements``), cropped to ``out_shape``; the
+    padded source is transformed once."""
+    (nx, ny), (bx, by) = values.shape, kernels[0].shape
+    src_hat = np.fft.rfft2(np.pad(values, ((0, bx - nx), (0, by - ny))))
+    ox, oy = out_shape
     # np.multiply, not *: numpy may run `src_hat * temporary` in place as temporary * src_hat,
     # and swapped complex products can round differently
-    return [np.fft.irfft2(np.multiply(src_hat, np.fft.rfft2(k)), s=k.shape)[:nx, :ny].copy()
+    return [np.fft.irfft2(np.multiply(src_hat, np.fft.rfft2(k)), s=k.shape)[:ox, :oy].copy()
             for k in kernels]
 
 

@@ -461,7 +461,7 @@ def test_divcurl_solves_once_per_distinct_k(tmp_path, monkeypatch):
         return k
 
     calls = {}
-    for name in ("solve_psic_from_grad", "k1_kernel_sum"):
+    for name in ("solve_psic_from_grad", "correction"):
         def counted(*args, _fn=getattr(homogenized, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -472,10 +472,10 @@ def test_divcurl_solves_once_per_distinct_k(tmp_path, monkeypatch):
         ("same_k", lattice_fraction, 1), ("k_per_n", perturbed, 2)
     ):
         monkeypatch.setattr(cli, "lattice_fraction", fraction)
-        calls.update(solve_psic_from_grad=0, k1_kernel_sum=0)
+        calls.update(solve_psic_from_grad=0, correction=0)
         code, out = run_cli(tmp_path, text, name=label)
         assert code == 0
-        assert calls == {"solve_psic_from_grad": expected_calls, "k1_kernel_sum": expected_calls}
+        assert calls == {"solve_psic_from_grad": expected_calls, "correction": expected_calls}
         for n in (4, 8):
             assert (out / f"gamma_n{n}.json").read_text() == _divcurl_one_n(text, n, fraction)
 

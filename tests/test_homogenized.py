@@ -466,3 +466,76 @@ def test_solve_on_cells_rejects_nonpositive_tol():
     grad0 = np.ones((np.count_nonzero(k.values), 2))
     with pytest.raises(ValueError, match="tol"):
         hom.solve_on_cells(grad0, k, EffectiveMatrix.disk(), tol=0.0)
+
+
+def _correction_case(seed=5):
+    """A k with zero cells inside its bounding box, a non-symmetric M and
+    random g on the nonzero cells, with the direct phi = -k1 reference."""
+    h = 1 / 32
+    k = rasterize((-1, -1, 1, 1), h, radial_bump((0.1, -0.2), 0.5, 0.04, power=3))
+    k.values[30:34, 27:31] = 0.0  # a hole in the middle of the support
+    M = EffectiveMatrix(np.array([[2.0, 0.3], [-0.5, 1.5]]))
+    centers, kvals = k.nonzero_cells()
+    g = np.random.default_rng(seed).standard_normal(centers.shape)
+    w = kvals[:, None] * (g @ M.m.T)
+    return k, M, g, lambda pts: -hom.k1_kernel_sum(centers, w, h, pts)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (0.4, 0.4), (0.37, -0.71)])
+@pytest.mark.parametrize("start, shape", [((20, 25), (13, 9)), ((70, -5), (7, 11))],
+                         ids=["overlapping", "far"])
+def test_correction_on_grid_matches_direct_sum(step, offset, start, shape, monkeypatch):
+    monkeypatch.setattr(hom, "FFT_CELL_PAIRS", 0)  # convolve however small the sum
+    k, M, g, direct = _correction_case()
+    # probe cell 0 starts ``start + offset`` cells of k from k's origin; offset 0
+    # with an odd step puts probe centers on cell centers (dropped self pairs)
+    lo = k.origin + (np.array(start) + np.array(offset)) * k.h
+    hi = lo + np.array(shape) * step * k.h
+    probe = make_grid((*lo, *hi), step * k.h)
+    assert probe.shape == shape
+    ref = direct(probe.centers_flat())
+
+    def refused(*args, **kwargs):
+        raise AssertionError("grid targets took the direct sum")
+
+    monkeypatch.setattr(hom, "k1_kernel_sum", refused)
+    got = hom.correction(k, M, g, probe)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("ratio", [1.5, 2.0 * (1 + 1e-9), None], ids=["1.5", "near_2", "points"])
+def test_correction_falls_back_to_the_direct_sum(ratio):
+    k, M, g, direct = _correction_case()
+    probe = make_grid((0.3, -0.4, 0.3 + 11 * 2 * k.h, -0.4 + 9 * 2 * k.h), (ratio or 2.0) * k.h)
+    pts = probe.centers_flat()
+    expected = direct(pts)
+    assert np.array_equal(hom.correction(k, M, g, pts if ratio is None else probe), expected)
+    # the gradient always takes the direct k2 sum
+    centers, kvals = k.nonzero_cells()
+    grad = -hom.k2_kernel_sum(centers, kvals[:, None] * (g @ M.m.T), k.h, pts)
+    assert np.array_equal(hom.correction(k, M, g, probe, grad=True), grad)
+    # a zero k has no cells to convolve
+    zero = make_grid((-1, -1, 1, 1), k.h)
+    assert np.array_equal(hom.correction(zero, M, np.zeros((0, 2)), probe), np.zeros(pts.shape[0]))
+
+
+def test_correction_convolves_only_when_it_is_less_work(monkeypatch):
+    k, M, g, direct = _correction_case()
+    # 41 x 41 probes at k's spacing: a 73 x 73 box against 1681 x 788 pairs
+    fine = make_grid((-0.7, -0.8, -0.7 + 41 * k.h, -0.8 + 41 * k.h), k.h)
+    # 5 x 5 probes 16 cells apart: a 97 x 97 box against 25 x 788 pairs
+    coarse = make_grid((1.1, -0.6, 1.1 + 5 * 16 * k.h, -0.6 + 5 * 16 * k.h), 16 * k.h)
+    ref_fine, ref_coarse = direct(fine.centers_flat()), direct(coarse.centers_flat())
+    calls = []
+
+    def counted(*args, _fn=hom.k1_kernel_sum):
+        calls.append(args[3].shape[0])
+        return _fn(*args)
+
+    monkeypatch.setattr(hom, "k1_kernel_sum", counted)
+    got = hom.correction(k, M, g, fine)
+    np.testing.assert_allclose(got, ref_fine, rtol=0, atol=1e-12 * np.abs(ref_fine).max())
+    assert calls == []
+    assert np.array_equal(hom.correction(k, M, g, coarse), ref_coarse)
+    assert calls == [25]

@@ -1,11 +1,15 @@
-"""The complex Laplace pair sums against dense real-arithmetic references."""
+"""The complex Laplace pair sums against dense real-arithmetic references, and
+the memory that blocked sums hold at once."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from porousflow import kernels
+from porousflow import kernels, oracle
+from porousflow.geometry import Box, build_lattice
 
 
 def dense_reference(targets, sources, q, m, blob=0.0, own=None):
@@ -88,3 +92,40 @@ def test_empty_inputs():
     pts = np.zeros((3, 2))
     assert np.array_equal(kernels.pair_sum(pts, np.zeros((0, 2)), np.zeros(0), 1), np.zeros(3))
     assert kernels.pair_sum(np.zeros((0, 2)), pts, np.ones(3), 0).shape == (0,)
+
+
+def _pair_sum_case(rng):
+    """The euler closure's blob sum (m = 1 with a blob, complex q)."""
+    sources = rng.random((512, 2))
+    q = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    targets = rng.random((12 * kernels.PAIR_BUDGET // 512 + 5, 2)) * 3.0
+    return targets, 512, lambda: kernels.pair_sum(targets, sources, q, 1, 0.05)
+
+
+def _multipole_grad_case(rng):
+    cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    order = 8
+    coeffs = rng.standard_normal((cfg.n_holes, 2 * order))
+    sol = oracle.MultipoleSolution(
+        cfg, None, order, coeffs, np.zeros(cfg.n_holes), 0.0, 2 * order * cfg.n_holes, 1.0, False
+    )
+    pts = rng.random((12 * kernels.PAIR_BUDGET // cfg.n_holes + 5, 2)) * 0.3 + 1.5
+    return pts, cfg.n_holes, lambda: oracle.multipole_part_grad(sol, pts)
+
+
+@pytest.mark.parametrize("case", [_pair_sum_case, _multipole_grad_case],
+                         ids=["pair_sum", "multipole_part_grad"])
+def test_blocked_sums_memory_within_budget(case):
+    targets, n_sources, call = case(np.random.default_rng(3))
+    assert len(list(kernels.chunks(targets.shape[0], n_sources))) >= 10
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]  # bytes allocated since start
+    finally:
+        tracemalloc.stop()
+    # a few complex blocks live at once (the next block is built before the
+    # last is freed), plus copies of the points and the output; one dense
+    # target x source array would already take ten blocks
+    block = kernels.PAIR_BUDGET * np.dtype(complex).itemsize
+    assert peak <= 6 * block + 2 * (targets.nbytes + out.nbytes)
