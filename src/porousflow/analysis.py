@@ -26,8 +26,9 @@ from .fields import (
     wavenumbers,
 )
 from .geometry import Box, PorousConfig, fluid_mask, rasterize_mu
-from .homogenized import EffectiveMatrix
 from .reflections import HybridStream
+
+ETA = 0.5  # the predictor's aspect term is (a/d)^(3 - ETA)
 
 
 def hminus1(g: ScalarGridField) -> float:
@@ -54,16 +55,11 @@ def hminus1(g: ScalarGridField) -> float:
 @dataclass
 class ErrorBudget:
     """The composite predictor built from the geometry and the weak distance,
-    at p = 2."""
+    at p = 2 and eta = ``ETA``."""
 
     a_over_d: float
     mu_minus_k_hm1: float
     k_inf: float
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
 
     @property
     def f_value(self) -> float:
@@ -73,8 +69,8 @@ class ErrorBudget:
     def terms(self) -> dict:
         hm1 = self.mu_minus_k_hm1
         return {
-            "aspect": self.a_over_d ** (3.0 - self.eta),
-            "weak_low": hm1 ** ((1.0 - self.eta) / 2.0),
+            "aspect": self.a_over_d ** (3.0 - ETA),
+            "weak_low": hm1 ** ((1.0 - ETA) / 2.0),
             "weak_half": hm1**0.5,
             "kinf_sq": self.k_inf**2,
         }
@@ -105,14 +101,13 @@ def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridFiel
     return ScalarGridField(world.origin, world.h, diff)
 
 
-def predictor_f(config: PorousConfig, k: ScalarGridField, eta: float = 0.5) -> ErrorBudget:
+def predictor_f(config: PorousConfig, k: ScalarGridField) -> ErrorBudget:
     """Assemble the budget; the weak norm uses the spectral surrogate."""
     diff = mu_minus_k_field(config, k)
     return ErrorBudget(
         a_over_d=config.aspect,
         mu_minus_k_hm1=hminus1(diff),
         k_inf=k.inf_norm(),
-        eta=eta,
     )
 
 
@@ -167,7 +162,7 @@ class GammaReport:
 @dataclass
 class HomogenizedProbe:
     """The homogenized half of the decomposition at every cell of a probe
-    grid. It depends on the source, k and M but not on the holes, so one
+    grid. It depends on the source and k but not on the holes, so one
     instance serves every hole configuration sharing that k."""
 
     probe: ScalarGridField
@@ -181,7 +176,6 @@ def homogenized_probe(
     psic_grad: VectorGridField,
     psitilde_grad: VectorGridField,
     k: ScalarGridField,
-    M: EffectiveMatrix,
     region: Box,
     h: float,
 ) -> HomogenizedProbe:
@@ -191,12 +185,12 @@ def homogenized_probe(
     probe = make_grid(region.as_tuple(), h)
     pts = probe.centers_flat()
     d_homog = psitilde_grad.sample_bilinear(pts) - psic_grad.sample_bilinear(pts)
-    phi = homogenized.correction(k, M, psi0_grad.values[k.values != 0.0], probe)
+    phi = homogenized.correction(k, psi0_grad.values[k.values != 0.0], probe)
     return HomogenizedProbe(probe, region, d_homog, phi)
 
 
 def gamma_report(
-    stream: HybridStream, homog: HomogenizedProbe, k, oracle_sol=None, eta: float = 0.5
+    stream: HybridStream, homog: HomogenizedProbe, k, oracle_sol=None
 ) -> GammaReport:
     """Norms of the two-term splitting on the fluid part of the probe region.
 
@@ -227,7 +221,7 @@ def gamma_report(
     g2_vals = stream.correction_eval(pts) - homog.phi[mask]
     g2 = np.sqrt((g2_vals**2).sum() * h**2)
 
-    budget = predictor_f(config, k, eta=eta)
+    budget = predictor_f(config, k)
     return GammaReport(
         grad_gamma1=float(g1),
         gamma2=float(g2),
@@ -245,16 +239,14 @@ def gamma_decomposition_report(
     psic_grad: VectorGridField,
     psitilde_grad: VectorGridField,
     k,
-    M: EffectiveMatrix,
     region: Box,
     h: float,
     oracle_sol=None,
-    eta: float = 0.5,
 ) -> GammaReport:
     """``gamma_report`` of one hole configuration: the homogenized half on
     ``region`` at spacing ``h``, then the perforated half."""
-    homog = homogenized_probe(psi0_grad, psic_grad, psitilde_grad, k, M, region, h)
-    return gamma_report(stream, homog, k, oracle_sol=oracle_sol, eta=eta)
+    homog = homogenized_probe(psi0_grad, psic_grad, psitilde_grad, k, region, h)
+    return gamma_report(stream, homog, k, oracle_sol=oracle_sol)
 
 
 def reflection_vs_oracle_h1(

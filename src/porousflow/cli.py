@@ -24,7 +24,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, euler, homogenized, oracle, potential, reflections
-from .fields import ScalarGridField, disk_indicator, make_grid, radial_bump, rasterize, write_table
+from .fields import (
+    ScalarGridField,
+    disk_indicator,
+    fmt,
+    make_grid,
+    radial_bump,
+    rasterize,
+    write_table,
+)
 from .geometry import (
     Box,
     PorousConfig,
@@ -34,13 +42,8 @@ from .geometry import (
     save_config,
     validate,
 )
-from .homogenized import EffectiveMatrix
 
 SCHEMA_VERSION = "v1"
-# fixed settings that no config key sets (summary.json records ORACLE_ORDER and ETA)
-ORACLE_ORDER = 8  # multipole order per hole of the collocation oracle
-ORACLE_POINTS = 64  # collocation points per hole
-ETA = 0.5  # the error predictor's aspect term is (a/d)^(3 - ETA)
 # every section and key an experiment reads; RunConfig refuses any other
 CONFIG_KEYS = {
     "run": {"experiment"},
@@ -81,7 +84,7 @@ class RunConfig:
         if not self.parser.has_option("run", "experiment"):
             raise ConfigError("missing [run] experiment")
         self.experiment = self.parser.get("run", "experiment").strip()
-        if self.experiment not in ("reflect", "divcurl", "homog", "euler", "sweep"):
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}'")
 
     @classmethod
@@ -338,9 +341,9 @@ def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
 
 
 def _knorm_sweep_point(args):
-    knorm, g0, kgrid_box, h, M, tol = args
+    knorm, g0, kgrid_box, h, tol = args
     kfield = rasterize(kgrid_box, h, radial_bump((0.0, 0.0), 0.5, knorm, power=3))
-    sol = homogenized.solve_psic_from_grad(g0, kfield, M, tol=tol)
+    sol = homogenized.solve_psic_from_grad(g0, kfield, tol=tol)
     err0 = float(np.sqrt(((sol.grad.values - g0.values) ** 2).sum()) * g0.h)
     errt = float(np.sqrt(((sol.grad.values - sol.first_order.values) ** 2).sum()) * g0.h)
     return knorm, err0, errt, sol.iterations
@@ -348,20 +351,19 @@ def _knorm_sweep_point(args):
 
 def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
               threads: int = 1) -> dict:
-    M = EffectiveMatrix.disk()
     values = sweep_values(cfg)
     if threads < 1 or (threads > 1 and values is None):
         raise ConfigError(f"--threads must be 1, or more for the homog sweep, got {threads}")
-    h = cfg.positive("solver", "grid_h", 1.0 / 64.0)
     if values is not None:
+        h = cfg.positive("solver", "grid_h", 1.0 / 64.0)
         world_box = (-2.0, -2.0, 2.0, 2.0)
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         g0 = potential.grad_psi0_on_grid(f)
-        jobs = [(v, g0, world_box, h, M, settings.tol) for v in values]
+        jobs = [(v, g0, world_box, h, settings.tol) for v in values]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_knorm_sweep_point, jobs))
         write_table(outdir / "homog_sweep.csv", ["knorm", "err_psi0", "err_tilde", "iterations"],
-                    ([repr(v), repr(e0), repr(et), it] for v, e0, et, it in rows))
+                    ([fmt(v), fmt(e0), fmt(et), it] for v, e0, et, it in rows))
         ks = [r[0] for r in rows]
         s0, r0 = analysis.fit_exponent(ks, [r[1] for r in rows])
         s1, r1 = analysis.fit_exponent(ks, [r[2] for r in rows])
@@ -374,7 +376,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
     source = source_from_config(cfg)
     world = world_grid_for(cfg, config.kpm_box, source)
     k = volume_fraction(config, world)
-    sol = homogenized.solve_psic(world, k, M, tol=settings.tol)
+    sol = homogenized.solve_psic(world, k, tol=settings.tol)
     sol.grad.to_csv(outdir / "psic_grad.csv")
     return {
         "iterations": sol.iterations,
@@ -404,7 +406,6 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     configs = [geometry_from_config(cfg, seed, n=n)
                for n in ([None] if nsides is None else map(int, nsides))]
     source = source_from_config(cfg)
-    M = EffectiveMatrix.disk()
     # one discrete source for every solver: f resampled on the world grid;
     # every lattice of the sweep fills the same configured box
     world = world_grid_for(cfg, configs[0].kpm_box, source)
@@ -416,23 +417,21 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         if k_prev is None:  # once, after the first k has passed its eps0^2 bound
             g0 = potential.grad_psi0_on_grid(world)
         if k_prev is None or not np.array_equal(k.values, k_prev.values):
-            sol = homogenized.solve_psic_from_grad(g0, k, M, tol=settings.tol)
-            homog = analysis.homogenized_probe(
-                g0, sol.grad, sol.first_order, k, M, probe, probe_h
-            )
+            sol = homogenized.solve_psic_from_grad(g0, k, tol=settings.tol)
+            homog = analysis.homogenized_probe(g0, sol.grad, sol.first_order, k, probe, probe_h)
         k_prev = k
         stream = reflections.run_reflections(world, config, settings.reflection_depth)
         osol = None
         if config.n_holes <= oracle.MAX_ORACLE_HOLES:
-            osol = oracle.solve_collocation(world, config, ORACLE_ORDER, ORACLE_POINTS)
-        report = analysis.gamma_report(stream, homog, k, oracle_sol=osol, eta=ETA)
+            osol = oracle.solve_collocation(world, config)
+        report = analysis.gamma_report(stream, homog, k, oracle_sol=osol)
         rows.append((n, report))
         (outdir / f"gamma_n{n}.json").write_text(report.to_json())
     write_table(
         outdir / "gamma.csv",
         ["n_per_side", "grad_gamma1", "gamma2", "total", "f_value", "used_oracle"],
-        ([n, repr(rep.grad_gamma1), repr(rep.gamma2), repr(rep.total),
-          repr(rep.budget.f_value), int(rep.used_oracle)] for n, rep in rows),
+        ([n, fmt(rep.grad_gamma1), fmt(rep.gamma2), fmt(rep.total),
+          fmt(rep.budget.f_value), int(rep.used_oracle)] for n, rep in rows),
     )
     results = {
         "totals": {str(n): rep.total for n, rep in rows},
@@ -477,8 +476,8 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     k = volume_fraction(config, kgrid)
     perf = euler.PerforatedSetting(config, settings.reflection_depth, margin=margin)
     homog = euler.HomogenizedSetting(
-        k, EffectiveMatrix.disk(), margin=margin,
-        full_solve=cfg.get("euler", "full_solve", bool, False), tol=settings.tol,
+        k, margin=margin, full_solve=cfg.get("euler", "full_solve", bool, False),
+        tol=settings.tol,
     )
     pg = make_grid(probe.as_tuple(), probe_h)
     records = euler.run_comparison(
@@ -521,7 +520,7 @@ def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict
             period = state.t - dt + frac * dt
         prev_ang = ang
     write_table(outdir / "pair_angle.csv", ["t", "angle"],
-                ([repr(t), repr(ang)] for t, ang in rowsout))
+                ([fmt(t), fmt(ang)] for t, ang in rowsout))
     analytic = 8.0 * np.pi**2 * rho**2 / gamma
     result = {"period": period, "analytic_period": analytic}
     if period is not None:
@@ -543,13 +542,13 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     rows = []
     for v, config in zip(values, configs):
         stream = reflections.run_reflections(source, config, settings.reflection_depth)
-        osol = oracle.solve_collocation(source, config, ORACLE_ORDER, ORACLE_POINTS)
+        osol = oracle.solve_collocation(source, config)
         region = config.kpm_box.inflate(0.25 * config.kpm_box.width)
         h = probe_h if probe_h is not None else config.a / 4.0
         err = analysis.reflection_vs_oracle_h1(stream, osol, region, h)
         rows.append((v, err, osol.residual))
     write_table(outdir / "sweep.csv", ["aspect", "h1_error", "oracle_residual"],
-                ([repr(v), repr(err), repr(res)] for v, err, res in rows))
+                ([fmt(v), fmt(err), fmt(res)] for v, err, res in rows))
     slope, r2 = analysis.fit_exponent([r[0] for r in rows], [r[1] for r in rows])
     return {
         "mode": mode,
@@ -589,9 +588,9 @@ def run(cfg: RunConfig, outdir: Path, seed: int = 0, threads: int = 1) -> dict:
         "seed": seed,
         "tolerances": {
             "solver_tol": settings.tol,
-            "oracle_order": ORACLE_ORDER,
+            "oracle_order": oracle.ORDER,
             "reflection_depth": settings.reflection_depth,
-            "eta": ETA,
+            "eta": analysis.ETA,
         },
         "results": results,
     }

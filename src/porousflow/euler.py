@@ -18,7 +18,6 @@ import numpy as np
 from . import homogenized, kernels, potential, reflections
 from .fields import ScalarGridField, fmt, perp, write_table
 from .geometry import Box, PorousConfig
-from .homogenized import EffectiveMatrix
 
 
 @dataclass
@@ -94,7 +93,6 @@ class PerforatedSetting:
 @dataclass
 class HomogenizedSetting:
     k: ScalarGridField
-    M: EffectiveMatrix
     margin: float = 0.0
     full_solve: bool = False
     tol: float = 1e-10
@@ -136,8 +134,8 @@ def _homog_correction_grad(pts, particles, setting: HomogenizedSetting) -> np.nd
     k = setting.k
     grad_cells = potential.grad_psi0_eval(particles, k.nonzero_cells()[0])
     if setting.full_solve:
-        grad_cells = homogenized.solve_on_cells(grad_cells, k, setting.M, setting.tol)
-    return homogenized.correction(k, setting.M, grad_cells, pts, grad=True)
+        grad_cells = homogenized.solve_on_cells(grad_cells, k, setting.tol)
+    return homogenized.correction(k, grad_cells, pts, grad=True)
 
 
 def _min_gap(setting) -> float:

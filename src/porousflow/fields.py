@@ -149,9 +149,6 @@ class VectorGridField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return _bilinear(self.origin, self.h, self.values, x)
 
-    def perp(self) -> "VectorGridField":
-        return VectorGridField(self.origin, self.h, perp(self.values))
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             nx, ny = self.values.shape[:2]

@@ -1,4 +1,5 @@
-"""Homogenized elliptic problem div[(I + k M) grad psi_c] = f.
+"""Homogenized elliptic problem div[(I + k M) grad psi_c] = f, with M = 2I
+for disk inclusions (``M_DISK``).
 
 Solved by the fixed-point iteration grad psi_n = grad Delta^{-1} f -
 L[grad psi_{n-1}] with L g = grad Delta^{-1} div(k M g), which contracts for
@@ -35,28 +36,9 @@ MAX_ITER = 50  # fixed-point iterations before a solve returns unconverged
 # work of one cell of the correction's FFT box in direct pairs (2-core VM: 110 to
 # 700 ns per cell, with the FFT length's factors, against 8 to 12 ns per pair)
 FFT_CELL_PAIRS = 64
-
-
-@dataclass
-class EffectiveMatrix:
-    """Shape matrix of the medium; disks give twice the identity."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=float)
-        if self.m.shape != (2, 2):
-            raise ValueError("effective matrix must be 2x2")
-
-    @classmethod
-    def disk(cls) -> "EffectiveMatrix":
-        return cls(2.0 * np.eye(2))
-
-    @property
-    def m_hat(self) -> np.ndarray:
-        """The rotated matrix entering the modified curl relation."""
-        m = self.m
-        return np.array([[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]])
+# The inclusions are disks, whose shape matrix is M = 2I (and so is the rotated
+# M-hat of the modified curl relation), so k M g is M_DISK * k * g throughout.
+M_DISK = 2.0
 
 
 @dataclass
@@ -70,9 +52,7 @@ class HomogSolution:
         return len(self.increments)
 
 
-def apply_l_spectral(
-    g: VectorGridField, k, M: EffectiveMatrix
-) -> VectorGridField:
+def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
     """grad Delta^{-1} div (k M g) by the periodic Fourier multiplier.
 
     The grid itself is the padded box; the support of k must keep clearance
@@ -88,7 +68,8 @@ def apply_l_spectral(
     check_padding(k)
     if k.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
-    w = np.einsum("ij,xyj->ixy", M.m, g.values) * k.values
+    # one contiguous (nx, ny) block per component for the transforms and the sum
+    w = np.stack([g.values[..., 0], g.values[..., 1]]) * (M_DISK * k.values)
     kx, ky, mx, my = gradient_multipliers(k.shape, g.h)
     w_hat = np.fft.rfft2(w)
     div_hat = mx * w_hat[0] + my * w_hat[1]
@@ -133,19 +114,17 @@ def _pv_on_cells(centers, w, h, targets, own) -> np.ndarray:
     return out
 
 
-def apply_l_direct(
-    g: VectorGridField, k, M: EffectiveMatrix, targets: np.ndarray
-) -> np.ndarray:
+def apply_l_direct(g: VectorGridField, k, targets: np.ndarray) -> np.ndarray:
     """Independent backend: PV quadrature excluding the self cell plus the
     local term +1/2 (k M g)(x); evaluated at arbitrary target points."""
     if k.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
     centers, kvals = k.nonzero_cells()
-    w = kvals[:, None] * (g.values[k.values != 0.0] @ M.m.T)
+    w = (M_DISK * kvals)[:, None] * g.values[k.values != 0.0]
     return _pv_on_cells(centers, w, k.h, targets, k.nonzero_cell_index(targets))
 
 
-def correction(k, M: EffectiveMatrix, g_cells: np.ndarray, targets, grad: bool = False):
+def correction(k, g_cells: np.ndarray, targets, grad: bool = False):
     """The volume-fraction correction phi = -div Delta^{-1}(k M g) at
     ``targets`` (its gradient with ``grad``): the k1 (k2) quadrature of
     w = k M g over the nonzero cells of k, with ``g_cells`` the values of g
@@ -157,7 +136,7 @@ def correction(k, M: EffectiveMatrix, g_cells: np.ndarray, targets, grad: bool =
     convolution (``_k1_on_grid``) unless the direct sum is less work; points,
     any other grid and the gradient take the direct sum."""
     centers, kvals = k.nonzero_cells()
-    w = kvals[:, None] * (g_cells @ M.m.T)
+    w = (M_DISK * kvals)[:, None] * g_cells
     if isinstance(targets, ScalarGridField):
         ratio = targets.h / k.h
         step = round(ratio)
@@ -224,15 +203,13 @@ def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float):
     return g, first, increments
 
 
-def solve_psic_from_grad(
-    psi0_grad: VectorGridField, k, M: EffectiveMatrix, tol: float = 1e-10
-) -> HomogSolution:
+def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = 1e-10) -> HomogSolution:
     """Fixed-point iteration on the grid (spectral backend) from a
     precomputed free-space gradient."""
 
     def apply_l(values):
         g = VectorGridField(psi0_grad.origin, psi0_grad.h, values)
-        return apply_l_spectral(g, k, M).values
+        return apply_l_spectral(g, k).values
 
     values, first, increments = _fixed_point(psi0_grad.values, apply_l, psi0_grad.h, tol)
     grad = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, values)
@@ -240,19 +217,20 @@ def solve_psic_from_grad(
     return HomogSolution(grad, first_order, increments)
 
 
-def solve_psic(f: ScalarGridField, k, M: EffectiveMatrix, tol: float = 1e-10) -> HomogSolution:
+def solve_psic(f: ScalarGridField, k, tol: float = 1e-10) -> HomogSolution:
     """Solve for grad psi_c with f given on the same (padded) grid as k."""
-    return solve_psic_from_grad(grad_psi0_on_grid(f), k, M, tol)
+    return solve_psic_from_grad(grad_psi0_on_grid(f), k, tol)
 
 
-def solve_on_cells(grad0: np.ndarray, k, M: EffectiveMatrix, tol: float = 1e-10) -> np.ndarray:
+def solve_on_cells(grad0: np.ndarray, k, tol: float = 1e-10) -> np.ndarray:
     """grad psi_c on the nonzero cells of k (direct backend), from
     grad0 = grad psi_0 at the centers of ``nonzero_cells()``, in that order."""
     centers, kvals = k.nonzero_cells()
+    km = (M_DISK * kvals)[:, None]
     own = np.arange(centers.shape[0])  # each cell excludes itself
 
     def apply_l(g):
-        return _pv_on_cells(centers, kvals[:, None] * (g @ M.m.T), k.h, centers, own)
+        return _pv_on_cells(centers, km * g, k.h, centers, own)
 
     return _fixed_point(grad0, apply_l, k.h, tol)[0]
 

@@ -28,6 +28,8 @@ from .geometry import PorousConfig
 
 MAX_ORACLE_HOLES = 64  # desk-scale guard
 RESIDUAL_TOL = 1e-6  # boundary oscillation above which a solution is flagged
+ORDER = 8  # multipole order per hole
+POINTS = 64  # collocation points per hole
 
 
 @dataclass
@@ -75,8 +77,8 @@ def _center_per_hole(arr: np.ndarray, n_holes: int) -> np.ndarray:
 def solve_collocation(
     source,
     config: PorousConfig,
-    order: int = 8,
-    pts_per_hole: int = 64,
+    order: int = ORDER,
+    pts_per_hole: int = POINTS,
 ) -> MultipoleSolution:
     """Least-squares fit of the multipole coefficients.
 

@@ -20,7 +20,6 @@ from porousflow import potential as pot
 from porousflow import reflections as refl
 from porousflow.fields import make_grid, radial_bump, rasterize
 from porousflow.geometry import Box, PorousConfig, build_lattice, lattice_fraction
-from porousflow.homogenized import EffectiveMatrix
 
 UNIT = Box(0.0, 0.0, 1.0, 1.0)
 
@@ -129,13 +128,12 @@ def test_criterion_5_homogenized_expansion_rates():
     t0 = time.time()
     h = 1.0 / 64.0
     world = (-2.0, -2.0, 2.0, 2.0)
-    M = EffectiveMatrix.disk()
     f = rasterize(world, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
     g0 = pot.grad_psi0_on_grid(f)
     amps, e0s, ets = [], [], []
     for amp in (0.01, 0.02, 0.04):
         k = rasterize(world, h, radial_bump((0.0, 0.0), 0.5, amp, power=3))
-        sol = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
+        sol = hom.solve_psic_from_grad(g0, k, tol=1e-10)
         tilde = sol.first_order
         amps.append(amp)
         e0s.append(float(np.sqrt(((sol.grad.values - g0.values) ** 2).sum()) * h))
@@ -156,7 +154,6 @@ def test_criterion_6_elliptic_decomposition_trend():
     t0 = time.time()
     eps = 0.1
     probe = Box(1.3, 0.0, 2.3, 1.0)
-    M = EffectiveMatrix.disk()
     h = 1.0 / 128.0
     world = rasterize(
         (-1.5, -1.5, 2.5, 2.5), h, radial_bump((0.5, 1.8), 0.3, 1.0, power=2)
@@ -166,15 +163,14 @@ def test_criterion_6_elliptic_decomposition_trend():
     for n in (4, 8, 16):
         cfg = build_lattice(n, eps, UNIT)
         k = lattice_fraction(cfg, world)
-        sol = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
+        sol = hom.solve_psic_from_grad(g0, k, tol=1e-10)
         tilde = sol.first_order
         stream = refl.run_reflections(world, cfg, 3)
         osol = None
         if cfg.n_holes <= orc.MAX_ORACLE_HOLES:
             osol = orc.solve_collocation(world, cfg, 8, 64)
         rep = ana.gamma_decomposition_report(
-            stream, g0, sol.grad, tilde, k, M, probe, 1.0 / 64.0,
-            oracle_sol=osol, eta=0.5,
+            stream, g0, sol.grad, tilde, k, probe, 1.0 / 64.0, oracle_sol=osol,
         )
         totals.append(rep.total)
     lead = np.pi * eps**2
@@ -238,7 +234,6 @@ def test_criterion_8_euler_stability_trend():
     # halving eps reduces the final trajectory divergence by >= 2x; the
     # support-control halt never fires for vorticity at distance >= 5
     t0 = time.time()
-    M = EffectiveMatrix.disk()
     omega0 = rasterize(
         (-0.2, 6.1, 1.2, 7.5), 1.0 / 64.0, radial_bump((0.5, 6.8), 0.5, 4.0, power=2)
     )
@@ -252,7 +247,7 @@ def test_criterion_8_euler_stability_trend():
         recs = eu.run_comparison(
             parts,
             eu.PerforatedSetting(cfg, 3, margin=5.0),
-            eu.HomogenizedSetting(k, M, margin=5.0),
+            eu.HomogenizedSetting(k, margin=5.0),
             t_final=1.0, dt=0.05, probe_points=probe,
         )
         finals[eps] = recs[-1]
@@ -274,19 +269,18 @@ def test_criterion_9_cross_backend_agreement():
     # spectral vs direct apply_L at h = 1/128 on a disk-supported k
     h = 1.0 / 128.0
     world = (-4.0, -4.0, 4.0, 4.0)
-    M = EffectiveMatrix.disk()
     k = rasterize(world, h, radial_bump((0.0, 0.0), 0.5, 0.04, power=3))
     f = rasterize(world, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
     g0 = pot.grad_psi0_on_grid(f)
-    sol = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
-    spec = hom.apply_l_spectral(sol.grad, k, M)
+    sol = hom.solve_psic_from_grad(g0, k, tol=1e-10)
+    spec = hom.apply_l_spectral(sol.grad, k)
     rng = np.random.default_rng(3)
     ang = rng.random(400) * 2 * np.pi
     rad = np.sqrt(rng.random(400)) * 0.8
     ix, iy, _ = k.cell_index(np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1))
     xs, ys = k.cell_centers()
     targets = np.stack([xs[ix], ys[iy]], axis=1)
-    direct = hom.apply_l_direct(sol.grad, k, M, targets)
+    direct = hom.apply_l_direct(sol.grad, k, targets)
     backend_rel = float(
         np.linalg.norm(spec.values[ix, iy] - direct) / np.linalg.norm(direct)
     )

@@ -94,24 +94,22 @@ def test_hminus1_lattice_discrepancy_decreases():
 
 
 def test_predictor_zero_config():
-    budget = ana.ErrorBudget(a_over_d=0.0, mu_minus_k_hm1=0.0, k_inf=0.0, eta=0.5)
+    budget = ana.ErrorBudget(a_over_d=0.0, mu_minus_k_hm1=0.0, k_inf=0.0)
     assert budget.f_value == 0.0
 
 
-def test_predictor_eta_monotonicity():
-    # smaller aspect exponent (eta near 1) increases the aspect term for a/d < 1
-    lo = ana.ErrorBudget(0.1, 0.0, 0.0, eta=0.1)
-    hi = ana.ErrorBudget(0.1, 0.0, 0.0, eta=0.9)
-    assert hi.terms["aspect"] == pytest.approx(0.1**2.1, rel=1e-12)
-    assert lo.terms["aspect"] == pytest.approx(0.1**2.9, rel=1e-12)
-    assert hi.f_value > lo.f_value
+def test_predictor_aspect_term_at_eta_one_half():
+    # the aspect term is (a/d)^(3 - eta) with eta = 1/2
+    assert ana.ETA == 0.5
+    for a_over_d in (0.05, 0.1, 0.3):
+        assert ana.ErrorBudget(a_over_d, 0.0, 0.0).terms["aspect"] == a_over_d**2.5
 
 
 def test_predictor_monotone_in_components():
-    base = ana.ErrorBudget(0.1, 1e-3, 0.02, eta=0.5)
-    assert ana.ErrorBudget(0.2, 1e-3, 0.02, 0.5).f_value > base.f_value
-    assert ana.ErrorBudget(0.1, 2e-3, 0.02, 0.5).f_value > base.f_value
-    assert ana.ErrorBudget(0.1, 1e-3, 0.04, 0.5).f_value > base.f_value
+    base = ana.ErrorBudget(0.1, 1e-3, 0.02)
+    assert ana.ErrorBudget(0.2, 1e-3, 0.02).f_value > base.f_value
+    assert ana.ErrorBudget(0.1, 2e-3, 0.02).f_value > base.f_value
+    assert ana.ErrorBudget(0.1, 1e-3, 0.04).f_value > base.f_value
 
 
 def test_predictor_smoothed_mu_dominated_by_aspect_and_kinf():
@@ -130,7 +128,7 @@ def test_predictor_smoothed_mu_dominated_by_aspect_and_kinf():
         ) / 5.0
     k = make_grid((-1.2, -1.2, 2.2, 2.2), cfg.a / 4)
     k.values = smoothed
-    budget = ana.predictor_f(cfg, k, eta=0.5)
+    budget = ana.predictor_f(cfg, k)
     weak = budget.terms["weak_low"] + budget.terms["weak_half"]
     assert weak < 0.2 * (budget.terms["aspect"] + budget.terms["kinf_sq"])
 
@@ -255,18 +253,16 @@ def _gamma_setup(n, eps=0.1, h=1 / 64):
     from porousflow import potential as pot
     from porousflow import reflections as refl
     from porousflow.fields import radial_bump, rasterize
-    from porousflow.homogenized import EffectiveMatrix
 
     world = rasterize((-1.5, -1.5, 2.5, 2.5), h, radial_bump((0.5, 1.8), 0.3, 1.0))
     g0 = pot.grad_psi0_on_grid(world)
     cfg = build_lattice(n, eps, Box(0, 0, 1, 1))
     k = lattice_fraction(cfg, world)
-    M = EffectiveMatrix.disk()
-    sol = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
+    sol = hom.solve_psic_from_grad(g0, k, tol=1e-10)
     tilde = sol.first_order
     stream = refl.run_reflections(world, cfg, 3)
     osol = orc.solve_collocation(world, cfg, 8, 64)
-    return stream, g0, sol, tilde, k, M, osol
+    return stream, g0, sol, tilde, k, osol
 
 
 def test_gamma_report_no_medium_vanishes():
@@ -276,7 +272,6 @@ def test_gamma_report_no_medium_vanishes():
     from porousflow import reflections as refl
     from porousflow.fields import radial_bump, rasterize
     from porousflow.geometry import PorousConfig
-    from porousflow.homogenized import EffectiveMatrix
 
     h = 1 / 64
     world = rasterize((-1.5, -1.5, 2.5, 2.5), h, radial_bump((0.5, 1.8), 0.3, 1.0))
@@ -284,11 +279,10 @@ def test_gamma_report_no_medium_vanishes():
     empty = PorousConfig(np.zeros((0, 2)), 0.01, 1.0, 0.25, Box(0, 0, 1, 1))
     k0 = make_grid((-1.5, -1.5, 2.5, 2.5), h)
     stream = refl.run_reflections(world, empty, 1)
-    M = EffectiveMatrix.disk()
-    sol = hom.solve_psic_from_grad(g0, k0, M)
+    sol = hom.solve_psic_from_grad(g0, k0)
     tilde = sol.first_order
     rep = ana.gamma_decomposition_report(
-        stream, g0, sol.grad, tilde, k0, M, Box(1.3, 0.0, 2.3, 1.0), 1 / 32
+        stream, g0, sol.grad, tilde, k0, Box(1.3, 0.0, 2.3, 1.0), 1 / 32
     )
     assert rep.grad_gamma1 < 1e-14
     assert rep.gamma2 < 1e-14
@@ -298,9 +292,9 @@ def test_gamma_report_norms_shrink_with_lattice_refinement():
     probe = Box(1.3, 0.0, 2.3, 1.0)
     totals, g2s, ratios = [], [], []
     for n in (2, 4):
-        stream, g0, sol, tilde, k, M, osol = _gamma_setup(n)
+        stream, g0, sol, tilde, k, osol = _gamma_setup(n)
         rep = ana.gamma_decomposition_report(
-            stream, g0, sol.grad, tilde, k, M, probe, 1 / 32, oracle_sol=osol
+            stream, g0, sol.grad, tilde, k, probe, 1 / 32, oracle_sol=osol
         )
         totals.append(rep.total)
         g2s.append(rep.gamma2)

@@ -104,6 +104,11 @@ def test_reflect_twohole_contraction(tmp_path):
     assert (out / "dipoles.csv").exists()
     assert (out / "norms.csv").exists()
     assert summary["schema_version"] == "v1"
+    # the fixed settings are recorded from their one definition
+    from porousflow import analysis, oracle
+
+    assert summary["tolerances"]["oracle_order"] == oracle.ORDER == 8
+    assert summary["tolerances"]["eta"] == analysis.ETA == 0.5
 
 
 def test_homog_sweep_slopes(tmp_path):
@@ -428,7 +433,7 @@ def test_non_finite_numbers_exit_2(tmp_path):
 
 def _divcurl_one_n(text, n, fraction):
     """The divcurl steps for one lattice size, every one rebuilt from scratch,
-    with the oracle order and eta left at the library defaults."""
+    with the oracle at its library defaults."""
     from porousflow import analysis, homogenized, oracle, potential, reflections
 
     cfg = cli.RunConfig(text)
@@ -437,14 +442,13 @@ def _divcurl_one_n(text, n, fraction):
     world = cli.world_grid_for(cfg, config.kpm_box, cli.source_from_config(cfg))
     k = fraction(config, world)
     g0 = potential.grad_psi0_on_grid(world)
-    M = homogenized.EffectiveMatrix.disk()
-    sol = homogenized.solve_psic_from_grad(g0, k, M, tol=settings.tol)
+    sol = homogenized.solve_psic_from_grad(g0, k, tol=settings.tol)
     stream = reflections.run_reflections(world, config, settings.reflection_depth)
     osol = None
     if config.n_holes <= oracle.MAX_ORACLE_HOLES:
         osol = oracle.solve_collocation(world, config)
     report = analysis.gamma_decomposition_report(
-        stream, g0, sol.grad, sol.first_order, k, M,
+        stream, g0, sol.grad, sol.first_order, k,
         cfg.box("analysis", "probe"), cfg.get("analysis", "probe_h", float), oracle_sol=osol,
     )
     return report.to_json()

@@ -8,7 +8,6 @@ from porousflow import potential as pot
 from porousflow import reflections as refl
 from porousflow.fields import make_grid, radial_bump, rasterize
 from porousflow.geometry import Box, PorousConfig, build_lattice, lattice_fraction
-from porousflow.homogenized import EffectiveMatrix
 
 UNIT = Box(0.0, 0.0, 1.0, 1.0)
 FAR_BOX = Box(100.0, 100.0, 101.0, 101.0)
@@ -78,7 +77,7 @@ def test_both_settings_agree_without_medium():
     x = np.array([[0.6, 5.5], [1.5, 7.0]])
     k0 = lattice_fraction(build_lattice(2, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
     k0.values *= 0.0
-    hset = eu.HomogenizedSetting(k0, EffectiveMatrix.disk())
+    hset = eu.HomogenizedSetting(k0)
     u_perf = eu.velocity_field(state, empty_setting(), x)
     u_hom = eu.velocity_field(state, hset, x)
     u_free = pot.velocity0_eval(parts, x)
@@ -195,7 +194,7 @@ def test_comparison_no_medium_zero_divergence():
     records = eu.run_comparison(
         parts,
         empty_setting(),
-        eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
+        eu.HomogenizedSetting(k0),
         t_final=0.5,
         dt=0.05,
         probe_points=np.array([[2.0, 2.0]]),
@@ -214,7 +213,7 @@ def test_comparison_divergence_grows_gronwall_like(rng):
     records = eu.run_comparison(
         parts,
         eu.PerforatedSetting(cfg, margin=5.0),
-        eu.HomogenizedSetting(k, EffectiveMatrix.disk(), margin=5.0),
+        eu.HomogenizedSetting(k, margin=5.0),
         t_final=1.0,
         dt=0.1,
         probe_points=np.array([[0.6, 3.0]]),
@@ -238,10 +237,10 @@ def test_full_solve_flag_close_to_first_order():
     cfg = build_lattice(4, 0.1, UNIT)
     k = lattice_fraction(cfg, make_grid((0, 0, 1, 1), 1 / 16))
     x = np.array([[0.5, 2.5], [1.5, 3.0]])
-    u_first = eu.velocity_field(state, eu.HomogenizedSetting(k, EffectiveMatrix.disk()), x)
+    u_first = eu.velocity_field(state, eu.HomogenizedSetting(k), x)
     u_full = eu.velocity_field(
         state,
-        eu.HomogenizedSetting(k, EffectiveMatrix.disk(), full_solve=True, tol=1e-12),
+        eu.HomogenizedSetting(k, full_solve=True, tol=1e-12),
         x,
     )
     u_free = pot.velocity0_eval(parts, x)
@@ -257,7 +256,7 @@ def test_export_csv(tmp_path):
     k0 = lattice_fraction(build_lattice(2, 0.1, FAR_BOX), make_grid(FAR_BOX.as_tuple(), 1 / 16))
     k0.values *= 0.0
     records = eu.run_comparison(
-        parts, empty_setting(), eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
+        parts, empty_setting(), eu.HomogenizedSetting(k0),
         t_final=0.2, dt=0.05, probe_points=np.array([[2.0, 2.0]]),
     )
     eu.export_timeseries_csv(records, tmp_path / "ts.csv")
@@ -277,7 +276,7 @@ def test_step_count_requires_whole_steps():
     k0 = lattice_fraction(build_lattice(2, 0.1, FAR_BOX), make_grid(FAR_BOX.as_tuple(), 1 / 16))
     with pytest.raises(ValueError, match="whole number of steps"):
         eu.run_comparison(
-            parts, empty_setting(), eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
+            parts, empty_setting(), eu.HomogenizedSetting(k0),
             t_final=0.25, dt=0.1, probe_points=np.array([[2.0, 2.0]]),
         )
 
@@ -288,7 +287,7 @@ def test_full_solve_not_contracting_raises():
     parts = eu.discretize_vorticity(blob_omega0(), 0.12, 0.12, kpm_box=UNIT, margin=5.0)
     k = lattice_fraction(build_lattice(4, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
     k.values *= 40.0
-    setting = eu.HomogenizedSetting(k, EffectiveMatrix.disk(), full_solve=True)
+    setting = eu.HomogenizedSetting(k, full_solve=True)
     with pytest.raises(RuntimeError, match="not contracting"):
         eu.velocity_field(eu.FlowState(0.0, parts), setting, np.array([[0.5, 2.5]]))
 
@@ -303,7 +302,7 @@ def test_particle_in_hole_halts_and_is_recorded():
     )
     k = lattice_fraction(cfg, make_grid((0, 0, 1, 1), 1 / 16))
     records = eu.run_comparison(
-        inside, eu.PerforatedSetting(cfg), eu.HomogenizedSetting(k, EffectiveMatrix.disk()),
+        inside, eu.PerforatedSetting(cfg), eu.HomogenizedSetting(k),
         t_final=0.1, dt=0.05, probe_points=np.array([[0.5, 2.5], [1.5, 3.0]]),
     )
     assert len(records) == 3
@@ -329,7 +328,7 @@ def test_hole_halt_predicate_matches_support_check():
     state = eu.FlowState(0.0, clear)
     assert eu.run_status(state, near) == "halted"
     k0 = lattice_fraction(build_lattice(2, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
-    rec = eu._record(state, state, near, eu.HomogenizedSetting(k0, EffectiveMatrix.disk()),
+    rec = eu._record(state, state, near, eu.HomogenizedSetting(k0),
                      np.array([[0.5, 2.5]]), "halted", "running")
     assert np.isfinite(rec.vel_diff_sup)
 

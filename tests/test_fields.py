@@ -12,6 +12,7 @@ from porousflow import reflections as refl
 from porousflow.fields import (
     ScalarGridField,
     VectorGridField,
+    fmt,
     make_grid,
     perp,
     radial_bump,
@@ -61,13 +62,6 @@ def test_bilinear_reproduces_linear_fields():
     assert np.allclose(vals, 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5, atol=1e-12)
 
 
-def test_vector_field_perp():
-    v = VectorGridField(np.zeros(2), 0.5, np.ones((2, 2, 2)))
-    p = v.perp()
-    assert np.allclose(p.values[..., 0], -1.0)
-    assert np.allclose(p.values[..., 1], 1.0)
-
-
 def test_perp_rotates_the_last_axis():
     assert np.array_equal(perp(np.array([1.0, 2.0])), [-2.0, 1.0])
     rng = np.random.default_rng(5)
@@ -86,12 +80,9 @@ def test_velocities_are_perp_of_gradients():
     osol = orc.solve_collocation(src, cfg, 4, 32)
     f = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 32, radial_bump((1.2, 0.3), 0.3, 1.0))
     k = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 32, radial_bump((0.0, 0.0), 0.5, 0.02, 3))
-    hsol = hom.solve_psic(f, k, hom.EffectiveMatrix.disk())
+    hsol = hom.solve_psic(f, k)
     state = eu.FlowState(0.0, src)
-    homog = eu.HomogenizedSetting(
-        lattice_fraction(cfg, make_grid((0.0, 0.0, 1.0, 1.0), 1 / 16)),
-        hom.EffectiveMatrix.disk(),
-    )
+    homog = eu.HomogenizedSetting(lattice_fraction(cfg, make_grid((0.0, 0.0, 1.0, 1.0), 1 / 16)))
     pairs = (
         (lambda x: pot.velocity0_eval(src, x), lambda x: pot.grad_psi0_eval(src, x)),
         (stream.velocity_eval, stream.gradient_eval),
@@ -110,6 +101,12 @@ def test_velocities_are_perp_of_gradients():
             u = velocity(x)
             assert u.shape == x.shape
             assert np.array_equal(u, perp(gradient(x)))
+
+
+def test_fmt_writes_numpy_floats_as_plain_numbers():
+    # repr of a numpy 2 scalar is 'np.float64(0.1)'; a CSV cell holds the number
+    assert fmt(np.float64(0.1)) == "0.1"
+    assert fmt(0.1) == repr(0.1)
 
 
 def test_invalid_fields_rejected():

@@ -8,7 +8,6 @@ from porousflow import homogenized as hom
 from porousflow import potential as pot
 from porousflow.fields import VectorGridField, make_grid, radial_bump, rasterize
 from porousflow.geometry import Box, build_lattice, lattice_fraction
-from porousflow.homogenized import EffectiveMatrix
 
 WORLD = (-2.0, -2.0, 2.0, 2.0)
 H = 1.0 / 64.0
@@ -34,27 +33,18 @@ def radial_vector_field(h=H, radius=0.8):
     return VectorGridField(grid.origin, h, np.stack([ux, uy], axis=2))
 
 
-def test_effective_matrix_disk_and_hat():
-    M = EffectiveMatrix.disk()
-    assert np.allclose(M.m, 2.0 * np.eye(2))
-    assert np.allclose(M.m_hat, 2.0 * np.eye(2))
-    M2 = EffectiveMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.allclose(M2.m_hat, [[4.0, -3.0], [-2.0, 1.0]])
-
-
 def test_apply_l_zero_k():
     g = radial_vector_field()
-    out = hom.apply_l_spectral(g, make_grid(WORLD, H), EffectiveMatrix.disk())
+    out = hom.apply_l_spectral(g, make_grid(WORLD, H))
     assert np.abs(out.values).max() == 0.0
 
 
 def test_apply_l_divergence_consistency():
-    # Fourier-side identity: div(output) equals div(k M g) mode by mode
+    # Fourier-side identity: div(output) equals div(k M g) = div(2 k g) mode by mode
     g = radial_vector_field()
     k = world_k(0.04)
-    M = EffectiveMatrix.disk()
-    out = hom.apply_l_spectral(g, k, M)
-    w = k.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
+    out = hom.apply_l_spectral(g, k)
+    w = 2.0 * k.values[:, :, None] * g.values
     nx, ny = k.shape
     kx = 2 * np.pi * np.fft.fftfreq(nx, d=H)[:, None]
     ky = 2 * np.pi * np.fft.fftfreq(ny, d=H)[None, :]
@@ -90,7 +80,7 @@ def test_apply_l_radial_oracle():
     g = VectorGridField(grid.origin, H, np.stack([ux, uy], axis=2))
     k = make_grid(WORLD, H)
     k.values = kprof(rr)
-    out = hom.apply_l_spectral(g, k, EffectiveMatrix.disk())
+    out = hom.apply_l_spectral(g, k)
     nx, ny = k.shape
     iy0 = ny // 2
     xs, ys = k.cell_centers()
@@ -112,17 +102,16 @@ def test_apply_l_backends_agree():
     h = 1 / 64
     f = rasterize((-4, -4, 4, 4), h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
     k = rasterize((-4, -4, 4, 4), h, radial_bump((0.0, 0.0), 0.5, 0.04, power=3))
-    M = EffectiveMatrix.disk()
     g0 = pot.grad_psi0_on_grid(f)
-    sol = hom.solve_psic_from_grad(g0, k, M)
-    spec = hom.apply_l_spectral(sol.grad, k, M)
+    sol = hom.solve_psic_from_grad(g0, k)
+    spec = hom.apply_l_spectral(sol.grad, k)
     rng = np.random.default_rng(5)
     ang = rng.random(200) * 2 * np.pi
     rad = np.sqrt(rng.random(200)) * 0.8
     ix, iy, _ = k.cell_index(np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1))
     xs, ys = k.cell_centers()
     targets = np.stack([xs[ix], ys[iy]], axis=1)
-    direct = hom.apply_l_direct(sol.grad, k, M, targets)
+    direct = hom.apply_l_direct(sol.grad, k, targets)
     rel = np.linalg.norm(spec.values[ix, iy] - direct) / np.linalg.norm(direct)
     assert rel < 1e-3
 
@@ -132,14 +121,14 @@ def test_apply_l_padding_guard():
     k = rasterize((-1, -1, 1, 1), h, radial_bump((0.0, 0.0), 0.8, 0.04))
     g = VectorGridField(np.array([-1.0, -1.0]), h, np.ones((64, 64, 2)))
     with pytest.raises(ValueError, match="padding"):
-        hom.apply_l_spectral(g, k, EffectiveMatrix.disk())
+        hom.apply_l_spectral(g, k)
 
 
-def _apply_l_fft2(g, k, M):
+def _apply_l_fft2(g, k):
     """The operator on the full complex spectrum (fft2/ifft2), with the same
     zero-mode, Nyquist and box-mean conventions: the reference for the
-    real-transform operator."""
-    w = k.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
+    real-transform operator, with w = k M g = 2 k g."""
+    w = 2.0 * k.values[:, :, None] * g.values
     nx, ny = k.shape
     kx = 2 * np.pi * np.fft.fftfreq(nx, d=g.h)[:, None]
     ky = 2 * np.pi * np.fft.fftfreq(ny, d=g.h)[None, :]
@@ -158,7 +147,7 @@ def _apply_l_fft2(g, k, M):
 @pytest.mark.parametrize("shape", [(48, 48), (45, 45), (48, 39)])
 def test_apply_l_spectral_matches_complex_fft_reference(shape):
     # even x even, odd x odd and a non-square even x odd box; random g has
-    # content up to the Nyquist lines, and M is not symmetric
+    # content up to the Nyquist lines
     nx, ny = shape
     h = 0.05
     rng = np.random.default_rng(nx * ny)
@@ -167,9 +156,8 @@ def test_apply_l_spectral_matches_complex_fft_reference(shape):
         (nx // 4, ny // 4)
     )
     g = VectorGridField(k.origin, h, rng.standard_normal((nx, ny, 2)))
-    M = EffectiveMatrix(np.array([[2.0, 0.7], [-0.4, 1.3]]))
-    got = hom.apply_l_spectral(g, k, M).values
-    ref = _apply_l_fft2(g, k, M)
+    got = hom.apply_l_spectral(g, k).values
+    ref = _apply_l_fft2(g, k)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -194,7 +182,7 @@ def test_gradient_multipliers_are_read_only():
 def test_solve_zero_k_converges_immediately():
     f = world_f()
     k = make_grid(WORLD, H)
-    sol = hom.solve_psic(f, k, EffectiveMatrix.disk())
+    sol = hom.solve_psic(f, k)
     assert sol.iterations == 1
     g0 = pot.grad_psi0_on_grid(f)
     assert np.abs(sol.grad.values - g0.values).max() == 0.0
@@ -203,7 +191,7 @@ def test_solve_zero_k_converges_immediately():
 def test_solve_geometric_convergence():
     f = world_f()
     k = world_k(0.04)
-    sol = hom.solve_psic(f, k, EffectiveMatrix.disk(), tol=1e-10)
+    sol = hom.solve_psic(f, k, tol=1e-10)
     assert sol.iterations <= 10
     ratios = [b / a for a, b in zip(sol.increments, sol.increments[1:])]
     assert max(ratios) < 2.0 * 2.0 * 0.04  # contraction like C sup|k|
@@ -212,10 +200,9 @@ def test_solve_geometric_convergence():
 def test_first_increment_linear_in_k():
     f = world_f()
     g0 = pot.grad_psi0_on_grid(f)
-    M = EffectiveMatrix.disk()
     inc = []
     for amp in (0.02, 0.04):
-        corr = hom.apply_l_spectral(g0, world_k(amp), M)
+        corr = hom.apply_l_spectral(g0, world_k(amp))
         inc.append(float(np.sqrt((corr.values**2).sum()) * H))
     assert inc[1] == pytest.approx(2.0 * inc[0], rel=1e-10)
 
@@ -224,13 +211,12 @@ def test_uniqueness_surrogate():
     # iterating from a different initial gradient lands on the same fixed point
     f = world_f()
     k = world_k(0.04)
-    M = EffectiveMatrix.disk()
     g0 = pot.grad_psi0_on_grid(f)
-    sol_a = hom.solve_psic_from_grad(g0, k, M, tol=1e-12)
+    sol_a = hom.solve_psic_from_grad(g0, k, tol=1e-12)
     perturbed = VectorGridField(g0.origin.copy(), g0.h, g0.values * 0.0)
     grad = perturbed
     for _ in range(60):
-        corr = hom.apply_l_spectral(grad, k, M)
+        corr = hom.apply_l_spectral(grad, k)
         grad = VectorGridField(g0.origin, g0.h, g0.values - corr.values)
     diff = np.abs(grad.values - sol_a.grad.values).max()
     assert diff < 1e-11
@@ -241,7 +227,7 @@ def test_non_contraction_detected():
     k = world_k(0.04)
     k.values *= 40.0  # sup k = 1.6: far beyond the contraction regime
     with pytest.raises(RuntimeError, match="not contracting"):
-        hom.solve_psic(f, k, EffectiveMatrix.disk())
+        hom.solve_psic(f, k)
 
 
 def test_volume_fraction_bound_enforced():
@@ -250,7 +236,7 @@ def test_volume_fraction_bound_enforced():
         # pi 0.2^2 = 0.126 > eps0^2 = 0.0625
         lattice_fraction(build_lattice(4, 0.2, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
     f = world_f()
-    sol = hom.solve_psic(f, k, EffectiveMatrix.disk())
+    sol = hom.solve_psic(f, k)
     assert sol.iterations >= 1
 
 
@@ -258,12 +244,11 @@ def test_first_order_is_the_first_iterate():
     f = world_f()
     g0 = pot.grad_psi0_on_grid(f)
     k = world_k(0.04)
-    M = EffectiveMatrix.disk()
-    expected = g0.values - hom.apply_l_spectral(g0, k, M).values
-    full = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
+    expected = g0.values - hom.apply_l_spectral(g0, k).values
+    full = hom.solve_psic_from_grad(g0, k, tol=1e-10)
     assert full.iterations > 1
     assert np.array_equal(full.first_order.values, expected)
-    one = hom.solve_psic_from_grad(g0, k, M, tol=1.0)  # stops after one iteration
+    one = hom.solve_psic_from_grad(g0, k, tol=1.0)  # stops after one iteration
     assert one.iterations == 1
     assert np.array_equal(one.first_order.values, expected)
     assert np.array_equal(one.grad.values, expected)
@@ -272,13 +257,12 @@ def test_first_order_is_the_first_iterate():
 def test_expansion_sweep_slopes():
     f = world_f()
     g0 = pot.grad_psi0_on_grid(f)
-    M = EffectiveMatrix.disk()
     from porousflow.analysis import fit_exponent
 
     amps, e0s, ets = [], [], []
     for amp in (0.01, 0.02, 0.04):
         k = world_k(amp)
-        sol = hom.solve_psic_from_grad(g0, k, M, tol=1e-10)
+        sol = hom.solve_psic_from_grad(g0, k, tol=1e-10)
         tilde = sol.first_order
         amps.append(amp)
         e0s.append(float(np.sqrt(((sol.grad.values - g0.values) ** 2).sum()) * H))
@@ -297,7 +281,7 @@ def test_velocity_c_radial_value():
 
     box = (-2.5, -2.5, 2.5, 2.5)
     f = rasterize(box, h, disk_indicator((0, 0), 1.0))
-    sol = hom.solve_psic(f, make_grid(box, h), EffectiveMatrix.disk())
+    sol = hom.solve_psic(f, make_grid(box, h))
     u = hom.velocity_c(sol, np.array([2.0, 0.0]))
     assert np.allclose(u, [0.0, 0.25], atol=2e-3)
     u2 = hom.velocity_c(sol, np.array([0.5, 0.0]))
@@ -310,7 +294,7 @@ def test_velocity_c_is_rotated_gradient_and_nearly_divergence_free():
     # of the cross-derivative consistency, small but not machine zero
     f = world_f()
     k = world_k(0.04)
-    sol = hom.solve_psic(f, k, EffectiveMatrix.disk(), tol=1e-10)
+    sol = hom.solve_psic(f, k, tol=1e-10)
     rng = np.random.default_rng(1)
     pts = rng.random((200, 2)) * 2.0 - 1.0
     u = hom.velocity_c(sol, pts)
@@ -334,21 +318,20 @@ def test_velocity_c_is_rotated_gradient_and_nearly_divergence_free():
 
 def test_velocity_c_out_of_grid():
     f = world_f()
-    sol = hom.solve_psic(f, make_grid(WORLD, H), EffectiveMatrix.disk())
+    sol = hom.solve_psic(f, make_grid(WORLD, H))
     with pytest.raises(ValueError, match="outside"):
         hom.velocity_c(sol, np.array([5.0, 0.0]))
 
 
 def test_modified_curl_recovers_source():
-    # discrete curl((I + k Mhat) u_c) approximates f in the interior
+    # discrete curl((I + k Mhat) u_c) approximates f in the interior; for
+    # disks Mhat = M = 2I
     h = 1 / 128
     f = rasterize(WORLD, h, radial_bump((1.2, 0.3), 0.45, 1.0, power=3))
     k = world_k(0.04, h)
-    M = EffectiveMatrix.disk()
-    sol = hom.solve_psic(f, k, M, tol=1e-12)
-    u = sol.grad.perp()
-    kv = k.values[:, :, None]
-    flux = u.values + kv * np.einsum("ij,xyj->xyi", M.m_hat, u.values)
+    sol = hom.solve_psic(f, k, tol=1e-12)
+    u = fields.perp(sol.grad.values)
+    flux = u + 2.0 * k.values[:, :, None] * u
     curl = np.zeros_like(f.values)
     curl[1:-1, 1:-1] = (
         (flux[2:, 1:-1, 1] - flux[:-2, 1:-1, 1]) / (2 * h)
@@ -363,12 +346,11 @@ def test_modified_curl_recovers_source():
 def test_gradient_uniqueness_across_resolutions():
     # lem-regellip2-style diagnostic: sup |grad psi_c| away from supp k is
     # stable when the k grid is refined
-    M = EffectiveMatrix.disk()
     sups = []
     for h in (1 / 32, 1 / 64):
         f = world_f(h)
         k = world_k(0.04, h)
-        sol = hom.solve_psic(f, k, M, tol=1e-10)
+        sol = hom.solve_psic(f, k, tol=1e-10)
         gx, gy = np.meshgrid(*k.cell_centers(), indexing="ij")
         far = np.hypot(gx, gy) > 0.75  # distance > 0.25 from supp k
         mags = np.hypot(sol.grad.values[..., 0], sol.grad.values[..., 1])
@@ -381,7 +363,6 @@ def test_gradient_uniqueness_across_resolutions():
 def test_pad_doubling_converges():
     # doubling the padded box changes apply_L on supp k by a small amount,
     # and the change shrinks again when doubling once more
-    M = EffectiveMatrix.disk()
     h = 1 / 32
     vals = {}
     for half in (2.0, 4.0):
@@ -389,7 +370,7 @@ def test_pad_doubling_converges():
         f = rasterize(box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         k = rasterize(box, h, radial_bump((0.0, 0.0), 0.5, 0.04, power=3))
         g0 = pot.grad_psi0_on_grid(f)
-        out = hom.apply_l_spectral(g0, k, M)
+        out = hom.apply_l_spectral(g0, k)
         ix, iy, _ = k.cell_index(np.array([[0.2, 0.1], [-0.3, 0.2], [0.0, -0.4]]))
         xs, ys = k.cell_centers()
         vals[half] = out.values[ix, iy]
@@ -397,11 +378,11 @@ def test_pad_doubling_converges():
     assert np.abs(vals[2.0] - vals[4.0]).max() < 5e-3 * scale
 
 
-def _pv_reference(k, g, M, targets):
+def _pv_reference(k, g, targets):
     """Dense PV quadrature of (I |z|^2 - 2 z z^T) w / (2 pi |z|^4) over the
-    nonzero k cells, w = k M g built on the whole grid, without the cell that
-    holds the target, plus +1/2 w on that cell."""
-    w_all = k.values[:, :, None] * np.einsum("ij,xyj->xyi", M.m, g.values)
+    nonzero k cells, w = k M g = 2 k g built on the whole grid, without the
+    cell that holds the target, plus +1/2 w on that cell."""
+    w_all = 2.0 * k.values[:, :, None] * g.values
     ix, iy = np.nonzero(k.values)
     w = w_all[ix, iy]
     centers = k.origin + (np.stack([ix, iy], axis=1) + 0.5) * k.h
@@ -422,23 +403,22 @@ def test_apply_l_direct_matches_dense_reference():
     k = rasterize((-1, -1, 1, 1), h, radial_bump((0.1, -0.1), 0.5, 0.04, power=3))
     rng = np.random.default_rng(11)
     g = VectorGridField(k.origin, h, rng.standard_normal(k.shape + (2,)))
-    M = EffectiveMatrix(np.array([[2.0, 0.3], [-0.5, 1.5]]))  # not symmetric
     on_cells = k.nonzero_cells()[0][::7]
     off = rng.uniform(-1.0, 1.0, (40, 2))  # in zero cells, nonzero cells and between
     targets = np.concatenate([on_cells, off, [[3.0, 0.2]]])
-    got = hom.apply_l_direct(g, k, M, targets)
-    ref = _pv_reference(k, g, M, targets)
+    got = hom.apply_l_direct(g, k, targets)
+    ref = _pv_reference(k, g, targets)
     assert (k.nonzero_cell_index(targets) >= 0).sum() > on_cells.shape[0]
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-def _iterate_on_cells_reference(centers, kvals, h, grad0, M, tol, max_iter=50):
+def _iterate_on_cells_reference(centers, kvals, h, grad0, tol, max_iter=50):
     """The Euler full solve as a standalone loop without a contraction guard."""
     own = np.arange(centers.shape[0])
     grad = grad0.copy()
     ref = max(float(np.sqrt((grad0**2).sum() * h * h)), 1e-300)
     for _ in range(max_iter):
-        w = kvals[:, None] * (grad @ M.m.T)
+        w = 2.0 * kvals[:, None] * grad
         corr = hom.k2_kernel_sum(centers, w, h, centers, own=own)
         corr += 0.5 * w
         new = grad0 - corr
@@ -451,12 +431,11 @@ def _iterate_on_cells_reference(centers, kvals, h, grad0, M, tol, max_iter=50):
 
 def test_solve_on_cells_matches_reference_iteration():
     k = lattice_fraction(build_lattice(4, 0.1, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
-    M = EffectiveMatrix(np.array([[2.0, 0.3], [-0.5, 1.5]]))
     centers, kvals = k.nonzero_cells()
     grad0 = np.random.default_rng(3).standard_normal(centers.shape)
     for tol in (1e-6, 1e-12):
-        got = hom.solve_on_cells(grad0, k, M, tol)
-        ref = _iterate_on_cells_reference(centers, kvals, k.h, grad0, M, tol)
+        got = hom.solve_on_cells(grad0, k, tol)
+        ref = _iterate_on_cells_reference(centers, kvals, k.h, grad0, tol)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(got - grad0).max() > 1e-3 * np.abs(grad0).max()
 
@@ -465,20 +444,19 @@ def test_solve_on_cells_rejects_nonpositive_tol():
     k = world_k(0.04, h=1 / 8)
     grad0 = np.ones((np.count_nonzero(k.values), 2))
     with pytest.raises(ValueError, match="tol"):
-        hom.solve_on_cells(grad0, k, EffectiveMatrix.disk(), tol=0.0)
+        hom.solve_on_cells(grad0, k, tol=0.0)
 
 
 def _correction_case(seed=5):
-    """A k with zero cells inside its bounding box, a non-symmetric M and
-    random g on the nonzero cells, with the direct phi = -k1 reference."""
+    """A k with zero cells inside its bounding box and random g on the
+    nonzero cells, with the direct phi = -k1 reference of w = 2 k g."""
     h = 1 / 32
     k = rasterize((-1, -1, 1, 1), h, radial_bump((0.1, -0.2), 0.5, 0.04, power=3))
     k.values[30:34, 27:31] = 0.0  # a hole in the middle of the support
-    M = EffectiveMatrix(np.array([[2.0, 0.3], [-0.5, 1.5]]))
     centers, kvals = k.nonzero_cells()
     g = np.random.default_rng(seed).standard_normal(centers.shape)
-    w = kvals[:, None] * (g @ M.m.T)
-    return k, M, g, lambda pts: -hom.k1_kernel_sum(centers, w, h, pts)
+    w = 2.0 * kvals[:, None] * g
+    return k, g, lambda pts: -hom.k1_kernel_sum(centers, w, h, pts)
 
 
 @pytest.mark.parametrize("step", [1, 2, 3])
@@ -487,7 +465,7 @@ def _correction_case(seed=5):
                          ids=["overlapping", "far"])
 def test_correction_on_grid_matches_direct_sum(step, offset, start, shape, monkeypatch):
     monkeypatch.setattr(hom, "FFT_CELL_PAIRS", 0)  # convolve however small the sum
-    k, M, g, direct = _correction_case()
+    k, g, direct = _correction_case()
     # probe cell 0 starts ``start + offset`` cells of k from k's origin; offset 0
     # with an odd step puts probe centers on cell centers (dropped self pairs)
     lo = k.origin + (np.array(start) + np.array(offset)) * k.h
@@ -500,28 +478,28 @@ def test_correction_on_grid_matches_direct_sum(step, offset, start, shape, monke
         raise AssertionError("grid targets took the direct sum")
 
     monkeypatch.setattr(hom, "k1_kernel_sum", refused)
-    got = hom.correction(k, M, g, probe)
+    got = hom.correction(k, g, probe)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("ratio", [1.5, 2.0 * (1 + 1e-9), None], ids=["1.5", "near_2", "points"])
 def test_correction_falls_back_to_the_direct_sum(ratio):
-    k, M, g, direct = _correction_case()
+    k, g, direct = _correction_case()
     probe = make_grid((0.3, -0.4, 0.3 + 11 * 2 * k.h, -0.4 + 9 * 2 * k.h), (ratio or 2.0) * k.h)
     pts = probe.centers_flat()
     expected = direct(pts)
-    assert np.array_equal(hom.correction(k, M, g, pts if ratio is None else probe), expected)
+    assert np.array_equal(hom.correction(k, g, pts if ratio is None else probe), expected)
     # the gradient always takes the direct k2 sum
     centers, kvals = k.nonzero_cells()
-    grad = -hom.k2_kernel_sum(centers, kvals[:, None] * (g @ M.m.T), k.h, pts)
-    assert np.array_equal(hom.correction(k, M, g, probe, grad=True), grad)
+    grad = -hom.k2_kernel_sum(centers, 2.0 * kvals[:, None] * g, k.h, pts)
+    assert np.array_equal(hom.correction(k, g, probe, grad=True), grad)
     # a zero k has no cells to convolve
     zero = make_grid((-1, -1, 1, 1), k.h)
-    assert np.array_equal(hom.correction(zero, M, np.zeros((0, 2)), probe), np.zeros(pts.shape[0]))
+    assert np.array_equal(hom.correction(zero, np.zeros((0, 2)), probe), np.zeros(pts.shape[0]))
 
 
 def test_correction_convolves_only_when_it_is_less_work(monkeypatch):
-    k, M, g, direct = _correction_case()
+    k, g, direct = _correction_case()
     # 41 x 41 probes at k's spacing: a 73 x 73 box against 1681 x 788 pairs
     fine = make_grid((-0.7, -0.8, -0.7 + 41 * k.h, -0.8 + 41 * k.h), k.h)
     # 5 x 5 probes 16 cells apart: a 97 x 97 box against 25 x 788 pairs
@@ -534,8 +512,8 @@ def test_correction_convolves_only_when_it_is_less_work(monkeypatch):
         return _fn(*args)
 
     monkeypatch.setattr(hom, "k1_kernel_sum", counted)
-    got = hom.correction(k, M, g, fine)
+    got = hom.correction(k, g, fine)
     np.testing.assert_allclose(got, ref_fine, rtol=0, atol=1e-12 * np.abs(ref_fine).max())
     assert calls == []
-    assert np.array_equal(hom.correction(k, M, g, coarse), ref_coarse)
+    assert np.array_equal(hom.correction(k, g, coarse), ref_coarse)
     assert calls == [25]
