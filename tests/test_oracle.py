@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import point_vortex
 from porousflow import oracle as orc
 from porousflow import potential as pot
 from porousflow import reflections as refl
-from porousflow.fields import make_grid
+from porousflow.fields import make_grid, radial_bump, rasterize
 from porousflow.geometry import Box, PorousConfig, build_lattice, build_random
 
 
@@ -181,6 +182,110 @@ def test_velocity_matches_gradient_rotation():
 
 
 # ---------------------------------------------------------------------------
+# CGLS collocation solve against the dense lstsq solve it replaced
+# ---------------------------------------------------------------------------
+
+def _center_per_hole(arr, n_holes):
+    blocks = arr.reshape(n_holes, -1, *arr.shape[1:])
+    return (blocks - blocks.mean(axis=1, keepdims=True)).reshape(arr.shape)
+
+
+def _lstsq_reference(source, config, order=orc.ORDER, pts_per_hole=orc.POINTS):
+    """The dense SVD least-squares fit: coefficients, residual, boundary
+    constants, the per-hole-centered matrix and max|psi_0| on the boundaries."""
+    pts = config.boundary_points(pts_per_hole)
+    psi0 = pot.psi0_eval(source, pts)
+    basis = orc._basis_matrix(config, order, pts)
+    a_mat = _center_per_hole(basis, config.n_holes)
+    coeffs, _, rank, _ = np.linalg.lstsq(a_mat, -_center_per_hole(psi0, config.n_holes), rcond=None)
+    assert rank == a_mat.shape[1]
+    total = psi0 + basis @ coeffs
+    residual = float(np.abs(_center_per_hole(total, config.n_holes)).max())
+    constants = total.reshape(config.n_holes, -1).mean(axis=1)
+    return coeffs, residual, constants, a_mat, np.abs(psi0).max()
+
+
+def _divcurl_system():
+    # the 64-hole grid-source system of the divcurl experiment
+    world = rasterize((-1.5, -1.5, 2.5, 2.5), 1 / 128, radial_bump((0.5, 1.8), 0.3, 1.0))
+    return world, build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+
+
+_REFERENCE_CASES = (
+    [("lattice", ratio) for ratio in (0.05, 0.1, 0.2, 0.24)]
+    + [("random", ratio) for ratio in (0.05, 0.1, 0.2, 0.24)]
+    + [("divcurl", 0.1)]
+)
+
+
+@pytest.mark.parametrize("kind, ratio", _REFERENCE_CASES)
+def test_cgls_matches_lstsq(kind, ratio):
+    if kind == "divcurl":
+        src, cfg = _divcurl_system()
+    else:
+        src = point_vortex(0.5, 1.8, 2.0)
+        if kind == "lattice":
+            cfg = build_lattice(4, ratio, Box(0.0, 0.0, 1.0, 1.0))
+        else:
+            cfg = build_random(12, ratio * 0.2, 0.2, Box(0.0, 0.0, 1.0, 1.0), seed=int(100 * ratio))
+    sol = orc.solve_collocation(src, cfg)
+    coeffs, residual, constants, _, scale = _lstsq_reference(src, cfg)
+    assert np.abs(sol.coeffs.ravel() - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+    assert abs(sol.residual - residual) <= 2e-15 * scale
+    assert np.abs(sol.boundary_constants - constants).max() <= 2e-15 * scale
+    assert 0 < sol.iterations <= 25
+
+
+@pytest.mark.parametrize("ratio", [0.05, 0.1, 0.2, 0.24])
+def test_cond_is_the_lanczos_estimate(ratio):
+    src = point_vortex(0.5, 1.8, 2.0)
+    cfg = build_lattice(4, ratio, Box(0.0, 0.0, 1.0, 1.0))
+    sol = orc.solve_collocation(src, cfg)
+    a_mat = _lstsq_reference(src, cfg)[3]
+    assert sol.cond == pytest.approx(np.linalg.cond(a_mat), rel=0.02)
+
+
+def test_lanczos_cond_recovers_a_known_spectrum():
+    # CG runs to convergence here, so the extreme Ritz values are the
+    # extreme eigenvalues of a.T a (singular values 1 and 30 squared)
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((80, 40)))
+    _, _, steps = orc._cgls(q * np.geomspace(1.0, 30.0, 40), rng.standard_normal((1, 80)))
+    assert orc._lanczos_cond(*steps[0]) == pytest.approx(30.0, rel=1e-6)
+
+
+def test_rank_deficient_system_rejected():
+    # two coincident holes give identical basis columns (rank 32 < 48); the
+    # data column alone cannot see the null direction, the certificate does
+    cfg = PorousConfig(
+        np.array([[0.5, 0.5], [0.5, 0.5], [0.8, 0.5]]), 0.05, 0.3, 0.25, Box(0.0, 0.0, 1.0, 1.0)
+    )
+    with pytest.raises(RuntimeError, match="rank-deficient.*certificate"):
+        orc.solve_collocation(point_vortex(0.5, 1.8, 2.0), cfg)
+
+
+def test_iteration_cap_rejected(monkeypatch):
+    monkeypatch.setattr(orc, "_CG_MAX_ITERATIONS", 2)
+    cfg = build_lattice(2, 0.2, Box(0.0, 0.0, 1.0, 1.0))
+    with pytest.raises(RuntimeError, match="rank-deficient.*did not converge in 2"):
+        orc.solve_collocation(point_vortex(0.5, 1.8, 2.0), cfg)
+
+
+def test_collocation_holds_one_matrix():
+    # one 4096 x 1024 float matrix is 32 MiB, so a second copy (a centered
+    # one, or LAPACK's) breaks the bound
+    src = point_vortex(0.5, 1.8, 2.0)
+    cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        orc.solve_collocation(src, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # Horner-form evaluation against the materialized basis it replaced
 # ---------------------------------------------------------------------------
 
@@ -211,9 +316,7 @@ def _random_solution(order, seed):
     d = 0.2
     cfg = build_random(n_holes, ratio * d, d, Box(0.0, 0.0, 1.0, 1.0), seed=seed)
     coeffs = rng.standard_normal((n_holes, 2 * order))
-    return orc.MultipoleSolution(
-        cfg, None, order, coeffs, np.zeros(n_holes), 0.0, 2 * order * n_holes, 1.0, False
-    )
+    return orc.MultipoleSolution(cfg, None, order, coeffs, np.zeros(n_holes), 0.0, 0, 1.0, False)
 
 
 def _near_and_far_points(cfg, seed):
