@@ -3,7 +3,10 @@
 A field samples a compactly supported function at cell centers
 ``origin + (i + 1/2) * h`` with uniform spacing ``h`` in both directions.
 Scalar fields hold vorticity sources and volume fractions; vector fields
-hold gradient iterates of the homogenized solver.
+hold gradient iterates of the homogenized solver. A vector field stores its
+two components as contiguous (2, nx, ny) planes, which the real transforms
+and the fixed-point arithmetic read directly, and exposes them as the
+(nx, ny, 2) view ``values``.
 """
 
 from __future__ import annotations
@@ -77,16 +80,25 @@ class ScalarGridField:
     def l1_norm(self) -> float:
         return float(np.abs(self.values).sum() * self.h**2)
 
-    def support_box(self) -> tuple[float, float, float, float] | None:
-        """Bounding box of nonzero cells, or None for the zero field."""
+    def support_slices(self) -> tuple[slice, slice] | None:
+        """Index bounding box of the nonzero cells, as the slices of
+        ``values`` along x and y, or None for the zero field."""
         ix = np.flatnonzero(self.values.any(axis=1))
         if ix.size == 0:
             return None
         iy = np.flatnonzero(self.values.any(axis=0))
-        x0 = self.origin[0] + ix[0] * self.h
-        x1 = self.origin[0] + (ix[-1] + 1) * self.h
-        y0 = self.origin[1] + iy[0] * self.h
-        y1 = self.origin[1] + (iy[-1] + 1) * self.h
+        return slice(int(ix[0]), int(ix[-1]) + 1), slice(int(iy[0]), int(iy[-1]) + 1)
+
+    def support_box(self) -> tuple[float, float, float, float] | None:
+        """Bounding box of nonzero cells, or None for the zero field."""
+        box = self.support_slices()
+        if box is None:
+            return None
+        sx, sy = box
+        x0 = self.origin[0] + sx.start * self.h
+        x1 = self.origin[0] + sx.stop * self.h
+        y0 = self.origin[1] + sy.start * self.h
+        y1 = self.origin[1] + sy.stop * self.h
         return (float(x0), float(y0), float(x1), float(y1))
 
     def nonzero_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +143,11 @@ class ScalarGridField:
 
 @dataclass
 class VectorGridField:
-    """Two-component field on the same cell-centered layout."""
+    """Two-component field on the same cell-centered layout.
+
+    ``values`` is indexed ``values[ix, iy, component]`` but is a view of the
+    contiguous (2, nx, ny) array ``planes``: values in any other memory
+    layout are copied into planes once, on construction."""
 
     origin: np.ndarray
     h: float
@@ -139,11 +155,18 @@ class VectorGridField:
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 3 or self.values.shape[2] != 2:
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 3 or values.shape[2] != 2:
             raise ValueError("vector field values must have shape (nx, ny, 2)")
         if self.h <= 0.0:
             raise ValueError("grid spacing h must be positive")
+        self.values = np.moveaxis(np.ascontiguousarray(np.moveaxis(values, 2, 0)), 0, 2)
+
+    @property
+    def planes(self) -> np.ndarray:
+        """The components as one C-contiguous (2, nx, ny) array (``values``
+        shares its memory)."""
+        return np.moveaxis(self.values, 2, 0)
 
     def sample_bilinear(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -176,6 +199,27 @@ def check_padding(f: ScalarGridField) -> None:
             "insufficient padding: the support needs clearance >= its extent on "
             f"every side of the periodic box (clearance {clearance:.3g}, extent {extent:.3g})"
         )
+
+
+def rfft2_rows(values: np.ndarray, rows: slice) -> np.ndarray:
+    """``np.fft.rfft2(values)`` of real values (..., nx, ny) that vanish
+    outside ``rows`` of the nx axis: the ``rfft`` of those rows only, zero
+    rows elsewhere, then the ``fft`` along nx in place. numpy's ``rfft2``
+    takes the same two passes in this order, so the result equals it bit
+    for bit (pruning the zero rows after Markel 1971)."""
+    half = np.zeros(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
+    half[..., rows, :] = np.fft.rfft(values[..., rows, :])
+    return np.fft.fft(half, axis=-2, out=half)
+
+
+def irfft2_rows(spec: np.ndarray, ny: int, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of ``np.fft.irfft2(spec, s=(nx, ny))`` for a half
+    spectrum (..., nx, ny // 2 + 1): the ``ifft`` along nx in place, which
+    overwrites ``spec``, then the ``irfft`` of those rows only. numpy's
+    ``irfft2`` takes the same two passes in this order, so the result equals
+    its rows bit for bit."""
+    np.fft.ifft(spec, axis=-2, out=spec)
+    return np.fft.irfft(spec[..., rows, :], n=ny, axis=-1)
 
 
 def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarray]:

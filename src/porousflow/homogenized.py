@@ -4,9 +4,10 @@ for disk inclusions (``M_DISK``).
 Solved by the fixed-point iteration grad psi_n = grad Delta^{-1} f -
 L[grad psi_{n-1}] with L g = grad Delta^{-1} div(k M g), which contracts for
 small sup k. The operator L has two interchangeable backends: a Fourier
-multiplier xi (xi.g_hat)/|xi|^2 on a padded periodic box (real transforms,
-multipliers cached per grid), and a direct principal-value quadrature of the
-second-derivative kernel used as an independent cross-check. The
+multiplier xi (xi.g_hat)/|xi|^2 on a padded periodic box (real transforms
+of the (2, nx, ny) component planes, the forward one over the rows of k
+only, multipliers cached per grid), and a direct principal-value quadrature
+of the second-derivative kernel used as an independent cross-check. The
 volume-fraction correction phi = -div Delta^{-1}(k M grad psi) and its
 gradient have one quadrature, ``correction``: phi on a probe grid whose
 spacing is a whole multiple of the k grid's (divcurl's probe) is one
@@ -23,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarGridField, VectorGridField, check_padding, gradient_multipliers, perp
+from .fields import (
+    ScalarGridField,
+    VectorGridField,
+    check_padding,
+    gradient_multipliers,
+    irfft2_rows,
+    perp,
+    rfft2_rows,
+)
 from .potential import (
     _dipole_field,
     _displacements,
@@ -58,8 +67,10 @@ def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
     The grid itself is the padded box; the support of k must keep clearance
     at least its own extent from every edge so periodization images stay
     negligible (their leading contributions cancel by lattice symmetry).
-    w = k M g takes one batched real transform each way, with the cached
-    ``fields.gradient_multipliers``. Killing the zero mode forces a zero box
+    w = k M g, stored as (2, nx, ny) planes like g, takes one batched real
+    transform each way, with the cached ``fields.gradient_multipliers``; the
+    forward one transforms only the rows where k is nonzero
+    (``fields.rfft2_rows``). Killing the zero mode forces a zero box
     mean, whereas the free-space field of a density with integral P has box
     mean P/(2 |box|) (the kernel integrated over a large disk contributes
     exactly P/2); that constant is restored so the output follows the
@@ -68,14 +79,21 @@ def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
     check_padding(k)
     if k.shape != g.values.shape[:2]:
         raise ValueError("k and g must share the grid")
-    # one contiguous (nx, ny) block per component for the transforms and the sum
-    w = np.stack([g.values[..., 0], g.values[..., 1]]) * (M_DISK * k.values)
+    box = k.support_slices()
+    rows = box[0] if box else slice(0, 0)
+    w = np.zeros((2,) + k.shape)  # zero off the rows of k
+    np.multiply(g.planes[:, rows], M_DISK * k.values[rows], out=w[:, rows])
+    mean = w.sum(axis=(1, 2)) / (2.0 * k.values.size)  # P / (2 |box|), P = h^2 sum w
     kx, ky, mx, my = gradient_multipliers(k.shape, g.h)
-    w_hat = np.fft.rfft2(w)
+    w_hat = rfft2_rows(w, rows)
+    del w  # each spectrum (w_hat, div_hat, out) is live only while needed
     div_hat = mx * w_hat[0] + my * w_hat[1]
-    out = np.moveaxis(np.fft.irfft2(np.stack([kx * div_hat, ky * div_hat]), s=k.shape), 0, 2)
-    out += w.sum(axis=(1, 2)) / (2.0 * k.values.size)  # P / (2 |box|), P = h^2 sum w
-    return VectorGridField(g.origin.copy(), g.h, out)
+    np.multiply(kx, div_hat, out=w_hat[0])
+    np.multiply(ky, div_hat, out=w_hat[1])
+    del div_hat
+    out = irfft2_rows(w_hat, k.shape[1])
+    out += mean[:, None, None]
+    return VectorGridField(g.origin.copy(), g.h, np.moveaxis(out, 0, 2))
 
 
 def k2_kernel_sum(
@@ -157,19 +175,19 @@ def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarr
     the sum is one zero-padded FFT convolution of w over the bounding box of
     the nonzero cells, read at every step-th output sample. None when the
     padded box, which grows with step, costs more than the direct sum."""
-    ix, iy = np.nonzero(k.values)
-    lo = np.array([ix.min(), iy.min()])
-    n_src = (ix.max() - lo[0] + 1, iy.max() - lo[1] + 1)
+    box = k.support_slices()
+    lo = np.array([sl.start for sl in box])
+    n_src = tuple(sl.stop - sl.start for sl in box)
     n_out = tuple((np.array(probe.shape) - 1) * step + 1)
     cells = (n_src[0] + n_out[0]) * (n_src[1] + n_out[1])
     if cells * FFT_CELL_PAIRS > probe.values.size * w.shape[0]:
         return None
-    box = np.zeros(n_src + (2,))
-    box[ix - lo[0], iy - lo[1]] = w
+    planes = np.zeros((2,) + n_src)
+    planes[:, k.values[box] != 0.0] = w.T  # nonzero_cells() order within the box
     # first probe center minus first box cell center, in cells of k
     offset = (probe.origin - k.origin) / k.h + 0.5 * (step - 1) - lo
     kx, ky = _grad_kernel(*_displacements(n_src, n_out, k.h, offset))
-    s = _fft_convolve(box[..., 0], [kx], n_out)[0] + _fft_convolve(box[..., 1], [ky], n_out)[0]
+    s = _fft_convolve(planes[0], [kx], n_out)[0] + _fft_convolve(planes[1], [ky], n_out)[0]
     return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
 
 

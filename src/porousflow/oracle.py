@@ -38,7 +38,9 @@ MAX_ORACLE_HOLES = 64  # desk-scale guard
 RESIDUAL_TOL = 1e-6  # boundary oscillation above which a solution is flagged
 ORDER = 8  # multipole order per hole
 POINTS = 64  # collocation points per hole
-_CG_TOL = 1e-14  # stop a right-hand side at ||A^T r|| <= _CG_TOL ||A^T b||
+# stop a right-hand side at ||A^T r|| <= _CG_TOL ||A^T b|| or, for data mostly
+# outside range(A), at ||A^T r|| <= _CG_TOL ||A||_F ||r|| (LSQR's test)
+_CG_TOL = 1e-14
 _CG_MAX_ITERATIONS = 200  # far above the 7-20 that cond(A) < 1.5 needs
 _CERT_TOL = 1e-8  # relative recovery error of the rank certificate v0
 
@@ -80,18 +82,23 @@ def _cgls(a: np.ndarray, b: np.ndarray):
     Conjugate gradients on the normal equations (Hestenes & Stiefel 1952),
     with the right-hand sides sharing each product with ``a``. A row stops
     when ||a.T r|| <= _CG_TOL ||a.T b_j||, so a zero row stops at once with
-    x = 0. Returns the solutions (one row each), the number of block
-    iterations and each row's CG step lengths and direction updates
-    (alpha_k, beta_k), which define the Lanczos tridiagonal of a.T a.
+    x = 0, or when ||a.T r|| <= _CG_TOL ||a||_F ||r||: r is then orthogonal
+    to range(a) to roundoff, which the first test cannot see when r is much
+    larger than the fittable part of b_j (Paige & Saunders 1982). Returns
+    the solutions (one row each), the number of block iterations and each
+    row's CG step lengths and direction updates (alpha_k, beta_k), which
+    define the Lanczos tridiagonal of a.T a.
     """
     x = np.zeros((b.shape[0], a.shape[1]))
     r = b.copy()
     p = r @ a
     gamma = np.einsum("ij,ij->i", p, p)
     stop = _CG_TOL**2 * gamma
+    ls_stop = _CG_TOL**2 * np.einsum("ij,ij->", a, a)  # times ||r||^2
+    rr = np.einsum("ij,ij->i", r, r)
     steps = [([], []) for _ in range(b.shape[0])]
     iterations = 0
-    while (live := np.flatnonzero(gamma > stop)).size:
+    while (live := np.flatnonzero((gamma > stop) & (gamma > ls_stop * rr))).size:
         if iterations == _CG_MAX_ITERATIONS:
             raise RuntimeError(
                 f"rank-deficient collocation system: CGLS did not converge in "
@@ -102,6 +109,7 @@ def _cgls(a: np.ndarray, b: np.ndarray):
         alpha = gamma[live] / np.einsum("ij,ij->i", q, q)
         x[live] += alpha[:, None] * p[live]
         r[live] -= alpha[:, None] * q
+        rr[live] = np.einsum("ij,ij->i", r[live], r[live])
         s = r[live] @ a
         gamma_new = np.einsum("ij,ij->i", s, s)
         beta = gamma_new / gamma[live]

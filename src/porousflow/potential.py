@@ -3,7 +3,10 @@
 Evaluates the Newtonian potential psi_0 = (1/2pi) int ln|x-y| f(y) dy and its
 gradient from either a grid field (midpoint quadrature with an exact analytic
 integral on the cell containing the target) or a set of blob-regularized
-vortex particles. Also provides the disk-dipole correction field
+vortex particles. The gradient at every cell of a grid field is one
+zero-padded FFT convolution over the bounding box of f's nonzero cells
+(free-space convolution over the source's support, after Hockney &
+Eastwood 1988). Also provides the disk-dipole correction field
 V^a[A](x) = a^2 A.(x-c)/|x-c|^2, summed over holes, with its exact gradient.
 """
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import ScalarGridField, VectorGridField, perp
+from .fields import ScalarGridField, VectorGridField, irfft2_rows, perp, rfft2_rows
 from .geometry import inside_holes
 
 
@@ -124,22 +127,52 @@ def _grid_grad_psi0(f: ScalarGridField, pts):
 def grad_psi0_on_grid(f: ScalarGridField) -> VectorGridField:
     """grad psi_0 sampled at every cell center of f's own grid (free space,
     exact discrete sum: identical to grad_psi0_eval at the centers up to FFT
-    roundoff)."""
-    kern = _grad_kernel(*_displacements(f.shape, f.shape, f.h))
-    grad = np.stack(_fft_convolve(f.values, kern, f.shape), axis=2)
-    return VectorGridField(f.origin.copy(), f.h, grad * f.h**2 / (2.0 * np.pi))
+    roundoff).
+
+    The sum is one zero-padded FFT convolution of f cropped to the bounding
+    box of its nonzero cells, placed on the grid by the box's offset; the
+    padded box is rounded up to a 2^a 3^b 5^c length per axis, where the
+    transforms are fastest."""
+    box = f.support_slices()
+    if box is None:
+        return VectorGridField(f.origin.copy(), f.h, np.zeros(f.shape + (2,)))
+    src = f.values[box]
+    offset = tuple(-sl.start for sl in box)
+    size = tuple(_fast_length(ns + no) for ns, no in zip(src.shape, f.shape))
+    kern = _grad_kernel(*_displacements(src.shape, f.shape, f.h, offset, size))
+    planes = np.stack(_fft_convolve(src, kern, f.shape))
+    planes *= f.h**2 / (2.0 * np.pi)
+    return VectorGridField(f.origin.copy(), f.h, np.moveaxis(planes, 0, 2))
 
 
-def _displacements(n_src, n_out, h, offset=(0.0, 0.0)):
+def _fast_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            length = p35
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _displacements(n_src, n_out, h, offset=(0.0, 0.0), size=None):
     """Target-minus-source displacements (offset + n) h, per axis, on the
-    (n_src + n_out) box of a linear convolution with n_src source and n_out
-    output samples: n = 0..n_out at the front and n = -(n_src - 1)..-1
-    wrapped to the back. ``offset`` (in cells) places output 0 relative to
-    source 0."""
+    box of a linear convolution with n_src source and n_out output samples:
+    n = 0..size - n_src at the front and n = -(n_src - 1)..-1 wrapped to the
+    back. ``size`` is at least n_src + n_out - 1 (default n_src + n_out) and
+    ``offset`` (in cells) places output 0 relative to source 0."""
+    if size is None:
+        size = tuple(ns + no for ns, no in zip(n_src, n_out))
     axes = []
-    for ns, no, off in zip(n_src, n_out, offset):
-        n = np.arange(ns + no)
-        axes.append((np.where(n <= no, n, n - ns - no) + off) * h)
+    for ns, nb, off in zip(n_src, size, offset):
+        n = np.arange(nb)
+        axes.append((np.where(n <= nb - ns, n, n - nb) + off) * h)
     return axes[0][:, None], axes[1][None, :]
 
 
@@ -153,14 +186,18 @@ def _grad_kernel(dx, dy):
 def _fft_convolve(values, kernels, out_shape):
     """Linear convolutions of values with each kernel on the kernels' shared
     zero-padded box (see ``_displacements``), cropped to ``out_shape``; the
-    padded source is transformed once."""
+    padded source is transformed once, over its own rows, and each product
+    is inverted over the output rows only."""
     (nx, ny), (bx, by) = values.shape, kernels[0].shape
-    src_hat = np.fft.rfft2(np.pad(values, ((0, bx - nx), (0, by - ny))))
+    src_hat = rfft2_rows(np.pad(values, ((0, bx - nx), (0, by - ny))), slice(0, nx))
     ox, oy = out_shape
-    # np.multiply, not *: numpy may run `src_hat * temporary` in place as temporary * src_hat,
-    # and swapped complex products can round differently
-    return [np.fft.irfft2(np.multiply(src_hat, np.fft.rfft2(k)), s=k.shape)[:ox, :oy].copy()
-            for k in kernels]
+    out = []
+    for k in kernels:
+        prod = np.fft.rfft2(k)
+        # src_hat first: swapped complex products can round differently
+        np.multiply(src_hat, prod, out=prod)
+        out.append(irfft2_rows(prod, by, slice(0, ox))[:, :oy].copy())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,25 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 import porousflow.cli  # noqa: F401  (loads every layer module, as the tracer does)
+from porousflow.fields import VectorGridField
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
-def _tracer_targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _tracer_targets():
+    return _tracer().TARGETS
 
 
 def test_every_tracer_target_resolves():
@@ -69,3 +77,17 @@ def test_tracer_counters_read_real_parameters():
             owner = getattr(owner, attr)
         params = inspect.signature(owner).parameters
         assert keys <= params.keys(), (name, keys - params.keys())
+
+
+def test_spectral_counter_sees_the_grid_of_a_plane_backed_field():
+    # the counter reads values.shape[0] and [1]: a field stored as (2, nx, ny)
+    # planes must report nx * ny cells and the grid key of (nx, ny, 2) data
+    count = _tracer()._spectral
+    nx, ny, h, origin = 12, 7, 0.25, np.array([-1.5, 0.5])
+    planes = np.zeros((2, nx, ny))
+    field = VectorGridField(origin, h, np.moveaxis(planes, 0, 2))
+    assert np.shares_memory(field.values, planes)
+    interleaved = SimpleNamespace(origin=origin, h=h, values=np.zeros((nx, ny, 2)))
+    got, ref = count({"g": field}, None), count({"g": interleaved}, None)
+    assert got == ref
+    assert got["cells"] == nx * ny

@@ -13,10 +13,12 @@ from porousflow.fields import (
     ScalarGridField,
     VectorGridField,
     fmt,
+    irfft2_rows,
     make_grid,
     perp,
     radial_bump,
     rasterize,
+    rfft2_rows,
 )
 from porousflow.geometry import Box, build_lattice, lattice_fraction
 
@@ -34,6 +36,7 @@ def test_integral_and_support():
     assert g.integral() == pytest.approx(3.0 * 0.0625)
     assert g.support_box() == (0.25, 0.5, 0.5, 0.75)
     assert make_grid((0, 0, 1, 1), 0.25).support_box() is None
+    assert make_grid((0, 0, 1, 1), 0.25).support_slices() is None
 
 
 def test_support_box_matches_nonzero_cells():
@@ -53,6 +56,7 @@ def test_support_box_matches_nonzero_cells():
             g.origin[0] + (ix.max() + 1) * g.h, g.origin[1] + (iy.max() + 1) * g.h,
         ))
         assert g.support_box() == expected
+        assert g.support_slices() == (slice(ix.min(), ix.max() + 1), slice(iy.min(), iy.max() + 1))
 
 
 def test_bilinear_reproduces_linear_fields():
@@ -116,3 +120,52 @@ def test_invalid_fields_rejected():
         ScalarGridField(np.zeros(2), 0.1, np.array([np.inf])[None, :])
     with pytest.raises(ValueError):
         VectorGridField(np.zeros(2), 0.1, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(16, 12), (15, 13), (2, 16, 13), (2, 15, 12)])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "all"])
+def test_pruned_transforms_equal_numpy_bit_for_bit(shape, where):
+    # even and odd axes, batched planes, row ranges at both edges: the
+    # pruned forward transform is rfft2 and the row-cropped inverse is rows
+    # of irfft2, equal to the last bit on numpy's axis order
+    nx, ny = shape[-2:]
+    rows = {"first": slice(0, 4), "middle": slice(5, 9), "last": slice(nx - 3, nx),
+            "all": slice(0, nx)}[where]
+    rng = np.random.default_rng(nx * ny)
+    values = np.zeros(shape)
+    values[..., rows, :] = rng.standard_normal(values[..., rows, :].shape)
+    spec = rfft2_rows(values, rows)
+    assert np.array_equal(spec, np.fft.rfft2(values))
+    full = np.fft.irfft2(spec, s=(nx, ny))
+    assert np.array_equal(irfft2_rows(spec.copy(), ny, rows), full[..., rows, :])
+    assert np.array_equal(irfft2_rows(spec, ny), full)
+
+
+def test_vector_field_is_plane_backed_in_any_layout():
+    rng = np.random.default_rng(2)
+    interleaved = rng.standard_normal((6, 5, 2))  # C-order (nx, ny, 2)
+    planes = np.ascontiguousarray(np.moveaxis(interleaved, 2, 0))
+    a = VectorGridField(np.zeros(2), 0.1, interleaved)
+    b = VectorGridField(np.zeros(2), 0.1, np.moveaxis(planes, 0, 2))
+    for field in (a, b):
+        assert field.values.shape == (6, 5, 2)
+        assert np.array_equal(field.values, interleaved)
+        assert field.planes.flags.c_contiguous
+        assert np.shares_memory(field.values, field.planes)
+    assert np.shares_memory(b.planes, planes)  # already planes: not copied
+    assert np.array_equal(a.sample_bilinear([[0.23, 0.31]]), b.sample_bilinear([[0.23, 0.31]]))
+
+
+def test_vector_csv_is_the_same_from_both_layouts(tmp_path):
+    rng = np.random.default_rng(3)
+    interleaved = rng.standard_normal((7, 4, 2))
+    origin = np.array([-0.3, 0.2])
+    planes = np.moveaxis(np.ascontiguousarray(np.moveaxis(interleaved, 2, 0)), 0, 2)
+    VectorGridField(origin, 0.125, interleaved).to_csv(tmp_path / "a.csv")
+    VectorGridField(origin, 0.125, planes).to_csv(tmp_path / "b.csv")
+    # the per-cell rows of the C-order (nx, ny, 2) array, written directly
+    lines = ["origin_x,origin_y,h,nx,ny,components", "-0.3,0.2,0.125,7,4,2"]
+    lines += [f"{fmt(gx)},{fmt(gy)}" for gx, gy in interleaved.reshape(-1, 2)]
+    reference = ("\n".join(lines) + "\n").encode()
+    assert (tmp_path / "a.csv").read_bytes() == reference
+    assert (tmp_path / "b.csv").read_bytes() == reference

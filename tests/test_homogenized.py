@@ -162,6 +162,45 @@ def test_apply_l_spectral_matches_complex_fft_reference(shape):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _apply_l_rfft2(g, k):
+    """The operator with the whole-grid rfft2/irfft2 of contiguous (2, nx, ny)
+    components stacked from g: the form before plane storage and row pruning,
+    which took the same operations in the same order."""
+    w = np.stack([g.values[..., 0], g.values[..., 1]]) * (hom.M_DISK * k.values)
+    kx, ky, mx, my = fields.gradient_multipliers(k.shape, g.h)
+    w_hat = np.fft.rfft2(w)
+    div_hat = mx * w_hat[0] + my * w_hat[1]
+    out = np.moveaxis(np.fft.irfft2(np.stack([kx * div_hat, ky * div_hat]), s=k.shape), 0, 2)
+    return out + w.sum(axis=(1, 2)) / (2.0 * k.values.size)
+
+
+@pytest.mark.parametrize("shape", [(48, 48), (45, 45), (48, 39)])
+def test_apply_l_spectral_equals_whole_grid_transforms(shape):
+    nx, ny = shape
+    h = 0.05
+    rng = np.random.default_rng(nx + ny)
+    k = make_grid((0.0, 0.0, nx * h, ny * h), h)
+    k.values[nx // 3: nx // 3 + nx // 4, ny // 3: ny // 3 + ny // 4] = 0.05 * rng.random(
+        (nx // 4, ny // 4)
+    )
+    g = VectorGridField(k.origin, h, rng.standard_normal((nx, ny, 2)))
+    assert np.array_equal(hom.apply_l_spectral(g, k).values, _apply_l_rfft2(g, k))
+    zero = make_grid((0.0, 0.0, nx * h, ny * h), h)
+    assert not hom.apply_l_spectral(g, zero).values.any()
+
+
+def test_solve_does_not_depend_on_the_layout_of_g0():
+    k = world_k(0.04)
+    g0 = pot.grad_psi0_on_grid(world_f())
+    assert g0.planes.flags.c_contiguous
+    interleaved = VectorGridField(g0.origin, g0.h, np.ascontiguousarray(g0.values))
+    a = hom.solve_psic_from_grad(g0, k)
+    b = hom.solve_psic_from_grad(interleaved, k)
+    assert a.increments == b.increments
+    assert np.array_equal(a.grad.values, b.grad.values)
+    assert np.array_equal(a.first_order.values, b.first_order.values)
+
+
 def test_gradient_multipliers_cache_is_bounded():
     maxsize = fields.gradient_multipliers.cache_info().maxsize
     assert maxsize is not None

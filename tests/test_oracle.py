@@ -264,6 +264,24 @@ def test_rank_deficient_system_rejected():
         orc.solve_collocation(point_vortex(0.5, 1.8, 2.0), cfg)
 
 
+def test_cgls_converges_on_data_mostly_outside_the_range():
+    # per-hole constants are orthogonal to every per-hole-centered column, so
+    # a rhs 1e4 times larger there than its fittable part leaves ||A^T r||
+    # at a roundoff floor above 1e-14 ||A^T b||; the full-rank 64-hole
+    # system must still converge, to the coefficients of the fittable part
+    cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    pts = cfg.boundary_points(orc.POINTS)
+    a_mat = _center_per_hole(orc._basis_matrix(cfg, orc.ORDER, pts), cfg.n_holes)
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(a_mat.shape[1])
+    fit = a_mat @ coeffs
+    outside = np.repeat(rng.standard_normal(cfg.n_holes), orc.POINTS)
+    rhs = fit + 1e4 * np.linalg.norm(fit) / np.linalg.norm(outside) * outside
+    x, iterations, _ = orc._cgls(a_mat, rhs[None, :])
+    assert iterations < orc._CG_MAX_ITERATIONS
+    assert np.linalg.norm(x[0] - coeffs) <= 1e-8 * np.linalg.norm(coeffs)
+
+
 def test_iteration_cap_rejected(monkeypatch):
     monkeypatch.setattr(orc, "_CG_MAX_ITERATIONS", 2)
     cfg = build_lattice(2, 0.2, Box(0.0, 0.0, 1.0, 1.0))

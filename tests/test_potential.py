@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import point_vortex
 from porousflow import potential as pot
-from porousflow.fields import disk_indicator, make_grid, rasterize
+from porousflow.fields import ScalarGridField, disk_indicator, make_grid, radial_bump, rasterize
 
 
 def brute_cell_log(dx0, dx1, dy0, dy1, n=1500):
@@ -103,6 +105,65 @@ def test_grid_evaluation_matches_direct_sums():
     pts = f.centers_flat()
     gg = pot.grad_psi0_on_grid(f)
     assert np.abs(gg.values.reshape(-1, 2) - pot.grad_psi0_eval(f, pts)).max() < 1e-13
+
+
+def _full_box_gradient(f):
+    """grad psi_0 by the zero-padded convolution of the whole grid over the
+    (2 nx, 2 ny) box: the reference for the support-box convolution."""
+    kern = pot._grad_kernel(*pot._displacements(f.shape, f.shape, f.h))
+    return np.stack(pot._fft_convolve(f.values, kern, f.shape), axis=2) * f.h**2 / (2.0 * np.pi)
+
+
+def _support_case(kind):
+    f = ScalarGridField(np.array([-0.4, 0.3]), 1 / 16, np.zeros((40, 29)))
+    if kind == "off_center":
+        f.values[25:36, 3:12] = np.random.default_rng(1).standard_normal((11, 9))
+    elif kind == "single_cell":
+        f.values[7, 20] = 2.5
+    elif kind == "edges":
+        f.values[0, 5:9] = 1.0
+        f.values[30:, -1] = -0.5
+    return f
+
+
+@pytest.mark.parametrize("kind", ["off_center", "single_cell", "edges", "zero"])
+def test_grid_gradient_over_the_support_box_matches_full_box(kind):
+    f = _support_case(kind)
+    got = pot.grad_psi0_on_grid(f).values
+    ref = _full_box_gradient(f)
+    assert got.shape == ref.shape == f.shape + (2,)
+    if kind == "zero":
+        assert not got.any() and not ref.any()
+        return
+    scale = np.abs(ref).max()
+    assert np.abs(got - ref).max() <= 1e-14 * scale
+    direct = pot.grad_psi0_eval(f, f.centers_flat()).reshape(got.shape)
+    assert np.abs(got - direct).max() <= 1e-13 * scale
+
+
+def test_grid_gradient_memory_is_bounded():
+    # the homog sweep's f (radius 0.3) on its 1024^2 grid: the (2048, 2048)
+    # box of the whole grid peaked at about 200 MiB, the support box at 74
+    f = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 256, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
+    tracemalloc.start()
+    try:
+        pot.grad_psi0_on_grid(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
+
+
+def test_fast_lengths_are_the_smallest_5_smooth():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for n in range(1, 400):
+        assert pot._fast_length(n) == next(m for m in range(n, 2 * n + 1) if smooth(m))
+    assert pot._fast_length(1178) == 1200
 
 
 def test_dipole_boundary_value():
