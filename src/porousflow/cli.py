@@ -161,10 +161,10 @@ class SolverSettings(NamedTuple):
 
 
 def solver_settings(cfg: RunConfig) -> SolverSettings:
-    depth = cfg.get("solver", "reflection_depth", int, 3)
+    depth = cfg.get("solver", "reflection_depth", int, reflections.DEPTH)
     if depth < 1:
         raise ConfigError(f"[solver] reflection_depth must be >= 1, got {depth}")
-    return SolverSettings(depth, cfg.positive("solver", "tol", 1e-10))
+    return SolverSettings(depth, cfg.positive("solver", "tol", homogenized.TOL))
 
 
 # what [sweep] values lists in each experiment that reads it, and how many it
@@ -360,8 +360,11 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         g0 = potential.grad_psi0_on_grid(f)
         jobs = [(v, g0, world_box, h, settings.tol) for v in values]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_knorm_sweep_point, jobs))
+        if threads == 1:  # a pool worker raised the 1024^2 sweep's peak RSS by 30 MB
+            rows = list(map(_knorm_sweep_point, jobs))
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                rows = list(pool.map(_knorm_sweep_point, jobs))
         write_table(outdir / "homog_sweep.csv", ["knorm", "err_psi0", "err_tilde", "iterations"],
                     ([fmt(v), fmt(e0), fmt(et), it] for v, e0, et, it in rows))
         ks = [r[0] for r in rows]

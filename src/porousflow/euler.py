@@ -7,6 +7,11 @@ homogenized setting uses the first-order corrected field u_0 + perp-grad phi
 with phi the volume-fraction correction, recomputed each step by direct
 quadrature over the k grid (a full fixed-point solve sits behind a flag).
 Side-by-side runs from identical particles produce the stability time series.
+
+A closure (either setting) carries its rules: its ``margin`` (0 for no
+support control), ``correction_grad(pts, particles)`` added to grad psi_0,
+the ``cfl_gap()`` and ``support_box()`` that bound a step and the support,
+and the hole-halt rule ``in_hole(particles)``.
 """
 
 from __future__ import annotations
@@ -86,8 +91,25 @@ def discretize_vorticity(
 @dataclass
 class PerforatedSetting:
     config: PorousConfig
-    n_levels: int = 3
+    n_levels: int = reflections.DEPTH
     margin: float = 0.0  # support-control distance delta
+
+    def correction_grad(self, pts, particles: VortexParticles) -> np.ndarray:
+        """grad of the reflections' dipole corrections at pts."""
+        if self.config.n_holes == 0:
+            return np.zeros((pts.shape[0], 2))
+        stream = reflections.run_reflections(particles, self.config, self.n_levels)
+        return stream.correction_grad(pts)
+
+    def cfl_gap(self) -> float:
+        cfg = self.config
+        return max(cfg.d - 2.0 * cfg.a, 0.0) if cfg.n_holes else np.inf
+
+    def support_box(self) -> Box | None:
+        return self.config.kpm_box if self.config.n_holes else None
+
+    def in_hole(self, particles: VortexParticles) -> bool:
+        return reflections.overlaps_hole(particles, self.config)
 
 
 @dataclass
@@ -95,11 +117,29 @@ class HomogenizedSetting:
     k: ScalarGridField
     margin: float = 0.0
     full_solve: bool = False
-    tol: float = 1e-10
+    tol: float = homogenized.TOL
 
-    def kpm_box(self) -> Box | None:
+    def correction_grad(self, pts, particles: VortexParticles) -> np.ndarray:
+        """grad of the volume-fraction correction phi at pts.
+
+        First order: phi = -div Delta^{-1}(k M grad psi_0); the full solve
+        iterates grad psi on the k cells with the direct backend before the
+        final evaluation.
+        """
+        grad_cells = potential.grad_psi0_eval(particles, self.k.nonzero_cells()[0])
+        if self.full_solve:
+            grad_cells = homogenized.solve_on_cells(grad_cells, self.k, self.tol)
+        return homogenized.correction(self.k, grad_cells, pts, grad=True)
+
+    def cfl_gap(self) -> float:
+        return np.inf
+
+    def support_box(self) -> Box | None:
         box = self.k.support_box()
         return Box(*box) if box is not None else None
+
+    def in_hole(self, particles: VortexParticles) -> bool:
+        return False
 
 
 def velocity_field(state: FlowState, setting, x) -> np.ndarray:
@@ -113,48 +153,7 @@ def _velocity_batch(pts: np.ndarray, particles: VortexParticles, setting) -> np.
     if particles.count == 0:
         return np.zeros((pts.shape[0], 2))
     u = potential.velocity0_eval(particles, pts)
-    if isinstance(setting, PerforatedSetting):
-        cfg = setting.config
-        if cfg.n_holes == 0:
-            return u
-        stream = reflections.run_reflections(particles, cfg, setting.n_levels)
-        return u + perp(stream.correction_grad(pts))
-    if isinstance(setting, HomogenizedSetting):
-        return u + perp(_homog_correction_grad(pts, particles, setting))
-    raise TypeError(f"unknown velocity setting {setting!r}")
-
-
-def _homog_correction_grad(pts, particles, setting: HomogenizedSetting) -> np.ndarray:
-    """grad of the volume-fraction correction phi at the evaluation points.
-
-    First order: phi = -div Delta^{-1}(k M grad psi_0); the full solve
-    iterates grad psi on the k cells with the direct backend before the final
-    evaluation.
-    """
-    k = setting.k
-    grad_cells = potential.grad_psi0_eval(particles, k.nonzero_cells()[0])
-    if setting.full_solve:
-        grad_cells = homogenized.solve_on_cells(grad_cells, k, setting.tol)
-    return homogenized.correction(k, grad_cells, pts, grad=True)
-
-
-def _min_gap(setting) -> float:
-    if isinstance(setting, PerforatedSetting):
-        cfg = setting.config
-        if cfg.n_holes:
-            return max(cfg.d - 2.0 * cfg.a, 0.0)
-    return np.inf
-
-
-def _support_distance(particles: VortexParticles, setting) -> float:
-    box = None
-    if isinstance(setting, PerforatedSetting) and setting.config.n_holes:
-        box = setting.config.kpm_box
-    elif isinstance(setting, HomogenizedSetting):
-        box = setting.kpm_box()
-    if box is None or particles.count == 0:
-        return np.inf
-    return float(box.distance(particles.positions).min())
+    return u + perp(setting.correction_grad(pts, particles))
 
 
 def step(state: FlowState, dt: float, setting) -> FlowState:
@@ -169,7 +168,7 @@ def step(state: FlowState, dt: float, setting) -> FlowState:
     p0 = parts.positions
     k1 = velocity(p0)
     speed = float(np.hypot(k1[:, 0], k1[:, 1]).max()) if parts.count else 0.0
-    limit = 0.5 * min(_min_gap(setting), setting.margin or np.inf)
+    limit = 0.5 * min(setting.cfl_gap(), setting.margin or np.inf)
     if np.isfinite(limit) and speed * dt > limit:
         raise ValueError(
             f"CFL guard violated: dt*max|u| = {speed * dt:.3g} exceeds {limit:.3g}"
@@ -186,13 +185,13 @@ def _at(parts: VortexParticles, positions) -> VortexParticles:
 
 
 def run_status(state: FlowState, setting) -> str:
-    """'running', or 'halted' when the support control fails (the analogue of
-    the exit time T_N) or a particle has entered a hole."""
-    if isinstance(setting, PerforatedSetting) and reflections.overlaps_hole(
-        state.particles, setting.config
-    ):
+    """'running', or 'halted' when a particle has entered a hole or the
+    support control fails (the analogue of the exit time T_N)."""
+    parts = state.particles
+    if setting.in_hole(parts):
         return "halted"
-    if setting.margin and _support_distance(state.particles, setting) < 0.5 * setting.margin:
+    box = setting.support_box() if setting.margin and parts.count else None
+    if box is not None and float(box.distance(parts.positions).min()) < 0.5 * setting.margin:
         return "halted"
     return "running"
 
@@ -280,7 +279,7 @@ def _record(state_n, state_c, perf, homog, probe, status_n, status_c):
             *(state_n.particles.positions - state_c.particles.positions).T
         ).max()
     ) if state_n.particles.count else 0.0
-    if status_n == "halted" and reflections.overlaps_hole(state_n.particles, perf.config):
+    if status_n == "halted" and perf.in_hole(state_n.particles):
         vel_diff = np.nan  # the reflections reject particles in a hole
     else:
         un = _velocity_batch(probe, state_n.particles, perf)

@@ -42,6 +42,7 @@ from .potential import (
 )
 
 MAX_ITER = 50  # fixed-point iterations before a solve returns unconverged
+TOL = 1e-10  # default stopping increment of the fixed point
 # work of one cell of the correction's FFT box in direct pairs (2-core VM: 110 to
 # 700 ns per cell, with the FFT length's factors, against 8 to 12 ns per pair)
 FFT_CELL_PAIRS = 64
@@ -221,7 +222,7 @@ def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float):
     return g, first, increments
 
 
-def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = 1e-10) -> HomogSolution:
+def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> HomogSolution:
     """Fixed-point iteration on the grid (spectral backend) from a
     precomputed free-space gradient."""
 
@@ -235,12 +236,12 @@ def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = 1e-10) -> H
     return HomogSolution(grad, first_order, increments)
 
 
-def solve_psic(f: ScalarGridField, k, tol: float = 1e-10) -> HomogSolution:
+def solve_psic(f: ScalarGridField, k, tol: float = TOL) -> HomogSolution:
     """Solve for grad psi_c with f given on the same (padded) grid as k."""
     return solve_psic_from_grad(grad_psi0_on_grid(f), k, tol)
 
 
-def solve_on_cells(grad0: np.ndarray, k, tol: float = 1e-10) -> np.ndarray:
+def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
     """grad psi_c on the nonzero cells of k (direct backend), from
     grad0 = grad psi_0 at the centers of ``nonzero_cells()``, in that order."""
     centers, kvals = k.nonzero_cells()

@@ -62,20 +62,23 @@ def cell_log_integral(dx0, dx1, dy0, dy1):
 def psi0_eval(source, x) -> np.ndarray | float:
     """psi_0 at points x; scalar input returns a scalar."""
     pts, single = _as_points(x)
-    if _is_particles(source):
-        out = _particle_psi0(source, pts)
-    else:
-        out = _grid_psi0(source, pts)
+    out, cells = _source_sum(source, pts, 0)
+    if cells is not None:
+        # replace the containing cell's contribution by the exact integral
+        centers, vals, own = cells
+        live = np.flatnonzero(own >= 0)
+        lo = centers[own[live]] - source.h / 2 - pts[live]
+        hi = centers[own[live]] + source.h / 2 - pts[live]
+        out[live] += vals[own[live]] * cell_log_integral(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
+    out = out / (2.0 * np.pi)
     return float(out[0]) if single else out
 
 
 def grad_psi0_eval(source, x) -> np.ndarray:
     """grad psi_0 at points x; scalar input returns shape (2,)."""
     pts, single = _as_points(x)
-    if _is_particles(source):
-        out = _particle_grad_psi0(source, pts)
-    else:
-        out = _grid_grad_psi0(source, pts)
+    # a grid's containing cell adds its exact symmetric value, 0
+    out = _source_sum(source, pts, 1)[0] / (2.0 * np.pi)
     return out[0] if single else out
 
 
@@ -91,33 +94,18 @@ def _as_points(x):
     return arr, False
 
 
-def _particle_psi0(particles, pts):
-    s = kernels.pair_sum(pts, particles.positions, particles.weights, 0, particles.blob)
-    return s / (2.0 * np.pi)
-
-
-def _particle_grad_psi0(particles, pts):
-    s = kernels.pair_sum(pts, particles.positions, particles.weights, 1, particles.blob)
-    return np.stack([s.real, -s.imag], axis=1) / (2.0 * np.pi)
-
-
-def _grid_psi0(f: ScalarGridField, pts):
-    centers, vals = f.nonzero_cells()
-    own = f.nonzero_cell_index(pts)
-    out = kernels.pair_sum(pts, centers, vals, 0, own=own) * f.h**2
-    # replace the containing cell's contribution by the exact integral
-    live = np.flatnonzero(own >= 0)
-    lo = centers[own[live]] - f.h / 2 - pts[live]
-    hi = centers[own[live]] + f.h / 2 - pts[live]
-    out[live] += vals[own[live]] * cell_log_integral(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
-    return out / (2.0 * np.pi)
-
-
-def _grid_grad_psi0(f: ScalarGridField, pts):
-    centers, vals = f.nonzero_cells()
-    # self cell: exact symmetric value 0 for a constant cell
-    s = kernels.pair_sum(pts, centers, vals, 1, own=f.nonzero_cell_index(pts))
-    return np.stack([s.real, -s.imag], axis=1) * f.h**2 / (2.0 * np.pi)
+def _source_sum(source, pts, m: int):
+    """2 pi psi_0 (m = 0) or 2 pi grad psi_0 (m = 1) at pts, summed over the
+    particles with their blob, or over the nonzero cells times h^2 less each
+    target's own cell; returns also a grid's (centers, values, own), else None."""
+    if _is_particles(source):
+        s = kernels.pair_sum(pts, source.positions, source.weights, m, source.blob)
+        return (s if m == 0 else np.stack([s.real, -s.imag], axis=1)), None
+    centers, vals = source.nonzero_cells()
+    own = source.nonzero_cell_index(pts)
+    s = kernels.pair_sum(pts, centers, vals, m, own=own)
+    s = s if m == 0 else np.stack([s.real, -s.imag], axis=1)
+    return s * source.h**2, (centers, vals, own)
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +228,12 @@ class BoundsReport:
     lipschitz_ratio: float
 
 
-def psi0_bounds_check(f, n_pairs: int = 1000) -> BoundsReport:
-    """Sampled sup|grad psi_0|, its interpolation bound, and the log-Lipschitz
-    modulus ratio against h(r) = r max(-ln r, 1), from a fixed sample seed.
-    Diagnostic only: the sharp constants are not asserted.
+def psi0_bounds_check(f: ScalarGridField, n_pairs: int = 1000) -> BoundsReport:
+    """Sampled sup|grad psi_0| of a grid field, its interpolation bound, and
+    the log-Lipschitz modulus ratio against h(r) = r max(-ln r, 1), from a
+    fixed sample seed. Diagnostic only: the sharp constants are not asserted.
     """
-    if _is_particles(f):
-        l1 = float(np.abs(f.weights).sum())
-        linf = l1 / max(np.pi * float(f.blob) ** 2, 1e-300)
-        box = _points_box(f.positions)
-    else:
-        l1 = f.l1_norm()
-        linf = f.inf_norm()
-        box = f.support_box()
+    l1, linf, box = f.l1_norm(), f.inf_norm(), f.support_box()
     if box is None or l1 == 0.0:
         return BoundsReport(0.0, 0.0, 0.0)
     cx, cy = (box[0] + box[2]) / 2, (box[1] + box[3]) / 2
@@ -277,14 +258,3 @@ def psi0_bounds_check(f, n_pairs: int = 1000) -> BoundsReport:
     modulus = r[keep] * np.maximum(-np.log(r[keep]), 1.0)
     ratio = float((num / ((l1 + linf) * modulus)).max()) if keep.any() else 0.0
     return BoundsReport(sup_grad, bound, ratio)
-
-
-def _points_box(pos):
-    if pos.shape[0] == 0:
-        return None
-    return (
-        float(pos[:, 0].min()),
-        float(pos[:, 1].min()),
-        float(pos[:, 0].max()),
-        float(pos[:, 1].max()),
-    )

@@ -17,6 +17,11 @@ from . import potential
 from .fields import fmt, perp, write_table
 from .geometry import PorousConfig, disk_cell_fractions
 
+# The standard working depth: the iteration corrects only the linear part of
+# each boundary trace, so the error plateaus at the quadratic-trace level and
+# deeper reflections stop paying off.
+DEPTH = 3
+
 
 @dataclass
 class DipoleSet:
@@ -128,13 +133,8 @@ def iterate_dipoles(prev: DipoleSet, config: PorousConfig) -> DipoleSet:
     return DipoleSet(prev.level + 1, out)
 
 
-def run_reflections(source, config: PorousConfig, n_levels: int = 3) -> HybridStream:
-    """Build levels 1..n_levels.
-
-    Three levels is the standard working depth: the iteration corrects only
-    the linear part of each boundary trace, so the error plateaus at the
-    quadratic-trace level and deeper reflections stop paying off.
-    """
+def run_reflections(source, config: PorousConfig, n_levels: int = DEPTH) -> HybridStream:
+    """Build levels 1..n_levels."""
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     levels = [init_dipoles(source, config)]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,21 @@ def test_threads_flag_preserves_results(tmp_path):
     code2, out2 = run_cli(tmp_path, HOMOG_SWEEP, name="t2", extra=("--threads", "3"))
     assert code1 == code2 == 0
     assert (out1 / "homog_sweep.csv").read_bytes() == (out2 / "homog_sweep.csv").read_bytes()
+
+
+def test_one_thread_sweeps_in_the_calling_thread(tmp_path, monkeypatch):
+    # no worker thread at --threads 1: its own malloc arena would raise the peak RSS
+    seen = []
+    sweep_point = cli._knorm_sweep_point
+
+    def recording(job):
+        seen.append(threading.get_ident())
+        return sweep_point(job)
+
+    monkeypatch.setattr(cli, "_knorm_sweep_point", recording)
+    code, _ = run_cli(tmp_path, HOMOG_SWEEP, extra=("--threads", "1"))
+    assert code == 0
+    assert seen == [threading.get_ident()] * 3
 
 
 def _config_error(out, fragment):

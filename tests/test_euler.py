@@ -170,6 +170,41 @@ def test_single_blob_symmetric_config_stationary():
     assert np.allclose(stepped.particles.positions, parts.positions, atol=1e-12)
 
 
+class FreeSpaceClosure:
+    """A closure double: a margin and the four members that step, run_status
+    and run_comparison ask of a closure, with no correction and no holes."""
+
+    margin = 1.0
+
+    def correction_grad(self, pts, particles):
+        return np.zeros((len(pts), 2))
+
+    def cfl_gap(self):
+        return np.inf
+
+    def support_box(self):
+        return FAR_BOX
+
+    def in_hole(self, particles):
+        return False
+
+
+def test_any_closure_with_the_four_members_runs():
+    parts = corotating_pair()
+    state = eu.FlowState(0.0, parts)
+    free = eu.step(state, 0.05, empty_setting())
+    stepped = eu.step(state, 0.05, FreeSpaceClosure())
+    assert np.array_equal(stepped.particles.positions, free.particles.positions)
+    assert eu.run_status(stepped, FreeSpaceClosure()) == "running"
+    for perforated, homogenized in ((empty_setting(), FreeSpaceClosure()),
+                                    (FreeSpaceClosure(), empty_setting())):
+        records = eu.run_comparison(parts, perforated, homogenized, t_final=0.2, dt=0.05,
+                                    probe_points=np.array([[2.0, 2.0]]))
+        assert len(records) == 5
+        assert all(r.status_perforated == r.status_homogenized == "running" for r in records)
+        assert all(r.traj_div_max == r.vel_diff_sup == r.omega_diff == 0.0 for r in records)
+
+
 def test_cfl_guard():
     parts = corotating_pair(rho=0.1, gamma=10.0, blob=0.01)
     with pytest.raises(ValueError, match="CFL"):

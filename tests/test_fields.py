@@ -96,8 +96,8 @@ def test_velocities_are_perp_of_gradients():
         (lambda x: eu.velocity_field(state, eu.PerforatedSetting(cfg, 3), x),
          stream.gradient_eval),
         (lambda x: eu.velocity_field(state, homog, x),
-         lambda x: pot.grad_psi0_eval(src, x) + eu._homog_correction_grad(
-             np.reshape(x, (-1, 2)), src, homog).reshape(np.shape(x))),
+         lambda x: pot.grad_psi0_eval(src, x) + homog.correction_grad(
+             np.reshape(x, (-1, 2)), src).reshape(np.shape(x))),
     )
     batch = np.array([[0.3, 1.4], [-0.6, 0.2], [1.7, -0.4]])
     for velocity, gradient in pairs:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import point_vortex
+from porousflow import kernels
 from porousflow import potential as pot
+from porousflow.euler import VortexParticles
 from porousflow.fields import ScalarGridField, disk_indicator, make_grid, radial_bump, rasterize
 
 
@@ -98,6 +100,41 @@ def test_blob_velocity_bounded_at_center():
     assert np.allclose(u, 0.0)
     near = pot.velocity0_eval(p, np.array([1e-4, 0.0]))
     assert np.isfinite(near).all()
+
+
+def _per_kind_psi0(source, pts, grad):
+    """psi_0 (grad psi_0) by a separate body per source kind: the reference
+    for the one point-source sum, with the same operation order."""
+    if hasattr(source, "positions"):
+        s = kernels.pair_sum(pts, source.positions, source.weights, int(grad), source.blob)
+        if grad:
+            return np.stack([s.real, -s.imag], axis=1) / (2.0 * np.pi)
+        return s / (2.0 * np.pi)
+    centers, vals = source.nonzero_cells()
+    own = source.nonzero_cell_index(pts)
+    if grad:
+        s = kernels.pair_sum(pts, centers, vals, 1, own=own)
+        return np.stack([s.real, -s.imag], axis=1) * source.h**2 / (2.0 * np.pi)
+    out = kernels.pair_sum(pts, centers, vals, 0, own=own) * source.h**2
+    live = np.flatnonzero(own >= 0)
+    lo = centers[own[live]] - source.h / 2 - pts[live]
+    hi = centers[own[live]] + source.h / 2 - pts[live]
+    out[live] += vals[own[live]] * pot.cell_log_integral(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
+    return out / (2.0 * np.pi)
+
+
+def test_point_source_sum_matches_per_kind_reference():
+    f = rasterize((-0.5, -0.5, 0.5, 0.5), 1 / 16, radial_bump((0.1, 0.0), 0.3, 2.0))
+    # in a nonzero cell (twice), in a zero cell of the grid, off the grid
+    pts = np.array([[0.13, 0.02], [0.0, -0.1], [-0.45, 0.45], [2.0, -1.3]])
+    assert list(f.nonzero_cell_index(pts) >= 0) == [True, True, False, False]
+    rng = np.random.default_rng(3)
+    parts = VortexParticles(rng.uniform(-1, 1, (9, 2)), rng.normal(size=9), blob=0.05)
+    for source, x in ((f, pts), (parts, np.concatenate([pts, parts.positions]))):
+        assert np.array_equal(pot.psi0_eval(source, x), _per_kind_psi0(source, x, False))
+        assert np.array_equal(pot.grad_psi0_eval(source, x), _per_kind_psi0(source, x, True))
+        assert pot.psi0_eval(source, x[0]) == _per_kind_psi0(source, x[:1], False)[0]
+        assert np.array_equal(pot.grad_psi0_eval(source, x[0]), _per_kind_psi0(source, x[:1], True)[0])
 
 
 def test_grid_evaluation_matches_direct_sums():
