@@ -467,7 +467,14 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     k_h = cfg.positive("solver", "grid_h", 1.0 / 32.0)
     probe = cfg.box("analysis", "probe", Box(1.5, 1.5, 2.5, 2.5))
     probe_h = cfg.positive("analysis", "probe_h", 0.25)
-    if potential._is_particles(source):
+    point = potential._is_particles(source)
+    if (source.blob if point else blob) == 0.0:
+        # the comparison records the difference of blob-smoothed vorticities
+        raise ConfigError(
+            "the euler comparison needs a particle blob above zero to smooth the vorticity; "
+            + ("[vorticity] shape = point has blob 0" if point else "[euler] blob = 0")
+        )
+    if point:
         particles = source
     else:
         particles = euler.discretize_vorticity(

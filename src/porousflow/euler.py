@@ -197,11 +197,14 @@ def run_status(state: FlowState, setting) -> str:
 
 
 def smoothed_vorticity(particles: VortexParticles, pts: np.ndarray) -> np.ndarray:
-    """Blob-kernel smoothing of the empirical vorticity measure."""
+    """Blob-kernel smoothing of the empirical vorticity measure; raises
+    ValueError for particles with blob 0, which have no smoothing."""
     if particles.count == 0:
         return np.zeros(np.atleast_2d(pts).shape[0])
     pts = np.atleast_2d(pts)
-    d2 = max(float(particles.blob) ** 2, 1e-300)
+    d2 = float(particles.blob) ** 2
+    if d2 == 0.0:
+        raise ValueError("the smoothed vorticity needs a blob radius above zero")
     out = np.empty(pts.shape[0])
     for sl in kernels.chunks(pts.shape[0], particles.count):
         dx = pts[sl, 0:1] - particles.positions[None, :, 0]

@@ -520,6 +520,28 @@ def test_negative_blob_or_margin_exit_2(tmp_path, text, fragment):
 
 
 @pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(EULER_COMPARE.replace("blob = 0.12", "blob = 0"), "[euler] blob = 0",
+                     id="blob"),
+        pytest.param(EULER_COMPARE.replace("shape = bump", "shape = point"),
+                     "[vorticity] shape = point", id="point"),
+    ],
+)
+def test_zero_blob_lattice_comparison_exit_2(tmp_path, text, fragment):
+    # a zero blob leaves no smoothed vorticity to compare; the pair run keeps it
+    assert text != EULER_COMPARE
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, fragment)
+    assert not (out / "summary.json").exists()
+    text = EULER_PAIR.replace("blob = 0.02", "blob = 0").replace("t_final = 8.0", "t_final = 0.3")
+    code, out = run_cli(tmp_path, text, name="pair")
+    assert code == 0
+    assert (out / "pair_angle.csv").exists()
+
+
+@pytest.mark.parametrize(
     "old, new, fragment",
     [
         ("radius = 0.5", "radius = 0", "[vorticity] radius"),

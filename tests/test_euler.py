@@ -381,3 +381,10 @@ def test_smoothed_vorticity_chunked_matches_dense(monkeypatch):
     dense = (parts.weights[None, :] * d2 / (np.pi * r2 * r2)).sum(axis=1)
     got = eu.smoothed_vorticity(parts, pts)
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+
+def test_smoothed_vorticity_rejects_zero_blob():
+    # no smoothing to compare: point particles would give a denormal, not a field
+    parts = eu.VortexParticles(np.array([[0.0, 0.0]]), np.ones(1), 0.0)
+    with pytest.raises(ValueError, match="blob"):
+        eu.smoothed_vorticity(parts, np.array([[1.0, 0.0]]))

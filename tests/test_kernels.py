@@ -1,8 +1,10 @@
-"""The complex Laplace pair sums against dense real-arithmetic references, and
-the memory that blocked sums hold at once."""
+"""The Laplace pair sums against dense real-arithmetic references, the points'
+sum on themselves (a triangle of blocks) against the rectangular target
+blocks, and the memory that blocked sums hold at once."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -79,6 +81,32 @@ def test_own_drops_one_source_per_target(m):
     assert_matches(targets, sources, q, m, blob, own=own)
 
 
+SIDE = math.isqrt(kernels.PAIR_BUDGET)  # the self-sum's square blocks
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, SIDE + 44, 3 * SIDE + 5])
+@pytest.mark.parametrize("m,blob", [(0, 0.0), (0, 0.05), (1, 0.0), (1, 0.05), (2, 0.0)])
+@pytest.mark.parametrize("complex_q", [False, True])
+def test_self_sum_matches_rectangular_blocks(n, m, blob, complex_q):
+    # targets equal to the sources take the triangle of blocks; an own of all
+    # -1 drops nothing and takes the rectangular target blocks
+    if n > 2:  # no block size divides n
+        assert n % SIDE and n % max(kernels.PAIR_BUDGET // n, 1)
+    rng = np.random.default_rng(100 + n + 10 * m)
+    pts = rng.random((n, 2)) * 2.0 - 1.0
+    if n > SIDE:
+        pts[-1] = pts[0]  # a coincident pair across blocks (dropped without a blob)
+    q = rng.standard_normal(n)
+    if complex_q:
+        q = q + 1j * rng.standard_normal(n)
+    got = kernels.pair_sum(pts, pts.copy(), q, m, blob)
+    rect = kernels.pair_sum(pts, pts, q, m, blob, own=np.full(n, -1))
+    scale = np.maximum(dense_reference(pts, pts, q, m, blob)[2], 1e-300)
+    assert got.dtype == rect.dtype
+    assert np.all(np.abs(got - rect) <= 1e-12 * scale)
+    assert_matches(pts, pts, q, m, blob)
+
+
 def test_chunks_cover_targets_within_budget():
     for n_targets, n_sources in ((0, 5), (7, 0), (1000, 3), (10, kernels.PAIR_BUDGET * 2)):
         slices = list(kernels.chunks(n_targets, n_sources))
@@ -102,6 +130,13 @@ def _pair_sum_case(rng):
     return targets, 512, lambda: kernels.pair_sum(targets, sources, q, 1, 0.05)
 
 
+def _self_sum_case(rng):
+    """The particle velocity at the particles (targets = sources, a blob)."""
+    pts = rng.random((1316, 2))
+    q = rng.standard_normal(1316)
+    return pts, 1316, lambda: kernels.pair_sum(pts, pts, q, 1, 0.05)
+
+
 def _multipole_grad_case(rng):
     cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     order = 8
@@ -113,8 +148,8 @@ def _multipole_grad_case(rng):
     return pts, cfg.n_holes, lambda: oracle.multipole_part_grad(sol, pts)
 
 
-@pytest.mark.parametrize("case", [_pair_sum_case, _multipole_grad_case],
-                         ids=["pair_sum", "multipole_part_grad"])
+@pytest.mark.parametrize("case", [_pair_sum_case, _self_sum_case, _multipole_grad_case],
+                         ids=["pair_sum", "self_sum", "multipole_part_grad"])
 def test_blocked_sums_memory_within_budget(case):
     targets, n_sources, call = case(np.random.default_rng(3))
     assert len(list(kernels.chunks(targets.shape[0], n_sources))) >= 10

@@ -69,3 +69,16 @@ def test_rotation_equivariant(tpts, spts, theta, case):
     turned = kernels.pair_sum(targets @ rot.T, sources @ rot.T, q, m, blob)
     scale = dense_reference(targets, sources, q, m, blob)[2]
     assert np.all(np.abs(turned - np.exp(-1j * m * theta) * base) <= 1e-9 * (1.0 + scale))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 800), st.floats(0.0, 0.5))
+def test_self_sum_conserves_impulse(seed, n, blob):
+    """K_1 is odd, so for real q the particles' velocities at the particles
+    carry no net impulse: sum_i q_i pair_sum(p, p, q, 1, blob)_i = 0 (n up to
+    four self-sum blocks a side)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2)) * 2.0 - 1.0
+    q = rng.standard_normal(n)
+    out = kernels.pair_sum(pts, pts, q, 1, blob)
+    assert abs(q @ out) <= 1e-12 * (np.abs(q) @ np.abs(out))
