@@ -122,6 +122,13 @@ def test_empty_inputs():
     assert kernels.pair_sum(np.zeros((0, 2)), pts, np.ones(3), 0).shape == (0,)
 
 
+@pytest.mark.parametrize("m,blob", [(3, 0.0), (-1, 0.0), (1.5, 0.0), (2, 0.5)])
+def test_unsupported_kernel_raises(m, blob):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        kernels.pair_sum(pts[:1], pts[1:], np.array([1.0 + 1j]), m, blob)
+
+
 def _pair_sum_case(rng):
     """The euler closure's blob sum (m = 1 with a blob, complex q)."""
     sources = rng.random((512, 2))
@@ -137,6 +144,24 @@ def _self_sum_case(rng):
     return pts, 1316, lambda: kernels.pair_sum(pts, pts, q, 1, 0.05)
 
 
+def _dipole_sum_case(rng):
+    """The dipole gradient over 256 hole centers (m = 2, complex q)."""
+    centers = rng.random((256, 2))
+    q = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    targets = rng.random((12 * kernels.PAIR_BUDGET // 256 + 5, 2)) * 3.0
+    return targets, 256, lambda: kernels.pair_sum(targets, centers, q, 2)
+
+
+def _grid_source_case(rng):
+    """A grid's nonzero cells summed at points without each one's own cell
+    (m = 0, real q, ``own``)."""
+    centers = rng.random((1000, 2))
+    q = rng.standard_normal(1000)
+    targets = np.vstack([centers, rng.random((12 * kernels.PAIR_BUDGET // 1000 + 5, 2))])
+    own = np.concatenate([np.arange(1000), np.full(targets.shape[0] - 1000, -1)])
+    return targets, 1000, lambda: kernels.pair_sum(targets, centers, q, 0, own=own)
+
+
 def _multipole_grad_case(rng):
     cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     order = 8
@@ -148,8 +173,10 @@ def _multipole_grad_case(rng):
     return pts, cfg.n_holes, lambda: oracle.multipole_part_grad(sol, pts)
 
 
-@pytest.mark.parametrize("case", [_pair_sum_case, _self_sum_case, _multipole_grad_case],
-                         ids=["pair_sum", "self_sum", "multipole_part_grad"])
+@pytest.mark.parametrize("case", [_pair_sum_case, _self_sum_case, _dipole_sum_case,
+                                  _grid_source_case, _multipole_grad_case],
+                         ids=["pair_sum", "self_sum", "dipole_sum", "grid_source",
+                              "multipole_part_grad"])
 def test_blocked_sums_memory_within_budget(case):
     targets, n_sources, call = case(np.random.default_rng(3))
     assert len(list(kernels.chunks(targets.shape[0], n_sources))) >= 10
@@ -159,8 +186,8 @@ def test_blocked_sums_memory_within_budget(case):
         peak = tracemalloc.get_traced_memory()[1]  # bytes allocated since start
     finally:
         tracemalloc.stop()
-    # a few complex blocks live at once (the next block is built before the
-    # last is freed), plus copies of the points and the output; one dense
-    # target x source array would already take ten blocks
+    # a pair sum's one buffer (three real planes of its largest block) or a
+    # few of the oracle's complex blocks, plus copies of the points and the
+    # output; one dense target x source array would already take ten blocks
     block = kernels.PAIR_BUDGET * np.dtype(complex).itemsize
     assert peak <= 6 * block + 2 * (targets.nbytes + out.nbytes)
