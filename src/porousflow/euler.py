@@ -197,21 +197,13 @@ def run_status(state: FlowState, setting) -> str:
 
 
 def smoothed_vorticity(particles: VortexParticles, pts: np.ndarray) -> np.ndarray:
-    """Blob-kernel smoothing of the empirical vorticity measure; raises
-    ValueError for particles with blob 0, which have no smoothing."""
-    if particles.count == 0:
-        return np.zeros(np.atleast_2d(pts).shape[0])
-    pts = np.atleast_2d(pts)
-    d2 = float(particles.blob) ** 2
-    if d2 == 0.0:
+    """Blob-kernel smoothing of the empirical vorticity measure, the
+    Laplacian of the particles' psi_0 (``kernels.laplacian_sum`` / 2 pi);
+    raises ValueError for particles with blob 0, which have no smoothing."""
+    if particles.count and particles.blob == 0.0:
         raise ValueError("the smoothed vorticity needs a blob radius above zero")
-    out = np.empty(pts.shape[0])
-    for sl in kernels.chunks(pts.shape[0], particles.count):
-        dx = pts[sl, 0:1] - particles.positions[None, :, 0]
-        dy = pts[sl, 1:2] - particles.positions[None, :, 1]
-        r2 = dx * dx + dy * dy + d2
-        out[sl] = (particles.weights[None, :] * d2 / (np.pi * r2 * r2)).sum(axis=1)
-    return out
+    sums = kernels.laplacian_sum(pts, particles.positions, particles.weights, particles.blob)
+    return sums / (2.0 * np.pi)
 
 
 @dataclass

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .fields import (
     ScalarGridField,
     VectorGridField,
@@ -33,13 +34,7 @@ from .fields import (
     perp,
     rfft2_rows,
 )
-from .potential import (
-    _dipole_field,
-    _displacements,
-    _fft_convolve,
-    _grad_kernel,
-    grad_psi0_on_grid,
-)
+from .potential import _displacements, _fft_convolve, _grad_kernel, grad_psi0_on_grid
 
 MAX_ITER = 50  # fixed-point iterations before a solve returns unconverged
 TOL = 1e-10  # default stopping increment of the fixed point
@@ -108,7 +103,7 @@ def k2_kernel_sum(
     applied to a vector density w: the unit-radius dipole gradient with
     A = w. ``own[i] >= 0`` removes source cell ``own[i]`` from target i (the
     excluded self cell of the PV sum)."""
-    return _dipole_field(targets, src_centers, 1.0, src_values, True, own) * h * h / (2.0 * np.pi)
+    return kernels.pair_sum(targets, src_centers, src_values, 2, own=own) * h * h / (2.0 * np.pi)
 
 
 def k1_kernel_sum(
@@ -120,7 +115,7 @@ def k1_kernel_sum(
     """Midpoint quadrature of div Delta^{-1} applied to a vector density w:
     sum of (z . w)/(2 pi |z|^2), the unit-radius dipole value with A = w; the
     self cell (z = 0) contributes zero."""
-    return _dipole_field(targets, src_centers, 1.0, src_values, False) * h * h / (2.0 * np.pi)
+    return kernels.pair_sum(targets, src_centers, src_values, 1) * h * h / (2.0 * np.pi)
 
 
 def _pv_on_cells(centers, w, h, targets, own) -> np.ndarray:

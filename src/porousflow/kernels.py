@@ -1,26 +1,27 @@
-"""Pairwise sums of the 2D Laplace kernel in complex form: every point-source
-field in porousflow is a sum over sources of q_j K_m(z - z_j), z = x + i y, with
+"""Pairwise sums of the 2D Laplace kernel K(z) = 1/2 log(|z|^2 + blob^2), z the
+target minus the source. Every point-source field in porousflow is D^m K
+contracted with real strengths q and summed over the S sources, at T targets:
 
-- m = 0: K_0(z) = 1/2 log(|z|^2 + blob^2), the (blob-regularized) log potential;
-- m = 1: K_1(z) = conj(z) / (|z|^2 + blob^2), which is 1/z without a blob;
-- m = 2: K_2(z) = 1/z^2 (no blob).
+    m  q       result  sum of           field
+    0  (S,)    (T,)    q_j K            the log potential
+    1  (S,)    (T, 2)  q_j grad K       its gradient (Biot-Savart)
+    1  (S, 2)  (T,)    q_j . grad K     the disk-dipole value A.z/|z|^2
+    2  (S, 2)  (T, 2)  H K q_j          the dipole's gradient (no blob)
 
-For real q, (Re, -Im) of the m = 1 sum is the gradient of the m = 0 sum. For
-q = A_x + i A_y, Re of the m = 1 sum is the dipole field sum A.z/|z|^2 and
-(-Re, Im) of the m = 2 sum its gradient.
+with grad K = (u, v) = (dx, dy) / (|z|^2 + blob^2) and, without a blob,
+H K = -[[P0, P1], [P1, -P0]] for (P0, P1) = (u^2 - v^2, 2 u v).
+``laplacian_sum`` sums q_j Delta K = q_j 2 blob^2 / (|z|^2 + blob^2)^2.
 
-Every kernel is built in one block form: real planes in one buffer that every
-block of a call reuses. Two planes hold (dx, dy) and the third |z|^2 + blob^2;
-K_0 is 1/2 log of the third plane, K_1 the planes (u, v) = (dx, dy) / (|z|^2 +
-blob^2) = (Re K_1, -Im K_1), and K_2 = (u - i v)^2 the planes (u^2 - v^2, 2 u v),
-made in place. Each block is summed by real matrix products with q, or with
-the (S, 2) columns (Re q, Im q) of a complex q.
+Every block is three real planes in one buffer that the call reuses: (dx, dy)
+and |z|^2 + blob^2, from which K (1/2 log of the third), grad K, H K and
+Delta K (2 blob^2 / the third squared) are made in place, then summed by real
+matrix products with q.
 
 Targets go in blocks of at most ``PAIR_BUDGET`` pairs, so memory stays bounded.
 1 << 16 pairs stay in cache: a 1316 x 1316 m = 1 blob sum took 55.6, 12.1, 11.3
 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and 1 << 14 (2-core VM).
 
-When the targets are the sources (and no ``own``), K_m(-z) = (-1)^m K_m(z)
+When the targets are the sources (and no ``own``), D^m K(-z) = (-1)^m D^m K(z)
 lets one block serve both its rows and its columns, so only the upper
 triangle of sqrt(PAIR_BUDGET)-square blocks is built (the diagonal blocks in
 full). At 1316 particles with blob 0.025 (2-core VM, median of 30 runs),
@@ -34,6 +35,8 @@ import math
 import numpy as np
 
 PAIR_BUDGET = 1 << 16  # target x source pairs handled per vectorized block
+_STRENGTHS = {0: ((),), 1: ((), (2,)), 2: ((2,),)}  # q.shape[1:] that each m takes
+_LAPLACIAN = "laplacian"  # the block kind of ``laplacian_sum``
 
 
 def chunks(n_targets: int, n_sources: int):
@@ -45,46 +48,60 @@ def chunks(n_targets: int, n_sources: int):
 
 
 def pair_sum(targets, sources, q, m: int, blob: float = 0.0, own=None) -> np.ndarray:
-    """sum_j q_j K_m(t_i - s_j) for points ``targets`` (T, 2) and ``sources``
-    (S, 2) with strengths ``q`` (S,), real or complex.
+    """D^m K(t_i - s_j) contracted with the real strengths ``q`` and summed
+    over the sources, for points ``targets`` (T, 2) and ``sources`` (S, 2):
+    (T,) or (T, 2), as in the module's table.
 
     Pairs where the kernel is singular (z = 0 without a blob) are dropped.
     ``own`` (T,) of source indices drops source ``own[i]`` for target i
-    (-1 drops none). The result is real for m = 0 with real q, else complex.
-    Raises ``ValueError`` for m outside {0, 1, 2} and for m = 2 with a blob.
+    (-1 drops none). Raises ``ValueError`` for m outside {0, 1, 2}, for m = 2
+    with a blob, and for strengths that are not real or fit no row of the
+    table.
     """
     if m not in (0, 1, 2):
         raise ValueError(f"kernel order m must be 0, 1 or 2, got {m!r}")
     blob2 = float(blob) ** 2
     if m == 2 and blob2 > 0.0:
         raise ValueError("the m = 2 kernel takes no blob")
+    q = np.asarray(q)
+    if q.dtype.kind not in "biuf" or q.ndim == 0 or q.shape[1:] not in _STRENGTHS[m]:
+        raise ValueError(f"real strengths fit an m = {m} sum, not {q.dtype} {q.shape}")
+    return _sum(targets, sources, q.astype(float, copy=False), m, blob2, own)
+
+
+def laplacian_sum(targets, sources, q, blob: float) -> np.ndarray:
+    """sum_j q_j Delta K(t_i - s_j) = sum_j q_j 2 blob^2 / (|z|^2 + blob^2)^2
+    for real strengths ``q`` (S,), at points ``targets`` (T, 2): the
+    Laplacian of the m = 0 sum, (T,). Without a blob it is 0 off the sources."""
+    return _sum(targets, sources, np.asarray(q, dtype=float), _LAPLACIAN, float(blob) ** 2)
+
+
+def _sum(targets, sources, q, m, blob2: float, own=None) -> np.ndarray:
     zt = _coords(targets)
     zs = _coords(sources)
-    q = np.asarray(q)
-    w = np.stack([q.real, q.imag], axis=1) if np.iscomplexobj(q) else q
-    out = np.zeros(zt.shape[-1], dtype=np.result_type(q, float if m == 0 else complex))
+    out = np.zeros((zt.shape[-1], 2) if m == q.ndim else zt.shape[-1])
     # one buffer for every block of the call, sized for its largest block:
     # fresh blocks are page-faulted in each time (560 minor faults per
     # 4096 x 256 m = 2 call, against none with the buffer; 2-core VM)
     largest = min(zt.shape[-1] * zs.shape[-1], max(PAIR_BUDGET, zs.shape[-1]))
     work = np.empty(3 * largest)
     if own is None and np.array_equal(zt, zs):
-        _self_sum(out, zs, w, m, blob2, work)
+        _self_sum(out, zs, q, m, blob2, work)
         return out
     for sl in chunks(zt.shape[-1], zs.shape[-1]):
         kern = _kernel(zt[..., sl], zs, m, blob2, work)
         if own is not None:
             rows = np.flatnonzero(own[sl] >= 0)
             kern[..., rows, own[sl][rows]] = 0.0
-        out[sl] = _apply(kern, w)
+        out[sl] = _apply(kern, q, m)
     return out
 
 
-def _self_sum(out, pts, w, m: int, blob2: float, work) -> None:
+def _self_sum(out, pts, q, m, blob2: float, work) -> None:
     """Adds the sum of the points on themselves to ``out`` over the upper
     triangle of square blocks of ``PAIR_BUDGET`` pairs: an off-diagonal block
-    K(rows, cols) adds K @ q[cols] to its rows and (-1)^m q[rows] @ K to its
-    columns."""
+    K(rows, cols) adds K q[cols] to its rows and K^T q[rows] to its columns,
+    negated for the odd m = 1."""
     n = pts.shape[-1]
     side = math.isqrt(PAIR_BUDGET)
     for r in range(0, n, side):
@@ -92,9 +109,9 @@ def _self_sum(out, pts, w, m: int, blob2: float, work) -> None:
         for c in range(r, n, side):
             cols = slice(c, min(c + side, n))
             kern = _kernel(pts[..., rows], pts[..., cols], m, blob2, work)
-            out[rows] += _apply(kern, w[cols])
+            out[rows] += _apply(kern, q[cols], m)
             if c > r:
-                out[cols] += (-1) ** m * _apply(np.swapaxes(kern, -1, -2), w[rows])
+                out[cols] += (-1 if m == 1 else 1) * _apply(np.swapaxes(kern, -1, -2), q[rows], m)
 
 
 def _coords(pts) -> np.ndarray:
@@ -103,20 +120,22 @@ def _coords(pts) -> np.ndarray:
     return np.ascontiguousarray(pts.T)
 
 
-def _apply(kern: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """K @ q at the block's rows from real matrix products: a (T, S) block is
-    K itself (m = 0), a (2, T, S) block the planes (Re K, -Im K); ``w`` is q,
-    or the (S, 2) columns (Re q, Im q) of a complex q."""
-    s = kern @ w
-    if kern.ndim == 3:
-        s = s[0] - 1j * s[1]
-    return s if w.ndim == 1 else s[..., 0] + 1j * s[..., 1]
+def _apply(kern: np.ndarray, q: np.ndarray, m) -> np.ndarray:
+    """The block's rows of the sum: real matrix products of its (T, S) plane
+    or its (2, T, S) planes, (u, v) for m = 1 and (P0, P1) for m = 2, with q."""
+    if q.ndim == 1:  # K q, Delta K q or the gradient (u q, v q)
+        return (kern @ q).T
+    if m == 1:  # the dipole value u q_x + v q_y
+        return kern[0] @ q[:, 0] + kern[1] @ q[:, 1]
+    s = kern @ q  # s[k, :, j] = P_k q_j
+    return np.stack([-(s[0, :, 0] + s[1, :, 1]), s[0, :, 1] - s[1, :, 0]], axis=1)
 
 
-def _kernel(zt: np.ndarray, zs: np.ndarray, m: int, blob2: float, work) -> np.ndarray:
-    """K_m between the targets ``zt`` (2, T) and sources ``zs`` (2, S), held
-    in ``work`` (3 T S floats): the (T, S) block K_0 for m = 0, else the
-    (2, T, S) planes (Re K_m, -Im K_m). Singular entries are 0."""
+def _kernel(zt: np.ndarray, zs: np.ndarray, m, blob2: float, work) -> np.ndarray:
+    """The block between the targets ``zt`` (2, T) and sources ``zs`` (2, S),
+    held in ``work`` (3 T S floats): the (T, S) plane K for m = 0 and Delta K
+    for ``_LAPLACIAN``, the (2, T, S) planes (u, v) for m = 1 and (P0, P1)
+    for m = 2. Singular entries are 0."""
     size = zt.shape[1] * zs.shape[1]
     d = work[:2 * size].reshape(2, zt.shape[1], zs.shape[1])
     r2 = work[2 * size:3 * size].reshape(d.shape[1:])
@@ -136,8 +155,12 @@ def _kernel(zt: np.ndarray, zs: np.ndarray, m: int, blob2: float, work) -> np.nd
         r2 *= 0.5
         return r2
     np.reciprocal(r2, out=r2)
-    d *= r2  # (u, v) = (Re K_1, -Im K_1)
-    if m == 2:  # K_2 = (u - i v)^2 = u^2 - v^2 - 2 i u v
+    if m == _LAPLACIAN:
+        np.square(r2, out=r2)
+        r2 *= 2.0 * blob2
+        return r2
+    d *= r2  # (u, v) = grad K
+    if m == 2:  # (P0, P1) = (u^2 - v^2, 2 u v)
         np.multiply(d[0], d[1], out=r2)
         d *= d
         d[0] -= d[1]

@@ -99,13 +99,10 @@ def _source_sum(source, pts, m: int):
     particles with their blob, or over the nonzero cells times h^2 less each
     target's own cell; returns also a grid's (centers, values, own), else None."""
     if _is_particles(source):
-        s = kernels.pair_sum(pts, source.positions, source.weights, m, source.blob)
-        return (s if m == 0 else np.stack([s.real, -s.imag], axis=1)), None
+        return kernels.pair_sum(pts, source.positions, source.weights, m, source.blob), None
     centers, vals = source.nonzero_cells()
     own = source.nonzero_cell_index(pts)
-    s = kernels.pair_sum(pts, centers, vals, m, own=own)
-    s = s if m == 0 else np.stack([s.real, -s.imag], axis=1)
-    return s * source.h**2, (centers, vals, own)
+    return kernels.pair_sum(pts, centers, vals, m, own=own) * source.h**2, (centers, vals, own)
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +200,7 @@ def dipole_sum(centers, a, vectors, x, grad: bool = False):
     centers = np.atleast_2d(centers)
     if np.any(inside_holes(centers, a, pts)):
         raise ValueError("evaluation point inside a hole")
-    return _dipole_field(pts, centers, a, np.atleast_2d(vectors), grad)
-
-
-def _dipole_field(x, centers, a, vectors, grad: bool, own=None) -> np.ndarray:
-    """Sum over centers of V^a[A] at points x: values Re sum_j q_j / z_j, or
-    gradients (-Re, Im) of sum_j q_j / z_j^2, with q = a^2 (A_x + i A_y)
-    (see ``kernels.pair_sum`` for ``own``)."""
-    q = a * a * (vectors[:, 0] + 1j * vectors[:, 1])
-    if grad:
-        s = kernels.pair_sum(x, centers, q, 2, own=own)
-        return np.stack([-s.real, s.imag], axis=1)
-    return kernels.pair_sum(x, centers, q, 1, own=own).real
+    return a * a * kernels.pair_sum(pts, centers, np.atleast_2d(vectors), 2 if grad else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import potential
+from . import kernels, potential
 from .fields import fmt, perp, write_table
 from .geometry import PorousConfig, disk_cell_fractions
 
@@ -128,8 +128,7 @@ def init_dipoles(source, config: PorousConfig) -> DipoleSet:
 def iterate_dipoles(prev: DipoleSet, config: PorousConfig) -> DipoleSet:
     """Next level: A'_l = - sum_{m != l} grad V^a[A_m](x_l - x_m), direct O(N^2)."""
     own = np.arange(config.n_holes)
-    out = -potential._dipole_field(config.centers, config.centers, config.a, prev.vectors,
-                                   grad=True, own=own)
+    out = -config.a**2 * kernels.pair_sum(config.centers, config.centers, prev.vectors, 2, own=own)
     return DipoleSet(prev.level + 1, out)
 
 

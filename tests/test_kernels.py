@@ -1,6 +1,8 @@
-"""The Laplace pair sums against dense real-arithmetic references, the points'
+"""The Laplace pair sums against dense real-arithmetic references (in the
+complex convention, built from the real sums by ``complex_sum``), the points'
 sum on themselves (a triangle of blocks) against the rectangular target
-blocks, and the memory that blocked sums hold at once."""
+blocks, the strengths and orders that raise, and the memory that blocked sums
+hold at once."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from porousflow import kernels, oracle
+from porousflow import euler, kernels, oracle
 from porousflow.geometry import Box, build_lattice
 
 
@@ -40,8 +42,31 @@ def dense_reference(targets, sources, q, m, blob=0.0, own=None):
     return re, im, scale
 
 
+def complex_sum(targets, sources, q, m, blob=0.0, own=None):
+    """sum_j q_j K_m(t_i - s_j) in the complex convention of
+    ``dense_reference`` (K_0 = K, K_1 = conj(z) / (|z|^2 + blob^2), the
+    gradient as u - i v, and K_2 = 1/z^2), from the real pair sums: a real q
+    takes the scalar-strength rows, any other q the rows with the vector
+    strengths (Re q, Im q), whose m = 1 value is Re(q K_1) and whose m = 2
+    gradient is (-Re, Im) of q K_2."""
+    def real_sum(strengths, order):
+        return kernels.pair_sum(targets, sources, strengths, order, blob, own)
+
+    if np.isrealobj(q) and m < 2:
+        s = real_sum(q, m)
+        return s if m == 0 else s[:, 0] - 1j * s[:, 1]
+    q = np.asarray(q, dtype=complex)
+    if m == 0:
+        return real_sum(q.real, 0) + 1j * real_sum(q.imag, 0)
+    if m == 1:
+        return (real_sum(np.stack([q.real, q.imag], axis=1), 1)
+                + 1j * real_sum(np.stack([q.imag, -q.real], axis=1), 1))
+    s = real_sum(np.stack([q.real, q.imag], axis=1), 2)
+    return -s[:, 0] + 1j * s[:, 1]
+
+
 def assert_matches(targets, sources, q, m, blob=0.0, own=None):
-    got = kernels.pair_sum(targets, sources, q, m, blob, own)
+    got = complex_sum(targets, sources, q, m, blob, own)
     re, im, scale = dense_reference(targets, sources, q, m, blob, own)
     scale = np.maximum(scale, 1e-300)
     assert np.all(np.abs(got.real - re) <= 1e-12 * scale)
@@ -99,8 +124,8 @@ def test_self_sum_matches_rectangular_blocks(n, m, blob, complex_q):
     q = rng.standard_normal(n)
     if complex_q:
         q = q + 1j * rng.standard_normal(n)
-    got = kernels.pair_sum(pts, pts.copy(), q, m, blob)
-    rect = kernels.pair_sum(pts, pts, q, m, blob, own=np.full(n, -1))
+    got = complex_sum(pts, pts.copy(), q, m, blob)
+    rect = complex_sum(pts, pts, q, m, blob, own=np.full(n, -1))
     scale = np.maximum(dense_reference(pts, pts, q, m, blob)[2], 1e-300)
     assert got.dtype == rect.dtype
     assert np.all(np.abs(got - rect) <= 1e-12 * scale)
@@ -118,21 +143,27 @@ def test_chunks_cover_targets_within_budget():
 
 def test_empty_inputs():
     pts = np.zeros((3, 2))
-    assert np.array_equal(kernels.pair_sum(pts, np.zeros((0, 2)), np.zeros(0), 1), np.zeros(3))
+    assert np.array_equal(complex_sum(pts, np.zeros((0, 2)), np.zeros(0), 1), np.zeros(3))
     assert kernels.pair_sum(np.zeros((0, 2)), pts, np.ones(3), 0).shape == (0,)
 
 
-@pytest.mark.parametrize("m,blob", [(3, 0.0), (-1, 0.0), (1.5, 0.0), (2, 0.5)])
-def test_unsupported_kernel_raises(m, blob):
+@pytest.mark.parametrize("m,blob,q", [
+    (3, 0.0, [[1.0, 1.0]]), (-1, 0.0, [[1.0, 1.0]]), (1.5, 0.0, [[1.0, 1.0]]),
+    (2, 0.5, [[1.0, 1.0]]),
+    (1, 0.0, [1.0 + 1j]),  # a complex strength would lose Im q
+    (0, 0.0, [[1.0, 1.0]]),  # vector strengths have no m = 0 sum
+    (2, 0.0, [1.0]),  # scalar strengths have no m = 2 sum
+], ids=["3-0.0", "-1-0.0", "1.5-0.0", "2-0.5", "complex_q", "vector_q_m0", "scalar_q_m2"])
+def test_unsupported_kernel_raises(m, blob, q):
     pts = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        kernels.pair_sum(pts[:1], pts[1:], np.array([1.0 + 1j]), m, blob)
+        kernels.pair_sum(pts[:1], pts[1:], np.array(q), m, blob)
 
 
 def _pair_sum_case(rng):
-    """The euler closure's blob sum (m = 1 with a blob, complex q)."""
+    """A blob sum with vector strengths (m = 1 with a blob, q (S, 2))."""
     sources = rng.random((512, 2))
-    q = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    q = rng.standard_normal((512, 2))
     targets = rng.random((12 * kernels.PAIR_BUDGET // 512 + 5, 2)) * 3.0
     return targets, 512, lambda: kernels.pair_sum(targets, sources, q, 1, 0.05)
 
@@ -145,9 +176,9 @@ def _self_sum_case(rng):
 
 
 def _dipole_sum_case(rng):
-    """The dipole gradient over 256 hole centers (m = 2, complex q)."""
+    """The dipole gradient over 256 hole centers (m = 2, q (S, 2))."""
     centers = rng.random((256, 2))
-    q = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    q = rng.standard_normal((256, 2))
     targets = rng.random((12 * kernels.PAIR_BUDGET // 256 + 5, 2)) * 3.0
     return targets, 256, lambda: kernels.pair_sum(targets, centers, q, 2)
 
@@ -162,6 +193,14 @@ def _grid_source_case(rng):
     return targets, 1000, lambda: kernels.pair_sum(targets, centers, q, 0, own=own)
 
 
+def _smoothed_vorticity_case(rng):
+    """The blob vorticity of the euler-compare particles at 4096 probes
+    (``kernels.laplacian_sum``)."""
+    parts = euler.VortexParticles(rng.random((1316, 2)), rng.standard_normal(1316), 0.025)
+    probes = rng.random((4096, 2)) * 1.5
+    return probes, 1316, lambda: euler.smoothed_vorticity(parts, probes)
+
+
 def _multipole_grad_case(rng):
     cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     order = 8
@@ -174,9 +213,10 @@ def _multipole_grad_case(rng):
 
 
 @pytest.mark.parametrize("case", [_pair_sum_case, _self_sum_case, _dipole_sum_case,
-                                  _grid_source_case, _multipole_grad_case],
+                                  _grid_source_case, _smoothed_vorticity_case,
+                                  _multipole_grad_case],
                          ids=["pair_sum", "self_sum", "dipole_sum", "grid_source",
-                              "multipole_part_grad"])
+                              "smoothed_vorticity", "multipole_part_grad"])
 def test_blocked_sums_memory_within_budget(case):
     targets, n_sources, call = case(np.random.default_rng(3))
     assert len(list(kernels.chunks(targets.shape[0], n_sources))) >= 10

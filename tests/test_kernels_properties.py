@@ -1,4 +1,6 @@
-"""Hypothesis properties of the complex Laplace pair sums (skipped when
+"""Hypothesis properties of the Laplace pair sums, read in the complex
+convention q_j K_m of ``test_kernels.complex_sum`` (built from the real sums),
+where rotation by e^{i theta} is one factor e^{-i m theta} (skipped when
 hypothesis is not installed)."""
 
 from __future__ import annotations
@@ -6,9 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from porousflow import kernels
-
-from test_kernels import dense_reference
+from test_kernels import complex_sum, dense_reference
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -35,8 +35,8 @@ def test_linear_in_strengths(tpts, spts, qs, c, case):
     n = sources.shape[0]
     q1 = np.array(qs[:n]) + 1j * np.array(qs[8:8 + n])
     q2 = np.array(qs[8:8 + n]) - 1j * np.array(qs[:n])
-    lhs = kernels.pair_sum(targets, sources, q1 + c * q2, m, blob)
-    rhs = kernels.pair_sum(targets, sources, q1, m, blob) + c * kernels.pair_sum(
+    lhs = complex_sum(targets, sources, q1 + c * q2, m, blob)
+    rhs = complex_sum(targets, sources, q1, m, blob) + c * complex_sum(
         targets, sources, q2, m, blob)
     scale = dense_reference(targets, sources, np.abs(q1) + abs(c) * np.abs(q2), m, blob)[2]
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * (1.0 + scale))
@@ -50,8 +50,8 @@ def test_translation_invariant(tpts, spts, sx, sy, case):
     _assume_separated(targets, sources, blob)
     q = np.linspace(-1.0, 2.0, sources.shape[0]) + 0.5j
     shift = np.array([sx, sy])
-    base = kernels.pair_sum(targets, sources, q, m, blob)
-    moved = kernels.pair_sum(targets + shift, sources + shift, q, m, blob)
+    base = complex_sum(targets, sources, q, m, blob)
+    moved = complex_sum(targets + shift, sources + shift, q, m, blob)
     scale = dense_reference(targets, sources, q, m, blob)[2]
     assert np.all(np.abs(moved - base) <= 1e-9 * (1.0 + scale))
 
@@ -65,8 +65,8 @@ def test_rotation_equivariant(tpts, spts, theta, case):
     _assume_separated(targets, sources, blob)
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     q = np.linspace(-1.0, 2.0, sources.shape[0]) - 0.25j
-    base = kernels.pair_sum(targets, sources, q, m, blob)
-    turned = kernels.pair_sum(targets @ rot.T, sources @ rot.T, q, m, blob)
+    base = complex_sum(targets, sources, q, m, blob)
+    turned = complex_sum(targets @ rot.T, sources @ rot.T, q, m, blob)
     scale = dense_reference(targets, sources, q, m, blob)[2]
     assert np.all(np.abs(turned - np.exp(-1j * m * theta) * base) <= 1e-9 * (1.0 + scale))
 
@@ -80,5 +80,5 @@ def test_self_sum_conserves_impulse(seed, n, blob):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2)) * 2.0 - 1.0
     q = rng.standard_normal(n)
-    out = kernels.pair_sum(pts, pts, q, 1, blob)
+    out = complex_sum(pts, pts, q, 1, blob)
     assert abs(q @ out) <= 1e-12 * (np.abs(q) @ np.abs(out))

@@ -1,0 +1,35 @@
+"""Smoke test of ``tools/layers.py``, the per-call harness of the kernel
+layer: every case runs at a tiny scale and prints one finite row."""
+
+from __future__ import annotations
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "tools" / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_case_runs_tiny(capsys):
+    layers = _load_layers()
+    names = list(layers.cases(0.01))
+    assert "smoothed_vorticity" in names and "grad_psi0_eval" in names
+    for name in names:
+        args = ["--src", str(ROOT / "src"), "--scale", "0.01", "--repeat", "1", "--case", name]
+        assert layers.main(args) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == names
+    for row in rows:
+        ms, faults, peak = map(float, row.split()[-3:])
+        assert math.isfinite(ms) and ms >= 0.0 and faults >= 0.0 and 0.0 <= peak < 1.0
+    with pytest.raises(SystemExit):
+        layers.main(["--scale", "0.01", "--case", "no_such_layer"])

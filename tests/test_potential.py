@@ -107,14 +107,12 @@ def _per_kind_psi0(source, pts, grad):
     for the one point-source sum, with the same operation order."""
     if hasattr(source, "positions"):
         s = kernels.pair_sum(pts, source.positions, source.weights, int(grad), source.blob)
-        if grad:
-            return np.stack([s.real, -s.imag], axis=1) / (2.0 * np.pi)
         return s / (2.0 * np.pi)
     centers, vals = source.nonzero_cells()
     own = source.nonzero_cell_index(pts)
     if grad:
         s = kernels.pair_sum(pts, centers, vals, 1, own=own)
-        return np.stack([s.real, -s.imag], axis=1) * source.h**2 / (2.0 * np.pi)
+        return s * source.h**2 / (2.0 * np.pi)
     out = kernels.pair_sum(pts, centers, vals, 0, own=own) * source.h**2
     live = np.flatnonzero(own >= 0)
     lo = centers[own[live]] - source.h / 2 - pts[live]

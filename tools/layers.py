@@ -1,0 +1,130 @@
+"""Per-call cost of the kernel layer at fixed shapes taken from the benchmark
+workloads: the median wall time of a call, its minor page faults
+(``ru_minflt``, averaged over the timed calls) and the ``tracemalloc`` peak of
+one further call. Each case runs in a fresh interpreter, after one warm-up
+call: the faults depend on what the process allocated before (glibc raises its
+mmap threshold to the largest block freed so far), so they must not depend on
+the order of the cases.
+
+    python3 tools/layers.py [--src PATH] [--repeat N] [--scale F]
+
+``--src`` is the ``src`` directory of the tree to measure (default: this
+repository's), so two trees can be measured in alternation, each in a fresh
+interpreter. Every case calls a public function whose name and arguments
+``bench/tracer.py`` pins, so the script runs unchanged on older trees; the
+second column names the ``kernels.pair_sum`` shape that the call drives.
+``--scale`` multiplies every point count (the smoke test runs it tiny).
+``--case NAME`` runs one case in the calling interpreter; the cases that the
+script starts run with BLAS pinned to one thread, as in ``bench/run.py``. Uses
+numpy and the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def cases(scale: float):
+    """{layer: (pair_sum shape, call)} at the workloads' shapes times
+    ``scale``: euler-compare's 1316 particles past 256 holes and divcurl's
+    4096 probes."""
+    from porousflow import euler, homogenized, potential
+    from porousflow.fields import ScalarGridField
+
+    def count(n):
+        return max(round(n * scale), 2)
+
+    rng = np.random.default_rng(0)
+    p, n, t = count(1316), count(256), count(4096)
+    parts = euler.VortexParticles(rng.random((p, 2)), rng.standard_normal(p), 0.025)
+    centers = rng.random((n, 2)) + [2.0, 0.0]  # holes of radius 0.001 clear of the particles
+    vectors = rng.standard_normal((n, 2))
+    probes = rng.random((t, 2)) * 1.5
+    grid = ScalarGridField(np.zeros(2), 1 / 64, rng.standard_normal((count(80), 50)))
+    inside = rng.random((count(1024), 2)) * grid.values.shape * grid.h
+    cells = grid.values.size
+    return {
+        "grad_psi0_eval": (f"m=1 blob self {p}x{p}",
+                           lambda: potential.grad_psi0_eval(parts, parts.positions)),
+        "dipole_sum_grad": (f"m=2 {p}x{n}", lambda: potential.dipole_sum(
+            centers, 0.001, vectors, parts.positions, grad=True)),
+        "k2_kernel_sum": (f"m=2 {t}x{n}",
+                          lambda: homogenized.k2_kernel_sum(centers, vectors, 0.01, probes)),
+        "k1_kernel_sum": (f"m=1 (S,2) {t}x{n}",
+                          lambda: homogenized.k1_kernel_sum(centers, vectors, 0.01, probes)),
+        "psi0_eval_grid": (f"m=0 own {inside.shape[0]}x{cells}",
+                           lambda: potential.psi0_eval(grid, inside)),
+        "smoothed_vorticity": (f"blob {t}x{p}", lambda: euler.smoothed_vorticity(parts, probes)),
+    }
+
+
+def measure(call, repeat: int):
+    """(median ms, minor faults per call, tracemalloc peak MiB) of ``call``
+    after one warm-up call."""
+    call()
+    times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeat):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / repeat
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return 1e3 * statistics.median(times), faults, peak / 2**20
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--repeat", type=int, default=25)
+    parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--case", help="run this case alone, in this interpreter")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or not args.scale > 0.0:
+        parser.error("--repeat must be at least 1 and --scale above 0")
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import porousflow
+
+    if not Path(porousflow.__file__).resolve().is_relative_to(src):
+        parser.error(f"porousflow was imported from {porousflow.__file__}, not {src}")
+    table = cases(args.scale)
+    if args.case is not None:
+        if args.case not in table:
+            parser.error(f"--case must be one of {', '.join(table)}")
+        shape, call = table[args.case]
+        ms, faults, peak = measure(call, args.repeat)
+        print(f"{args.case:<20}{shape:<24}{ms:>10.3f}{faults:>10.1f}{peak:>10.2f}")
+        return 0
+    print(f"# {src}  python {sys.version.split()[0]}  numpy {np.__version__}  "
+          f"repeat {args.repeat}  scale {args.scale}")
+    print(f"{'layer':<20}{'pair_sum shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
+    for name in table:
+        child = [sys.executable, __file__, "--src", str(src), "--repeat", str(args.repeat),
+                 "--scale", str(args.scale), "--case", name]
+        run = subprocess.run(child, env=env, check=True, capture_output=True, text=True)
+        print(run.stdout, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
