@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -340,40 +339,27 @@ def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     return results
 
 
-def _knorm_sweep_point(args):
-    knorm, g0, kgrid_box, h, tol = args
-    kfield = rasterize(kgrid_box, h, radial_bump((0.0, 0.0), 0.5, knorm, power=3))
-    sol = homogenized.solve_psic_from_grad(g0, kfield, tol=tol)
-    err0 = float(np.sqrt(((sol.grad.values - g0.values) ** 2).sum()) * g0.h)
-    errt = float(np.sqrt(((sol.grad.values - sol.first_order.values) ** 2).sum()) * g0.h)
-    return knorm, err0, errt, sol.iterations
-
-
-def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings,
-              threads: int = 1) -> dict:
+def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     values = sweep_values(cfg)
-    if threads < 1 or (threads > 1 and values is None):
-        raise ConfigError(f"--threads must be 1, or more for the homog sweep, got {threads}")
     if values is not None:
+        # k = knorm times one unit bump, so every k norm is a scale of one series
         h = cfg.positive("solver", "grid_h", 1.0 / 64.0)
         world_box = (-2.0, -2.0, 2.0, 2.0)
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         g0 = potential.grad_psi0_on_grid(f)
-        jobs = [(v, g0, world_box, h, settings.tol) for v in values]
-        if threads == 1:  # a pool worker raised the 1024^2 sweep's peak RSS by 30 MB
-            rows = list(map(_knorm_sweep_point, jobs))
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(_knorm_sweep_point, jobs))
+        k = rasterize(world_box, h, radial_bump((0.0, 0.0), 0.5, 1.0, power=3))
+        err0, errt, increments = zip(*homogenized.expansion_errors(g0, k, values, settings.tol))
+        iterations = [len(incs) for incs in increments]
         write_table(outdir / "homog_sweep.csv", ["knorm", "err_psi0", "err_tilde", "iterations"],
-                    ([fmt(v), fmt(e0), fmt(et), it] for v, e0, et, it in rows))
-        ks = [r[0] for r in rows]
-        s0, r0 = analysis.fit_exponent(ks, [r[1] for r in rows])
-        s1, r1 = analysis.fit_exponent(ks, [r[2] for r in rows])
+                    ([fmt(v), fmt(e0), fmt(et), it]
+                     for v, e0, et, it in zip(values, err0, errt, iterations)))
+        s0, r0 = analysis.fit_exponent(values, err0)
+        s1, r1 = analysis.fit_exponent(values, errt)
         return {
             "slope_err_psi0": s0, "r2_err_psi0": r0,
             "slope_err_tilde": s1, "r2_err_tilde": r1,
-            "iterations": [r[3] for r in rows],
+            "iterations": iterations,
+            "increments": list(increments),
         }
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
@@ -583,14 +569,14 @@ _EXPERIMENTS = {
 
 
 def run(cfg: RunConfig, outdir: Path, seed: int = 0, threads: int = 1) -> dict:
-    if threads != 1 and cfg.experiment != "homog":
-        raise ConfigError(f"--threads must be 1 outside the homog sweep, got {threads}")
+    """Run the configured experiment into ``outdir``. Every experiment runs in
+    the calling thread; ``threads`` accepts only 1 (callers such as
+    ``bench/child.py`` pass it)."""
+    if threads != 1:
+        raise ConfigError(f"threads must be 1, got {threads}")
     settings = solver_settings(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.experiment == "homog":
-        results = cmd_homog(cfg, outdir, seed, settings, threads)
-    else:
-        results = _EXPERIMENTS[cfg.experiment](cfg, outdir, seed, settings)
+    results = _EXPERIMENTS[cfg.experiment](cfg, outdir, seed, settings)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,
@@ -615,12 +601,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     outdir = Path(args.out)
     try:
         cfg = RunConfig.from_file(args.config)
-        run(cfg, outdir, seed=args.seed, threads=args.threads)
+        run(cfg, outdir, seed=args.seed)
     except ConfigError as exc:
         _write_error(outdir, "config", exc)
         print(f"config error: {exc}", file=sys.stderr)

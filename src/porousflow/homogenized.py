@@ -13,9 +13,15 @@ gradient have one quadrature, ``correction``: phi on a probe grid whose
 spacing is a whole multiple of the k grid's (divcurl's probe) is one
 zero-padded FFT convolution where that is less work than the direct sum, and
 points (the Euler closure's particles), other grids and the gradient take the
-direct sum. The grid solve
-(spectral) and the Euler closure's full solve on the k cells (direct) share
-one loop, ``_fixed_point``, and so one stopping rule.
+direct sum.
+
+L is linear in k, so the iterates from grad psi_0 are the partial sums of the
+Neumann series sum_j (-L)^j grad psi_0, the form of the method of
+reflections, and the iterates for c k are those of k with term j scaled by
+c^j. One loop, ``_fixed_point``, sums that series for one or more scales c
+with one stopping rule: the grid solve (spectral, c = 1), the Euler closure's
+full solve on the k cells (direct, c = 1) and the k-norm sweep
+(``expansion_errors``, every norm from one series).
 """
 
 from __future__ import annotations
@@ -187,48 +193,93 @@ def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarr
     return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
 
 
-def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float):
-    """Iterate g <- g0 - apply_l(g) from g = g0 over cell values of spacing h.
+def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float, scales=(1.0,), where=...):
+    """The fixed points of g = g0 - c L g, with L = ``apply_l`` linear, for
+    every scale c of ``scales``, as partial sums of one Neumann series.
 
-    Each increment is ||g_new - g|| / ||g0|| (h-weighted l2). Stops at the
-    first increment below tol or after MAX_ITER iterations; three growing
-    increments in a row raise RuntimeError. Returns (g, first iterate, increments).
+    Iterate n of g <- g0 - c L g from g = g0 is g0 + sum_{j=1..n} c^j p_j,
+    with p_0 = g0 and p_j = -L p_{j-1}, so each step applies L once for every
+    scale. Increment n of scale c is c^n ||p_n|| / ||g0|| (h-weighted l2).
+    Scale c stops at its first increment below tol or after MAX_ITER steps;
+    three growing increments in a row raise RuntimeError. Each scale keeps
+    only T_c = sum_{j<n} c^j p_j, on ``where``, the part of its argument that
+    apply_l reads: its last iterate is g0 - c L T_c and its first g0 + c p_1.
+    Returns (the T_c, p_1, the increments of each scale).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    ref = max(float(np.sqrt((g0**2).sum() * h**2)), 1e-300)
-    g = g0
-    first = None
-    increments: list[float] = []
-    for _ in range(MAX_ITER):
-        new = g0 - apply_l(g)
-        inc = float(np.sqrt(((new - g) ** 2).sum() * h**2)) / ref
-        increments.append(inc)
-        g = new
-        if first is None:
-            first = new
-        if inc < tol:
+    ref = max(float(np.sqrt(np.vdot(g0, g0))) * h, 1e-300)
+    sums = [np.zeros_like(g0[where]) for _ in scales]
+    increments: list[list[float]] = [[] for _ in scales]
+    active = list(range(len(scales)))
+    p, first = g0, None
+    for n in range(1, MAX_ITER + 1):
+        for i in active:
+            sums[i] += scales[i] ** (n - 1) * p[where]
+        p = apply_l(p)
+        np.negative(p, out=p)
+        if n == 1:
+            first = p
+        norm = float(np.sqrt(np.vdot(p, p))) * h / ref
+        for i in active[:]:
+            incs = increments[i]
+            incs.append(scales[i] ** n * norm)
+            if incs[-1] < tol:
+                active.remove(i)
+            elif len(incs) >= 3 and incs[-1] > incs[-2] > incs[-3]:
+                raise RuntimeError(
+                    "fixed point is not contracting (two consecutive increment "
+                    "growths); reduce sup|k|"
+                )
+        if not active:
             break
-        if len(increments) >= 3 and increments[-1] > increments[-2] > increments[-3]:
-            raise RuntimeError(
-                "fixed point is not contracting (two consecutive increment "
-                "growths); reduce sup|k|"
-            )
-    return g, first, increments
+    return sums, first, increments
+
+
+def _spectral_solves(psi0_grad: VectorGridField, k, tol: float, scales):
+    """Per scale c, (c, L T_c, p_1, increments) of ``_fixed_point`` with the
+    spectral backend on the planes of psi0_grad. T_c is kept on k's support
+    box, and each L T_c is made only when the caller takes it."""
+    origin, h = psi0_grad.origin, psi0_grad.h
+
+    def apply_l(planes):
+        return apply_l_spectral(VectorGridField(origin, h, np.moveaxis(planes, 0, 2)), k).planes
+
+    box = k.support_slices()
+    where = (slice(None),) + box if box else slice(0, 0)
+    g0 = psi0_grad.planes
+    sums, first, increments = _fixed_point(g0, apply_l, h, tol, scales, where)
+    full = np.zeros_like(g0)  # T_c on the grid, zero off ``where``
+    for c, t, incs in zip(scales, sums, increments):
+        full[where] = t
+        yield c, apply_l(full), first, incs
 
 
 def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> HomogSolution:
-    """Fixed-point iteration on the grid (spectral backend) from a
-    precomputed free-space gradient."""
-
-    def apply_l(values):
-        g = VectorGridField(psi0_grad.origin, psi0_grad.h, values)
-        return apply_l_spectral(g, k).values
-
-    values, first, increments = _fixed_point(psi0_grad.values, apply_l, psi0_grad.h, tol)
-    grad = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, values)
-    first_order = VectorGridField(psi0_grad.origin.copy(), psi0_grad.h, first)
+    """The fixed point on the grid (spectral backend) from a precomputed
+    free-space gradient: ``_fixed_point`` at the one scale c = 1."""
+    ((_, lt, p1, increments),) = _spectral_solves(psi0_grad, k, tol, (1.0,))
+    g0 = psi0_grad.planes
+    origin, h = psi0_grad.origin, psi0_grad.h
+    grad = VectorGridField(origin.copy(), h, np.moveaxis(g0 - lt, 0, 2))
+    first_order = VectorGridField(origin.copy(), h, np.moveaxis(g0 + p1, 0, 2))
     return HomogSolution(grad, first_order, increments)
+
+
+def expansion_errors(psi0_grad: VectorGridField, k, scales,
+                     tol: float = TOL) -> list[tuple[float, float, list[float]]]:
+    """The solves with c k for every scale c of ``scales`` from one series:
+    per scale, the h-weighted l2 norms of grad psi_c - grad psi_0 and of
+    grad psi_c - grad psi_tilde, and the increments. Each is
+    ``solve_psic_from_grad`` with c k up to roundoff."""
+    rows = []
+    h = psi0_grad.h
+    for c, lt, p1, increments in _spectral_solves(psi0_grad, k, tol, scales):
+        err_psi0 = c * float(np.sqrt(np.vdot(lt, lt))) * h  # psi_c - psi_0 = -c L T_c
+        lt += p1  # psi_c - psi_tilde = -c (L T_c + p_1)
+        rows.append((err_psi0, c * float(np.sqrt(np.vdot(lt, lt))) * h, increments))
+        del lt  # the next scale's L T_c is made without this one alive
+    return rows
 
 
 def solve_psic(f: ScalarGridField, k, tol: float = TOL) -> HomogSolution:
@@ -238,7 +289,8 @@ def solve_psic(f: ScalarGridField, k, tol: float = TOL) -> HomogSolution:
 
 def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
     """grad psi_c on the nonzero cells of k (direct backend), from
-    grad0 = grad psi_0 at the centers of ``nonzero_cells()``, in that order."""
+    grad0 = grad psi_0 at the centers of ``nonzero_cells()``, in that order:
+    ``_fixed_point`` at the one scale c = 1."""
     centers, kvals = k.nonzero_cells()
     km = (M_DISK * kvals)[:, None]
     own = np.arange(centers.shape[0])  # each cell excludes itself
@@ -246,7 +298,8 @@ def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
     def apply_l(g):
         return _pv_on_cells(centers, km * g, k.h, centers, own)
 
-    return _fixed_point(grad0, apply_l, k.h, tol)[0]
+    (t,), _, _ = _fixed_point(grad0, apply_l, k.h, tol)
+    return grad0 - apply_l(t)
 
 
 def velocity_c(sol: HomogSolution, x) -> np.ndarray:

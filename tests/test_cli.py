@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from pathlib import Path
 
 import pytest
@@ -121,6 +120,11 @@ def test_homog_sweep_slopes(tmp_path):
     rows = (out / "homog_sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "knorm,err_psi0,err_tilde,iterations"
     assert len(rows) == 4
+    # each k norm's increments, as the single solve writes them
+    increments = summary["results"]["increments"]
+    assert [len(incs) for incs in increments] == summary["results"]["iterations"]
+    assert [int(row.split(",")[3]) for row in rows[1:]] == summary["results"]["iterations"]
+    assert all(incs[-1] < 1e-10 <= incs[-2] for incs in increments)
 
 
 def test_euler_pair_period(tmp_path):
@@ -285,26 +289,37 @@ def test_euler_comparison_through_cli(tmp_path):
     assert len(lines) >= 3
 
 
-def test_threads_flag_preserves_results(tmp_path):
-    code1, out1 = run_cli(tmp_path, HOMOG_SWEEP, name="t1")
-    code2, out2 = run_cli(tmp_path, HOMOG_SWEEP, name="t2", extra=("--threads", "3"))
+def test_homog_sweep_byte_identical(tmp_path):
+    code1, out1 = run_cli(tmp_path, HOMOG_SWEEP, name="a")
+    code2, out2 = run_cli(tmp_path, HOMOG_SWEEP, name="b")
     assert code1 == code2 == 0
     assert (out1 / "homog_sweep.csv").read_bytes() == (out2 / "homog_sweep.csv").read_bytes()
+    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
-def test_one_thread_sweeps_in_the_calling_thread(tmp_path, monkeypatch):
-    # no worker thread at --threads 1: its own malloc arena would raise the peak RSS
-    seen = []
-    sweep_point = cli._knorm_sweep_point
+def test_homog_sweep_applies_l_once_per_step_and_once_per_norm(tmp_path, monkeypatch):
+    # every k norm is a scale of one series: max(iterations) steps, then one
+    # application per norm for its solution
+    from porousflow import homogenized
 
-    def recording(job):
-        seen.append(threading.get_ident())
-        return sweep_point(job)
-
-    monkeypatch.setattr(cli, "_knorm_sweep_point", recording)
-    code, _ = run_cli(tmp_path, HOMOG_SWEEP, extra=("--threads", "1"))
+    calls = []
+    apply_l = homogenized.apply_l_spectral
+    monkeypatch.setattr(homogenized, "apply_l_spectral",
+                        lambda *args: calls.append(1) or apply_l(*args))
+    code, out = run_cli(tmp_path, HOMOG_SWEEP)
     assert code == 0
-    assert seen == [threading.get_ident()] * 3
+    iterations = json.loads((out / "summary.json").read_text())["results"]["iterations"]
+    assert len(calls) == max(iterations) + 3
+
+
+def test_homog_sweep_non_contracting_norm_exit_1(tmp_path):
+    # sup k = 1.6 is far beyond the contraction regime
+    text = HOMOG_SWEEP.replace("values = 0.01 0.02 0.04", "values = 0.01 0.02 1.6")
+    code, out = run_cli(tmp_path, text)
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_kind"] == "runtime" and "not contracting" in err["message"]
+    assert not (out / "homog_sweep.csv").exists()
 
 
 def _config_error(out, fragment):
@@ -314,17 +329,17 @@ def _config_error(out, fragment):
 
 
 def test_threads_flag_rejected_where_it_does_nothing(tmp_path):
-    for name, text, threads in (
-        ("zero", HOMOG_SWEEP, "0"),
-        ("negative", HOMOG_SWEEP, "-2"),
-        ("reflect", REFLECT_TWOHOLE, "2"),
-        ("homog_single", HOMOG_LATTICE, "2"),
-    ):
-        code, out = run_cli(tmp_path, text, name=name, extra=("--threads", threads))
-        assert code == 2, name
-        _config_error(out, "--threads")
-    code, _ = run_cli(tmp_path, REFLECT_TWOHOLE, name="one", extra=("--threads", "1"))
-    assert code == 0
+    # every experiment runs in the calling thread: the CLI has no --threads,
+    # and run accepts only threads=1
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, HOMOG_SWEEP, extra=("--threads", "2"))
+    assert exc.value.code == 2
+    cfg = cli.RunConfig(REFLECT_TWOHOLE)
+    for threads in (0, 2):
+        with pytest.raises(cli.ConfigError, match="threads must be 1"):
+            cli.run(cfg, tmp_path / f"t{threads}", threads=threads)
+        assert not (tmp_path / f"t{threads}").exists()
+    assert cli.run(cfg, tmp_path / "one", threads=1)["results"]["n_holes"] == 2
 
 
 def test_volume_fraction_experiments_need_a_lattice(tmp_path):

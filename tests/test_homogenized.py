@@ -293,6 +293,69 @@ def test_first_order_is_the_first_iterate():
     assert np.array_equal(one.grad.values, expected)
 
 
+def _fixed_point_reference(g0, apply_l, h, tol):
+    """The fixed point iterated directly, as the reference of the series:
+    g <- g0 - apply_l(g) from g = g0, with increments ||g_new - g|| / ||g0||,
+    stopping below tol or after MAX_ITER iterations, raising on three growing
+    increments. Returns (g, first iterate, increments)."""
+    ref = max(float(np.sqrt((g0**2).sum() * h**2)), 1e-300)
+    g = g0
+    first = None
+    increments = []
+    for _ in range(hom.MAX_ITER):
+        new = g0 - apply_l(g)
+        inc = float(np.sqrt(((new - g) ** 2).sum() * h**2)) / ref
+        increments.append(inc)
+        g = new
+        if first is None:
+            first = new
+        if inc < tol:
+            break
+        if len(increments) >= 3 and increments[-1] > increments[-2] > increments[-3]:
+            raise RuntimeError("fixed point is not contracting")
+    return g, first, increments
+
+
+def _spectral_reference(g0, k, tol):
+    def apply_l(values):
+        return hom.apply_l_spectral(VectorGridField(g0.origin, g0.h, values), k).values
+
+    return _fixed_point_reference(g0.values, apply_l, g0.h, tol)
+
+
+def _assert_close(got, ref, rel=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+SWEEP_H = 1.0 / 32.0  # the grid of the CLI tests' homog sweep
+SWEEP_NORMS = (0.01, 0.02, 0.04)
+
+
+def test_sweep_matches_the_per_norm_reference():
+    g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
+    rows = hom.expansion_errors(g0, world_k(1.0, SWEEP_H), SWEEP_NORMS, tol=1e-10)
+    assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
+    for knorm, (err0, errt, incs) in zip(SWEEP_NORMS, rows):
+        grad, first, ref_incs = _spectral_reference(g0, world_k(knorm, SWEEP_H), 1e-10)
+        assert len(incs) == len(ref_incs)
+        _assert_close(incs, ref_incs)
+        assert err0 == pytest.approx(np.sqrt(((grad - g0.values) ** 2).sum()) * SWEEP_H, rel=1e-12)
+        assert errt == pytest.approx(np.sqrt(((grad - first) ** 2).sum()) * SWEEP_H, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+def test_solve_matches_the_reference_loop(tol):
+    g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
+    k = world_k(0.04, SWEEP_H)
+    sol = hom.solve_psic_from_grad(g0, k, tol=tol)
+    grad, first, increments = _spectral_reference(g0, k, tol)
+    assert sol.iterations == len(increments)
+    _assert_close(sol.increments, increments)
+    _assert_close(sol.grad.values, grad)
+    _assert_close(sol.first_order.values, first)
+
+
 def test_expansion_sweep_slopes():
     f = world_f()
     g0 = pot.grad_psi0_on_grid(f)
@@ -472,11 +535,18 @@ def test_solve_on_cells_matches_reference_iteration():
     k = lattice_fraction(build_lattice(4, 0.1, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
     centers, kvals = k.nonzero_cells()
     grad0 = np.random.default_rng(3).standard_normal(centers.shape)
+    own = np.arange(centers.shape[0])
+
+    def apply_l(g):
+        w = 2.0 * kvals[:, None] * g
+        return hom.k2_kernel_sum(centers, w, k.h, centers, own=own) + 0.5 * w
+
     for tol in (1e-6, 1e-12):
         got = hom.solve_on_cells(grad0, k, tol)
         ref = _iterate_on_cells_reference(centers, kvals, k.h, grad0, tol)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(got - grad0).max() > 1e-3 * np.abs(grad0).max()
+        _assert_close(got, _fixed_point_reference(grad0, apply_l, k.h, tol)[0])
 
 
 def test_solve_on_cells_rejects_nonpositive_tol():

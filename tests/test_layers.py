@@ -1,5 +1,5 @@
-"""Smoke test of ``tools/layers.py``, the per-call harness of the kernel
-layer: every case runs at a tiny scale and prints one finite row."""
+"""Smoke test of ``tools/layers.py``, the per-call harness of the kernel and
+spectral layers: every case runs at a tiny scale and prints one finite row."""
 
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ def test_every_case_runs_tiny(capsys):
     layers = _load_layers()
     names = list(layers.cases(0.01))
     assert "smoothed_vorticity" in names and "grad_psi0_eval" in names
+    assert "apply_l_spectral" in names and "grad_psi0_on_grid" in names
     for name in names:
         args = ["--src", str(ROOT / "src"), "--scale", "0.01", "--repeat", "1", "--case", name]
         assert layers.main(args) == 0

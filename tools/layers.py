@@ -1,5 +1,5 @@
-"""Per-call cost of the kernel layer at fixed shapes taken from the benchmark
-workloads: the median wall time of a call, its minor page faults
+"""Per-call cost of the kernel layer and of the spectral layer at fixed shapes
+taken from the benchmark workloads: the median wall time of a call, its minor page faults
 (``ru_minflt``, averaged over the timed calls) and the ``tracemalloc`` peak of
 one further call. Each case runs in a fresh interpreter, after one warm-up
 call: the faults depend on what the process allocated before (glibc raises its
@@ -12,8 +12,9 @@ the order of the cases.
 repository's), so two trees can be measured in alternation, each in a fresh
 interpreter. Every case calls a public function whose name and arguments
 ``bench/tracer.py`` pins, so the script runs unchanged on older trees; the
-second column names the ``kernels.pair_sum`` shape that the call drives.
-``--scale`` multiplies every point count (the smoke test runs it tiny).
+second column names the ``kernels.pair_sum`` shape that the call drives, or
+the grid of a spectral case. ``--scale`` multiplies every point count and
+every grid's cell count (the smoke test runs it tiny).
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
 script starts run with BLAS pinned to one thread, as in ``bench/run.py``. Uses
 numpy and the standard library only.
@@ -22,6 +23,7 @@ numpy and the standard library only.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import resource
 import statistics
@@ -38,14 +40,24 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def cases(scale: float):
-    """{layer: (pair_sum shape, call)} at the workloads' shapes times
-    ``scale``: euler-compare's 1316 particles past 256 holes and divcurl's
-    4096 probes."""
+    """{layer: (shape, call)} at the workloads' shapes times ``scale``:
+    euler-compare's 1316 particles past 256 holes, divcurl's 4096 probes and
+    homog-sweep's 1024^2 grid with its source and its largest k."""
     from porousflow import euler, homogenized, potential
-    from porousflow.fields import ScalarGridField
+    from porousflow.fields import ScalarGridField, radial_bump, rasterize
 
     def count(n):
         return max(round(n * scale), 2)
+
+    side = max(round(1024 * scale**0.5), 16)
+
+    @functools.cache
+    def sweep_grid():
+        """(f, grad psi_0, k) on the homog sweep's grid, made by the warm-up call."""
+        world, h = (-2.0, -2.0, 2.0, 2.0), 4.0 / side
+        f = rasterize(world, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
+        k = rasterize(world, h, radial_bump((0.0, 0.0), 0.5, 0.04, power=3))
+        return f, potential.grad_psi0_on_grid(f), k
 
     rng = np.random.default_rng(0)
     p, n, t = count(1316), count(256), count(4096)
@@ -68,6 +80,10 @@ def cases(scale: float):
         "psi0_eval_grid": (f"m=0 own {inside.shape[0]}x{cells}",
                            lambda: potential.psi0_eval(grid, inside)),
         "smoothed_vorticity": (f"blob {t}x{p}", lambda: euler.smoothed_vorticity(parts, probes)),
+        "apply_l_spectral": (f"grid {side}x{side}",
+                             lambda: homogenized.apply_l_spectral(*sweep_grid()[1:])),
+        "grad_psi0_on_grid": (f"grid {side}x{side}",
+                              lambda: potential.grad_psi0_on_grid(sweep_grid()[0])),
     }
 
 
@@ -116,7 +132,7 @@ def main(argv=None) -> int:
         return 0
     print(f"# {src}  python {sys.version.split()[0]}  numpy {np.__version__}  "
           f"repeat {args.repeat}  scale {args.scale}")
-    print(f"{'layer':<20}{'pair_sum shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
+    print(f"{'layer':<20}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
     env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
     for name in table:
         child = [sys.executable, __file__, "--src", str(src), "--repeat", str(args.repeat),
