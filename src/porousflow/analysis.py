@@ -25,6 +25,7 @@ from .fields import (
     check_padding,
     make_grid,
     rfft2_rows,
+    spectral_power,
     wavenumbers,
 )
 from .geometry import Box, PorousConfig, fluid_mask, rasterize_mu
@@ -38,28 +39,22 @@ def hminus1(g: ScalarGridField) -> float:
 
     sqrt( (1/|box|) sum_xi |ghat(xi)|^2 / (1 + |xi|^2) ) with ghat = h^2 DFT,
     the zero mode included with weight one, summed over the half spectrum of
-    ``rfft2``: every column counts twice (for its conjugate) except column 0
-    and, for even ny, the Nyquist column. The support of g must keep clearance
-    at least its own extent from every edge so the box emulates the plane
-    (constants are equivalent-norm only). The forward transform skips the
-    rows outside the support of g (``fields.rfft2_rows``), and the squares
-    and weights are taken in place in its output.
+    ``rfft2`` by ``fields.spectral_power``, which weights the rows block by
+    block. The support of g must keep clearance at least its own extent from
+    every edge so the box emulates the plane (constants are equivalent-norm
+    only). The forward transform skips the rows outside the support of g
+    (``fields.rfft2_rows``).
     """
     check_padding(g)
     box = g.support_slices()
     if box is None:
         return 0.0
     nx, ny = g.shape
-    ghat = rfft2_rows(g.values, box[0])
-    power = ghat.view(float).reshape(ghat.shape + (2,))
-    power *= power  # (Re ghat)^2 and (Im ghat)^2, in place
     kx, ky = wavenumbers(g.shape, g.h)
-    weight = 1.0 + kx**2 + ky**2
-    np.divide(1.0, weight, out=weight)
-    weight[:, 1:(ny + 1) // 2] *= 2.0
-    power *= weight[..., None]
+    power = spectral_power(rfft2_rows(g.values, box[0]), ny,
+                           lambda rows: 1.0 / (1.0 + kx[rows] ** 2 + ky**2))
     # ghat = h^2 DFT and |box| = nx ny h^2, so the sum scales by h^2 / (nx ny)
-    return float(np.sqrt(power.sum() * g.h**2 / (nx * ny)))
+    return float(np.sqrt(power * g.h**2 / (nx * ny)))
 
 
 @dataclass

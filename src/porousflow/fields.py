@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+POWER_BLOCK = 1 << 13  # spectrum values per row block of ``spectral_power``
+
 
 def perp(g: np.ndarray) -> np.ndarray:
     """(g1, g2) -> (-g2, g1) on the last axis: the velocity of a stream gradient."""
@@ -201,15 +203,22 @@ def check_padding(f: ScalarGridField) -> None:
         )
 
 
-def rfft2_rows(values: np.ndarray, rows: slice) -> np.ndarray:
+def rfft2_rows(values: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
     """``np.fft.rfft2(values)`` of real values (..., nx, ny) that vanish
     outside ``rows`` of the nx axis: the ``rfft`` of those rows only, zero
     rows elsewhere, then the ``fft`` along nx in place. numpy's ``rfft2``
     takes the same two passes in this order, so the result equals it bit
-    for bit (pruning the zero rows after Markel 1971)."""
-    half = np.zeros(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
-    half[..., rows, :] = np.fft.rfft(values[..., rows, :])
-    return np.fft.fft(half, axis=-2, out=half)
+    for bit (pruning the zero rows after Markel 1971). The spectrum is
+    written into ``out`` when given (a half-spectrum buffer to reuse),
+    else into a new array."""
+    if out is None:
+        out = np.zeros(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
+    else:
+        start, stop, _ = rows.indices(values.shape[-2])
+        out[..., :start, :] = 0.0
+        out[..., stop:, :] = 0.0
+    np.fft.rfft(values[..., rows, :], out=out[..., rows, :])
+    return np.fft.fft(out, axis=-2, out=out)
 
 
 def irfft2_rows(spec: np.ndarray, ny: int, rows: slice = slice(None)) -> np.ndarray:
@@ -228,6 +237,29 @@ def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarra
     nx, ny = shape
     return (2.0 * np.pi * np.fft.fftfreq(nx, d=h)[:, None],
             2.0 * np.pi * np.fft.rfftfreq(ny, d=h)[None, :])
+
+
+def spectral_power(spec: np.ndarray, ny: int, weight=None) -> float:
+    """The sum of weight |F|^2 over the whole spectrum F of real fields, from
+    their half spectrum ``spec`` (..., nx, ny // 2 + 1) in ``rfft2``'s layout:
+    every column counts twice (for its conjugate) except column 0 and, for
+    even ny, the Nyquist column. ``weight(rows)`` gives the weights of a slice
+    of rows, broadcast against (rows, ny // 2 + 1); one by default. The sum
+    runs over blocks of ``POWER_BLOCK`` values per row slice, so its
+    temporaries stay small on any grid. By Parseval, the l2 norm squared of
+    fields with ``spec = rfft2(f)`` is ``spectral_power(spec, ny) / (nx ny)``."""
+    step = max(1, POWER_BLOCK // spec.shape[-1])
+    total = 0.0
+    for start in range(0, spec.shape[-2], step):
+        rows = slice(start, start + step)
+        block = spec[..., rows, :]
+        power = block.real**2
+        power += block.imag**2
+        power[..., 1:(ny + 1) // 2] *= 2.0
+        if weight is not None:
+            power *= weight(rows)
+        total += float(power.sum())
+    return total
 
 
 @functools.lru_cache(maxsize=4)

@@ -21,7 +21,13 @@ reflections, and the iterates for c k are those of k with term j scaled by
 c^j. One loop, ``_fixed_point``, sums that series for one or more scales c
 with one stopping rule: the grid solve (spectral, c = 1), the Euler closure's
 full solve on the k cells (direct, c = 1) and the k-norm sweep
-(``expansion_errors``, every norm from one series).
+(``expansion_errors``, every norm from one series). L reads its argument only
+where k is nonzero, so the spectral series runs in spectral space
+(``_SpectralL``): each term lives on k's support box, each step's norm comes
+from its spectrum by Parseval, and the inverse transform runs over k's rows
+only, and only when another step follows. The sweep's norms take no inverse
+at all; the grid solve makes its solution and first iterate with one
+whole-grid inverse each.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .fields import (
     irfft2_rows,
     perp,
     rfft2_rows,
+    spectral_power,
 )
 from .potential import _displacements, _fft_convolve, _grad_kernel, grad_psi0_on_grid
 
@@ -63,39 +70,81 @@ class HomogSolution:
         return len(self.increments)
 
 
+class _SpectralL:
+    """L on the grid of g in spectral space, for arguments given on k's
+    support box ``box`` (empty for the zero k), the only part of its argument
+    that L reads.
+
+    ``forward(p)`` forms w = k M p on the box, in a full-grid buffer that is
+    zero off it, takes the mean of L p, transforms w over the rows of k only
+    (``fields.rfft2_rows``) into the one spectrum buffer ``spec`` that every
+    call reuses, and applies the cached ``fields.gradient_multipliers`` there.
+    Killing the zero mode forces a zero box mean, whereas the free-space field
+    of a density with integral P has box mean P/(2 |box|) (the kernel
+    integrated over a large disk contributes exactly P/2); that constant is
+    returned so that L p = irfft2(spec) + mean follows the decay-at-infinity
+    convention. ``norm``, ``on_box`` and ``on_grid`` read such a spectrum and
+    mean; the inverses overwrite the spectrum.
+    """
+
+    def __init__(self, g: VectorGridField, k):
+        check_padding(k)
+        if k.shape != g.values.shape[:2]:
+            raise ValueError("k and g must share the grid")
+        self.box = k.support_slices() or (slice(0, 0), slice(0, 0))
+        self.where = (slice(None),) + self.box  # both planes on the box
+        self.km = M_DISK * k.values[self.box]
+        # whole-grid planes, so the mean is the whole-grid sum bit for bit
+        # (a sum over the box alone rounds differently)
+        self.w = np.zeros((2,) + k.shape)
+        self.spec = np.empty((2, k.shape[0], k.shape[1] // 2 + 1), dtype=complex)
+        self.multipliers = gradient_multipliers(k.shape, g.h)
+
+    def forward(self, p: np.ndarray) -> np.ndarray:
+        """The spectrum of L p without its zero mode into ``spec``, for p
+        (2, bx, by) on the box; returns the box mean of L p (one per plane)."""
+        np.multiply(p, self.km, out=self.w[self.where])
+        mean = self.w.sum(axis=(1, 2)) / (2.0 * self.w[0].size)  # P / (2 |box|), P = h^2 sum w
+        kx, ky, mx, my = self.multipliers
+        spec = rfft2_rows(self.w, self.box[0], out=self.spec)
+        div_hat = mx * spec[0]
+        div_hat += np.multiply(my, spec[1], out=spec[1])
+        np.multiply(kx, div_hat, out=spec[0])
+        np.multiply(ky, div_hat, out=spec[1])
+        return mean
+
+    def norm(self, spec: np.ndarray, mean: np.ndarray) -> float:
+        """The l2 norm over the grid of irfft2(spec) + mean, by Parseval:
+        the half spectrum's power over nx ny, plus nx ny |mean|^2 (spec
+        carries no zero mode)."""
+        nx, ny = self.w.shape[1:]
+        return float(np.sqrt(spectral_power(spec, ny) / (nx * ny) + nx * ny * np.vdot(mean, mean)))
+
+    def on_box(self, mean: np.ndarray) -> np.ndarray:
+        """irfft2(spec) + mean on the box: the inverse over its rows only."""
+        rows, cols = self.box
+        return irfft2_rows(self.spec, self.w.shape[2], rows)[:, :, cols] + mean[:, None, None]
+
+    def on_grid(self, spec: np.ndarray, mean: np.ndarray) -> np.ndarray:
+        """irfft2(spec) + mean on the whole grid."""
+        out = irfft2_rows(spec, self.w.shape[2])
+        out += mean[:, None, None]
+        return out
+
+
 def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
     """grad Delta^{-1} div (k M g) by the periodic Fourier multiplier.
 
     The grid itself is the padded box; the support of k must keep clearance
     at least its own extent from every edge so periodization images stay
     negligible (their leading contributions cancel by lattice symmetry).
-    w = k M g, stored as (2, nx, ny) planes like g, takes one batched real
-    transform each way, with the cached ``fields.gradient_multipliers``; the
-    forward one transforms only the rows where k is nonzero
-    (``fields.rfft2_rows``). Killing the zero mode forces a zero box
-    mean, whereas the free-space field of a density with integral P has box
-    mean P/(2 |box|) (the kernel integrated over a large disk contributes
-    exactly P/2); that constant is restored so the output follows the
-    decay-at-infinity convention.
+    g is read on k's support box only: ``_SpectralL.forward`` makes the
+    spectrum of L g and its mean, and one batched inverse real transform of
+    both planes gives L g on the whole grid.
     """
-    check_padding(k)
-    if k.shape != g.values.shape[:2]:
-        raise ValueError("k and g must share the grid")
-    box = k.support_slices()
-    rows = box[0] if box else slice(0, 0)
-    w = np.zeros((2,) + k.shape)  # zero off the rows of k
-    np.multiply(g.planes[:, rows], M_DISK * k.values[rows], out=w[:, rows])
-    mean = w.sum(axis=(1, 2)) / (2.0 * k.values.size)  # P / (2 |box|), P = h^2 sum w
-    kx, ky, mx, my = gradient_multipliers(k.shape, g.h)
-    w_hat = rfft2_rows(w, rows)
-    del w  # each spectrum (w_hat, div_hat, out) is live only while needed
-    div_hat = mx * w_hat[0] + my * w_hat[1]
-    np.multiply(kx, div_hat, out=w_hat[0])
-    np.multiply(ky, div_hat, out=w_hat[1])
-    del div_hat
-    out = irfft2_rows(w_hat, k.shape[1])
-    out += mean[:, None, None]
-    return VectorGridField(g.origin.copy(), g.h, np.moveaxis(out, 0, 2))
+    op = _SpectralL(g, k)
+    mean = op.forward(g.planes[op.where])
+    return VectorGridField(g.origin.copy(), g.h, np.moveaxis(op.on_grid(op.spec, mean), 0, 2))
 
 
 def k2_kernel_sum(
@@ -193,34 +242,33 @@ def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarr
     return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
 
 
-def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float, scales=(1.0,), where=...):
-    """The fixed points of g = g0 - c L g, with L = ``apply_l`` linear, for
-    every scale c of ``scales``, as partial sums of one Neumann series.
+def _fixed_point(g0: np.ndarray, step, h: float, tol: float, scales=(1.0,), where=...):
+    """The fixed points of g = g0 - c L g, with L linear, for every scale c
+    of ``scales``, as partial sums of one Neumann series.
 
     Iterate n of g <- g0 - c L g from g = g0 is g0 + sum_{j=1..n} c^j p_j,
     with p_0 = g0 and p_j = -L p_{j-1}, so each step applies L once for every
-    scale. Increment n of scale c is c^n ||p_n|| / ||g0|| (h-weighted l2).
-    Scale c stops at its first increment below tol or after MAX_ITER steps;
-    three growing increments in a row raise RuntimeError. Each scale keeps
-    only T_c = sum_{j<n} c^j p_j, on ``where``, the part of its argument that
-    apply_l reads: its last iterate is g0 - c L T_c and its first g0 + c p_1.
-    Returns (the T_c, p_1, the increments of each scale).
+    scale. ``step(p)`` takes p_{j-1} on ``where``, the part of its argument
+    that L reads, and returns ||p_j|| (l2 over the whole grid) and a function
+    that gives p_j on ``where``, called only when another step follows.
+    Increment n of scale c is c^n ||p_n|| / ||g0|| (h-weighted l2). Scale c
+    stops at its first increment below tol or after MAX_ITER steps; three
+    growing increments in a row raise RuntimeError. Each scale keeps only
+    T_c = sum_{j<n} c^j p_j on ``where``: its last iterate is g0 - c L T_c and
+    its first g0 + c p_1. Returns (the T_c, the increments of each scale).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     ref = max(float(np.sqrt(np.vdot(g0, g0))) * h, 1e-300)
-    sums = [np.zeros_like(g0[where]) for _ in scales]
+    p = g0[where]
+    sums = [np.zeros_like(p) for _ in scales]
     increments: list[list[float]] = [[] for _ in scales]
     active = list(range(len(scales)))
-    p, first = g0, None
     for n in range(1, MAX_ITER + 1):
         for i in active:
-            sums[i] += scales[i] ** (n - 1) * p[where]
-        p = apply_l(p)
-        np.negative(p, out=p)
-        if n == 1:
-            first = p
-        norm = float(np.sqrt(np.vdot(p, p))) * h / ref
+            sums[i] += scales[i] ** (n - 1) * p
+        norm, advance = step(p)
+        norm = norm * h / ref
         for i in active[:]:
             incs = increments[i]
             incs.append(scales[i] ** n * norm)
@@ -233,37 +281,47 @@ def _fixed_point(g0: np.ndarray, apply_l, h: float, tol: float, scales=(1.0,), w
                 )
         if not active:
             break
-    return sums, first, increments
+        p = advance()
+    return sums, increments
 
 
-def _spectral_solves(psi0_grad: VectorGridField, k, tol: float, scales):
-    """Per scale c, (c, L T_c, p_1, increments) of ``_fixed_point`` with the
-    spectral backend on the planes of psi0_grad. T_c is kept on k's support
-    box, and each L T_c is made only when the caller takes it."""
-    origin, h = psi0_grad.origin, psi0_grad.h
+def _spectral_series(psi0_grad: VectorGridField, k, tol: float, scales):
+    """``_fixed_point`` with the spectral backend, in spectral space: each
+    step makes the spectrum of L p from p on k's support box, takes ||p_j||
+    from it by Parseval, and inverts it over the box's rows only, when
+    another step follows. Returns the operator, the T_c on the box, the
+    spectrum and mean of L g0 = -p_1, and the increments."""
+    op = _SpectralL(psi0_grad, k)
+    l_g0 = []  # the first step's spectrum and mean, kept
 
-    def apply_l(planes):
-        return apply_l_spectral(VectorGridField(origin, h, np.moveaxis(planes, 0, 2)), k).planes
+    def step(p):
+        mean = op.forward(p)
+        if not l_g0:
+            l_g0.append((op.spec.copy(), mean))
 
-    box = k.support_slices()
-    where = (slice(None),) + box if box else slice(0, 0)
-    g0 = psi0_grad.planes
-    sums, first, increments = _fixed_point(g0, apply_l, h, tol, scales, where)
-    full = np.zeros_like(g0)  # T_c on the grid, zero off ``where``
-    for c, t, incs in zip(scales, sums, increments):
-        full[where] = t
-        yield c, apply_l(full), first, incs
+        def advance():
+            p = op.on_box(mean)
+            return np.negative(p, out=p)
+
+        return op.norm(op.spec, mean), advance
+
+    sums, increments = _fixed_point(psi0_grad.planes, step, psi0_grad.h, tol, scales, op.where)
+    return op, sums, l_g0[0], increments
 
 
 def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> HomogSolution:
     """The fixed point on the grid (spectral backend) from a precomputed
-    free-space gradient: ``_fixed_point`` at the one scale c = 1."""
-    ((_, lt, p1, increments),) = _spectral_solves(psi0_grad, k, tol, (1.0,))
+    free-space gradient: ``_fixed_point`` at the one scale c = 1, whose
+    solution g0 - L T and first iterate g0 - L g0 are the two whole-grid
+    inverses."""
+    op, (t,), (l_g0, mean_g0), (increments,) = _spectral_series(psi0_grad, k, tol, (1.0,))
     g0 = psi0_grad.planes
     origin, h = psi0_grad.origin, psi0_grad.h
-    grad = VectorGridField(origin.copy(), h, np.moveaxis(g0 - lt, 0, 2))
-    first_order = VectorGridField(origin.copy(), h, np.moveaxis(g0 + p1, 0, 2))
-    return HomogSolution(grad, first_order, increments)
+    mean = op.forward(t)
+    grad = VectorGridField(origin.copy(), h, np.moveaxis(g0 - op.on_grid(op.spec, mean), 0, 2))
+    first = g0 - op.on_grid(l_g0, mean_g0)
+    return HomogSolution(grad, VectorGridField(origin.copy(), h, np.moveaxis(first, 0, 2)),
+                         increments)
 
 
 def expansion_errors(psi0_grad: VectorGridField, k, scales,
@@ -271,14 +329,16 @@ def expansion_errors(psi0_grad: VectorGridField, k, scales,
     """The solves with c k for every scale c of ``scales`` from one series:
     per scale, the h-weighted l2 norms of grad psi_c - grad psi_0 and of
     grad psi_c - grad psi_tilde, and the increments. Each is
-    ``solve_psic_from_grad`` with c k up to roundoff."""
+    ``solve_psic_from_grad`` with c k up to roundoff. Both norms come from
+    the spectrum of L T_c by Parseval, with no inverse transform."""
+    op, sums, (l_g0, mean_g0), increments = _spectral_series(psi0_grad, k, tol, scales)
     rows = []
     h = psi0_grad.h
-    for c, lt, p1, increments in _spectral_solves(psi0_grad, k, tol, scales):
-        err_psi0 = c * float(np.sqrt(np.vdot(lt, lt))) * h  # psi_c - psi_0 = -c L T_c
-        lt += p1  # psi_c - psi_tilde = -c (L T_c + p_1)
-        rows.append((err_psi0, c * float(np.sqrt(np.vdot(lt, lt))) * h, increments))
-        del lt  # the next scale's L T_c is made without this one alive
+    for c, t, incs in zip(scales, sums, increments):
+        mean = op.forward(t)
+        err_psi0 = c * op.norm(op.spec, mean) * h  # psi_c - psi_0 = -c L T_c
+        op.spec -= l_g0  # psi_c - psi_tilde = -c (L T_c + p_1) = -c L (T_c - g0)
+        rows.append((err_psi0, c * op.norm(op.spec, mean - mean_g0) * h, incs))
     return rows
 
 
@@ -298,7 +358,12 @@ def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
     def apply_l(g):
         return _pv_on_cells(centers, km * g, k.h, centers, own)
 
-    (t,), _, _ = _fixed_point(grad0, apply_l, k.h, tol)
+    def step(p):
+        p = apply_l(p)
+        np.negative(p, out=p)
+        return float(np.sqrt(np.vdot(p, p))), lambda: p
+
+    (t,), _ = _fixed_point(grad0, step, k.h, tol)
     return grad0 - apply_l(t)
 
 

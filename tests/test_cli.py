@@ -298,18 +298,30 @@ def test_homog_sweep_byte_identical(tmp_path):
 
 
 def test_homog_sweep_applies_l_once_per_step_and_once_per_norm(tmp_path, monkeypatch):
-    # every k norm is a scale of one series: max(iterations) steps, then one
-    # application per norm for its solution
+    # every k norm is a scale of one series, run in spectral space: each step
+    # but the last inverts its spectrum over k's rows only, and the norms of
+    # the solutions need no inverse, so no whole-grid inverse runs
     from porousflow import homogenized
 
-    calls = []
+    rows, full = [], []
+    irfft2_rows = homogenized.irfft2_rows
     apply_l = homogenized.apply_l_spectral
+
+    def inverse(spec, ny, *args):
+        rows.append((args[0] if args else slice(None)).indices(spec.shape[-2]))
+        return irfft2_rows(spec, ny, *args)
+
+    monkeypatch.setattr(homogenized, "irfft2_rows", inverse)
     monkeypatch.setattr(homogenized, "apply_l_spectral",
-                        lambda *args: calls.append(1) or apply_l(*args))
+                        lambda *args: full.append(1) or apply_l(*args))
     code, out = run_cli(tmp_path, HOMOG_SWEEP)
     assert code == 0
     iterations = json.loads((out / "summary.json").read_text())["results"]["iterations"]
-    assert len(calls) == max(iterations) + 3
+    assert len(rows) == max(iterations) - 1
+    nx = round(4.0 / 0.03125)  # the sweep's 4 x 4 world at its grid_h
+    # the unit bump of radius 0.5 at the world's center spans a quarter of the rows
+    assert rows == [(3 * nx // 8, 5 * nx // 8, 1)] * len(rows)
+    assert not full
 
 
 def test_homog_sweep_non_contracting_norm_exit_1(tmp_path):
@@ -428,13 +440,14 @@ def test_divcurl_lattice_sizes_must_be_whole_and_positive(tmp_path, values):
 @pytest.mark.parametrize(
     "name, text, fragment",
     [
-        ("probe_h", DIVCURL_SMALL.replace("probe_h = 0.0625", "probe_h = 0"), "probe_h"),
-        ("solver_grid_h", DIVCURL_SMALL.replace("grid_h = 0.03125", "grid_h = -0.01"),
-         "[solver] grid_h"),
-        ("particle_h", EULER_COMPARE.replace("particle_h = 0.12", "particle_h = 0"),
-         "particle_h"),
-        ("vorticity_grid_h", EULER_COMPARE.replace("grid_h = 0.03125", "grid_h = 0"),
-         "[vorticity] grid_h"),
+        pytest.param("probe_h", DIVCURL_SMALL.replace("probe_h = 0.0625", "probe_h = 0"),
+                     "probe_h", id="probe_h"),
+        pytest.param("solver_grid_h", DIVCURL_SMALL.replace("grid_h = 0.03125", "grid_h = -0.01"),
+                     "[solver] grid_h", id="solver_grid_h"),
+        pytest.param("particle_h", EULER_COMPARE.replace("particle_h = 0.12", "particle_h = 0"),
+                     "particle_h", id="particle_h"),
+        pytest.param("vorticity_grid_h", EULER_COMPARE.replace("grid_h = 0.03125", "grid_h = 0"),
+                     "[vorticity] grid_h", id="vorticity_grid_h"),
     ],
 )
 def test_non_positive_grid_spacing_exit_2(tmp_path, name, text, fragment):

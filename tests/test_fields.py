@@ -5,6 +5,7 @@ import pytest
 
 from conftest import point_vortex
 from porousflow import euler as eu
+from porousflow import fields
 from porousflow import homogenized as hom
 from porousflow import oracle as orc
 from porousflow import potential as pot
@@ -136,9 +137,31 @@ def test_pruned_transforms_equal_numpy_bit_for_bit(shape, where):
     values[..., rows, :] = rng.standard_normal(values[..., rows, :].shape)
     spec = rfft2_rows(values, rows)
     assert np.array_equal(spec, np.fft.rfft2(values))
+    reused = np.full(spec.shape, 7.0 + 7.0j)  # a used buffer: its stale rows are cleared
+    assert rfft2_rows(values, rows, out=reused) is reused
+    assert np.array_equal(reused, spec)
     full = np.fft.irfft2(spec, s=(nx, ny))
     assert np.array_equal(irfft2_rows(spec.copy(), ny, rows), full[..., rows, :])
     assert np.array_equal(irfft2_rows(spec, ny), full)
+
+
+@pytest.mark.parametrize("shape", [(16, 12), (15, 13), (2, 16, 13), (2, 15, 12)])
+def test_spectral_power_is_parseval(shape, monkeypatch):
+    # even and odd axes, batched planes, blocks of three rows and one block:
+    # the half-spectrum sum over nx ny is the l2 norm squared of the fields
+    nx, ny = shape[-2:]
+    values = np.random.default_rng(nx * ny).standard_normal(shape)
+    spec = np.fft.rfft2(values)
+    before = spec.copy()
+    for block in (3 * (ny // 2 + 1), fields.POWER_BLOCK):
+        monkeypatch.setattr(fields, "POWER_BLOCK", block)
+        power = fields.spectral_power(spec, ny) / (nx * ny)
+        assert power == pytest.approx(np.vdot(values, values), rel=1e-13, abs=0.0)
+    assert np.array_equal(spec, before)
+    kx, _ = fields.wavenumbers((nx, ny), 0.1)
+    weighted = fields.spectral_power(spec, ny, lambda rows: 1.0 / (1.0 + kx[rows] ** 2))
+    full = np.fft.fft2(values)
+    assert weighted == pytest.approx((np.abs(full) ** 2 / (1.0 + kx**2)).sum(), rel=1e-13)
 
 
 def test_vector_field_is_plane_backed_in_any_layout():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,28 @@ def test_apply_l_spectral_equals_whole_grid_transforms(shape):
     assert not hom.apply_l_spectral(g, zero).values.any()
 
 
+@pytest.mark.parametrize("shape", [(48, 48), (45, 45), (48, 39)])
+def test_spectral_norm_and_rows_match_the_whole_grid_inverse(shape):
+    # the norm by Parseval (the box mean's nx ny |mean|^2 included) and the
+    # inverse over k's rows, against the whole-grid output of apply_l_spectral
+    nx, ny = shape
+    h = 0.05
+    rng = np.random.default_rng(nx - ny)
+    k = make_grid((0.0, 0.0, nx * h, ny * h), h)
+    k.values[nx // 3: nx // 3 + nx // 4, ny // 3: ny // 3 + ny // 4] = 0.05 * rng.random(
+        (nx // 4, ny // 4)
+    )
+    g = VectorGridField(k.origin, h, 1.0 + rng.standard_normal((nx, ny, 2)))
+    full = hom.apply_l_spectral(g, k).planes
+    op = hom._SpectralL(g, k)
+    box = (slice(None),) + op.box
+    mean = op.forward(g.planes[box])
+    norm = np.sqrt(np.vdot(full, full))
+    assert op.norm(op.spec, mean) == pytest.approx(norm, rel=1e-13)
+    assert op.norm(op.spec, 0.0 * mean) < (1.0 - 1e-6) * norm  # the mean's share counts
+    assert np.array_equal(op.on_box(mean), full[box])
+
+
 def test_solve_does_not_depend_on_the_layout_of_g0():
     k = world_k(0.04)
     g0 = pot.grad_psi0_on_grid(world_f())
@@ -225,6 +249,17 @@ def test_solve_zero_k_converges_immediately():
     assert sol.iterations == 1
     g0 = pot.grad_psi0_on_grid(f)
     assert np.abs(sol.grad.values - g0.values).max() == 0.0
+
+
+def test_zero_k_series_stops_after_one_step():
+    # k's support box is empty: one step of increment 0, and no correction
+    g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
+    zero = make_grid(WORLD, SWEEP_H)
+    assert hom.expansion_errors(g0, zero, SWEEP_NORMS) == [(0.0, 0.0, [0.0])] * 3
+    sol = hom.solve_psic_from_grad(g0, zero)
+    assert sol.increments == [0.0]
+    assert np.array_equal(sol.grad.values, g0.values)
+    assert np.array_equal(sol.first_order.values, g0.values)
 
 
 def test_solve_geometric_convergence():
@@ -342,6 +377,25 @@ def test_sweep_matches_the_per_norm_reference():
         _assert_close(incs, ref_incs)
         assert err0 == pytest.approx(np.sqrt(((grad - g0.values) ** 2).sum()) * SWEEP_H, rel=1e-12)
         assert errt == pytest.approx(np.sqrt(((grad - first) ** 2).sum()) * SWEEP_H, rel=1e-12)
+
+
+def test_expansion_errors_memory_within_budget():
+    # the series holds k M p, the reused spectrum and the kept spectrum of
+    # L g0 on the whole grid, each the size of g0, and the multiplier's
+    # half-size temporary: measured 4.6 g0 at the peak (the form with each
+    # p_j on the whole grid took 5.0); the bound has the 1.3x margin of
+    # test_grid_gradient_memory_is_bounded
+    h = 1.0 / 64.0
+    g0 = pot.grad_psi0_on_grid(world_f(h))
+    k = world_k(1.0, h)
+    tracemalloc.start()
+    try:
+        rows = hom.expansion_errors(g0, k, SWEEP_NORMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
+    assert peak < 6 * g0.planes.nbytes
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])

@@ -24,6 +24,7 @@ def test_every_case_runs_tiny(capsys):
     names = list(layers.cases(0.01))
     assert "smoothed_vorticity" in names and "grad_psi0_eval" in names
     assert "apply_l_spectral" in names and "grad_psi0_on_grid" in names
+    assert {"expansion_errors", "solve_psic_from_grad", "hminus1"} <= set(names)
     for name in names:
         args = ["--src", str(ROOT / "src"), "--scale", "0.01", "--repeat", "1", "--case", name]
         assert layers.main(args) == 0

@@ -36,14 +36,25 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+# the divcurl workload's configuration, without its sweep over n
+DIVCURL = """[run]
+experiment = divcurl
+[geometry]
+epsilon = 0.1
+[vorticity]
+shape = bump
+center = 0.5 1.8
+radius = 0.3
+"""
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def cases(scale: float):
     """{layer: (shape, call)} at the workloads' shapes times ``scale``:
-    euler-compare's 1316 particles past 256 holes, divcurl's 4096 probes and
-    homog-sweep's 1024^2 grid with its source and its largest k."""
-    from porousflow import euler, homogenized, potential
+    euler-compare's 1316 particles past 256 holes, divcurl's 4096 probes, its
+    world grid and its n = 16 mu - k field, and homog-sweep's 1024^2 grid
+    with its source, its largest k and its three k norms."""
+    from porousflow import analysis, cli, euler, homogenized, potential
     from porousflow.fields import ScalarGridField, radial_bump, rasterize
 
     def count(n):
@@ -58,6 +69,18 @@ def cases(scale: float):
         f = rasterize(world, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         k = rasterize(world, h, radial_bump((0.0, 0.0), 0.5, 0.04, power=3))
         return f, potential.grad_psi0_on_grid(f), k
+
+    n_mu = max(round(16 * scale**0.5), 2)
+
+    @functools.cache
+    def divcurl_grid():
+        """(grad psi_0, k, the n = 16 mu - k field) of divcurl, made by the
+        warm-up call; the world grid's and the mu grid's cells scale."""
+        cfg = cli.RunConfig(DIVCURL + f"[solver]\ngrid_h = {1 / 128 / scale**0.5!r}\n")
+        config = cli.geometry_from_config(cfg, 0, n=n_mu)
+        world = cli.world_grid_for(cfg, config.kpm_box, cli.source_from_config(cfg))
+        k = cli.volume_fraction(config, world)
+        return potential.grad_psi0_on_grid(world), k, analysis.mu_minus_k_field(config, k)
 
     rng = np.random.default_rng(0)
     p, n, t = count(1316), count(256), count(4096)
@@ -84,6 +107,12 @@ def cases(scale: float):
                              lambda: homogenized.apply_l_spectral(*sweep_grid()[1:])),
         "grad_psi0_on_grid": (f"grid {side}x{side}",
                               lambda: potential.grad_psi0_on_grid(sweep_grid()[0])),
+        # the scales of the largest k that give the sweep's k norms 0.01, 0.02, 0.04
+        "expansion_errors": (f"grid {side}x{side} x3 norms", lambda: homogenized.expansion_errors(
+            *sweep_grid()[1:], (0.25, 0.5, 1.0))),
+        "solve_psic_from_grad": ("divcurl world grid", lambda: homogenized.solve_psic_from_grad(
+            *divcurl_grid()[:2])),
+        "hminus1": (f"divcurl mu-k n={n_mu}", lambda: analysis.hminus1(divcurl_grid()[2])),
     }
 
 
@@ -128,11 +157,11 @@ def main(argv=None) -> int:
             parser.error(f"--case must be one of {', '.join(table)}")
         shape, call = table[args.case]
         ms, faults, peak = measure(call, args.repeat)
-        print(f"{args.case:<20}{shape:<24}{ms:>10.3f}{faults:>10.1f}{peak:>10.2f}")
+        print(f"{args.case:<22}{shape:<24}{ms:>10.3f}{faults:>10.1f}{peak:>10.2f}")
         return 0
     print(f"# {src}  python {sys.version.split()[0]}  numpy {np.__version__}  "
           f"repeat {args.repeat}  scale {args.scale}")
-    print(f"{'layer':<20}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
+    print(f"{'layer':<22}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
     env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
     for name in table:
         child = [sys.executable, __file__, "--src", str(src), "--repeat", str(args.repeat),
