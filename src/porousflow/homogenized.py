@@ -22,12 +22,19 @@ c^j. One loop, ``_fixed_point``, sums that series for one or more scales c
 with one stopping rule: the grid solve (spectral, c = 1), the Euler closure's
 full solve on the k cells (direct, c = 1) and the k-norm sweep
 (``expansion_errors``, every norm from one series). L reads its argument only
-where k is nonzero, so the spectral series runs in spectral space
-(``_SpectralL``): each term lives on k's support box, each step's norm comes
-from its spectrum by Parseval, and the inverse transform runs over k's rows
-only, and only when another step follows. The sweep's norms take no inverse
-at all; the grid solve makes its solution and first iterate with one
-whole-grid inverse each.
+where k is nonzero, and the series needs each term only there, so the
+spectral series runs on k's support box (bx, by) (``_BoxL``): L there is one
+circular convolution on the smallest fast box of at least (2 bx - 1,
+2 by - 1) cells with the grid's own periodic kernel, inverted from the
+multipliers once per operator and kept on the displacements the box spans
+(Hockney & Eastwood's zero padding, as ``potential.grad_psi0_on_grid``). Each
+step transforms w = k M p on that box, takes its norm over the whole grid as a
+quadratic form of that spectrum by Parseval (L is the longitudinal
+projection, so ||L p||^2 = <w, L w> plus the mean's share), and inverts over
+the box's rows only, and only when another step follows. The sweep's norms
+take no inverse at all; the grid solve makes its solution and first iterate
+on the whole grid with one whole-grid application of L each
+(``_l_on_grid``, as ``apply_l_spectral``).
 """
 
 from __future__ import annotations
@@ -47,7 +54,13 @@ from .fields import (
     rfft2_rows,
     spectral_power,
 )
-from .potential import _displacements, _fft_convolve, _grad_kernel, grad_psi0_on_grid
+from .potential import (
+    _displacements,
+    _fast_length,
+    _fft_convolve,
+    _grad_kernel,
+    grad_psi0_on_grid,
+)
 
 MAX_ITER = 50  # fixed-point iterations before a solve returns unconverged
 TOL = 1e-10  # default stopping increment of the fixed point
@@ -70,66 +83,130 @@ class HomogSolution:
         return len(self.increments)
 
 
-class _SpectralL:
-    """L on the grid of g in spectral space, for arguments given on k's
-    support box ``box`` (empty for the zero k), the only part of its argument
-    that L reads.
+def _support_box(g: VectorGridField, k) -> tuple[slice, slice]:
+    """k's support box (empty for the zero k), the only part of its argument
+    that L reads, after the checks that L needs of g and k."""
+    check_padding(k)
+    if k.shape != g.values.shape[:2]:
+        raise ValueError("k and g must share the grid")
+    return k.support_slices() or (slice(0, 0), slice(0, 0))
 
-    ``forward(p)`` forms w = k M p on the box, in a full-grid buffer that is
-    zero off it, takes the mean of L p, transforms w over the rows of k only
-    (``fields.rfft2_rows``) into the one spectrum buffer ``spec`` that every
-    call reuses, and applies the cached ``fields.gradient_multipliers`` there.
-    Killing the zero mode forces a zero box mean, whereas the free-space field
-    of a density with integral P has box mean P/(2 |box|) (the kernel
-    integrated over a large disk contributes exactly P/2); that constant is
-    returned so that L p = irfft2(spec) + mean follows the decay-at-infinity
-    convention. ``norm``, ``on_box`` and ``on_grid`` read such a spectrum and
-    mean; the inverses overwrite the spectrum.
+
+def _l_on_grid(p: np.ndarray, k, h: float, box) -> np.ndarray:
+    """L p on the whole grid (2, nx, ny) for p (2, bx, by) on k's support box:
+    w = k M p in a whole-grid buffer that is zero off the box, transformed
+    over the rows of k only (``fields.rfft2_rows``), times the cached
+    ``fields.gradient_multipliers``, and inverted. Killing the zero mode
+    forces a zero box mean, whereas the free-space field of a density with
+    integral P has box mean P/(2 |box|) (the kernel integrated over a large
+    disk contributes exactly P/2); that constant is added so that L p follows
+    the decay-at-infinity convention. The mean is the whole-grid sum, which
+    rounds differently from a sum over the box alone."""
+    w = np.zeros((2,) + k.shape)
+    np.multiply(p, M_DISK * k.values[box], out=w[(slice(None),) + box])
+    mean = w.sum(axis=(1, 2)) / (2.0 * w[0].size)  # P / (2 |box|), P = h^2 sum w
+    kx, ky, mx, my = gradient_multipliers(k.shape, h)
+    spec = rfft2_rows(w, box[0])
+    div_hat = mx * spec[0]
+    div_hat += np.multiply(my, spec[1], out=spec[1])
+    np.multiply(kx, div_hat, out=spec[0])
+    np.multiply(ky, div_hat, out=spec[1])
+    del w, div_hat  # freed before the inverse allocates its output
+    out = irfft2_rows(spec, k.shape[1])
+    out += mean[:, None, None]
+    return out
+
+
+def _box_kernel(shape, h: float, extent, size) -> np.ndarray:
+    """The spectra (3, Mx, My // 2 + 1) of the xx, xy and yy entries of L's
+    kernel on the (Mx, My) box ``size``: the grid's own periodic kernel, the
+    inverse transform of the multipliers kx kx/|xi|^2, kx ky/|xi|^2 and
+    ky ky/|xi|^2 of ``fields.gradient_multipliers``, kept on the displacements
+    |d| < ``extent`` per axis and placed with the negative ones wrapped to the
+    back. The multipliers are real, so the inverse along nx is the conjugate
+    of a real forward transform over nx, kept on its first rows only, and
+    the rows of negative dx are the conjugates of those of positive dx. The
+    kernel is even, so its transforms on the box are real (the imaginary
+    roundoff is dropped)."""
+    (nx, ny), (bx, _) = shape, extent
+    kx, ky, mx, my = gradient_multipliers(shape, h)
+    # per axis, the displacements 0..b-1 and -(b-1)..-1 in the kernel rows
+    # made below (2 bx - 1 of them) or the grid's columns, and on the box
+    moves = [[(slice(0, b), slice(0, b)), (slice(n - b + 1, n), slice(m - b + 1, m))]
+             for b, n, m in zip(extent, (2 * bx - 1, ny), size)]
+    planes = np.zeros(size)
+    out = np.empty((3, size[0], size[1] // 2 + 1))
+    for i, (left, right) in enumerate(((kx, mx), (kx, my), (ky, my))):
+        half = np.fft.rfft(left * right, axis=0)[:bx].conj()  # nx ifft along nx, dx = 0..bx-1
+        kern = np.fft.irfft(np.concatenate([half, half[:0:-1].conj()]), n=ny, axis=1)
+        for src_x, dst_x in moves[0]:
+            for src_y, dst_y in moves[1]:
+                planes[dst_x, dst_y] = kern[src_x, src_y]
+        out[i] = np.fft.rfft2(planes).real
+    out /= nx
+    return out
+
+
+class _BoxL:
+    """L on k's support box (bx, by), for arguments given there: the output
+    on the box of ``_l_on_grid``, as one circular convolution with the
+    grid's periodic kernel on the smallest fast box (Mx, My) =
+    (``_fast_length(2 bx - 1)``, ``_fast_length(2 by - 1)``) (Hockney &
+    Eastwood's zero padding). Box displacements satisfy |i - j| <= b - 1 < M,
+    so each box output is the whole-grid sum up to roundoff.
+
+    ``forward(p)`` forms w = k M p in the box corner of one reused
+    (2, Mx, My) buffer, zero elsewhere, transforms it over w's bx rows into
+    the reused spectrum ``spec`` and returns the mean of L p (the whole-grid
+    convention of ``_l_on_grid``, summed over the box planes). ``norm`` is
+    ||L p|| over the whole grid as a quadratic form: L is the longitudinal
+    projection, so ||L p||^2 = <w, L w> + nx ny |mean|^2, and <w, L w> is
+    Parseval's sum of spec against the kernel's product with it, which
+    ``norm`` leaves in ``prod``. ``on_box`` inverts ``prod`` over the box's
+    rows only, overwriting it.
     """
 
     def __init__(self, g: VectorGridField, k):
-        check_padding(k)
-        if k.shape != g.values.shape[:2]:
-            raise ValueError("k and g must share the grid")
-        self.box = k.support_slices() or (slice(0, 0), slice(0, 0))
+        self.box = _support_box(g, k)
         self.where = (slice(None),) + self.box  # both planes on the box
         self.km = M_DISK * k.values[self.box]
-        # whole-grid planes, so the mean is the whole-grid sum bit for bit
-        # (a sum over the box alone rounds differently)
-        self.w = np.zeros((2,) + k.shape)
-        self.spec = np.empty((2, k.shape[0], k.shape[1] // 2 + 1), dtype=complex)
-        self.multipliers = gradient_multipliers(k.shape, g.h)
+        self.cells = k.values.size
+        extent = self.km.shape
+        size = tuple(_fast_length(2 * b - 1) for b in extent)
+        self.kernel = _box_kernel(k.shape, g.h, extent, size)
+        self.w = np.zeros((2,) + size)
+        self.spec = np.empty((2, size[0], size[1] // 2 + 1), dtype=complex)
+        self.prod = np.empty_like(self.spec)
 
     def forward(self, p: np.ndarray) -> np.ndarray:
-        """The spectrum of L p without its zero mode into ``spec``, for p
-        (2, bx, by) on the box; returns the box mean of L p (one per plane)."""
-        np.multiply(p, self.km, out=self.w[self.where])
-        mean = self.w.sum(axis=(1, 2)) / (2.0 * self.w[0].size)  # P / (2 |box|), P = h^2 sum w
-        kx, ky, mx, my = self.multipliers
-        spec = rfft2_rows(self.w, self.box[0], out=self.spec)
-        div_hat = mx * spec[0]
-        div_hat += np.multiply(my, spec[1], out=spec[1])
-        np.multiply(kx, div_hat, out=spec[0])
-        np.multiply(ky, div_hat, out=spec[1])
-        return mean
+        """The spectrum of w = k M p into ``spec``, for p (2, bx, by) on the
+        box; returns the mean of L p (one per plane)."""
+        bx, by = self.km.shape
+        w = self.w[:, :bx, :by]
+        np.multiply(p, self.km, out=w)
+        rfft2_rows(self.w, slice(0, bx), out=self.spec)
+        return w.sum(axis=(1, 2)) / (2.0 * self.cells)
 
-    def norm(self, spec: np.ndarray, mean: np.ndarray) -> float:
-        """The l2 norm over the grid of irfft2(spec) + mean, by Parseval:
-        the half spectrum's power over nx ny, plus nx ny |mean|^2 (spec
-        carries no zero mode)."""
-        nx, ny = self.w.shape[1:]
-        return float(np.sqrt(spectral_power(spec, ny) / (nx * ny) + nx * ny * np.vdot(mean, mean)))
+    def norm(self, mean: np.ndarray) -> float:
+        """||L p|| over the whole grid, for the spectrum ``spec`` of w and
+        the mean of L p; the kernel's product with spec is left in ``prod``."""
+        kxx, kxy, kyy = self.kernel
+        spec, prod = self.spec, self.prod
+        np.multiply(kxx, spec[0], out=prod[0])
+        prod[0] += kxy * spec[1]
+        np.multiply(kyy, spec[1], out=prod[1])
+        prod[1] += kxy * spec[0]
+        mx, my = self.w.shape[1:]
+        power = spectral_power(spec, my, other=prod) / (mx * my)
+        # roundoff can take a vanishing form below zero
+        return float(np.sqrt(max(power + self.cells * np.vdot(mean, mean), 0.0)))
 
     def on_box(self, mean: np.ndarray) -> np.ndarray:
-        """irfft2(spec) + mean on the box: the inverse over its rows only."""
-        rows, cols = self.box
-        return irfft2_rows(self.spec, self.w.shape[2], rows)[:, :, cols] + mean[:, None, None]
-
-    def on_grid(self, spec: np.ndarray, mean: np.ndarray) -> np.ndarray:
-        """irfft2(spec) + mean on the whole grid."""
-        out = irfft2_rows(spec, self.w.shape[2])
-        out += mean[:, None, None]
-        return out
+        """L p on the box from ``prod`` and the mean: the inverse over the
+        box's rows only."""
+        bx, by = self.km.shape
+        out = irfft2_rows(self.prod, self.w.shape[2], slice(0, bx))[:, :, :by]
+        return out + mean[:, None, None]
 
 
 def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
@@ -138,13 +215,12 @@ def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
     The grid itself is the padded box; the support of k must keep clearance
     at least its own extent from every edge so periodization images stay
     negligible (their leading contributions cancel by lattice symmetry).
-    g is read on k's support box only: ``_SpectralL.forward`` makes the
-    spectrum of L g and its mean, and one batched inverse real transform of
-    both planes gives L g on the whole grid.
+    g is read on k's support box only (``_l_on_grid``), and one batched
+    inverse real transform of both planes gives L g on the whole grid.
     """
-    op = _SpectralL(g, k)
-    mean = op.forward(g.planes[op.where])
-    return VectorGridField(g.origin.copy(), g.h, np.moveaxis(op.on_grid(op.spec, mean), 0, 2))
+    box = _support_box(g, k)
+    out = _l_on_grid(g.planes[(slice(None),) + box], k, g.h, box)
+    return VectorGridField(g.origin.copy(), g.h, np.moveaxis(out, 0, 2))
 
 
 def k2_kernel_sum(
@@ -286,41 +362,42 @@ def _fixed_point(g0: np.ndarray, step, h: float, tol: float, scales=(1.0,), wher
 
 
 def _spectral_series(psi0_grad: VectorGridField, k, tol: float, scales):
-    """``_fixed_point`` with the spectral backend, in spectral space: each
-    step makes the spectrum of L p from p on k's support box, takes ||p_j||
-    from it by Parseval, and inverts it over the box's rows only, when
-    another step follows. Returns the operator, the T_c on the box, the
-    spectrum and mean of L g0 = -p_1, and the increments."""
-    op = _SpectralL(psi0_grad, k)
-    l_g0 = []  # the first step's spectrum and mean, kept
+    """``_fixed_point`` with the spectral backend on k's support box
+    (``_BoxL``): each step makes the spectrum of w = k M p from p on the
+    box, takes ||p_j|| from it as a quadratic form, and inverts the product
+    with the kernel over the box's rows only, when another step follows.
+    Returns the operator, the T_c on the box, the spectrum of w(g0) and
+    the mean of L g0, and the increments."""
+    op = _BoxL(psi0_grad, k)
+    w_g0 = []  # the first step's spectrum and mean, kept
 
     def step(p):
         mean = op.forward(p)
-        if not l_g0:
-            l_g0.append((op.spec.copy(), mean))
+        if not w_g0:
+            w_g0.append((op.spec.copy(), mean))
 
         def advance():
             p = op.on_box(mean)
             return np.negative(p, out=p)
 
-        return op.norm(op.spec, mean), advance
+        return op.norm(mean), advance
 
     sums, increments = _fixed_point(psi0_grad.planes, step, psi0_grad.h, tol, scales, op.where)
-    return op, sums, l_g0[0], increments
+    return op, sums, w_g0[0], increments
 
 
 def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> HomogSolution:
     """The fixed point on the grid (spectral backend) from a precomputed
-    free-space gradient: ``_fixed_point`` at the one scale c = 1, whose
-    solution g0 - L T and first iterate g0 - L g0 are the two whole-grid
-    inverses."""
-    op, (t,), (l_g0, mean_g0), (increments,) = _spectral_series(psi0_grad, k, tol, (1.0,))
+    free-space gradient: ``_fixed_point`` at the one scale c = 1 on k's
+    box, whose solution g0 - L T and first iterate g0 - L g0 are the two
+    whole-grid applications of L (``_l_on_grid``)."""
+    op, (t,), _, (increments,) = _spectral_series(psi0_grad, k, tol, (1.0,))
     g0 = psi0_grad.planes
     origin, h = psi0_grad.origin, psi0_grad.h
-    mean = op.forward(t)
-    grad = VectorGridField(origin.copy(), h, np.moveaxis(g0 - op.on_grid(op.spec, mean), 0, 2))
-    first = g0 - op.on_grid(l_g0, mean_g0)
-    return HomogSolution(grad, VectorGridField(origin.copy(), h, np.moveaxis(first, 0, 2)),
+    grad = g0 - _l_on_grid(t, k, h, op.box)
+    first = g0 - _l_on_grid(g0[op.where], k, h, op.box)
+    return HomogSolution(VectorGridField(origin.copy(), h, np.moveaxis(grad, 0, 2)),
+                         VectorGridField(origin.copy(), h, np.moveaxis(first, 0, 2)),
                          increments)
 
 
@@ -329,16 +406,16 @@ def expansion_errors(psi0_grad: VectorGridField, k, scales,
     """The solves with c k for every scale c of ``scales`` from one series:
     per scale, the h-weighted l2 norms of grad psi_c - grad psi_0 and of
     grad psi_c - grad psi_tilde, and the increments. Each is
-    ``solve_psic_from_grad`` with c k up to roundoff. Both norms come from
-    the spectrum of L T_c by Parseval, with no inverse transform."""
-    op, sums, (l_g0, mean_g0), increments = _spectral_series(psi0_grad, k, tol, scales)
+    ``solve_psic_from_grad`` with c k up to roundoff. Both norms are
+    quadratic forms of box spectra, with no inverse transform."""
+    op, sums, (w_g0, mean_g0), increments = _spectral_series(psi0_grad, k, tol, scales)
     rows = []
     h = psi0_grad.h
     for c, t, incs in zip(scales, sums, increments):
         mean = op.forward(t)
-        err_psi0 = c * op.norm(op.spec, mean) * h  # psi_c - psi_0 = -c L T_c
-        op.spec -= l_g0  # psi_c - psi_tilde = -c (L T_c + p_1) = -c L (T_c - g0)
-        rows.append((err_psi0, c * op.norm(op.spec, mean - mean_g0) * h, incs))
+        err_psi0 = c * op.norm(mean) * h  # psi_c - psi_0 = -c L T_c
+        op.spec -= w_g0  # psi_c - psi_tilde = -c (L T_c + p_1) = -c L (T_c - g0)
+        rows.append((err_psi0, c * op.norm(mean - mean_g0) * h, incs))
     return rows
 
 

@@ -298,17 +298,19 @@ def test_homog_sweep_byte_identical(tmp_path):
 
 
 def test_homog_sweep_applies_l_once_per_step_and_once_per_norm(tmp_path, monkeypatch):
-    # every k norm is a scale of one series, run in spectral space: each step
-    # but the last inverts its spectrum over k's rows only, and the norms of
-    # the solutions need no inverse, so no whole-grid inverse runs
+    # every k norm is a scale of one series, run on k's support box: each step
+    # but the last inverts a spectrum of the small convolution box over the
+    # support's rows only, and the norms of the solutions need no inverse, so
+    # no whole-grid inverse runs
     from porousflow import homogenized
+    from porousflow.potential import _fast_length
 
     rows, full = [], []
     irfft2_rows = homogenized.irfft2_rows
     apply_l = homogenized.apply_l_spectral
 
     def inverse(spec, ny, *args):
-        rows.append((args[0] if args else slice(None)).indices(spec.shape[-2]))
+        rows.append((spec.shape[-2],) + (args[0] if args else slice(None)).indices(spec.shape[-2]))
         return irfft2_rows(spec, ny, *args)
 
     monkeypatch.setattr(homogenized, "irfft2_rows", inverse)
@@ -319,8 +321,10 @@ def test_homog_sweep_applies_l_once_per_step_and_once_per_norm(tmp_path, monkeyp
     iterations = json.loads((out / "summary.json").read_text())["results"]["iterations"]
     assert len(rows) == max(iterations) - 1
     nx = round(4.0 / 0.03125)  # the sweep's 4 x 4 world at its grid_h
-    # the unit bump of radius 0.5 at the world's center spans a quarter of the rows
-    assert rows == [(3 * nx // 8, 5 * nx // 8, 1)] * len(rows)
+    # the unit bump of radius 0.5 at the world's center spans a quarter of the
+    # rows, bx = nx / 4, so the box has fast_length(2 bx - 1) rows, not nx
+    bx = nx // 4
+    assert rows == [(_fast_length(2 * bx - 1), 0, bx, 1)] * len(rows)
     assert not full
 
 

@@ -191,10 +191,22 @@ def test_apply_l_spectral_equals_whole_grid_transforms(shape):
     assert not hom.apply_l_spectral(g, zero).values.any()
 
 
+def _check_box_operator(k, g):
+    """The box operator against the whole-grid output of apply_l_spectral:
+    its convolution on the box, and its norm as a quadratic form with the
+    box mean's nx ny |mean|^2 included."""
+    full = hom.apply_l_spectral(g, k).planes
+    op = hom._BoxL(g, k)
+    mean = op.forward(g.planes[op.where])
+    norm = np.sqrt(np.vdot(full, full))
+    assert op.norm(mean) == pytest.approx(norm, rel=1e-13)
+    on_box = full[op.where]
+    assert np.abs(op.on_box(mean) - on_box).max() <= 1e-13 * np.abs(on_box).max()
+    assert op.norm(0.0 * mean) < (1.0 - 1e-6) * norm  # the mean's share counts
+
+
 @pytest.mark.parametrize("shape", [(48, 48), (45, 45), (48, 39)])
 def test_spectral_norm_and_rows_match_the_whole_grid_inverse(shape):
-    # the norm by Parseval (the box mean's nx ny |mean|^2 included) and the
-    # inverse over k's rows, against the whole-grid output of apply_l_spectral
     nx, ny = shape
     h = 0.05
     rng = np.random.default_rng(nx - ny)
@@ -203,14 +215,32 @@ def test_spectral_norm_and_rows_match_the_whole_grid_inverse(shape):
         (nx // 4, ny // 4)
     )
     g = VectorGridField(k.origin, h, 1.0 + rng.standard_normal((nx, ny, 2)))
-    full = hom.apply_l_spectral(g, k).planes
-    op = hom._SpectralL(g, k)
-    box = (slice(None),) + op.box
-    mean = op.forward(g.planes[box])
-    norm = np.sqrt(np.vdot(full, full))
-    assert op.norm(op.spec, mean) == pytest.approx(norm, rel=1e-13)
-    assert op.norm(op.spec, 0.0 * mean) < (1.0 - 1e-6) * norm  # the mean's share counts
-    assert np.array_equal(op.on_box(mean), full[box])
+    _check_box_operator(k, g)
+
+
+def test_box_operator_at_the_minimal_padding():
+    # nx = 3 bx: the support's clearance equals its extent, the least that
+    # check_padding admits, so the kernel's 2 bx - 1 displacements per axis
+    # cover the most of the grid's 3 bx
+    n, b, h = 36, 12, 0.05
+    rng = np.random.default_rng(n)
+    k = make_grid((0.0, 0.0, n * h, n * h), h)
+    k.values[b: 2 * b, b: 2 * b] = 0.05 * (0.5 + rng.random((b, b)))
+    g = VectorGridField(k.origin, h, 1.0 + rng.standard_normal((n, n, 2)))
+    op = hom._BoxL(g, k)
+    assert op.km.shape == (b, b) and op.w.shape[1:] == (2 * b, 2 * b)  # fast lengths of 2b - 1
+    _check_box_operator(k, g)
+
+
+def test_box_operator_of_the_zero_k():
+    # an empty support box: a zero spectrum and mean, and one step of increment 0
+    g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
+    zero = make_grid(WORLD, SWEEP_H)
+    op = hom._BoxL(g0, zero)
+    mean = op.forward(g0.planes[op.where])
+    assert not mean.any() and op.norm(mean) == 0.0
+    _, sums, _, increments = hom._spectral_series(g0, zero, hom.TOL, (1.0,))
+    assert increments == [[0.0]] and sums[0].size == 0
 
 
 def test_solve_does_not_depend_on_the_layout_of_g0():
@@ -380,11 +410,14 @@ def test_sweep_matches_the_per_norm_reference():
 
 
 def test_expansion_errors_memory_within_budget():
-    # the series holds k M p, the reused spectrum and the kept spectrum of
-    # L g0 on the whole grid, each the size of g0, and the multiplier's
-    # half-size temporary: measured 4.6 g0 at the peak (the form with each
-    # p_j on the whole grid took 5.0); the bound has the 1.3x margin of
-    # test_grid_gradient_memory_is_bounded
+    # the series runs on k's box: k M p, its spectrum, the kernel's product
+    # with it and the kept spectrum of k M g0 on the (fast_length(2 bx - 1))^2
+    # box, the three kernel spectra there and the kernel's one-time inverse
+    # over bx rows of the grid: measured 2.3 g0 at the peak with the grid's
+    # multipliers not yet cached, 1.8 g0 with them (the form with each
+    # spectrum on the whole grid took 4.4 and 3.9). The loose 6 g0 bound is
+    # the one of that form; the tight bound has the 1.3x margin of
+    # test_grid_gradient_memory_is_bounded over 2.3 g0
     h = 1.0 / 64.0
     g0 = pot.grad_psi0_on_grid(world_f(h))
     k = world_k(1.0, h)
@@ -396,6 +429,7 @@ def test_expansion_errors_memory_within_budget():
         tracemalloc.stop()
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
     assert peak < 6 * g0.planes.nbytes
+    assert peak < 3.0 * g0.planes.nbytes
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])

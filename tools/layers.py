@@ -46,16 +46,36 @@ shape = bump
 center = 0.5 1.8
 radius = 0.3
 """
+# the euler-compare workload's configuration, its lattice size and particle
+# spacing left to fill in
+EULER = """[run]
+experiment = euler
+[geometry]
+n = {n}
+epsilon = 0.1
+[vorticity]
+shape = bump
+center = 0.5 6.8
+radius = 0.5
+amplitude = 4.0
+[euler]
+particle_h = {h_p!r}
+blob = {h_p!r}
+dt = 0.05
+t_final = 0.25
+margin = 5
+"""
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def cases(scale: float):
     """{layer: (shape, call)} at the workloads' shapes times ``scale``:
-    euler-compare's 1316 particles past 256 holes, divcurl's 4096 probes, its
-    world grid and its n = 16 mu - k field, and homog-sweep's 1024^2 grid
-    with its source, its largest k and its three k norms."""
-    from porousflow import analysis, cli, euler, homogenized, potential
-    from porousflow.fields import ScalarGridField, radial_bump, rasterize
+    euler-compare's 1316 particles past 256 holes and one RK4 step of each of
+    its closures, divcurl's 4096 probes, its world grid, its n = 16 mu - k
+    field and its oracle fits at 16 and 64 holes, and homog-sweep's 1024^2
+    grid with its source, its largest k and its three k norms."""
+    from porousflow import analysis, cli, euler, homogenized, oracle, potential
+    from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
 
     def count(n):
         return max(round(n * scale), 2)
@@ -70,17 +90,51 @@ def cases(scale: float):
         k = rasterize(world, h, radial_bump((0.0, 0.0), 0.5, 0.04, power=3))
         return f, potential.grad_psi0_on_grid(f), k
 
-    n_mu = max(round(16 * scale**0.5), 2)
+    def side_of(n):
+        """The lattice side n with its hole count scaled, rounded down."""
+        return max(int(n * scale**0.5), 1)
+
+    n_mu = side_of(16)
+
+    @functools.cache
+    def divcurl_lattice(n):
+        """(config, world grid with f, k) of divcurl at lattice side n, made
+        by the warm-up call; the world grid's cells scale."""
+        cfg = cli.RunConfig(DIVCURL + f"[solver]\ngrid_h = {1 / 128 / scale**0.5!r}\n")
+        config = cli.geometry_from_config(cfg, 0, n=n)
+        world = cli.world_grid_for(cfg, config.kpm_box, cli.source_from_config(cfg))
+        return config, world, cli.volume_fraction(config, world)
 
     @functools.cache
     def divcurl_grid():
         """(grad psi_0, k, the n = 16 mu - k field) of divcurl, made by the
-        warm-up call; the world grid's and the mu grid's cells scale."""
-        cfg = cli.RunConfig(DIVCURL + f"[solver]\ngrid_h = {1 / 128 / scale**0.5!r}\n")
-        config = cli.geometry_from_config(cfg, 0, n=n_mu)
-        world = cli.world_grid_for(cfg, config.kpm_box, cli.source_from_config(cfg))
-        k = cli.volume_fraction(config, world)
+        warm-up call; the mu grid's cells scale too."""
+        config, world, k = divcurl_lattice(n_mu)
         return potential.grad_psi0_on_grid(world), k, analysis.mu_minus_k_field(config, k)
+
+    @functools.cache
+    def euler_settings():
+        """(the particles' state, the perforated closure, the homogenized
+        closure) of euler-compare at its start, made as ``cli.cmd_euler``
+        makes them by the warm-up call; particles and holes scale."""
+        h_p = 0.025 / scale**0.5
+        cfg = cli.RunConfig(EULER.format(n=side_of(16), h_p=h_p))
+        settings = cli.solver_settings(cfg)
+        config = cli.geometry_from_config(cfg, 0)
+        particles = euler.discretize_vorticity(cli.source_from_config(cfg), h_p, h_p,
+                                               kpm_box=config.kpm_box, margin=5.0)
+        k = cli.volume_fraction(config, make_grid(config.kpm_box.as_tuple(), 1.0 / 32.0))
+        return (euler.FlowState(0.0, particles),
+                euler.PerforatedSetting(config, settings.reflection_depth, margin=5.0),
+                euler.HomogenizedSetting(k, margin=5.0, tol=settings.tol))
+
+    def euler_step(closure):
+        state, *settings = euler_settings()
+        return euler.step(state, 0.05, settings[closure])
+
+    def collocation(n):
+        config, world, _ = divcurl_lattice(n)
+        return oracle.solve_collocation(world, config)
 
     rng = np.random.default_rng(0)
     p, n, t = count(1316), count(256), count(4096)
@@ -112,7 +166,14 @@ def cases(scale: float):
             *sweep_grid()[1:], (0.25, 0.5, 1.0))),
         "solve_psic_from_grad": ("divcurl world grid", lambda: homogenized.solve_psic_from_grad(
             *divcurl_grid()[:2])),
+        "mu_minus_k_field": (f"divcurl n={n_mu}", lambda: analysis.mu_minus_k_field(
+            *divcurl_lattice(n_mu)[::2])),
         "hminus1": (f"divcurl mu-k n={n_mu}", lambda: analysis.hminus1(divcurl_grid()[2])),
+        **{f"solve_collocation_{n}": (f"divcurl {side_of(n)**2} holes",
+                                      functools.partial(collocation, side_of(n)))
+           for n in (4, 8)},
+        "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
+        "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
 
 
