@@ -239,31 +239,22 @@ def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarra
             2.0 * np.pi * np.fft.rfftfreq(ny, d=h)[None, :])
 
 
-def spectral_power(spec: np.ndarray, ny: int, weight=None, other=None) -> float:
+def spectral_power(spec: np.ndarray, ny: int, weight=None) -> float:
     """The sum of weight |F|^2 over the whole spectrum F of real fields, from
     their half spectrum ``spec`` (..., nx, ny // 2 + 1) in ``rfft2``'s layout:
     every column counts twice (for its conjugate) except column 0 and, for
     even ny, the Nyquist column. ``weight(rows)`` gives the weights of a slice
-    of rows, broadcast against (rows, ny // 2 + 1); one by default. With
-    ``other``, the half spectrum G of a second set of real fields, the sum is
-    of weight Re(conj(F) G) instead. The sum runs over blocks of
-    ``POWER_BLOCK`` values per row slice, so its temporaries stay small on
-    any grid. By Parseval, the l2 norm squared of fields with
-    ``spec = rfft2(f)`` is ``spectral_power(spec, ny) / (nx ny)``, and their
-    l2 inner product with g is ``spectral_power(spec, ny, other=rfft2(g)) /
-    (nx ny)``."""
+    of rows, broadcast against (rows, ny // 2 + 1); one by default. The sum
+    runs over blocks of ``POWER_BLOCK`` values per row slice, so its
+    temporaries stay small on any grid. By Parseval, the l2 norm squared of
+    fields with ``spec = rfft2(f)`` is ``spectral_power(spec, ny) / (nx ny)``."""
     step = max(1, POWER_BLOCK // spec.shape[-1])
     total = 0.0
     for start in range(0, spec.shape[-2], step):
         rows = slice(start, start + step)
         block = spec[..., rows, :]
-        if other is None:  # squares of one strided view run faster than products
-            power = block.real**2
-            power += block.imag**2
-        else:
-            pair = other[..., rows, :]
-            power = block.real * pair.real
-            power += block.imag * pair.imag
+        power = block.real**2
+        power += block.imag**2
         power[..., 1:(ny + 1) // 2] *= 2.0
         if weight is not None:
             power *= weight(rows)

@@ -28,13 +28,15 @@ circular convolution on the smallest fast box of at least (2 bx - 1,
 2 by - 1) cells with the grid's own periodic kernel, inverted from the
 multipliers once per operator and kept on the displacements the box spans
 (Hockney & Eastwood's zero padding, as ``potential.grad_psi0_on_grid``). Each
-step transforms w = k M p on that box, takes its norm over the whole grid as a
-quadratic form of that spectrum by Parseval (L is the longitudinal
-projection, so ||L p||^2 = <w, L w> plus the mean's share), and inverts over
-the box's rows only, and only when another step follows. The sweep's norms
-take no inverse at all; the grid solve makes its solution and first iterate
-on the whole grid with one whole-grid application of L each
-(``_l_on_grid``, as ``apply_l_spectral``).
+step applies it once, forward over the box's rows and back over them. Every
+norm is a sum over the box: with w = k M q, L q = P w + mean, P the
+longitudinal projection (symmetric, idempotent, no zero mode) and mean the
+constant of ``_l_on_grid``, so ||L q||^2 = <w, L q> - nx ny |mean|^2. The
+series keeps L of each partial sum beside it, so the sweep's norms take no
+transform at all and the Euler closure's solution g0 - L T takes no further
+L. The grid solve makes its solution and first iterate on the whole grid with
+one whole-grid application of L each (``_l_on_grid``, as
+``apply_l_spectral``).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .fields import (
     irfft2_rows,
     perp,
     rfft2_rows,
-    spectral_power,
 )
 from .potential import (
     _displacements,
@@ -155,15 +156,12 @@ class _BoxL:
     Eastwood's zero padding). Box displacements satisfy |i - j| <= b - 1 < M,
     so each box output is the whole-grid sum up to roundoff.
 
-    ``forward(p)`` forms w = k M p in the box corner of one reused
-    (2, Mx, My) buffer, zero elsewhere, transforms it over w's bx rows into
-    the reused spectrum ``spec`` and returns the mean of L p (the whole-grid
-    convention of ``_l_on_grid``, summed over the box planes). ``norm`` is
-    ||L p|| over the whole grid as a quadratic form: L is the longitudinal
-    projection, so ||L p||^2 = <w, L w> + nx ny |mean|^2, and <w, L w> is
-    Parseval's sum of spec against the kernel's product with it, which
-    ``norm`` leaves in ``prod``. ``on_box`` inverts ``prod`` over the box's
-    rows only, overwriting it.
+    ``op(p)`` is L p on the box: w = k M p in the box corner of one reused
+    (2, Mx, My) buffer, zero elsewhere, transformed over w's bx rows into the
+    reused spectrum, times the kernel spectra, inverted over the box's rows
+    only, plus the mean of L p (``_l_on_grid``'s convention, summed over the
+    box planes). ``norm(q, lq)`` is ||L q|| over the whole grid as the box
+    sum <w, L q> - nx ny |mean|^2 (see the module docstring).
     """
 
     def __init__(self, g: VectorGridField, k):
@@ -178,35 +176,27 @@ class _BoxL:
         self.spec = np.empty((2, size[0], size[1] // 2 + 1), dtype=complex)
         self.prod = np.empty_like(self.spec)
 
-    def forward(self, p: np.ndarray) -> np.ndarray:
-        """The spectrum of w = k M p into ``spec``, for p (2, bx, by) on the
-        box; returns the mean of L p (one per plane)."""
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        """L p on the box, for p (2, bx, by) on the box."""
         bx, by = self.km.shape
         w = self.w[:, :bx, :by]
         np.multiply(p, self.km, out=w)
-        rfft2_rows(self.w, slice(0, bx), out=self.spec)
-        return w.sum(axis=(1, 2)) / (2.0 * self.cells)
-
-    def norm(self, mean: np.ndarray) -> float:
-        """||L p|| over the whole grid, for the spectrum ``spec`` of w and
-        the mean of L p; the kernel's product with spec is left in ``prod``."""
+        mean = w.sum(axis=(1, 2)) / (2.0 * self.cells)
         kxx, kxy, kyy = self.kernel
-        spec, prod = self.spec, self.prod
+        spec, prod = rfft2_rows(self.w, slice(0, bx), out=self.spec), self.prod
         np.multiply(kxx, spec[0], out=prod[0])
         prod[0] += kxy * spec[1]
         np.multiply(kyy, spec[1], out=prod[1])
         prod[1] += kxy * spec[0]
-        mx, my = self.w.shape[1:]
-        power = spectral_power(spec, my, other=prod) / (mx * my)
-        # roundoff can take a vanishing form below zero
-        return float(np.sqrt(max(power + self.cells * np.vdot(mean, mean), 0.0)))
-
-    def on_box(self, mean: np.ndarray) -> np.ndarray:
-        """L p on the box from ``prod`` and the mean: the inverse over the
-        box's rows only."""
-        bx, by = self.km.shape
-        out = irfft2_rows(self.prod, self.w.shape[2], slice(0, bx))[:, :, :by]
+        out = irfft2_rows(prod, self.w.shape[2], slice(0, bx))[:, :, :by]
         return out + mean[:, None, None]
+
+    def norm(self, q: np.ndarray, lq: np.ndarray) -> float:
+        """||L q|| over the whole grid, for q and lq = L q on the box."""
+        w = q * self.km
+        total = w.sum(axis=(1, 2))  # 2 nx ny times the mean
+        power = np.vdot(w, lq) - np.vdot(total, total) / (4.0 * self.cells)
+        return float(np.sqrt(max(power, 0.0)))  # roundoff can take a vanishing form below zero
 
 
 def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
@@ -318,36 +308,40 @@ def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarr
     return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
 
 
-def _fixed_point(g0: np.ndarray, step, h: float, tol: float, scales=(1.0,), where=...):
+def _fixed_point(g0: np.ndarray, apply_l, norm, h: float, tol: float, scales=(1.0,), where=...):
     """The fixed points of g = g0 - c L g, with L linear, for every scale c
     of ``scales``, as partial sums of one Neumann series.
 
     Iterate n of g <- g0 - c L g from g = g0 is g0 + sum_{j=1..n} c^j p_j,
     with p_0 = g0 and p_j = -L p_{j-1}, so each step applies L once for every
-    scale. ``step(p)`` takes p_{j-1} on ``where``, the part of its argument
-    that L reads, and returns ||p_j|| (l2 over the whole grid) and a function
-    that gives p_j on ``where``, called only when another step follows.
-    Increment n of scale c is c^n ||p_n|| / ||g0|| (h-weighted l2). Scale c
-    stops at its first increment below tol or after MAX_ITER steps; three
-    growing increments in a row raise RuntimeError. Each scale keeps only
-    T_c = sum_{j<n} c^j p_j on ``where``: its last iterate is g0 - c L T_c and
-    its first g0 + c p_1. Returns (the T_c, the increments of each scale).
+    scale. ``apply_l(p)`` is L p on ``where``, the part of its argument that
+    L reads, for p given there, and ``norm(p, lp)`` is ||L p|| (l2 over the
+    whole grid) for lp = L p. Increment n of scale c is c^n ||p_n|| / ||g0||
+    (h-weighted l2). Scale c stops at its first increment below tol or after
+    MAX_ITER steps; three growing increments in a row raise RuntimeError.
+    Each scale keeps only T_c = sum_{j<n} c^j p_j and L T_c on ``where``: its
+    last iterate is g0 - c L T_c and its first g0 - c L g0. Returns (the T_c,
+    the L T_c, L g0, the increments of each scale).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     ref = max(float(np.sqrt(np.vdot(g0, g0))) * h, 1e-300)
     p = g0[where]
     sums = [np.zeros_like(p) for _ in scales]
+    l_sums = [np.zeros_like(p) for _ in scales]
     increments: list[list[float]] = [[] for _ in scales]
     active = list(range(len(scales)))
     for n in range(1, MAX_ITER + 1):
+        lp = apply_l(p)
+        if n == 1:
+            l_g0 = lp
         for i in active:
             sums[i] += scales[i] ** (n - 1) * p
-        norm, advance = step(p)
-        norm = norm * h / ref
+            l_sums[i] += scales[i] ** (n - 1) * lp
+        inc = norm(p, lp) * h / ref
         for i in active[:]:
             incs = increments[i]
-            incs.append(scales[i] ** n * norm)
+            incs.append(scales[i] ** n * inc)
             if incs[-1] < tol:
                 active.remove(i)
             elif len(incs) >= 3 and incs[-1] > incs[-2] > incs[-3]:
@@ -357,43 +351,18 @@ def _fixed_point(g0: np.ndarray, step, h: float, tol: float, scales=(1.0,), wher
                 )
         if not active:
             break
-        p = advance()
-    return sums, increments
-
-
-def _spectral_series(psi0_grad: VectorGridField, k, tol: float, scales):
-    """``_fixed_point`` with the spectral backend on k's support box
-    (``_BoxL``): each step makes the spectrum of w = k M p from p on the
-    box, takes ||p_j|| from it as a quadratic form, and inverts the product
-    with the kernel over the box's rows only, when another step follows.
-    Returns the operator, the T_c on the box, the spectrum of w(g0) and
-    the mean of L g0, and the increments."""
-    op = _BoxL(psi0_grad, k)
-    w_g0 = []  # the first step's spectrum and mean, kept
-
-    def step(p):
-        mean = op.forward(p)
-        if not w_g0:
-            w_g0.append((op.spec.copy(), mean))
-
-        def advance():
-            p = op.on_box(mean)
-            return np.negative(p, out=p)
-
-        return op.norm(mean), advance
-
-    sums, increments = _fixed_point(psi0_grad.planes, step, psi0_grad.h, tol, scales, op.where)
-    return op, sums, w_g0[0], increments
+        p = -lp
+    return sums, l_sums, l_g0, increments
 
 
 def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> HomogSolution:
     """The fixed point on the grid (spectral backend) from a precomputed
     free-space gradient: ``_fixed_point`` at the one scale c = 1 on k's
-    box, whose solution g0 - L T and first iterate g0 - L g0 are the two
-    whole-grid applications of L (``_l_on_grid``)."""
-    op, (t,), _, (increments,) = _spectral_series(psi0_grad, k, tol, (1.0,))
-    g0 = psi0_grad.planes
-    origin, h = psi0_grad.origin, psi0_grad.h
+    box (``_BoxL``), whose solution g0 - L T and first iterate g0 - L g0 are
+    the two whole-grid applications of L (``_l_on_grid``)."""
+    op = _BoxL(psi0_grad, k)
+    g0, origin, h = psi0_grad.planes, psi0_grad.origin, psi0_grad.h
+    (t,), _, _, (increments,) = _fixed_point(g0, op, op.norm, h, tol, where=op.where)
     grad = g0 - _l_on_grid(t, k, h, op.box)
     first = g0 - _l_on_grid(g0[op.where], k, h, op.box)
     return HomogSolution(VectorGridField(origin.copy(), h, np.moveaxis(grad, 0, 2)),
@@ -406,17 +375,17 @@ def expansion_errors(psi0_grad: VectorGridField, k, scales,
     """The solves with c k for every scale c of ``scales`` from one series:
     per scale, the h-weighted l2 norms of grad psi_c - grad psi_0 and of
     grad psi_c - grad psi_tilde, and the increments. Each is
-    ``solve_psic_from_grad`` with c k up to roundoff. Both norms are
-    quadratic forms of box spectra, with no inverse transform."""
-    op, sums, (w_g0, mean_g0), increments = _spectral_series(psi0_grad, k, tol, scales)
-    rows = []
+    ``solve_psic_from_grad`` with c k up to roundoff. Both norms are box
+    inner products of the sums that the series keeps (``_BoxL.norm``), with
+    no transform."""
+    op = _BoxL(psi0_grad, k)
     h = psi0_grad.h
-    for c, t, incs in zip(scales, sums, increments):
-        mean = op.forward(t)
-        err_psi0 = c * op.norm(mean) * h  # psi_c - psi_0 = -c L T_c
-        op.spec -= w_g0  # psi_c - psi_tilde = -c (L T_c + p_1) = -c L (T_c - g0)
-        rows.append((err_psi0, c * op.norm(mean - mean_g0) * h, incs))
-    return rows
+    sums, l_sums, l_g0, increments = _fixed_point(psi0_grad.planes, op, op.norm, h, tol,
+                                                  scales, op.where)
+    g0 = psi0_grad.planes[op.where]
+    # psi_c - psi_0 = -c L T_c and psi_c - psi_tilde = -c L (T_c - g0)
+    return [(c * op.norm(t, lt) * h, c * op.norm(t - g0, lt - l_g0) * h, incs)
+            for c, t, lt, incs in zip(scales, sums, l_sums, increments)]
 
 
 def solve_psic(f: ScalarGridField, k, tol: float = TOL) -> HomogSolution:
@@ -427,7 +396,8 @@ def solve_psic(f: ScalarGridField, k, tol: float = TOL) -> HomogSolution:
 def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
     """grad psi_c on the nonzero cells of k (direct backend), from
     grad0 = grad psi_0 at the centers of ``nonzero_cells()``, in that order:
-    ``_fixed_point`` at the one scale c = 1."""
+    ``_fixed_point`` at the one scale c = 1, whose solution grad0 - L T takes
+    L T from the series' own sum."""
     centers, kvals = k.nonzero_cells()
     km = (M_DISK * kvals)[:, None]
     own = np.arange(centers.shape[0])  # each cell excludes itself
@@ -435,13 +405,11 @@ def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
     def apply_l(g):
         return _pv_on_cells(centers, km * g, k.h, centers, own)
 
-    def step(p):
-        p = apply_l(p)
-        np.negative(p, out=p)
-        return float(np.sqrt(np.vdot(p, p))), lambda: p
+    def norm(p, lp):
+        return float(np.sqrt(np.vdot(lp, lp)))
 
-    (t,), _ = _fixed_point(grad0, step, k.h, tol)
-    return grad0 - apply_l(t)
+    _, (lt,), _, _ = _fixed_point(grad0, apply_l, norm, k.h, tol)
+    return grad0 - lt
 
 
 def velocity_c(sol: HomogSolution, x) -> np.ndarray:

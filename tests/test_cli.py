@@ -299,32 +299,38 @@ def test_homog_sweep_byte_identical(tmp_path):
 
 def test_homog_sweep_applies_l_once_per_step_and_once_per_norm(tmp_path, monkeypatch):
     # every k norm is a scale of one series, run on k's support box: each step
-    # but the last inverts a spectrum of the small convolution box over the
-    # support's rows only, and the norms of the solutions need no inverse, so
-    # no whole-grid inverse runs
+    # transforms k M p on the small convolution box over the support's rows
+    # and inverts it there, and every norm, the step's and the solutions', is
+    # a box sum of arrays the series holds, so no other transform runs
     from porousflow import homogenized
     from porousflow.potential import _fast_length
 
-    rows, full = [], []
-    irfft2_rows = homogenized.irfft2_rows
+    forwards, inverses, full = [], [], []
+    rfft2_rows, irfft2_rows = homogenized.rfft2_rows, homogenized.irfft2_rows
     apply_l = homogenized.apply_l_spectral
 
-    def inverse(spec, ny, *args):
-        rows.append((spec.shape[-2],) + (args[0] if args else slice(None)).indices(spec.shape[-2]))
-        return irfft2_rows(spec, ny, *args)
+    def forward(values, rows, **kwargs):
+        forwards.append((values.shape[-2],) + rows.indices(values.shape[-2]))
+        return rfft2_rows(values, rows, **kwargs)
 
+    def inverse(spec, ny, rows=slice(None)):
+        inverses.append((spec.shape[-2],) + rows.indices(spec.shape[-2]))
+        return irfft2_rows(spec, ny, rows)
+
+    monkeypatch.setattr(homogenized, "rfft2_rows", forward)
     monkeypatch.setattr(homogenized, "irfft2_rows", inverse)
     monkeypatch.setattr(homogenized, "apply_l_spectral",
                         lambda *args: full.append(1) or apply_l(*args))
     code, out = run_cli(tmp_path, HOMOG_SWEEP)
     assert code == 0
     iterations = json.loads((out / "summary.json").read_text())["results"]["iterations"]
-    assert len(rows) == max(iterations) - 1
+    assert len(forwards) == len(inverses) == max(iterations) == 7
     nx = round(4.0 / 0.03125)  # the sweep's 4 x 4 world at its grid_h
     # the unit bump of radius 0.5 at the world's center spans a quarter of the
-    # rows, bx = nx / 4, so the box has fast_length(2 bx - 1) rows, not nx
+    # rows, bx = nx / 4, so the box has fast_length(2 bx - 1) = 64 rows, not nx
     bx = nx // 4
-    assert rows == [(_fast_length(2 * bx - 1), 0, bx, 1)] * len(rows)
+    assert forwards == inverses == [(_fast_length(2 * bx - 1), 0, bx, 1)] * 7
+    assert _fast_length(2 * bx - 1) == 64 and bx == 32
     assert not full
 
 

@@ -193,16 +193,17 @@ def test_apply_l_spectral_equals_whole_grid_transforms(shape):
 
 def _check_box_operator(k, g):
     """The box operator against the whole-grid output of apply_l_spectral:
-    its convolution on the box, and its norm as a quadratic form with the
-    box mean's nx ny |mean|^2 included."""
+    its convolution on the box, and its norm as the box sum <w, L q> with the
+    mean's nx ny |mean|^2 taken off."""
     full = hom.apply_l_spectral(g, k).planes
     op = hom._BoxL(g, k)
-    mean = op.forward(g.planes[op.where])
-    norm = np.sqrt(np.vdot(full, full))
-    assert op.norm(mean) == pytest.approx(norm, rel=1e-13)
+    q = g.planes[op.where]
+    lq = op(q)
     on_box = full[op.where]
-    assert np.abs(op.on_box(mean) - on_box).max() <= 1e-13 * np.abs(on_box).max()
-    assert op.norm(0.0 * mean) < (1.0 - 1e-6) * norm  # the mean's share counts
+    assert np.abs(lq - on_box).max() <= 1e-13 * np.abs(on_box).max()
+    norm = np.sqrt(np.vdot(full, full))
+    assert op.norm(q, lq) == pytest.approx(norm, rel=1e-13)
+    assert np.sqrt(np.vdot(op.km * q, lq)) > (1.0 + 1e-6) * norm  # the mean's share counts
 
 
 @pytest.mark.parametrize("shape", [(48, 48), (45, 45), (48, 39)])
@@ -233,13 +234,15 @@ def test_box_operator_at_the_minimal_padding():
 
 
 def test_box_operator_of_the_zero_k():
-    # an empty support box: a zero spectrum and mean, and one step of increment 0
+    # an empty support box: an empty L p of norm 0, and one step of increment 0
     g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
     zero = make_grid(WORLD, SWEEP_H)
     op = hom._BoxL(g0, zero)
-    mean = op.forward(g0.planes[op.where])
-    assert not mean.any() and op.norm(mean) == 0.0
-    _, sums, _, increments = hom._spectral_series(g0, zero, hom.TOL, (1.0,))
+    q = g0.planes[op.where]
+    lq = op(q)
+    assert lq.shape == (2, 0, 0) and op.norm(q, lq) == 0.0
+    sums, _, _, increments = hom._fixed_point(g0.planes, op, op.norm, g0.h, hom.TOL,
+                                              where=op.where)
     assert increments == [[0.0]] and sums[0].size == 0
 
 
@@ -410,14 +413,13 @@ def test_sweep_matches_the_per_norm_reference():
 
 
 def test_expansion_errors_memory_within_budget():
-    # the series runs on k's box: k M p, its spectrum, the kernel's product
-    # with it and the kept spectrum of k M g0 on the (fast_length(2 bx - 1))^2
-    # box, the three kernel spectra there and the kernel's one-time inverse
-    # over bx rows of the grid: measured 2.3 g0 at the peak with the grid's
-    # multipliers not yet cached, 1.8 g0 with them (the form with each
-    # spectrum on the whole grid took 4.4 and 3.9). The loose 6 g0 bound is
-    # the one of that form; the tight bound has the 1.3x margin of
-    # test_grid_gradient_memory_is_bounded over 2.3 g0
+    # the series runs on k's box: k M p, its spectrum and the kernel's
+    # product with it on the (fast_length(2 bx - 1))^2 box, the three kernel
+    # spectra there, the kernel's one-time inverse over bx rows of the grid,
+    # and per scale T_c and L T_c on k's box beside L g0: measured 2.37 g0 at
+    # the peak with the grid's multipliers not yet cached, 1.86 g0 with them.
+    # The loose 6 g0 bound is the one of the form with each spectrum on the
+    # whole grid (4.4 g0); the tight 3.0 g0 leaves a 1.27x margin over 2.37 g0
     h = 1.0 / 64.0
     g0 = pot.grad_psi0_on_grid(world_f(h))
     k = world_k(1.0, h)
@@ -635,6 +637,28 @@ def test_solve_on_cells_matches_reference_iteration():
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(got - grad0).max() > 1e-3 * np.abs(grad0).max()
         _assert_close(got, _fixed_point_reference(grad0, apply_l, k.h, tol)[0])
+
+
+def test_solve_on_cells_applies_l_once_per_iteration(monkeypatch):
+    # the solution grad0 - L T takes L T from the series' own sum, so the full
+    # solve makes one PV application per iteration and none after the last
+    k = lattice_fraction(build_lattice(4, 0.1, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
+    centers, kvals = k.nonzero_cells()
+    grad0 = np.random.default_rng(3).standard_normal(centers.shape)
+    own = np.arange(centers.shape[0])
+
+    def apply_l(g):
+        w = 2.0 * kvals[:, None] * g
+        return hom.k2_kernel_sum(centers, w, k.h, centers, own=own) + 0.5 * w
+
+    calls = []
+    k2 = hom.k2_kernel_sum
+    monkeypatch.setattr(hom, "k2_kernel_sum", lambda *a, **kw: calls.append(1) or k2(*a, **kw))
+    for tol in (1e-6, 1e-12):
+        iterations = len(_fixed_point_reference(grad0, apply_l, k.h, tol)[2])
+        calls.clear()
+        hom.solve_on_cells(grad0, k, tol)
+        assert len(calls) == iterations > 1
 
 
 def test_solve_on_cells_rejects_nonpositive_tol():

@@ -72,7 +72,8 @@ def cases(scale: float):
     """{layer: (shape, call)} at the workloads' shapes times ``scale``:
     euler-compare's 1316 particles past 256 holes and one RK4 step of each of
     its closures, divcurl's 4096 probes, its world grid, its n = 16 mu - k
-    field and its oracle fits at 16 and 64 holes, and homog-sweep's 1024^2
+    field, its oracle fits at 16 and 64 holes and the n = 4 oracle's hole
+    gradients at 100k points beside the lattice, and homog-sweep's 1024^2
     grid with its source, its largest k and its three k norms."""
     from porousflow import analysis, cli, euler, homogenized, oracle, potential
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
@@ -136,6 +137,11 @@ def cases(scale: float):
         config, world, _ = divcurl_lattice(n)
         return oracle.solve_collocation(world, config)
 
+    @functools.cache
+    def divcurl_oracle():
+        """divcurl's n = 4 oracle, made by the warm-up call."""
+        return collocation(side_of(4))
+
     rng = np.random.default_rng(0)
     p, n, t = count(1316), count(256), count(4096)
     parts = euler.VortexParticles(rng.random((p, 2)), rng.standard_normal(p), 0.025)
@@ -145,6 +151,7 @@ def cases(scale: float):
     grid = ScalarGridField(np.zeros(2), 1 / 64, rng.standard_normal((count(80), 50)))
     inside = rng.random((count(1024), 2)) * grid.values.shape * grid.h
     cells = grid.values.size
+    beside = rng.random((count(100_000), 2)) + [1.3, 0.0]  # divcurl's probe box
     return {
         "grad_psi0_eval": (f"m=1 blob self {p}x{p}",
                            lambda: potential.grad_psi0_eval(parts, parts.positions)),
@@ -172,6 +179,8 @@ def cases(scale: float):
         **{f"solve_collocation_{n}": (f"divcurl {side_of(n)**2} holes",
                                       functools.partial(collocation, side_of(n)))
            for n in (4, 8)},
+        "multipole_part_grad": (f"{beside.shape[0]} pts x {side_of(4)**2} holes",
+                                lambda: oracle.multipole_part_grad(divcurl_oracle(), beside)),
         "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
         "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
