@@ -333,7 +333,12 @@ def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         str(q): reflections.contraction_report(stream.norms(q))
         for q in (2.0, 4.0)
     }
-    results = {"contraction_ratio": ratios, "depth": depth, "n_holes": config.n_holes}
+    results = {
+        "boundary_residual": list(map(stream.boundary_residual, range(1, depth + 1))),
+        "contraction_ratio": ratios,
+        "depth": depth,
+        "n_holes": config.n_holes,
+    }
     if config.n_holes == 2:
         results["two_hole_expected_ratio"] = (config.a / config.d) ** 2
     return results

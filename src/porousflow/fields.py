@@ -79,9 +79,6 @@ class ScalarGridField:
     def inf_norm(self) -> float:
         return float(np.abs(self.values).max()) if self.values.size else 0.0
 
-    def l1_norm(self) -> float:
-        return float(np.abs(self.values).sum() * self.h**2)
-
     def support_slices(self) -> tuple[slice, slice] | None:
         """Index bounding box of the nonzero cells, as the slices of
         ``values`` along x and y, or None for the zero field."""

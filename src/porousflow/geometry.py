@@ -216,41 +216,33 @@ def lattice_fraction(config: PorousConfig, grid: ScalarGridField) -> ScalarGridF
 def rasterize_mu(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField:
     """Area-fraction rasterization of the union-of-disks indicator.
 
-    Requires h <= a/4 so each disk spans several cells. Cells are subsampled
-    16 x 16; only cells near a disk are touched.
+    Requires h <= a/4 so each disk spans several cells. Each disk adds to the
+    cells overlapping its bounding box the share of the cell inside it, over
+    16 x 16 midpoints; only cells near a disk are touched.
     """
-    if grid.h > config.a / 4 + 1e-15:
+    h, a = grid.h, config.a
+    if h > a / 4 + 1e-15:
         raise ValueError(
-            f"rasterize_mu resolution guard: h = {grid.h:.4g} exceeds a/4 = "
-            f"{config.a / 4:.4g}"
+            f"rasterize_mu resolution guard: h = {h:.4g} exceeds a/4 = {a / 4:.4g}"
         )
     values = np.zeros(grid.shape)
-    for _, window, frac in disk_cell_fractions(config.centers, config.a, grid, 16):
-        values[window] += frac
-    np.clip(values, 0.0, 1.0, out=values)
-    return ScalarGridField(grid.origin.copy(), grid.h, values)
-
-
-def disk_cell_fractions(centers, radius: float, grid: ScalarGridField, subcells: int):
-    """Yield (disk index, window, fraction) for each disk meeting the grid: the
-    slices of the cells overlapping its bounding box, and the share of each
-    such cell inside the disk over subcells x subcells midpoints."""
-    h = grid.h
-    off = (np.arange(subcells) + 0.5) / subcells * h
     nx, ny = grid.shape
-    for idx, (cx, cy) in enumerate(centers):
-        i0 = max(int(np.floor((cx - radius - grid.origin[0]) / h)) - 1, 0)
-        i1 = min(int(np.ceil((cx + radius - grid.origin[0]) / h)) + 1, nx)
-        j0 = max(int(np.floor((cy - radius - grid.origin[1]) / h)) - 1, 0)
-        j1 = min(int(np.ceil((cy + radius - grid.origin[1]) / h)) + 1, ny)
+    off = (np.arange(16) + 0.5) / 16 * h
+    for cx, cy in config.centers:
+        i0 = max(int(np.floor((cx - a - grid.origin[0]) / h)) - 1, 0)
+        i1 = min(int(np.ceil((cx + a - grid.origin[0]) / h)) + 1, nx)
+        j0 = max(int(np.floor((cy - a - grid.origin[1]) / h)) - 1, 0)
+        j1 = min(int(np.ceil((cy + a - grid.origin[1]) / h)) + 1, ny)
         if i0 >= i1 or j0 >= j1:
             continue
         bx = grid.origin[0] + np.arange(i0, i1)[:, None] * h + off[None, :]
         by = grid.origin[1] + np.arange(j0, j1)[:, None] * h + off[None, :]
         dx2 = (bx - cx) ** 2  # (bi, s)
         dy2 = (by - cy) ** 2  # (bj, s)
-        inside = dx2[:, None, :, None] + dy2[None, :, None, :] < radius**2
-        yield idx, (slice(i0, i1), slice(j0, j1)), inside.mean(axis=(2, 3))
+        inside = dx2[:, None, :, None] + dy2[None, :, None, :] < a**2
+        values[i0:i1, j0:j1] += inside.mean(axis=(2, 3))
+    np.clip(values, 0.0, 1.0, out=values)
+    return ScalarGridField(grid.origin.copy(), grid.h, values)
 
 
 def validate(config: PorousConfig) -> list[str]:

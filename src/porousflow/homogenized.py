@@ -52,7 +52,6 @@ from .fields import (
     check_padding,
     gradient_multipliers,
     irfft2_rows,
-    perp,
     rfft2_rows,
 )
 from .potential import (
@@ -410,15 +409,3 @@ def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
 
     _, (lt,), _, _ = _fixed_point(grad0, apply_l, norm, k.h, tol)
     return grad0 - lt
-
-
-def velocity_c(sol: HomogSolution, x) -> np.ndarray:
-    """Bilinear interpolation of the perpendicular gradient at interior points."""
-    x = np.asarray(x, dtype=float)
-    g = sol.grad
-    nx, ny = g.values.shape[:2]
-    lo = g.origin + 0.5 * g.h
-    hi = g.origin + (np.array([nx, ny]) - 0.5) * g.h
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError("velocity requested outside the grid interior")
-    return perp(g.sample_bilinear(x).reshape(x.shape))

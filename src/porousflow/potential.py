@@ -12,8 +12,6 @@ V^a[A](x) = a^2 A.(x-c)/|x-c|^2, summed over holes, with its exact gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -201,46 +199,3 @@ def dipole_sum(centers, a, vectors, x, grad: bool = False):
     if np.any(inside_holes(centers, a, pts)):
         raise ValueError("evaluation point inside a hole")
     return a * a * kernels.pair_sum(pts, centers, np.atleast_2d(vectors), 2 if grad else 1)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BoundsReport:
-    sup_grad: float
-    bound_value: float  # sqrt(||f||_1 ||f||_inf), reference constant C = 1
-    lipschitz_ratio: float
-
-
-def psi0_bounds_check(f: ScalarGridField, n_pairs: int = 1000) -> BoundsReport:
-    """Sampled sup|grad psi_0| of a grid field, its interpolation bound, and
-    the log-Lipschitz modulus ratio against h(r) = r max(-ln r, 1), from a
-    fixed sample seed. Diagnostic only: the sharp constants are not asserted.
-    """
-    l1, linf, box = f.l1_norm(), f.inf_norm(), f.support_box()
-    if box is None or l1 == 0.0:
-        return BoundsReport(0.0, 0.0, 0.0)
-    cx, cy = (box[0] + box[2]) / 2, (box[1] + box[3]) / 2
-    radius = max(box[2] - box[0], box[3] - box[1])
-    rng = np.random.default_rng(0)
-    samples = np.column_stack(
-        [
-            cx + (rng.random(4 * n_pairs) - 0.5) * 4 * radius,
-            cy + (rng.random(4 * n_pairs) - 0.5) * 4 * radius,
-        ]
-    )
-    grads = grad_psi0_eval(f, samples)
-    sup_grad = float(np.hypot(grads[:, 0], grads[:, 1]).max())
-    bound = float(np.sqrt(l1 * linf))
-    pa = samples[: 2 * n_pairs : 2]
-    pb = samples[1 : 2 * n_pairs : 2]
-    r = np.hypot(*(pa - pb).T)
-    keep = r > 1e-12
-    ga = grad_psi0_eval(f, pa[keep])
-    gb = grad_psi0_eval(f, pb[keep])
-    num = np.hypot(*(ga - gb).T)
-    modulus = r[keep] * np.maximum(-np.log(r[keep]), 1.0)
-    ratio = float((num / ((l1 + linf) * modulus)).max()) if keep.any() else 0.0
-    return BoundsReport(sup_grad, bound, ratio)

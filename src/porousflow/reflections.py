@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels, potential
 from .fields import fmt, perp, write_table
-from .geometry import PorousConfig, disk_cell_fractions
+from .geometry import PorousConfig
 
 # The standard working depth: the iteration corrects only the linear part of
 # each boundary trace, so the error plateaus at the quadratic-trace level and
@@ -158,34 +158,6 @@ def contraction_report(norms) -> float:
     if not ratios or min(ratios) == 0.0:
         return 0.0
     return float(np.exp(np.mean(np.log(ratios))))
-
-
-def rasterize_phi(dipoles: DipoleSet, config: PorousConfig, grid):
-    """Diagnostic rasterization of the piecewise-constant field
-    (4/pi^2) sum_l A_l 1_{B(x_l, d/2)} as two scalar grids (area-fraction
-    weighted on boundary cells, 8 x 8 subsamples per cell)."""
-    from .fields import ScalarGridField
-
-    coef = 4.0 / np.pi**2
-    comps = [np.zeros(grid.shape), np.zeros(grid.shape)]
-    for idx, window, frac in disk_cell_fractions(config.centers, config.d / 2.0, grid, 8):
-        vec = dipoles.vectors[idx]
-        comps[0][window] += coef * vec[0] * frac
-        comps[1][window] += coef * vec[1] * frac
-    return (
-        ScalarGridField(grid.origin.copy(), grid.h, comps[0]),
-        ScalarGridField(grid.origin.copy(), grid.h, comps[1]),
-    )
-
-
-def phi_lp_identity(dipoles: DipoleSet, config: PorousConfig, p: float) -> float:
-    """Closed-form L^p norm of the Phi field: ((4^(p-1) d^2 / pi^(2p-1))
-    sum_l |A_l|^p)^(1/p)."""
-    mags = np.hypot(dipoles.vectors[:, 0], dipoles.vectors[:, 1])
-    return float(
-        (4.0 ** (p - 1) * config.d**2 / np.pi ** (2 * p - 1) * (mags**p).sum())
-        ** (1.0 / p)
-    )
 
 
 def export_dipoles_csv(levels: list[DipoleSet], path) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from porousflow import cli
+from porousflow import cli, reflections
 
 REFLECT_TWOHOLE = """
 [run]
@@ -109,6 +109,17 @@ def test_reflect_twohole_contraction(tmp_path):
 
     assert summary["tolerances"]["oracle_order"] == oracle.ORDER == 8
     assert summary["tolerances"]["eta"] == analysis.ETA == 0.5
+
+
+def test_reflect_writes_boundary_residual_per_level(tmp_path):
+    code, out = run_cli(tmp_path, REFLECT_TWOHOLE)
+    assert code == 0
+    written = json.loads((out / "summary.json").read_text())["results"]["boundary_residual"]
+    cfg = cli.RunConfig(REFLECT_TWOHOLE)
+    stream = reflections.run_reflections(
+        cli.source_from_config(cfg), cli.geometry_from_config(cfg, 0), 4
+    )
+    assert written == [stream.boundary_residual(j) for j in (1, 2, 3, 4)]
 
 
 def test_homog_sweep_slopes(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from conftest import point_vortex
 from porousflow import euler as eu
 from porousflow import fields
-from porousflow import homogenized as hom
 from porousflow import oracle as orc
 from porousflow import potential as pot
 from porousflow import reflections as refl
@@ -17,7 +16,6 @@ from porousflow.fields import (
     irfft2_rows,
     make_grid,
     perp,
-    radial_bump,
     rasterize,
     rfft2_rows,
 )
@@ -83,17 +81,12 @@ def test_velocities_are_perp_of_gradients():
     cfg = build_lattice(2, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     stream = refl.run_reflections(src, cfg, 3)
     osol = orc.solve_collocation(src, cfg, 4, 32)
-    f = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 32, radial_bump((1.2, 0.3), 0.3, 1.0))
-    k = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 32, radial_bump((0.0, 0.0), 0.5, 0.02, 3))
-    hsol = hom.solve_psic(f, k)
     state = eu.FlowState(0.0, src)
     homog = eu.HomogenizedSetting(lattice_fraction(cfg, make_grid((0.0, 0.0, 1.0, 1.0), 1 / 16)))
     pairs = (
         (lambda x: pot.velocity0_eval(src, x), lambda x: pot.grad_psi0_eval(src, x)),
         (stream.velocity_eval, stream.gradient_eval),
         (lambda x: orc.oracle_velocity(osol, x), lambda x: orc.oracle_gradient(osol, x)),
-        (lambda x: hom.velocity_c(hsol, x),
-         lambda x: hsol.grad.sample_bilinear(x).reshape(np.shape(x))),
         (lambda x: eu.velocity_field(state, eu.PerforatedSetting(cfg, 3), x),
          stream.gradient_eval),
         (lambda x: eu.velocity_field(state, homog, x),

@@ -44,6 +44,9 @@ def test_grad_psi0_unit_disk(unit_disk_field):
     # inside a unit-density disk the radial ODE gives psi' = r/2
     g_in = pot.grad_psi0_eval(unit_disk_field, np.array([0.5, 0.0]))
     assert np.allclose(g_in, [0.25, 0.0], atol=1e-3)
+    # on the rim both formulas give the maximum |grad psi0| = 1/2
+    g_rim = pot.grad_psi0_eval(unit_disk_field, np.array([1.0, 0.0]))
+    assert np.hypot(*g_rim) == pytest.approx(0.5, rel=0.02)
 
 
 def test_psi0_translation_covariance():
@@ -317,17 +320,3 @@ def test_dipole_sum_inside_hole_rejected():
         with pytest.raises(ValueError, match="evaluation point inside a hole"):
             _reference_dipole_sum(centers, a, vectors, inside, grad)
         assert np.all(np.isfinite(pot.dipole_sum(centers, a, vectors, on_boundary, grad=grad)))
-
-
-def test_bounds_check_zero_field():
-    f = make_grid((0, 0, 1, 1), 0.1)
-    rep = pot.psi0_bounds_check(f)
-    assert rep.sup_grad == 0.0 and rep.bound_value == 0.0 and rep.lipschitz_ratio == 0.0
-
-
-def test_bounds_check_unit_disk(unit_disk_field):
-    # radial formula: |grad psi0| = r/2 inside, mass/(2 pi r) outside; max 0.5 at r=1
-    rep = pot.psi0_bounds_check(unit_disk_field, n_pairs=500)
-    assert rep.sup_grad == pytest.approx(0.5, rel=0.02)
-    assert np.isfinite(rep.lipschitz_ratio)
-    assert rep.lipschitz_ratio > 0.0

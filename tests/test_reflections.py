@@ -224,18 +224,6 @@ def test_mirror_symmetric_levels():
             assert lev.vectors[i, 1] == pytest.approx(-lev.vectors[j, 1], abs=1e-13)
 
 
-def test_phi_rasterization_lp_identity():
-    cfg = build_lattice(3, 0.1, UNIT)
-    vectors = np.arange(18, dtype=float).reshape(9, 2) / 10.0 + 0.1
-    ds = refl.DipoleSet(1, vectors)
-    grid = make_grid((-0.2, -0.2, 1.2, 1.2), cfg.d / 32)
-    fx, fy = refl.rasterize_phi(ds, cfg, grid)
-    for p in (2.0, 4.0):
-        mag_p = (np.hypot(fx.values, fy.values) ** p).sum() * grid.h**2
-        expected = refl.phi_lp_identity(ds, cfg, p)
-        assert mag_p ** (1 / p) == pytest.approx(expected, rel=0.02)
-
-
 def test_csv_exports(tmp_path):
     src = point_vortex(0.5, 1.6, 2.0)
     cfg = build_lattice(2, 0.1, UNIT)
