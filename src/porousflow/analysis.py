@@ -32,6 +32,7 @@ from .geometry import Box, PorousConfig, fluid_mask, rasterize_mu
 from .reflections import HybridStream
 
 ETA = 0.5  # the predictor's aspect term is (a/d)^(3 - ETA)
+_SAMPLE_BLOCK = 1 << 15  # k samples per block of touched rows in mu_minus_k_field
 
 
 def hminus1(g: ScalarGridField) -> float:
@@ -87,7 +88,8 @@ def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridFiel
 
     k is sampled only on the rows and columns of cells whose bilinear stencil
     (edge clamp included) meets a nonzero k cell; elsewhere every stencil
-    value is zero, so the sample is exactly 0 and mu is left as it is.
+    value is zero, so the sample is exactly 0 and mu is left as it is. The
+    touched rows are sampled in blocks of about ``_SAMPLE_BLOCK`` points.
     """
     h = config.a / 4.0
     box = config.kpm_box
@@ -99,10 +101,14 @@ def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridFiel
     for axis in (0, 1):
         i0, _ = bilinear_stencil(k.origin[axis], k.h, k.shape[axis], centers[axis])
         nonzero = np.flatnonzero(k.values.any(axis=1 - axis))
-        touched.append(np.isin(i0, nonzero) | np.isin(i0 + 1, nonzero))
-    gx, gy = np.meshgrid(centers[0][touched[0]], centers[1][touched[1]], indexing="ij")
-    kvals = k.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1))
-    diff[np.ix_(*touched)] -= kvals.reshape(gx.shape)
+        touched.append(np.flatnonzero(np.isin(i0, nonzero) | np.isin(i0 + 1, nonzero)))
+    cols = touched[1]
+    step = max(_SAMPLE_BLOCK // max(cols.size, 1), 1)
+    for start in range(0, touched[0].size, step):
+        rows = touched[0][start:start + step]
+        gx, gy = np.meshgrid(centers[0][rows], centers[1][cols], indexing="ij")
+        kvals = k.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1))
+        diff[np.ix_(rows, cols)] -= kvals.reshape(gx.shape)
     return ScalarGridField(world.origin, world.h, diff)
 
 

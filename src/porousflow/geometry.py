@@ -311,9 +311,25 @@ def fluid_mask(config: PorousConfig, grid: ScalarGridField) -> np.ndarray:
 
 def inside_holes(centers, a: float, x) -> np.ndarray:
     """The one inside-hole rule: True where |x - c|^2 < a^2 (1 - 1e-12) for some
-    center c, so boundary points (up to roundoff) count as outside."""
+    center c, so boundary points (up to roundoff) count as outside. Only the
+    points ``_near_centers(centers, pts, a)`` are scanned."""
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return nearest_center_sq(centers, pts) < a * a * (1.0 - 1e-12)
+    out = np.zeros(pts.shape[0], dtype=bool)
+    near = _near_centers(centers, pts, a)
+    out[near] = nearest_center_sq(centers, pts[near]) < a * a * (1.0 - 1e-12)
+    return out
+
+
+def _near_centers(centers, pts: np.ndarray, reach: float) -> np.ndarray:
+    """Indices of the points within 2 ``reach`` of the centers' bounding box,
+    per axis. Every other point is farther than 2 ``reach`` from every center,
+    so a rule that holds only within ``reach`` of a center holds for none of
+    them."""
+    if len(centers) == 0:
+        return np.zeros(0, dtype=int)
+    lo = centers.min(axis=0) - 2.0 * reach
+    hi = centers.max(axis=0) + 2.0 * reach
+    return np.flatnonzero(np.all((pts >= lo) & (pts <= hi), axis=1))
 
 
 def nearest_center_sq(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:

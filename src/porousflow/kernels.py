@@ -21,6 +21,18 @@ Targets go in blocks of at most ``PAIR_BUDGET`` pairs, so memory stays bounded.
 1 << 16 pairs stay in cache: a 1316 x 1316 m = 1 blob sum took 55.6, 12.1, 11.3
 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and 1 << 14 (2-core VM).
 
+Far targets sum over proxy sources, as in the black-box FMM (Fong & Darve
+2009). Without ``own`` and for targets that are not the sources: with r the
+half-widths of the sources' bounding box and dist the least target distance to
+it, no singularity of K(t - s) (any m and blob, and Delta K) lies inside each
+axis's Bernstein ellipse rho = u + sqrt(u^2 + 1), u = dist / r. So the p_x x p_y
+Chebyshev nodes of the box, p = ceil(53 ln 2 / ln rho) + 2 per axis, with the
+strengths Q = Lx^T diag(q) Ly (Lx, Ly the (S, p) Lagrange weights) stand for the
+S sources to roundoff. Direct when rho < 4, p_x p_y > S / 2, the call has at
+most ``PAIR_BUDGET`` pairs or the box is flat. In euler-compare (particles 5.3
+from the k cells and holes: 15 x 15 nodes) the particle -> cell, particle ->
+hole and cell -> particle sums take it.
+
 When the targets are the sources (and no ``own``), D^m K(-z) = (-1)^m D^m K(z)
 lets one block serve both its rows and its columns, so only the upper
 triangle of sqrt(PAIR_BUDGET)-square blocks is built (the diagonal blocks in
@@ -37,6 +49,8 @@ import numpy as np
 PAIR_BUDGET = 1 << 16  # target x source pairs handled per vectorized block
 _STRENGTHS = {0: ((),), 1: ((), (2,)), 2: ((2,),)}  # q.shape[1:] that each m takes
 _LAPLACIAN = "laplacian"  # the block kind of ``laplacian_sum``
+_FAR_RHO = 4.0  # the smallest Bernstein-ellipse parameter of the proxy path
+_DIGITS = 53 * math.log(2.0)  # rho^-p reaches double precision at p = _DIGITS / ln rho
 
 
 def chunks(n_targets: int, n_sources: int):
@@ -80,12 +94,16 @@ def _sum(targets, sources, q, m, blob2: float, own=None) -> np.ndarray:
     zt = _coords(targets)
     zs = _coords(sources)
     out = np.zeros((zt.shape[-1], 2) if m == q.ndim else zt.shape[-1])
-    # one buffer for every block of the call, sized for its largest block:
-    # fresh blocks are page-faulted in each time (560 minor faults per
-    # 4096 x 256 m = 2 call, against none with the buffer; 2-core VM)
+    # one buffer for every block of the call, sized for its largest direct
+    # block: fresh blocks are page-faulted in each time (560 minor faults per
+    # 4096 x 256 m = 2 call, against none with the buffer; 2-core VM). Sized
+    # for the proxies, it left euler-compare's peak RSS 0.4 MB higher (glibc)
     largest = min(zt.shape[-1] * zs.shape[-1], max(PAIR_BUDGET, zs.shape[-1]))
+    self_sum = own is None and np.array_equal(zt, zs)
+    if own is None and not self_sum:
+        zs, q = _proxies(zt, zs, q)
     work = np.empty(3 * largest)
-    if own is None and np.array_equal(zt, zs):
+    if self_sum:
         _self_sum(out, zs, q, m, blob2, work)
         return out
     for sl in chunks(zt.shape[-1], zs.shape[-1]):
@@ -95,6 +113,44 @@ def _sum(targets, sources, q, m, blob2: float, own=None) -> np.ndarray:
             kern[..., rows, own[sl][rows]] = 0.0
         out[sl] = _apply(kern, q, m)
     return out
+
+
+def _proxies(zt, zs, q):
+    """(nodes, strengths) for the targets ``zt`` (2, T): the sources ``zs``
+    (2, S) and ``q``, or the far path's Chebyshev nodes of their box and Q."""
+    n_s = zs.shape[-1]
+    # p >= 3 per axis: below 18 sources, skip the (2, T) distance temporaries
+    # (at 229k targets they raised glibc's mmap threshold and oracle-sweep's RSS)
+    if zt.shape[-1] * n_s <= PAIR_BUDGET or n_s < 18:
+        return zs, q
+    lo, hi = zs.min(axis=1), zs.max(axis=1)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if not np.all(half > 0.0):
+        return zs, q
+    gap = np.maximum(np.abs(zt - centre[:, None]) - half[:, None], 0.0)
+    u = math.sqrt(float(np.einsum("ij,ij->j", gap, gap).min())) / half
+    rho = u + np.sqrt(u * u + 1.0)  # the Bernstein ellipse free of singularities
+    if rho.min() < _FAR_RHO:
+        return zs, q
+    p = np.ceil(_DIGITS / np.log(rho)).astype(int) + 2
+    if p[0] * p[1] > n_s / 2:
+        return zs, q
+    (x, lx), (y, ly) = (_chebyshev((zs[i] - centre[i]) / half[i], p[i]) for i in (0, 1))
+    strengths = np.tensordot(lx, ly[:, :, None] * q.reshape(n_s, 1, -1), axes=(0, 0))
+    nodes = np.stack([np.repeat(centre[0] + half[0] * x, p[1]),
+                      np.tile(centre[1] + half[1] * y, p[0])])
+    return nodes, strengths.reshape((p[0] * p[1],) + q.shape[1:])
+
+
+def _chebyshev(xi: np.ndarray, p: int):
+    """The p Chebyshev nodes of the first kind on [-1, 1] and the (n, p)
+    Lagrange weights of the points ``xi`` on them,
+    l_k(xi) = (1 + 2 sum_{n=1}^{p-1} T_n(xi) T_n(x_k)) / p."""
+    angles = (np.arange(p) + 0.5) * (np.pi / p)
+    orders = np.arange(p)
+    at_points = np.cos(np.outer(np.arccos(np.clip(xi, -1.0, 1.0)), orders))
+    at_points[:, 1:] *= 2.0
+    return np.cos(angles), at_points @ np.cos(np.outer(orders, angles)) / p
 
 
 def _self_sum(out, pts, q, m, blob2: float, work) -> None:

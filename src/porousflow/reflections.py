@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels, potential
 from .fields import fmt, perp, write_table
-from .geometry import PorousConfig
+from .geometry import PorousConfig, _near_centers
 
 # The standard working depth: the iteration corrects only the linear part of
 # each boundary trace, so the error plateaus at the quadratic-trace level and
@@ -107,14 +107,16 @@ class HybridStream:
 
 def overlaps_hole(source, config: PorousConfig) -> bool:
     """True when a particle, or a nonzero cell of a grid source, reaches a
-    hole (distance to it <= 0, or <= the cell half-diagonal)."""
+    hole (distance to it <= 0, or <= the cell half-diagonal). Only the points
+    within 2 (a + that margin) of the centers' bounding box are scanned."""
     if config.n_holes == 0:
         return False
     if potential._is_particles(source):
         pts, margin = source.positions, 0.0
     else:
         pts, margin = source.nonzero_cells()[0], source.h / np.sqrt(2.0)
-    return pts.shape[0] > 0 and bool(np.any(config.distance_to_holes(pts) <= margin))
+    near = pts[_near_centers(config.centers, pts, config.a + margin)]
+    return near.shape[0] > 0 and bool(np.any(config.distance_to_holes(near) <= margin))
 
 
 def init_dipoles(source, config: PorousConfig) -> DipoleSet:

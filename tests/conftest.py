@@ -12,6 +12,29 @@ def point_vortex(x, y, strength=1.0) -> VortexParticles:
     return VortexParticles(np.array([[x, y]]), np.array([strength]), blob=0.0)
 
 
+def scan_points(centers, a, reach, rng) -> np.ndarray:
+    """Points that test a hole scan pruned to 2 ``reach`` around the bounding
+    box of ``centers`` (holes of radius ``a``): random ones around that box,
+    ones one ulp either side of each edge of the pruning box, ones on the
+    hole boundaries, and ones at a and at 0.5, 1 and 1.001 ``reach`` from a
+    center, along each axis."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    lo, hi = (centers.min(axis=0), centers.max(axis=0)) if centers.size else ([0, 0], [1, 1])
+    lo, hi = np.asarray(lo) - 2.0 * reach, np.asarray(hi) + 2.0 * reach
+    pts = [lo - reach + (hi - lo + 2.0 * reach) * rng.random((200, 2))]
+    for axis in (0, 1):
+        for edge in (lo[axis], hi[axis]):
+            straddle = lo + (hi - lo) * rng.random((3, 2))
+            straddle[:, axis] = [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+            pts.append(straddle)
+    theta = rng.random(len(centers)) * 2.0 * np.pi
+    pts.append(centers + a * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    for step in (a, 0.5 * reach, reach, 1.001 * reach):
+        for offset in ([step, 0.0], [0.0, step], [-step, 0.0], [0.0, -step]):
+            pts.append(centers + offset)
+    return np.concatenate(pts)
+
+
 @pytest.fixture(scope="session")
 def unit_disk_field():
     """f = indicator of the unit disk at h = 1/128 (mass pi)."""

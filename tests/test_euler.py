@@ -3,11 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import scan_points
 from porousflow import euler as eu
 from porousflow import potential as pot
 from porousflow import reflections as refl
-from porousflow.fields import make_grid, radial_bump, rasterize
-from porousflow.geometry import Box, PorousConfig, build_lattice, lattice_fraction
+from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
+from porousflow.geometry import (
+    Box,
+    PorousConfig,
+    build_lattice,
+    lattice_fraction,
+    nearest_center_sq,
+)
 
 UNIT = Box(0.0, 0.0, 1.0, 1.0)
 FAR_BOX = Box(100.0, 100.0, 101.0, 101.0)
@@ -366,6 +373,36 @@ def test_hole_halt_predicate_matches_support_check():
     rec = eu._record(state, state, near, eu.HomogenizedSetting(k0),
                      np.array([[0.5, 2.5]]), "halted", "running")
     assert np.isfinite(rec.vel_diff_sup)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_hole_scans_match_the_unpruned_rule(n):
+    # overlaps_hole scans only points within 2 (a + margin) of the centers'
+    # box: a particle (margin 0) and a grid cell (margin h / sqrt 2) overlap
+    # a hole, and the perforated run halts, exactly where the distance rule
+    # over every point says so
+    lattice = build_lattice(max(n, 1), 0.1, UNIT)
+    cfg = PorousConfig(lattice.centers[:n], lattice.a, lattice.d, 0.25, UNIT)
+    setting = eu.PerforatedSetting(cfg)
+    h = cfg.a / 2.0
+    sources = {
+        0.0: lambda p: eu.VortexParticles(p[None, :], np.ones(1), 0.01),
+        h / np.sqrt(2.0): lambda p: ScalarGridField(p - 0.5 * h, h, np.ones((1, 1))),
+    }
+    for margin, source in sources.items():
+        pts = scan_points(cfg.centers, cfg.a, cfg.a + margin, np.random.default_rng(n))
+        hits = []
+        for p in pts:
+            src = source(p)
+            at = src.positions if margin == 0.0 else src.nonzero_cells()[0]
+            hits.append(bool(np.sqrt(nearest_center_sq(cfg.centers, at))[0] - cfg.a <= margin))
+            assert refl.overlaps_hole(src, cfg) == hits[-1]
+            if margin == 0.0:
+                status = eu.run_status(eu.FlowState(0.0, src), setting)
+                assert status == ("halted" if hits[-1] else "running")
+        assert any(hits) == (n > 0) and not all(hits)
+        everything = eu.VortexParticles(pts, np.ones(len(pts)), 0.01)
+        assert refl.overlaps_hole(everything, cfg) == (n > 0)
 
 
 def test_smoothed_vorticity_chunked_matches_dense(monkeypatch):

@@ -8,14 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import scan_points
 from porousflow.geometry import (
     Box,
     PorousConfig,
     build_lattice,
     build_random,
     fluid_mask,
+    inside_holes,
     lattice_fraction,
     load_config,
+    nearest_center_sq,
     rasterize_mu,
     save_config,
     validate,
@@ -263,3 +266,15 @@ def test_distance_to_holes_matches_hypot_reference():
     empty = PorousConfig(np.zeros((0, 2)), 0.01, 0.1, 0.25, UNIT)
     assert np.all(np.isinf(empty.distance_to_holes(pts)))
     assert fluid_mask(empty, make_grid((0, 0, 1, 1), 0.1)).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_inside_holes_matches_the_unpruned_rule(n):
+    # the scan skips points beyond 2 a of the centers' box; the answer is the
+    # rule's over every point, boundary points (up to roundoff) outside
+    cfg = build_lattice(max(n, 1), 0.1, UNIT)
+    centers = cfg.centers[:n] if n else np.zeros((0, 2))
+    pts = scan_points(centers, cfg.a, cfg.a, np.random.default_rng(n))
+    expected = nearest_center_sq(centers, pts) < cfg.a**2 * (1.0 - 1e-12)
+    assert np.array_equal(inside_holes(centers, cfg.a, pts), expected)
+    assert expected.any() == (n > 0) and not expected.all()

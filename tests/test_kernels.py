@@ -65,12 +65,12 @@ def complex_sum(targets, sources, q, m, blob=0.0, own=None):
     return -s[:, 0] + 1j * s[:, 1]
 
 
-def assert_matches(targets, sources, q, m, blob=0.0, own=None):
+def assert_matches(targets, sources, q, m, blob=0.0, own=None, tol=1e-12):
     got = complex_sum(targets, sources, q, m, blob, own)
     re, im, scale = dense_reference(targets, sources, q, m, blob, own)
     scale = np.maximum(scale, 1e-300)
-    assert np.all(np.abs(got.real - re) <= 1e-12 * scale)
-    assert np.all(np.abs(np.imag(got) - im) <= 1e-12 * scale)
+    assert np.all(np.abs(got.real - re) <= tol * scale)
+    assert np.all(np.abs(np.imag(got) - im) <= tol * scale)
 
 
 def cloud(seed, n_sources=300):
@@ -160,6 +160,109 @@ def test_unsupported_kernel_raises(m, blob, q):
         kernels.pair_sum(pts[:1], pts[1:], np.array(q), m, blob)
 
 
+@pytest.fixture
+def proxy_counts(monkeypatch):
+    """Per far-path decision of the pair sums: the number of proxy nodes that
+    replace the sources, or None where the sum stays direct."""
+    seen = []
+    proxies = kernels._proxies
+
+    def spy(zt, zs, q):
+        nodes, strengths = proxies(zt, zs, q)
+        seen.append(None if nodes is zs else nodes.shape[1])
+        return nodes, strengths
+
+    monkeypatch.setattr(kernels, "_proxies", spy)
+    return seen
+
+
+GAP = 0.9375  # from [-1/2, 1/2]^2: u = GAP / (1/2) = 15/8 and rho = u + sqrt(u^2 + 1) = 4
+
+
+def threshold_case(rng, n_sources=2000):
+    """Sources filling [-1/2, 1/2]^2, its corners included, and 40 targets
+    at distance GAP from that box, at the far path's rho = 4 threshold: five
+    along each side (exactly GAP away) and five around each corner (GAP up
+    to roundoff, rounded outward). Every axis takes 29 nodes, 841 in all."""
+    sources = rng.random((n_sources, 2)) - 0.5
+    sources[:2] = [[-0.5, -0.5], [0.5, 0.5]]
+    along = rng.random(5) - 0.5
+    angles = rng.random(5) * np.pi / 2
+    targets = []
+    for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
+        targets.append(np.stack([np.full(5, sx * (0.5 + GAP)), along], axis=1))
+        targets.append(np.stack([along, np.full(5, sy * (0.5 + GAP))], axis=1))
+        corner = 0.5 + GAP * (1 + 1e-12) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        targets.append(corner * [sx, sy])
+    return np.concatenate(targets), sources
+
+
+@pytest.mark.parametrize("m,blob", [(0, 0.0), (0, 0.025), (1, 0.0), (1, 0.025), (2, 0.0)])
+@pytest.mark.parametrize("complex_q", [False, True])
+def test_far_path_matches_dense_reference_at_threshold(m, blob, complex_q, proxy_counts):
+    # m = 1 takes q (S,) when real and q (S, 2) when complex; mixed signs
+    rng = np.random.default_rng(200 + 10 * m + complex_q)
+    targets, sources = threshold_case(rng)
+    q = rng.standard_normal(sources.shape[0])
+    if complex_q:
+        q = q + 1j * rng.standard_normal(sources.shape[0])
+    assert_matches(targets, sources, q, m, blob, tol=1e-14)
+    assert set(proxy_counts) == {29 * 29}
+
+
+@pytest.mark.parametrize("blob", [0.0, 0.025])
+def test_far_laplacian_sum_matches_dense_reference(blob, proxy_counts):
+    rng = np.random.default_rng(7)
+    targets, sources = threshold_case(rng)
+    q = rng.standard_normal(sources.shape[0])
+    r2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2) + blob * blob
+    terms = 2.0 * blob * blob / r2**2
+    got = kernels.laplacian_sum(targets, sources, q, blob)
+    assert np.all(np.abs(got - terms @ q) <= 1e-14 * np.maximum(terms @ np.abs(q), 1e-300))
+    assert set(proxy_counts) == {29 * 29}
+
+
+def test_far_path_matches_dense_reference_at_euler_shapes(proxy_counts):
+    # the particles' field at the k cells, and the k2 sum back at the particles
+    rng = np.random.default_rng(8)
+    particles = rng.random((1316, 2)) + [0.0, 6.3]
+    cells = rng.random((1024, 2))
+    q = rng.standard_normal(1316)
+    assert_matches(cells, particles, q, 1, 0.025, tol=1e-14)
+    w = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+    assert_matches(particles, cells, w, 2, tol=1e-14)
+    assert len(proxy_counts) == 2 and None not in proxy_counts
+
+
+@pytest.mark.parametrize("case,far", [
+    ("particles_to_cells", True), ("particles_to_holes", True), ("cells_to_particles", True),
+    ("holes_to_particles", False),  # 15 x 15 nodes are more than half of 256 sources
+    ("own", False), ("self_sum", False), ("collinear", False), ("within_budget", False),
+    ("overlapping", False), ("below_threshold", False),
+])
+def test_far_path_selection(case, far, proxy_counts):
+    # euler-compare's 1316 particles beyond its 1024 k cells and 256 holes
+    rng = np.random.default_rng(9)
+    particles = rng.random((1316, 2)) + [0.0, 6.3]
+    cells, holes = rng.random((1024, 2)), rng.random((256, 2))
+    weights, vectors = rng.standard_normal(1316), rng.standard_normal((1316, 2))
+    threshold_targets, square = threshold_case(rng)
+    calls = {
+        "particles_to_cells": (cells, particles, weights, 1, 0.025),
+        "particles_to_holes": (holes, particles, weights, 1, 0.025),
+        "cells_to_particles": (particles, cells, vectors[:1024], 2),
+        "holes_to_particles": (particles, holes, vectors[:256], 2),
+        "own": (cells, particles, weights, 1, 0.025, np.full(1024, -1)),
+        "self_sum": (particles, particles.copy(), weights, 1, 0.025),
+        "collinear": (cells, particles * [1.0, 0.0] + [0.0, 6.8], weights, 0),
+        "within_budget": (cells[:49], particles, weights, 1, 0.025),
+        "overlapping": (cells, particles - [0.0, 6.0], weights, 1, 0.025),
+        "below_threshold": (threshold_targets * (1 - 1e-9), square, rng.standard_normal(2000), 0),
+    }
+    kernels.pair_sum(*calls[case])
+    assert any(count is not None for count in proxy_counts) == far
+
+
 def _pair_sum_case(rng):
     """A blob sum with vector strengths (m = 1 with a blob, q (S, 2))."""
     sources = rng.random((512, 2))
@@ -212,11 +315,19 @@ def _multipole_grad_case(rng):
     return pts, cfg.n_holes, lambda: oracle.multipole_part_grad(sol, pts)
 
 
+def _far_sum_case(rng):
+    """The particles' velocity at k cells far from them (the proxy path)."""
+    particles = rng.random((1316, 2)) + [0.0, 6.3]
+    q = rng.standard_normal(1316)
+    targets = rng.random((12 * kernels.PAIR_BUDGET // 1316 + 5, 2))
+    return targets, 1316, lambda: kernels.pair_sum(targets, particles, q, 1, 0.025)
+
+
 @pytest.mark.parametrize("case", [_pair_sum_case, _self_sum_case, _dipole_sum_case,
                                   _grid_source_case, _smoothed_vorticity_case,
-                                  _multipole_grad_case],
+                                  _multipole_grad_case, _far_sum_case],
                          ids=["pair_sum", "self_sum", "dipole_sum", "grid_source",
-                              "smoothed_vorticity", "multipole_part_grad"])
+                              "smoothed_vorticity", "multipole_part_grad", "far_sum"])
 def test_blocked_sums_memory_within_budget(case):
     targets, n_sources, call = case(np.random.default_rng(3))
     assert len(list(kernels.chunks(targets.shape[0], n_sources))) >= 10

@@ -16,8 +16,10 @@ second column names the ``kernels.pair_sum`` shape that the call drives, or
 the grid of a spectral case. ``--scale`` multiplies every point count and
 every grid's cell count (the smoke test runs it tiny).
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
-script starts run with BLAS pinned to one thread, as in ``bench/run.py``. Uses
-numpy and the standard library only.
+script starts run with BLAS pinned to one thread, as in ``bench/run.py``, and
+with glibc's mmap and trim thresholds fixed (``MALLOC_VARS``), so arrays
+under 32 MiB come from the heap whatever ran before. Uses numpy and the
+standard library only.
 """
 
 from __future__ import annotations
@@ -66,15 +68,22 @@ t_final = 0.25
 margin = 5
 """
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# glibc's mmap and trim thresholds, fixed where the dynamic ones end up (the
+# 64-bit maximum, 32 MiB, and twice that): left dynamic, the mmap threshold
+# rises to the largest block freed so far, and whether a case's arrays came
+# back from the heap or as fresh pages (0 or about 5000 minor faults per
+# call of solve_psic_from_grad, 2-core VM) changed from run to run
+MALLOC_VARS = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
 
 
 def cases(scale: float):
     """{layer: (shape, call)} at the workloads' shapes times ``scale``:
-    euler-compare's 1316 particles past 256 holes and one RK4 step of each of
-    its closures, divcurl's 4096 probes, its world grid, its n = 16 mu - k
-    field, its oracle fits at 16 and 64 holes and the n = 4 oracle's hole
-    gradients at 100k points beside the lattice, and homog-sweep's 1024^2
-    grid with its source, its largest k and its three k norms."""
+    euler-compare's 1316 particles past 256 holes, their sums to and from its
+    1024 k cells 5.3 away and one RK4 step of each of its closures, divcurl's
+    4096 probes, its world grid, its n = 16 mu - k field, its oracle fits at
+    16 and 64 holes and the n = 4 oracle's hole gradients at 100k points
+    beside the lattice, and homog-sweep's 1024^2 grid with its source, its
+    largest k and its three k norms."""
     from porousflow import analysis, cli, euler, homogenized, oracle, potential
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
 
@@ -143,8 +152,11 @@ def cases(scale: float):
         return collocation(side_of(4))
 
     rng = np.random.default_rng(0)
-    p, n, t = count(1316), count(256), count(4096)
+    p, n, t, c = count(1316), count(256), count(4096), count(1024)
     parts = euler.VortexParticles(rng.random((p, 2)), rng.standard_normal(p), 0.025)
+    # euler-compare's particles beyond its k cells, 5.3 apart (the far path)
+    beyond = euler.VortexParticles(parts.positions + [0.0, 6.3], parts.weights, 0.025)
+    cell_pts, cell_w = rng.random((c, 2)), rng.standard_normal((c, 2))
     centers = rng.random((n, 2)) + [2.0, 0.0]  # holes of radius 0.001 clear of the particles
     vectors = rng.standard_normal((n, 2))
     probes = rng.random((t, 2)) * 1.5
@@ -155,6 +167,10 @@ def cases(scale: float):
     return {
         "grad_psi0_eval": (f"m=1 blob self {p}x{p}",
                            lambda: potential.grad_psi0_eval(parts, parts.positions)),
+        "grad_psi0_eval_far": (f"m=1 blob far {c}x{p}",
+                               lambda: potential.grad_psi0_eval(beyond, cell_pts)),
+        "k2_kernel_sum_far": (f"m=2 far {p}x{c}", lambda: homogenized.k2_kernel_sum(
+            cell_pts, cell_w, 1 / 32, beyond.positions)),
         "dipole_sum_grad": (f"m=2 {p}x{n}", lambda: potential.dipole_sum(
             centers, 0.001, vectors, parts.positions, grad=True)),
         "k2_kernel_sum": (f"m=2 {t}x{n}",
@@ -232,7 +248,7 @@ def main(argv=None) -> int:
     print(f"# {src}  python {sys.version.split()[0]}  numpy {np.__version__}  "
           f"repeat {args.repeat}  scale {args.scale}")
     print(f"{'layer':<22}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
-    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"), **MALLOC_VARS)
     for name in table:
         child = [sys.executable, __file__, "--src", str(src), "--repeat", str(args.repeat),
                  "--scale", str(args.scale), "--case", name]
