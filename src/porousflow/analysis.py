@@ -6,14 +6,15 @@ only), the composite error predictor F, log-log
 exponent fits, and the two-term decomposition report comparing the perforated
 solution against the homogenized one. That report and
 ``reflection_vs_oracle_h1`` sum their masked H^1-dot and L^2 norms inline,
-over the fluid cells of a probe grid.
+over the fluid cells of a probe grid; both take the oracle's gradient less the
+reflections' as one multipole series per hole, the dipoles its m = 1 term.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .fields import (
     spectral_power,
     wavenumbers,
 )
-from .geometry import Box, PorousConfig, fluid_mask, rasterize_mu
+from .geometry import Box, PorousConfig, fluid_mask, inside_holes, rasterize_mu
 from .reflections import HybridStream
 
 ETA = 0.5  # the predictor's aspect term is (a/d)^(3 - ETA)
@@ -200,6 +201,20 @@ def homogenized_probe(
     return HomogenizedProbe(probe, region, d_homog, phi)
 
 
+def _oracle_minus_reflections_grad(stream: HybridStream, oracle_sol, pts) -> np.ndarray:
+    """``multipole_part_grad(oracle_sol, pts) - stream.correction_grad(pts)``
+    as one series: the dipoles A are its m = 1 term a (A_x + i A_y), so a A
+    comes off the oracle's (cos_1, sin_1); both solve for ``stream.config``'s
+    holes. Raises ``ValueError`` at points inside a hole, as
+    ``correction_grad`` does."""
+    config = stream.config
+    if np.any(inside_holes(config.centers, config.a, pts)):
+        raise ValueError("evaluation point inside a hole")
+    coeffs = oracle_sol.coeffs.copy()
+    coeffs[:, 0:2] -= config.a * stream.combined_vectors()
+    return oracle_mod.multipole_part_grad(replace(oracle_sol, coeffs=coeffs), pts)
+
+
 def gamma_report(
     stream: HybridStream, homog: HomogenizedProbe, k, oracle_sol=None
 ) -> GammaReport:
@@ -223,7 +238,7 @@ def gamma_report(
     # Gamma_1 gradient: (psi_N - psi_bar) + (psi_tilde - psi_c); hole-free
     # parts cancel within each pair.
     if oracle_sol is not None:
-        d_perf = oracle_mod.multipole_part_grad(oracle_sol, pts) - stream.correction_grad(pts)
+        d_perf = _oracle_minus_reflections_grad(stream, oracle_sol, pts)
     else:
         d_perf = np.zeros((pts.shape[0], 2))
     g1 = np.sqrt((((d_perf + homog.d_homog[mask]) ** 2).sum(axis=1)).sum() * h**2)
@@ -269,5 +284,5 @@ def reflection_vs_oracle_h1(
     probe = make_grid(region.as_tuple(), h)
     mask = fluid_mask(stream.config, probe)
     pts = probe.centers_flat()[mask.ravel()]
-    diff = oracle_mod.multipole_part_grad(oracle_sol, pts) - stream.correction_grad(pts)
+    diff = _oracle_minus_reflections_grad(stream, oracle_sol, pts)
     return float(np.sqrt((diff**2).sum() * h**2))

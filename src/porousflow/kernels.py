@@ -119,16 +119,19 @@ def _proxies(zt, zs, q):
     """(nodes, strengths) for the targets ``zt`` (2, T): the sources ``zs``
     (2, S) and ``q``, or the far path's Chebyshev nodes of their box and Q."""
     n_s = zs.shape[-1]
-    # p >= 3 per axis: below 18 sources, skip the (2, T) distance temporaries
-    # (at 229k targets they raised glibc's mmap threshold and oracle-sweep's RSS)
+    # p >= 3 per axis, so p_x p_y > S / 2 below 18 sources: direct at once
     if zt.shape[-1] * n_s <= PAIR_BUDGET or n_s < 18:
         return zs, q
     lo, hi = zs.min(axis=1), zs.max(axis=1)
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     if not np.all(half > 0.0):
         return zs, q
-    gap = np.maximum(np.abs(zt - centre[:, None]) - half[:, None], 0.0)
-    u = math.sqrt(float(np.einsum("ij,ij->j", gap, gap).min())) / half
+    dist2 = math.inf  # over blocks of targets: no (2, T) temporaries
+    for start in range(0, zt.shape[-1], PAIR_BUDGET):
+        gap = np.abs(zt[:, start:start + PAIR_BUDGET] - centre[:, None]) - half[:, None]
+        np.maximum(gap, 0.0, out=gap)
+        dist2 = min(dist2, float(np.einsum("ij,ij->j", gap, gap).min()))
+    u = math.sqrt(dist2) / half
     rho = u + np.sqrt(u * u + 1.0)  # the Bernstein ellipse free of singularities
     if rho.min() < _FAR_RHO:
         return zs, q

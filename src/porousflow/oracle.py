@@ -19,9 +19,12 @@ With z = x - c and w = a/z, the cos_m and sin_m columns are (a/r)^m cos(m t)
 = Re w^m and (a/r)^m sin(m t) = -Im w^m. A hole's coefficient pair (alpha_m,
 beta_m) therefore contributes Re(gamma_m w^m) with gamma_m = alpha_m +
 i beta_m, so the hole's field is Re P(w) with P(w) = sum_m gamma_m w^m and its
-gradient is conj(P'(w) dw/dz) = conj(-(w/z) P'(w)). Probe-point evaluation
-sums these complex polynomials over holes by Horner's rule instead of
-materializing one real column per basis function.
+gradient is conj(P'(w) dw/dz) = conj(-(w/z) P'(w)). At probe points these
+polynomials are summed one hole at a time, by Horner's rule in w on blocks of
+points with scalar coefficients. A reflections dipole V^a[A] = a^2 A.z/|z|^2
+is the m = 1 term Re(gamma_1 w), gamma_1 = a (A_x + i A_y)
+(``equivalent_dipoles`` is the inverse), so the oracle's gradient less the
+reflections' is one such series.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, potential
+from . import potential
 from .fields import perp
 from .geometry import PorousConfig
 
@@ -43,6 +46,7 @@ POINTS = 64  # collocation points per hole
 _CG_TOL = 1e-14
 _CG_MAX_ITERATIONS = 200  # far above the 7-20 that cond(A) < 1.5 needs
 _CERT_TOL = 1e-8  # relative recovery error of the rank certificate v0
+_TARGET_BLOCK = 1 << 13  # points per block of the hole series (128 KiB arrays)
 
 
 @dataclass
@@ -196,24 +200,28 @@ def solve_collocation(
 
 
 def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> np.ndarray:
-    """Sum over holes of P(w), or of -(w/z) P'(w) when ``derivative`` is set,
-    evaluated by Horner's rule in blocks of points."""
+    """Sum over holes of P(w), or of -(w/z) P'(w) = w^2 sum_m (-m gamma_m / a)
+    w^(m-1) when ``derivative`` is set: one hole at a time, by Horner's rule
+    in w on a block of ``_TARGET_BLOCK`` points with scalar coefficients."""
     config = sol.config
     gamma = sol.coeffs[:, 0::2] + 1j * sol.coeffs[:, 1::2]  # (N, M)
     if derivative:
-        gamma = gamma * np.arange(1, sol.order + 1)
+        gamma = gamma * (-np.arange(1, sol.order + 1) / config.a)
     zp = pts[:, 0] + 1j * pts[:, 1]
     zc = config.centers[:, 0] + 1j * config.centers[:, 1]
-    out = np.empty(pts.shape[0], dtype=complex)
-    for sl in kernels.chunks(pts.shape[0], config.n_holes):
-        z = zp[sl, None] - zc[None, :]
-        w = config.a / z
-        acc = np.zeros_like(z)
-        for m in range(sol.order - 1, -1, -1):
-            acc *= w
-            acc += gamma[:, m]
-        acc *= -w / z if derivative else w
-        out[sl] = acc.sum(axis=1)
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for start in range(0, pts.shape[0], _TARGET_BLOCK):
+        zb, block = zp[start:start + _TARGET_BLOCK], out[start:start + _TARGET_BLOCK]
+        w, acc = np.empty_like(zb), np.empty_like(zb)
+        for c, g in zip(zc, gamma):
+            np.divide(config.a, np.subtract(zb, c, out=w), out=w)
+            np.multiply(w, g[-1], out=acc)
+            for gm in g[-2::-1]:
+                acc += gm
+                acc *= w
+            if derivative:
+                acc *= w
+            block += acc
     return out
 
 

@@ -304,3 +304,26 @@ def test_gamma_report_norms_shrink_with_lattice_refinement():
         assert rep.gamma2 <= rep.budget.f_value
     assert totals[0] >= totals[1]
     assert g2s[0] >= g2s[1]
+
+
+def test_oracle_comparisons_reject_points_inside_a_hole(monkeypatch):
+    # every probe cell counts as fluid, so cells inside the holes reach the
+    # oracle-minus-reflections gradient, which raises as dipole_sum does
+    from porousflow import oracle as orc
+    from porousflow import reflections as refl
+    from porousflow.euler import VortexParticles
+
+    cfg = build_lattice(2, 0.2, Box(0.0, 0.0, 1.0, 1.0))
+    src = VortexParticles(np.array([[0.5, 2.0]]), np.array([1.0]), blob=0.0)
+    stream = refl.run_reflections(src, cfg, 3)
+    osol = orc.solve_collocation(src, cfg, 4, 32)
+    region = cfg.kpm_box
+    probe = make_grid(region.as_tuple(), cfg.a / 4)
+    homog = ana.HomogenizedProbe(probe, region, np.zeros((probe.values.size, 2)),
+                                 np.zeros(probe.values.size))
+    monkeypatch.setattr(ana, "fluid_mask", lambda config, grid: np.ones(grid.shape, dtype=bool))
+    with pytest.raises(ValueError, match="inside a hole"):
+        ana.reflection_vs_oracle_h1(stream, osol, region, cfg.a / 4)
+    with pytest.raises(ValueError, match="inside a hole"):
+        ana.gamma_report(stream, homog, probe, oracle_sol=osol)
+

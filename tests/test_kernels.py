@@ -263,6 +263,25 @@ def test_far_path_selection(case, far, proxy_counts):
     assert any(count is not None for count in proxy_counts) == far
 
 
+def test_far_path_decision_memory_bounded():
+    # oracle-sweep's 229k probe points about 25 hole centers: with 18 or more
+    # sources the far-path decision measures the targets' distance to the
+    # sources' box, over blocks of targets, so beside the targets' (2, T) copy
+    # and the output only block-sized arrays are held (a (2, T) temporary
+    # would add 3.7 MB each)
+    rng = np.random.default_rng(5)
+    centers = build_lattice(5, 0.05, Box(0.0, 0.0, 1.0, 1.0)).centers
+    targets = rng.random((229_312, 2)) * 1.5 - 0.25
+    q = rng.standard_normal((centers.shape[0], 2))
+    tracemalloc.start()
+    try:
+        out = kernels.pair_sum(targets, centers, q, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= targets.nbytes + out.nbytes + 8 * kernels.PAIR_BUDGET * 8
+
+
 def _pair_sum_case(rng):
     """A blob sum with vector strengths (m = 1 with a blob, q (S, 2))."""
     sources = rng.random((512, 2))

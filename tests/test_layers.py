@@ -27,7 +27,8 @@ def test_every_case_runs_tiny(capsys):
     assert "apply_l_spectral" in names and "grad_psi0_on_grid" in names
     assert {"expansion_errors", "solve_psic_from_grad", "hminus1"} <= set(names)
     assert {"mu_minus_k_field", "solve_collocation_4", "solve_collocation_8",
-            "multipole_part_grad", "step_perforated", "step_homogenized"} <= set(names)
+            "multipole_part_grad", "multipole_part_grad_sweep", "step_perforated",
+            "step_homogenized"} <= set(names)
     for name in names:
         args = ["--src", str(ROOT / "src"), "--scale", "0.01", "--repeat", "1", "--case", name]
         assert layers.main(args) == 0

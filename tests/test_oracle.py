@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import point_vortex
+from porousflow import analysis as ana
 from porousflow import oracle as orc
 from porousflow import potential as pot
 from porousflow import reflections as refl
@@ -371,6 +372,33 @@ def test_horner_matches_materialized_basis(order):
     grad = orc.multipole_part_grad(sol, pts)
     assert np.all(np.abs(val - ref_val) <= 1e-12 * val_scale)
     assert np.all(np.abs(grad - ref_grad) <= 1e-12 * grad_scale[:, None])
+
+
+@pytest.mark.parametrize("n,epsilon", [(4, 0.1), (8, 0.2)])
+def test_fused_difference_matches_separate_fields(n, epsilon):
+    # the oracle's hole gradients less the reflections' dipole gradients as one
+    # series (the dipoles folded into the m = 1 term), at 16 and 64 holes
+    rng = np.random.default_rng(300 + n)
+    cfg = build_lattice(n, epsilon, Box(0.0, 0.0, 1.0, 1.0))
+    order = orc.ORDER
+    coeffs = rng.standard_normal((cfg.n_holes, 2 * order))
+    sol = orc.MultipoleSolution(cfg, None, order, coeffs, np.zeros(cfg.n_holes), 0.0, 0, 1.0, False)
+    levels = [refl.DipoleSet(j, rng.standard_normal((cfg.n_holes, 2)) / cfg.a) for j in (1, 2, 3)]
+    stream = refl.HybridStream(None, cfg, levels)
+    pts = _near_and_far_points(cfg, seed=300 + n)
+    # roundoff scale per point, as in the Horner test, with each hole's
+    # |gamma_1| raised by its dipole's |a A|
+    diff = pts[:, None, :] - cfg.centers[None, :, :]
+    z = np.hypot(diff[..., 0], diff[..., 1])
+    mags = np.hypot(coeffs[:, 0::2], coeffs[:, 1::2])
+    mags[:, 0] += cfg.a * np.hypot(*stream.combined_vectors().T)
+    w = cfg.a / z
+    ms = np.arange(1, order + 1)
+    grad_scale = np.einsum("pjm,jm->p", ms * w[:, :, None] ** ms / z[:, :, None], mags)
+
+    ref = orc.multipole_part_grad(sol, pts) - stream.correction_grad(pts)
+    got = ana._oracle_minus_reflections_grad(stream, sol, pts)
+    assert np.all(np.abs(got - ref) <= 1e-12 * grad_scale[:, None])
 
 
 def test_horner_inside_hole_still_rejected():

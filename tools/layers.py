@@ -67,6 +67,18 @@ dt = 0.05
 t_final = 0.25
 margin = 5
 """
+# the oracle-sweep workload's configuration at its a/d = 0.05 point, its
+# lattice size left to fill in
+SWEEP = """[run]
+experiment = sweep
+[geometry]
+n = {n}
+epsilon = 0.05
+[vorticity]
+shape = point
+center = 0.5 2.0
+amplitude = 2.0
+"""
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # glibc's mmap and trim thresholds, fixed where the dynamic ones end up (the
 # 64-bit maximum, 32 MiB, and twice that): left dynamic, the mmap threshold
@@ -82,10 +94,12 @@ def cases(scale: float):
     1024 k cells 5.3 away and one RK4 step of each of its closures, divcurl's
     4096 probes, its world grid, its n = 16 mu - k field, its oracle fits at
     16 and 64 holes and the n = 4 oracle's hole gradients at 100k points
-    beside the lattice, and homog-sweep's 1024^2 grid with its source, its
-    largest k and its three k norms."""
+    beside the lattice, oracle-sweep's hole gradients at its a/d = 0.05 probe
+    cells, and homog-sweep's 1024^2 grid with its source, its largest k and
+    its three k norms."""
     from porousflow import analysis, cli, euler, homogenized, oracle, potential
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
+    from porousflow.geometry import fluid_mask
 
     def count(n):
         return max(round(n * scale), 2)
@@ -151,6 +165,18 @@ def cases(scale: float):
         """divcurl's n = 4 oracle, made by the warm-up call."""
         return collocation(side_of(4))
 
+    @functools.cache
+    def sweep_oracle():
+        """(point-vortex oracle, probe points) of oracle-sweep at a/d = 0.05:
+        the fluid cells of the kpm box inflated by 25% at h = a/4, 229k
+        points at 16 holes, made by the warm-up call; points and holes scale."""
+        cfg = cli.RunConfig(SWEEP.format(n=side_of(4)))
+        config = cli.geometry_from_config(cfg, 0)
+        probe = make_grid(config.kpm_box.inflate(0.25 * config.kpm_box.width).as_tuple(),
+                          config.a / 4.0 / scale**0.5)
+        pts = probe.centers_flat()[fluid_mask(config, probe).ravel()]
+        return oracle.solve_collocation(cli.source_from_config(cfg), config), pts
+
     rng = np.random.default_rng(0)
     p, n, t, c = count(1316), count(256), count(4096), count(1024)
     parts = euler.VortexParticles(rng.random((p, 2)), rng.standard_normal(p), 0.025)
@@ -197,6 +223,8 @@ def cases(scale: float):
            for n in (4, 8)},
         "multipole_part_grad": (f"{beside.shape[0]} pts x {side_of(4)**2} holes",
                                 lambda: oracle.multipole_part_grad(divcurl_oracle(), beside)),
+        "multipole_part_grad_sweep": (f"sweep probes x {side_of(4)**2} holes",
+                                      lambda: oracle.multipole_part_grad(*sweep_oracle())),
         "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
         "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
@@ -243,11 +271,11 @@ def main(argv=None) -> int:
             parser.error(f"--case must be one of {', '.join(table)}")
         shape, call = table[args.case]
         ms, faults, peak = measure(call, args.repeat)
-        print(f"{args.case:<22}{shape:<24}{ms:>10.3f}{faults:>10.1f}{peak:>10.2f}")
+        print(f"{args.case:<27}{shape:<24}{ms:>10.3f}{faults:>10.1f}{peak:>10.2f}")
         return 0
     print(f"# {src}  python {sys.version.split()[0]}  numpy {np.__version__}  "
           f"repeat {args.repeat}  scale {args.scale}")
-    print(f"{'layer':<22}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
+    print(f"{'layer':<27}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
     env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"), **MALLOC_VARS)
     for name in table:
         child = [sys.executable, __file__, "--src", str(src), "--repeat", str(args.repeat),
