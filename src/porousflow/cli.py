@@ -43,15 +43,24 @@ from .geometry import (
 )
 
 SCHEMA_VERSION = "v1"
-# every section and key an experiment reads; RunConfig refuses any other
+_SOLVER = {"reflection_depth", "tol"}  # summary.json records both for every experiment
+_LATTICE = {"kind", "n", "epsilon", "box", "eps0"}  # RunConfig reads kind for every experiment
+# per experiment, every section and key it reads; RunConfig refuses any other
 CONFIG_KEYS = {
-    "run": {"experiment"},
-    "geometry": {"kind", "n", "epsilon", "count", "a", "dmin", "box", "eps0"},
-    "vorticity": {"shape", "center", "radius", "amplitude", "grid_h"},
-    "solver": {"reflection_depth", "grid_h", "tol"},
-    "euler": {"dt", "t_final", "blob", "particle_h", "margin", "full_solve"},
-    "analysis": {"probe", "probe_h"},
-    "sweep": {"values", "mode"},
+    name: {"run": {"experiment"}, "solver": _SOLVER,
+           "vorticity": {"shape", "center", "radius", "amplitude", "grid_h"}, **keys}
+    for name, keys in {
+        "reflect": {"geometry": _LATTICE | {"count", "a", "dmin"}, "euler": {"blob"}},
+        "divcurl": {"geometry": _LATTICE, "solver": _SOLVER | {"grid_h"},
+                    "analysis": {"probe", "probe_h"}, "sweep": {"values"}},
+        "homog": {"geometry": _LATTICE, "solver": _SOLVER | {"grid_h"}, "sweep": {"values"}},
+        "euler": {"geometry": _LATTICE, "solver": _SOLVER | {"grid_h"},
+                  "euler": {"dt", "t_final", "blob", "particle_h", "margin", "full_solve"},
+                  "analysis": {"probe", "probe_h"}},
+        # each sweep point's epsilon is one of [sweep] values
+        "sweep": {"geometry": _LATTICE - {"epsilon"}, "euler": {"blob"},
+                  "analysis": {"probe_h"}, "sweep": {"values", "mode"}},
+    }.items()
 }
 # the only spellings a boolean key accepts (compared case-insensitively)
 _BOOLEANS = {
@@ -74,17 +83,23 @@ class RunConfig:
             self.parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
-        for section in self.parser.sections():
-            if section not in CONFIG_KEYS:
-                raise ConfigError(f"unknown section [{section}]")
-            unknown = set(self.parser.options(section)) - CONFIG_KEYS[section]
-            if unknown:
-                raise ConfigError(f"unknown key [{section}] {', '.join(sorted(unknown))}")
-        if not self.parser.has_option("run", "experiment"):
-            raise ConfigError("missing [run] experiment")
-        self.experiment = self.parser.get("run", "experiment").strip()
+        self.experiment = self.get("run", "experiment", required=True)
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}'")
+        # every other experiment uses lattice_fraction, the only volume fraction,
+        # or sweeps the lattice's n or epsilon (checked before another kind's keys)
+        self.kind = self.get("geometry", "kind", str, "lattice")
+        if self.kind != "lattice" and self.experiment != "reflect":
+            raise ConfigError(f"[geometry] kind = {self.kind} has no volume fraction; "
+                              f"the {self.experiment} experiment needs kind = lattice")
+        keys = CONFIG_KEYS[self.experiment]
+        for section in self.parser.sections():
+            if not any(section in table for table in CONFIG_KEYS.values()):
+                raise ConfigError(f"unknown section [{section}]")
+            unknown = set(self.parser.options(section)) - keys.get(section, set())
+            if unknown:
+                raise ConfigError(f"unknown key [{section}] {', '.join(sorted(unknown))} "
+                                  f"for the {self.experiment} experiment")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -191,14 +206,7 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
     """The [geometry] configuration; a sweep point's lattice ``n`` or ``epsilon``
     replaces the config value, and its ``scale`` stretches the configured box
     about the lower-left corner. Every configuration must pass ``validate``."""
-    kind = cfg.get("geometry", "kind", str, "lattice")
-    if kind != "lattice" and cfg.experiment != "reflect":
-        # every other experiment uses lattice_fraction, the only volume
-        # fraction, or sweeps the lattice's n or epsilon
-        raise ConfigError(
-            f"[geometry] kind = {kind} has no volume fraction; "
-            f"the {cfg.experiment} experiment needs kind = lattice"
-        )
+    kind = cfg.kind
     box = cfg.box("geometry", "box", Box(0.0, 0.0, 1.0, 1.0))
     if scale is not None:
         box = Box(box.x0, box.y0, box.x0 + box.width * scale, box.y0 + box.height * scale)

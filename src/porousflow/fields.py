@@ -200,20 +200,13 @@ def check_padding(f: ScalarGridField) -> None:
         )
 
 
-def rfft2_rows(values: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+def rfft2_rows(values: np.ndarray, rows: slice) -> np.ndarray:
     """``np.fft.rfft2(values)`` of real values (..., nx, ny) that vanish
     outside ``rows`` of the nx axis: the ``rfft`` of those rows only, zero
     rows elsewhere, then the ``fft`` along nx in place. numpy's ``rfft2``
     takes the same two passes in this order, so the result equals it bit
-    for bit (pruning the zero rows after Markel 1971). The spectrum is
-    written into ``out`` when given (a half-spectrum buffer to reuse),
-    else into a new array."""
-    if out is None:
-        out = np.zeros(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
-    else:
-        start, stop, _ = rows.indices(values.shape[-2])
-        out[..., :start, :] = 0.0
-        out[..., stop:, :] = 0.0
+    for bit (pruning the zero rows after Markel 1971)."""
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
     np.fft.rfft(values[..., rows, :], out=out[..., rows, :])
     return np.fft.fft(out, axis=-2, out=out)
 

@@ -3,40 +3,32 @@ for disk inclusions (``M_DISK``).
 
 Solved by the fixed-point iteration grad psi_n = grad Delta^{-1} f -
 L[grad psi_{n-1}] with L g = grad Delta^{-1} div(k M g), which contracts for
-small sup k. The operator L has two interchangeable backends: a Fourier
-multiplier xi (xi.g_hat)/|xi|^2 on a padded periodic box (real transforms
-of the (2, nx, ny) component planes, the forward one over the rows of k
-only, multipliers cached per grid), and a direct principal-value quadrature
-of the second-derivative kernel used as an independent cross-check. The
-volume-fraction correction phi = -div Delta^{-1}(k M grad psi) and its
-gradient have one quadrature, ``correction``: phi on a probe grid whose
-spacing is a whole multiple of the k grid's (divcurl's probe) is one
-zero-padded FFT convolution where that is less work than the direct sum, and
-points (the Euler closure's particles), other grids and the gradient take the
-direct sum.
+small sup k. L has two backends: the Fourier multiplier xi (xi.g_hat)/|xi|^2
+on the padded periodic grid (``apply_l_spectral``, multipliers cached per
+grid) and a direct principal-value quadrature of the second-derivative
+kernel, the independent cross-check. The volume-fraction correction
+phi = -div Delta^{-1}(k M grad psi) and its gradient have one quadrature,
+``correction``; phi on a probe grid whose spacing is a whole multiple of k's
+(divcurl's probe) is a convolution where that is less work than the direct
+sum.
 
-L is linear in k, so the iterates from grad psi_0 are the partial sums of the
-Neumann series sum_j (-L)^j grad psi_0, the form of the method of
-reflections, and the iterates for c k are those of k with term j scaled by
-c^j. One loop, ``_fixed_point``, sums that series for one or more scales c
-with one stopping rule: the grid solve (spectral, c = 1), the Euler closure's
-full solve on the k cells (direct, c = 1) and the k-norm sweep
-(``expansion_errors``, every norm from one series). L reads its argument only
-where k is nonzero, and the series needs each term only there, so the
-spectral series runs on k's support box (bx, by) (``_BoxL``): L there is one
-circular convolution on the smallest fast box of at least (2 bx - 1,
-2 by - 1) cells with the grid's own periodic kernel, inverted from the
-multipliers once per operator and kept on the displacements the box spans
-(Hockney & Eastwood's zero padding, as ``potential.grad_psi0_on_grid``). Each
-step applies it once, forward over the box's rows and back over them. Every
-norm is a sum over the box: with w = k M q, L q = P w + mean, P the
-longitudinal projection (symmetric, idempotent, no zero mode) and mean the
-constant of ``_l_on_grid``, so ||L q||^2 = <w, L q> - nx ny |mean|^2. The
-series keeps L of each partial sum beside it, so the sweep's norms take no
-transform at all and the Euler closure's solution g0 - L T takes no further
-L. The grid solve makes its solution and first iterate on the whole grid with
-one whole-grid application of L each (``_l_on_grid``, as
-``apply_l_spectral``).
+L is linear in k, so the iterates from grad psi_0 are the partial sums of
+the Neumann series sum_j (-L)^j grad psi_0 (the form of the method of
+reflections), and those for c k scale term j by c^j. One loop,
+``_fixed_point``, sums it for one or more scales c with one stopping rule:
+the grid solve, the Euler closure's full solve on the k cells (direct) and
+the k-norm sweep (``expansion_errors``). L reads its argument only where k is
+nonzero, so the spectral series runs on k's support box (``_BoxL``), where L
+is a convolution with the grid's own periodic kernel. Every norm is a box
+sum: with w = k M q, L q = P w + mean (P the longitudinal projection, mean
+the constant of ``_l_on_grid``), so ||L q||^2 = <w, L q> - nx ny |mean|^2.
+The series keeps L of each partial sum, so the sweep's norms and the Euler
+closure's solution take no further L; the grid solve's solution and first
+iterate take one whole-grid L each.
+
+Both convolutions, L on the box and phi on the probe grid, are
+``potential._fft_convolve``, the one zero-padded FFT convolution (Hockney &
+Eastwood 1988) that also gives ``potential.grad_psi0_on_grid``.
 """
 
 from __future__ import annotations
@@ -55,10 +47,10 @@ from .fields import (
     rfft2_rows,
 )
 from .potential import (
-    _displacements,
     _fast_length,
     _fft_convolve,
     _grad_kernel,
+    _wrapped,
     grad_psi0_on_grid,
 )
 
@@ -117,49 +109,46 @@ def _l_on_grid(p: np.ndarray, k, h: float, box) -> np.ndarray:
     return out
 
 
-def _box_kernel(shape, h: float, extent, size) -> np.ndarray:
-    """The spectra (3, Mx, My // 2 + 1) of the xx, xy and yy entries of L's
-    kernel on the (Mx, My) box ``size``: the grid's own periodic kernel, the
-    inverse transform of the multipliers kx kx/|xi|^2, kx ky/|xi|^2 and
-    ky ky/|xi|^2 of ``fields.gradient_multipliers``, kept on the displacements
-    |d| < ``extent`` per axis and placed with the negative ones wrapped to the
-    back. The multipliers are real, so the inverse along nx is the conjugate
-    of a real forward transform over nx, kept on its first rows only, and
-    the rows of negative dx are the conjugates of those of positive dx. The
-    kernel is even, so its transforms on the box are real (the imaginary
-    roundoff is dropped)."""
-    (nx, ny), (bx, _) = shape, extent
+def _box_kernel(shape, h: float, extent, size) -> list[list[np.ndarray]]:
+    """The spectra [[xx, xy], [xy, yy]] of L's kernel on the (Mx, My) box
+    ``size``: the grid's own periodic kernel (the inverse transform of the
+    multipliers kx kx/|xi|^2, kx ky/|xi|^2 and ky ky/|xi|^2 of
+    ``fields.gradient_multipliers``) at the displacements |d| < ``extent``
+    per axis, laid out as ``potential._wrapped``. The multipliers are real,
+    so the inverse along nx is the conjugate of a real forward transform,
+    kept on its first rows, whose conjugates are the rows of negative dx. The
+    kernel is even, so its spectra are real (the imaginary roundoff goes)."""
+    (nx, ny), (bx, by) = shape, extent
+    if not bx:  # the zero k: no displacement is kept
+        return [[np.zeros((size[0], size[1] // 2 + 1))] * 2] * 2
     kx, ky, mx, my = gradient_multipliers(shape, h)
-    # per axis, the displacements 0..b-1 and -(b-1)..-1 in the kernel rows
-    # made below (2 bx - 1 of them) or the grid's columns, and on the box
-    moves = [[(slice(0, b), slice(0, b)), (slice(n - b + 1, n), slice(m - b + 1, m))]
-             for b, n, m in zip(extent, (2 * bx - 1, ny), size)]
-    planes = np.zeros(size)
-    out = np.empty((3, size[0], size[1] // 2 + 1))
-    for i, (left, right) in enumerate(((kx, mx), (kx, my), (ky, my))):
+    dx, dy = (_wrapped(b, m) for b, m in zip(extent, size))
+    spectra = []
+    for left, right in ((kx, mx), (kx, my), (ky, my)):
         half = np.fft.rfft(left * right, axis=0)[:bx].conj()  # nx ifft along nx, dx = 0..bx-1
         kern = np.fft.irfft(np.concatenate([half, half[:0:-1].conj()]), n=ny, axis=1)
-        for src_x, dst_x in moves[0]:
-            for src_y, dst_y in moves[1]:
-                planes[dst_x, dst_y] = kern[src_x, src_y]
-        out[i] = np.fft.rfft2(planes).real
-    out /= nx
-    return out
+        # kern's rows hold dx = 0..bx-1, then -(bx-1)..-1, and its columns are
+        # the grid's periodic ones, so a negative d wraps to the back of both
+        planes = kern.take(dx, axis=0, mode="wrap").take(dy, axis=1, mode="wrap")
+        planes[np.abs(dx) >= bx] = 0.0
+        planes[:, np.abs(dy) >= by] = 0.0
+        spectra.append(np.fft.rfft2(planes).real / nx)
+    xx, xy, yy = spectra
+    return [[xx, xy], [xy, yy]]
 
 
 class _BoxL:
     """L on k's support box (bx, by), for arguments given there: the output
     on the box of ``_l_on_grid``, as one circular convolution with the
     grid's periodic kernel on the smallest fast box (Mx, My) =
-    (``_fast_length(2 bx - 1)``, ``_fast_length(2 by - 1)``) (Hockney &
-    Eastwood's zero padding). Box displacements satisfy |i - j| <= b - 1 < M,
-    so each box output is the whole-grid sum up to roundoff.
+    (``_fast_length(2 bx - 1)``, ``_fast_length(2 by - 1)``). Box
+    displacements satisfy |i - j| <= b - 1 < M, so each box output is the
+    whole-grid sum up to roundoff.
 
-    ``op(p)`` is L p on the box: w = k M p in the box corner of one reused
-    (2, Mx, My) buffer, zero elsewhere, transformed over w's bx rows into the
-    reused spectrum, times the kernel spectra, inverted over the box's rows
-    only, plus the mean of L p (``_l_on_grid``'s convention, summed over the
-    box planes). ``norm(q, lq)`` is ||L q|| over the whole grid as the box
+    ``op(p)`` is L p on the box: w = k M p in the corner of one reused
+    (2, Mx, My) buffer, convolved with the kernel spectra by
+    ``potential._fft_convolve``, plus the mean of L p (``_l_on_grid``'s
+    convention). ``norm(q, lq)`` is ||L q|| over the whole grid as the box
     sum <w, L q> - nx ny |mean|^2 (see the module docstring).
     """
 
@@ -172,8 +161,6 @@ class _BoxL:
         size = tuple(_fast_length(2 * b - 1) for b in extent)
         self.kernel = _box_kernel(k.shape, g.h, extent, size)
         self.w = np.zeros((2,) + size)
-        self.spec = np.empty((2, size[0], size[1] // 2 + 1), dtype=complex)
-        self.prod = np.empty_like(self.spec)
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         """L p on the box, for p (2, bx, by) on the box."""
@@ -181,14 +168,9 @@ class _BoxL:
         w = self.w[:, :bx, :by]
         np.multiply(p, self.km, out=w)
         mean = w.sum(axis=(1, 2)) / (2.0 * self.cells)
-        kxx, kxy, kyy = self.kernel
-        spec, prod = rfft2_rows(self.w, slice(0, bx), out=self.spec), self.prod
-        np.multiply(kxx, spec[0], out=prod[0])
-        prod[0] += kxy * spec[1]
-        np.multiply(kyy, spec[1], out=prod[1])
-        prod[1] += kxy * spec[0]
-        out = irfft2_rows(prod, self.w.shape[2], slice(0, bx))[:, :, :by]
-        return out + mean[:, None, None]
+        # each output's first spectrum is a copy, which takes its product
+        kernel = ([row[0].astype(complex), row[1]] for row in self.kernel)
+        return _fft_convolve(self.w, bx, kernel, (bx, by)) + mean[:, None, None]
 
     def norm(self, q: np.ndarray, lq: np.ndarray) -> float:
         """||L q|| over the whole grid, for q and lq = L q on the box."""
@@ -294,16 +276,16 @@ def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarr
     box = k.support_slices()
     lo = np.array([sl.start for sl in box])
     n_src = tuple(sl.stop - sl.start for sl in box)
-    n_out = tuple((np.array(probe.shape) - 1) * step + 1)
-    cells = (n_src[0] + n_out[0]) * (n_src[1] + n_out[1])
-    if cells * FFT_CELL_PAIRS > probe.values.size * w.shape[0]:
+    n_out = tuple((n - 1) * step + 1 for n in probe.shape)
+    size = tuple(_fast_length(ns + no) for ns, no in zip(n_src, n_out))
+    if size[0] * size[1] * FFT_CELL_PAIRS > probe.values.size * w.shape[0]:
         return None
-    planes = np.zeros((2,) + n_src)
-    planes[:, k.values[box] != 0.0] = w.T  # nonzero_cells() order within the box
+    planes = np.zeros((2,) + size)
+    planes[:, :n_src[0], :n_src[1]][:, k.values[box] != 0.0] = w.T  # nonzero_cells() order
     # first probe center minus first box cell center, in cells of k
     offset = (probe.origin - k.origin) / k.h + 0.5 * (step - 1) - lo
-    kx, ky = _grad_kernel(*_displacements(n_src, n_out, k.h, offset))
-    s = _fft_convolve(planes[0], [kx], n_out)[0] + _fft_convolve(planes[1], [ky], n_out)[0]
+    kern = [[np.fft.rfft2(kc) for kc in _grad_kernel(n_src, size, k.h, offset)]]
+    s = _fft_convolve(planes, n_src[0], kern, n_out)[0]
     return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
 
 

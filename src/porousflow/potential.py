@@ -5,8 +5,9 @@ gradient from either a grid field (midpoint quadrature with an exact analytic
 integral on the cell containing the target) or a set of blob-regularized
 vortex particles. The gradient at every cell of a grid field is one
 zero-padded FFT convolution over the bounding box of f's nonzero cells
-(free-space convolution over the source's support, after Hockney &
-Eastwood 1988). Also provides the disk-dipole correction field
+(after Hockney & Eastwood 1988) by ``_fft_convolve``, the one such
+convolution, which ``homogenized`` also uses for L on k's box and for the
+correction on a probe grid. Also provides the disk-dipole correction field
 V^a[A](x) = a^2 A.(x-c)/|x-c|^2, summed over holes, with its exact gradient.
 """
 
@@ -122,8 +123,11 @@ def grad_psi0_on_grid(f: ScalarGridField) -> VectorGridField:
     src = f.values[box]
     offset = tuple(-sl.start for sl in box)
     size = tuple(_fast_length(ns + no) for ns, no in zip(src.shape, f.shape))
-    kern = _grad_kernel(*_displacements(src.shape, f.shape, f.h, offset, size))
-    planes = np.stack(_fft_convolve(src, kern, f.shape))
+    pad = [(0, 0)] + [(0, nb - ns) for ns, nb in zip(src.shape, size)]
+    # one kernel spectrum at a time, taking its product; only the generator
+    # holds the kernels, so they are freed before the outputs are stacked
+    kernel = ([np.fft.rfft2(k)] for k in _grad_kernel(src.shape, size, f.h, offset))
+    planes = _fft_convolve(np.pad(src[None], pad), src.shape[0], kernel, f.shape)
     planes *= f.h**2 / (2.0 * np.pi)
     return VectorGridField(f.origin.copy(), f.h, np.moveaxis(planes, 0, 2))
 
@@ -144,43 +148,47 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _displacements(n_src, n_out, h, offset=(0.0, 0.0), size=None):
-    """Target-minus-source displacements (offset + n) h, per axis, on the
-    box of a linear convolution with n_src source and n_out output samples:
-    n = 0..size - n_src at the front and n = -(n_src - 1)..-1 wrapped to the
-    back. ``size`` is at least n_src + n_out - 1 (default n_src + n_out) and
-    ``offset`` (in cells) places output 0 relative to source 0."""
-    if size is None:
-        size = tuple(ns + no for ns, no in zip(n_src, n_out))
-    axes = []
-    for ns, nb, off in zip(n_src, size, offset):
-        n = np.arange(nb)
-        axes.append((np.where(n <= nb - ns, n, n - nb) + off) * h)
-    return axes[0][:, None], axes[1][None, :]
+def _wrapped(n_src: int, size: int) -> np.ndarray:
+    """The signed displacement n at each index of a box axis of ``size``
+    samples whose circular convolution over n_src source samples is a linear
+    one: n = 0..size - n_src at the front, -(n_src - 1)..-1 at the back."""
+    n = np.arange(size)
+    return np.where(n <= size - n_src, n, n - size)
 
 
-def _grad_kernel(dx, dy):
-    """d / |d|^2 at the displacements d = (dx, dy), 0 at d = 0."""
+def _grad_kernel(n_src, size, h, offset):
+    """d / |d|^2, 0 at d = 0, at the target-minus-source displacements
+    d = (offset + n) h per axis, n as ``_wrapped`` on the box ``size`` (at
+    least n_src + n_out - 1 for n_out outputs); ``offset`` (in cells) places
+    output 0 relative to source 0."""
+    dx, dy = ((_wrapped(ns, nb) + off) * h for ns, nb, off in zip(n_src, size, offset))
+    dx, dy = dx[:, None], dy[None, :]
     r2 = dx * dx + dy * dy
     inv = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
     return dx * inv, dy * inv
 
 
-def _fft_convolve(values, kernels, out_shape):
-    """Linear convolutions of values with each kernel on the kernels' shared
-    zero-padded box (see ``_displacements``), cropped to ``out_shape``; the
-    padded source is transformed once, over its own rows, and each product
-    is inverted over the output rows only."""
-    (nx, ny), (bx, by) = values.shape, kernels[0].shape
-    src_hat = rfft2_rows(np.pad(values, ((0, bx - nx), (0, by - ny))), slice(0, nx))
-    ox, oy = out_shape
+def _fft_convolve(padded, rows: int, kernel, out_shape):
+    """The one zero-padded FFT convolution: output i, cropped to
+    ``out_shape``, sums source plane j of ``padded`` (n, Mx, My), zero but on
+    its first ``rows`` rows and own columns, convolved with kernel (i, j).
+    ``kernel`` yields per output the spectra (``rfft2`` on the box) of its
+    kernel from each source, the first of which is overwritten with the
+    output's spectrum (a generator makes one output's at a time). The sources
+    are transformed over their rows only, the outputs inverted over theirs."""
+    spec = rfft2_rows(padded, slice(0, rows))
+    my = padded.shape[2]
+    del padded  # a padded copy made for the call is freed here
     out = []
-    for k in kernels:
-        prod = np.fft.rfft2(k)
-        # src_hat first: swapped complex products can round differently
-        np.multiply(src_hat, prod, out=prod)
-        out.append(irfft2_rows(prod, by, slice(0, ox))[:, :oy].copy())
-    return out
+    for row in kernel:
+        prod = row[0]
+        # the source spectrum first: swapped complex products can round differently
+        np.multiply(spec[0], prod, out=prod)
+        for s, k in zip(spec[1:], row[1:]):
+            prod += s * k
+        out.append(irfft2_rows(prod, my, slice(0, out_shape[0]))[:, :out_shape[1]].copy())
+        del row, prod  # freed before the next output's spectra are made
+    return np.stack(out)
 
 
 # ---------------------------------------------------------------------------

@@ -311,36 +311,47 @@ def test_homog_sweep_byte_identical(tmp_path):
 def test_homog_sweep_applies_l_once_per_step_and_once_per_norm(tmp_path, monkeypatch):
     # every k norm is a scale of one series, run on k's support box: each step
     # transforms k M p on the small convolution box over the support's rows
-    # and inverts it there, and every norm, the step's and the solutions', is
-    # a box sum of arrays the series holds, so no other transform runs
-    from porousflow import homogenized
+    # and inverts both planes there, and every norm, the step's and the
+    # solutions', is a box sum of arrays the series holds, so no other
+    # transform runs after grad_psi0_on_grid's
+    from porousflow import homogenized, potential
+    from porousflow.fields import radial_bump, rasterize
     from porousflow.potential import _fast_length
 
     forwards, inverses, full = [], [], []
-    rfft2_rows, irfft2_rows = homogenized.rfft2_rows, homogenized.irfft2_rows
+    rfft2_rows, irfft2_rows = potential.rfft2_rows, potential.irfft2_rows
     apply_l = homogenized.apply_l_spectral
 
-    def forward(values, rows, **kwargs):
+    def forward(values, rows):
         forwards.append((values.shape[-2],) + rows.indices(values.shape[-2]))
-        return rfft2_rows(values, rows, **kwargs)
+        return rfft2_rows(values, rows)
 
     def inverse(spec, ny, rows=slice(None)):
         inverses.append((spec.shape[-2],) + rows.indices(spec.shape[-2]))
         return irfft2_rows(spec, ny, rows)
 
-    monkeypatch.setattr(homogenized, "rfft2_rows", forward)
-    monkeypatch.setattr(homogenized, "irfft2_rows", inverse)
+    for module in (potential, homogenized):
+        monkeypatch.setattr(module, "rfft2_rows", forward)
+        monkeypatch.setattr(module, "irfft2_rows", inverse)
     monkeypatch.setattr(homogenized, "apply_l_spectral",
                         lambda *args: full.append(1) or apply_l(*args))
     code, out = run_cli(tmp_path, HOMOG_SWEEP)
     assert code == 0
     iterations = json.loads((out / "summary.json").read_text())["results"]["iterations"]
-    assert len(forwards) == len(inverses) == max(iterations) == 7
+    assert max(iterations) == 7
     nx = round(4.0 / 0.03125)  # the sweep's 4 x 4 world at its grid_h
+    # grad_psi0_on_grid: one forward over f's support rows and two inverses
+    # over the grid's rows, on its padded box
+    f = rasterize((-2.0, -2.0, 2.0, 2.0), 0.03125, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
+    f_rows = f.support_slices()[0]
+    f_box = _fast_length(f_rows.stop - f_rows.start + nx)
+    assert forwards[0] == (f_box, 0, f_rows.stop - f_rows.start, 1)
+    assert inverses[:2] == [(f_box, 0, nx, 1)] * 2
     # the unit bump of radius 0.5 at the world's center spans a quarter of the
     # rows, bx = nx / 4, so the box has fast_length(2 bx - 1) = 64 rows, not nx
     bx = nx // 4
-    assert forwards == inverses == [(_fast_length(2 * bx - 1), 0, bx, 1)] * 7
+    assert forwards[1:] == [(_fast_length(2 * bx - 1), 0, bx, 1)] * 7
+    assert inverses[2:] == [(_fast_length(2 * bx - 1), 0, bx, 1)] * 2 * 7
     assert _fast_length(2 * bx - 1) == 64 and bx == 32
     assert not full
 
@@ -707,6 +718,72 @@ def test_unknown_section_or_key_exit_2(tmp_path, text, fragment):
     assert not (out / "summary.json").exists()
 
 
+# per experiment, test configs that together take every branch on which a
+# read depends: the source's shape (a pair's blob, a grid's spacing), the
+# geometry's kind, the homog sweep and single solve, the euler pair and
+# grid runs, and divcurl with and without a sweep over n
+_GRID_SOURCE = "shape = bump\nradius = 0.3\ngrid_h = 0.05"
+_READ_CONFIGS = {
+    "reflect": [
+        REFLECT_TWOHOLE,
+        REFLECT_RANDOM.replace("shape = point", "shape = pair") + "[euler]\nblob = 0.01\n",
+        REFLECT_TWOHOLE.replace("kind = twohole\na = 0.02\ndmin = 0.4",
+                                "kind = lattice\nn = 2\nepsilon = 0.1")
+        .replace("shape = point", _GRID_SOURCE),
+    ],
+    "divcurl": [DIVCURL_SMALL, DIVCURL_SMALL + "[sweep]\nvalues = 2\n"],
+    "homog": [HOMOG_SWEEP, HOMOG_LATTICE],
+    "euler": [EULER_PAIR, EULER_COMPARE],
+    "sweep": [
+        SWEEP_RATIO,
+        SWEEP_RATIO.replace("shape = point", _GRID_SOURCE),
+        SWEEP_RATIO.replace("shape = point", "shape = pair") + "[euler]\nblob = 0.01\n",
+    ],
+}
+
+
+def test_each_experiment_reads_exactly_its_config_keys(tmp_path, monkeypatch):
+    # every key an experiment's table admits is read on some branch, and
+    # every key it reads is in its table
+    assert set(_READ_CONFIGS) == set(cli.CONFIG_KEYS)
+    reads = set()
+    get = cli.RunConfig.get
+
+    def recorded(self, section, key, *args, **kwargs):
+        reads.add((section, key))
+        return get(self, section, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli.RunConfig, "get", recorded)
+    for experiment, texts in _READ_CONFIGS.items():
+        reads.clear()
+        for i, text in enumerate(texts):
+            assert f"experiment = {experiment}\n" in text
+            code, _ = run_cli(tmp_path, text, name=f"{experiment}{i}")
+            assert code == 0, (experiment, i)
+        table = cli.CONFIG_KEYS[experiment]
+        assert reads == {(section, key) for section in table for key in table[section]}, experiment
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(REFLECT_TWOHOLE + "[sweep]\nvalues = 0.1 0.2\nmode = ratio\n",
+                     "[sweep] mode, values", id="reflect_sweep"),
+        pytest.param(HOMOG_SWEEP + "[euler]\ndt = 0.1\n", "[euler] dt", id="homog_euler_dt"),
+        pytest.param(SWEEP_RATIO.replace("n = 2", "n = 2\nepsilon = 0.1"), "[geometry] epsilon",
+                     id="sweep_epsilon"),
+        pytest.param(DIVCURL_SMALL.replace("[analysis]", "[euler]\nblob = 0.1\n[analysis]"),
+                     "[euler] blob", id="divcurl_blob"),
+    ],
+)
+def test_key_another_experiment_reads_exit_2(tmp_path, text, fragment):
+    # a key that only some other experiment reads would run silently at exit 0
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, fragment)
+    assert not (out / "summary.json").exists()
+
+
 SWEEP_QUADRATIC = SWEEP_RATIO.replace("mode = ratio", "mode = quadratic")
 
 
@@ -761,5 +838,9 @@ def test_readme_config_keys_match_cli():
             section = documented.setdefault(match.group(1), set())
         entries = re.split(r"\s{2,}", match.group(2))[0].split(";")
         section.update(re.match(r"\s*(\w+)", entry).group(1) for entry in entries)
-    assert documented == cli.CONFIG_KEYS
+    every = {}
+    for table in cli.CONFIG_KEYS.values():
+        for section, keys in table.items():
+            every.setdefault(section, set()).update(keys)
+    assert documented == every
     cli.RunConfig(_readme_block("### Example"))

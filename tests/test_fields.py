@@ -130,9 +130,6 @@ def test_pruned_transforms_equal_numpy_bit_for_bit(shape, where):
     values[..., rows, :] = rng.standard_normal(values[..., rows, :].shape)
     spec = rfft2_rows(values, rows)
     assert np.array_equal(spec, np.fft.rfft2(values))
-    reused = np.full(spec.shape, 7.0 + 7.0j)  # a used buffer: its stale rows are cleared
-    assert rfft2_rows(values, rows, out=reused) is reused
-    assert np.array_equal(reused, spec)
     full = np.fft.irfft2(spec, s=(nx, ny))
     assert np.array_equal(irfft2_rows(spec.copy(), ny, rows), full[..., rows, :])
     assert np.array_equal(irfft2_rows(spec, ny), full)

@@ -233,6 +233,48 @@ def test_box_operator_at_the_minimal_padding():
     _check_box_operator(k, g)
 
 
+def _box_case(shape, b=None):
+    """k on an (nx, ny) grid, nonzero on a (nx // 4, ny // 4) block (or a
+    b x b block at the minimal padding nx = 3 b), and a g to go with it."""
+    nx, ny = shape
+    h = 0.05
+    rng = np.random.default_rng(nx * ny)
+    k = make_grid((0.0, 0.0, nx * h, ny * h), h)
+    bx, by = (b, b) if b else (nx // 4, ny // 4)
+    x0, y0 = (b, b) if b else (nx // 3, ny // 3)
+    k.values[x0: x0 + bx, y0: y0 + by] = 0.05 * (0.5 + rng.random((bx, by)))
+    return k, VectorGridField(k.origin, h, rng.standard_normal((nx, ny, 2)))
+
+
+@pytest.mark.parametrize("shape, b", [((48, 48), None), ((45, 45), None), ((48, 39), None),
+                                      ((36, 36), 12)])
+def test_box_kernel_is_the_whole_grid_kernel_on_the_kept_displacements(shape, b):
+    # each entry of L's kernel on the box, back in space, is the grid's own
+    # periodic kernel (the inverse whole-grid transform of its multiplier) at
+    # every displacement |d| < b per axis, wrapped to the back when
+    # negative, and 0 at the box's other cells
+    k, g = _box_case(shape, b)
+    op = hom._BoxL(g, k)
+    size, extent = op.w.shape[1:], op.km.shape
+    kx, ky, mx, my = fields.gradient_multipliers(k.shape, k.h)
+    whole = {"xx": kx * mx, "xy": kx * my, "yy": ky * my}
+    at = []
+    for m, b_axis in zip(size, extent):
+        i = np.arange(m)
+        d = np.where(i < b_axis, i, i - m)
+        at.append((d, np.abs(d) < b_axis))
+    (dx, keep_x), (dy, keep_y) = at
+    keep = keep_x[:, None] & keep_y[None, :]
+    assert not keep.all()  # the box has cells beyond the kept displacements
+    (xx, xy), (yx, yy) = op.kernel
+    assert xy is yx
+    for name, spec in (("xx", xx), ("xy", xy), ("yy", yy)):
+        on_box = np.fft.irfft2(spec, s=size)
+        periodic = np.fft.irfft2(whole[name], s=k.shape)
+        ref = np.where(keep, periodic[np.ix_(dx % k.shape[0], dy % k.shape[1])], 0.0)
+        assert np.abs(on_box - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
 def test_box_operator_of_the_zero_k():
     # an empty support box: an empty L p of norm 0, and one step of increment 0
     g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))

@@ -25,7 +25,7 @@ def test_every_case_runs_tiny(capsys):
     assert "smoothed_vorticity" in names and "grad_psi0_eval" in names
     assert {"grad_psi0_eval_far", "k2_kernel_sum_far"} <= set(names)
     assert "apply_l_spectral" in names and "grad_psi0_on_grid" in names
-    assert {"expansion_errors", "solve_psic_from_grad", "hminus1"} <= set(names)
+    assert {"expansion_errors", "solve_psic_from_grad", "hminus1", "correction_probe"} <= set(names)
     assert {"mu_minus_k_field", "solve_collocation_4", "solve_collocation_8",
             "multipole_part_grad", "multipole_part_grad_sweep", "step_perforated",
             "step_homogenized"} <= set(names)

@@ -9,7 +9,15 @@ from conftest import point_vortex
 from porousflow import kernels
 from porousflow import potential as pot
 from porousflow.euler import VortexParticles
-from porousflow.fields import ScalarGridField, disk_indicator, make_grid, radial_bump, rasterize
+from porousflow.fields import (
+    ScalarGridField,
+    disk_indicator,
+    irfft2_rows,
+    make_grid,
+    radial_bump,
+    rasterize,
+    rfft2_rows,
+)
 
 
 def brute_cell_log(dx0, dx1, dy0, dy1, n=1500):
@@ -147,9 +155,18 @@ def test_grid_evaluation_matches_direct_sums():
 
 def _full_box_gradient(f):
     """grad psi_0 by the zero-padded convolution of the whole grid over the
-    (2 nx, 2 ny) box: the reference for the support-box convolution."""
-    kern = pot._grad_kernel(*pot._displacements(f.shape, f.shape, f.h))
-    return np.stack(pot._fft_convolve(f.values, kern, f.shape), axis=2) * f.h**2 / (2.0 * np.pi)
+    (2 nx, 2 ny) box with numpy's own transforms: the reference for the
+    support-box convolution."""
+    (nx, ny), h = f.shape, f.h
+    box = (2 * nx, 2 * ny)
+    # displacements n h with n = 0..n - 1 at the front, negative ones at the back
+    dx = np.fft.fftfreq(box[0], 1.0 / box[0])[:, None] * h
+    dy = np.fft.fftfreq(box[1], 1.0 / box[1])[None, :] * h
+    r2 = dx * dx + dy * dy
+    r2[0, 0] = np.inf  # the self cell contributes 0
+    spec = np.fft.rfft2(f.values, s=box)
+    grad = [np.fft.irfft2(spec * np.fft.rfft2(d / r2), s=box)[:nx, :ny] for d in (dx, dy)]
+    return np.stack(grad, axis=2) * h**2 / (2.0 * np.pi)
 
 
 def _support_case(kind):
@@ -177,6 +194,42 @@ def test_grid_gradient_over_the_support_box_matches_full_box(kind):
     assert np.abs(got - ref).max() <= 1e-14 * scale
     direct = pot.grad_psi0_eval(f, f.centers_flat()).reshape(got.shape)
     assert np.abs(got - direct).max() <= 1e-13 * scale
+
+
+def _single_plane_gradient(f):
+    """grad_psi0_on_grid's sum as one transform of f's support box per
+    kernel: f cropped to the box of its nonzero cells and zero-padded to a
+    fast box, transformed over its own rows, times each kernel's spectrum in
+    place (the source's spectrum first) and inverted over the grid's rows."""
+    box = f.support_slices()
+    src = f.values[box]
+    size = [pot._fast_length(ns + no) for ns, no in zip(src.shape, f.shape)]
+    # target-minus-source displacements, the negative ones at the back
+    axes = []
+    for nb, ns, sl in zip(size, src.shape, box):
+        n = np.arange(nb)
+        axes.append((np.where(n <= nb - ns, n, n - nb) - sl.start) * f.h)
+    dx, dy = axes[0][:, None], axes[1][None, :]
+    r2 = dx * dx + dy * dy
+    inv = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
+    padded = np.pad(src, [(0, nb - ns) for ns, nb in zip(src.shape, size)])
+    src_hat = rfft2_rows(padded, slice(0, src.shape[0]))
+    planes = []
+    for kern in (dx * inv, dy * inv):
+        prod = np.fft.rfft2(kern)
+        np.multiply(src_hat, prod, out=prod)
+        planes.append(irfft2_rows(prod, size[1], slice(0, f.shape[0]))[:, :f.shape[1]])
+    return np.stack(planes, axis=2) * (f.h**2 / (2.0 * np.pi))
+
+
+@pytest.mark.parametrize("kind", ["off_center", "single_cell", "edges", "sweep"])
+def test_grid_gradient_is_the_single_plane_pipeline_bit_for_bit(kind):
+    # the shared convolution changes no bit of the one-plane gradient
+    if kind == "sweep":  # the homog sweep's f on a coarser grid
+        f = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 64, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
+    else:
+        f = _support_case(kind)
+    assert np.array_equal(pot.grad_psi0_on_grid(f).values, _single_plane_gradient(f))
 
 
 def test_grid_gradient_memory_is_bounded():

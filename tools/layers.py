@@ -10,11 +10,12 @@ the order of the cases.
 
 ``--src`` is the ``src`` directory of the tree to measure (default: this
 repository's), so two trees can be measured in alternation, each in a fresh
-interpreter. Every case calls a public function whose name and arguments
-``bench/tracer.py`` pins, so the script runs unchanged on older trees; the
-second column names the ``kernels.pair_sum`` shape that the call drives, or
-the grid of a spectral case. ``--scale`` multiplies every point count and
-every grid's cell count (the smoke test runs it tiny).
+interpreter. Every case calls a public function that older trees have with
+the same arguments (most are names that ``bench/tracer.py`` pins), so the
+script runs unchanged on them; the second column names the
+``kernels.pair_sum`` shape that the call drives, or the grid of a spectral
+case. ``--scale`` multiplies every point count and every grid's cell count
+(the smoke test runs it tiny).
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
 script starts run with BLAS pinned to one thread, as in ``bench/run.py``, and
 with glibc's mmap and trim thresholds fixed (``MALLOC_VARS``), so arrays
@@ -67,13 +68,11 @@ dt = 0.05
 t_final = 0.25
 margin = 5
 """
-# the oracle-sweep workload's configuration at its a/d = 0.05 point, its
-# lattice size left to fill in
+# the oracle-sweep workload's configuration, its lattice size left to fill in
 SWEEP = """[run]
 experiment = sweep
 [geometry]
 n = {n}
-epsilon = 0.05
 [vorticity]
 shape = point
 center = 0.5 2.0
@@ -92,7 +91,8 @@ def cases(scale: float):
     """{layer: (shape, call)} at the workloads' shapes times ``scale``:
     euler-compare's 1316 particles past 256 holes, their sums to and from its
     1024 k cells 5.3 away and one RK4 step of each of its closures, divcurl's
-    4096 probes, its world grid, its n = 16 mu - k field, its oracle fits at
+    4096 probes, its world grid, its n = 16 mu - k field and phi on its probe
+    grid from that k, its oracle fits at
     16 and 64 holes and the n = 4 oracle's hole gradients at 100k points
     beside the lattice, oracle-sweep's hole gradients at its a/d = 0.05 probe
     cells, and homog-sweep's 1024^2 grid with its source, its largest k and
@@ -137,6 +137,16 @@ def cases(scale: float):
         return potential.grad_psi0_on_grid(world), k, analysis.mu_minus_k_field(config, k)
 
     @functools.cache
+    def divcurl_probe():
+        """(k, grad psi_0 on k's nonzero cells, the 64 x 64 probe grid) of
+        divcurl at n = 16, whose phi is one FFT convolution, made by the
+        warm-up call; the probe's cells scale."""
+        _, world, k = divcurl_lattice(n_mu)
+        g0 = potential.grad_psi0_on_grid(world)
+        probe = make_grid((1.3, 0.0, 2.3, 1.0), 1.0 / 64.0 / scale**0.5)
+        return k, g0.values[k.values != 0.0], probe
+
+    @functools.cache
     def euler_settings():
         """(the particles' state, the perforated closure, the homogenized
         closure) of euler-compare at its start, made as ``cli.cmd_euler``
@@ -171,7 +181,7 @@ def cases(scale: float):
         the fluid cells of the kpm box inflated by 25% at h = a/4, 229k
         points at 16 holes, made by the warm-up call; points and holes scale."""
         cfg = cli.RunConfig(SWEEP.format(n=side_of(4)))
-        config = cli.geometry_from_config(cfg, 0)
+        config = cli.geometry_from_config(cfg, 0, epsilon=0.05)
         probe = make_grid(config.kpm_box.inflate(0.25 * config.kpm_box.width).as_tuple(),
                           config.a / 4.0 / scale**0.5)
         pts = probe.centers_flat()[fluid_mask(config, probe).ravel()]
@@ -218,6 +228,8 @@ def cases(scale: float):
         "mu_minus_k_field": (f"divcurl n={n_mu}", lambda: analysis.mu_minus_k_field(
             *divcurl_lattice(n_mu)[::2])),
         "hminus1": (f"divcurl mu-k n={n_mu}", lambda: analysis.hminus1(divcurl_grid()[2])),
+        "correction_probe": (f"divcurl phi n={n_mu}", lambda: homogenized.correction(
+            *divcurl_probe())),
         **{f"solve_collocation_{n}": (f"divcurl {side_of(n)**2} holes",
                                       functools.partial(collocation, side_of(n)))
            for n in (4, 8)},
