@@ -92,6 +92,12 @@ class RunConfig:
         if self.kind != "lattice" and self.experiment != "reflect":
             raise ConfigError(f"[geometry] kind = {self.kind} has no volume fraction; "
                               f"the {self.experiment} experiment needs kind = lattice")
+        # f is resampled onto their world grid, which particles cannot fill
+        # (checked before the keys, which a particle source's blob fails)
+        if (self.experiment in ("divcurl", "homog")
+                and _vorticity_shape(self) in ("point", "pair")):
+            raise ConfigError(f"the {self.experiment} experiment needs a grid source: "
+                              "[vorticity] shape = bump | disk")
         keys = CONFIG_KEYS[self.experiment]
         for section in self.parser.sections():
             if not any(section in table for table in CONFIG_KEYS.values()):
@@ -299,12 +305,8 @@ def source_from_config(cfg: RunConfig):
 def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
     """Grid whose box pads the porous box ``box`` to four times its extent
     (the periodic backends need three) and covers the vorticity support; f is
-    rasterized onto it, so ``source`` must be a grid source."""
-    if potential._is_particles(source):
-        raise ConfigError(
-            f"the {cfg.experiment} experiment needs a grid source: "
-            "[vorticity] shape = bump | disk"
-        )
+    rasterized onto it, so ``source`` must be a grid source (``RunConfig``
+    refuses particle shapes for the experiments that call it)."""
     h = cfg.positive("solver", "grid_h", 1.0 / 128.0)
     world_box = box.inflate(1.5 * max(box.width, box.height))
     sb = source.support_box()

@@ -21,17 +21,29 @@ Targets go in blocks of at most ``PAIR_BUDGET`` pairs, so memory stays bounded.
 1 << 16 pairs stay in cache: a 1316 x 1316 m = 1 blob sum took 55.6, 12.1, 11.3
 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and 1 << 14 (2-core VM).
 
-Far targets sum over proxy sources, as in the black-box FMM (Fong & Darve
-2009). Without ``own`` and for targets that are not the sources: with r the
-half-widths of the sources' bounding box and dist the least target distance to
-it, no singularity of K(t - s) (any m and blob, and Delta K) lies inside each
-axis's Bernstein ellipse rho = u + sqrt(u^2 + 1), u = dist / r. So the p_x x p_y
-Chebyshev nodes of the box, p = ceil(53 ln 2 / ln rho) + 2 per axis, with the
-strengths Q = Lx^T diag(q) Ly (Lx, Ly the (S, p) Lagrange weights) stand for the
-S sources to roundoff. Direct when rho < 4, p_x p_y > S / 2, the call has at
-most ``PAIR_BUDGET`` pairs or the box is flat. In euler-compare (particles 5.3
-from the k cells and holes: 15 x 15 nodes) the particle -> cell, particle ->
-hole and cell -> particle sums take it.
+Far sums interpolate on Chebyshev nodes, as in the black-box FMM (Fong &
+Darve 2009), without ``own`` and for targets that are not the sources. With r
+a box's half-widths and dist the least distance from it to the singularities
+of K(t - s) (any m and blob, and Delta K), none lies inside each axis's
+Bernstein ellipse rho = u + sqrt(u^2 + 1), u = dist / r, so Lagrange
+interpolation on the p_x x p_y Chebyshev nodes of the box, p =
+ceil(53 ln 2 / ln rho) + 2 per axis, reproduces K(t - s) as a function of
+the box's points to roundoff. A side takes its nodes
+when rho >= 4 on both axes, p_x p_y <= half its point count, the call has
+more than ``PAIR_BUDGET`` pairs and its box is not flat:
+
+- source side: the sources' box, dist the least target distance to it. The
+  nodes with the strengths Q = Lx^T diag(q) Ly (Lx, Ly the (S, p) Lagrange
+  weights) stand for the S sources;
+- target side: the targets' box, dist its distance to the sources' box, which
+  holds every source and source node. The sum runs at the target nodes, over
+  the sources or their nodes, and out_i = sum_ab Lx[i, a] Ly[i, b] F[a, b]
+  interpolates it back to the targets.
+
+In euler-compare (particles 5.3 from the k cells and holes: 15 x 15 nodes on
+each side) the particle -> cell and cell -> particle sums take both sides,
+particle -> hole the source side only (225 nodes are more than half of 256
+holes) and hole -> particle the target side only (likewise for its sources).
 
 When the targets are the sources (and no ``own``), D^m K(-z) = (-1)^m D^m K(z)
 lets one block serve both its rows and its columns, so only the upper
@@ -49,7 +61,7 @@ import numpy as np
 PAIR_BUDGET = 1 << 16  # target x source pairs handled per vectorized block
 _STRENGTHS = {0: ((),), 1: ((), (2,)), 2: ((2,),)}  # q.shape[1:] that each m takes
 _LAPLACIAN = "laplacian"  # the block kind of ``laplacian_sum``
-_FAR_RHO = 4.0  # the smallest Bernstein-ellipse parameter of the proxy path
+_FAR_RHO = 4.0  # the smallest Bernstein-ellipse parameter of the far path
 _DIGITS = 53 * math.log(2.0)  # rho^-p reaches double precision at p = _DIGITS / ln rho
 
 
@@ -100,19 +112,61 @@ def _sum(targets, sources, q, m, blob2: float, own=None) -> np.ndarray:
     # for the proxies, it left euler-compare's peak RSS 0.4 MB higher (glibc)
     largest = min(zt.shape[-1] * zs.shape[-1], max(PAIR_BUDGET, zs.shape[-1]))
     self_sum = own is None and np.array_equal(zt, zs)
+    grid = None
     if own is None and not self_sum:
+        grid = _target_grid(zt, zs)
         zs, q = _proxies(zt, zs, q)
     work = np.empty(3 * largest)
     if self_sum:
         _self_sum(out, zs, q, m, blob2, work)
-        return out
+    elif grid is None:
+        _blocks(out, zt, zs, q, m, blob2, work, own)
+    else:  # the sum at the target nodes, interpolated to the targets
+        (centre, half), p, nodes = grid
+        at_nodes = np.empty((nodes.shape[-1],) + out.shape[1:])
+        _blocks(at_nodes, nodes, zs, q, m, blob2, work)
+        # the interpolation's (T, p) arrays take the buffer's memory: held,
+        # it left euler-compare's peak RSS 0.7 MB higher (glibc, 2-core VM)
+        del work
+        _interpolate(out, zt, centre, half, p, at_nodes)
+    return out
+
+
+def _blocks(out, zt, zs, q, m, blob2: float, work, own=None) -> None:
+    """Writes the sum at the targets ``zt`` into ``out``, over blocks of
+    targets of at most ``PAIR_BUDGET`` pairs each."""
     for sl in chunks(zt.shape[-1], zs.shape[-1]):
         kern = _kernel(zt[..., sl], zs, m, blob2, work)
         if own is not None:
             rows = np.flatnonzero(own[sl] >= 0)
             kern[..., rows, own[sl][rows]] = 0.0
         out[sl] = _apply(kern, q, m)
-    return out
+
+
+def _interpolate(out, zt, centre, half, p, at_nodes) -> None:
+    """Writes out_i = sum_ab Lx[i, a] Ly[i, b] F[a, b] into ``out`` for the
+    targets ``zt`` (2, T), F the sum ``at_nodes`` at the nodes of the box
+    (centre, half), over blocks of at most ``PAIR_BUDGET`` weights."""
+    # (p_x, c p_y) for c = 1 or 2 components: with p_y, not c, as the einsum's
+    # inner axis it took half the time (2-core VM)
+    at_nodes = np.moveaxis(at_nodes.reshape(p[0], p[1], -1), 2, 1).reshape(p[0], -1)
+    for sl in chunks(zt.shape[-1], p[0] + p[1]):
+        lx, ly = _weights(zt[:, sl], centre, half, p)
+        rows = (lx @ at_nodes).reshape(len(lx), -1, p[1])
+        np.einsum("icb,ib->ic", rows, ly, out=out[sl].reshape(len(lx), -1))
+
+
+def _target_grid(zt, zs):
+    """The target side of the far path: ((centre, half), p, nodes) of the
+    targets' box (2, T), or None where the sum stays at the targets."""
+    n_t = zt.shape[-1]
+    if n_t * zs.shape[-1] <= PAIR_BUDGET:
+        return None
+    centre, half = _box(zt)
+    s_centre, s_half = _box(zs)
+    gap = np.maximum(np.abs(centre - s_centre) - half - s_half, 0.0)
+    found = _far_grid(n_t, centre, half, math.hypot(*gap))
+    return None if found is None else ((centre, half), *found)
 
 
 def _proxies(zt, zs, q):
@@ -122,38 +176,80 @@ def _proxies(zt, zs, q):
     # p >= 3 per axis, so p_x p_y > S / 2 below 18 sources: direct at once
     if zt.shape[-1] * n_s <= PAIR_BUDGET or n_s < 18:
         return zs, q
-    lo, hi = zs.min(axis=1), zs.max(axis=1)
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    if not np.all(half > 0.0):
-        return zs, q
+    centre, half = _box(zs)
     dist2 = math.inf  # over blocks of targets: no (2, T) temporaries
     for start in range(0, zt.shape[-1], PAIR_BUDGET):
         gap = np.abs(zt[:, start:start + PAIR_BUDGET] - centre[:, None]) - half[:, None]
         np.maximum(gap, 0.0, out=gap)
         dist2 = min(dist2, float(np.einsum("ij,ij->j", gap, gap).min()))
-    u = math.sqrt(dist2) / half
-    rho = u + np.sqrt(u * u + 1.0)  # the Bernstein ellipse free of singularities
-    if rho.min() < _FAR_RHO:
+    found = _far_grid(n_s, centre, half, math.sqrt(dist2))
+    if found is None:
         return zs, q
-    p = np.ceil(_DIGITS / np.log(rho)).astype(int) + 2
-    if p[0] * p[1] > n_s / 2:
-        return zs, q
-    (x, lx), (y, ly) = (_chebyshev((zs[i] - centre[i]) / half[i], p[i]) for i in (0, 1))
-    strengths = np.tensordot(lx, ly[:, :, None] * q.reshape(n_s, 1, -1), axes=(0, 0))
-    nodes = np.stack([np.repeat(centre[0] + half[0] * x, p[1]),
-                      np.tile(centre[1] + half[1] * y, p[0])])
+    p, nodes = found
+    lx, ly = _weights(zs, centre, half, p)
+    # (c, S, p_y) for c = 1 or 2 components: with p_y, not c, as the inner
+    # axis the product took 17 us instead of 185 (S = 1024, c = 2, 2-core VM)
+    weighted = q.reshape(n_s, -1).T[:, :, None] * ly
+    strengths = np.moveaxis(lx.T @ weighted, 0, -1)  # (p_x, p_y, c)
     return nodes, strengths.reshape((p[0] * p[1],) + q.shape[1:])
 
 
-def _chebyshev(xi: np.ndarray, p: int):
-    """The p Chebyshev nodes of the first kind on [-1, 1] and the (n, p)
-    Lagrange weights of the points ``xi`` on them,
-    l_k(xi) = (1 + 2 sum_{n=1}^{p-1} T_n(xi) T_n(x_k)) / p."""
-    angles = (np.arange(p) + 0.5) * (np.pi / p)
+def _box(pts):
+    """The centre and half-widths (2,) of the bounding box of ``pts`` (2, n)."""
+    lo, hi = pts.min(axis=1), pts.max(axis=1)
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _far_grid(n: int, centre, half, dist: float):
+    """(p, nodes): per axis the p of the far path on the box (centre, half)
+    of n points with every singularity at least ``dist`` from it, and the
+    box's (2, p_x p_y) Chebyshev nodes; None where the sum stays direct (a
+    flat box, rho < 4 on an axis or p_x p_y > n / 2)."""
+    p = []
+    for r in half.tolist():  # Python floats: a numpy call on 2 values costs ~1 us
+        if not r > 0.0:
+            return None
+        u = dist / r
+        rho = u + math.sqrt(u * u + 1.0)  # the Bernstein ellipse free of singularities
+        if rho < _FAR_RHO:
+            return None
+        p.append(math.ceil(_DIGITS / math.log(rho)) + 2)
+    if p[0] * p[1] > n / 2:
+        return None
+    x, y = (centre[i] + half[i] * np.cos((np.arange(p[i]) + 0.5) * (np.pi / p[i]))
+            for i in (0, 1))
+    nodes = np.empty((2, p[0], p[1]))  # node a p_y + b at (x_a, y_b)
+    nodes[0] = x[:, None]
+    nodes[1] = y
+    return p, nodes.reshape(2, -1)
+
+
+def _weights(pts, centre, half, p):
+    """The Lagrange weights (n, p_x) and (n, p_y) of ``pts`` (2, n) on the
+    Chebyshev nodes of the box (centre, half)."""
+    return [_chebyshev((pts[i] - centre[i]) / half[i], p[i]) for i in (0, 1)]
+
+
+def _chebyshev(xi: np.ndarray, p: int) -> np.ndarray:
+    """The (n, p) Lagrange weights of the points ``xi`` on the p Chebyshev
+    nodes x_k = cos((k + 1/2) pi / p) of the first kind on [-1, 1],
+    l_k(xi) = (1 + 2 sum_{n=1}^{p-1} T_n(xi) T_n(x_k)) / p, with T_n(xi) by
+    the recurrence T_{n+1} = 2 xi T_n - T_{n-1}: 0.062 ms at 1316 points and
+    p = 15, against 0.311 ms with cos(n arccos xi) (min of 300, 2-core VM)."""
+    xi = np.clip(xi, -1.0, 1.0)
+    at_points = np.empty((p, xi.size))
+    at_points[0] = 1.0
+    if p > 1:
+        at_points[1] = xi
+    twice = 2.0 * xi
+    for n in range(2, p):
+        np.multiply(twice, at_points[n - 1], out=at_points[n])
+        at_points[n] -= at_points[n - 2]
     orders = np.arange(p)
-    at_points = np.cos(np.outer(np.arccos(np.clip(xi, -1.0, 1.0)), orders))
-    at_points[:, 1:] *= 2.0
-    return np.cos(angles), at_points @ np.cos(np.outer(orders, angles)) / p
+    at_nodes = np.cos(np.outer(orders, (orders + 0.5) * (np.pi / p)))
+    at_nodes[0] = 1.0 / p
+    at_nodes[1:] *= 2.0 / p
+    return at_points.T @ at_nodes
 
 
 def _self_sum(out, pts, q, m, blob2: float, work) -> None:

@@ -629,6 +629,15 @@ def test_vortex_pair_settings_exit_2(tmp_path, old, new, fragment):
         pytest.param(DIVCURL_SMALL.replace("shape = bump", "shape = point"), id="divcurl_point"),
         pytest.param(DIVCURL_SMALL.replace("shape = bump", "shape = pair"), id="divcurl_pair"),
         pytest.param(HOMOG_LATTICE.replace("shape = bump", "shape = point"), id="homog_point"),
+        # the blob that a particle source would take is not the cause
+        pytest.param(DIVCURL_SMALL.replace("shape = bump", "shape = point")
+                     .replace("[analysis]", "[euler]\nblob = 0.1\n[analysis]"),
+                     id="divcurl_point_blob"),
+        pytest.param(DIVCURL_SMALL.replace("shape = bump", "shape = pair")
+                     .replace("[analysis]", "[euler]\nblob = 0.1\n[analysis]"),
+                     id="divcurl_pair_blob"),
+        pytest.param(HOMOG_LATTICE.replace("shape = bump", "shape = pair") + "[euler]\nblob = 0.1\n",
+                     id="homog_pair_blob"),
     ],
 )
 def test_grid_experiments_refuse_particle_sources(tmp_path, text):

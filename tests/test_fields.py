@@ -59,10 +59,33 @@ def test_support_box_matches_nonzero_cells():
 
 
 def test_bilinear_reproduces_linear_fields():
-    g = rasterize((0, 0, 1, 1), 0.05, lambda x, y: 2.0 * x - 3.0 * y + 0.5)
+    g = make_grid((0, 0, 1, 1), 0.05)
+    xs, ys = g.cell_centers()
+    g.values = 2.0 * xs[:, None] - 3.0 * ys[None, :] + 0.5
     pts = np.array([[0.333, 0.47], [0.5, 0.5], [0.81, 0.12]])
     vals = g.sample_bilinear(pts)
     assert np.allclose(vals, 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("profile", [
+    fields.radial_bump((0.3, -0.2), 0.45, 1.5, power=2),
+    fields.radial_bump((0.3, -0.2), 0.45, 0.04, power=3),
+    fields.disk_indicator((0.3, -0.2), 0.45, 2.0),
+], ids=["bump2", "bump3", "disk"])
+@pytest.mark.parametrize("box", [
+    (-1.0, -1.0, 1.0, 1.0),  # the support inside the grid
+    (0.1, -0.9, 1.1, 0.0),  # crossing the left and top edges
+    (1.0, 1.0, 2.0, 2.0),  # wholly outside
+], ids=["inside", "edge", "outside"])
+def test_rasterize_matches_whole_grid_evaluation(profile, box):
+    # only the support box widened by one cell is evaluated; the rest stays 0
+    h = 1.0 / 64.0
+    g = rasterize(box, h, profile)
+    xs, ys = g.cell_centers()
+    whole = profile(*np.meshgrid(xs, ys, indexing="ij"))
+    assert g.values.shape == whole.shape
+    assert np.array_equal(g.values, whole)
+    assert np.any(whole) == (box[0] < 0.75)
 
 
 def test_perp_rotates_the_last_axis():

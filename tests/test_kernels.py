@@ -176,6 +176,22 @@ def proxy_counts(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def target_counts(monkeypatch):
+    """Per target-side decision of the pair sums: the number of nodes that
+    the sum is interpolated from, or None where it stays at the targets."""
+    seen = []
+    target_grid = kernels._target_grid
+
+    def spy(zt, zs):
+        grid = target_grid(zt, zs)
+        seen.append(None if grid is None else grid[2].shape[1])
+        return grid
+
+    monkeypatch.setattr(kernels, "_target_grid", spy)
+    return seen
+
+
 GAP = 0.9375  # from [-1/2, 1/2]^2: u = GAP / (1/2) = 15/8 and rho = u + sqrt(u^2 + 1) = 4
 
 
@@ -222,6 +238,67 @@ def test_far_laplacian_sum_matches_dense_reference(blob, proxy_counts):
     assert set(proxy_counts) == {29 * 29}
 
 
+def target_threshold_case(rng, n_targets=2000):
+    """Targets filling [-1/2, 1/2]^2, its corners included, and 300 sources
+    filling the unit box GAP above it, at the target side's rho = 4
+    threshold: the box-to-box distance is GAP, and five sources on the near
+    edge sit straight above the targets. Every axis takes 29 nodes, 841 in
+    all; the source side stays direct (841 nodes are more than 300 / 2)."""
+    targets = rng.random((n_targets, 2)) - 0.5
+    targets[:2] = [[-0.5, -0.5], [0.5, 0.5]]
+    sources = rng.random((300, 2)) + [-0.5, 0.5 + GAP]
+    sources[:2] = [[-0.5, 0.5 + GAP], [0.5, 1.5 + GAP]]
+    sources[2:7, 0] = rng.random(5) * 0.2 - 0.1
+    sources[2:7, 1] = 0.5 + GAP
+    return targets, sources
+
+
+@pytest.mark.parametrize("m,blob", [(0, 0.0), (0, 0.025), (1, 0.0), (1, 0.025), (2, 0.0)])
+@pytest.mark.parametrize("complex_q", [False, True])
+def test_target_side_matches_dense_reference_at_threshold(m, blob, complex_q, proxy_counts,
+                                                          target_counts):
+    rng = np.random.default_rng(300 + 10 * m + complex_q)
+    targets, sources = target_threshold_case(rng)
+    q = rng.standard_normal(sources.shape[0])
+    if complex_q:
+        q = q + 1j * rng.standard_normal(sources.shape[0])
+    assert_matches(targets, sources, q, m, blob, tol=1e-14)
+    assert set(target_counts) == {29 * 29} and set(proxy_counts) == {None}
+
+
+@pytest.mark.parametrize("blob", [0.0, 0.025])
+def test_target_side_laplacian_sum_matches_dense_reference(blob, target_counts):
+    rng = np.random.default_rng(17)
+    targets, sources = target_threshold_case(rng)
+    q = rng.standard_normal(sources.shape[0])
+    r2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2) + blob * blob
+    terms = 2.0 * blob * blob / r2**2
+    got = kernels.laplacian_sum(targets, sources, q, blob)
+    assert np.all(np.abs(got - terms @ q) <= 1e-14 * np.maximum(terms @ np.abs(q), 1e-300))
+    assert target_counts == [29 * 29]
+
+
+def _closed_form_weights(xi, p):
+    """The Lagrange weights as cos(n arccos xi), before the recurrence."""
+    angles = (np.arange(p) + 0.5) * (np.pi / p)
+    orders = np.arange(p)
+    at_points = np.cos(np.outer(np.arccos(np.clip(xi, -1.0, 1.0)), orders))
+    at_points[:, 1:] *= 2.0
+    return at_points @ np.cos(np.outer(orders, angles)) / p
+
+
+def test_chebyshev_recurrence_matches_closed_form():
+    # the closed form's arccos loses digits near +-1, where the two differ
+    # most: up to 2.3 p eps over these points
+    rng = np.random.default_rng(11)
+    near_ends = np.cos(rng.random(200) * 1e-3)
+    xi = np.concatenate([rng.random(1000) * 2.0 - 1.0, near_ends, -near_ends, [-1.0, 0.0, 1.0]])
+    for p in range(1, 41):
+        got = kernels._chebyshev(xi, p)
+        assert got.shape == (xi.size, p)
+        assert np.abs(got - _closed_form_weights(xi, p)).max() <= 4 * p * np.finfo(float).eps
+
+
 def test_far_path_matches_dense_reference_at_euler_shapes(proxy_counts):
     # the particles' field at the k cells, and the k2 sum back at the particles
     rng = np.random.default_rng(8)
@@ -234,19 +311,26 @@ def test_far_path_matches_dense_reference_at_euler_shapes(proxy_counts):
     assert len(proxy_counts) == 2 and None not in proxy_counts
 
 
+# the cases whose sum is interpolated from the targets' nodes: not the
+# particles -> holes sum, as 15 x 15 nodes are more than half of 256 targets,
+# and the collinear sum, as its flat box is the sources'
+TARGET_FAR = {"particles_to_cells", "cells_to_particles", "holes_to_particles", "collinear"}
+
+
 @pytest.mark.parametrize("case,far", [
     ("particles_to_cells", True), ("particles_to_holes", True), ("cells_to_particles", True),
     ("holes_to_particles", False),  # 15 x 15 nodes are more than half of 256 sources
     ("own", False), ("self_sum", False), ("collinear", False), ("within_budget", False),
-    ("overlapping", False), ("below_threshold", False),
+    ("overlapping", False), ("below_threshold", False), ("target_below_threshold", False),
 ])
-def test_far_path_selection(case, far, proxy_counts):
+def test_far_path_selection(case, far, proxy_counts, target_counts):
     # euler-compare's 1316 particles beyond its 1024 k cells and 256 holes
     rng = np.random.default_rng(9)
     particles = rng.random((1316, 2)) + [0.0, 6.3]
     cells, holes = rng.random((1024, 2)), rng.random((256, 2))
     weights, vectors = rng.standard_normal(1316), rng.standard_normal((1316, 2))
     threshold_targets, square = threshold_case(rng)
+    square_targets, above = target_threshold_case(rng)
     calls = {
         "particles_to_cells": (cells, particles, weights, 1, 0.025),
         "particles_to_holes": (holes, particles, weights, 1, 0.025),
@@ -258,9 +342,12 @@ def test_far_path_selection(case, far, proxy_counts):
         "within_budget": (cells[:49], particles, weights, 1, 0.025),
         "overlapping": (cells, particles - [0.0, 6.0], weights, 1, 0.025),
         "below_threshold": (threshold_targets * (1 - 1e-9), square, rng.standard_normal(2000), 0),
+        "target_below_threshold": (square_targets, above - [0.0, 1e-9], rng.standard_normal(300),
+                                   0),
     }
     kernels.pair_sum(*calls[case])
     assert any(count is not None for count in proxy_counts) == far
+    assert any(count is not None for count in target_counts) == (case in TARGET_FAR)
 
 
 def test_far_path_decision_memory_bounded():

@@ -23,7 +23,7 @@ def test_every_case_runs_tiny(capsys):
     layers = _load_layers()
     names = list(layers.cases(0.01))
     assert "smoothed_vorticity" in names and "grad_psi0_eval" in names
-    assert {"grad_psi0_eval_far", "k2_kernel_sum_far"} <= set(names)
+    assert {"grad_psi0_eval_far", "k2_kernel_sum_far", "dipole_sum_grad_far"} <= set(names)
     assert "apply_l_spectral" in names and "grad_psi0_on_grid" in names
     assert {"expansion_errors", "solve_psic_from_grad", "hminus1", "correction_probe"} <= set(names)
     assert {"mu_minus_k_field", "solve_collocation_4", "solve_collocation_8",

@@ -90,7 +90,8 @@ MALLOC_VARS = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_"
 def cases(scale: float):
     """{layer: (shape, call)} at the workloads' shapes times ``scale``:
     euler-compare's 1316 particles past 256 holes, their sums to and from its
-    1024 k cells 5.3 away and one RK4 step of each of its closures, divcurl's
+    1024 k cells 5.3 away, its 256 lattice holes' dipole gradient at them and
+    one RK4 step of each of its closures, divcurl's
     4096 probes, its world grid, its n = 16 mu - k field and phi on its probe
     grid from that k, its oracle fits at
     16 and 64 holes and the n = 4 oracle's hole gradients at 100k points
@@ -99,7 +100,7 @@ def cases(scale: float):
     its three k norms."""
     from porousflow import analysis, cli, euler, homogenized, oracle, potential
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
-    from porousflow.geometry import fluid_mask
+    from porousflow.geometry import Box, build_lattice, fluid_mask
 
     def count(n):
         return max(round(n * scale), 2)
@@ -192,6 +193,7 @@ def cases(scale: float):
     parts = euler.VortexParticles(rng.random((p, 2)), rng.standard_normal(p), 0.025)
     # euler-compare's particles beyond its k cells, 5.3 apart (the far path)
     beyond = euler.VortexParticles(parts.positions + [0.0, 6.3], parts.weights, 0.025)
+    lattice = build_lattice(side_of(16), 0.1, Box(0.0, 0.0, 1.0, 1.0))  # its holes, 5.3 away
     cell_pts, cell_w = rng.random((c, 2)), rng.standard_normal((c, 2))
     centers = rng.random((n, 2)) + [2.0, 0.0]  # holes of radius 0.001 clear of the particles
     vectors = rng.standard_normal((n, 2))
@@ -209,6 +211,8 @@ def cases(scale: float):
             cell_pts, cell_w, 1 / 32, beyond.positions)),
         "dipole_sum_grad": (f"m=2 {p}x{n}", lambda: potential.dipole_sum(
             centers, 0.001, vectors, parts.positions, grad=True)),
+        "dipole_sum_grad_far": (f"m=2 far {p}x{lattice.n_holes}", lambda: potential.dipole_sum(
+            lattice.centers, lattice.a, vectors[:lattice.n_holes], beyond.positions, grad=True)),
         "k2_kernel_sum": (f"m=2 {t}x{n}",
                           lambda: homogenized.k2_kernel_sum(centers, vectors, 0.01, probes)),
         "k1_kernel_sum": (f"m=1 (S,2) {t}x{n}",
