@@ -24,8 +24,8 @@ from .fields import (
     VectorGridField,
     bilinear_stencil,
     check_padding,
+    grid_shape,
     make_grid,
-    rfft2_rows,
     spectral_power,
     wavenumbers,
 )
@@ -34,27 +34,38 @@ from .reflections import HybridStream
 
 ETA = 0.5  # the predictor's aspect term is (a/d)^(3 - ETA)
 _SAMPLE_BLOCK = 1 << 15  # k samples per block of touched rows in mu_minus_k_field
+_COLUMN_BLOCK = 16  # half-spectrum columns per x transform in hminus1
 
 
 def hminus1(g: ScalarGridField) -> float:
-    """Spectral H^-1 norm on the grid's own periodic box.
+    """Spectral H^-1 norm on the field's periodic box (``period``).
 
     sqrt( (1/|box|) sum_xi |ghat(xi)|^2 / (1 + |xi|^2) ) with ghat = h^2 DFT,
     the zero mode included with weight one, summed over the half spectrum of
-    ``rfft2`` by ``fields.spectral_power``, which weights the rows block by
-    block. The support of g must keep clearance at least its own extent from
-    every edge so the box emulates the plane (constants are equivalent-norm
-    only). The forward transform skips the rows outside the support of g
-    (``fields.rfft2_rows``).
+    ``rfft2`` by ``fields.spectral_power``. The support of g must keep
+    clearance at least its own extent from every edge of the box so the box
+    emulates the plane (constants are equivalent-norm only). The norm is
+    translation invariant, so only the support's block is transformed: the
+    ``rfft`` of its rows padded to the box's ny, then the ``fft`` padded to
+    its nx over blocks of ``_COLUMN_BLOCK`` columns, whose weighted power is
+    summed block by block; no array spans the whole box.
     """
     check_padding(g)
     box = g.support_slices()
     if box is None:
         return 0.0
-    nx, ny = g.shape
-    kx, ky = wavenumbers(g.shape, g.h)
-    power = spectral_power(rfft2_rows(g.values, box[0]), ny,
-                           lambda rows: 1.0 / (1.0 + kx[rows] ** 2 + ky**2))
+    nx, ny = g.period
+    kx, ky = wavenumbers((nx, ny), g.h)
+    half = np.fft.rfft(g.values[box], n=ny, axis=1)
+    power = 0.0
+    for c in range(0, half.shape[1], _COLUMN_BLOCK):
+        cols = slice(c, c + _COLUMN_BLOCK)
+        # padded here, not by fft's n = nx, which took 1.4 times as long
+        spec = np.zeros((nx, half[:, cols].shape[1]), dtype=complex)
+        spec[:half.shape[0]] = half[:, cols]
+        np.fft.fft(spec, axis=0, out=spec)
+        weight = 1.0 / (1.0 + kx**2 + ky[:, cols] ** 2)
+        power += spectral_power(spec, ny, lambda rows: weight[rows], c)
     # ghat = h^2 DFT and |box| = nx ny h^2, so the sum scales by h^2 / (nx ny)
     return float(np.sqrt(power * g.h**2 / (nx * ny)))
 
@@ -84,8 +95,12 @@ class ErrorBudget:
 
 
 def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridField:
-    """mu - k rasterized on a shared padded grid (clearance = box extent) of
-    spacing a/4.
+    """mu - k on a shared padded grid (clearance = box extent) of spacing a/4,
+    as the window of that grid (``ScalarGridField.offset``) that covers every
+    disk's rasterized cells and every cell whose k stencil is touched; the
+    field is zero outside it, and ``period`` is the whole grid's shape, whose
+    values are never made. The cells come from the grid's origin and index,
+    so the window equals the whole grid's field bit for bit.
 
     k is sampled only on the rows and columns of cells whose bilinear stencil
     (edge clamp included) meets a nonzero k cell; elsewhere every stencil
@@ -95,22 +110,31 @@ def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridFiel
     h = config.a / 4.0
     box = config.kpm_box
     extent = max(box.width, box.height)
-    world = make_grid(box.inflate(1.1 * extent + 4.0 * h).as_tuple(), h)
-    diff = rasterize_mu(config, world).values
-    centers = world.cell_centers()
-    touched = []
+    world = box.inflate(1.1 * extent + 4.0 * h).as_tuple()
+    origin, shape = np.array(world[:2]), grid_shape(world, h)
+    touched, window = [], []
     for axis in (0, 1):
-        i0, _ = bilinear_stencil(k.origin[axis], k.h, k.shape[axis], centers[axis])
+        centers = origin[axis] + (np.arange(shape[axis]) + 0.5) * h
+        i0, _ = bilinear_stencil(k.origin[axis], k.h, k.shape[axis], centers)
         nonzero = np.flatnonzero(k.values.any(axis=1 - axis))
         touched.append(np.flatnonzero(np.isin(i0, nonzero) | np.isin(i0 + 1, nonzero)))
-    cols = touched[1]
+        c = config.centers[:, axis]  # and rasterize_mu's first and last cell of each disk
+        cells = np.concatenate([touched[-1], np.floor((c - config.a - origin[axis]) / h) - 1,
+                                np.ceil((c + config.a - origin[axis]) / h)])
+        lo, hi = (int(cells.min()), int(cells.max()) + 1) if cells.size else (0, 0)
+        window.append((max(lo, 0), min(hi, shape[axis])))
+    (x0, x1), (y0, y1) = window
+    field = rasterize_mu(config, ScalarGridField(
+        origin, h, np.zeros((x1 - x0, y1 - y0)), (x0, y0), shape))
+    xs, ys = field.cell_centers()
+    cols = touched[1] - y0
     step = max(_SAMPLE_BLOCK // max(cols.size, 1), 1)
     for start in range(0, touched[0].size, step):
-        rows = touched[0][start:start + step]
-        gx, gy = np.meshgrid(centers[0][rows], centers[1][cols], indexing="ij")
+        rows = touched[0][start:start + step] - x0
+        gx, gy = np.meshgrid(xs[rows], ys[cols], indexing="ij")
         kvals = k.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1))
-        diff[np.ix_(rows, cols)] -= kvals.reshape(gx.shape)
-    return ScalarGridField(world.origin, world.h, diff)
+        field.values[np.ix_(rows, cols)] -= kvals.reshape(gx.shape)
+    return field
 
 
 def predictor_f(config: PorousConfig, k: ScalarGridField) -> ErrorBudget:

@@ -182,8 +182,9 @@ class SolverSettings(NamedTuple):
 
 def solver_settings(cfg: RunConfig) -> SolverSettings:
     depth = cfg.get("solver", "reflection_depth", int, reflections.DEPTH)
-    if depth < 1:
-        raise ConfigError(f"[solver] reflection_depth must be >= 1, got {depth}")
+    if not 1 <= depth <= reflections.MAX_DEPTH:
+        raise ConfigError(f"[solver] reflection_depth must be between 1 and "
+                          f"{reflections.MAX_DEPTH}, got {depth}")
     return SolverSettings(depth, cfg.positive("solver", "tol", homogenized.TOL))
 
 
@@ -344,7 +345,7 @@ def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         for q in (2.0, 4.0)
     }
     results = {
-        "boundary_residual": list(map(stream.boundary_residual, range(1, depth + 1))),
+        "boundary_residual": stream.boundary_residuals(),
         "contraction_ratio": ratios,
         "depth": depth,
         "n_holes": config.n_holes,

@@ -2,6 +2,9 @@
 
 A field samples a compactly supported function at cell centers
 ``origin + (i + 1/2) * h`` with uniform spacing ``h`` in both directions.
+A scalar field may hold only a window of its grid: its values are cells
+``offset + i`` of a periodic box of ``period`` cells, whose cells outside
+the window are zero, so a spectral norm needs no whole-box array.
 Scalar fields hold vorticity sources and volume fractions; vector fields
 hold gradient iterates of the homogenized solver. A vector field stores its
 two components as contiguous (2, nx, ny) planes, which the real transforms
@@ -40,15 +43,19 @@ def write_table(path, header, rows) -> None:
 
 @dataclass
 class ScalarGridField:
-    """Scalar samples on a uniform grid, indexed ``values[ix, iy]``."""
+    """Scalar samples on a uniform grid, indexed ``values[ix, iy]``: the
+    window of cells ``offset + (ix, iy)`` of the grid at ``origin``."""
 
     origin: np.ndarray  # (2,) lower-left corner of the grid
     h: float
     values: np.ndarray  # (nx, ny)
+    offset: tuple[int, int] = (0, 0)  # grid index of values[0, 0]
+    period: tuple[int, int] | None = None  # (nx, ny) of the periodic box; default: values
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        self.period = self.values.shape if self.period is None else tuple(self.period)
         if self.h <= 0.0:
             raise ValueError("grid spacing h must be positive")
         if self.values.ndim != 2:
@@ -62,9 +69,9 @@ class ScalarGridField:
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
         """1D arrays of x and y cell-center coordinates."""
-        nx, ny = self.values.shape
-        xs = self.origin[0] + (np.arange(nx) + 0.5) * self.h
-        ys = self.origin[1] + (np.arange(ny) + 0.5) * self.h
+        (nx, ny), (ox, oy) = self.values.shape, self.offset
+        xs = self.origin[0] + (ox + np.arange(nx) + 0.5) * self.h
+        ys = self.origin[1] + (oy + np.arange(ny) + 0.5) * self.h
         return xs, ys
 
     def centers_flat(self) -> np.ndarray:
@@ -93,11 +100,11 @@ class ScalarGridField:
         box = self.support_slices()
         if box is None:
             return None
-        sx, sy = box
-        x0 = self.origin[0] + sx.start * self.h
-        x1 = self.origin[0] + sx.stop * self.h
-        y0 = self.origin[1] + sy.start * self.h
-        y1 = self.origin[1] + sy.stop * self.h
+        (sx, sy), (ox, oy) = box, self.offset
+        x0 = self.origin[0] + (ox + sx.start) * self.h
+        x1 = self.origin[0] + (ox + sx.stop) * self.h
+        y0 = self.origin[1] + (oy + sy.start) * self.h
+        y1 = self.origin[1] + (oy + sy.stop) * self.h
         return (float(x0), float(y0), float(x1), float(y1))
 
     def nonzero_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +112,8 @@ class ScalarGridField:
         ix, iy = np.nonzero(self.values)
         centers = np.stack(
             [
-                self.origin[0] + (ix + 0.5) * self.h,
-                self.origin[1] + (iy + 0.5) * self.h,
+                self.origin[0] + (self.offset[0] + ix + 0.5) * self.h,
+                self.origin[1] + (self.offset[1] + iy + 0.5) * self.h,
             ],
             axis=1,
         )
@@ -117,8 +124,8 @@ class ScalarGridField:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         fx = (x[:, 0] - self.origin[0]) / self.h
         fy = (x[:, 1] - self.origin[1]) / self.h
-        ix = np.floor(fx).astype(int)
-        iy = np.floor(fy).astype(int)
+        ix = np.floor(fx).astype(int) - self.offset[0]
+        iy = np.floor(fy).astype(int) - self.offset[1]
         nx, ny = self.values.shape
         inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
         return ix, iy, inside
@@ -137,7 +144,8 @@ class ScalarGridField:
     def sample_bilinear(self, x: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the field at points x, clamped at edges."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _bilinear(self.origin, self.h, self.values[..., None], x)[:, 0]
+        corner = self.origin + np.multiply(self.offset, self.h)
+        return _bilinear(corner, self.h, self.values[..., None], x)[:, 0]
 
 
 @dataclass
@@ -183,12 +191,12 @@ class VectorGridField:
 
 def check_padding(f: ScalarGridField) -> None:
     """Raise unless the support of f keeps clearance at least its own extent
-    from every edge of the grid, so that the grid's periodic box emulates the
-    plane."""
+    from every edge of its periodic box (``period`` cells from ``origin``; a
+    plain grid's own), so that the box emulates the plane."""
     box = f.support_box()
     if box is None:
         return
-    nx, ny = f.shape
+    nx, ny = f.period
     x1 = f.origin[0] + nx * f.h
     y1 = f.origin[1] + ny * f.h
     extent = max(box[2] - box[0], box[3] - box[1])
@@ -229,23 +237,25 @@ def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarra
             2.0 * np.pi * np.fft.rfftfreq(ny, d=h)[None, :])
 
 
-def spectral_power(spec: np.ndarray, ny: int, weight=None) -> float:
+def spectral_power(spec: np.ndarray, ny: int, weight=None, col0: int = 0) -> float:
     """The sum of weight |F|^2 over the whole spectrum F of real fields, from
-    their half spectrum ``spec`` (..., nx, ny // 2 + 1) in ``rfft2``'s layout:
-    every column counts twice (for its conjugate) except column 0 and, for
-    even ny, the Nyquist column. ``weight(rows)`` gives the weights of a slice
-    of rows, broadcast against (rows, ny // 2 + 1); one by default. The sum
-    runs over blocks of ``POWER_BLOCK`` values per row slice, so its
-    temporaries stay small on any grid. By Parseval, the l2 norm squared of
-    fields with ``spec = rfft2(f)`` is ``spectral_power(spec, ny) / (nx ny)``."""
+    their half spectrum ``spec`` (..., nx, ny // 2 + 1) in ``rfft2``'s layout,
+    or its columns from ``col0`` on: every column counts twice (for its
+    conjugate) except column 0 and, for even ny, the Nyquist column.
+    ``weight(rows)`` gives the weights of a slice of rows, broadcast against
+    (rows, columns of ``spec``); one by default. The sum runs over blocks of
+    ``POWER_BLOCK`` values per row slice, so its temporaries stay small on
+    any grid. By Parseval, the l2 norm squared of fields with
+    ``spec = rfft2(f)`` is ``spectral_power(spec, ny) / (nx ny)``."""
     step = max(1, POWER_BLOCK // spec.shape[-1])
+    twice = slice(max(1 - col0, 0), max((ny + 1) // 2 - col0, 0))
     total = 0.0
     for start in range(0, spec.shape[-2], step):
         rows = slice(start, start + step)
         block = spec[..., rows, :]
         power = block.real**2
         power += block.imag**2
-        power[..., 1:(ny + 1) // 2] *= 2.0
+        power[..., twice] *= 2.0
         if weight is not None:
             power *= weight(rows)
         total += float(power.sum())
@@ -299,12 +309,16 @@ def _bilinear(origin, h, values, x):
     )
 
 
+def grid_shape(box: tuple[float, float, float, float], h: float) -> tuple[int, int]:
+    """(nx, ny) of the grid that ``make_grid(box, h)`` makes."""
+    x0, y0, x1, y1 = box
+    return (max(int(np.ceil((x1 - x0) / h - 1e-12)), 1),
+            max(int(np.ceil((y1 - y0) / h - 1e-12)), 1))
+
+
 def make_grid(box: tuple[float, float, float, float], h: float) -> ScalarGridField:
     """Zero scalar field covering ``box`` with spacing h (box snapped outward)."""
-    x0, y0, x1, y1 = box
-    nx = int(np.ceil((x1 - x0) / h - 1e-12))
-    ny = int(np.ceil((y1 - y0) / h - 1e-12))
-    return ScalarGridField(np.array([x0, y0]), h, np.zeros((max(nx, 1), max(ny, 1))))
+    return ScalarGridField(np.array(box[:2], dtype=float), h, np.zeros(grid_shape(box, h)))
 
 
 def rasterize(box, h, profile) -> ScalarGridField:

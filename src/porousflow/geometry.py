@@ -218,7 +218,9 @@ def rasterize_mu(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField
 
     Requires h <= a/4 so each disk spans several cells. Each disk adds to the
     cells overlapping its bounding box the share of the cell inside it, over
-    16 x 16 midpoints; only cells near a disk are touched.
+    16 x 16 midpoints; only cells near a disk are touched. On a window of a
+    grid (``ScalarGridField.offset``) the cells come from the grid's origin
+    and index, so they equal that window of the whole grid's bit for bit.
     """
     h, a = grid.h, config.a
     if h > a / 4 + 1e-15:
@@ -226,13 +228,13 @@ def rasterize_mu(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField
             f"rasterize_mu resolution guard: h = {h:.4g} exceeds a/4 = {a / 4:.4g}"
         )
     values = np.zeros(grid.shape)
-    nx, ny = grid.shape
+    (nx, ny), (ox, oy) = grid.shape, grid.offset
     off = (np.arange(16) + 0.5) / 16 * h
     for cx, cy in config.centers:
-        i0 = max(int(np.floor((cx - a - grid.origin[0]) / h)) - 1, 0)
-        i1 = min(int(np.ceil((cx + a - grid.origin[0]) / h)) + 1, nx)
-        j0 = max(int(np.floor((cy - a - grid.origin[1]) / h)) - 1, 0)
-        j1 = min(int(np.ceil((cy + a - grid.origin[1]) / h)) + 1, ny)
+        i0 = max(int(np.floor((cx - a - grid.origin[0]) / h)) - 1, ox)
+        i1 = min(int(np.ceil((cx + a - grid.origin[0]) / h)) + 1, ox + nx)
+        j0 = max(int(np.floor((cy - a - grid.origin[1]) / h)) - 1, oy)
+        j1 = min(int(np.ceil((cy + a - grid.origin[1]) / h)) + 1, oy + ny)
         if i0 >= i1 or j0 >= j1:
             continue
         bx = grid.origin[0] + np.arange(i0, i1)[:, None] * h + off[None, :]
@@ -240,9 +242,9 @@ def rasterize_mu(config: PorousConfig, grid: ScalarGridField) -> ScalarGridField
         dx2 = (bx - cx) ** 2  # (bi, s)
         dy2 = (by - cy) ** 2  # (bj, s)
         inside = dx2[:, None, :, None] + dy2[None, :, None, :] < a**2
-        values[i0:i1, j0:j1] += inside.mean(axis=(2, 3))
+        values[i0 - ox:i1 - ox, j0 - oy:j1 - oy] += inside.mean(axis=(2, 3))
     np.clip(values, 0.0, 1.0, out=values)
-    return ScalarGridField(grid.origin.copy(), grid.h, values)
+    return ScalarGridField(grid.origin.copy(), grid.h, values, grid.offset, grid.period)
 
 
 def validate(config: PorousConfig) -> list[str]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,24 @@ def test_hminus1_matches_complex_fft_reference(shape):
     assert ana.hminus1(g) == pytest.approx(_hminus1_fft2(g), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("period", [(48, 48), (45, 45), (48, 39)])
+def test_hminus1_of_a_window_matches_the_embedded_field(period):
+    # a window of random data standing for its whole periodic box, with zero
+    # rows and columns inside the window around its support
+    nx, ny = period
+    rng = np.random.default_rng(nx * ny)
+    support = rng.standard_normal((nx // 4, ny // 4))
+    values = np.zeros((nx // 4 + 3, ny // 4 + 2))
+    values[1:1 + nx // 4, 2:] = support
+    window = ScalarGridField(np.zeros(2), 0.5, values, (nx // 3, ny // 3), period)
+    whole = ScalarGridField(np.zeros(2), 0.5, np.zeros(period))
+    whole.values[nx // 3:nx // 3 + values.shape[0], ny // 3:ny // 3 + values.shape[1]] = values
+    assert ana.hminus1(window) == pytest.approx(_hminus1_fft2(whole), rel=1e-13, abs=0.0)
+    window.offset = (1, 1)  # the same support too close to the box's low edges
+    with pytest.raises(ValueError, match="pad"):
+        ana.hminus1(window)
+
+
 def test_hminus1_padding_guard():
     g = make_grid((0, 0, 2, 2), 0.05)
     g.values[:, :] = 1.0
@@ -146,12 +165,24 @@ def _mu_minus_k_every_cell(cfg, k, grid):
     return rasterize_mu(cfg, grid).values - kvals
 
 
-@pytest.mark.parametrize("case", ["divcurl_n16", "smoothed_mu", "k_at_its_grid_edge"])
+def _embedded(g):
+    """The values of a window field on its whole periodic box."""
+    whole = np.zeros(g.period)
+    (ox, oy), (nx, ny) = g.offset, g.shape
+    whole[ox:ox + nx, oy:oy + ny] = g.values
+    return whole
+
+
+@pytest.mark.parametrize(
+    "case", ["divcurl_n4", "divcurl_n8", "divcurl_n16", "smoothed_mu", "k_at_its_grid_edge"]
+)
 def test_mu_minus_k_field_matches_sampling_every_cell(case):
-    # k is sampled only where its bilinear stencil meets a nonzero k cell;
-    # the field must equal sampling k everywhere bit for bit
-    if case == "divcurl_n16":
-        cfg = build_lattice(16, 0.1, Box(0, 0, 1, 1))
+    # k is sampled only where its bilinear stencil meets a nonzero k cell, and
+    # only on a window of the padded world grid (clearance 1.1 extent + 4 h at
+    # h = a/4): embedded in that grid, the field must equal sampling k at
+    # every cell bit for bit, so it vanishes outside the window
+    if case.startswith("divcurl"):
+        cfg = build_lattice(int(case[len("divcurl_n"):]), 0.1, Box(0, 0, 1, 1))
         k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1 / 128))
     elif case == "smoothed_mu":
         # the k of test_predictor_smoothed_mu_dominated_by_aspect_and_kinf
@@ -171,8 +202,13 @@ def test_mu_minus_k_field_matches_sampling_every_cell(case):
         k = lattice_fraction(cfg, make_grid(cfg.kpm_box.as_tuple(), 1 / 32))
         assert np.all(k.values != 0.0)
     field = ana.mu_minus_k_field(cfg, k)
-    grid = ScalarGridField(field.origin, field.h, np.zeros(field.shape))
-    assert field.values.tobytes() == _mu_minus_k_every_cell(cfg, k, grid).tobytes()
+    h = cfg.a / 4
+    world = make_grid(cfg.kpm_box.inflate(1.1 + 4 * h).as_tuple(), h)
+    assert field.period == world.shape and field.h == h
+    assert np.array_equal(field.origin, world.origin)
+    if case.startswith("divcurl"):
+        assert field.values.size < world.values.size / 4
+    assert _embedded(field).tobytes() == _mu_minus_k_every_cell(cfg, k, world).tobytes()
 
 
 _PREDICTOR_N16_CHILD = """
@@ -185,6 +221,21 @@ k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1.0 / 128.0))
 budget = analysis.predictor_f(cfg, k)
 print(repr(budget.mu_minus_k_hm1), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
+
+
+def test_predictor_traced_peak_bounded():
+    # divcurl's n = 16 predictor builds no array over its 2056^2 periodic box
+    # (34 MB each for the world field and its half spectrum)
+    cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1.0 / 128.0))
+    tracemalloc.start()
+    try:
+        budget = ana.predictor_f(cfg, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budget.mu_minus_k_hm1 == pytest.approx(0.0008782516739463156, rel=1e-12)
+    assert peak / 2**20 < 32.0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from porousflow import cli, reflections
+from porousflow import cli, potential, reflections
 
 REFLECT_TWOHOLE = """
 [run]
@@ -120,6 +120,19 @@ def test_reflect_writes_boundary_residual_per_level(tmp_path):
         cli.source_from_config(cfg), cli.geometry_from_config(cfg, 0), 4
     )
     assert written == [stream.boundary_residual(j) for j in (1, 2, 3, 4)]
+
+
+def test_reflect_evaluates_psi0_on_the_ring_once(tmp_path, monkeypatch):
+    # the per-level residuals share one psi_0 evaluation, so depth costs one
+    # dipole sum per level
+    calls = []
+    psi0_eval = potential.psi0_eval
+    monkeypatch.setattr(potential, "psi0_eval", lambda *a: calls.append(1) or psi0_eval(*a))
+    text = REFLECT_TWOHOLE.replace("reflection_depth = 4", "reflection_depth = 50")
+    code, out = run_cli(tmp_path, text)
+    assert code == 0
+    written = json.loads((out / "summary.json").read_text())["results"]["boundary_residual"]
+    assert len(written) == 50 and len(calls) == 1
 
 
 def test_homog_sweep_slopes(tmp_path):
@@ -421,6 +434,9 @@ def test_solver_settings_out_of_range_exit_2(tmp_path):
     for name, text, fragment in (
         ("depth", REFLECT_TWOHOLE.replace("reflection_depth = 4", "reflection_depth = 0"),
          "reflection_depth"),
+        *((f"depth_{depth}", REFLECT_TWOHOLE.replace(
+            "reflection_depth = 4", f"reflection_depth = {depth}"), "reflection_depth")
+          for depth in (reflections.MAX_DEPTH + 1, 1000000000)),
         ("homog_tol", HOMOG_SWEEP.replace("tol = 1e-10", "tol = -1"), "tol"),
         ("euler_tol", euler_full.replace("[solver]\n", "[solver]\ntol = -1\n"), "tol"),
     ):

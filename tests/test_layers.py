@@ -39,3 +39,22 @@ def test_every_case_runs_tiny(capsys):
         assert math.isfinite(ms) and ms >= 0.0 and faults >= 0.0 and 0.0 <= peak < 1.0
     with pytest.raises(SystemExit):
         layers.main(["--scale", "0.01", "--case", "no_such_layer"])
+
+
+def test_check_compares_with_the_references_tiny(capsys, monkeypatch):
+    layers = _load_layers()
+    checked = [name for name, (_, _, check) in layers.cases(0.01).items() if check]
+    assert checked == ["mu_minus_k_field", "hminus1"]
+    assert layers.main(["--src", str(ROOT / "src"), "--scale", "0.01", "--check"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == checked
+    for row in rows:
+        diff, tol = map(float, row.split()[-2:])
+        assert 0.0 <= diff <= tol
+    # a norm one part in 1e12 off exceeds the 1e-13 of its tier-1 test
+    from porousflow import analysis
+
+    hminus1 = analysis.hminus1
+    monkeypatch.setattr(analysis, "hminus1", lambda g: hminus1(g) * (1.0 + 1e-12))
+    args = ["--src", str(ROOT / "src"), "--scale", "0.01", "--case", "hminus1", "--check"]
+    assert layers.main(args) == 1

@@ -25,12 +25,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KEPT = {
     "apply_l_direct": "principal-value quadrature, the tests' reference for the spectral L",
+    "boundary_residual": "one level's residual, the tests' check of boundary_residuals",
     "boundary_deviation": "the oracle's only check of boundary constancy off the collocation angles",
     "circulation": "the oracle's only check of zero circulation around a hole",
     "equivalent_dipoles": "acceptance criterion 3 compares the oracle's dipoles with level 1",
     "flux_integral": "acceptance criterion 3 checks the oracle's zero flux through a hole",
     "integral": "the tests' check of rasterize_mu's disk areas and of psi0's far-field mass",
     "load_config": "the only check that reflect's geometry.txt round-trips",
+    "stream_eval": "the pointwise stream the residual and finite-difference tests read",
     "velocity_eval": "the stream evaluator the acceptance tests difference against",
     "velocity_field": "the entry through which the Euler tests drive _velocity_batch",
 }

@@ -6,7 +6,7 @@ call: the faults depend on what the process allocated before (glibc raises its
 mmap threshold to the largest block freed so far), so they must not depend on
 the order of the cases.
 
-    python3 tools/layers.py [--src PATH] [--repeat N] [--scale F]
+    python3 tools/layers.py [--src PATH] [--repeat N] [--scale F] [--check]
 
 ``--src`` is the ``src`` directory of the tree to measure (default: this
 repository's), so two trees can be measured in alternation, each in a fresh
@@ -16,6 +16,13 @@ script runs unchanged on them; the second column names the
 ``kernels.pair_sum`` shape that the call drives, or the grid of a spectral
 case. ``--scale`` multiplies every point count and every grid's cell count
 (the smoke test runs it tiny).
+``--check`` compares each case that has a reference with it on the same
+inputs instead of timing it, and prints the largest relative difference and
+the tolerance of the case's tier-1 test; it exits 1 when a case exceeds it.
+The references: ``hminus1`` as the complex ``fft2`` sum over the field's
+whole periodic box, and ``mu_minus_k_field`` as ``rasterize_mu`` on the
+whole padded world grid less k sampled at every cell (the tier-1 tests ask
+1e-13 and bit-for-bit equality).
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
 script starts run with BLAS pinned to one thread, as in ``bench/run.py``, and
 with glibc's mmap and trim thresholds fixed (``MALLOC_VARS``), so arrays
@@ -88,7 +95,7 @@ MALLOC_VARS = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_"
 
 
 def cases(scale: float):
-    """{layer: (shape, call)} at the workloads' shapes times ``scale``:
+    """{layer: (shape, call, check)} at the workloads' shapes times ``scale``:
     euler-compare's 1316 particles past 256 holes, their sums to and from its
     1024 k cells 5.3 away, its 256 lattice holes' dipole gradient at them and
     one RK4 step of each of its closures, divcurl's
@@ -97,10 +104,11 @@ def cases(scale: float):
     16 and 64 holes and the n = 4 oracle's hole gradients at 100k points
     beside the lattice, oracle-sweep's hole gradients at its a/d = 0.05 probe
     cells, and homog-sweep's 1024^2 grid with its source, its largest k and
-    its three k norms."""
+    its three k norms. ``check`` is None, or gives (the largest relative
+    difference from the case's reference, the tolerance of its tier-1 test)."""
     from porousflow import analysis, cli, euler, homogenized, oracle, potential
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
-    from porousflow.geometry import Box, build_lattice, fluid_mask
+    from porousflow.geometry import Box, build_lattice, fluid_mask, rasterize_mu
 
     def count(n):
         return max(round(n * scale), 2)
@@ -136,6 +144,34 @@ def cases(scale: float):
         warm-up call; the mu grid's cells scale too."""
         config, world, k = divcurl_lattice(n_mu)
         return potential.grad_psi0_on_grid(world), k, analysis.mu_minus_k_field(config, k)
+
+    def embedded(g):
+        """The values of a window field on its whole periodic box."""
+        whole = np.zeros(getattr(g, "period", g.shape))
+        ox, oy = getattr(g, "offset", (0, 0))
+        whole[ox:ox + g.shape[0], oy:oy + g.shape[1]] = g.values
+        return whole
+
+    def check_hminus1():
+        g = divcurl_grid()[2]
+        spec = np.fft.fft2(embedded(g))
+        kx, ky = (2.0 * np.pi * np.fft.fftfreq(n, d=g.h) for n in spec.shape)
+        power = (np.abs(spec) ** 2 / (1.0 + kx[:, None] ** 2 + ky**2)).sum()
+        ref = np.sqrt(power * g.h**2 / spec.size)
+        return abs(analysis.hminus1(g) - ref) / ref, 1e-13
+
+    def check_mu_minus_k():
+        config, _, k = divcurl_lattice(n_mu)
+        field = analysis.mu_minus_k_field(config, k)
+        whole = embedded(field)
+        grid = ScalarGridField(field.origin, field.h, np.zeros_like(whole))
+        ref = rasterize_mu(config, grid).values
+        xs, ys = grid.cell_centers()
+        for rows in np.array_split(np.arange(xs.size), 16):
+            gx, gy = np.meshgrid(xs[rows], ys, indexing="ij")
+            ref[rows] -= k.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(
+                gx.shape)
+        return np.abs(whole - ref).max() / np.abs(ref).max(), 0.0
 
     @functools.cache
     def divcurl_probe():
@@ -202,7 +238,7 @@ def cases(scale: float):
     inside = rng.random((count(1024), 2)) * grid.values.shape * grid.h
     cells = grid.values.size
     beside = rng.random((count(100_000), 2)) + [1.3, 0.0]  # divcurl's probe box
-    return {
+    table = {
         "grad_psi0_eval": (f"m=1 blob self {p}x{p}",
                            lambda: potential.grad_psi0_eval(parts, parts.positions)),
         "grad_psi0_eval_far": (f"m=1 blob far {c}x{p}",
@@ -244,6 +280,8 @@ def cases(scale: float):
         "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
         "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
+    checks = {"hminus1": check_hminus1, "mu_minus_k_field": check_mu_minus_k}
+    return {name: (shape, call, checks.get(name)) for name, (shape, call) in table.items()}
 
 
 def measure(call, repeat: int):
@@ -272,6 +310,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=25)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--case", help="run this case alone, in this interpreter")
+    parser.add_argument("--check", action="store_true",
+                        help="compare the cases that have a reference with it instead of "
+                             "timing them; exit 1 above a tolerance")
     args = parser.parse_args(argv)
     if args.repeat < 1 or not args.scale > 0.0:
         parser.error("--repeat must be at least 1 and --scale above 0")
@@ -282,23 +323,35 @@ def main(argv=None) -> int:
     if not Path(porousflow.__file__).resolve().is_relative_to(src):
         parser.error(f"porousflow was imported from {porousflow.__file__}, not {src}")
     table = cases(args.scale)
+    names = [name for name, (_, _, check) in table.items() if check or not args.check]
     if args.case is not None:
-        if args.case not in table:
-            parser.error(f"--case must be one of {', '.join(table)}")
-        shape, call = table[args.case]
+        if args.case not in names:
+            parser.error(f"--case must be one of {', '.join(names)}")
+        shape, call, check = table[args.case]
+        if args.check:
+            diff, tol = check()
+            print(f"{args.case:<27}{shape:<24}{diff:>12.3e}{tol:>12.1e}")
+            return int(not diff <= tol)
         ms, faults, peak = measure(call, args.repeat)
         print(f"{args.case:<27}{shape:<24}{ms:>10.3f}{faults:>10.1f}{peak:>10.2f}")
         return 0
     print(f"# {src}  python {sys.version.split()[0]}  numpy {np.__version__}  "
           f"repeat {args.repeat}  scale {args.scale}")
-    print(f"{'layer':<27}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
+    if args.check:
+        print(f"{'layer':<27}{'shape':<24}{'max_rel':>12}{'tolerance':>12}")
+    else:
+        print(f"{'layer':<27}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
     env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"), **MALLOC_VARS)
-    for name in table:
+    status = 0
+    for name in names:
         child = [sys.executable, __file__, "--src", str(src), "--repeat", str(args.repeat),
-                 "--scale", str(args.scale), "--case", name]
-        run = subprocess.run(child, env=env, check=True, capture_output=True, text=True)
+                 "--scale", str(args.scale), "--case", name] + ["--check"] * args.check
+        run = subprocess.run(child, env=env, capture_output=True, text=True)
+        if run.returncode > 1:
+            run.check_returncode()
         print(run.stdout, end="")
-    return 0
+        status = max(status, run.returncode)
+    return status
 
 
 if __name__ == "__main__":
