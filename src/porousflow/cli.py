@@ -241,6 +241,11 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
             count = cfg.get("geometry", "count", int, required=True)
             if count < 1:
                 raise ConfigError(f"[geometry] count must be a whole number >= 1, got {count!r}")
+            # disjoint disks of radius dmin/2 about the centers, in the box grown by dmin/2
+            if count * np.pi * dmin**2 / 4.0 > (box.width + dmin) * (box.height + dmin):
+                corners = " ".join(f"{v:g}" for v in box.as_tuple())
+                raise ConfigError(f"[geometry] count = {count} centers dmin = {dmin:g} apart "
+                                  f"cannot fit in the box {corners}")
             try:
                 config = build_random(count, a, dmin, box, eps0, seed=seed)
             except ValueError as exc:

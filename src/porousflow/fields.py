@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 POWER_BLOCK = 1 << 13  # spectrum values per row block of ``spectral_power``
+ROW_BLOCK = 1 << 16  # values per row or column block of a transform over a whole box
 
 
 def perp(g: np.ndarray) -> np.ndarray:
@@ -221,12 +222,19 @@ def rfft2_rows(values: np.ndarray, rows: slice) -> np.ndarray:
 
 def irfft2_rows(spec: np.ndarray, ny: int, rows: slice = slice(None)) -> np.ndarray:
     """Rows ``rows`` of ``np.fft.irfft2(spec, s=(nx, ny))`` for a half
-    spectrum (..., nx, ny // 2 + 1): the ``ifft`` along nx in place, which
-    overwrites ``spec``, then the ``irfft`` of those rows only. numpy's
+    spectrum (..., nx, ny // 2 + 1): the ``ifft`` along nx in place, then the
+    ``irfft`` of those rows only, over blocks of ``ROW_BLOCK`` values. numpy's
     ``irfft2`` takes the same two passes in this order, so the result equals
-    its rows bit for bit."""
+    its rows bit for bit. Each block's output overwrites its own rows of
+    ``spec``, so the result is a view of ``spec``'s memory."""
     np.fft.ifft(spec, axis=-2, out=spec)
-    return np.fft.irfft(spec[..., rows, :], n=ny, axis=-1)
+    spec = spec[..., rows, :]
+    out = spec.view(float)[..., :ny]
+    step = max(1, ROW_BLOCK // spec.shape[-1])
+    for start in range(0, spec.shape[-2], step):
+        block = spec[..., start:start + step, :].copy()
+        np.fft.irfft(block, n=ny, axis=-1, out=out[..., start:start + step, :])
+    return out
 
 
 def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -262,20 +270,27 @@ def spectral_power(spec: np.ndarray, ny: int, weight=None, col0: int = 0) -> flo
     return total
 
 
+def multipliers(shape: tuple[int, int], h: float, cols: slice = slice(None)):
+    """(kx, ky, kx/|xi|^2, ky/|xi|^2) of ``wavenumbers`` on the half-spectrum
+    columns ``cols``. The multipliers vanish at xi = 0 and on the unpaired
+    Nyquist lines of an even axis, which break the Hermitian symmetry of the
+    cross terms (their content is below the truncation error of resolved
+    fields)."""
+    (nx, ny), (kx, ky) = shape, wavenumbers(shape, h)
+    ky, col = ky[:, cols], np.arange(ny // 2 + 1)[cols]
+    k2 = kx**2 + ky**2
+    k2[0, col == 0] = 1.0  # xi = 0 there, so m = 0 / 1
+    if nx % 2 == 0:
+        k2[nx // 2, :] = np.inf
+    if ny % 2 == 0:
+        k2[:, col == ny // 2] = np.inf
+    return kx, ky, kx / k2, ky / k2
+
+
 @functools.lru_cache(maxsize=4)
 def gradient_multipliers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, ...]:
-    """(kx, ky, kx/|xi|^2, ky/|xi|^2) of ``wavenumbers``, cached per grid and
-    read-only. The multipliers vanish at xi = 0 and on the unpaired Nyquist
-    lines of an even axis, which break the Hermitian symmetry of the cross
-    terms (their content is below the truncation error of resolved fields)."""
-    kx, ky = wavenumbers(shape, h)
-    k2 = kx**2 + ky**2
-    k2[0, 0] = 1.0  # xi = 0 there, so m = 0 / 1
-    if shape[0] % 2 == 0:
-        k2[shape[0] // 2, :] = np.inf
-    if shape[1] % 2 == 0:
-        k2[:, -1] = np.inf
-    out = (kx, ky, kx / k2, ky / k2)
+    """``multipliers`` on every column, cached per grid and read-only."""
+    out = multipliers(shape, h)
     for a in out:
         a.flags.writeable = False
     return out

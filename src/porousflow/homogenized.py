@@ -39,11 +39,13 @@ import numpy as np
 
 from . import kernels
 from .fields import (
+    ROW_BLOCK,
     ScalarGridField,
     VectorGridField,
     check_padding,
     gradient_multipliers,
     irfft2_rows,
+    multipliers,
     rfft2_rows,
 )
 from .potential import (
@@ -113,19 +115,25 @@ def _box_kernel(shape, h: float, extent, size) -> list[list[np.ndarray]]:
     """The spectra [[xx, xy], [xy, yy]] of L's kernel on the (Mx, My) box
     ``size``: the grid's own periodic kernel (the inverse transform of the
     multipliers kx kx/|xi|^2, kx ky/|xi|^2 and ky ky/|xi|^2 of
-    ``fields.gradient_multipliers``) at the displacements |d| < ``extent``
-    per axis, laid out as ``potential._wrapped``. The multipliers are real,
-    so the inverse along nx is the conjugate of a real forward transform,
-    kept on its first rows, whose conjugates are the rows of negative dx. The
-    kernel is even, so its spectra are real (the imaginary roundoff goes)."""
+    ``fields.multipliers``) at the displacements |d| < ``extent`` per axis,
+    laid out as ``potential._wrapped``. The multipliers are real, so the
+    inverse along nx is the conjugate of a real forward transform, taken over
+    column blocks of ``ROW_BLOCK`` values and kept on its first rows, whose
+    conjugates are the rows of negative dx. The kernel is even, so its
+    spectra are real (the imaginary roundoff goes)."""
     (nx, ny), (bx, by) = shape, extent
     if not bx:  # the zero k: no displacement is kept
         return [[np.zeros((size[0], size[1] // 2 + 1))] * 2] * 2
-    kx, ky, mx, my = gradient_multipliers(shape, h)
     dx, dy = (_wrapped(b, m) for b, m in zip(extent, size))
+    step = max(1, ROW_BLOCK // nx)
+    halves = np.empty((3, bx, ny // 2 + 1), dtype=complex)
+    for start in range(0, ny // 2 + 1, step):
+        kx, ky, mx, my = multipliers(shape, h, slice(start, start + step))
+        for half, product in zip(halves, (kx * mx, kx * my, ky * my)):
+            # nx ifft along nx, dx = 0..bx-1
+            half[:, start:start + step] = np.fft.rfft(product, axis=0)[:bx].conj()
     spectra = []
-    for left, right in ((kx, mx), (kx, my), (ky, my)):
-        half = np.fft.rfft(left * right, axis=0)[:bx].conj()  # nx ifft along nx, dx = 0..bx-1
+    for half in halves:
         kern = np.fft.irfft(np.concatenate([half, half[:0:-1].conj()]), n=ny, axis=1)
         # kern's rows hold dx = 0..bx-1, then -(bx-1)..-1, and its columns are
         # the grid's periodic ones, so a negative d wraps to the back of both
@@ -170,7 +178,7 @@ class _BoxL:
         mean = w.sum(axis=(1, 2)) / (2.0 * self.cells)
         # each output's first spectrum is a copy, which takes its product
         kernel = ([row[0].astype(complex), row[1]] for row in self.kernel)
-        return _fft_convolve(self.w, bx, kernel, (bx, by)) + mean[:, None, None]
+        return _fft_convolve(self.w, bx, kernel, (2, bx, by)) + mean[:, None, None]
 
     def norm(self, q: np.ndarray, lq: np.ndarray) -> float:
         """||L q|| over the whole grid, for q and lq = L q on the box."""
@@ -284,8 +292,8 @@ def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarr
     planes[:, :n_src[0], :n_src[1]][:, k.values[box] != 0.0] = w.T  # nonzero_cells() order
     # first probe center minus first box cell center, in cells of k
     offset = (probe.origin - k.origin) / k.h + 0.5 * (step - 1) - lo
-    kern = [[np.fft.rfft2(kc) for kc in _grad_kernel(n_src, size, k.h, offset)]]
-    s = _fft_convolve(planes, n_src[0], kern, n_out)[0]
+    kern = [list(_grad_kernel(n_src, size, k.h, offset))]
+    s = _fft_convolve(planes, n_src[0], kern, (1,) + n_out)[0]
     return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
 
 

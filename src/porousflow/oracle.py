@@ -70,13 +70,15 @@ def _basis_matrix(config: PorousConfig, order: int, pts: np.ndarray) -> np.ndarr
     """Values of every multipole basis function at every point.
 
     Column layout: hole-major, then (cos_1, sin_1, ..., cos_M, sin_M): the
-    float view of conj(w)^m = Re w^m - i Im w^m, m = 1..M.
+    float view of conj(w)^m = Re w^m - i Im w^m, m = 1..M, filled one hole
+    at a time, so no other array grows with npts N.
     """
-    z = (pts[:, 0] + 1j * pts[:, 1])[:, None] - (
-        config.centers[:, 0] + 1j * config.centers[:, 1]
-    )[None, :]
-    w = np.conj(config.a / z)  # (npts, N); |w| <= 1 on and outside the boundaries
-    powers = np.cumprod(np.broadcast_to(w[:, :, None], (*w.shape, order)), axis=2)
+    zp = pts[:, 0] + 1j * pts[:, 1]
+    zc = config.centers[:, 0] + 1j * config.centers[:, 1]
+    powers = np.empty((pts.shape[0], config.n_holes, order), dtype=complex)
+    for j, c in enumerate(zc):
+        w = np.conj(config.a / (zp - c))  # |w| <= 1 on and outside the boundaries
+        np.cumprod(np.broadcast_to(w[:, None], (w.size, order)), axis=1, out=powers[:, j])
     return powers.view(float).reshape(pts.shape[0], config.n_holes * 2 * order)
 
 

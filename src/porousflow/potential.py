@@ -7,7 +7,9 @@ vortex particles. The gradient at every cell of a grid field is one
 zero-padded FFT convolution over the bounding box of f's nonzero cells
 (after Hockney & Eastwood 1988) by ``_fft_convolve``, the one such
 convolution, which ``homogenized`` also uses for L on k's box and for the
-correction on a probe grid. Also provides the disk-dipole correction field
+correction on a probe grid; it holds one whole-box array at a time beside
+its sources and outputs, the rest in row blocks of ``fields.ROW_BLOCK``
+values. Also provides the disk-dipole correction field
 V^a[A](x) = a^2 A.(x-c)/|x-c|^2, summed over holes, with its exact gradient.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .fields import ScalarGridField, VectorGridField, irfft2_rows, perp, rfft2_rows
+from .fields import ROW_BLOCK, ScalarGridField, VectorGridField, irfft2_rows, perp, rfft2_rows
 from .geometry import inside_holes
 
 
@@ -124,10 +126,9 @@ def grad_psi0_on_grid(f: ScalarGridField) -> VectorGridField:
     offset = tuple(-sl.start for sl in box)
     size = tuple(_fast_length(ns + no) for ns, no in zip(src.shape, f.shape))
     pad = [(0, 0)] + [(0, nb - ns) for ns, nb in zip(src.shape, size)]
-    # one kernel spectrum at a time, taking its product; only the generator
-    # holds the kernels, so they are freed before the outputs are stacked
-    kernel = ([np.fft.rfft2(k)] for k in _grad_kernel(src.shape, size, f.h, offset))
-    planes = _fft_convolve(np.pad(src[None], pad), src.shape[0], kernel, f.shape)
+    # map, unlike a loop variable, keeps no spent spectrum while making the next
+    kernel = map(lambda k: [k], _grad_kernel(src.shape, size, f.h, offset))
+    planes = _fft_convolve(np.pad(src[None], pad), src.shape[0], kernel, (2,) + f.shape)
     planes *= f.h**2 / (2.0 * np.pi)
     return VectorGridField(f.origin.copy(), f.h, np.moveaxis(planes, 0, 2))
 
@@ -157,38 +158,53 @@ def _wrapped(n_src: int, size: int) -> np.ndarray:
 
 
 def _grad_kernel(n_src, size, h, offset):
-    """d / |d|^2, 0 at d = 0, at the target-minus-source displacements
-    d = (offset + n) h per axis, n as ``_wrapped`` on the box ``size`` (at
-    least n_src + n_out - 1 for n_out outputs); ``offset`` (in cells) places
-    output 0 relative to source 0."""
+    """Per axis, x then y, the spectrum (``rfft2`` on the box ``size``) of
+    d / |d|^2, 0 at d = 0, at the target-minus-source displacements
+    d = (offset + n) h per axis, n as ``_wrapped`` on the box (at least
+    n_src + n_out - 1 for n_out outputs); ``offset`` (in cells) places
+    output 0 relative to source 0. Each is made when it is reached, as
+    ``rfft2``'s two passes (so equal to it bit for bit): the ``rfft`` of
+    row blocks built in one buffer in place, then the ``fft`` along Mx."""
     dx, dy = ((_wrapped(ns, nb) + off) * h for ns, nb, off in zip(n_src, size, offset))
-    dx, dy = dx[:, None], dy[None, :]
-    r2 = dx * dx + dy * dy
-    inv = np.where(r2 > 0, 1.0 / np.where(r2 > 0, r2, 1.0), 0.0)
-    return dx * inv, dy * inv
+    step = max(1, ROW_BLOCK // size[1])
+    buf = np.empty((min(step, size[0]), size[1]))
+    for axis in (0, 1):
+        spec = np.empty((size[0], size[1] // 2 + 1), dtype=complex)
+        for start in range(0, size[0], step):
+            x = dx[start:start + step, None]
+            r2 = np.multiply(dy, dy, out=buf[:x.shape[0]])
+            r2 += x * x
+            np.divide(1.0, r2, out=r2, where=r2 > 0.0)  # 1 / |d|^2, 0 at d = 0
+            r2 *= dy if axis else x
+            np.fft.rfft(r2, axis=1, out=spec[start:start + step])
+        yield np.fft.fft(spec, axis=0, out=spec)
+        del spec  # the caller's is freed before the next is made
 
 
-def _fft_convolve(padded, rows: int, kernel, out_shape):
-    """The one zero-padded FFT convolution: output i, cropped to
-    ``out_shape``, sums source plane j of ``padded`` (n, Mx, My), zero but on
-    its first ``rows`` rows and own columns, convolved with kernel (i, j).
-    ``kernel`` yields per output the spectra (``rfft2`` on the box) of its
-    kernel from each source, the first of which is overwritten with the
-    output's spectrum (a generator makes one output's at a time). The sources
-    are transformed over their rows only, the outputs inverted over theirs."""
+def _fft_convolve(padded, rows: int, kernel, out_shape) -> np.ndarray:
+    """The one zero-padded FFT convolution: output i of the returned array
+    of ``out_shape`` (n_out, nx, ny) sums source plane j of ``padded`` (n, Mx, My),
+    zero but on its first ``rows`` rows and own columns, convolved with
+    kernel (i, j). ``kernel`` yields per output the spectra (``rfft2`` on the
+    box) of its kernel from each source, the first of which is overwritten
+    with the output's spectrum (a generator makes one output's at a time).
+    The sources are transformed over their rows only, the outputs inverted
+    over theirs in that spectrum's memory."""
     spec = rfft2_rows(padded, slice(0, rows))
     my = padded.shape[2]
     del padded  # a padded copy made for the call is freed here
-    out = []
-    for row in kernel:
+    out = np.empty(out_shape)
+    kernel = iter(kernel)  # zip would hold the spent row while the next is made
+    for plane in out:
+        row = next(kernel)
         prod = row[0]
         # the source spectrum first: swapped complex products can round differently
         np.multiply(spec[0], prod, out=prod)
         for s, k in zip(spec[1:], row[1:]):
             prod += s * k
-        out.append(irfft2_rows(prod, my, slice(0, out_shape[0]))[:, :out_shape[1]].copy())
+        plane[...] = irfft2_rows(prod, my, slice(0, out.shape[1]))[:, :out.shape[2]]
         del row, prod  # freed before the next output's spectra are made
-    return np.stack(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from porousflow import cli, potential, reflections
@@ -695,6 +696,9 @@ REFLECT_RANDOM = REFLECT_TWOHOLE.replace("kind = twohole", "kind = random\ncount
                      id="count_zero"),
         pytest.param(REFLECT_RANDOM.replace("count = 4", "count = -3"), "[geometry] count",
                      id="count_negative"),
+        pytest.param(REFLECT_RANDOM.replace("count = 4", "count = 100000"),
+                     "[geometry] count = 100000 centers dmin = 0.2 apart cannot fit in the box "
+                     "0 0 1 1", id="count_cannot_fit"),
         pytest.param(REFLECT_RANDOM.replace("a = 0.02", "a = -0.05"), "[geometry] a",
                      id="random_a_negative"),
         pytest.param(REFLECT_RANDOM.replace("dmin = 0.2", "dmin = 0"), "[geometry] dmin",
@@ -711,10 +715,13 @@ REFLECT_RANDOM = REFLECT_TWOHOLE.replace("kind = twohole", "kind = random\ncount
                      "[euler] t_final", id="t_final_negative"),
     ],
 )
-def test_degenerate_sizes_and_times_exit_2(tmp_path, text, fragment):
+def test_degenerate_sizes_and_times_exit_2(tmp_path, monkeypatch, text, fragment):
     assert text not in (REFLECT_RANDOM, REFLECT_TWOHOLE, EULER_COMPARE)
+    # each is refused from the config alone, before a random center is drawn
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
     code, out = run_cli(tmp_path, text)
-    assert code == 2
+    assert code == 2 and draws == []
     _config_error(out, fragment)
     assert not (out / "summary.json").exists()
 

@@ -159,6 +159,42 @@ def test_pruned_transforms_equal_numpy_bit_for_bit(shape, where):
 
 
 @pytest.mark.parametrize("shape", [(16, 12), (15, 13), (2, 16, 13), (2, 15, 12)])
+def test_inverse_over_row_blocks_writes_into_the_spectrum(shape, monkeypatch):
+    # blocks of two rows, the last one short for odd nx: still the rows of
+    # irfft2 bit for bit, held in the spectrum's own memory
+    nx, ny = shape[-2:]
+    monkeypatch.setattr(fields, "ROW_BLOCK", 2 * (ny // 2 + 1))
+    spec = np.fft.rfft2(np.random.default_rng(nx * ny).standard_normal(shape))
+    full = np.fft.irfft2(spec, s=(nx, ny))
+    rows = slice(1, nx - 2)
+    out = irfft2_rows(spec, ny, rows)
+    assert np.array_equal(out, full[..., rows, :]) and np.shares_memory(out, spec)
+
+
+@pytest.mark.parametrize("shape", [(16, 12), (15, 13), (16, 13), (15, 12)])
+def test_multipliers_on_column_blocks_are_the_whole_grid_columns(shape):
+    # the one rule for the zeroed modes: xi = 0 and the Nyquist lines of an
+    # even axis, whichever block of columns holds them
+    nx, ny = shape
+    kx, ky = fields.wavenumbers(shape, 0.1)
+    k2 = kx**2 + ky**2
+    k2[0, 0] = 1.0
+    if nx % 2 == 0:
+        k2[nx // 2, :] = np.inf
+    if ny % 2 == 0:
+        k2[:, -1] = np.inf
+    whole = (kx, ky, kx / k2, ky / k2)
+    for got, ref in zip(fields.gradient_multipliers(shape, 0.1), whole):
+        assert np.array_equal(got, ref)
+    for start in range(0, ny // 2 + 1, 3):
+        cols = slice(start, start + 3)
+        got = fields.multipliers(shape, 0.1, cols)
+        assert np.array_equal(got[0], kx)
+        for a, ref in zip(got[1:], whole[1:]):
+            assert np.array_equal(a, ref[:, cols])
+
+
+@pytest.mark.parametrize("shape", [(16, 12), (15, 13), (2, 16, 13), (2, 15, 12)])
 def test_spectral_power_is_parseval(shape, monkeypatch):
     # even and odd axes, batched planes, blocks of three rows and one block:
     # the half-spectrum sum over nx ny is the l2 norm squared of the fields

@@ -275,6 +275,49 @@ def test_box_kernel_is_the_whole_grid_kernel_on_the_kept_displacements(shape, b)
         assert np.abs(on_box - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
+def _whole_grid_box_kernel(shape, h, extent, size):
+    """L's kernel spectra on the box from whole-grid multipliers, each
+    product transformed along nx over every column at once: the form the
+    column blocks replace, with the multipliers' rule written out here."""
+    (nx, ny), (bx, by) = shape, extent
+    kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=h)[:, None]
+    ky = 2.0 * np.pi * np.fft.rfftfreq(ny, d=h)[None, :]
+    k2 = kx**2 + ky**2
+    k2[0, 0] = 1.0
+    if nx % 2 == 0:
+        k2[nx // 2, :] = np.inf
+    if ny % 2 == 0:
+        k2[:, -1] = np.inf
+    mx, my = kx / k2, ky / k2
+    dx, dy = (pot._wrapped(b, m) for b, m in zip(extent, size))
+    spectra = []
+    for left, right in ((kx, mx), (kx, my), (ky, my)):
+        half = np.fft.rfft(left * right, axis=0)[:bx].conj()
+        kern = np.fft.irfft(np.concatenate([half, half[:0:-1].conj()]), n=ny, axis=1)
+        planes = kern.take(dx, axis=0, mode="wrap").take(dy, axis=1, mode="wrap")
+        planes[np.abs(dx) >= bx] = 0.0
+        planes[:, np.abs(dy) >= by] = 0.0
+        spectra.append(np.fft.rfft2(planes).real / nx)
+    return spectra
+
+
+@pytest.mark.parametrize("shape, b", [((48, 48), None), ((45, 45), None), ((48, 39), None),
+                                      ((39, 48), None), ((36, 36), 12)])
+@pytest.mark.parametrize("cols", [1, 5, None])
+def test_box_kernel_over_column_blocks_is_the_whole_grid_form_bit_for_bit(shape, b, cols,
+                                                                         monkeypatch):
+    # blocks of one spectral column, of five (the last one short) and one
+    # block, on even and odd grid sides
+    if cols is not None:
+        monkeypatch.setattr(hom, "ROW_BLOCK", cols * shape[0])
+    k, g = _box_case(shape, b)
+    op = hom._BoxL(g, k)
+    (xx, xy), (_, yy) = op.kernel
+    ref = _whole_grid_box_kernel(k.shape, k.h, op.km.shape, op.w.shape[1:])
+    for got, want in zip((xx, xy, yy), ref, strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_box_operator_of_the_zero_k():
     # an empty support box: an empty L p of norm 0, and one step of increment 0
     g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
@@ -458,10 +501,10 @@ def test_expansion_errors_memory_within_budget():
     # the series runs on k's box: k M p, its spectrum and the kernel's
     # product with it on the (fast_length(2 bx - 1))^2 box, the three kernel
     # spectra there, the kernel's one-time inverse over bx rows of the grid,
-    # and per scale T_c and L T_c on k's box beside L g0: measured 2.37 g0 at
-    # the peak with the grid's multipliers not yet cached, 1.86 g0 with them.
+    # and per scale T_c and L T_c on k's box beside L g0: measured 2.17 g0 at
+    # the peak (the grid's multipliers are no longer cached or read).
     # The loose 6 g0 bound is the one of the form with each spectrum on the
-    # whole grid (4.4 g0); the tight 3.0 g0 leaves a 1.27x margin over 2.37 g0
+    # whole grid (4.4 g0); the tight 3.0 g0 leaves a 1.38x margin over 2.17 g0
     h = 1.0 / 64.0
     g0 = pot.grad_psi0_on_grid(world_f(h))
     k = world_k(1.0, h)
@@ -474,6 +517,26 @@ def test_expansion_errors_memory_within_budget():
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
     assert peak < 6 * g0.planes.nbytes
     assert peak < 3.0 * g0.planes.nbytes
+
+
+def test_sweep_series_makes_no_whole_grid_multiplier():
+    # the homog sweep's 1024^2 grid as a fresh run sees it, the multipliers
+    # not cached: the box kernel takes them over blocks of spectral columns,
+    # so it caches none and makes no whole-grid product or transform.
+    # Measured 1.60 g0 at the peak; the whole-grid form read 2.08 g0
+    h = 1.0 / 256.0
+    g0 = pot.grad_psi0_on_grid(world_f(h))
+    k = world_k(1.0, h)
+    fields.gradient_multipliers.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = hom.expansion_errors(g0, k, SWEEP_NORMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
+    assert fields.gradient_multipliers.cache_info().currsize == 0
+    assert peak < 1.8 * g0.planes.nbytes
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])

@@ -304,6 +304,55 @@ def test_collocation_holds_one_matrix():
     assert peak < 56 * 2**20
 
 
+def _broadcast_basis_matrix(config, order, pts):
+    """The basis with every point-to-hole w at once and the powers by one
+    broadcast cumprod: the form the hole-by-hole fill replaces."""
+    z = (pts[:, 0] + 1j * pts[:, 1])[:, None] - (
+        config.centers[:, 0] + 1j * config.centers[:, 1]
+    )[None, :]
+    w = np.conj(config.a / z)
+    powers = np.cumprod(np.broadcast_to(w[:, :, None], (*w.shape, order)), axis=2)
+    return powers.view(float).reshape(pts.shape[0], config.n_holes * 2 * order)
+
+
+def _trig_basis_matrix(config, order, pts):
+    """(a/r)^m cos(m t) and (a/r)^m sin(m t) per hole, m = 1..order."""
+    d = pts[:, None, :] - config.centers[None, :, :]
+    r, t = np.hypot(d[..., 0], d[..., 1]), np.arctan2(d[..., 1], d[..., 0])
+    m = np.arange(1, order + 1)
+    scale = (config.a / r)[..., None] ** m
+    cols = np.stack([scale * np.cos(m * t[..., None]), scale * np.sin(m * t[..., None])], axis=3)
+    return cols.reshape(pts.shape[0], -1)
+
+
+@pytest.mark.parametrize("side, order", [(1, 1), (2, 3), (3, 8)])
+def test_basis_matrix_is_the_broadcast_and_trig_forms(side, order):
+    # the boundary rings and off-ring points beside the lattice
+    cfg = build_lattice(side, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    ring = cfg.boundary_points(4 * order + 3)
+    rng = np.random.default_rng(side)
+    pts = np.concatenate([ring, rng.random((37, 2)) * 0.5 + [1.2, 0.1]])
+    got = orc._basis_matrix(cfg, order, pts)
+    assert got.shape == (pts.shape[0], 2 * order * cfg.n_holes)
+    assert np.array_equal(got, _broadcast_basis_matrix(cfg, order, pts))
+    assert np.abs(got - _trig_basis_matrix(cfg, order, pts)).max() <= 1e-14
+
+
+def test_basis_matrix_holds_only_itself():
+    # the 64-hole divcurl matrix (32 MiB) is filled hole by hole: the
+    # (npts, N) point-to-hole temporaries took the peak to 1.25 times it
+    cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    pts = cfg.boundary_points(orc.POINTS)
+    tracemalloc.start()
+    try:
+        a_mat = orc._basis_matrix(cfg, orc.ORDER, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a_mat.shape == (4096, 1024)
+    assert peak < 1.05 * a_mat.nbytes
+
+
 # ---------------------------------------------------------------------------
 # Horner-form evaluation against the materialized basis it replaced
 # ---------------------------------------------------------------------------

@@ -20,9 +20,12 @@ case. ``--scale`` multiplies every point count and every grid's cell count
 inputs instead of timing it, and prints the largest relative difference and
 the tolerance of the case's tier-1 test; it exits 1 when a case exceeds it.
 The references: ``hminus1`` as the complex ``fft2`` sum over the field's
-whole periodic box, and ``mu_minus_k_field`` as ``rasterize_mu`` on the
-whole padded world grid less k sampled at every cell (the tier-1 tests ask
-1e-13 and bit-for-bit equality).
+whole periodic box, ``mu_minus_k_field`` as ``rasterize_mu`` on the whole
+padded world grid less k sampled at every cell, ``grad_psi0_on_grid`` as
+``grad_psi0_eval`` at 4096 random cells, and each ``solve_collocation`` as
+the dense ``numpy.linalg.lstsq`` fit of the per-hole-centered basis
+(a/r)^m cos(m t), (a/r)^m sin(m t) (the tier-1 tests ask 1e-13, bit-for-bit
+equality, 1e-13 of max|grad| and 1e-12 of max|coefficient|).
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
 script starts run with BLAS pinned to one thread, as in ``bench/run.py``, and
 with glibc's mmap and trim thresholds fixed (``MALLOC_VARS``), so arrays
@@ -106,7 +109,7 @@ def cases(scale: float):
     cells, and homog-sweep's 1024^2 grid with its source, its largest k and
     its three k norms. ``check`` is None, or gives (the largest relative
     difference from the case's reference, the tolerance of its tier-1 test)."""
-    from porousflow import analysis, cli, euler, homogenized, oracle, potential
+    from porousflow import analysis, cli, euler, fields, homogenized, oracle, potential
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
     from porousflow.geometry import Box, build_lattice, fluid_mask, rasterize_mu
 
@@ -122,6 +125,22 @@ def cases(scale: float):
         f = rasterize(world, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         k = rasterize(world, h, radial_bump((0.0, 0.0), 0.5, 0.04, power=3))
         return f, potential.grad_psi0_on_grid(f), k
+
+    def check_grad_on_grid():
+        f = sweep_grid()[0]
+        got = potential.grad_psi0_on_grid(f).values.reshape(-1, 2)
+        sample = np.random.default_rng(1).choice(f.values.size, min(4096, f.values.size),
+                                                 replace=False)
+        ref = potential.grad_psi0_eval(f, f.centers_flat()[sample])
+        return np.abs(got[sample] - ref).max() / np.abs(ref).max(), 1e-13
+
+    def sweep_series():
+        """The sweep's three k norms as its one cold call pays them: on trees
+        that cache the grid's multipliers, the cache is cleared first."""
+        if hasattr(getattr(fields, "gradient_multipliers", None), "cache_clear"):
+            fields.gradient_multipliers.cache_clear()
+        # the scales of the largest k that give the sweep's k norms 0.01, 0.02, 0.04
+        return homogenized.expansion_errors(*sweep_grid()[1:], (0.25, 0.5, 1.0))
 
     def side_of(n):
         """The lattice side n with its hole count scaled, rounded down."""
@@ -207,6 +226,22 @@ def cases(scale: float):
         config, world, _ = divcurl_lattice(n)
         return oracle.solve_collocation(world, config)
 
+    def check_collocation(n):
+        config, world, _ = divcurl_lattice(n)
+        pts = config.boundary_points(oracle.POINTS)
+        d = pts[:, None, :] - config.centers[None, :, :]
+        t = np.arctan2(d[..., 1], d[..., 0])[..., None] * np.arange(1, oracle.ORDER + 1)
+        radial = (config.a / np.hypot(d[..., 0], d[..., 1]))[..., None] ** np.arange(
+            1, oracle.ORDER + 1)
+        basis = np.stack([radial * np.cos(t), radial * np.sin(t)], axis=3).reshape(
+            config.n_holes, oracle.POINTS, -1)
+        basis -= basis.mean(axis=1, keepdims=True)
+        psi0 = potential.psi0_eval(world, pts).reshape(config.n_holes, oracle.POINTS)
+        rhs = (psi0.mean(axis=1, keepdims=True) - psi0).ravel()
+        ref = np.linalg.lstsq(basis.reshape(rhs.size, -1), rhs, rcond=None)[0]
+        got = collocation(n).coeffs.ravel()
+        return np.abs(got - ref).max() / np.abs(ref).max(), 1e-12
+
     @functools.cache
     def divcurl_oracle():
         """divcurl's n = 4 oracle, made by the warm-up call."""
@@ -260,9 +295,7 @@ def cases(scale: float):
                              lambda: homogenized.apply_l_spectral(*sweep_grid()[1:])),
         "grad_psi0_on_grid": (f"grid {side}x{side}",
                               lambda: potential.grad_psi0_on_grid(sweep_grid()[0])),
-        # the scales of the largest k that give the sweep's k norms 0.01, 0.02, 0.04
-        "expansion_errors": (f"grid {side}x{side} x3 norms", lambda: homogenized.expansion_errors(
-            *sweep_grid()[1:], (0.25, 0.5, 1.0))),
+        "expansion_errors": (f"grid {side}x{side} x3 norms", sweep_series),
         "solve_psic_from_grad": ("divcurl world grid", lambda: homogenized.solve_psic_from_grad(
             *divcurl_grid()[:2])),
         "mu_minus_k_field": (f"divcurl n={n_mu}", lambda: analysis.mu_minus_k_field(
@@ -280,7 +313,10 @@ def cases(scale: float):
         "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
         "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
-    checks = {"hminus1": check_hminus1, "mu_minus_k_field": check_mu_minus_k}
+    checks = {"hminus1": check_hminus1, "mu_minus_k_field": check_mu_minus_k,
+              "grad_psi0_on_grid": check_grad_on_grid,
+              **{f"solve_collocation_{n}": functools.partial(check_collocation, side_of(n))
+                 for n in (4, 8)}}
     return {name: (shape, call, checks.get(name)) for name, (shape, call) in table.items()}
 
 
