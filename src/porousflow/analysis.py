@@ -173,12 +173,15 @@ class GammaReport:
     grid_h: float
     n_cells: int
     used_oracle: bool
+    oracle_iterations: int | None = None  # the oracle's CGLS iterations and cond, if it ran
+    oracle_cond: float | None = None
 
     @property
     def total(self) -> float:
         return self.grad_gamma1 + self.gamma2
 
     def to_json(self) -> str:
+        oracle = {"oracle_iterations": self.oracle_iterations, "oracle_cond": self.oracle_cond}
         return json.dumps(
             {
                 "grad_gamma1": self.grad_gamma1,
@@ -190,6 +193,7 @@ class GammaReport:
                 "grid_h": self.grid_h,
                 "n_cells": self.n_cells,
                 "used_oracle": self.used_oracle,
+                **(oracle if self.used_oracle else {}),
             },
             sort_keys=True,
         )
@@ -280,6 +284,8 @@ def gamma_report(
         grid_h=h,
         n_cells=int(mask.sum()),
         used_oracle=oracle_sol is not None,
+        oracle_iterations=None if oracle_sol is None else oracle_sol.iterations,
+        oracle_cond=None if oracle_sol is None else oracle_sol.cond,
     )
 
 

@@ -308,6 +308,15 @@ def source_from_config(cfg: RunConfig):
     return rasterize(box, h, radial_bump(center, radius, amp, power=2))
 
 
+def check_clear_of_holes(source, configs) -> None:
+    """A vorticity support that reaches a hole of any of ``configs`` is a
+    configuration error, found before any solve."""
+    for config in configs:
+        if reflections.overlaps_hole(source, config):
+            raise ConfigError("[vorticity] support overlaps a hole of the [geometry] "
+                              f"configuration with a/d = {config.aspect:g}")
+
+
 def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
     """Grid whose box pads the porous box ``box`` to four times its extent
     (the periodic backends need three) and covers the vorticity support; f is
@@ -340,6 +349,7 @@ def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
 def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
+    check_clear_of_holes(source, [config])
     depth = settings.reflection_depth
     stream = reflections.run_reflections(source, config, depth)
     reflections.export_dipoles_csv(stream.levels, outdir / "dipoles.csv")
@@ -419,6 +429,7 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     # one discrete source for every solver: f resampled on the world grid;
     # every lattice of the sweep fills the same configured box
     world = world_grid_for(cfg, configs[0].kpm_box, source)
+    check_clear_of_holes(world, configs)
     rows = []
     k_prev = homog = None
     for config in configs:
@@ -556,6 +567,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
                for v in values]
     probe_h = cfg.positive("analysis", "probe_h", None)
     source = source_from_config(cfg)
+    check_clear_of_holes(source, configs)
     rows = []
     for v, config in zip(values, configs):
         stream = reflections.run_reflections(source, config, settings.reflection_depth)
@@ -563,9 +575,11 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
         region = config.kpm_box.inflate(0.25 * config.kpm_box.width)
         h = probe_h if probe_h is not None else config.a / 4.0
         err = analysis.reflection_vs_oracle_h1(stream, osol, region, h)
-        rows.append((v, err, osol.residual))
-    write_table(outdir / "sweep.csv", ["aspect", "h1_error", "oracle_residual"],
-                ([fmt(v), fmt(err), fmt(res)] for v, err, res in rows))
+        rows.append((v, err, osol))
+    write_table(outdir / "sweep.csv",
+                ["aspect", "h1_error", "oracle_residual", "oracle_iterations", "oracle_cond"],
+                ([fmt(v), fmt(err), fmt(osol.residual), osol.iterations, fmt(osol.cond)]
+                 for v, err, osol in rows))
     slope, r2 = analysis.fit_exponent([r[0] for r in rows], [r[1] for r in rows])
     return {
         "mode": mode,

@@ -7,12 +7,13 @@ total stream function is constant on every hole boundary; the unknown
 boundary constants are eliminated by subtracting per-hole means inside the
 objective. Used as ground truth when validating the method of reflections.
 
-The fit is block CGLS on the one (rows x cols) matrix it holds, the basis
-centered per hole in place. Each hole's own columns on its own ring are
-cos(m t) and sin(m t) at equispaced angles, which are orthogonal, so A^T A is
-(pts_per_hole / 2) I plus an inter-hole coupling that is small when a/d is:
-cond(A) is 1.07 at a/d = 0.1 and 1.48 at 0.24, and CG converges in 7-20
-iterations. Full rank is certified by a second right-hand side with a known
+The fit is block CGLS on the basis centered per hole, read as an operator
+that rebuilds its columns from the (rows x N) point-to-hole map on blocks of
+rows, so no (rows x cols) matrix is held. Each hole's own columns on its own
+ring are cos(m t) and sin(m t) at equispaced angles, which are orthogonal, so
+A^T A is (pts_per_hole / 2) I plus an inter-hole coupling that is small when
+a/d is: cond(A) is 1.07 at a/d = 0.1 and 1.48 at 0.24, and CG converges in
+7-20 iterations. Full rank is certified by a second right-hand side with a known
 solution (see ``solve_collocation``).
 
 With z = x - c and w = a/z, the cos_m and sin_m columns are (a/r)^m cos(m t)
@@ -47,6 +48,7 @@ _CG_TOL = 1e-14
 _CG_MAX_ITERATIONS = 200  # far above the 7-20 that cond(A) < 1.5 needs
 _CERT_TOL = 1e-8  # relative recovery error of the rank certificate v0
 _TARGET_BLOCK = 1 << 13  # points per block of the hole series (128 KiB arrays)
+_FIT_BLOCK = 1 << 15  # complex values of v per block of the fit (whole rings; 512 KiB)
 
 
 @dataclass
@@ -71,7 +73,8 @@ def _basis_matrix(config: PorousConfig, order: int, pts: np.ndarray) -> np.ndarr
 
     Column layout: hole-major, then (cos_1, sin_1, ..., cos_M, sin_M): the
     float view of conj(w)^m = Re w^m - i Im w^m, m = 1..M, filled one hole
-    at a time, so no other array grows with npts N.
+    at a time, so no other array grows with npts N. Nothing in ``src``
+    calls it: it is the dense reference of ``_Basis`` in the tests.
     """
     zp = pts[:, 0] + 1j * pts[:, 1]
     zc = config.centers[:, 0] + 1j * config.centers[:, 1]
@@ -82,8 +85,61 @@ def _basis_matrix(config: PorousConfig, order: int, pts: np.ndarray) -> np.ndarr
     return powers.view(float).reshape(pts.shape[0], config.n_holes * 2 * order)
 
 
-def _cgls(a: np.ndarray, b: np.ndarray):
-    """Block CGLS for min ||a x - b_j|| on each row b_j of ``b``.
+class _Basis:
+    """The per-ring-centered ``_basis_matrix`` A as an operator on rows
+    (x -> A x, r -> A^T r) that holds only the (npts, N) map v = conj(a/(z - c)).
+    Its order-m columns, the float view of v^m, are made by p *= v on blocks
+    of whole rings of about ``_FIT_BLOCK`` values: cumprod's values to an ulp,
+    as numpy's contiguous complex multiply fuses a multiply-add."""
+
+    def __init__(self, config: PorousConfig, order: int, pts: np.ndarray, ring: int):
+        zc = config.centers[:, 0] + 1j * config.centers[:, 1]
+        self.v = np.subtract.outer(pts[:, 0] + 1j * pts[:, 1], zc)
+        np.conjugate(np.divide(config.a, self.v, out=self.v), out=self.v)
+        self.order, self.ring = order, ring
+        self.rows = ring * max(_FIT_BLOCK // (ring * config.n_holes), 1)
+
+    def powers(self):
+        """(rows, m - 1, v^m on those rows as floats) per block and order m."""
+        buf = np.empty((self.rows, self.v.shape[1]), dtype=complex)
+        for start in range(0, len(self.v), self.rows):
+            vb = self.v[start:start + self.rows]
+            p = buf[:len(vb)]
+            p[...] = vb
+            for m in range(self.order):
+                if m:
+                    p *= vb
+                yield slice(start, start + len(vb)), m, p.view(float)
+
+    def _center(self, r):
+        rings = r.reshape(len(r), -1, self.ring)
+        return (rings - rings.mean(axis=2, keepdims=True)).reshape(r.shape)
+
+    def matvec(self, x, center=True):
+        """A x for each row x, or the uncentered basis times x."""
+        xm = x.reshape(len(x), -1, self.order, 2).transpose(2, 1, 3, 0)
+        xm = xm.reshape(self.order, -1, len(x))
+        out = np.zeros((len(self.v), len(x)))
+        for rows, m, p in self.powers():
+            out[rows] += p @ xm[m]
+        return self._center(out.T) if center else out.T
+
+    def rmatvec(self, r, frobenius=False):
+        """A^T r for each row r, and ||A||_F^2 if ``frobenius``."""
+        r, norm2 = self._center(r), 0.0
+        out = np.zeros((self.order, len(r), 2 * self.v.shape[1]))
+        for rows, m, p in self.powers():
+            out[m] += r[:, rows] @ p
+            if frobenius:  # each ring's sum of squares less ring * its mean squared
+                sums = np.ones(self.ring) @ p.reshape(-1, self.ring, p.shape[1])
+                norm2 += np.vdot(p, p) - np.vdot(sums, sums) / self.ring
+        out = np.moveaxis(out.reshape(self.order, len(r), -1, 2), 0, 2).reshape(len(r), -1)
+        return (out, norm2) if frobenius else out
+
+
+def _cgls(a, b: np.ndarray):
+    """Block CGLS for min ||a x - b_j|| on each row b_j of ``b``, ``a`` an
+    operator with ``_Basis``'s row-wise ``matvec`` and ``rmatvec``.
 
     Conjugate gradients on the normal equations (Hestenes & Stiefel 1952),
     with the right-hand sides sharing each product with ``a``. A row stops
@@ -95,12 +151,12 @@ def _cgls(a: np.ndarray, b: np.ndarray):
     row's CG step lengths and direction updates (alpha_k, beta_k), which
     define the Lanczos tridiagonal of a.T a.
     """
-    x = np.zeros((b.shape[0], a.shape[1]))
     r = b.copy()
-    p = r @ a
+    p, frobenius = a.rmatvec(r, frobenius=True)
+    x = np.zeros_like(p)
     gamma = np.einsum("ij,ij->i", p, p)
     stop = _CG_TOL**2 * gamma
-    ls_stop = _CG_TOL**2 * np.einsum("ij,ij->", a, a)  # times ||r||^2
+    ls_stop = _CG_TOL**2 * frobenius  # times ||r||^2
     rr = np.einsum("ij,ij->i", r, r)
     steps = [([], []) for _ in range(b.shape[0])]
     iterations = 0
@@ -111,12 +167,12 @@ def _cgls(a: np.ndarray, b: np.ndarray):
                 f"{_CG_MAX_ITERATIONS} iterations"
             )
         iterations += 1
-        q = p[live] @ a.T
+        q = a.matvec(p[live])
         alpha = gamma[live] / np.einsum("ij,ij->i", q, q)
         x[live] += alpha[:, None] * p[live]
         r[live] -= alpha[:, None] * q
         rr[live] = np.einsum("ij,ij->i", r[live], r[live])
-        s = r[live] @ a
+        s = a.rmatvec(r[live])
         gamma_new = np.einsum("ij,ij->i", s, s)
         beta = gamma_new / gamma[live]
         p[live] = s + beta[:, None] * p[live]
@@ -149,10 +205,10 @@ def solve_collocation(
     """Least-squares fit of the multipole coefficients.
 
     Only the boundary oscillation is fit: the basis and psi_0 are centered
-    per hole, which eliminates the unknown boundary constants. The basis is
-    centered in place, so one (rows x cols) matrix A is held; the per-hole
-    means of psi_0 and of every basis column give the boundary constants
-    afterwards as ``psi0_means + col_means @ coeffs``.
+    per hole, which eliminates the unknown boundary constants. The centered
+    basis A is the operator ``_Basis``, which holds the (rows, N) complex map
+    v and no (rows x cols) matrix; the per-hole means of psi_0 and of the
+    uncentered fit give the boundary constants afterwards.
 
     The fit is block CGLS with two right-hand sides: the data, and a rank
     certificate A v0 for a fixed random v0. A direction in the null space
@@ -173,13 +229,10 @@ def solve_collocation(
     pts = config.boundary_points(pts_per_hole)
     psi0 = potential.psi0_eval(source, pts).reshape(n, pts_per_hole)
     psi0_means = psi0.mean(axis=1)
-    a_mat = _basis_matrix(config, order, pts)
-    blocks = a_mat.reshape(n, pts_per_hole, -1)
-    col_means = blocks.mean(axis=1)
-    blocks -= col_means[:, None, :]
+    basis = _Basis(config, order, pts, pts_per_hole)
     rhs = (psi0_means[:, None] - psi0).ravel()
-    v0 = np.random.default_rng(0).standard_normal(a_mat.shape[1])
-    x, iterations, steps = _cgls(a_mat, np.stack([rhs, a_mat @ v0]))
+    v0 = np.random.default_rng(0).standard_normal(2 * order * n)
+    x, iterations, steps = _cgls(basis, np.concatenate([rhs[None], basis.matvec(v0[None])]))
     coeffs = x[0]
     miss = np.linalg.norm(x[1] - v0) / np.linalg.norm(v0)
     if miss > _CERT_TOL:
@@ -187,13 +240,14 @@ def solve_collocation(
             f"rank-deficient collocation system: the certificate v0 is "
             f"recovered to {miss:.3e} relative (> {_CERT_TOL:g})"
         )
-    residual = float(np.abs(a_mat @ coeffs - rhs).max())
+    fit = basis.matvec(coeffs[None], center=False)
+    residual = float(np.abs(basis._center(fit) - rhs).max())
     return MultipoleSolution(
         config=config,
         source=source,
         order=order,
         coeffs=coeffs.reshape(n, 2 * order),
-        boundary_constants=psi0_means + col_means @ coeffs,
+        boundary_constants=psi0_means + fit.reshape(n, -1).mean(axis=1),
         residual=residual,
         iterations=iterations,
         cond=_lanczos_cond(*steps[1]),

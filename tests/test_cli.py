@@ -180,6 +180,22 @@ def test_sweep_ratio_decreasing(tmp_path):
     assert summary["results"]["slope"] > 0.5
 
 
+def test_oracle_iterations_and_cond_reach_the_outputs(tmp_path):
+    code, out = run_cli(tmp_path, SWEEP_RATIO)
+    assert code == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    assert header == "aspect,h1_error,oracle_residual,oracle_iterations,oracle_cond"
+    assert len(rows) == 2
+    for row in rows:
+        iterations, cond = row.split(",")[3:]
+        assert 0 < int(iterations) <= 25 and 1.0 <= float(cond) < 1.5
+    code, out = run_cli(tmp_path, DIVCURL_SMALL, name="divcurl")
+    assert code == 0
+    record = json.loads((out / "gamma_n2.json").read_text())
+    assert record["used_oracle"] and 0 < record["oracle_iterations"] <= 25
+    assert 1.0 <= record["oracle_cond"] < 1.5
+
+
 def test_divcurl_smoke(tmp_path):
     code, out = run_cli(tmp_path, DIVCURL_SMALL)
     assert code == 0
@@ -219,13 +235,43 @@ def test_unknown_experiment_exit_2(tmp_path):
     assert code == 2
 
 
-def test_runtime_failure_exit_1(tmp_path):
-    # source support inside a hole triggers a numeric-stage error
-    text = REFLECT_TWOHOLE.replace("center = 0.5 2.0", "center = 0.3 0.5")
-    code, out = run_cli(tmp_path, text, name="clash")
+def test_runtime_failure_exit_1(tmp_path, monkeypatch):
+    # an oracle fit that does not converge is a numeric-stage error
+    from porousflow import oracle
+
+    monkeypatch.setattr(oracle, "_CG_MAX_ITERATIONS", 1)
+    code, out = run_cli(tmp_path, SWEEP_RATIO, name="stall")
     assert code == 1
     err = json.loads((out / "error.json").read_text())
     assert err["error_kind"] == "runtime"
+    assert "did not converge" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "text, aspect",
+    [
+        pytest.param(REFLECT_TWOHOLE.replace("center = 0.5 2.0", "center = 0.3 0.5"), "0.05",
+                     id="reflect"),
+        # clear of the a/d = 0.1 holes, over the a/d = 0.2 ones: every sweep
+        # point is checked before the first is solved
+        pytest.param(SWEEP_RATIO.replace("center = 0.5 2.0", "center = 0.33 0.25"), "0.2",
+                     id="sweep"),
+        pytest.param(DIVCURL_SMALL.replace("center = 0.5 1.8", "center = 0.25 0.25"), "0.1",
+                     id="divcurl"),
+    ],
+)
+def test_vorticity_over_a_hole_exit_2(tmp_path, monkeypatch, text, aspect):
+    from porousflow import oracle
+
+    solves = []
+    monkeypatch.setattr(reflections, "run_reflections", lambda *args: solves.append(args))
+    monkeypatch.setattr(oracle, "solve_collocation", lambda *args: solves.append(args))
+    code, out = run_cli(tmp_path, text, name="overlap")
+    assert code == 2 and solves == []
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_kind"] == "config"
+    assert err["message"] == ("[vorticity] support overlaps a hole of the [geometry] "
+                              f"configuration with a/d = {aspect}")
 
 
 def test_bool_typo_exit_2(tmp_path):

@@ -45,7 +45,8 @@ def test_check_compares_with_the_references_tiny(capsys, monkeypatch):
     layers = _load_layers()
     checked = [name for name, (_, _, check) in layers.cases(0.01).items() if check]
     assert checked == ["grad_psi0_on_grid", "mu_minus_k_field", "hminus1",
-                       "solve_collocation_4", "solve_collocation_8"]
+                       "solve_collocation_4", "solve_collocation_8", "multipole_part_grad",
+                       "multipole_part_grad_sweep"]
     assert layers.main(["--src", str(ROOT / "src"), "--scale", "0.01", "--check"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [row.split()[0] for row in rows] == checked

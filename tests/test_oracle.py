@@ -246,12 +246,26 @@ def test_cond_is_the_lanczos_estimate(ratio):
     assert sol.cond == pytest.approx(np.linalg.cond(a_mat), rel=0.02)
 
 
+class _Dense:
+    """A dense matrix behind the row-wise operator interface ``_cgls`` takes."""
+
+    def __init__(self, mat):
+        self.mat = mat
+
+    def matvec(self, x):
+        return x @ self.mat.T
+
+    def rmatvec(self, r, frobenius=False):
+        out = r @ self.mat
+        return (out, np.einsum("ij,ij->", self.mat, self.mat)) if frobenius else out
+
+
 def test_lanczos_cond_recovers_a_known_spectrum():
     # CG runs to convergence here, so the extreme Ritz values are the
     # extreme eigenvalues of a.T a (singular values 1 and 30 squared)
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((80, 40)))
-    _, _, steps = orc._cgls(q * np.geomspace(1.0, 30.0, 40), rng.standard_normal((1, 80)))
+    _, _, steps = orc._cgls(_Dense(q * np.geomspace(1.0, 30.0, 40)), rng.standard_normal((1, 80)))
     assert orc._lanczos_cond(*steps[0]) == pytest.approx(30.0, rel=1e-6)
 
 
@@ -278,7 +292,7 @@ def test_cgls_converges_on_data_mostly_outside_the_range():
     fit = a_mat @ coeffs
     outside = np.repeat(rng.standard_normal(cfg.n_holes), orc.POINTS)
     rhs = fit + 1e4 * np.linalg.norm(fit) / np.linalg.norm(outside) * outside
-    x, iterations, _ = orc._cgls(a_mat, rhs[None, :])
+    x, iterations, _ = orc._cgls(_Dense(a_mat), rhs[None, :])
     assert iterations < orc._CG_MAX_ITERATIONS
     assert np.linalg.norm(x[0] - coeffs) <= 1e-8 * np.linalg.norm(coeffs)
 
@@ -302,6 +316,62 @@ def test_collocation_holds_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 56 * 2**20
+
+
+def test_collocation_holds_no_dense_basis():
+    # the 64-hole fit reads its basis through the (4096, 64) complex map v
+    # (4 MiB), never as the 4096 x 1024 matrix (32 MiB)
+    src = point_vortex(0.5, 1.8, 2.0)
+    cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        orc.solve_collocation(src, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+_OPERATOR_CONFIGS = {
+    "lattice": lambda: build_lattice(3, 0.1, Box(0.0, 0.0, 1.0, 1.0)),
+    "random": lambda: build_random(7, 0.03, 0.2, Box(0.0, 0.0, 1.0, 1.0), seed=4),
+    "single": single_hole,
+}
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+@pytest.mark.parametrize("kind", list(_OPERATOR_CONFIGS))
+def test_basis_operator_is_the_centered_dense_basis(kind, order, monkeypatch):
+    # blocks of two rings, so the last block of an odd ring count is short;
+    # v is the dense basis' first order bit for bit, and v^m its order m to
+    # m ulps of |v|^m: numpy's contiguous complex multiply fuses a
+    # multiply-add that cumprod's loop rounds twice
+    cfg = _OPERATOR_CONFIGS[kind]()
+    ring, n = 4 * order + 3, cfg.n_holes
+    monkeypatch.setattr(orc, "_FIT_BLOCK", 2 * ring * n)
+    pts = cfg.boundary_points(ring)
+    op = orc._Basis(cfg, order, pts, ring)
+    dense = orc._basis_matrix(cfg, order, pts)
+    columns = dense.reshape(pts.shape[0], n, order, 2)
+    assert np.array_equal(op.v.view(float), columns[:, :, 0].reshape(-1, 2 * n))
+    modulus = np.repeat(np.abs(op.v), 2, axis=1)
+    seen = np.zeros((pts.shape[0], order), dtype=int)
+    for rows, m, p in op.powers():
+        ulps = (m + 1) * np.finfo(float).eps * modulus[rows] ** (m + 1)
+        assert np.all(np.abs(p - columns[rows, :, m].reshape(-1, 2 * n)) <= ulps)
+        seen[rows, m] += 1
+    assert (seen == 1).all()
+
+    centered = _center_per_hole(dense, n)
+    rng = np.random.default_rng(order)
+    x = rng.standard_normal((2, dense.shape[1]))
+    r = rng.standard_normal((2, dense.shape[0]))
+    for got, ref in ((op.matvec(x), x @ centered.T), (op.matvec(x, center=False), x @ dense.T),
+                     (op.rmatvec(r), r @ centered)):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    got, frobenius = op.rmatvec(r, frobenius=True)
+    assert np.array_equal(got, op.rmatvec(r))
+    assert frobenius == pytest.approx(np.einsum("ij,ij->", centered, centered), rel=1e-14)
 
 
 def _broadcast_basis_matrix(config, order, pts):

@@ -22,10 +22,13 @@ the tolerance of the case's tier-1 test; it exits 1 when a case exceeds it.
 The references: ``hminus1`` as the complex ``fft2`` sum over the field's
 whole periodic box, ``mu_minus_k_field`` as ``rasterize_mu`` on the whole
 padded world grid less k sampled at every cell, ``grad_psi0_on_grid`` as
-``grad_psi0_eval`` at 4096 random cells, and each ``solve_collocation`` as
+``grad_psi0_eval`` at 4096 random cells, each ``solve_collocation`` as
 the dense ``numpy.linalg.lstsq`` fit of the per-hole-centered basis
-(a/r)^m cos(m t), (a/r)^m sin(m t) (the tier-1 tests ask 1e-13, bit-for-bit
-equality, 1e-13 of max|grad| and 1e-12 of max|coefficient|).
+(a/r)^m cos(m t), (a/r)^m sin(m t), and each ``multipole_part_grad`` as the
+contraction of every basis column's materialized gradient at 4096 sampled
+points (the tier-1 tests ask 1e-13, bit-for-bit equality, 1e-13 of
+max|grad|, 1e-12 of max|coefficient| and 1e-12 of each point's sum of
+|term|).
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
 script starts run with BLAS pinned to one thread, as in ``bench/run.py``, and
 with glibc's mmap and trim thresholds fixed (``MALLOC_VARS``), so arrays
@@ -242,6 +245,33 @@ def cases(scale: float):
         got = collocation(n).coeffs.ravel()
         return np.abs(got - ref).max() / np.abs(ref).max(), 1e-12
 
+    def check_part_grad(sol, pts):
+        """The hole gradients at 4096 sampled points against the contraction of
+        every basis column's materialized gradient (the reference of the tests'
+        ``_reference_basis_gradients``), per point relative to the sum over
+        holes and orders of |m gamma_m w^m / z| (the tier-1 test's scale)."""
+        config, order = sol.config, sol.order
+        sample = np.random.default_rng(2).choice(pts.shape[0], min(4096, pts.shape[0]),
+                                                 replace=False)
+        pts = pts[sample]
+        z = (pts[:, 0] + 1j * pts[:, 1])[:, None] - (
+            config.centers[:, 0] + 1j * config.centers[:, 1])[None, :]
+        basis = np.empty((pts.shape[0], config.n_holes, order, 2, 2))
+        am, zpow = 1.0, 1.0 / z
+        for m in range(order):
+            am *= config.a
+            zpow = zpow / z
+            deriv = -(m + 1) * am * zpow
+            basis[:, :, m, 0] = np.stack([deriv.real, -deriv.imag], axis=2)
+            basis[:, :, m, 1] = np.stack([-deriv.imag, -deriv.real], axis=2)
+        coeffs = sol.coeffs.reshape(config.n_holes, order, 2)
+        ref = np.einsum("pjmcd,jmc->pd", basis, coeffs)
+        ms = np.arange(1, order + 1)
+        terms = ms * (config.a / np.abs(z))[..., None] ** ms / np.abs(z)[..., None]
+        scale = np.einsum("pjm,jm->p", terms, np.hypot(coeffs[..., 0], coeffs[..., 1]))
+        got = oracle.multipole_part_grad(sol, pts)
+        return (np.abs(got - ref) / scale[:, None]).max(), 1e-12
+
     @functools.cache
     def divcurl_oracle():
         """divcurl's n = 4 oracle, made by the warm-up call."""
@@ -316,7 +346,9 @@ def cases(scale: float):
     checks = {"hminus1": check_hminus1, "mu_minus_k_field": check_mu_minus_k,
               "grad_psi0_on_grid": check_grad_on_grid,
               **{f"solve_collocation_{n}": functools.partial(check_collocation, side_of(n))
-                 for n in (4, 8)}}
+                 for n in (4, 8)},
+              "multipole_part_grad": lambda: check_part_grad(divcurl_oracle(), beside),
+              "multipole_part_grad_sweep": lambda: check_part_grad(*sweep_oracle())}
     return {name: (shape, call, checks.get(name)) for name, (shape, call) in table.items()}
 
 
