@@ -15,7 +15,6 @@ and the fixed-point arithmetic read directly, and exposes them as the
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,15 +284,6 @@ def multipliers(shape: tuple[int, int], h: float, cols: slice = slice(None)):
     if ny % 2 == 0:
         k2[:, col == ny // 2] = np.inf
     return kx, ky, kx / k2, ky / k2
-
-
-@functools.lru_cache(maxsize=4)
-def gradient_multipliers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, ...]:
-    """``multipliers`` on every column, cached per grid and read-only."""
-    out = multipliers(shape, h)
-    for a in out:
-        a.flags.writeable = False
-    return out
 
 
 def bilinear_stencil(origin: float, h: float, n: int, c: np.ndarray):

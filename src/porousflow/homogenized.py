@@ -4,9 +4,9 @@ for disk inclusions (``M_DISK``).
 Solved by the fixed-point iteration grad psi_n = grad Delta^{-1} f -
 L[grad psi_{n-1}] with L g = grad Delta^{-1} div(k M g), which contracts for
 small sup k. L has two backends: the Fourier multiplier xi (xi.g_hat)/|xi|^2
-on the padded periodic grid (``apply_l_spectral``, multipliers cached per
-grid) and a direct principal-value quadrature of the second-derivative
-kernel, the independent cross-check. The volume-fraction correction
+on the padded periodic grid (``apply_l_spectral``) and a direct
+principal-value quadrature of the second-derivative kernel, the independent
+cross-check. The volume-fraction correction
 phi = -div Delta^{-1}(k M grad psi) and its gradient have one quadrature,
 ``correction``; phi on a probe grid whose spacing is a whole multiple of k's
 (divcurl's probe) is a convolution where that is less work than the direct
@@ -43,7 +43,6 @@ from .fields import (
     ScalarGridField,
     VectorGridField,
     check_padding,
-    gradient_multipliers,
     irfft2_rows,
     multipliers,
     rfft2_rows,
@@ -89,17 +88,17 @@ def _support_box(g: VectorGridField, k) -> tuple[slice, slice]:
 def _l_on_grid(p: np.ndarray, k, h: float, box) -> np.ndarray:
     """L p on the whole grid (2, nx, ny) for p (2, bx, by) on k's support box:
     w = k M p in a whole-grid buffer that is zero off the box, transformed
-    over the rows of k only (``fields.rfft2_rows``), times the cached
-    ``fields.gradient_multipliers``, and inverted. Killing the zero mode
-    forces a zero box mean, whereas the free-space field of a density with
-    integral P has box mean P/(2 |box|) (the kernel integrated over a large
-    disk contributes exactly P/2); that constant is added so that L p follows
-    the decay-at-infinity convention. The mean is the whole-grid sum, which
+    over the rows of k only (``fields.rfft2_rows``), times
+    ``fields.multipliers``, and inverted. Killing the zero mode forces a zero
+    box mean, whereas the free-space field of a density with integral P has
+    box mean P/(2 |box|) (the kernel integrated over a large disk contributes
+    exactly P/2); that constant is added so that L p follows the
+    decay-at-infinity convention. The mean is the whole-grid sum, which
     rounds differently from a sum over the box alone."""
     w = np.zeros((2,) + k.shape)
     np.multiply(p, M_DISK * k.values[box], out=w[(slice(None),) + box])
     mean = w.sum(axis=(1, 2)) / (2.0 * w[0].size)  # P / (2 |box|), P = h^2 sum w
-    kx, ky, mx, my = gradient_multipliers(k.shape, h)
+    kx, ky, mx, my = multipliers(k.shape, h)
     spec = rfft2_rows(w, box[0])
     div_hat = mx * spec[0]
     div_hat += np.multiply(my, spec[1], out=spec[1])

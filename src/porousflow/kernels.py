@@ -22,28 +22,30 @@ Targets go in blocks of at most ``PAIR_BUDGET`` pairs, so memory stays bounded.
 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and 1 << 14 (2-core VM).
 
 Far sums interpolate on Chebyshev nodes, as in the black-box FMM (Fong &
-Darve 2009), without ``own`` and for targets that are not the sources. With r
-a box's half-widths and dist the least distance from it to the singularities
-of K(t - s) (any m and blob, and Delta K), none lies inside each axis's
-Bernstein ellipse rho = u + sqrt(u^2 + 1), u = dist / r, so Lagrange
-interpolation on the p_x x p_y Chebyshev nodes of the box, p =
+Darve 2009), without ``own`` and for targets that are not the sources. Both
+sides take one distance, the gap between the targets' box and the sources'
+box, which hold every target and target node, and every source and source
+node. With r a box's half-widths and u = gap / r, no singularity of
+K(t - s) (any m and blob, and Delta K) lies inside that axis's Bernstein
+ellipse rho = u + sqrt(u^2 + 1) for t and s anywhere in their boxes, so
+Lagrange interpolation on the p_x x p_y Chebyshev nodes of either box, p =
 ceil(53 ln 2 / ln rho) + 2 per axis, reproduces K(t - s) as a function of
-the box's points to roundoff. A side takes its nodes
-when rho >= 4 on both axes, p_x p_y <= half its point count, the call has
-more than ``PAIR_BUDGET`` pairs and its box is not flat:
+that box's points to roundoff, whichever points the other side sums over. A
+side takes its nodes when rho >= 4 on both axes, p_x p_y <= half its point
+count, the call has more than ``PAIR_BUDGET`` pairs and its box is not flat:
 
-- source side: the sources' box, dist the least target distance to it. The
-  nodes with the strengths Q = Lx^T diag(q) Ly (Lx, Ly the (S, p) Lagrange
-  weights) stand for the S sources;
-- target side: the targets' box, dist its distance to the sources' box, which
-  holds every source and source node. The sum runs at the target nodes, over
-  the sources or their nodes, and out_i = sum_ab Lx[i, a] Ly[i, b] F[a, b]
-  interpolates it back to the targets.
+- source side: the nodes with the strengths Q = Lx^T diag(q) Ly (Lx, Ly the
+  (S, p) Lagrange weights) stand for the S sources;
+- target side: the sum runs at the target nodes, over the sources or their
+  nodes, and out_i = sum_ab Lx[i, a] Ly[i, b] F[a, b] interpolates it back
+  to the targets.
 
-In euler-compare (particles 5.3 from the k cells and holes: 15 x 15 nodes on
-each side) the particle -> cell and cell -> particle sums take both sides,
-particle -> hole the source side only (225 nodes are more than half of 256
-holes) and hole -> particle the target side only (likewise for its sources).
+Boxes that meet (gap 0, targets around the sources included) sum directly.
+
+In euler-compare (particles 5.3 from the k cells and holes: 14 or 15 nodes per
+axis on each side) the particle -> cell and cell -> particle sums take both
+sides, particle -> hole the source side only (196 or 225 nodes are more than
+half of 256 holes) and hole -> particle the target side only (likewise).
 
 When the targets are the sources (and no ``own``), D^m K(-z) = (-1)^m D^m K(z)
 lets one block serve both its rows and its columns, so only the upper
@@ -105,30 +107,36 @@ def laplacian_sum(targets, sources, q, blob: float) -> np.ndarray:
 def _sum(targets, sources, q, m, blob2: float, own=None) -> np.ndarray:
     zt = _coords(targets)
     zs = _coords(sources)
-    out = np.zeros((zt.shape[-1], 2) if m == q.ndim else zt.shape[-1])
+    n_t, n_s = zt.shape[-1], zs.shape[-1]
+    out = np.zeros((n_t, 2) if m == q.ndim else n_t)
     # one buffer for every block of the call, sized for its largest direct
     # block: fresh blocks are page-faulted in each time (560 minor faults per
     # 4096 x 256 m = 2 call, against none with the buffer; 2-core VM). Sized
-    # for the proxies, it left euler-compare's peak RSS 0.4 MB higher (glibc)
-    largest = min(zt.shape[-1] * zs.shape[-1], max(PAIR_BUDGET, zs.shape[-1]))
+    # for the source nodes, it left euler-compare's peak RSS 0.4 MB higher (glibc)
+    largest = min(n_t * n_s, max(PAIR_BUDGET, n_s))
     self_sum = own is None and np.array_equal(zt, zs)
     grid = None
-    if own is None and not self_sum:
-        grid = _target_grid(zt, zs)
-        zs, q = _proxies(zt, zs, q)
+    if own is None and not self_sum and n_t * n_s > PAIR_BUDGET:
+        box, s_box = _box(zt), _box(zs)
+        gap = math.hypot(*np.maximum(np.abs(box[0] - s_box[0]) - box[1] - s_box[1], 0.0))
+        grid = _far_grid(n_t, *box, gap)
+        found = _far_grid(n_s, *s_box, gap)
+        if found is not None:
+            q = _strengths(zs, q, *s_box, found[0])
+            zs = found[1]
     work = np.empty(3 * largest)
     if self_sum:
         _self_sum(out, zs, q, m, blob2, work)
     elif grid is None:
         _blocks(out, zt, zs, q, m, blob2, work, own)
     else:  # the sum at the target nodes, interpolated to the targets
-        (centre, half), p, nodes = grid
+        p, nodes = grid
         at_nodes = np.empty((nodes.shape[-1],) + out.shape[1:])
         _blocks(at_nodes, nodes, zs, q, m, blob2, work)
         # the interpolation's (T, p) arrays take the buffer's memory: held,
         # it left euler-compare's peak RSS 0.7 MB higher (glibc, 2-core VM)
         del work
-        _interpolate(out, zt, centre, half, p, at_nodes)
+        _interpolate(out, zt, *box, p, at_nodes)
     return out
 
 
@@ -156,42 +164,15 @@ def _interpolate(out, zt, centre, half, p, at_nodes) -> None:
         np.einsum("icb,ib->ic", rows, ly, out=out[sl].reshape(len(lx), -1))
 
 
-def _target_grid(zt, zs):
-    """The target side of the far path: ((centre, half), p, nodes) of the
-    targets' box (2, T), or None where the sum stays at the targets."""
-    n_t = zt.shape[-1]
-    if n_t * zs.shape[-1] <= PAIR_BUDGET:
-        return None
-    centre, half = _box(zt)
-    s_centre, s_half = _box(zs)
-    gap = np.maximum(np.abs(centre - s_centre) - half - s_half, 0.0)
-    found = _far_grid(n_t, centre, half, math.hypot(*gap))
-    return None if found is None else ((centre, half), *found)
-
-
-def _proxies(zt, zs, q):
-    """(nodes, strengths) for the targets ``zt`` (2, T): the sources ``zs``
-    (2, S) and ``q``, or the far path's Chebyshev nodes of their box and Q."""
-    n_s = zs.shape[-1]
-    # p >= 3 per axis, so p_x p_y > S / 2 below 18 sources: direct at once
-    if zt.shape[-1] * n_s <= PAIR_BUDGET or n_s < 18:
-        return zs, q
-    centre, half = _box(zs)
-    dist2 = math.inf  # over blocks of targets: no (2, T) temporaries
-    for start in range(0, zt.shape[-1], PAIR_BUDGET):
-        gap = np.abs(zt[:, start:start + PAIR_BUDGET] - centre[:, None]) - half[:, None]
-        np.maximum(gap, 0.0, out=gap)
-        dist2 = min(dist2, float(np.einsum("ij,ij->j", gap, gap).min()))
-    found = _far_grid(n_s, centre, half, math.sqrt(dist2))
-    if found is None:
-        return zs, q
-    p, nodes = found
+def _strengths(zs, q, centre, half, p):
+    """The strengths Q of the Chebyshev nodes of the box (centre, half) that
+    stand for the sources ``zs`` (2, S) with ``q``: (p_x p_y,) + q.shape[1:]."""
     lx, ly = _weights(zs, centre, half, p)
     # (c, S, p_y) for c = 1 or 2 components: with p_y, not c, as the inner
     # axis the product took 17 us instead of 185 (S = 1024, c = 2, 2-core VM)
-    weighted = q.reshape(n_s, -1).T[:, :, None] * ly
+    weighted = q.reshape(len(q), -1).T[:, :, None] * ly
     strengths = np.moveaxis(lx.T @ weighted, 0, -1)  # (p_x, p_y, c)
-    return nodes, strengths.reshape((p[0] * p[1],) + q.shape[1:])
+    return strengths.reshape((p[0] * p[1],) + q.shape[1:])
 
 
 def _box(pts):
@@ -202,8 +183,8 @@ def _box(pts):
 
 def _far_grid(n: int, centre, half, dist: float):
     """(p, nodes): per axis the p of the far path on the box (centre, half)
-    of n points with every singularity at least ``dist`` from it, and the
-    box's (2, p_x p_y) Chebyshev nodes; None where the sum stays direct (a
+    of n points at the gap ``dist`` from the other side's box, and the box's
+    (2, p_x p_y) Chebyshev nodes; None where the side stays at its points (a
     flat box, rho < 4 on an axis or p_x p_y > n / 2)."""
     p = []
     for r in half.tolist():  # Python floats: a numpy call on 2 values costs ~1 us

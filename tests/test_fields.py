@@ -184,7 +184,7 @@ def test_multipliers_on_column_blocks_are_the_whole_grid_columns(shape):
     if ny % 2 == 0:
         k2[:, -1] = np.inf
     whole = (kx, ky, kx / k2, ky / k2)
-    for got, ref in zip(fields.gradient_multipliers(shape, 0.1), whole):
+    for got, ref in zip(fields.multipliers(shape, 0.1), whole):
         assert np.array_equal(got, ref)
     for start in range(0, ny // 2 + 1, 3):
         cols = slice(start, start + 3)

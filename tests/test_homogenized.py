@@ -169,7 +169,7 @@ def _apply_l_rfft2(g, k):
     components stacked from g: the form before plane storage and row pruning,
     which took the same operations in the same order."""
     w = np.stack([g.values[..., 0], g.values[..., 1]]) * (hom.M_DISK * k.values)
-    kx, ky, mx, my = fields.gradient_multipliers(k.shape, g.h)
+    kx, ky, mx, my = fields.multipliers(k.shape, g.h)
     w_hat = np.fft.rfft2(w)
     div_hat = mx * w_hat[0] + my * w_hat[1]
     out = np.moveaxis(np.fft.irfft2(np.stack([kx * div_hat, ky * div_hat]), s=k.shape), 0, 2)
@@ -256,7 +256,7 @@ def test_box_kernel_is_the_whole_grid_kernel_on_the_kept_displacements(shape, b)
     k, g = _box_case(shape, b)
     op = hom._BoxL(g, k)
     size, extent = op.w.shape[1:], op.km.shape
-    kx, ky, mx, my = fields.gradient_multipliers(k.shape, k.h)
+    kx, ky, mx, my = fields.multipliers(k.shape, k.h)
     whole = {"xx": kx * mx, "xy": kx * my, "yy": ky * my}
     at = []
     for m, b_axis in zip(size, extent):
@@ -341,23 +341,6 @@ def test_solve_does_not_depend_on_the_layout_of_g0():
     assert a.increments == b.increments
     assert np.array_equal(a.grad.values, b.grad.values)
     assert np.array_equal(a.first_order.values, b.first_order.values)
-
-
-def test_gradient_multipliers_cache_is_bounded():
-    maxsize = fields.gradient_multipliers.cache_info().maxsize
-    assert maxsize is not None
-    for n in range(maxsize + 3):
-        fields.gradient_multipliers((16 + n, 12), 0.1)
-        assert fields.gradient_multipliers.cache_info().currsize <= maxsize
-
-
-def test_gradient_multipliers_are_read_only():
-    # one cached set is shared by every call on the grid: no caller may write it
-    for shape in ((16, 12), (15, 11)):
-        for a in fields.gradient_multipliers(shape, 0.1):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0, 0] = 1.0
 
 
 def test_solve_zero_k_converges_immediately():
@@ -502,7 +485,7 @@ def test_expansion_errors_memory_within_budget():
     # product with it on the (fast_length(2 bx - 1))^2 box, the three kernel
     # spectra there, the kernel's one-time inverse over bx rows of the grid,
     # and per scale T_c and L T_c on k's box beside L g0: measured 2.17 g0 at
-    # the peak (the grid's multipliers are no longer cached or read).
+    # the peak (the whole grid's multipliers are not read).
     # The loose 6 g0 bound is the one of the form with each spectrum on the
     # whole grid (4.4 g0); the tight 3.0 g0 leaves a 1.38x margin over 2.17 g0
     h = 1.0 / 64.0
@@ -520,14 +503,12 @@ def test_expansion_errors_memory_within_budget():
 
 
 def test_sweep_series_makes_no_whole_grid_multiplier():
-    # the homog sweep's 1024^2 grid as a fresh run sees it, the multipliers
-    # not cached: the box kernel takes them over blocks of spectral columns,
-    # so it caches none and makes no whole-grid product or transform.
-    # Measured 1.60 g0 at the peak; the whole-grid form read 2.08 g0
+    # the homog sweep's 1024^2 grid: the box kernel takes the multipliers
+    # over blocks of spectral columns, so it makes no whole-grid product or
+    # transform. Measured 1.60 g0 at the peak; the whole-grid form read 2.08 g0
     h = 1.0 / 256.0
     g0 = pot.grad_psi0_on_grid(world_f(h))
     k = world_k(1.0, h)
-    fields.gradient_multipliers.cache_clear()
     tracemalloc.start()
     try:
         rows = hom.expansion_errors(g0, k, SWEEP_NORMS)
@@ -535,7 +516,6 @@ def test_sweep_series_makes_no_whole_grid_multiplier():
     finally:
         tracemalloc.stop()
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
-    assert fields.gradient_multipliers.cache_info().currsize == 0
     assert peak < 1.8 * g0.planes.nbytes
 
 

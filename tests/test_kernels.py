@@ -162,63 +162,64 @@ def test_unsupported_kernel_raises(m, blob, q):
 
 @pytest.fixture
 def proxy_counts(monkeypatch):
-    """Per far-path decision of the pair sums: the number of proxy nodes that
-    replace the sources, or None where the sum stays direct."""
+    """Per pair sum whose sources take the far path's nodes: the number of
+    nodes that replace them."""
     seen = []
-    proxies = kernels._proxies
+    strengths = kernels._strengths
 
-    def spy(zt, zs, q):
-        nodes, strengths = proxies(zt, zs, q)
-        seen.append(None if nodes is zs else nodes.shape[1])
-        return nodes, strengths
+    def spy(zs, q, centre, half, p):
+        seen.append(p[0] * p[1])
+        return strengths(zs, q, centre, half, p)
 
-    monkeypatch.setattr(kernels, "_proxies", spy)
+    monkeypatch.setattr(kernels, "_strengths", spy)
     return seen
 
 
 @pytest.fixture
 def target_counts(monkeypatch):
-    """Per target-side decision of the pair sums: the number of nodes that
-    the sum is interpolated from, or None where it stays at the targets."""
+    """Per pair sum that runs at the targets' nodes: the number of nodes that
+    it is interpolated from."""
     seen = []
-    target_grid = kernels._target_grid
+    interpolate = kernels._interpolate
 
-    def spy(zt, zs):
-        grid = target_grid(zt, zs)
-        seen.append(None if grid is None else grid[2].shape[1])
-        return grid
+    def spy(out, zt, centre, half, p, at_nodes):
+        seen.append(p[0] * p[1])
+        interpolate(out, zt, centre, half, p, at_nodes)
 
-    monkeypatch.setattr(kernels, "_target_grid", spy)
+    monkeypatch.setattr(kernels, "_interpolate", spy)
     return seen
 
 
 GAP = 0.9375  # from [-1/2, 1/2]^2: u = GAP / (1/2) = 15/8 and rho = u + sqrt(u^2 + 1) = 4
 
 
-def threshold_case(rng, n_sources=2000):
+def threshold_case(rng, diagonal=False, n_sources=2000):
     """Sources filling [-1/2, 1/2]^2, its corners included, and 40 targets
-    at distance GAP from that box, at the far path's rho = 4 threshold: five
-    along each side (exactly GAP away) and five around each corner (GAP up
-    to roundoff, rounded outward). Every axis takes 29 nodes, 841 in all."""
+    filling a unit box beside it, at the far path's rho = 4 threshold: the
+    boxes' gap is GAP, along x (exactly), or diagonal (GAP up to roundoff,
+    rounded outward) with a target on the near corner. Both cases put five
+    targets on the near edge. The sources take 29 nodes per axis, 841 in
+    all; the targets stay direct (841 nodes are more than 40 / 2)."""
     sources = rng.random((n_sources, 2)) - 0.5
     sources[:2] = [[-0.5, -0.5], [0.5, 0.5]]
-    along = rng.random(5) - 0.5
-    angles = rng.random(5) * np.pi / 2
-    targets = []
-    for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
-        targets.append(np.stack([np.full(5, sx * (0.5 + GAP)), along], axis=1))
-        targets.append(np.stack([along, np.full(5, sy * (0.5 + GAP))], axis=1))
-        corner = 0.5 + GAP * (1 + 1e-12) * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        targets.append(corner * [sx, sy])
-    return np.concatenate(targets), sources
+    if diagonal:
+        near = np.full(2, 0.5 + GAP / math.sqrt(2.0) * (1 + 1e-12))
+    else:
+        near = np.array([0.5 + GAP, -0.5])
+    targets = rng.random((40, 2)) + near
+    targets[:2] = [near, near + 1.0]
+    targets[2:7, 0] = near[0]
+    return targets, sources
 
 
 @pytest.mark.parametrize("m,blob", [(0, 0.0), (0, 0.025), (1, 0.0), (1, 0.025), (2, 0.0)])
 @pytest.mark.parametrize("complex_q", [False, True])
-def test_far_path_matches_dense_reference_at_threshold(m, blob, complex_q, proxy_counts):
+@pytest.mark.parametrize("diagonal", [False, True], ids=["side", "diagonal"])
+def test_far_path_matches_dense_reference_at_threshold(m, blob, complex_q, diagonal,
+                                                       proxy_counts):
     # m = 1 takes q (S,) when real and q (S, 2) when complex; mixed signs
     rng = np.random.default_rng(200 + 10 * m + complex_q)
-    targets, sources = threshold_case(rng)
+    targets, sources = threshold_case(rng, diagonal)
     q = rng.standard_normal(sources.shape[0])
     if complex_q:
         q = q + 1j * rng.standard_normal(sources.shape[0])
@@ -227,15 +228,16 @@ def test_far_path_matches_dense_reference_at_threshold(m, blob, complex_q, proxy
 
 
 @pytest.mark.parametrize("blob", [0.0, 0.025])
-def test_far_laplacian_sum_matches_dense_reference(blob, proxy_counts):
+@pytest.mark.parametrize("diagonal", [False, True], ids=["side", "diagonal"])
+def test_far_laplacian_sum_matches_dense_reference(blob, diagonal, proxy_counts):
     rng = np.random.default_rng(7)
-    targets, sources = threshold_case(rng)
+    targets, sources = threshold_case(rng, diagonal)
     q = rng.standard_normal(sources.shape[0])
     r2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2) + blob * blob
     terms = 2.0 * blob * blob / r2**2
     got = kernels.laplacian_sum(targets, sources, q, blob)
     assert np.all(np.abs(got - terms @ q) <= 1e-14 * np.maximum(terms @ np.abs(q), 1e-300))
-    assert set(proxy_counts) == {29 * 29}
+    assert proxy_counts == [29 * 29]
 
 
 def target_threshold_case(rng, n_targets=2000):
@@ -263,7 +265,7 @@ def test_target_side_matches_dense_reference_at_threshold(m, blob, complex_q, pr
     if complex_q:
         q = q + 1j * rng.standard_normal(sources.shape[0])
     assert_matches(targets, sources, q, m, blob, tol=1e-14)
-    assert set(target_counts) == {29 * 29} and set(proxy_counts) == {None}
+    assert set(target_counts) == {29 * 29} and proxy_counts == []
 
 
 @pytest.mark.parametrize("blob", [0.0, 0.025])
@@ -308,7 +310,7 @@ def test_far_path_matches_dense_reference_at_euler_shapes(proxy_counts):
     assert_matches(cells, particles, q, 1, 0.025, tol=1e-14)
     w = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
     assert_matches(particles, cells, w, 2, tol=1e-14)
-    assert len(proxy_counts) == 2 and None not in proxy_counts
+    assert len(proxy_counts) == 2
 
 
 # the cases whose sum is interpolated from the targets' nodes: not the
@@ -321,7 +323,8 @@ TARGET_FAR = {"particles_to_cells", "cells_to_particles", "holes_to_particles", 
     ("particles_to_cells", True), ("particles_to_holes", True), ("cells_to_particles", True),
     ("holes_to_particles", False),  # 15 x 15 nodes are more than half of 256 sources
     ("own", False), ("self_sum", False), ("collinear", False), ("within_budget", False),
-    ("overlapping", False), ("below_threshold", False), ("target_below_threshold", False),
+    ("overlapping", False), ("surrounding", False), ("below_threshold", False),
+    ("target_below_threshold", False),
 ])
 def test_far_path_selection(case, far, proxy_counts, target_counts):
     # euler-compare's 1316 particles beyond its 1024 k cells and 256 holes
@@ -331,6 +334,10 @@ def test_far_path_selection(case, far, proxy_counts, target_counts):
     weights, vectors = rng.standard_normal(1316), rng.standard_normal((1316, 2))
     threshold_targets, square = threshold_case(rng)
     square_targets, above = target_threshold_case(rng)
+    # 40 targets 2 from the centre of the square, 1.29 or more from it: boxes
+    # that meet, whatever the distance from the targets to the sources
+    angles = rng.random(40) * 2.0 * np.pi
+    around = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     calls = {
         "particles_to_cells": (cells, particles, weights, 1, 0.025),
         "particles_to_holes": (holes, particles, weights, 1, 0.025),
@@ -341,21 +348,22 @@ def test_far_path_selection(case, far, proxy_counts, target_counts):
         "collinear": (cells, particles * [1.0, 0.0] + [0.0, 6.8], weights, 0),
         "within_budget": (cells[:49], particles, weights, 1, 0.025),
         "overlapping": (cells, particles - [0.0, 6.0], weights, 1, 0.025),
-        "below_threshold": (threshold_targets * (1 - 1e-9), square, rng.standard_normal(2000), 0),
+        "surrounding": (around, square, rng.standard_normal(2000), 0),
+        "below_threshold": (threshold_targets - [1e-9, 0.0], square, rng.standard_normal(2000),
+                            0),
         "target_below_threshold": (square_targets, above - [0.0, 1e-9], rng.standard_normal(300),
                                    0),
     }
     kernels.pair_sum(*calls[case])
-    assert any(count is not None for count in proxy_counts) == far
-    assert any(count is not None for count in target_counts) == (case in TARGET_FAR)
+    assert bool(proxy_counts) == far
+    assert bool(target_counts) == (case in TARGET_FAR)
 
 
 def test_far_path_decision_memory_bounded():
-    # oracle-sweep's 229k probe points about 25 hole centers: with 18 or more
-    # sources the far-path decision measures the targets' distance to the
-    # sources' box, over blocks of targets, so beside the targets' (2, T) copy
-    # and the output only block-sized arrays are held (a (2, T) temporary
-    # would add 3.7 MB each)
+    # oracle-sweep's 229k probe points about 25 hole centers: the far-path
+    # decision takes the gap between the targets' and the sources' boxes, so
+    # beside the targets' (2, T) copy and the output only block-sized arrays
+    # are held (a (2, T) temporary would add 3.7 MB each)
     rng = np.random.default_rng(5)
     centers = build_lattice(5, 0.05, Box(0.0, 0.0, 1.0, 1.0)).centers
     targets = rng.random((229_312, 2)) * 1.5 - 0.25
@@ -422,7 +430,7 @@ def _multipole_grad_case(rng):
 
 
 def _far_sum_case(rng):
-    """The particles' velocity at k cells far from them (the proxy path)."""
+    """The particles' velocity at k cells far from them (the far path)."""
     particles = rng.random((1316, 2)) + [0.0, 6.3]
     q = rng.standard_normal(1316)
     targets = rng.random((12 * kernels.PAIR_BUDGET // 1316 + 5, 2))

@@ -27,8 +27,8 @@ def test_every_case_runs_tiny(capsys):
     assert "apply_l_spectral" in names and "grad_psi0_on_grid" in names
     assert {"expansion_errors", "solve_psic_from_grad", "hminus1", "correction_probe"} <= set(names)
     assert {"mu_minus_k_field", "solve_collocation_4", "solve_collocation_8",
-            "multipole_part_grad", "multipole_part_grad_sweep", "step_perforated",
-            "step_homogenized"} <= set(names)
+            "solve_collocation_sweep", "multipole_part_grad", "multipole_part_grad_sweep",
+            "step_perforated", "step_homogenized"} <= set(names)
     for name in names:
         args = ["--src", str(ROOT / "src"), "--scale", "0.01", "--repeat", "1", "--case", name]
         assert layers.main(args) == 0
@@ -44,8 +44,9 @@ def test_every_case_runs_tiny(capsys):
 def test_check_compares_with_the_references_tiny(capsys, monkeypatch):
     layers = _load_layers()
     checked = [name for name, (_, _, check) in layers.cases(0.01).items() if check]
-    assert checked == ["grad_psi0_on_grid", "mu_minus_k_field", "hminus1",
-                       "solve_collocation_4", "solve_collocation_8", "multipole_part_grad",
+    assert checked == ["grad_psi0_eval_far", "k2_kernel_sum_far", "dipole_sum_grad_far",
+                       "grad_psi0_on_grid", "mu_minus_k_field", "hminus1", "solve_collocation_4",
+                       "solve_collocation_8", "solve_collocation_sweep", "multipole_part_grad",
                        "multipole_part_grad_sweep"]
     assert layers.main(["--src", str(ROOT / "src"), "--scale", "0.01", "--check"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]

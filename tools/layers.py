@@ -19,14 +19,16 @@ case. ``--scale`` multiplies every point count and every grid's cell count
 ``--check`` compares each case that has a reference with it on the same
 inputs instead of timing it, and prints the largest relative difference and
 the tolerance of the case's tier-1 test; it exits 1 when a case exceeds it.
-The references: ``hminus1`` as the complex ``fft2`` sum over the field's
-whole periodic box, ``mu_minus_k_field`` as ``rasterize_mu`` on the whole
-padded world grid less k sampled at every cell, ``grad_psi0_on_grid`` as
-``grad_psi0_eval`` at 4096 random cells, each ``solve_collocation`` as
-the dense ``numpy.linalg.lstsq`` fit of the per-hole-centered basis
-(a/r)^m cos(m t), (a/r)^m sin(m t), and each ``multipole_part_grad`` as the
-contraction of every basis column's materialized gradient at 4096 sampled
-points (the tier-1 tests ask 1e-13, bit-for-bit equality, 1e-13 of
+The references: each ``_far`` pair sum as the dense sum of the tests'
+``dense_reference`` at 512 sampled targets, ``hminus1`` as the complex
+``fft2`` sum over the field's whole periodic box, ``mu_minus_k_field`` as
+``rasterize_mu`` on the whole padded world grid less k sampled at every
+cell, ``grad_psi0_on_grid`` as ``grad_psi0_eval`` at 4096 random cells, each
+``solve_collocation`` as the dense ``numpy.linalg.lstsq`` fit of the
+per-hole-centered basis (a/r)^m cos(m t), (a/r)^m sin(m t), and each
+``multipole_part_grad`` as the contraction of every basis column's
+materialized gradient at 4096 sampled points (the tier-1 tests ask 1e-14 of
+each target's sum of |term|, 1e-13, bit-for-bit equality, 1e-13 of
 max|grad|, 1e-12 of max|coefficient| and 1e-12 of each point's sum of
 |term|).
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
@@ -106,11 +108,11 @@ def cases(scale: float):
     1024 k cells 5.3 away, its 256 lattice holes' dipole gradient at them and
     one RK4 step of each of its closures, divcurl's
     4096 probes, its world grid, its n = 16 mu - k field and phi on its probe
-    grid from that k, its oracle fits at
-    16 and 64 holes and the n = 4 oracle's hole gradients at 100k points
-    beside the lattice, oracle-sweep's hole gradients at its a/d = 0.05 probe
-    cells, and homog-sweep's 1024^2 grid with its source, its largest k and
-    its three k norms. ``check`` is None, or gives (the largest relative
+    grid from that k, its oracle fits at 16 and 64 holes and the n = 4
+    oracle's hole gradients at 100k points beside the lattice, oracle-sweep's
+    point-vortex fit at a/d = 0.05 and its hole gradients at the probe cells,
+    and homog-sweep's 1024^2 grid with its source, its largest k and its
+    three k norms. ``check`` is None, or gives (the largest relative
     difference from the case's reference, the tolerance of its tier-1 test)."""
     from porousflow import analysis, cli, euler, fields, homogenized, oracle, potential
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
@@ -231,6 +233,11 @@ def cases(scale: float):
 
     def check_collocation(n):
         config, world, _ = divcurl_lattice(n)
+        return check_fit(world, config, collocation(n))
+
+    def check_fit(source, config, sol):
+        """The fit ``sol`` of ``source`` against the dense lstsq fit of the
+        centered basis on the collocation rings of ``config``."""
         pts = config.boundary_points(oracle.POINTS)
         d = pts[:, None, :] - config.centers[None, :, :]
         t = np.arctan2(d[..., 1], d[..., 0])[..., None] * np.arange(1, oracle.ORDER + 1)
@@ -239,11 +246,10 @@ def cases(scale: float):
         basis = np.stack([radial * np.cos(t), radial * np.sin(t)], axis=3).reshape(
             config.n_holes, oracle.POINTS, -1)
         basis -= basis.mean(axis=1, keepdims=True)
-        psi0 = potential.psi0_eval(world, pts).reshape(config.n_holes, oracle.POINTS)
+        psi0 = potential.psi0_eval(source, pts).reshape(config.n_holes, oracle.POINTS)
         rhs = (psi0.mean(axis=1, keepdims=True) - psi0).ravel()
         ref = np.linalg.lstsq(basis.reshape(rhs.size, -1), rhs, rcond=None)[0]
-        got = collocation(n).coeffs.ravel()
-        return np.abs(got - ref).max() / np.abs(ref).max(), 1e-12
+        return np.abs(sol.coeffs.ravel() - ref).max() / np.abs(ref).max(), 1e-12
 
     def check_part_grad(sol, pts):
         """The hole gradients at 4096 sampled points against the contraction of
@@ -278,16 +284,43 @@ def cases(scale: float):
         return collocation(side_of(4))
 
     @functools.cache
+    def sweep_lattice():
+        """(point source, lattice) of oracle-sweep at a/d = 0.05, 16 holes;
+        the holes scale."""
+        cfg = cli.RunConfig(SWEEP.format(n=side_of(4)))
+        return cli.source_from_config(cfg), cli.geometry_from_config(cfg, 0, epsilon=0.05)
+
+    @functools.cache
     def sweep_oracle():
         """(point-vortex oracle, probe points) of oracle-sweep at a/d = 0.05:
         the fluid cells of the kpm box inflated by 25% at h = a/4, 229k
         points at 16 holes, made by the warm-up call; points and holes scale."""
-        cfg = cli.RunConfig(SWEEP.format(n=side_of(4)))
-        config = cli.geometry_from_config(cfg, 0, epsilon=0.05)
+        config = sweep_lattice()[1]
         probe = make_grid(config.kpm_box.inflate(0.25 * config.kpm_box.width).as_tuple(),
                           config.a / 4.0 / scale**0.5)
         pts = probe.centers_flat()[fluid_mask(config, probe).ravel()]
-        return oracle.solve_collocation(cli.source_from_config(cfg), config), pts
+        return sweep_fit(), pts
+
+    def sweep_fit():
+        return oracle.solve_collocation(*sweep_lattice())
+
+    def check_far(call, targets, sources, q, m, factor, blob=0.0):
+        """The pair sum ``call`` (``factor`` times an m = 1 sum with scalar
+        ``q`` or an m = 2 sum with vector ``q``) at 512 sampled targets against
+        the dense sum of the tests' ``dense_reference``, per target relative
+        to its sum of |term|, the scale of the far path's tier-1 tests."""
+        sample = np.random.default_rng(3).choice(len(targets), min(512, len(targets)),
+                                                 replace=False)
+        dx, dy = (targets[sample, None, i] - sources[None, :, i] for i in (0, 1))
+        r2 = dx * dx + dy * dy + blob * blob
+        if m == 1:  # q_j (u, v), (u, v) = (dx, dy) / r2
+            k0, k1, size = dx / r2, dy / r2, np.abs(q)
+            ref = np.stack([k0 @ q, k1 @ q], axis=1)
+        else:  # -[[P0, P1], [P1, -P0]] q_j, (P0, P1) = (dx^2 - dy^2, 2 dx dy) / r2^2
+            k0, k1, size = (dx * dx - dy * dy) / r2**2, 2.0 * dx * dy / r2**2, np.hypot(*q.T)
+            ref = np.stack([-(k0 @ q[:, 0] + k1 @ q[:, 1]), k0 @ q[:, 1] - k1 @ q[:, 0]], axis=1)
+        scale = factor * ((np.abs(k0) + np.abs(k1)) @ size)
+        return (np.abs(call()[sample] - factor * ref) / scale[:, None]).max(), 1e-14
 
     rng = np.random.default_rng(0)
     p, n, t, c = count(1316), count(256), count(4096), count(1024)
@@ -336,6 +369,7 @@ def cases(scale: float):
         **{f"solve_collocation_{n}": (f"divcurl {side_of(n)**2} holes",
                                       functools.partial(collocation, side_of(n)))
            for n in (4, 8)},
+        "solve_collocation_sweep": (f"sweep {side_of(4)**2} holes point", sweep_fit),
         "multipole_part_grad": (f"{beside.shape[0]} pts x {side_of(4)**2} holes",
                                 lambda: oracle.multipole_part_grad(divcurl_oracle(), beside)),
         "multipole_part_grad_sweep": (f"sweep probes x {side_of(4)**2} holes",
@@ -343,10 +377,19 @@ def cases(scale: float):
         "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
         "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
-    checks = {"hminus1": check_hminus1, "mu_minus_k_field": check_mu_minus_k,
+    far = {"grad_psi0_eval_far": (cell_pts, beyond.positions, beyond.weights, 1,
+                                  1 / (2 * np.pi), beyond.blob),
+           "k2_kernel_sum_far": (beyond.positions, cell_pts, cell_w, 2,
+                                 (1 / 32) ** 2 / (2 * np.pi)),
+           "dipole_sum_grad_far": (beyond.positions, lattice.centers, vectors[:lattice.n_holes],
+                                   2, lattice.a**2)}
+    checks = {**{name: functools.partial(check_far, table[name][1], *args)
+                 for name, args in far.items()},
+              "hminus1": check_hminus1, "mu_minus_k_field": check_mu_minus_k,
               "grad_psi0_on_grid": check_grad_on_grid,
               **{f"solve_collocation_{n}": functools.partial(check_collocation, side_of(n))
                  for n in (4, 8)},
+              "solve_collocation_sweep": lambda: check_fit(*sweep_lattice(), sweep_fit()),
               "multipole_part_grad": lambda: check_part_grad(divcurl_oracle(), beside),
               "multipole_part_grad_sweep": lambda: check_part_grad(*sweep_oracle())}
     return {name: (shape, call, checks.get(name)) for name, (shape, call) in table.items()}
