@@ -24,7 +24,11 @@ sum: with w = k M q, L q = P w + mean (P the longitudinal projection, mean
 the constant of ``_l_on_grid``), so ||L q||^2 = <w, L q> - nx ny |mean|^2.
 The series keeps L of each partial sum, so the sweep's norms and the Euler
 closure's solution take no further L; the grid solve's solution and first
-iterate take one whole-grid L each.
+iterate take one whole-grid L each, from one set of multipliers. The
+increments are relative to ||grad psi_0|| over the whole grid, which
+``_fixed_point`` takes as an argument: the grid solve and the Euler closure
+take it from the g0 they hold, and the sweep, which holds g0 on k's box
+only, from ``potential.grad_psi0_on_grid``'s pass with that window.
 
 Both convolutions, L on the box and phi on the probe grid, are
 ``potential._fft_convolve``, the one zero-padded FFT convolution (Hockney &
@@ -76,29 +80,30 @@ class HomogSolution:
         return len(self.increments)
 
 
-def _support_box(g: VectorGridField, k) -> tuple[slice, slice]:
+def _support_box(k, shape) -> tuple[slice, slice]:
     """k's support box (empty for the zero k), the only part of its argument
-    that L reads, after the checks that L needs of g and k."""
+    that L reads, after the checks that L needs of k and of the ``shape``
+    of its argument's grid."""
     check_padding(k)
-    if k.shape != g.values.shape[:2]:
+    if k.shape != shape:
         raise ValueError("k and g must share the grid")
     return k.support_slices() or (slice(0, 0), slice(0, 0))
 
 
-def _l_on_grid(p: np.ndarray, k, h: float, box) -> np.ndarray:
+def _l_on_grid(p: np.ndarray, k, box, mult) -> np.ndarray:
     """L p on the whole grid (2, nx, ny) for p (2, bx, by) on k's support box:
     w = k M p in a whole-grid buffer that is zero off the box, transformed
-    over the rows of k only (``fields.rfft2_rows``), times
-    ``fields.multipliers``, and inverted. Killing the zero mode forces a zero
-    box mean, whereas the free-space field of a density with integral P has
-    box mean P/(2 |box|) (the kernel integrated over a large disk contributes
+    over the rows of k only (``fields.rfft2_rows``), times ``mult``, the
+    grid's ``fields.multipliers``, and inverted. Killing the zero mode forces
+    a zero box mean, whereas the free-space field of a density with integral
+    P has box mean P/(2 |box|) (the kernel integrated over a large disk contributes
     exactly P/2); that constant is added so that L p follows the
     decay-at-infinity convention. The mean is the whole-grid sum, which
     rounds differently from a sum over the box alone."""
     w = np.zeros((2,) + k.shape)
     np.multiply(p, M_DISK * k.values[box], out=w[(slice(None),) + box])
     mean = w.sum(axis=(1, 2)) / (2.0 * w[0].size)  # P / (2 |box|), P = h^2 sum w
-    kx, ky, mx, my = multipliers(k.shape, h)
+    kx, ky, mx, my = mult
     spec = rfft2_rows(w, box[0])
     div_hat = mx * spec[0]
     div_hat += np.multiply(my, spec[1], out=spec[1])
@@ -159,14 +164,14 @@ class _BoxL:
     sum <w, L q> - nx ny |mean|^2 (see the module docstring).
     """
 
-    def __init__(self, g: VectorGridField, k):
-        self.box = _support_box(g, k)
+    def __init__(self, k, h: float, shape):
+        self.box = _support_box(k, shape)
         self.where = (slice(None),) + self.box  # both planes on the box
         self.km = M_DISK * k.values[self.box]
         self.cells = k.values.size
         extent = self.km.shape
         size = tuple(_fast_length(2 * b - 1) for b in extent)
-        self.kernel = _box_kernel(k.shape, g.h, extent, size)
+        self.kernel = _box_kernel(k.shape, h, extent, size)
         self.w = np.zeros((2,) + size)
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
@@ -196,8 +201,8 @@ def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
     g is read on k's support box only (``_l_on_grid``), and one batched
     inverse real transform of both planes gives L g on the whole grid.
     """
-    box = _support_box(g, k)
-    out = _l_on_grid(g.planes[(slice(None),) + box], k, g.h, box)
+    box = _support_box(k, g.values.shape[:2])
+    out = _l_on_grid(g.planes[(slice(None),) + box], k, box, multipliers(k.shape, g.h))
     return VectorGridField(g.origin.copy(), g.h, np.moveaxis(out, 0, 2))
 
 
@@ -296,25 +301,27 @@ def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarr
     return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
 
 
-def _fixed_point(g0: np.ndarray, apply_l, norm, h: float, tol: float, scales=(1.0,), where=...):
+def _fixed_point(g0: np.ndarray, g0_norm: float, apply_l, norm, h: float, tol: float,
+                 scales=(1.0,)):
     """The fixed points of g = g0 - c L g, with L linear, for every scale c
     of ``scales``, as partial sums of one Neumann series.
 
     Iterate n of g <- g0 - c L g from g = g0 is g0 + sum_{j=1..n} c^j p_j,
     with p_0 = g0 and p_j = -L p_{j-1}, so each step applies L once for every
-    scale. ``apply_l(p)`` is L p on ``where``, the part of its argument that
-    L reads, for p given there, and ``norm(p, lp)`` is ||L p|| (l2 over the
-    whole grid) for lp = L p. Increment n of scale c is c^n ||p_n|| / ||g0||
-    (h-weighted l2). Scale c stops at its first increment below tol or after
-    MAX_ITER steps; three growing increments in a row raise RuntimeError.
-    Each scale keeps only T_c = sum_{j<n} c^j p_j and L T_c on ``where``: its
-    last iterate is g0 - c L T_c and its first g0 - c L g0. Returns (the T_c,
-    the L T_c, L g0, the increments of each scale).
+    scale. g0 is given where L reads its argument, and ``g0_norm`` is its l2
+    norm over the whole grid. ``apply_l(p)`` is L p there, for p given
+    there, and ``norm(p, lp)`` is ||L p|| (l2 over the whole grid) for
+    lp = L p. Increment n of scale c is c^n ||p_n|| / ||g0|| (h-weighted
+    l2). Scale c stops at its first increment below tol or after MAX_ITER
+    steps; three growing increments in a row raise RuntimeError. Each scale
+    keeps only T_c = sum_{j<n} c^j p_j and L T_c where L reads: its last
+    iterate is g0 - c L T_c and its first g0 - c L g0. Returns (the T_c, the
+    L T_c, L g0, the increments of each scale).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    ref = max(float(np.sqrt(np.vdot(g0, g0))) * h, 1e-300)
-    p = g0[where]
+    ref = max(g0_norm * h, 1e-300)
+    p = g0
     sums = [np.zeros_like(p) for _ in scales]
     l_sums = [np.zeros_like(p) for _ in scales]
     increments: list[list[float]] = [[] for _ in scales]
@@ -343,34 +350,46 @@ def _fixed_point(g0: np.ndarray, apply_l, norm, h: float, tol: float, scales=(1.
     return sums, l_sums, l_g0, increments
 
 
+def _l2(a: np.ndarray) -> float:
+    """The l2 norm of every value of a."""
+    return float(np.sqrt(np.vdot(a, a)))
+
+
 def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> HomogSolution:
     """The fixed point on the grid (spectral backend) from a precomputed
     free-space gradient: ``_fixed_point`` at the one scale c = 1 on k's
     box (``_BoxL``), whose solution g0 - L T and first iterate g0 - L g0 are
-    the two whole-grid applications of L (``_l_on_grid``)."""
-    op = _BoxL(psi0_grad, k)
+    the two whole-grid applications of L (``_l_on_grid``), which share one
+    set of multipliers."""
     g0, origin, h = psi0_grad.planes, psi0_grad.origin, psi0_grad.h
-    (t,), _, _, (increments,) = _fixed_point(g0, op, op.norm, h, tol, where=op.where)
-    grad = g0 - _l_on_grid(t, k, h, op.box)
-    first = g0 - _l_on_grid(g0[op.where], k, h, op.box)
+    # made before the series: made after it, they left divcurl's peak RSS
+    # 1 MB higher (glibc heap layout), before it 1 MB lower than one per L
+    mult = multipliers(k.shape, h)
+    op = _BoxL(k, h, g0.shape[1:])
+    (t,), _, _, (increments,) = _fixed_point(g0[op.where], _l2(g0), op, op.norm, h, tol)
+    grad = g0 - _l_on_grid(t, k, op.box, mult)
+    first = g0 - _l_on_grid(g0[op.where], k, op.box, mult)
     return HomogSolution(VectorGridField(origin.copy(), h, np.moveaxis(grad, 0, 2)),
                          VectorGridField(origin.copy(), h, np.moveaxis(first, 0, 2)),
                          increments)
 
 
-def expansion_errors(psi0_grad: VectorGridField, k, scales,
+def expansion_errors(g0: np.ndarray, g0_norm: float, k, scales,
                      tol: float = TOL) -> list[tuple[float, float, list[float]]]:
     """The solves with c k for every scale c of ``scales`` from one series:
     per scale, the h-weighted l2 norms of grad psi_c - grad psi_0 and of
     grad psi_c - grad psi_tilde, and the increments. Each is
-    ``solve_psic_from_grad`` with c k up to roundoff. Both norms are box
-    inner products of the sums that the series keeps (``_BoxL.norm``), with
-    no transform."""
-    op = _BoxL(psi0_grad, k)
-    h = psi0_grad.h
-    sums, l_sums, l_g0, increments = _fixed_point(psi0_grad.planes, op, op.norm, h, tol,
-                                                  scales, op.where)
-    g0 = psi0_grad.planes[op.where]
+    ``solve_psic_from_grad`` with c k up to roundoff. g0 = grad psi_0 is
+    given on k's support box (``k.support_slices()``, empty for the zero
+    k) as (2, bx, by) planes, and ``g0_norm`` is its l2 norm over the whole
+    grid: ``potential.grad_psi0_on_grid`` with that window gives both.
+    Both norms are box inner products of the sums that the series keeps
+    (``_BoxL.norm``), with no transform."""
+    op = _BoxL(k, k.h, k.shape)
+    if g0.shape != (2,) + op.km.shape:
+        raise ValueError("g0 must be given on k's support box")
+    h = k.h
+    sums, l_sums, l_g0, increments = _fixed_point(g0, g0_norm, op, op.norm, h, tol, scales)
     # psi_c - psi_0 = -c L T_c and psi_c - psi_tilde = -c L (T_c - g0)
     return [(c * op.norm(t, lt) * h, c * op.norm(t - g0, lt - l_g0) * h, incs)
             for c, t, lt, incs in zip(scales, sums, l_sums, increments)]
@@ -394,7 +413,7 @@ def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
         return _pv_on_cells(centers, km * g, k.h, centers, own)
 
     def norm(p, lp):
-        return float(np.sqrt(np.vdot(lp, lp)))
+        return _l2(lp)
 
-    _, (lt,), _, _ = _fixed_point(grad0, apply_l, norm, k.h, tol)
+    _, (lt,), _, _ = _fixed_point(grad0, _l2(grad0), apply_l, norm, k.h, tol)
     return grad0 - lt

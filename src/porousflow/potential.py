@@ -9,7 +9,10 @@ zero-padded FFT convolution over the bounding box of f's nonzero cells
 convolution, which ``homogenized`` also uses for L on k's box and for the
 correction on a probe grid; it holds one whole-box array at a time beside
 its sources and outputs, the rest in row blocks of ``fields.ROW_BLOCK``
-values. Also provides the disk-dipole correction field
+values. The homog sweep reads the gradient only on k's box, and its norm
+over the whole grid: given that window, the same pass keeps the window and
+sums each output plane's squares where it is inverted, so no whole-grid
+output is made. Also provides the disk-dipole correction field
 V^a[A](x) = a^2 A.(x-c)/|x-c|^2, summed over holes, with its exact gradient.
 """
 
@@ -110,7 +113,7 @@ def _source_sum(source, pts, m: int):
 # whole-grid evaluation via zero-padded FFT convolution
 # ---------------------------------------------------------------------------
 
-def grad_psi0_on_grid(f: ScalarGridField) -> VectorGridField:
+def grad_psi0_on_grid(f: ScalarGridField, window=None):
     """grad psi_0 sampled at every cell center of f's own grid (free space,
     exact discrete sum: identical to grad_psi0_eval at the centers up to FFT
     roundoff).
@@ -118,19 +121,41 @@ def grad_psi0_on_grid(f: ScalarGridField) -> VectorGridField:
     The sum is one zero-padded FFT convolution of f cropped to the bounding
     box of its nonzero cells, placed on the grid by the box's offset; the
     padded box is rounded up to a 2^a 3^b 5^c length per axis, where the
-    transforms are fastest."""
+    transforms are fastest.
+
+    With ``window``, a pair of slices of the grid, returns instead
+    (grad psi_0 on the window as (2, wx, wy) planes, equal bit for bit to
+    the whole-grid field there, and its l2 norm over the whole grid,
+    unweighted) from the same convolution: each output plane is read where
+    it is inverted, its squares summed over row blocks of ``ROW_BLOCK``
+    values, so no whole-grid gradient is made."""
+    scale = f.h**2 / (2.0 * np.pi)
+    where = ... if window is None else tuple(window)
+    out = np.zeros((2,) + f.values[where].shape)
+    total = 0.0  # the whole grid's sum of squares, with a window
+
+    def take(i, plane):
+        nonlocal total
+        np.multiply(plane[where], scale, out=out[i])
+        if window is None:
+            return
+        step = max(1, ROW_BLOCK // plane.shape[1])
+        for start in range(0, plane.shape[0], step):
+            block = plane[start:start + step] * scale
+            total += float(np.vdot(block, block))
+
     box = f.support_slices()
-    if box is None:
-        return VectorGridField(f.origin.copy(), f.h, np.zeros(f.shape + (2,)))
-    src = f.values[box]
-    offset = tuple(-sl.start for sl in box)
-    size = tuple(_fast_length(ns + no) for ns, no in zip(src.shape, f.shape))
-    pad = [(0, 0)] + [(0, nb - ns) for ns, nb in zip(src.shape, size)]
-    # map, unlike a loop variable, keeps no spent spectrum while making the next
-    kernel = map(lambda k: [k], _grad_kernel(src.shape, size, f.h, offset))
-    planes = _fft_convolve(np.pad(src[None], pad), src.shape[0], kernel, (2,) + f.shape)
-    planes *= f.h**2 / (2.0 * np.pi)
-    return VectorGridField(f.origin.copy(), f.h, np.moveaxis(planes, 0, 2))
+    if box is not None:
+        src = f.values[box]
+        offset = tuple(-sl.start for sl in box)
+        size = tuple(_fast_length(ns + no) for ns, no in zip(src.shape, f.shape))
+        pad = [(0, 0)] + [(0, nb - ns) for ns, nb in zip(src.shape, size)]
+        # map, unlike a loop variable, keeps no spent spectrum while making the next
+        kernel = map(lambda k: [k], _grad_kernel(src.shape, size, f.h, offset))
+        _fft_convolve(np.pad(src[None], pad), src.shape[0], kernel, (2,) + f.shape, take)
+    if window is None:
+        return VectorGridField(f.origin.copy(), f.h, np.moveaxis(out, 0, 2))
+    return out, float(np.sqrt(total))
 
 
 def _fast_length(n: int) -> int:
@@ -181,7 +206,7 @@ def _grad_kernel(n_src, size, h, offset):
         del spec  # the caller's is freed before the next is made
 
 
-def _fft_convolve(padded, rows: int, kernel, out_shape) -> np.ndarray:
+def _fft_convolve(padded, rows: int, kernel, out_shape, take=None) -> np.ndarray | None:
     """The one zero-padded FFT convolution: output i of the returned array
     of ``out_shape`` (n_out, nx, ny) sums source plane j of ``padded`` (n, Mx, My),
     zero but on its first ``rows`` rows and own columns, convolved with
@@ -189,20 +214,26 @@ def _fft_convolve(padded, rows: int, kernel, out_shape) -> np.ndarray:
     box) of its kernel from each source, the first of which is overwritten
     with the output's spectrum (a generator makes one output's at a time).
     The sources are transformed over their rows only, the outputs inverted
-    over theirs in that spectrum's memory."""
+    over theirs in that spectrum's memory. With ``take``, no output array
+    is made: ``take(i, plane)`` is given each output as that view, valid
+    until it returns, and None is returned."""
     spec = rfft2_rows(padded, slice(0, rows))
     my = padded.shape[2]
     del padded  # a padded copy made for the call is freed here
-    out = np.empty(out_shape)
+    out = None
+    if take is None:
+        out = np.empty(out_shape)
+        take = out.__setitem__
+    n_out, nx, ny = out_shape
     kernel = iter(kernel)  # zip would hold the spent row while the next is made
-    for plane in out:
+    for i in range(n_out):
         row = next(kernel)
         prod = row[0]
         # the source spectrum first: swapped complex products can round differently
         np.multiply(spec[0], prod, out=prod)
         for s, k in zip(spec[1:], row[1:]):
             prod += s * k
-        plane[...] = irfft2_rows(prod, my, slice(0, out.shape[1]))[:, :out.shape[2]]
+        take(i, irfft2_rows(prod, my, slice(0, nx))[:, :ny])
         del row, prod  # freed before the next output's spectra are made
     return out
 

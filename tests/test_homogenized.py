@@ -196,7 +196,7 @@ def _check_box_operator(k, g):
     its convolution on the box, and its norm as the box sum <w, L q> with the
     mean's nx ny |mean|^2 taken off."""
     full = hom.apply_l_spectral(g, k).planes
-    op = hom._BoxL(g, k)
+    op = hom._BoxL(k, g.h, g.values.shape[:2])
     q = g.planes[op.where]
     lq = op(q)
     on_box = full[op.where]
@@ -228,7 +228,7 @@ def test_box_operator_at_the_minimal_padding():
     k = make_grid((0.0, 0.0, n * h, n * h), h)
     k.values[b: 2 * b, b: 2 * b] = 0.05 * (0.5 + rng.random((b, b)))
     g = VectorGridField(k.origin, h, 1.0 + rng.standard_normal((n, n, 2)))
-    op = hom._BoxL(g, k)
+    op = hom._BoxL(k, g.h, g.values.shape[:2])
     assert op.km.shape == (b, b) and op.w.shape[1:] == (2 * b, 2 * b)  # fast lengths of 2b - 1
     _check_box_operator(k, g)
 
@@ -254,7 +254,7 @@ def test_box_kernel_is_the_whole_grid_kernel_on_the_kept_displacements(shape, b)
     # every displacement |d| < b per axis, wrapped to the back when
     # negative, and 0 at the box's other cells
     k, g = _box_case(shape, b)
-    op = hom._BoxL(g, k)
+    op = hom._BoxL(k, g.h, g.values.shape[:2])
     size, extent = op.w.shape[1:], op.km.shape
     kx, ky, mx, my = fields.multipliers(k.shape, k.h)
     whole = {"xx": kx * mx, "xy": kx * my, "yy": ky * my}
@@ -311,7 +311,7 @@ def test_box_kernel_over_column_blocks_is_the_whole_grid_form_bit_for_bit(shape,
     if cols is not None:
         monkeypatch.setattr(hom, "ROW_BLOCK", cols * shape[0])
     k, g = _box_case(shape, b)
-    op = hom._BoxL(g, k)
+    op = hom._BoxL(k, g.h, g.values.shape[:2])
     (xx, xy), (_, yy) = op.kernel
     ref = _whole_grid_box_kernel(k.shape, k.h, op.km.shape, op.w.shape[1:])
     for got, want in zip((xx, xy, yy), ref, strict=True):
@@ -322,12 +322,12 @@ def test_box_operator_of_the_zero_k():
     # an empty support box: an empty L p of norm 0, and one step of increment 0
     g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
     zero = make_grid(WORLD, SWEEP_H)
-    op = hom._BoxL(g0, zero)
+    op = hom._BoxL(zero, g0.h, g0.values.shape[:2])
     q = g0.planes[op.where]
     lq = op(q)
     assert lq.shape == (2, 0, 0) and op.norm(q, lq) == 0.0
-    sums, _, _, increments = hom._fixed_point(g0.planes, op, op.norm, g0.h, hom.TOL,
-                                              where=op.where)
+    g0_norm = np.sqrt(np.vdot(g0.planes, g0.planes))
+    sums, _, _, increments = hom._fixed_point(q, g0_norm, op, op.norm, g0.h, hom.TOL)
     assert increments == [[0.0]] and sums[0].size == 0
 
 
@@ -354,9 +354,12 @@ def test_solve_zero_k_converges_immediately():
 
 def test_zero_k_series_stops_after_one_step():
     # k's support box is empty: one step of increment 0, and no correction
-    g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
+    f = world_f(SWEEP_H)
+    g0 = pot.grad_psi0_on_grid(f)
     zero = make_grid(WORLD, SWEEP_H)
-    assert hom.expansion_errors(g0, zero, SWEEP_NORMS) == [(0.0, 0.0, [0.0])] * 3
+    assert hom.expansion_errors(*sweep_g0(f, zero), zero, SWEEP_NORMS) == [(0.0, 0.0, [0.0])] * 3
+    with pytest.raises(ValueError, match="support box"):  # g0 on another k's box
+        hom.expansion_errors(*sweep_g0(f, world_k(1.0, SWEEP_H)), zero, SWEEP_NORMS)
     sol = hom.solve_psic_from_grad(g0, zero)
     assert sol.increments == [0.0]
     assert np.array_equal(sol.grad.values, g0.values)
@@ -468,9 +471,16 @@ SWEEP_H = 1.0 / 32.0  # the grid of the CLI tests' homog sweep
 SWEEP_NORMS = (0.01, 0.02, 0.04)
 
 
+def sweep_g0(f, k):
+    """(g0 on k's support box, ||g0|| over the whole grid), as the sweep
+    takes them from f; the empty box for the zero k."""
+    return pot.grad_psi0_on_grid(f, window=k.support_slices() or (slice(0, 0),) * 2)
+
+
 def test_sweep_matches_the_per_norm_reference():
-    g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
-    rows = hom.expansion_errors(g0, world_k(1.0, SWEEP_H), SWEEP_NORMS, tol=1e-10)
+    f, k = world_f(SWEEP_H), world_k(1.0, SWEEP_H)
+    g0 = pot.grad_psi0_on_grid(f)
+    rows = hom.expansion_errors(*sweep_g0(f, k), k, SWEEP_NORMS, tol=1e-10)
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
     for knorm, (err0, errt, incs) in zip(SWEEP_NORMS, rows):
         grad, first, ref_incs = _spectral_reference(g0, world_k(knorm, SWEEP_H), 1e-10)
@@ -478,6 +488,41 @@ def test_sweep_matches_the_per_norm_reference():
         _assert_close(incs, ref_incs)
         assert err0 == pytest.approx(np.sqrt(((grad - g0.values) ** 2).sum()) * SWEEP_H, rel=1e-12)
         assert errt == pytest.approx(np.sqrt(((grad - first) ** 2).sum()) * SWEEP_H, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["sweep", "edge", "zero_f"])
+def test_windowed_gradient_is_the_whole_grid_gradient_on_the_window(case):
+    # the sweep's g0 on k's box, a window on the grid's first rows and last
+    # columns, and the zero f: the window bit for bit, the norm to roundoff
+    f, k = world_f(SWEEP_H), world_k(1.0, SWEEP_H)
+    window = k.support_slices()
+    if case == "edge":
+        window = (slice(0, 40), slice(100, f.shape[1]))
+    elif case == "zero_f":
+        f.values[...] = 0.0
+    whole = pot.grad_psi0_on_grid(f).planes
+    g0, g0_norm = pot.grad_psi0_on_grid(f, window=window)
+    assert np.array_equal(g0, whole[(slice(None),) + window])
+    ref = np.sqrt(np.vdot(whole, whole))
+    assert abs(g0_norm - ref) <= 2e-15 * ref
+    assert (ref == 0.0) == (case == "zero_f")
+
+
+def test_sweep_from_f_memory_within_budget():
+    # the homog sweep's 1024^2 grid, from f: the gradient on k's box with its
+    # whole-grid norm, then the series. Measured 1.67 whole-grid g0 at the
+    # peak; with the whole-grid g0 made and held through the series, 2.61
+    h = 1.0 / 256.0
+    f, k = world_f(h), world_k(1.0, h)
+    whole = 2 * k.values.nbytes  # a whole-grid g0
+    tracemalloc.start()
+    try:
+        rows = hom.expansion_errors(*sweep_g0(f, k), k, SWEEP_NORMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
+    assert peak < 2.0 * whole
 
 
 def test_expansion_errors_memory_within_budget():
@@ -489,17 +534,18 @@ def test_expansion_errors_memory_within_budget():
     # The loose 6 g0 bound is the one of the form with each spectrum on the
     # whole grid (4.4 g0); the tight 3.0 g0 leaves a 1.38x margin over 2.17 g0
     h = 1.0 / 64.0
-    g0 = pot.grad_psi0_on_grid(world_f(h))
     k = world_k(1.0, h)
+    g0 = sweep_g0(world_f(h), k)
+    whole = 2 * k.values.nbytes  # a whole-grid g0
     tracemalloc.start()
     try:
-        rows = hom.expansion_errors(g0, k, SWEEP_NORMS)
+        rows = hom.expansion_errors(*g0, k, SWEEP_NORMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
-    assert peak < 6 * g0.planes.nbytes
-    assert peak < 3.0 * g0.planes.nbytes
+    assert peak < 6 * whole
+    assert peak < 3.0 * whole
 
 
 def test_sweep_series_makes_no_whole_grid_multiplier():
@@ -507,16 +553,17 @@ def test_sweep_series_makes_no_whole_grid_multiplier():
     # over blocks of spectral columns, so it makes no whole-grid product or
     # transform. Measured 1.60 g0 at the peak; the whole-grid form read 2.08 g0
     h = 1.0 / 256.0
-    g0 = pot.grad_psi0_on_grid(world_f(h))
     k = world_k(1.0, h)
+    g0 = sweep_g0(world_f(h), k)
+    whole = 2 * k.values.nbytes  # a whole-grid g0
     tracemalloc.start()
     try:
-        rows = hom.expansion_errors(g0, k, SWEEP_NORMS)
+        rows = hom.expansion_errors(*g0, k, SWEEP_NORMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
-    assert peak < 1.8 * g0.planes.nbytes
+    assert peak < 1.8 * whole
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-3])

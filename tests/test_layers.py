@@ -44,10 +44,11 @@ def test_every_case_runs_tiny(capsys):
 def test_check_compares_with_the_references_tiny(capsys, monkeypatch):
     layers = _load_layers()
     checked = [name for name, (_, _, check) in layers.cases(0.01).items() if check]
-    assert checked == ["grad_psi0_eval_far", "k2_kernel_sum_far", "dipole_sum_grad_far",
-                       "grad_psi0_on_grid", "mu_minus_k_field", "hminus1", "solve_collocation_4",
-                       "solve_collocation_8", "solve_collocation_sweep", "multipole_part_grad",
-                       "multipole_part_grad_sweep"]
+    assert checked == ["grad_psi0_eval", "grad_psi0_eval_far", "k2_kernel_sum_far",
+                       "dipole_sum_grad_far", "k2_kernel_sum", "k1_kernel_sum", "psi0_eval_grid",
+                       "grad_psi0_on_grid", "expansion_errors", "mu_minus_k_field", "hminus1",
+                       "solve_collocation_4", "solve_collocation_8", "solve_collocation_sweep",
+                       "multipole_part_grad", "multipole_part_grad_sweep"]
     assert layers.main(["--src", str(ROOT / "src"), "--scale", "0.01", "--check"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [row.split()[0] for row in rows] == checked

@@ -12,25 +12,30 @@ the order of the cases.
 repository's), so two trees can be measured in alternation, each in a fresh
 interpreter. Every case calls a public function that older trees have with
 the same arguments (most are names that ``bench/tracer.py`` pins), so the
-script runs unchanged on them; the second column names the
+script runs unchanged on them; ``expansion_errors`` takes g0 on k's box from
+``grad_psi0_on_grid``'s window, and the whole-grid g0 on trees without
+one. The second column names the
 ``kernels.pair_sum`` shape that the call drives, or the grid of a spectral
 case. ``--scale`` multiplies every point count and every grid's cell count
 (the smoke test runs it tiny).
 ``--check`` compares each case that has a reference with it on the same
 inputs instead of timing it, and prints the largest relative difference and
 the tolerance of the case's tier-1 test; it exits 1 when a case exceeds it.
-The references: each ``_far`` pair sum as the dense sum of the tests'
-``dense_reference`` at 512 sampled targets, ``hminus1`` as the complex
+The references: each pair sum, direct or ``_far``, as the dense sum of the
+tests' ``dense_reference`` at 512 sampled targets (``psi0_eval_grid`` with
+each target's own cell as its exact integral), ``hminus1`` as the complex
 ``fft2`` sum over the field's whole periodic box, ``mu_minus_k_field`` as
 ``rasterize_mu`` on the whole padded world grid less k sampled at every
-cell, ``grad_psi0_on_grid`` as ``grad_psi0_eval`` at 4096 random cells, each
-``solve_collocation`` as the dense ``numpy.linalg.lstsq`` fit of the
-per-hole-centered basis (a/r)^m cos(m t), (a/r)^m sin(m t), and each
-``multipole_part_grad`` as the contraction of every basis column's
-materialized gradient at 4096 sampled points (the tier-1 tests ask 1e-14 of
-each target's sum of |term|, 1e-13, bit-for-bit equality, 1e-13 of
-max|grad|, 1e-12 of max|coefficient| and 1e-12 of each point's sum of
-|term|).
+cell, ``grad_psi0_on_grid`` as ``grad_psi0_eval`` at 4096 random cells,
+``expansion_errors`` as ``solve_psic_from_grad`` with c k per scale, its
+norms over the whole grid, each ``solve_collocation`` as the dense
+``numpy.linalg.lstsq`` fit of the per-hole-centered basis (a/r)^m cos(m t),
+(a/r)^m sin(m t), and each ``multipole_part_grad`` as the contraction of
+every basis column's materialized gradient at 4096 sampled points (the
+tier-1 tests ask 1e-12 of each target's sum of |term| directly and 1e-14 on
+the far path, 1e-13, bit-for-bit equality, 1e-13 of max|grad|, 1e-12 of
+each norm and of the largest increment, 1e-12 of max|coefficient| and 1e-12
+of each point's sum of |term|).
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
 script starts run with BLAS pinned to one thread, as in ``bench/run.py``, and
 with glibc's mmap and trim thresholds fixed (``MALLOC_VARS``), so arrays
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import os
 import resource
 import statistics
@@ -123,13 +129,31 @@ def cases(scale: float):
 
     side = max(round(1024 * scale**0.5), 16)
 
+    # the scales of the sweep's largest k that give its k norms 0.01, 0.02, 0.04
+    sweep_scales = (0.25, 0.5, 1.0)
+
     @functools.cache
     def sweep_grid():
-        """(f, grad psi_0, k) on the homog sweep's grid, made by the warm-up call."""
+        """(f, k) on the homog sweep's grid, made by the warm-up call."""
         world, h = (-2.0, -2.0, 2.0, 2.0), 4.0 / side
         f = rasterize(world, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         k = rasterize(world, h, radial_bump((0.0, 0.0), 0.5, 0.04, power=3))
-        return f, potential.grad_psi0_on_grid(f), k
+        return f, k
+
+    @functools.cache
+    def sweep_gradient():
+        """grad psi_0 on the whole sweep grid, made by the warm-up call."""
+        return potential.grad_psi0_on_grid(sweep_grid()[0])
+
+    @functools.cache
+    def sweep_g0():
+        """The sweep's g0 arguments of ``expansion_errors``, made by the
+        warm-up call: g0 on k's box and its whole-grid norm, or, on trees
+        whose ``grad_psi0_on_grid`` takes no window, the whole-grid g0."""
+        f, k = sweep_grid()
+        if "window" in inspect.signature(potential.grad_psi0_on_grid).parameters:
+            return potential.grad_psi0_on_grid(f, window=k.support_slices())
+        return (sweep_gradient(),)
 
     def check_grad_on_grid():
         f = sweep_grid()[0]
@@ -144,8 +168,28 @@ def cases(scale: float):
         that cache the grid's multipliers, the cache is cleared first."""
         if hasattr(getattr(fields, "gradient_multipliers", None), "cache_clear"):
             fields.gradient_multipliers.cache_clear()
-        # the scales of the largest k that give the sweep's k norms 0.01, 0.02, 0.04
-        return homogenized.expansion_errors(*sweep_grid()[1:], (0.25, 0.5, 1.0))
+        return homogenized.expansion_errors(*sweep_g0(), sweep_grid()[1], sweep_scales)
+
+    def check_sweep_series():
+        """Each scale's norms and increments against ``solve_psic_from_grad``
+        with c k from the whole-grid g0, the norms taken over the whole grid:
+        relative to each norm, and to the largest increment (the tier-1
+        test's scales)."""
+        (_, k), g0 = sweep_grid(), sweep_gradient()
+        worst = 0.0
+        for c, (err0, errt, incs) in zip(sweep_scales, sweep_series()):
+            sol = homogenized.solve_psic_from_grad(g0, ScalarGridField(k.origin, k.h,
+                                                                       c * k.values))
+            if len(incs) != sol.iterations:
+                return np.inf, 1e-12
+            grad = sol.grad.planes
+            for got, other in ((err0, g0.planes), (errt, sol.first_order.planes)):
+                diff = grad - other
+                ref = np.sqrt(np.vdot(diff, diff)) * k.h
+                worst = max(worst, abs(got - ref) / ref)
+            ref = np.array(sol.increments)
+            worst = max(worst, np.abs(np.array(incs) - ref).max() / ref.max())
+        return worst, 1e-12
 
     def side_of(n):
         """The lattice side n with its hole count scaled, rounded down."""
@@ -304,23 +348,60 @@ def cases(scale: float):
     def sweep_fit():
         return oracle.solve_collocation(*sweep_lattice())
 
-    def check_far(call, targets, sources, q, m, factor, blob=0.0):
-        """The pair sum ``call`` (``factor`` times an m = 1 sum with scalar
-        ``q`` or an m = 2 sum with vector ``q``) at 512 sampled targets against
-        the dense sum of the tests' ``dense_reference``, per target relative
-        to its sum of |term|, the scale of the far path's tier-1 tests."""
-        sample = np.random.default_rng(3).choice(len(targets), min(512, len(targets)),
-                                                 replace=False)
-        dx, dy = (targets[sample, None, i] - sources[None, :, i] for i in (0, 1))
+    def sample_of(n):
+        """512 fixed random indices of n targets (all of fewer)."""
+        return np.random.default_rng(3).choice(n, min(512, n), replace=False)
+
+    def dense(targets, sources, q, m, blob=0.0, own=None):
+        """(the dense sum of the tests' ``dense_reference`` with the real
+        strengths q of an m = 0, 1 or 2 row of ``kernels.py``'s table, each
+        target's sum of |term|) at ``targets``; z = 0 without a blob and
+        source ``own[i]`` for target i drop out."""
+        dx, dy = (targets[:, None, i] - sources[None, :, i] for i in (0, 1))
         r2 = dx * dx + dy * dy + blob * blob
-        if m == 1:  # q_j (u, v), (u, v) = (dx, dy) / r2
-            k0, k1, size = dx / r2, dy / r2, np.abs(q)
-            ref = np.stack([k0 @ q, k1 @ q], axis=1)
+        drop = r2 == 0.0
+        if own is not None:
+            drop[np.arange(len(own)), own] = True
+        if m == 0:  # q_j log(r2) / 2
+            k0 = 0.5 * np.log(np.where(drop, 1.0, r2))
+            return k0 @ q, np.abs(k0) @ np.abs(q)
+        r2[drop] = np.inf  # a dropped pair's terms vanish
+        if m == 1:  # q_j (u, v), or q_j . (u, v), with (u, v) = (dx, dy) / r2
+            k0, k1 = dx / r2, dy / r2
+            if q.ndim == 1:
+                ref, size = np.stack([k0 @ q, k1 @ q], axis=1), np.abs(q)
+            else:
+                ref, size = k0 @ q[:, 0] + k1 @ q[:, 1], np.hypot(*q.T)
         else:  # -[[P0, P1], [P1, -P0]] q_j, (P0, P1) = (dx^2 - dy^2, 2 dx dy) / r2^2
             k0, k1, size = (dx * dx - dy * dy) / r2**2, 2.0 * dx * dy / r2**2, np.hypot(*q.T)
             ref = np.stack([-(k0 @ q[:, 0] + k1 @ q[:, 1]), k0 @ q[:, 1] - k1 @ q[:, 0]], axis=1)
-        scale = factor * ((np.abs(k0) + np.abs(k1)) @ size)
-        return (np.abs(call()[sample] - factor * ref) / scale[:, None]).max(), 1e-14
+        return ref, (np.abs(k0) + np.abs(k1)) @ size
+
+    def check_pairs(call, tol, targets, sources, q, m, factor, blob=0.0):
+        """The pair sum ``call``, ``factor`` times the m sum of ``dense``, at
+        512 sampled targets, per target relative to its sum of |term| (the
+        scale of the tier-1 tests: 1e-12 direct, 1e-14 on the far path)."""
+        sample = sample_of(len(targets))
+        ref, scale = dense(targets[sample], sources, q, m, blob)
+        return (np.abs(call()[sample] - factor * ref).T / (factor * scale)).max(), tol
+
+    def check_psi0_grid():
+        """psi0 of the grid field at 512 sampled targets: the dense m = 0 sum
+        of h^2 f over every cell but the target's own (every cell of the
+        grid is nonzero, a source in C order), plus that cell's exact
+        integral (``cell_log_integral``), per target relative to the sum of
+        both parts' |term| (the direct sums' 1e-12)."""
+        sample = sample_of(len(inside))
+        pts, h = inside[sample], grid.h
+        cell = np.floor((pts - grid.origin) / h)
+        own = cell.astype(int) @ [grid.shape[1], 1]
+        lo = cell * h + grid.origin - pts  # the own cell's corner from the target
+        vals = grid.values.ravel()
+        ref, scale = dense(pts, grid.centers_flat(), vals * h * h, 0, own=own)
+        exact = vals[own] * potential.cell_log_integral(lo[:, 0], lo[:, 0] + h,
+                                                         lo[:, 1], lo[:, 1] + h)
+        got = potential.psi0_eval(grid, inside)[sample] * (2.0 * np.pi)
+        return (np.abs(got - ref - exact) / (scale + np.abs(exact))).max(), 1e-12
 
     rng = np.random.default_rng(0)
     p, n, t, c = count(1316), count(256), count(4096), count(1024)
@@ -354,8 +435,8 @@ def cases(scale: float):
         "psi0_eval_grid": (f"m=0 own {inside.shape[0]}x{cells}",
                            lambda: potential.psi0_eval(grid, inside)),
         "smoothed_vorticity": (f"blob {t}x{p}", lambda: euler.smoothed_vorticity(parts, probes)),
-        "apply_l_spectral": (f"grid {side}x{side}",
-                             lambda: homogenized.apply_l_spectral(*sweep_grid()[1:])),
+        "apply_l_spectral": (f"grid {side}x{side}", lambda: homogenized.apply_l_spectral(
+            sweep_gradient(), sweep_grid()[1])),
         "grad_psi0_on_grid": (f"grid {side}x{side}",
                               lambda: potential.grad_psi0_on_grid(sweep_grid()[0])),
         "expansion_errors": (f"grid {side}x{side} x3 norms", sweep_series),
@@ -377,16 +458,21 @@ def cases(scale: float):
         "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
         "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
-    far = {"grad_psi0_eval_far": (cell_pts, beyond.positions, beyond.weights, 1,
-                                  1 / (2 * np.pi), beyond.blob),
-           "k2_kernel_sum_far": (beyond.positions, cell_pts, cell_w, 2,
-                                 (1 / 32) ** 2 / (2 * np.pi)),
-           "dipole_sum_grad_far": (beyond.positions, lattice.centers, vectors[:lattice.n_holes],
-                                   2, lattice.a**2)}
-    checks = {**{name: functools.partial(check_far, table[name][1], *args)
-                 for name, args in far.items()},
+    pairs = {"grad_psi0_eval": (1e-12, parts.positions, parts.positions, parts.weights, 1,
+                                1 / (2 * np.pi), parts.blob),
+             "grad_psi0_eval_far": (1e-14, cell_pts, beyond.positions, beyond.weights, 1,
+                                    1 / (2 * np.pi), beyond.blob),
+             "k2_kernel_sum_far": (1e-14, beyond.positions, cell_pts, cell_w, 2,
+                                   (1 / 32) ** 2 / (2 * np.pi)),
+             "dipole_sum_grad_far": (1e-14, beyond.positions, lattice.centers,
+                                     vectors[:lattice.n_holes], 2, lattice.a**2),
+             "k2_kernel_sum": (1e-12, probes, centers, vectors, 2, 0.01**2 / (2 * np.pi)),
+             "k1_kernel_sum": (1e-12, probes, centers, vectors, 1, 0.01**2 / (2 * np.pi))}
+    checks = {**{name: functools.partial(check_pairs, table[name][1], *args)
+                 for name, args in pairs.items()},
+              "psi0_eval_grid": check_psi0_grid,
               "hminus1": check_hminus1, "mu_minus_k_field": check_mu_minus_k,
-              "grad_psi0_on_grid": check_grad_on_grid,
+              "grad_psi0_on_grid": check_grad_on_grid, "expansion_errors": check_sweep_series,
               **{f"solve_collocation_{n}": functools.partial(check_collocation, side_of(n))
                  for n in (4, 8)},
               "solve_collocation_sweep": lambda: check_fit(*sweep_lattice(), sweep_fit()),
