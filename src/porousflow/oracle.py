@@ -68,26 +68,10 @@ class MultipoleSolution:
             raise ValueError("collocation residual must be finite")
 
 
-def _basis_matrix(config: PorousConfig, order: int, pts: np.ndarray) -> np.ndarray:
-    """Values of every multipole basis function at every point.
-
-    Column layout: hole-major, then (cos_1, sin_1, ..., cos_M, sin_M): the
-    float view of conj(w)^m = Re w^m - i Im w^m, m = 1..M, filled one hole
-    at a time, so no other array grows with npts N. Nothing in ``src``
-    calls it: it is the dense reference of ``_Basis`` in the tests.
-    """
-    zp = pts[:, 0] + 1j * pts[:, 1]
-    zc = config.centers[:, 0] + 1j * config.centers[:, 1]
-    powers = np.empty((pts.shape[0], config.n_holes, order), dtype=complex)
-    for j, c in enumerate(zc):
-        w = np.conj(config.a / (zp - c))  # |w| <= 1 on and outside the boundaries
-        np.cumprod(np.broadcast_to(w[:, None], (w.size, order)), axis=1, out=powers[:, j])
-    return powers.view(float).reshape(pts.shape[0], config.n_holes * 2 * order)
-
-
 class _Basis:
-    """The per-ring-centered ``_basis_matrix`` A as an operator on rows
+    """The per-ring-centered multipole basis A as an operator on rows
     (x -> A x, r -> A^T r) that holds only the (npts, N) map v = conj(a/(z - c)).
+    A's columns are hole-major, (cos_1, sin_1, ..., cos_M, sin_M) per hole.
     Its order-m columns, the float view of v^m, are made by p *= v on blocks
     of whole rings of about ``_FIT_BLOCK`` values: cumprod's values to an ulp,
     as numpy's contiguous complex multiply fuses a multiply-add."""

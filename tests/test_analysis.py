@@ -12,6 +12,7 @@ import pytest
 from porousflow import analysis as ana
 from porousflow.fields import ScalarGridField, make_grid
 from porousflow.geometry import Box, build_lattice, lattice_fraction, rasterize_mu
+from references import TABLE, embedded, hminus1_fft2, mu_minus_k_every_cell
 
 
 def test_hminus1_zero():
@@ -54,16 +55,6 @@ def test_hminus1_norm_axioms(rng):
         assert ana.hminus1(summed) <= na + nb + 1e-12
 
 
-def _hminus1_fft2(g):
-    """H^-1 over the full complex spectrum (fft2), every mode once: the
-    reference for the half-spectrum sum."""
-    nx, ny = g.shape
-    ghat = np.fft.fft2(g.values) * g.h**2
-    kx = 2 * np.pi * np.fft.fftfreq(nx, d=g.h)[:, None]
-    ky = 2 * np.pi * np.fft.fftfreq(ny, d=g.h)[None, :]
-    return float(np.sqrt((np.abs(ghat) ** 2 / (1.0 + kx**2 + ky**2)).sum() / (nx * ny * g.h**2)))
-
-
 @pytest.mark.parametrize("shape", [(48, 48), (45, 45), (48, 39)])
 def test_hminus1_matches_complex_fft_reference(shape):
     # even x even, odd x odd and a non-square even x odd box; a coarse h
@@ -74,7 +65,7 @@ def test_hminus1_matches_complex_fft_reference(shape):
     g.values[nx // 3: nx // 3 + nx // 4, ny // 3: ny // 3 + ny // 4] = np.random.default_rng(
         nx + ny
     ).standard_normal((nx // 4, ny // 4))
-    assert ana.hminus1(g) == pytest.approx(_hminus1_fft2(g), rel=1e-13, abs=0.0)
+    assert ana.hminus1(g) == pytest.approx(hminus1_fft2(g), rel=TABLE["hminus1"].tol, abs=0.0)
 
 
 @pytest.mark.parametrize("period", [(48, 48), (45, 45), (48, 39)])
@@ -87,9 +78,8 @@ def test_hminus1_of_a_window_matches_the_embedded_field(period):
     values = np.zeros((nx // 4 + 3, ny // 4 + 2))
     values[1:1 + nx // 4, 2:] = support
     window = ScalarGridField(np.zeros(2), 0.5, values, (nx // 3, ny // 3), period)
-    whole = ScalarGridField(np.zeros(2), 0.5, np.zeros(period))
-    whole.values[nx // 3:nx // 3 + values.shape[0], ny // 3:ny // 3 + values.shape[1]] = values
-    assert ana.hminus1(window) == pytest.approx(_hminus1_fft2(whole), rel=1e-13, abs=0.0)
+    assert ana.hminus1(window) == pytest.approx(hminus1_fft2(window), rel=TABLE["hminus1"].tol,
+                                                abs=0.0)
     window.offset = (1, 1)  # the same support too close to the box's low edges
     with pytest.raises(ValueError, match="pad"):
         ana.hminus1(window)
@@ -152,27 +142,6 @@ def test_predictor_smoothed_mu_dominated_by_aspect_and_kinf():
     assert weak < 0.2 * (budget.terms["aspect"] + budget.terms["kinf_sq"])
 
 
-def _mu_minus_k_every_cell(cfg, k, grid):
-    """mu - k on ``grid`` with k sampled at every cell. Bilinear samples are
-    pointwise, so blocks of rows give the values of one sample_bilinear call
-    on grid.centers_flat() in a fraction of its memory."""
-    xs, ys = grid.cell_centers()
-    kvals = np.empty(grid.shape)
-    for rows in np.array_split(np.arange(xs.size), 16):
-        gx, gy = np.meshgrid(xs[rows], ys, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        kvals[rows] = k.sample_bilinear(pts).reshape(gx.shape)
-    return rasterize_mu(cfg, grid).values - kvals
-
-
-def _embedded(g):
-    """The values of a window field on its whole periodic box."""
-    whole = np.zeros(g.period)
-    (ox, oy), (nx, ny) = g.offset, g.shape
-    whole[ox:ox + nx, oy:oy + ny] = g.values
-    return whole
-
-
 @pytest.mark.parametrize(
     "case", ["divcurl_n4", "divcurl_n8", "divcurl_n16", "smoothed_mu", "k_at_its_grid_edge"]
 )
@@ -208,7 +177,7 @@ def test_mu_minus_k_field_matches_sampling_every_cell(case):
     assert np.array_equal(field.origin, world.origin)
     if case.startswith("divcurl"):
         assert field.values.size < world.values.size / 4
-    assert _embedded(field).tobytes() == _mu_minus_k_every_cell(cfg, k, world).tobytes()
+    assert embedded(field).tobytes() == mu_minus_k_every_cell(cfg, k, world).tobytes()
 
 
 _PREDICTOR_N16_CHILD = """

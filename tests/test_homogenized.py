@@ -10,6 +10,7 @@ from porousflow import homogenized as hom
 from porousflow import potential as pot
 from porousflow.fields import VectorGridField, make_grid, perp, radial_bump, rasterize
 from porousflow.geometry import Box, build_lattice, lattice_fraction
+from references import TABLE, fixed_point, spectral_fixed_point, sweep_difference, sweep_reference
 
 WORLD = (-2.0, -2.0, 2.0, 2.0)
 H = 1.0 / 64.0
@@ -432,37 +433,7 @@ def test_first_order_is_the_first_iterate():
     assert np.array_equal(one.grad.values, expected)
 
 
-def _fixed_point_reference(g0, apply_l, h, tol):
-    """The fixed point iterated directly, as the reference of the series:
-    g <- g0 - apply_l(g) from g = g0, with increments ||g_new - g|| / ||g0||,
-    stopping below tol or after MAX_ITER iterations, raising on three growing
-    increments. Returns (g, first iterate, increments)."""
-    ref = max(float(np.sqrt((g0**2).sum() * h**2)), 1e-300)
-    g = g0
-    first = None
-    increments = []
-    for _ in range(hom.MAX_ITER):
-        new = g0 - apply_l(g)
-        inc = float(np.sqrt(((new - g) ** 2).sum() * h**2)) / ref
-        increments.append(inc)
-        g = new
-        if first is None:
-            first = new
-        if inc < tol:
-            break
-        if len(increments) >= 3 and increments[-1] > increments[-2] > increments[-3]:
-            raise RuntimeError("fixed point is not contracting")
-    return g, first, increments
-
-
-def _spectral_reference(g0, k, tol):
-    def apply_l(values):
-        return hom.apply_l_spectral(VectorGridField(g0.origin, g0.h, values), k).values
-
-    return _fixed_point_reference(g0.values, apply_l, g0.h, tol)
-
-
-def _assert_close(got, ref, rel=1e-12):
+def _assert_close(got, ref, rel=TABLE["expansion_errors"].tol):
     got, ref = np.asarray(got), np.asarray(ref)
     assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
@@ -479,15 +450,10 @@ def sweep_g0(f, k):
 
 def test_sweep_matches_the_per_norm_reference():
     f, k = world_f(SWEEP_H), world_k(1.0, SWEEP_H)
-    g0 = pot.grad_psi0_on_grid(f)
     rows = hom.expansion_errors(*sweep_g0(f, k), k, SWEEP_NORMS, tol=1e-10)
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
-    for knorm, (err0, errt, incs) in zip(SWEEP_NORMS, rows):
-        grad, first, ref_incs = _spectral_reference(g0, world_k(knorm, SWEEP_H), 1e-10)
-        assert len(incs) == len(ref_incs)
-        _assert_close(incs, ref_incs)
-        assert err0 == pytest.approx(np.sqrt(((grad - g0.values) ** 2).sum()) * SWEEP_H, rel=1e-12)
-        assert errt == pytest.approx(np.sqrt(((grad - first) ** 2).sum()) * SWEEP_H, rel=1e-12)
+    ref = sweep_reference(pot.grad_psi0_on_grid(f), k, SWEEP_NORMS, tol=1e-10)
+    assert sweep_difference(rows, ref) <= TABLE["expansion_errors"].tol
 
 
 @pytest.mark.parametrize("case", ["sweep", "edge", "zero_f"])
@@ -571,7 +537,7 @@ def test_solve_matches_the_reference_loop(tol):
     g0 = pot.grad_psi0_on_grid(world_f(SWEEP_H))
     k = world_k(0.04, SWEEP_H)
     sol = hom.solve_psic_from_grad(g0, k, tol=tol)
-    grad, first, increments = _spectral_reference(g0, k, tol)
+    grad, first, increments = spectral_fixed_point(g0, k, tol)
     assert sol.iterations == len(increments)
     _assert_close(sol.increments, increments)
     _assert_close(sol.grad.values, grad)
@@ -727,58 +693,38 @@ def test_apply_l_direct_matches_dense_reference():
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
-def _iterate_on_cells_reference(centers, kvals, h, grad0, tol, max_iter=50):
-    """The Euler full solve as a standalone loop without a contraction guard."""
-    own = np.arange(centers.shape[0])
-    grad = grad0.copy()
-    ref = max(float(np.sqrt((grad0**2).sum() * h * h)), 1e-300)
-    for _ in range(max_iter):
-        w = 2.0 * kvals[:, None] * grad
-        corr = hom.k2_kernel_sum(centers, w, h, centers, own=own)
-        corr += 0.5 * w
-        new = grad0 - corr
-        inc = float(np.sqrt(((new - grad) ** 2).sum() * h * h)) / ref
-        grad = new
-        if inc < tol:
-            break
-    return grad
-
-
-def test_solve_on_cells_matches_reference_iteration():
+def _on_cells_case():
+    """k on a 16-hole lattice, a random grad0 on its nonzero cells, and the L
+    of the Euler full solve there: the PV sum of w = 2 k g without each
+    cell's own, plus w / 2."""
     k = lattice_fraction(build_lattice(4, 0.1, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
     centers, kvals = k.nonzero_cells()
-    grad0 = np.random.default_rng(3).standard_normal(centers.shape)
     own = np.arange(centers.shape[0])
 
     def apply_l(g):
         w = 2.0 * kvals[:, None] * g
         return hom.k2_kernel_sum(centers, w, k.h, centers, own=own) + 0.5 * w
 
+    return k, np.random.default_rng(3).standard_normal(centers.shape), apply_l
+
+
+def test_solve_on_cells_matches_reference_iteration():
+    k, grad0, apply_l = _on_cells_case()
     for tol in (1e-6, 1e-12):
         got = hom.solve_on_cells(grad0, k, tol)
-        ref = _iterate_on_cells_reference(centers, kvals, k.h, grad0, tol)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(got - grad0).max() > 1e-3 * np.abs(grad0).max()
-        _assert_close(got, _fixed_point_reference(grad0, apply_l, k.h, tol)[0])
+        _assert_close(got, fixed_point(grad0, apply_l, k.h, tol)[0])
 
 
 def test_solve_on_cells_applies_l_once_per_iteration(monkeypatch):
     # the solution grad0 - L T takes L T from the series' own sum, so the full
     # solve makes one PV application per iteration and none after the last
-    k = lattice_fraction(build_lattice(4, 0.1, Box(0, 0, 1, 1)), make_grid((0, 0, 1, 1), 1 / 16))
-    centers, kvals = k.nonzero_cells()
-    grad0 = np.random.default_rng(3).standard_normal(centers.shape)
-    own = np.arange(centers.shape[0])
-
-    def apply_l(g):
-        w = 2.0 * kvals[:, None] * g
-        return hom.k2_kernel_sum(centers, w, k.h, centers, own=own) + 0.5 * w
-
+    k, grad0, apply_l = _on_cells_case()
     calls = []
     k2 = hom.k2_kernel_sum
     monkeypatch.setattr(hom, "k2_kernel_sum", lambda *a, **kw: calls.append(1) or k2(*a, **kw))
     for tol in (1e-6, 1e-12):
-        iterations = len(_fixed_point_reference(grad0, apply_l, k.h, tol)[2])
+        iterations = len(fixed_point(grad0, apply_l, k.h, tol)[2])
         calls.clear()
         hom.solve_on_cells(grad0, k, tol)
         assert len(calls) == iterations > 1

@@ -14,32 +14,9 @@ import pytest
 
 from porousflow import euler, kernels, oracle
 from porousflow.geometry import Box, build_lattice
+from references import TABLE, dense_reference
 
-
-def dense_reference(targets, sources, q, m, blob=0.0, own=None):
-    """sum_j q_j K_m(t_i - s_j) in real arithmetic, returned as (Re, Im)."""
-    q = np.asarray(q, dtype=complex)
-    dx = targets[:, 0:1] - sources[None, :, 0]
-    dy = targets[:, 1:2] - sources[None, :, 1]
-    r2 = dx * dx + dy * dy + blob * blob
-    drop = r2 == 0.0
-    if own is not None:
-        rows = np.flatnonzero(own >= 0)
-        drop[rows, own[rows]] = True
-    safe = np.where(drop, 1.0, r2)
-    if m == 0:
-        kr = np.where(drop, 0.0, 0.5 * np.log(safe))
-        ki = np.zeros_like(kr)
-    elif m == 1:  # conj(z) / (|z|^2 + blob^2)
-        kr = np.where(drop, 0.0, dx / safe)
-        ki = np.where(drop, 0.0, -dy / safe)
-    else:  # 1/z^2 = conj(z)^2 / |z|^4
-        kr = np.where(drop, 0.0, (dx * dx - dy * dy) / safe**2)
-        ki = np.where(drop, 0.0, -2.0 * dx * dy / safe**2)
-    re = kr @ q.real - ki @ q.imag
-    im = kr @ q.imag + ki @ q.real
-    scale = (np.abs(kr) + np.abs(ki)) @ np.abs(q)
-    return re, im, scale
+TOL, FAR_TOL = TABLE["pair_sum"].tol, TABLE["pair_sum_far"].tol
 
 
 def complex_sum(targets, sources, q, m, blob=0.0, own=None):
@@ -65,7 +42,7 @@ def complex_sum(targets, sources, q, m, blob=0.0, own=None):
     return -s[:, 0] + 1j * s[:, 1]
 
 
-def assert_matches(targets, sources, q, m, blob=0.0, own=None, tol=1e-12):
+def assert_matches(targets, sources, q, m, blob=0.0, own=None, tol=TOL):
     got = complex_sum(targets, sources, q, m, blob, own)
     re, im, scale = dense_reference(targets, sources, q, m, blob, own)
     scale = np.maximum(scale, 1e-300)
@@ -128,7 +105,7 @@ def test_self_sum_matches_rectangular_blocks(n, m, blob, complex_q):
     rect = complex_sum(pts, pts, q, m, blob, own=np.full(n, -1))
     scale = np.maximum(dense_reference(pts, pts, q, m, blob)[2], 1e-300)
     assert got.dtype == rect.dtype
-    assert np.all(np.abs(got - rect) <= 1e-12 * scale)
+    assert np.all(np.abs(got - rect) <= TOL * scale)
     assert_matches(pts, pts, q, m, blob)
 
 
@@ -223,7 +200,7 @@ def test_far_path_matches_dense_reference_at_threshold(m, blob, complex_q, diago
     q = rng.standard_normal(sources.shape[0])
     if complex_q:
         q = q + 1j * rng.standard_normal(sources.shape[0])
-    assert_matches(targets, sources, q, m, blob, tol=1e-14)
+    assert_matches(targets, sources, q, m, blob, tol=FAR_TOL)
     assert set(proxy_counts) == {29 * 29}
 
 
@@ -236,7 +213,7 @@ def test_far_laplacian_sum_matches_dense_reference(blob, diagonal, proxy_counts)
     r2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2) + blob * blob
     terms = 2.0 * blob * blob / r2**2
     got = kernels.laplacian_sum(targets, sources, q, blob)
-    assert np.all(np.abs(got - terms @ q) <= 1e-14 * np.maximum(terms @ np.abs(q), 1e-300))
+    assert np.all(np.abs(got - terms @ q) <= FAR_TOL * np.maximum(terms @ np.abs(q), 1e-300))
     assert proxy_counts == [29 * 29]
 
 
@@ -264,7 +241,7 @@ def test_target_side_matches_dense_reference_at_threshold(m, blob, complex_q, pr
     q = rng.standard_normal(sources.shape[0])
     if complex_q:
         q = q + 1j * rng.standard_normal(sources.shape[0])
-    assert_matches(targets, sources, q, m, blob, tol=1e-14)
+    assert_matches(targets, sources, q, m, blob, tol=FAR_TOL)
     assert set(target_counts) == {29 * 29} and proxy_counts == []
 
 
@@ -276,7 +253,7 @@ def test_target_side_laplacian_sum_matches_dense_reference(blob, target_counts):
     r2 = ((targets[:, None, :] - sources[None, :, :]) ** 2).sum(axis=2) + blob * blob
     terms = 2.0 * blob * blob / r2**2
     got = kernels.laplacian_sum(targets, sources, q, blob)
-    assert np.all(np.abs(got - terms @ q) <= 1e-14 * np.maximum(terms @ np.abs(q), 1e-300))
+    assert np.all(np.abs(got - terms @ q) <= FAR_TOL * np.maximum(terms @ np.abs(q), 1e-300))
     assert target_counts == [29 * 29]
 
 
@@ -307,9 +284,9 @@ def test_far_path_matches_dense_reference_at_euler_shapes(proxy_counts):
     particles = rng.random((1316, 2)) + [0.0, 6.3]
     cells = rng.random((1024, 2))
     q = rng.standard_normal(1316)
-    assert_matches(cells, particles, q, 1, 0.025, tol=1e-14)
+    assert_matches(cells, particles, q, 1, 0.025, tol=FAR_TOL)
     w = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
-    assert_matches(particles, cells, w, 2, tol=1e-14)
+    assert_matches(particles, cells, w, 2, tol=FAR_TOL)
     assert len(proxy_counts) == 2
 
 

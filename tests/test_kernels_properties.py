@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from test_kernels import complex_sum, dense_reference
+from references import dense_reference
+from test_kernels import complex_sum
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402

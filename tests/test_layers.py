@@ -1,5 +1,6 @@
 """Smoke test of ``tools/layers.py``, the per-call harness of the kernel and
-spectral layers: every case runs at a tiny scale and prints one finite row."""
+spectral layers: every case runs at a tiny scale and prints one finite row,
+and every checked case is within the tolerance of ``references.TABLE``."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import math
 from pathlib import Path
 
 import pytest
+
+from references import TABLE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,19 +45,18 @@ def test_every_case_runs_tiny(capsys):
 
 
 def test_check_compares_with_the_references_tiny(capsys, monkeypatch):
+    # every fast path of the shared table is checked at a workload's shape,
+    # at its tolerance, in this interpreter
     layers = _load_layers()
-    checked = [name for name, (_, _, check) in layers.cases(0.01).items() if check]
-    assert checked == ["grad_psi0_eval", "grad_psi0_eval_far", "k2_kernel_sum_far",
-                       "dipole_sum_grad_far", "k2_kernel_sum", "k1_kernel_sum", "psi0_eval_grid",
-                       "grad_psi0_on_grid", "expansion_errors", "mu_minus_k_field", "hminus1",
-                       "solve_collocation_4", "solve_collocation_8", "solve_collocation_sweep",
-                       "multipole_part_grad", "multipole_part_grad_sweep"]
+    monkeypatch.setattr(layers.subprocess, "run", None)  # a started child would raise
+    paths = {name: check[0] for name, (_, _, check) in layers.cases(0.01).items() if check}
+    assert set(paths.values()) == set(TABLE)
     assert layers.main(["--src", str(ROOT / "src"), "--scale", "0.01", "--check"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
-    assert [row.split()[0] for row in rows] == checked
+    assert [row.split()[0] for row in rows] == list(paths)
     for row in rows:
-        diff, tol = map(float, row.split()[-2:])
-        assert 0.0 <= diff <= tol
+        name, *_, diff, tol = row.split()
+        assert float(tol) == TABLE[paths[name]].tol and 0.0 <= float(diff) <= float(tol)
     # a norm one part in 1e12 off exceeds the 1e-13 of its tier-1 test
     from porousflow import analysis
 

@@ -16,6 +16,8 @@ from porousflow import potential as pot
 from porousflow import reflections as refl
 from porousflow.fields import make_grid, radial_bump, rasterize
 from porousflow.geometry import Box, PorousConfig, build_lattice, build_random
+from references import (TABLE, basis_matrix, center_per_hole, lstsq_fit, part_grad_reference,
+                        term_scale)
 
 
 def single_hole(a=0.05, at=(3.0, 0.0)):
@@ -186,26 +188,6 @@ def test_velocity_matches_gradient_rotation():
 # CGLS collocation solve against the dense lstsq solve it replaced
 # ---------------------------------------------------------------------------
 
-def _center_per_hole(arr, n_holes):
-    blocks = arr.reshape(n_holes, -1, *arr.shape[1:])
-    return (blocks - blocks.mean(axis=1, keepdims=True)).reshape(arr.shape)
-
-
-def _lstsq_reference(source, config, order=orc.ORDER, pts_per_hole=orc.POINTS):
-    """The dense SVD least-squares fit: coefficients, residual, boundary
-    constants, the per-hole-centered matrix and max|psi_0| on the boundaries."""
-    pts = config.boundary_points(pts_per_hole)
-    psi0 = pot.psi0_eval(source, pts)
-    basis = orc._basis_matrix(config, order, pts)
-    a_mat = _center_per_hole(basis, config.n_holes)
-    coeffs, _, rank, _ = np.linalg.lstsq(a_mat, -_center_per_hole(psi0, config.n_holes), rcond=None)
-    assert rank == a_mat.shape[1]
-    total = psi0 + basis @ coeffs
-    residual = float(np.abs(_center_per_hole(total, config.n_holes)).max())
-    constants = total.reshape(config.n_holes, -1).mean(axis=1)
-    return coeffs, residual, constants, a_mat, np.abs(psi0).max()
-
-
 def _divcurl_system():
     # the 64-hole grid-source system of the divcurl experiment
     world = rasterize((-1.5, -1.5, 2.5, 2.5), 1 / 128, radial_bump((0.5, 1.8), 0.3, 1.0))
@@ -230,8 +212,9 @@ def test_cgls_matches_lstsq(kind, ratio):
         else:
             cfg = build_random(12, ratio * 0.2, 0.2, Box(0.0, 0.0, 1.0, 1.0), seed=int(100 * ratio))
     sol = orc.solve_collocation(src, cfg)
-    coeffs, residual, constants, _, scale = _lstsq_reference(src, cfg)
-    assert np.abs(sol.coeffs.ravel() - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+    coeffs, residual, constants, _, scale = lstsq_fit(src, cfg)
+    assert np.abs(sol.coeffs.ravel() - coeffs).max() <= TABLE["solve_collocation"].tol * np.abs(
+        coeffs).max()
     assert abs(sol.residual - residual) <= 2e-15 * scale
     assert np.abs(sol.boundary_constants - constants).max() <= 2e-15 * scale
     assert 0 < sol.iterations <= 25
@@ -242,7 +225,7 @@ def test_cond_is_the_lanczos_estimate(ratio):
     src = point_vortex(0.5, 1.8, 2.0)
     cfg = build_lattice(4, ratio, Box(0.0, 0.0, 1.0, 1.0))
     sol = orc.solve_collocation(src, cfg)
-    a_mat = _lstsq_reference(src, cfg)[3]
+    a_mat = lstsq_fit(src, cfg)[3]
     assert sol.cond == pytest.approx(np.linalg.cond(a_mat), rel=0.02)
 
 
@@ -286,7 +269,7 @@ def test_cgls_converges_on_data_mostly_outside_the_range():
     # system must still converge, to the coefficients of the fittable part
     cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     pts = cfg.boundary_points(orc.POINTS)
-    a_mat = _center_per_hole(orc._basis_matrix(cfg, orc.ORDER, pts), cfg.n_holes)
+    a_mat = center_per_hole(basis_matrix(cfg, orc.ORDER, pts), cfg.n_holes)
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(a_mat.shape[1])
     fit = a_mat @ coeffs
@@ -351,7 +334,7 @@ def test_basis_operator_is_the_centered_dense_basis(kind, order, monkeypatch):
     monkeypatch.setattr(orc, "_FIT_BLOCK", 2 * ring * n)
     pts = cfg.boundary_points(ring)
     op = orc._Basis(cfg, order, pts, ring)
-    dense = orc._basis_matrix(cfg, order, pts)
+    dense = basis_matrix(cfg, order, pts)
     columns = dense.reshape(pts.shape[0], n, order, 2)
     assert np.array_equal(op.v.view(float), columns[:, :, 0].reshape(-1, 2 * n))
     modulus = np.repeat(np.abs(op.v), 2, axis=1)
@@ -362,7 +345,7 @@ def test_basis_operator_is_the_centered_dense_basis(kind, order, monkeypatch):
         seen[rows, m] += 1
     assert (seen == 1).all()
 
-    centered = _center_per_hole(dense, n)
+    centered = center_per_hole(dense, n)
     rng = np.random.default_rng(order)
     x = rng.standard_normal((2, dense.shape[1]))
     r = rng.standard_normal((2, dense.shape[0]))
@@ -402,7 +385,7 @@ def test_basis_matrix_is_the_broadcast_and_trig_forms(side, order):
     ring = cfg.boundary_points(4 * order + 3)
     rng = np.random.default_rng(side)
     pts = np.concatenate([ring, rng.random((37, 2)) * 0.5 + [1.2, 0.1]])
-    got = orc._basis_matrix(cfg, order, pts)
+    got = basis_matrix(cfg, order, pts)
     assert got.shape == (pts.shape[0], 2 * order * cfg.n_holes)
     assert np.array_equal(got, _broadcast_basis_matrix(cfg, order, pts))
     assert np.abs(got - _trig_basis_matrix(cfg, order, pts)).max() <= 1e-14
@@ -415,7 +398,7 @@ def test_basis_matrix_holds_only_itself():
     pts = cfg.boundary_points(orc.POINTS)
     tracemalloc.start()
     try:
-        a_mat = orc._basis_matrix(cfg, orc.ORDER, pts)
+        a_mat = basis_matrix(cfg, orc.ORDER, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -426,26 +409,6 @@ def test_basis_matrix_holds_only_itself():
 # ---------------------------------------------------------------------------
 # Horner-form evaluation against the materialized basis it replaced
 # ---------------------------------------------------------------------------
-
-def _reference_basis_gradients(config, order, pts):
-    """Gradients of every basis column, shape (npts, ncols, 2): the dense
-    tensor the probe-point gradient used to be contracted from."""
-    z = (pts[:, 0] + 1j * pts[:, 1])[:, None] - (
-        config.centers[:, 0] + 1j * config.centers[:, 1]
-    )[None, :]
-    out = np.empty((pts.shape[0], config.n_holes, 2 * order, 2))
-    am = 1.0
-    zpow = 1.0 / z
-    for m in range(1, order + 1):
-        am *= config.a
-        zpow = zpow / z
-        deriv = -m * am * zpow
-        out[:, :, 2 * (m - 1), 0] = deriv.real
-        out[:, :, 2 * (m - 1), 1] = -deriv.imag
-        out[:, :, 2 * (m - 1) + 1, 0] = -deriv.imag
-        out[:, :, 2 * (m - 1) + 1, 1] = -deriv.real
-    return out.reshape(pts.shape[0], config.n_holes * 2 * order, 2)
-
 
 def _random_solution(order, seed):
     rng = np.random.default_rng(seed)
@@ -475,22 +438,15 @@ def test_horner_matches_materialized_basis(order):
     sol = _random_solution(order, seed=100 + order)
     cfg = sol.config
     pts = _near_and_far_points(cfg, seed=100 + order)
-    c = sol.coeffs.ravel()
-    # roundoff scale per point: sum over holes and orders of |term|
-    diff = pts[:, None, :] - cfg.centers[None, :, :]
-    z = np.hypot(diff[..., 0], diff[..., 1])
     mags = np.hypot(sol.coeffs[:, 0::2], sol.coeffs[:, 1::2])  # |gamma_m|
-    w = cfg.a / z
-    ms = np.arange(1, order + 1)
-    val_scale = np.einsum("pjm,jm->p", w[:, :, None] ** ms, mags)
-    grad_scale = np.einsum("pjm,jm->p", ms * w[:, :, None] ** ms / z[:, :, None], mags)
-
-    ref_val = orc._basis_matrix(cfg, order, pts) @ c
-    ref_grad = np.einsum("pcd,c->pd", _reference_basis_gradients(cfg, order, pts), c)
+    val_scale = term_scale(cfg, mags, pts, grad=False)
+    ref_val = basis_matrix(cfg, order, pts) @ sol.coeffs.ravel()
+    ref_grad, grad_scale = part_grad_reference(sol, pts)
     val = orc.multipole_part_eval(sol, pts)
     grad = orc.multipole_part_grad(sol, pts)
-    assert np.all(np.abs(val - ref_val) <= 1e-12 * val_scale)
-    assert np.all(np.abs(grad - ref_grad) <= 1e-12 * grad_scale[:, None])
+    tol = TABLE["multipole_part"].tol
+    assert np.all(np.abs(val - ref_val) <= tol * val_scale)
+    assert np.all(np.abs(grad - ref_grad) <= tol * grad_scale[:, None])
 
 
 @pytest.mark.parametrize("n,epsilon", [(4, 0.1), (8, 0.2)])
@@ -507,17 +463,13 @@ def test_fused_difference_matches_separate_fields(n, epsilon):
     pts = _near_and_far_points(cfg, seed=300 + n)
     # roundoff scale per point, as in the Horner test, with each hole's
     # |gamma_1| raised by its dipole's |a A|
-    diff = pts[:, None, :] - cfg.centers[None, :, :]
-    z = np.hypot(diff[..., 0], diff[..., 1])
     mags = np.hypot(coeffs[:, 0::2], coeffs[:, 1::2])
     mags[:, 0] += cfg.a * np.hypot(*stream.combined_vectors().T)
-    w = cfg.a / z
-    ms = np.arange(1, order + 1)
-    grad_scale = np.einsum("pjm,jm->p", ms * w[:, :, None] ** ms / z[:, :, None], mags)
+    grad_scale = term_scale(cfg, mags, pts)
 
     ref = orc.multipole_part_grad(sol, pts) - stream.correction_grad(pts)
     got = ana._oracle_minus_reflections_grad(stream, sol, pts)
-    assert np.all(np.abs(got - ref) <= 1e-12 * grad_scale[:, None])
+    assert np.all(np.abs(got - ref) <= TABLE["multipole_part"].tol * grad_scale[:, None])
 
 
 def test_horner_inside_hole_still_rejected():

@@ -1,10 +1,10 @@
 """Per-call cost of the kernel layer and of the spectral layer at fixed shapes
 taken from the benchmark workloads: the median wall time of a call, its minor page faults
 (``ru_minflt``, averaged over the timed calls) and the ``tracemalloc`` peak of
-one further call. Each case runs in a fresh interpreter, after one warm-up
-call: the faults depend on what the process allocated before (glibc raises its
-mmap threshold to the largest block freed so far), so they must not depend on
-the order of the cases.
+one further call. Each timed case runs in a fresh interpreter, after one
+warm-up call: the faults depend on what the process allocated before (glibc
+raises its mmap threshold to the largest block freed so far), so they must
+not depend on the order of the cases.
 
     python3 tools/layers.py [--src PATH] [--repeat N] [--scale F] [--check]
 
@@ -19,23 +19,11 @@ one. The second column names the
 case. ``--scale`` multiplies every point count and every grid's cell count
 (the smoke test runs it tiny).
 ``--check`` compares each case that has a reference with it on the same
-inputs instead of timing it, and prints the largest relative difference and
-the tolerance of the case's tier-1 test; it exits 1 when a case exceeds it.
-The references: each pair sum, direct or ``_far``, as the dense sum of the
-tests' ``dense_reference`` at 512 sampled targets (``psi0_eval_grid`` with
-each target's own cell as its exact integral), ``hminus1`` as the complex
-``fft2`` sum over the field's whole periodic box, ``mu_minus_k_field`` as
-``rasterize_mu`` on the whole padded world grid less k sampled at every
-cell, ``grad_psi0_on_grid`` as ``grad_psi0_eval`` at 4096 random cells,
-``expansion_errors`` as ``solve_psic_from_grad`` with c k per scale, its
-norms over the whole grid, each ``solve_collocation`` as the dense
-``numpy.linalg.lstsq`` fit of the per-hole-centered basis (a/r)^m cos(m t),
-(a/r)^m sin(m t), and each ``multipole_part_grad`` as the contraction of
-every basis column's materialized gradient at 4096 sampled points (the
-tier-1 tests ask 1e-12 of each target's sum of |term| directly and 1e-14 on
-the far path, 1e-13, bit-for-bit equality, 1e-13 of max|grad|, 1e-12 of
-each norm and of the largest increment, 1e-12 of max|coefficient| and 1e-12
-of each point's sum of |term|).
+inputs instead of timing it, every case in the calling interpreter, and
+prints the largest relative difference and the tolerance; it exits 1 when a
+case exceeds it. Each case names its fast path in ``TABLE`` of
+``tests/references.py``, which holds the reference and the tolerance that
+the tier-1 tests use too.
 ``--case NAME`` runs one case in the calling interpreter; the cases that the
 script starts run with BLAS pinned to one thread, as in ``bench/run.py``, and
 with glibc's mmap and trim thresholds fixed (``MALLOC_VARS``), so arrays
@@ -118,11 +106,15 @@ def cases(scale: float):
     oracle's hole gradients at 100k points beside the lattice, oracle-sweep's
     point-vortex fit at a/d = 0.05 and its hole gradients at the probe cells,
     and homog-sweep's 1024^2 grid with its source, its largest k and its
-    three k norms. ``check`` is None, or gives (the largest relative
-    difference from the case's reference, the tolerance of its tier-1 test)."""
+    three k norms. ``check`` is None, or (the case's fast path in
+    ``references.TABLE``, the call that gives the largest relative difference
+    from its reference)."""
     from porousflow import analysis, cli, euler, fields, homogenized, oracle, potential
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
-    from porousflow.geometry import Box, build_lattice, fluid_mask, rasterize_mu
+    from porousflow.geometry import Box, build_lattice, fluid_mask
+    from references import (embedded, hminus1_fft2, lstsq_fit, mu_minus_k_every_cell,
+                            pair_sum_reference, part_grad_reference, psi0_grid_reference,
+                            sweep_difference, sweep_reference)
 
     def count(n):
         return max(round(n * scale), 2)
@@ -155,13 +147,15 @@ def cases(scale: float):
             return potential.grad_psi0_on_grid(f, window=k.support_slices())
         return (sweep_gradient(),)
 
+    def relative(got, ref):
+        return np.abs(got - ref).max() / np.abs(ref).max()
+
     def check_grad_on_grid():
         f = sweep_grid()[0]
         got = potential.grad_psi0_on_grid(f).values.reshape(-1, 2)
         sample = np.random.default_rng(1).choice(f.values.size, min(4096, f.values.size),
                                                  replace=False)
-        ref = potential.grad_psi0_eval(f, f.centers_flat()[sample])
-        return np.abs(got[sample] - ref).max() / np.abs(ref).max(), 1e-13
+        return relative(got[sample], potential.grad_psi0_eval(f, f.centers_flat()[sample]))
 
     def sweep_series():
         """The sweep's three k norms as its one cold call pays them: on trees
@@ -171,25 +165,10 @@ def cases(scale: float):
         return homogenized.expansion_errors(*sweep_g0(), sweep_grid()[1], sweep_scales)
 
     def check_sweep_series():
-        """Each scale's norms and increments against ``solve_psic_from_grad``
-        with c k from the whole-grid g0, the norms taken over the whole grid:
-        relative to each norm, and to the largest increment (the tier-1
-        test's scales)."""
-        (_, k), g0 = sweep_grid(), sweep_gradient()
-        worst = 0.0
-        for c, (err0, errt, incs) in zip(sweep_scales, sweep_series()):
-            sol = homogenized.solve_psic_from_grad(g0, ScalarGridField(k.origin, k.h,
-                                                                       c * k.values))
-            if len(incs) != sol.iterations:
-                return np.inf, 1e-12
-            grad = sol.grad.planes
-            for got, other in ((err0, g0.planes), (errt, sol.first_order.planes)):
-                diff = grad - other
-                ref = np.sqrt(np.vdot(diff, diff)) * k.h
-                worst = max(worst, abs(got - ref) / ref)
-            ref = np.array(sol.increments)
-            worst = max(worst, np.abs(np.array(incs) - ref).max() / ref.max())
-        return worst, 1e-12
+        """Each scale's norms and increments against the fixed point iterated
+        on the whole grid from the whole-grid g0."""
+        return sweep_difference(sweep_series(), sweep_reference(sweep_gradient(), sweep_grid()[1],
+                                                                sweep_scales))
 
     def side_of(n):
         """The lattice side n with its hole count scaled, rounded down."""
@@ -213,33 +192,17 @@ def cases(scale: float):
         config, world, k = divcurl_lattice(n_mu)
         return potential.grad_psi0_on_grid(world), k, analysis.mu_minus_k_field(config, k)
 
-    def embedded(g):
-        """The values of a window field on its whole periodic box."""
-        whole = np.zeros(getattr(g, "period", g.shape))
-        ox, oy = getattr(g, "offset", (0, 0))
-        whole[ox:ox + g.shape[0], oy:oy + g.shape[1]] = g.values
-        return whole
-
     def check_hminus1():
         g = divcurl_grid()[2]
-        spec = np.fft.fft2(embedded(g))
-        kx, ky = (2.0 * np.pi * np.fft.fftfreq(n, d=g.h) for n in spec.shape)
-        power = (np.abs(spec) ** 2 / (1.0 + kx[:, None] ** 2 + ky**2)).sum()
-        ref = np.sqrt(power * g.h**2 / spec.size)
-        return abs(analysis.hminus1(g) - ref) / ref, 1e-13
+        ref = hminus1_fft2(g)
+        return abs(analysis.hminus1(g) - ref) / ref
 
     def check_mu_minus_k():
         config, _, k = divcurl_lattice(n_mu)
         field = analysis.mu_minus_k_field(config, k)
         whole = embedded(field)
         grid = ScalarGridField(field.origin, field.h, np.zeros_like(whole))
-        ref = rasterize_mu(config, grid).values
-        xs, ys = grid.cell_centers()
-        for rows in np.array_split(np.arange(xs.size), 16):
-            gx, gy = np.meshgrid(xs[rows], ys, indexing="ij")
-            ref[rows] -= k.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1)).reshape(
-                gx.shape)
-        return np.abs(whole - ref).max() / np.abs(ref).max(), 0.0
+        return relative(whole, mu_minus_k_every_cell(config, k, grid))
 
     @functools.cache
     def divcurl_probe():
@@ -280,47 +243,16 @@ def cases(scale: float):
         return check_fit(world, config, collocation(n))
 
     def check_fit(source, config, sol):
-        """The fit ``sol`` of ``source`` against the dense lstsq fit of the
-        centered basis on the collocation rings of ``config``."""
-        pts = config.boundary_points(oracle.POINTS)
-        d = pts[:, None, :] - config.centers[None, :, :]
-        t = np.arctan2(d[..., 1], d[..., 0])[..., None] * np.arange(1, oracle.ORDER + 1)
-        radial = (config.a / np.hypot(d[..., 0], d[..., 1]))[..., None] ** np.arange(
-            1, oracle.ORDER + 1)
-        basis = np.stack([radial * np.cos(t), radial * np.sin(t)], axis=3).reshape(
-            config.n_holes, oracle.POINTS, -1)
-        basis -= basis.mean(axis=1, keepdims=True)
-        psi0 = potential.psi0_eval(source, pts).reshape(config.n_holes, oracle.POINTS)
-        rhs = (psi0.mean(axis=1, keepdims=True) - psi0).ravel()
-        ref = np.linalg.lstsq(basis.reshape(rhs.size, -1), rhs, rcond=None)[0]
-        return np.abs(sol.coeffs.ravel() - ref).max() / np.abs(ref).max(), 1e-12
+        """The fit ``sol`` of ``source`` against the dense lstsq fit."""
+        return relative(sol.coeffs.ravel(), lstsq_fit(source, config)[0])
 
     def check_part_grad(sol, pts):
-        """The hole gradients at 4096 sampled points against the contraction of
-        every basis column's materialized gradient (the reference of the tests'
-        ``_reference_basis_gradients``), per point relative to the sum over
-        holes and orders of |m gamma_m w^m / z| (the tier-1 test's scale)."""
-        config, order = sol.config, sol.order
-        sample = np.random.default_rng(2).choice(pts.shape[0], min(4096, pts.shape[0]),
-                                                 replace=False)
-        pts = pts[sample]
-        z = (pts[:, 0] + 1j * pts[:, 1])[:, None] - (
-            config.centers[:, 0] + 1j * config.centers[:, 1])[None, :]
-        basis = np.empty((pts.shape[0], config.n_holes, order, 2, 2))
-        am, zpow = 1.0, 1.0 / z
-        for m in range(order):
-            am *= config.a
-            zpow = zpow / z
-            deriv = -(m + 1) * am * zpow
-            basis[:, :, m, 0] = np.stack([deriv.real, -deriv.imag], axis=2)
-            basis[:, :, m, 1] = np.stack([-deriv.imag, -deriv.real], axis=2)
-        coeffs = sol.coeffs.reshape(config.n_holes, order, 2)
-        ref = np.einsum("pjmcd,jmc->pd", basis, coeffs)
-        ms = np.arange(1, order + 1)
-        terms = ms * (config.a / np.abs(z))[..., None] ** ms / np.abs(z)[..., None]
-        scale = np.einsum("pjm,jm->p", terms, np.hypot(coeffs[..., 0], coeffs[..., 1]))
-        got = oracle.multipole_part_grad(sol, pts)
-        return (np.abs(got - ref) / scale[:, None]).max(), 1e-12
+        """The hole gradients at 4096 sampled points, per point relative to
+        its sum of |term|."""
+        pts = pts[np.random.default_rng(2).choice(pts.shape[0], min(4096, pts.shape[0]),
+                                                  replace=False)]
+        ref, scale = part_grad_reference(sol, pts)
+        return (np.abs(oracle.multipole_part_grad(sol, pts) - ref) / scale[:, None]).max()
 
     @functools.cache
     def divcurl_oracle():
@@ -352,56 +284,21 @@ def cases(scale: float):
         """512 fixed random indices of n targets (all of fewer)."""
         return np.random.default_rng(3).choice(n, min(512, n), replace=False)
 
-    def dense(targets, sources, q, m, blob=0.0, own=None):
-        """(the dense sum of the tests' ``dense_reference`` with the real
-        strengths q of an m = 0, 1 or 2 row of ``kernels.py``'s table, each
-        target's sum of |term|) at ``targets``; z = 0 without a blob and
-        source ``own[i]`` for target i drop out."""
-        dx, dy = (targets[:, None, i] - sources[None, :, i] for i in (0, 1))
-        r2 = dx * dx + dy * dy + blob * blob
-        drop = r2 == 0.0
-        if own is not None:
-            drop[np.arange(len(own)), own] = True
-        if m == 0:  # q_j log(r2) / 2
-            k0 = 0.5 * np.log(np.where(drop, 1.0, r2))
-            return k0 @ q, np.abs(k0) @ np.abs(q)
-        r2[drop] = np.inf  # a dropped pair's terms vanish
-        if m == 1:  # q_j (u, v), or q_j . (u, v), with (u, v) = (dx, dy) / r2
-            k0, k1 = dx / r2, dy / r2
-            if q.ndim == 1:
-                ref, size = np.stack([k0 @ q, k1 @ q], axis=1), np.abs(q)
-            else:
-                ref, size = k0 @ q[:, 0] + k1 @ q[:, 1], np.hypot(*q.T)
-        else:  # -[[P0, P1], [P1, -P0]] q_j, (P0, P1) = (dx^2 - dy^2, 2 dx dy) / r2^2
-            k0, k1, size = (dx * dx - dy * dy) / r2**2, 2.0 * dx * dy / r2**2, np.hypot(*q.T)
-            ref = np.stack([-(k0 @ q[:, 0] + k1 @ q[:, 1]), k0 @ q[:, 1] - k1 @ q[:, 0]], axis=1)
-        return ref, (np.abs(k0) + np.abs(k1)) @ size
-
-    def check_pairs(call, tol, targets, sources, q, m, factor, blob=0.0):
-        """The pair sum ``call``, ``factor`` times the m sum of ``dense``, at
-        512 sampled targets, per target relative to its sum of |term| (the
-        scale of the tier-1 tests: 1e-12 direct, 1e-14 on the far path)."""
+    def check_pairs(call, targets, sources, q, m, factor, blob=0.0):
+        """The pair sum ``call``, ``factor`` times the dense m sum, at 512
+        sampled targets, per target relative to its sum of |term|."""
         sample = sample_of(len(targets))
-        ref, scale = dense(targets[sample], sources, q, m, blob)
-        return (np.abs(call()[sample] - factor * ref).T / (factor * scale)).max(), tol
+        ref, scale = pair_sum_reference(targets[sample], sources, q, m, blob)
+        return (np.abs(call()[sample] - factor * ref).T / (factor * scale)).max()
 
     def check_psi0_grid():
-        """psi0 of the grid field at 512 sampled targets: the dense m = 0 sum
-        of h^2 f over every cell but the target's own (every cell of the
-        grid is nonzero, a source in C order), plus that cell's exact
-        integral (``cell_log_integral``), per target relative to the sum of
-        both parts' |term| (the direct sums' 1e-12)."""
+        """psi0 of the grid field at 512 sampled targets (every cell of the
+        grid is nonzero, a source in C order), per target relative to its sum
+        of |term|."""
         sample = sample_of(len(inside))
-        pts, h = inside[sample], grid.h
-        cell = np.floor((pts - grid.origin) / h)
-        own = cell.astype(int) @ [grid.shape[1], 1]
-        lo = cell * h + grid.origin - pts  # the own cell's corner from the target
-        vals = grid.values.ravel()
-        ref, scale = dense(pts, grid.centers_flat(), vals * h * h, 0, own=own)
-        exact = vals[own] * potential.cell_log_integral(lo[:, 0], lo[:, 0] + h,
-                                                         lo[:, 1], lo[:, 1] + h)
+        ref, scale = psi0_grid_reference(grid, inside[sample])
         got = potential.psi0_eval(grid, inside)[sample] * (2.0 * np.pi)
-        return (np.abs(got - ref - exact) / (scale + np.abs(exact))).max(), 1e-12
+        return (np.abs(got - ref) / scale).max()
 
     rng = np.random.default_rng(0)
     p, n, t, c = count(1316), count(256), count(4096), count(1024)
@@ -458,26 +355,32 @@ def cases(scale: float):
         "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
         "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
-    pairs = {"grad_psi0_eval": (1e-12, parts.positions, parts.positions, parts.weights, 1,
+    direct, far = "pair_sum", "pair_sum_far"
+    pairs = {"grad_psi0_eval": (direct, parts.positions, parts.positions, parts.weights, 1,
                                 1 / (2 * np.pi), parts.blob),
-             "grad_psi0_eval_far": (1e-14, cell_pts, beyond.positions, beyond.weights, 1,
+             "grad_psi0_eval_far": (far, cell_pts, beyond.positions, beyond.weights, 1,
                                     1 / (2 * np.pi), beyond.blob),
-             "k2_kernel_sum_far": (1e-14, beyond.positions, cell_pts, cell_w, 2,
+             "k2_kernel_sum_far": (far, beyond.positions, cell_pts, cell_w, 2,
                                    (1 / 32) ** 2 / (2 * np.pi)),
-             "dipole_sum_grad_far": (1e-14, beyond.positions, lattice.centers,
+             "dipole_sum_grad_far": (far, beyond.positions, lattice.centers,
                                      vectors[:lattice.n_holes], 2, lattice.a**2),
-             "k2_kernel_sum": (1e-12, probes, centers, vectors, 2, 0.01**2 / (2 * np.pi)),
-             "k1_kernel_sum": (1e-12, probes, centers, vectors, 1, 0.01**2 / (2 * np.pi))}
-    checks = {**{name: functools.partial(check_pairs, table[name][1], *args)
-                 for name, args in pairs.items()},
-              "psi0_eval_grid": check_psi0_grid,
-              "hminus1": check_hminus1, "mu_minus_k_field": check_mu_minus_k,
-              "grad_psi0_on_grid": check_grad_on_grid, "expansion_errors": check_sweep_series,
-              **{f"solve_collocation_{n}": functools.partial(check_collocation, side_of(n))
+             "k2_kernel_sum": (direct, probes, centers, vectors, 2, 0.01**2 / (2 * np.pi)),
+             "k1_kernel_sum": (direct, probes, centers, vectors, 1, 0.01**2 / (2 * np.pi))}
+    checks = {**{name: (path, functools.partial(check_pairs, table[name][1], *args))
+                 for name, (path, *args) in pairs.items()},
+              **{name: (name, check) for name, check in (
+                  ("psi0_eval_grid", check_psi0_grid), ("grad_psi0_on_grid", check_grad_on_grid),
+                  ("expansion_errors", check_sweep_series), ("mu_minus_k_field", check_mu_minus_k),
+                  ("hminus1", check_hminus1))},
+              **{f"solve_collocation_{n}": ("solve_collocation",
+                                            functools.partial(check_collocation, side_of(n)))
                  for n in (4, 8)},
-              "solve_collocation_sweep": lambda: check_fit(*sweep_lattice(), sweep_fit()),
-              "multipole_part_grad": lambda: check_part_grad(divcurl_oracle(), beside),
-              "multipole_part_grad_sweep": lambda: check_part_grad(*sweep_oracle())}
+              "solve_collocation_sweep": ("solve_collocation",
+                                          lambda: check_fit(*sweep_lattice(), sweep_fit())),
+              "multipole_part_grad": ("multipole_part",
+                                      lambda: check_part_grad(divcurl_oracle(), beside)),
+              "multipole_part_grad_sweep": ("multipole_part",
+                                            lambda: check_part_grad(*sweep_oracle()))}
     return {name: (shape, call, checks.get(name)) for name, (shape, call) in table.items()}
 
 
@@ -514,7 +417,7 @@ def main(argv=None) -> int:
     if args.repeat < 1 or not args.scale > 0.0:
         parser.error("--repeat must be at least 1 and --scale above 0")
     src = args.src.resolve()
-    sys.path.insert(0, str(src))
+    sys.path[:0] = [str(src), str(ROOT / "tests")]
     import porousflow
 
     if not Path(porousflow.__file__).resolve().is_relative_to(src):
@@ -524,31 +427,34 @@ def main(argv=None) -> int:
     if args.case is not None:
         if args.case not in names:
             parser.error(f"--case must be one of {', '.join(names)}")
-        shape, call, check = table[args.case]
-        if args.check:
-            diff, tol = check()
-            print(f"{args.case:<27}{shape:<24}{diff:>12.3e}{tol:>12.1e}")
-            return int(not diff <= tol)
-        ms, faults, peak = measure(call, args.repeat)
-        print(f"{args.case:<27}{shape:<24}{ms:>10.3f}{faults:>10.1f}{peak:>10.2f}")
-        return 0
-    print(f"# {src}  python {sys.version.split()[0]}  numpy {np.__version__}  "
-          f"repeat {args.repeat}  scale {args.scale}")
-    if args.check:
-        print(f"{'layer':<27}{'shape':<24}{'max_rel':>12}{'tolerance':>12}")
+        names = [args.case]
     else:
-        print(f"{'layer':<27}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
+        print(f"# {src}  python {sys.version.split()[0]}  numpy {np.__version__}  "
+              f"repeat {args.repeat}  scale {args.scale}")
+    if args.check:
+        from references import TABLE
+
+        if args.case is None:
+            print(f"{'layer':<27}{'shape':<24}{'max_rel':>12}{'tolerance':>12}")
+        status = 0
+        for name in names:
+            shape, _, (path, check) = table[name]
+            diff, tol = check(), TABLE[path].tol
+            print(f"{name:<27}{shape:<24}{diff:>12.3e}{tol:>12.1e}")
+            status = max(status, int(not diff <= tol))
+        return status
+    if args.case is not None:
+        ms, faults, peak = measure(table[args.case][1], args.repeat)
+        print(f"{args.case:<27}{table[args.case][0]:<24}{ms:>10.3f}{faults:>10.1f}{peak:>10.2f}")
+        return 0
+    print(f"{'layer':<27}{'shape':<24}{'median_ms':>10}{'minflt':>10}{'peak_MiB':>10}")
     env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"), **MALLOC_VARS)
-    status = 0
     for name in names:
         child = [sys.executable, __file__, "--src", str(src), "--repeat", str(args.repeat),
-                 "--scale", str(args.scale), "--case", name] + ["--check"] * args.check
-        run = subprocess.run(child, env=env, capture_output=True, text=True)
-        if run.returncode > 1:
-            run.check_returncode()
+                 "--scale", str(args.scale), "--case", name]
+        run = subprocess.run(child, env=env, capture_output=True, text=True, check=True)
         print(run.stdout, end="")
-        status = max(status, run.returncode)
-    return status
+    return 0
 
 
 if __name__ == "__main__":
