@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import homogenized, oracle as oracle_mod
+from . import homogenized, kernels, oracle as oracle_mod
 from .fields import (
     ScalarGridField,
     VectorGridField,
@@ -33,8 +33,6 @@ from .geometry import Box, PorousConfig, fluid_mask, inside_holes, rasterize_mu
 from .reflections import HybridStream
 
 ETA = 0.5  # the predictor's aspect term is (a/d)^(3 - ETA)
-_SAMPLE_BLOCK = 1 << 15  # k samples per block of touched rows in mu_minus_k_field
-_COLUMN_BLOCK = 16  # half-spectrum columns per x transform in hminus1
 
 
 def hminus1(g: ScalarGridField) -> float:
@@ -47,7 +45,7 @@ def hminus1(g: ScalarGridField) -> float:
     emulates the plane (constants are equivalent-norm only). The norm is
     translation invariant, so only the support's block is transformed: the
     ``rfft`` of its rows padded to the box's ny, then the ``fft`` padded to
-    its nx over blocks of ``_COLUMN_BLOCK`` columns, whose weighted power is
+    its nx over blocks of 16 columns, whose weighted power is
     summed block by block; no array spans the whole box.
     """
     check_padding(g)
@@ -58,8 +56,10 @@ def hminus1(g: ScalarGridField) -> float:
     kx, ky = wavenumbers((nx, ny), g.h)
     half = np.fft.rfft(g.values[box], n=ny, axis=1)
     power = 0.0
-    for c in range(0, half.shape[1], _COLUMN_BLOCK):
-        cols = slice(c, c + _COLUMN_BLOCK)
+    # 16 columns, not a byte budget: the block orders the float sum, and a
+    # budget's count (15 columns at nx = 2056) moved divcurl's norms by an ulp
+    for c in range(0, half.shape[1], 16):
+        cols = slice(c, c + 16)
         # padded here, not by fft's n = nx, which took 1.4 times as long
         spec = np.zeros((nx, half[:, cols].shape[1]), dtype=complex)
         spec[:half.shape[0]] = half[:, cols]
@@ -105,7 +105,7 @@ def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridFiel
     k is sampled only on the rows and columns of cells whose bilinear stencil
     (edge clamp included) meets a nonzero k cell; elsewhere every stencil
     value is zero, so the sample is exactly 0 and mu is left as it is. The
-    touched rows are sampled in blocks of about ``_SAMPLE_BLOCK`` points.
+    touched rows are sampled in blocks of ``kernels.BLOCK`` bytes, 16 per point.
     """
     h = config.a / 4.0
     box = config.kpm_box
@@ -128,9 +128,8 @@ def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridFiel
         origin, h, np.zeros((x1 - x0, y1 - y0)), (x0, y0), shape))
     xs, ys = field.cell_centers()
     cols = touched[1] - y0
-    step = max(_SAMPLE_BLOCK // max(cols.size, 1), 1)
-    for start in range(0, touched[0].size, step):
-        rows = touched[0][start:start + step] - x0
+    for sl in kernels.blocks(touched[0].size, 16 * cols.size):
+        rows = touched[0][sl] - x0
         gx, gy = np.meshgrid(xs[rows], ys[cols], indexing="ij")
         kvals = k.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1))
         field.values[np.ix_(rows, cols)] -= kvals.reshape(gx.shape)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-POWER_BLOCK = 1 << 13  # spectrum values per row block of ``spectral_power``
-ROW_BLOCK = 1 << 16  # values per row or column block of a transform over a whole box
+from . import kernels
 
 
 def perp(g: np.ndarray) -> np.ndarray:
@@ -222,17 +221,16 @@ def rfft2_rows(values: np.ndarray, rows: slice) -> np.ndarray:
 def irfft2_rows(spec: np.ndarray, ny: int, rows: slice = slice(None)) -> np.ndarray:
     """Rows ``rows`` of ``np.fft.irfft2(spec, s=(nx, ny))`` for a half
     spectrum (..., nx, ny // 2 + 1): the ``ifft`` along nx in place, then the
-    ``irfft`` of those rows only, over blocks of ``ROW_BLOCK`` values. numpy's
-    ``irfft2`` takes the same two passes in this order, so the result equals
-    its rows bit for bit. Each block's output overwrites its own rows of
+    ``irfft`` of those rows only, over row blocks of ``kernels.BLOCK`` bytes.
+    numpy's ``irfft2`` takes the same two passes in this order, so the result
+    equals its rows bit for bit. Each block's output overwrites its own rows of
     ``spec``, so the result is a view of ``spec``'s memory."""
     np.fft.ifft(spec, axis=-2, out=spec)
     spec = spec[..., rows, :]
     out = spec.view(float)[..., :ny]
-    step = max(1, ROW_BLOCK // spec.shape[-1])
-    for start in range(0, spec.shape[-2], step):
-        block = spec[..., start:start + step, :].copy()
-        np.fft.irfft(block, n=ny, axis=-1, out=out[..., start:start + step, :])
+    for sl in kernels.blocks(spec.shape[-2], 16 * spec.shape[-1]):
+        block = spec[..., sl, :].copy()
+        np.fft.irfft(block, n=ny, axis=-1, out=out[..., sl, :])
     return out
 
 
@@ -250,15 +248,14 @@ def spectral_power(spec: np.ndarray, ny: int, weight=None, col0: int = 0) -> flo
     or its columns from ``col0`` on: every column counts twice (for its
     conjugate) except column 0 and, for even ny, the Nyquist column.
     ``weight(rows)`` gives the weights of a slice of rows, broadcast against
-    (rows, columns of ``spec``); one by default. The sum runs over blocks of
-    ``POWER_BLOCK`` values per row slice, so its temporaries stay small on
-    any grid. By Parseval, the l2 norm squared of fields with
-    ``spec = rfft2(f)`` is ``spectral_power(spec, ny) / (nx ny)``."""
-    step = max(1, POWER_BLOCK // spec.shape[-1])
+    (rows, columns of ``spec``); one by default. The sum runs over row blocks
+    of ``kernels.SMALL_BLOCK`` bytes, so its temporaries stay small on any
+    grid (the block sets the order of the float sum). By Parseval, the l2
+    norm squared of fields with ``spec = rfft2(f)`` is
+    ``spectral_power(spec, ny) / (nx ny)``."""
     twice = slice(max(1 - col0, 0), max((ny + 1) // 2 - col0, 0))
     total = 0.0
-    for start in range(0, spec.shape[-2], step):
-        rows = slice(start, start + step)
+    for rows in kernels.blocks(spec.shape[-2], 16 * spec.shape[-1], kernels.SMALL_BLOCK):
         block = spec[..., rows, :]
         power = block.real**2
         power += block.imag**2

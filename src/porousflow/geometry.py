@@ -16,8 +16,6 @@ import numpy as np
 from . import kernels
 from .fields import ScalarGridField, fmt, write_table
 
-_POINT_BLOCK = 1 << 15  # points per block of the nearest-center scan (cache sized)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -100,7 +98,7 @@ class PorousConfig:
         if pts.shape[0] < 2:
             return np.inf
         best = np.inf
-        for sl in kernels.chunks(pts.shape[0], pts.shape[0]):
+        for sl in kernels.blocks(pts.shape[0], 8 * pts.shape[0]):
             diff = pts[sl, None, :] - pts[None, :, :]
             dist = np.hypot(diff[..., 0], diff[..., 1])
             rows = np.arange(diff.shape[0])
@@ -339,15 +337,14 @@ def nearest_center_sq(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
     centers).
 
     Keeps a running minimum of squared distance over centers, one block of
-    points at a time, so memory is O(points) whatever the number of centers.
+    ``kernels.BLOCK`` bytes (16 per point) at a time, so memory is O(points)
+    whatever the number of centers.
     """
     best = np.full(pts.shape[0], np.inf)
-    for start in range(0, pts.shape[0], _POINT_BLOCK):
-        px = pts[start : start + _POINT_BLOCK, 0].copy()
-        py = pts[start : start + _POINT_BLOCK, 1].copy()
-        sq = np.empty_like(px)
-        dy2 = np.empty_like(px)
-        block_best = best[start : start + _POINT_BLOCK]
+    for sl in kernels.blocks(pts.shape[0], 16):
+        px, py = pts[sl, 0].copy(), pts[sl, 1].copy()
+        sq, dy2 = np.empty_like(px), np.empty_like(px)
+        block_best = best[sl]
         for cx, cy in centers:
             np.subtract(px, cx, out=sq)
             sq *= sq

@@ -43,7 +43,6 @@ import numpy as np
 
 from . import kernels
 from .fields import (
-    ROW_BLOCK,
     ScalarGridField,
     VectorGridField,
     check_padding,
@@ -122,20 +121,19 @@ def _box_kernel(shape, h: float, extent, size) -> list[list[np.ndarray]]:
     ``fields.multipliers``) at the displacements |d| < ``extent`` per axis,
     laid out as ``potential._wrapped``. The multipliers are real, so the
     inverse along nx is the conjugate of a real forward transform, taken over
-    column blocks of ``ROW_BLOCK`` values and kept on its first rows, whose
+    column blocks of ``kernels.BLOCK`` bytes and kept on its first rows, whose
     conjugates are the rows of negative dx. The kernel is even, so its
     spectra are real (the imaginary roundoff goes)."""
     (nx, ny), (bx, by) = shape, extent
     if not bx:  # the zero k: no displacement is kept
         return [[np.zeros((size[0], size[1] // 2 + 1))] * 2] * 2
     dx, dy = (_wrapped(b, m) for b, m in zip(extent, size))
-    step = max(1, ROW_BLOCK // nx)
     halves = np.empty((3, bx, ny // 2 + 1), dtype=complex)
-    for start in range(0, ny // 2 + 1, step):
-        kx, ky, mx, my = multipliers(shape, h, slice(start, start + step))
+    for cols in kernels.blocks(ny // 2 + 1, 8 * nx):
+        kx, ky, mx, my = multipliers(shape, h, cols)
         for half, product in zip(halves, (kx * mx, kx * my, ky * my)):
             # nx ifft along nx, dx = 0..bx-1
-            half[:, start:start + step] = np.fft.rfft(product, axis=0)[:bx].conj()
+            half[:, cols] = np.fft.rfft(product, axis=0)[:bx].conj()
     spectra = []
     for half in halves:
         kern = np.fft.irfft(np.concatenate([half, half[:0:-1].conj()]), n=ny, axis=1)

@@ -17,9 +17,11 @@ and |z|^2 + blob^2, from which K (1/2 log of the third), grad K, H K and
 Delta K (2 blob^2 / the third squared) are made in place, then summed by real
 matrix products with q.
 
-Targets go in blocks of at most ``PAIR_BUDGET`` pairs, so memory stays bounded.
-1 << 16 pairs stay in cache: a 1316 x 1316 m = 1 blob sum took 55.6, 12.1, 11.3
-and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and 1 << 14 (2-core VM).
+Every bounded loop in porousflow takes its slices from ``blocks``, under a
+budget in bytes of its largest temporary. Targets go in blocks of ``BLOCK``
+bytes, 8 per pair: 1 << 16 pairs stay in cache, as a 1316 x 1316 m = 1 blob
+sum took 55.6, 12.1, 11.3 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and
+1 << 14 (2-core VM).
 
 Far sums interpolate on Chebyshev nodes, as in the black-box FMM (Fong &
 Darve 2009), without ``own`` and for targets that are not the sources. Both
@@ -32,7 +34,7 @@ Lagrange interpolation on the p_x x p_y Chebyshev nodes of either box, p =
 ceil(53 ln 2 / ln rho) + 2 per axis, reproduces K(t - s) as a function of
 that box's points to roundoff, whichever points the other side sums over. A
 side takes its nodes when rho >= 4 on both axes, p_x p_y <= half its point
-count, the call has more than ``PAIR_BUDGET`` pairs and its box is not flat:
+count, the call has more than ``BLOCK // 8`` pairs and its box is not flat:
 
 - source side: the nodes with the strengths Q = Lx^T diag(q) Ly (Lx, Ly the
   (S, p) Lagrange weights) stand for the S sources;
@@ -49,7 +51,7 @@ half of 256 holes) and hole -> particle the target side only (likewise).
 
 When the targets are the sources (and no ``own``), D^m K(-z) = (-1)^m D^m K(z)
 lets one block serve both its rows and its columns, so only the upper
-triangle of sqrt(PAIR_BUDGET)-square blocks is built (the diagonal blocks in
+triangle of square tiles of ``BLOCK`` bytes is built (the diagonal blocks in
 full). At 1316 particles with blob 0.025 (2-core VM, median of 30 runs),
 the self-sum takes 5.8 ms against 8.3 ms over rectangular target blocks.
 """
@@ -60,19 +62,22 @@ import math
 
 import numpy as np
 
-PAIR_BUDGET = 1 << 16  # target x source pairs handled per vectorized block
+BLOCK = 1 << 19  # bytes of a blocked loop's largest temporary (cache sized)
+SMALL_BLOCK = 1 << 17  # bytes per block of spectral_power and the hole series
 _STRENGTHS = {0: ((),), 1: ((), (2,)), 2: ((2,),)}  # q.shape[1:] that each m takes
 _LAPLACIAN = "laplacian"  # the block kind of ``laplacian_sum``
 _FAR_RHO = 4.0  # the smallest Bernstein-ellipse parameter of the far path
 _DIGITS = 53 * math.log(2.0)  # rho^-p reaches double precision at p = _DIGITS / ln rho
 
 
-def chunks(n_targets: int, n_sources: int):
-    """Slices of the targets, each holding at most ``PAIR_BUDGET`` pairs
-    (and at least one target)."""
-    step = max(PAIR_BUDGET // max(n_sources, 1), 1)
-    for start in range(0, n_targets, step):
-        yield slice(start, min(start + step, n_targets))
+def blocks(n: int, width: int, budget: int | None = None, align: int = 1):
+    """Slices of range(n), each of whole multiples of ``align`` items (the
+    last one may be short) holding at most ``budget`` bytes, ``BLOCK`` by
+    default, at ``width`` bytes per item, and at least one item (``align``
+    items when n allows). The budget is read at each call."""
+    step = align * max((BLOCK if budget is None else budget) // max(width * align, 1), 1)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def pair_sum(targets, sources, q, m: int, blob: float = 0.0, own=None) -> np.ndarray:
@@ -113,10 +118,10 @@ def _sum(targets, sources, q, m, blob2: float, own=None) -> np.ndarray:
     # block: fresh blocks are page-faulted in each time (560 minor faults per
     # 4096 x 256 m = 2 call, against none with the buffer; 2-core VM). Sized
     # for the source nodes, it left euler-compare's peak RSS 0.4 MB higher (glibc)
-    largest = min(n_t * n_s, max(PAIR_BUDGET, n_s))
+    largest = min(n_t * n_s, max(BLOCK // 8, n_s))
     self_sum = own is None and np.array_equal(zt, zs)
     grid = None
-    if own is None and not self_sum and n_t * n_s > PAIR_BUDGET:
+    if own is None and not self_sum and 8 * n_t * n_s > BLOCK:
         box, s_box = _box(zt), _box(zs)
         gap = math.hypot(*np.maximum(np.abs(box[0] - s_box[0]) - box[1] - s_box[1], 0.0))
         grid = _far_grid(n_t, *box, gap)
@@ -142,8 +147,8 @@ def _sum(targets, sources, q, m, blob2: float, own=None) -> np.ndarray:
 
 def _blocks(out, zt, zs, q, m, blob2: float, work, own=None) -> None:
     """Writes the sum at the targets ``zt`` into ``out``, over blocks of
-    targets of at most ``PAIR_BUDGET`` pairs each."""
-    for sl in chunks(zt.shape[-1], zs.shape[-1]):
+    targets of at most ``BLOCK`` bytes of pairs each."""
+    for sl in blocks(zt.shape[-1], 8 * zs.shape[-1]):
         kern = _kernel(zt[..., sl], zs, m, blob2, work)
         if own is not None:
             rows = np.flatnonzero(own[sl] >= 0)
@@ -154,11 +159,11 @@ def _blocks(out, zt, zs, q, m, blob2: float, work, own=None) -> None:
 def _interpolate(out, zt, centre, half, p, at_nodes) -> None:
     """Writes out_i = sum_ab Lx[i, a] Ly[i, b] F[a, b] into ``out`` for the
     targets ``zt`` (2, T), F the sum ``at_nodes`` at the nodes of the box
-    (centre, half), over blocks of at most ``PAIR_BUDGET`` weights."""
+    (centre, half), over blocks of at most ``BLOCK`` bytes of weights."""
     # (p_x, c p_y) for c = 1 or 2 components: with p_y, not c, as the einsum's
     # inner axis it took half the time (2-core VM)
     at_nodes = np.moveaxis(at_nodes.reshape(p[0], p[1], -1), 2, 1).reshape(p[0], -1)
-    for sl in chunks(zt.shape[-1], p[0] + p[1]):
+    for sl in blocks(zt.shape[-1], 8 * (p[0] + p[1])):
         lx, ly = _weights(zt[:, sl], centre, half, p)
         rows = (lx @ at_nodes).reshape(len(lx), -1, p[1])
         np.einsum("icb,ib->ic", rows, ly, out=out[sl].reshape(len(lx), -1))
@@ -235,18 +240,16 @@ def _chebyshev(xi: np.ndarray, p: int) -> np.ndarray:
 
 def _self_sum(out, pts, q, m, blob2: float, work) -> None:
     """Adds the sum of the points on themselves to ``out`` over the upper
-    triangle of square blocks of ``PAIR_BUDGET`` pairs: an off-diagonal block
-    K(rows, cols) adds K q[cols] to its rows and K^T q[rows] to its columns,
-    negated for the odd m = 1."""
-    n = pts.shape[-1]
-    side = math.isqrt(PAIR_BUDGET)
-    for r in range(0, n, side):
-        rows = slice(r, min(r + side, n))
-        for c in range(r, n, side):
-            cols = slice(c, min(c + side, n))
+    triangle of square tiles of at most ``BLOCK`` bytes of pairs: an
+    off-diagonal tile K(rows, cols) adds K q[cols] to its rows and K^T q[rows]
+    to its columns, negated for the odd m = 1."""
+    side = math.isqrt(BLOCK // 8)
+    tiles = list(blocks(pts.shape[-1], 8 * side, 8 * side * side))
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
             kern = _kernel(pts[..., rows], pts[..., cols], m, blob2, work)
             out[rows] += _apply(kern, q[cols], m)
-            if c > r:
+            if cols != rows:
                 out[cols] += (-1 if m == 1 else 1) * _apply(np.swapaxes(kern, -1, -2), q[rows], m)
 
 

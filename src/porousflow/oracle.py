@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import potential
+from . import kernels, potential
 from .fields import perp
 from .geometry import PorousConfig
 
@@ -47,8 +47,6 @@ POINTS = 64  # collocation points per hole
 _CG_TOL = 1e-14
 _CG_MAX_ITERATIONS = 200  # far above the 7-20 that cond(A) < 1.5 needs
 _CERT_TOL = 1e-8  # relative recovery error of the rank certificate v0
-_TARGET_BLOCK = 1 << 13  # points per block of the hole series (128 KiB arrays)
-_FIT_BLOCK = 1 << 15  # complex values of v per block of the fit (whole rings; 512 KiB)
 
 
 @dataclass
@@ -73,27 +71,27 @@ class _Basis:
     (x -> A x, r -> A^T r) that holds only the (npts, N) map v = conj(a/(z - c)).
     A's columns are hole-major, (cos_1, sin_1, ..., cos_M, sin_M) per hole.
     Its order-m columns, the float view of v^m, are made by p *= v on blocks
-    of whole rings of about ``_FIT_BLOCK`` values: cumprod's values to an ulp,
-    as numpy's contiguous complex multiply fuses a multiply-add."""
+    of whole rings of ``kernels.BLOCK`` bytes: cumprod's values to an ulp, as
+    numpy's contiguous complex multiply fuses a multiply-add."""
 
     def __init__(self, config: PorousConfig, order: int, pts: np.ndarray, ring: int):
         zc = config.centers[:, 0] + 1j * config.centers[:, 1]
         self.v = np.subtract.outer(pts[:, 0] + 1j * pts[:, 1], zc)
         np.conjugate(np.divide(config.a, self.v, out=self.v), out=self.v)
         self.order, self.ring = order, ring
-        self.rows = ring * max(_FIT_BLOCK // (ring * config.n_holes), 1)
 
     def powers(self):
         """(rows, m - 1, v^m on those rows as floats) per block and order m."""
-        buf = np.empty((self.rows, self.v.shape[1]), dtype=complex)
-        for start in range(0, len(self.v), self.rows):
-            vb = self.v[start:start + self.rows]
+        row_blocks = list(kernels.blocks(len(self.v), 16 * self.v.shape[1], align=self.ring))
+        buf = np.empty_like(self.v[row_blocks[0]])
+        for rows in row_blocks:
+            vb = self.v[rows]
             p = buf[:len(vb)]
             p[...] = vb
             for m in range(self.order):
                 if m:
                     p *= vb
-                yield slice(start, start + len(vb)), m, p.view(float)
+                yield rows, m, p.view(float)
 
     def _center(self, r):
         rings = r.reshape(len(r), -1, self.ring)
@@ -242,7 +240,8 @@ def solve_collocation(
 def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> np.ndarray:
     """Sum over holes of P(w), or of -(w/z) P'(w) = w^2 sum_m (-m gamma_m / a)
     w^(m-1) when ``derivative`` is set: one hole at a time, by Horner's rule
-    in w on a block of ``_TARGET_BLOCK`` points with scalar coefficients."""
+    in w on blocks of ``kernels.SMALL_BLOCK`` bytes, 16 per point, with
+    scalar coefficients."""
     config = sol.config
     gamma = sol.coeffs[:, 0::2] + 1j * sol.coeffs[:, 1::2]  # (N, M)
     if derivative:
@@ -250,8 +249,8 @@ def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> n
     zp = pts[:, 0] + 1j * pts[:, 1]
     zc = config.centers[:, 0] + 1j * config.centers[:, 1]
     out = np.zeros(pts.shape[0], dtype=complex)
-    for start in range(0, pts.shape[0], _TARGET_BLOCK):
-        zb, block = zp[start:start + _TARGET_BLOCK], out[start:start + _TARGET_BLOCK]
+    for sl in kernels.blocks(pts.shape[0], 16, kernels.SMALL_BLOCK):
+        zb, block = zp[sl], out[sl]
         w, acc = np.empty_like(zb), np.empty_like(zb)
         for c, g in zip(zc, gamma):
             np.divide(config.a, np.subtract(zb, c, out=w), out=w)

@@ -8,8 +8,8 @@ zero-padded FFT convolution over the bounding box of f's nonzero cells
 (after Hockney & Eastwood 1988) by ``_fft_convolve``, the one such
 convolution, which ``homogenized`` also uses for L on k's box and for the
 correction on a probe grid; it holds one whole-box array at a time beside
-its sources and outputs, the rest in row blocks of ``fields.ROW_BLOCK``
-values. The homog sweep reads the gradient only on k's box, and its norm
+its sources and outputs, the rest in row blocks of ``kernels.BLOCK``
+bytes. The homog sweep reads the gradient only on k's box, and its norm
 over the whole grid: given that window, the same pass keeps the window and
 sums each output plane's squares where it is inverted, so no whole-grid
 output is made. Also provides the disk-dipole correction field
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .fields import ROW_BLOCK, ScalarGridField, VectorGridField, irfft2_rows, perp, rfft2_rows
+from .fields import ScalarGridField, VectorGridField, irfft2_rows, perp, rfft2_rows
 from .geometry import inside_holes
 
 
@@ -127,8 +127,8 @@ def grad_psi0_on_grid(f: ScalarGridField, window=None):
     (grad psi_0 on the window as (2, wx, wy) planes, equal bit for bit to
     the whole-grid field there, and its l2 norm over the whole grid,
     unweighted) from the same convolution: each output plane is read where
-    it is inverted, its squares summed over row blocks of ``ROW_BLOCK``
-    values, so no whole-grid gradient is made."""
+    it is inverted, its squares summed over row blocks of ``kernels.BLOCK``
+    bytes, so no whole-grid gradient is made."""
     scale = f.h**2 / (2.0 * np.pi)
     where = ... if window is None else tuple(window)
     out = np.zeros((2,) + f.values[where].shape)
@@ -139,9 +139,8 @@ def grad_psi0_on_grid(f: ScalarGridField, window=None):
         np.multiply(plane[where], scale, out=out[i])
         if window is None:
             return
-        step = max(1, ROW_BLOCK // plane.shape[1])
-        for start in range(0, plane.shape[0], step):
-            block = plane[start:start + step] * scale
+        for rows in kernels.blocks(plane.shape[0], 8 * plane.shape[1]):
+            block = plane[rows] * scale
             total += float(np.vdot(block, block))
 
     box = f.support_slices()
@@ -191,17 +190,17 @@ def _grad_kernel(n_src, size, h, offset):
     ``rfft2``'s two passes (so equal to it bit for bit): the ``rfft`` of
     row blocks built in one buffer in place, then the ``fft`` along Mx."""
     dx, dy = ((_wrapped(ns, nb) + off) * h for ns, nb, off in zip(n_src, size, offset))
-    step = max(1, ROW_BLOCK // size[1])
-    buf = np.empty((min(step, size[0]), size[1]))
+    row_blocks = list(kernels.blocks(size[0], 8 * size[1]))
+    buf = np.empty((row_blocks[0].stop, size[1]))
     for axis in (0, 1):
         spec = np.empty((size[0], size[1] // 2 + 1), dtype=complex)
-        for start in range(0, size[0], step):
-            x = dx[start:start + step, None]
+        for rows in row_blocks:
+            x = dx[rows, None]
             r2 = np.multiply(dy, dy, out=buf[:x.shape[0]])
             r2 += x * x
             np.divide(1.0, r2, out=r2, where=r2 > 0.0)  # 1 / |d|^2, 0 at d = 0
             r2 *= dy if axis else x
-            np.fft.rfft(r2, axis=1, out=spec[start:start + step])
+            np.fft.rfft(r2, axis=1, out=spec[rows])
         yield np.fft.fft(spec, axis=0, out=spec)
         del spec  # the caller's is freed before the next is made
 

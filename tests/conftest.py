@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from porousflow import kernels
 from porousflow.euler import VortexParticles
 from porousflow.fields import disk_indicator, rasterize
 
@@ -33,6 +40,46 @@ def scan_points(centers, a, reach, rng) -> np.ndarray:
         for offset in ([step, 0.0], [0.0, step], [-step, 0.0], [0.0, -step]):
             pts.append(centers + offset)
     return np.concatenate(pts)
+
+
+def child_output(code: str) -> list[str]:
+    """The words that ``code`` prints, run with ``src`` on the path by an
+    interpreter that a fresh, small one starts, not pytest: a forked child's
+    ru_maxrss starts at its parent's peak. Skips where ru_maxrss is not KiB."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is KiB on Linux")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    launcher = ("import subprocess, sys; "
+                "sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", launcher, code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return proc.stdout.split()
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the bytes it allocated (``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def taken_blocks(monkeypatch):
+    """The slices of each ``kernels.blocks`` call in the test, one list per
+    call, so a loop that read its budget at import shows a wrong count."""
+    calls = []
+    blocks = kernels.blocks
+
+    def record(*args, **kwargs):
+        calls.append(list(blocks(*args, **kwargs)))
+        return iter(calls[-1])
+
+    monkeypatch.setattr(kernels, "blocks", record)
+    return calls
 
 
 @pytest.fixture(scope="session")

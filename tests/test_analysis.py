@@ -1,14 +1,10 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import child_output, traced_peak
 from porousflow import analysis as ana
 from porousflow.fields import ScalarGridField, make_grid
 from porousflow.geometry import Box, build_lattice, lattice_fraction, rasterize_mu
@@ -197,34 +193,15 @@ def test_predictor_traced_peak_bounded():
     # (34 MB each for the world field and its half spectrum)
     cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1.0 / 128.0))
-    tracemalloc.start()
-    try:
-        budget = ana.predictor_f(cfg, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    budget, peak = traced_peak(lambda: ana.predictor_f(cfg, k))
     assert budget.mu_minus_k_hm1 == pytest.approx(0.0008782516739463156, rel=1e-12)
     assert peak / 2**20 < 32.0
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_predictor_memory_bounded():
     # divcurl's n = 16 predictor: mu - k on a 2056^2 grid at h = a/4, with k
     # nonzero on the unit square only
-    src_dir = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    # a forked child's ru_maxrss starts at its parent's peak, so the measured
-    # process is started by a fresh, small interpreter rather than by pytest
-    launcher = (
-        "import subprocess, sys; "
-        "sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", launcher, _PREDICTOR_N16_CHILD],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    hm1, maxrss_kib = proc.stdout.split()
+    hm1, maxrss_kib = child_output(_PREDICTOR_N16_CHILD)
     assert float(hm1) == pytest.approx(0.0008782516739463156, rel=1e-12)
     assert int(maxrss_kib) / 1024 < 300.0
 

@@ -405,18 +405,18 @@ def test_hole_scans_match_the_unpruned_rule(n):
         assert refl.overlaps_hole(everything, cfg) == (n > 0)
 
 
-def test_smoothed_vorticity_chunked_matches_dense(monkeypatch):
+def test_smoothed_vorticity_chunked_matches_dense(monkeypatch, taken_blocks):
     from porousflow import kernels
 
     rng = np.random.default_rng(4)
     parts = eu.VortexParticles(rng.uniform(-1, 1, (13, 2)), rng.standard_normal(13), 0.1)
     pts = rng.uniform(-1.5, 1.5, (301, 2))
-    monkeypatch.setattr(kernels, "PAIR_BUDGET", 13 * 20)  # 16 chunks
-    assert len(list(kernels.chunks(pts.shape[0], parts.count))) > 1
+    monkeypatch.setattr(kernels, "BLOCK", 8 * 13 * 20)  # 16 blocks of 20 targets
     d2 = parts.blob**2
     r2 = ((pts[:, None, :] - parts.positions[None, :, :]) ** 2).sum(axis=2) + d2
     dense = (parts.weights[None, :] * d2 / (np.pi * r2 * r2)).sum(axis=1)
     got = eu.smoothed_vorticity(parts, pts)
+    assert [len(call) for call in taken_blocks] == [16]
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 

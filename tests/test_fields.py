@@ -5,7 +5,7 @@ import pytest
 
 from conftest import point_vortex
 from porousflow import euler as eu
-from porousflow import fields
+from porousflow import fields, kernels
 from porousflow import oracle as orc
 from porousflow import potential as pot
 from porousflow import reflections as refl
@@ -159,15 +159,16 @@ def test_pruned_transforms_equal_numpy_bit_for_bit(shape, where):
 
 
 @pytest.mark.parametrize("shape", [(16, 12), (15, 13), (2, 16, 13), (2, 15, 12)])
-def test_inverse_over_row_blocks_writes_into_the_spectrum(shape, monkeypatch):
-    # blocks of two rows, the last one short for odd nx: still the rows of
+def test_inverse_over_row_blocks_writes_into_the_spectrum(shape, monkeypatch, taken_blocks):
+    # blocks of two rows, the last one short for even nx: still the rows of
     # irfft2 bit for bit, held in the spectrum's own memory
     nx, ny = shape[-2:]
-    monkeypatch.setattr(fields, "ROW_BLOCK", 2 * (ny // 2 + 1))
+    monkeypatch.setattr(kernels, "BLOCK", 2 * 16 * (ny // 2 + 1))
     spec = np.fft.rfft2(np.random.default_rng(nx * ny).standard_normal(shape))
     full = np.fft.irfft2(spec, s=(nx, ny))
     rows = slice(1, nx - 2)
     out = irfft2_rows(spec, ny, rows)
+    assert [len(call) for call in taken_blocks] == [(nx - 2) // 2]
     assert np.array_equal(out, full[..., rows, :]) and np.shares_memory(out, spec)
 
 
@@ -195,16 +196,17 @@ def test_multipliers_on_column_blocks_are_the_whole_grid_columns(shape):
 
 
 @pytest.mark.parametrize("shape", [(16, 12), (15, 13), (2, 16, 13), (2, 15, 12)])
-def test_spectral_power_is_parseval(shape, monkeypatch):
+def test_spectral_power_is_parseval(shape, monkeypatch, taken_blocks):
     # even and odd axes, batched planes, blocks of three rows and one block:
     # the half-spectrum sum over nx ny is the l2 norm squared of the fields
     nx, ny = shape[-2:]
     values = np.random.default_rng(nx * ny).standard_normal(shape)
     spec = np.fft.rfft2(values)
     before = spec.copy()
-    for block in (3 * (ny // 2 + 1), fields.POWER_BLOCK):
-        monkeypatch.setattr(fields, "POWER_BLOCK", block)
+    for budget, count in ((3 * 16 * (ny // 2 + 1), -(-nx // 3)), (kernels.SMALL_BLOCK, 1)):
+        monkeypatch.setattr(kernels, "SMALL_BLOCK", budget)
         power = fields.spectral_power(spec, ny) / (nx * ny)
+        assert len(taken_blocks[-1]) == count
         assert power == pytest.approx(np.vdot(values, values), rel=1e-13, abs=0.0)
     assert np.array_equal(spec, before)
     kx, _ = fields.wavenumbers((nx, ny), 0.1)

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from porousflow import fields
 from porousflow import homogenized as hom
+from porousflow import kernels
 from porousflow import potential as pot
 from porousflow.fields import VectorGridField, make_grid, perp, radial_bump, rasterize
 from porousflow.geometry import Box, build_lattice, lattice_fraction
@@ -306,13 +306,15 @@ def _whole_grid_box_kernel(shape, h, extent, size):
                                       ((39, 48), None), ((36, 36), 12)])
 @pytest.mark.parametrize("cols", [1, 5, None])
 def test_box_kernel_over_column_blocks_is_the_whole_grid_form_bit_for_bit(shape, b, cols,
-                                                                         monkeypatch):
+                                                                         monkeypatch,
+                                                                         taken_blocks):
     # blocks of one spectral column, of five (the last one short) and one
     # block, on even and odd grid sides
     if cols is not None:
-        monkeypatch.setattr(hom, "ROW_BLOCK", cols * shape[0])
+        monkeypatch.setattr(kernels, "BLOCK", 8 * cols * shape[0])
     k, g = _box_case(shape, b)
-    op = hom._BoxL(k, g.h, g.values.shape[:2])
+    op = hom._BoxL(k, g.h, g.values.shape[:2])  # its last blocks are the kernel's
+    assert len(taken_blocks[-1]) == (1 if cols is None else -(-(shape[1] // 2 + 1) // cols))
     (xx, xy), (_, yy) = op.kernel
     ref = _whole_grid_box_kernel(k.shape, k.h, op.km.shape, op.w.shape[1:])
     for got, want in zip((xx, xy, yy), ref, strict=True):
@@ -481,12 +483,7 @@ def test_sweep_from_f_memory_within_budget():
     h = 1.0 / 256.0
     f, k = world_f(h), world_k(1.0, h)
     whole = 2 * k.values.nbytes  # a whole-grid g0
-    tracemalloc.start()
-    try:
-        rows = hom.expansion_errors(*sweep_g0(f, k), k, SWEEP_NORMS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: hom.expansion_errors(*sweep_g0(f, k), k, SWEEP_NORMS))
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
     assert peak < 2.0 * whole
 
@@ -496,21 +493,15 @@ def test_expansion_errors_memory_within_budget():
     # product with it on the (fast_length(2 bx - 1))^2 box, the three kernel
     # spectra there, the kernel's one-time inverse over bx rows of the grid,
     # and per scale T_c and L T_c on k's box beside L g0: measured 2.17 g0 at
-    # the peak (the whole grid's multipliers are not read).
-    # The loose 6 g0 bound is the one of the form with each spectrum on the
-    # whole grid (4.4 g0); the tight 3.0 g0 leaves a 1.38x margin over 2.17 g0
+    # the peak (the whole grid's multipliers are not read). The form with
+    # each spectrum on the whole grid took 4.4 g0; the 3.0 g0 bound leaves a
+    # 1.38x margin over 2.17 g0
     h = 1.0 / 64.0
     k = world_k(1.0, h)
     g0 = sweep_g0(world_f(h), k)
     whole = 2 * k.values.nbytes  # a whole-grid g0
-    tracemalloc.start()
-    try:
-        rows = hom.expansion_errors(*g0, k, SWEEP_NORMS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: hom.expansion_errors(*g0, k, SWEEP_NORMS))
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
-    assert peak < 6 * whole
     assert peak < 3.0 * whole
 
 
@@ -522,12 +513,7 @@ def test_sweep_series_makes_no_whole_grid_multiplier():
     k = world_k(1.0, h)
     g0 = sweep_g0(world_f(h), k)
     whole = 2 * k.values.nbytes  # a whole-grid g0
-    tracemalloc.start()
-    try:
-        rows = hom.expansion_errors(*g0, k, SWEEP_NORMS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: hom.expansion_errors(*g0, k, SWEEP_NORMS))
     assert [len(incs) for _, _, incs in rows] == [5, 6, 7]
     assert peak < 1.8 * whole
 

@@ -7,13 +7,14 @@ hold at once."""
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from porousflow import euler, kernels, oracle
-from porousflow.geometry import Box, build_lattice
+from conftest import traced_peak
+from porousflow import analysis, euler, fields, kernels, oracle
+from porousflow.fields import make_grid
+from porousflow.geometry import Box, build_lattice, lattice_fraction, nearest_center_sq
 from references import TABLE, dense_reference
 
 TOL, FAR_TOL = TABLE["pair_sum"].tol, TABLE["pair_sum_far"].tol
@@ -54,7 +55,7 @@ def cloud(seed, n_sources=300):
     rng = np.random.default_rng(seed)
     sources = rng.random((n_sources, 2)) * 2.0 - 1.0
     # targets on top of sources, plus a count that no chunk step divides
-    n_targets = kernels.PAIR_BUDGET // n_sources + 7
+    n_targets = kernels.BLOCK // (8 * n_sources) + 7
     extra = rng.random((n_targets - 50, 2)) * 3.0 - 1.5
     targets = np.vstack([sources[:50], extra])
     return rng, targets, sources
@@ -64,7 +65,7 @@ def cloud(seed, n_sources=300):
 @pytest.mark.parametrize("complex_q", [False, True])
 def test_pair_sum_matches_dense_reference(m, blob, complex_q):
     rng, targets, sources = cloud(m + 10 * complex_q)
-    assert targets.shape[0] % max(kernels.PAIR_BUDGET // sources.shape[0], 1) != 0
+    assert targets.shape[0] % max(kernels.BLOCK // (8 * sources.shape[0]), 1) != 0
     q = rng.standard_normal(sources.shape[0])
     if complex_q:
         q = q + 1j * rng.standard_normal(sources.shape[0])
@@ -83,7 +84,7 @@ def test_own_drops_one_source_per_target(m):
     assert_matches(targets, sources, q, m, blob, own=own)
 
 
-SIDE = math.isqrt(kernels.PAIR_BUDGET)  # the self-sum's square blocks
+SIDE = math.isqrt(kernels.BLOCK // 8)  # the self-sum's square tiles
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, SIDE + 44, 3 * SIDE + 5])
@@ -93,7 +94,7 @@ def test_self_sum_matches_rectangular_blocks(n, m, blob, complex_q):
     # targets equal to the sources take the triangle of blocks; an own of all
     # -1 drops nothing and takes the rectangular target blocks
     if n > 2:  # no block size divides n
-        assert n % SIDE and n % max(kernels.PAIR_BUDGET // n, 1)
+        assert n % SIDE and n % max(kernels.BLOCK // (8 * n), 1)
     rng = np.random.default_rng(100 + n + 10 * m)
     pts = rng.random((n, 2)) * 2.0 - 1.0
     if n > SIDE:
@@ -109,13 +110,23 @@ def test_self_sum_matches_rectangular_blocks(n, m, blob, complex_q):
     assert_matches(pts, pts, q, m, blob)
 
 
-def test_chunks_cover_targets_within_budget():
-    for n_targets, n_sources in ((0, 5), (7, 0), (1000, 3), (10, kernels.PAIR_BUDGET * 2)):
-        slices = list(kernels.chunks(n_targets, n_sources))
-        covered = np.concatenate([np.arange(n_targets)[sl] for sl in slices] or [[]])
-        assert np.array_equal(covered, np.arange(n_targets))
+def test_blocks_cover_the_items_within_the_budget(monkeypatch):
+    # no items, no width, a width above the budget (one item or align group
+    # per slice), align with a short last block, a given and a patched budget
+    cases = [(0, 8, None, 1), (7, 0, None, 1), (1000, 24, None, 1),
+             (10, 2 * kernels.BLOCK, None, 1), (100, 16, 16 * 3 * 4, 3), (10, 64, 16, 4),
+             (1000, 24, 100, 1)]
+    for n, width, budget, align in cases:
+        slices = list(kernels.blocks(n, width, budget, align))
+        covered = np.concatenate([np.arange(n)[sl] for sl in slices] or [[]])
+        assert np.array_equal(covered, np.arange(n))
         for sl in slices:
-            assert (sl.stop - sl.start) * n_sources <= max(kernels.PAIR_BUDGET, n_sources)
+            size = sl.stop - sl.start
+            assert size >= 1 and size * width <= max(budget or kernels.BLOCK, width * align)
+        assert all((sl.stop - sl.start) % align == 0 for sl in slices[:-1])
+    assert [sl.stop - sl.start for sl in kernels.blocks(100, 16, 16 * 3 * 4, 3)] == [12] * 8 + [4]
+    monkeypatch.setattr(kernels, "BLOCK", 8 * 30)
+    assert [sl.stop - sl.start for sl in kernels.blocks(100, 8)] == [30] * 3 + [10]
 
 
 def test_empty_inputs():
@@ -345,36 +356,34 @@ def test_far_path_decision_memory_bounded():
     centers = build_lattice(5, 0.05, Box(0.0, 0.0, 1.0, 1.0)).centers
     targets = rng.random((229_312, 2)) * 1.5 - 0.25
     q = rng.standard_normal((centers.shape[0], 2))
-    tracemalloc.start()
-    try:
-        out = kernels.pair_sum(targets, centers, q, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= targets.nbytes + out.nbytes + 8 * kernels.PAIR_BUDGET * 8
+    out, peak = traced_peak(lambda: kernels.pair_sum(targets, centers, q, 2))
+    assert peak <= targets.nbytes + out.nbytes + 8 * kernels.BLOCK
 
 
 def _pair_sum_case(rng):
     """A blob sum with vector strengths (m = 1 with a blob, q (S, 2))."""
     sources = rng.random((512, 2))
     q = rng.standard_normal((512, 2))
-    targets = rng.random((12 * kernels.PAIR_BUDGET // 512 + 5, 2)) * 3.0
-    return targets, 512, lambda: kernels.pair_sum(targets, sources, q, 1, 0.05)
+    targets = rng.random((12 * kernels.BLOCK // (8 * 512) + 5, 2)) * 3.0
+    return (targets.nbytes, kernels.blocks(len(targets), 8 * 512),
+            lambda: kernels.pair_sum(targets, sources, q, 1, 0.05))
 
 
 def _self_sum_case(rng):
     """The particle velocity at the particles (targets = sources, a blob)."""
     pts = rng.random((1316, 2))
     q = rng.standard_normal(1316)
-    return pts, 1316, lambda: kernels.pair_sum(pts, pts, q, 1, 0.05)
+    return (pts.nbytes, kernels.blocks(1316, 8 * 1316),
+            lambda: kernels.pair_sum(pts, pts, q, 1, 0.05))
 
 
 def _dipole_sum_case(rng):
     """The dipole gradient over 256 hole centers (m = 2, q (S, 2))."""
     centers = rng.random((256, 2))
     q = rng.standard_normal((256, 2))
-    targets = rng.random((12 * kernels.PAIR_BUDGET // 256 + 5, 2)) * 3.0
-    return targets, 256, lambda: kernels.pair_sum(targets, centers, q, 2)
+    targets = rng.random((12 * kernels.BLOCK // (8 * 256) + 5, 2)) * 3.0
+    return (targets.nbytes, kernels.blocks(len(targets), 8 * 256),
+            lambda: kernels.pair_sum(targets, centers, q, 2))
 
 
 def _grid_source_case(rng):
@@ -382,9 +391,10 @@ def _grid_source_case(rng):
     (m = 0, real q, ``own``)."""
     centers = rng.random((1000, 2))
     q = rng.standard_normal(1000)
-    targets = np.vstack([centers, rng.random((12 * kernels.PAIR_BUDGET // 1000 + 5, 2))])
+    targets = np.vstack([centers, rng.random((12 * kernels.BLOCK // (8 * 1000) + 5, 2))])
     own = np.concatenate([np.arange(1000), np.full(targets.shape[0] - 1000, -1)])
-    return targets, 1000, lambda: kernels.pair_sum(targets, centers, q, 0, own=own)
+    return (targets.nbytes, kernels.blocks(len(targets), 8 * 1000),
+            lambda: kernels.pair_sum(targets, centers, q, 0, own=own))
 
 
 def _smoothed_vorticity_case(rng):
@@ -392,7 +402,8 @@ def _smoothed_vorticity_case(rng):
     (``kernels.laplacian_sum``)."""
     parts = euler.VortexParticles(rng.random((1316, 2)), rng.standard_normal(1316), 0.025)
     probes = rng.random((4096, 2)) * 1.5
-    return probes, 1316, lambda: euler.smoothed_vorticity(parts, probes)
+    return (probes.nbytes, kernels.blocks(len(probes), 8 * 1316),
+            lambda: euler.smoothed_vorticity(parts, probes))
 
 
 def _multipole_grad_case(rng):
@@ -402,34 +413,77 @@ def _multipole_grad_case(rng):
     sol = oracle.MultipoleSolution(
         cfg, None, order, coeffs, np.zeros(cfg.n_holes), 0.0, 2 * order * cfg.n_holes, 1.0, False
     )
-    pts = rng.random((12 * kernels.PAIR_BUDGET // cfg.n_holes + 5, 2)) * 0.3 + 1.5
-    return pts, cfg.n_holes, lambda: oracle.multipole_part_grad(sol, pts)
+    pts = rng.random((12 * kernels.BLOCK // (8 * cfg.n_holes) + 5, 2)) * 0.3 + 1.5
+    return (pts.nbytes, kernels.blocks(len(pts), 8 * cfg.n_holes),
+            lambda: oracle.multipole_part_grad(sol, pts))
 
 
 def _far_sum_case(rng):
     """The particles' velocity at k cells far from them (the far path)."""
     particles = rng.random((1316, 2)) + [0.0, 6.3]
     q = rng.standard_normal(1316)
-    targets = rng.random((12 * kernels.PAIR_BUDGET // 1316 + 5, 2))
-    return targets, 1316, lambda: kernels.pair_sum(targets, particles, q, 1, 0.025)
+    targets = rng.random((12 * kernels.BLOCK // (8 * 1316) + 5, 2))
+    return (targets.nbytes, kernels.blocks(len(targets), 8 * 1316),
+            lambda: kernels.pair_sum(targets, particles, q, 1, 0.025))
+
+
+def _nearest_center_case(rng):
+    """The nearest-center scan of ``distance_to_holes``, 16 bytes per point."""
+    centers = rng.random((25, 2))
+    pts = rng.random((10 * kernels.BLOCK // 16 + 5, 2))
+    return pts.nbytes, kernels.blocks(len(pts), 16), lambda: nearest_center_sq(centers, pts)
+
+
+def _min_distance_case(rng):
+    """The smallest center separation of 1024 holes, a row of pairs per center."""
+    cfg = build_lattice(32, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    return cfg.centers.nbytes, kernels.blocks(1024, 8 * 1024), cfg.min_center_distance
+
+
+def _spectral_power_case(rng):
+    """The power of a (330, 512) grid from its half spectrum."""
+    spec = np.fft.rfft2(rng.standard_normal((330, 512)))
+    blocks = kernels.blocks(330, 16 * 257, kernels.SMALL_BLOCK)
+    return spec.nbytes, blocks, lambda: fields.spectral_power(spec, 512)
+
+
+def _inverse_rows_case(rng):
+    """The inverse of a (1280, 512) grid's half spectrum, in its own memory."""
+    spec = np.fft.rfft2(rng.standard_normal((1280, 512)))
+    return spec.nbytes, kernels.blocks(1280, 16 * 257), lambda: fields.irfft2_rows(spec, 512)
+
+
+def _mu_minus_k_case(rng):
+    """divcurl's n = 16 mu - k window (counted: the blocks the call takes)."""
+    cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1.0 / 128.0))
+    return k.values.nbytes, None, lambda: analysis.mu_minus_k_field(cfg, k).values
+
+
+def _basis_case(rng):
+    """The collocation operator's A x on 64 holes at 96 points per ring."""
+    cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    op = oracle._Basis(cfg, 8, cfg.boundary_points(96), 96)
+    x = rng.standard_normal((1, 16 * cfg.n_holes))
+    blocks = kernels.blocks(len(op.v), 16 * cfg.n_holes, align=96)
+    return op.v.nbytes + x.nbytes, blocks, lambda: op.matvec(x)
 
 
 @pytest.mark.parametrize("case", [_pair_sum_case, _self_sum_case, _dipole_sum_case,
                                   _grid_source_case, _smoothed_vorticity_case,
-                                  _multipole_grad_case, _far_sum_case],
+                                  _multipole_grad_case, _far_sum_case, _nearest_center_case,
+                                  _min_distance_case, _spectral_power_case, _inverse_rows_case,
+                                  _mu_minus_k_case, _basis_case],
                          ids=["pair_sum", "self_sum", "dipole_sum", "grid_source",
-                              "smoothed_vorticity", "multipole_part_grad", "far_sum"])
-def test_blocked_sums_memory_within_budget(case):
-    targets, n_sources, call = case(np.random.default_rng(3))
-    assert len(list(kernels.chunks(targets.shape[0], n_sources))) >= 10
-    tracemalloc.start()
-    try:
-        out = call()
-        peak = tracemalloc.get_traced_memory()[1]  # bytes allocated since start
-    finally:
-        tracemalloc.stop()
+                              "smoothed_vorticity", "multipole_part_grad", "far_sum",
+                              "nearest_center_sq", "min_center_distance", "spectral_power",
+                              "irfft2_rows", "mu_minus_k_field", "basis_matvec"])
+def test_blocked_sums_memory_within_budget(case, taken_blocks):
+    inputs, blocks, call = case(np.random.default_rng(3))
+    taken_blocks.clear()
+    out, peak = traced_peak(call)
+    assert len(max(taken_blocks, key=len) if blocks is None else list(blocks)) >= 10
     # a pair sum's one buffer (three real planes of its largest block) or a
-    # few of the oracle's complex blocks, plus copies of the points and the
-    # output; one dense target x source array would already take ten blocks
-    block = kernels.PAIR_BUDGET * np.dtype(complex).itemsize
-    assert peak <= 6 * block + 2 * (targets.nbytes + out.nbytes)
+    # few blocks of another loop, plus copies of the inputs and the output;
+    # one dense target x source array would already take ten blocks
+    assert peak <= 12 * kernels.BLOCK + 2 * (inputs + np.asarray(out).nbytes)

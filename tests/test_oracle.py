@@ -1,16 +1,12 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import point_vortex
+from conftest import child_output, point_vortex, traced_peak
 from porousflow import analysis as ana
+from porousflow import kernels
 from porousflow import oracle as orc
 from porousflow import potential as pot
 from porousflow import reflections as refl
@@ -287,31 +283,12 @@ def test_iteration_cap_rejected(monkeypatch):
         orc.solve_collocation(point_vortex(0.5, 1.8, 2.0), cfg)
 
 
-def test_collocation_holds_one_matrix():
-    # one 4096 x 1024 float matrix is 32 MiB, so a second copy (a centered
-    # one, or LAPACK's) breaks the bound
-    src = point_vortex(0.5, 1.8, 2.0)
-    cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
-    tracemalloc.start()
-    try:
-        orc.solve_collocation(src, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 56 * 2**20
-
-
 def test_collocation_holds_no_dense_basis():
     # the 64-hole fit reads its basis through the (4096, 64) complex map v
     # (4 MiB), never as the 4096 x 1024 matrix (32 MiB)
     src = point_vortex(0.5, 1.8, 2.0)
     cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
-    tracemalloc.start()
-    try:
-        orc.solve_collocation(src, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: orc.solve_collocation(src, cfg))[1]
     assert peak < 12 * 2**20
 
 
@@ -324,14 +301,14 @@ _OPERATOR_CONFIGS = {
 
 @pytest.mark.parametrize("order", range(1, 11))
 @pytest.mark.parametrize("kind", list(_OPERATOR_CONFIGS))
-def test_basis_operator_is_the_centered_dense_basis(kind, order, monkeypatch):
+def test_basis_operator_is_the_centered_dense_basis(kind, order, monkeypatch, taken_blocks):
     # blocks of two rings, so the last block of an odd ring count is short;
     # v is the dense basis' first order bit for bit, and v^m its order m to
     # m ulps of |v|^m: numpy's contiguous complex multiply fuses a
     # multiply-add that cumprod's loop rounds twice
     cfg = _OPERATOR_CONFIGS[kind]()
     ring, n = 4 * order + 3, cfg.n_holes
-    monkeypatch.setattr(orc, "_FIT_BLOCK", 2 * ring * n)
+    monkeypatch.setattr(kernels, "BLOCK", 16 * 2 * ring * n)
     pts = cfg.boundary_points(ring)
     op = orc._Basis(cfg, order, pts, ring)
     dense = basis_matrix(cfg, order, pts)
@@ -344,6 +321,7 @@ def test_basis_operator_is_the_centered_dense_basis(kind, order, monkeypatch):
         assert np.all(np.abs(p - columns[rows, :, m].reshape(-1, 2 * n)) <= ulps)
         seen[rows, m] += 1
     assert (seen == 1).all()
+    assert [len(call) for call in taken_blocks] == [-(-n // 2)]
 
     centered = center_per_hole(dense, n)
     rng = np.random.default_rng(order)
@@ -396,12 +374,7 @@ def test_basis_matrix_holds_only_itself():
     # (npts, N) point-to-hole temporaries took the peak to 1.25 times it
     cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     pts = cfg.boundary_points(orc.POINTS)
-    tracemalloc.start()
-    try:
-        a_mat = basis_matrix(cfg, orc.ORDER, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    a_mat, peak = traced_peak(lambda: basis_matrix(cfg, orc.ORDER, pts))
     assert a_mat.shape == (4096, 1024)
     assert peak < 1.05 * a_mat.nbytes
 
@@ -496,22 +469,8 @@ print(repr(err), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is KiB on Linux")
 def test_criterion_4a_evaluation_memory_bounded():
     # the a/d = 0.05 case of criterion 4(a): 229k probe points x 16 holes
-    src_dir = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    # a forked child's ru_maxrss starts at its parent's peak, so the measured
-    # process is started by a fresh, small interpreter rather than by pytest
-    launcher = (
-        "import subprocess, sys; "
-        "sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", launcher, _CRITERION_4A_CHILD],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    err, maxrss_kib = proc.stdout.split()
+    err, maxrss_kib = child_output(_CRITERION_4A_CHILD)
     assert float(err) == pytest.approx(9.354490263314028e-05, rel=1e-6)
     assert int(maxrss_kib) / 1024 < 400.0

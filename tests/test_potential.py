@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import point_vortex
+from conftest import point_vortex, traced_peak
 from porousflow import kernels
 from porousflow import potential as pot
 from porousflow.euler import VortexParticles
@@ -237,31 +235,13 @@ def test_grid_gradient_is_the_single_plane_pipeline_bit_for_bit(kind):
     assert np.array_equal(pot.grad_psi0_on_grid(f).values, _single_plane_gradient(f))
 
 
-def test_grid_gradient_memory_is_bounded():
-    # the homog sweep's f (radius 0.3) on its 1024^2 grid: the (2048, 2048)
-    # box of the whole grid peaked at about 200 MiB, the support box at 69
-    # with whole kernel planes and 41 with row blocks
-    f = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 256, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
-    tracemalloc.start()
-    try:
-        pot.grad_psi0_on_grid(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 96 * 2**20
-
-
 def test_grid_gradient_holds_one_kernel_spectrum_at_a_time():
     # on the sweep's 1024^2 grid: the output (16 MiB), the source's and one
     # kernel's half spectrum on the (1200, 1200) box (11 MiB each) and row
-    # blocks, 41 MiB; whole kernel planes and a stacked output peaked at 69
+    # blocks, 41 MiB; whole kernel planes and a stacked output peaked at 69,
+    # the whole grid's (2048, 2048) box at about 200
     f = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 256, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
-    tracemalloc.start()
-    try:
-        pot.grad_psi0_on_grid(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: pot.grad_psi0_on_grid(f))[1]
     assert peak < 48 * 2**20
 
 
@@ -277,11 +257,13 @@ def _whole_plane_kernel(n_src, size, h, offset):
 @pytest.mark.parametrize("size, offset", [((24, 20), (-3, -5)), ((25, 27), (2, -30)),
                                           ((30, 18), (0.5, -4.5))])
 @pytest.mark.parametrize("rows", [1, 4, 64])
-def test_kernel_spectra_from_row_blocks_are_rfft2_bit_for_bit(size, offset, rows, monkeypatch):
+def test_kernel_spectra_from_row_blocks_are_rfft2_bit_for_bit(size, offset, rows, monkeypatch,
+                                                              taken_blocks):
     # blocks of one row, of four (the last one short) and one block; even
     # and odd box sides, the self cell inside the box or not
-    monkeypatch.setattr(pot, "ROW_BLOCK", rows * size[1])
+    monkeypatch.setattr(kernels, "BLOCK", 8 * rows * size[1])
     got = list(pot._grad_kernel((7, 9), size, 0.1, offset))
+    assert [len(call) for call in taken_blocks] == [-(-size[0] // rows)]
     for spec, plane in zip(got, _whole_plane_kernel((7, 9), size, 0.1, offset), strict=True):
         assert np.array_equal(spec, np.fft.rfft2(plane))
 
