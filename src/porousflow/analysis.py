@@ -1,13 +1,13 @@
 """Error functionals and convergence-rate fitting.
 
-The spectral H^-1 surrogate for the weak distance between the disk
-indicator and the volume fraction (a real transform of the nonzero rows
-only), the composite error predictor F, log-log
-exponent fits, and the two-term decomposition report comparing the perforated
-solution against the homogenized one. That report and
-``reflection_vs_oracle_h1`` sum their masked H^1-dot and L^2 norms inline,
-over the fluid cells of a probe grid; both take the oracle's gradient less the
-reflections' as one multipole series per hole, the dipoles its m = 1 term.
+The spectral H^-1 surrogate for the weak distance between the disk indicator
+and the volume fraction (a real transform of the nonzero rows only), the
+composite error predictor F, log-log exponent fits, and the two-term
+decomposition report of the perforated solution against the homogenized one. It
+and ``reflection_vs_oracle_h1`` sum masked H^1-dot and L^2 norms over a probe's
+fluid cells (the latter in row bands of at most ``kernels.BLOCK`` bytes, 64 per
+cell, whatever the spacing), with the oracle's gradient less the reflections'
+as one multipole series per hole.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .geometry import Box, PorousConfig, fluid_mask, inside_holes, rasterize_mu
 from .reflections import HybridStream
 
 ETA = 0.5  # the predictor's aspect term is (a/d)^(3 - ETA)
+
+
+class EmptyProbe(ValueError):
+    """A probe grid without a fluid cell."""
 
 
 def hminus1(g: ScalarGridField) -> float:
@@ -308,10 +312,18 @@ def reflection_vs_oracle_h1(
     stream: HybridStream, oracle_sol, region: Box, h: float
 ) -> float:
     """Masked H^1-dot error between the reflections stream and the oracle on
-    the fluid cells of ``region``. The common hole-free part cancels exactly,
-    so only the correction fields are evaluated."""
-    probe = make_grid(region.as_tuple(), h)
-    mask = fluid_mask(stream.config, probe)
-    pts = probe.centers_flat()[mask.ravel()]
-    diff = _oracle_minus_reflections_grad(stream, oracle_sol, pts)
-    return float(np.sqrt((diff**2).sum() * h**2))
+    the fluid cells of ``region``; the common hole-free part cancels exactly.
+    Each band of rows is a window of the probe grid, its cell centers bit for
+    bit. Raises ``EmptyProbe`` when no cell is fluid."""
+    nx, ny = grid_shape(region.as_tuple(), h)
+    total, fluid = 0.0, 0
+    for rows in kernels.blocks(nx, 64 * ny):  # its centers twice, its scans and series
+        band = ScalarGridField(region.as_tuple()[:2], h, np.zeros((rows.stop - rows.start, ny)),
+                               (rows.start, 0), (nx, ny))
+        mask = fluid_mask(stream.config, band).ravel()
+        diff = _oracle_minus_reflections_grad(stream, oracle_sol, band.centers_flat()[mask])
+        total += (diff**2).sum()
+        fluid += diff.shape[0]
+    if not fluid:
+        raise EmptyProbe(f"no probe cell at h = {h!r} lies fully outside every hole")
+    return float(np.sqrt(total * h**2))

@@ -576,7 +576,10 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
         osol = oracle.solve_collocation(source, config)
         region = config.kpm_box.inflate(0.25 * config.kpm_box.width)
         h = probe_h if probe_h is not None else config.a / 4.0
-        err = analysis.reflection_vs_oracle_h1(stream, osol, region, h)
+        try:
+            err = analysis.reflection_vs_oracle_h1(stream, osol, region, h)
+        except analysis.EmptyProbe as exc:
+            raise ConfigError(f"[analysis] probe_h: {exc}") from exc
         rows.append((v, err, osol))
     write_table(outdir / "sweep.csv",
                 ["aspect", "h1_error", "oracle_residual", "oracle_iterations", "oracle_cond"],

@@ -63,7 +63,7 @@ import math
 import numpy as np
 
 BLOCK = 1 << 19  # bytes of a blocked loop's largest temporary (cache sized)
-SMALL_BLOCK = 1 << 17  # bytes per block of spectral_power and the hole series
+SMALL_BLOCK = 1 << 17  # bytes per block of fields.spectral_power
 _STRENGTHS = {0: ((),), 1: ((), (2,)), 2: ((2,),)}  # q.shape[1:] that each m takes
 _LAPLACIAN = "laplacian"  # the block kind of ``laplacian_sum``
 _FAR_RHO = 4.0  # the smallest Bernstein-ellipse parameter of the far path

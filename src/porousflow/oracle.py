@@ -240,7 +240,7 @@ def solve_collocation(
 def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> np.ndarray:
     """Sum over holes of P(w), or of -(w/z) P'(w) = w^2 sum_m (-m gamma_m / a)
     w^(m-1) when ``derivative`` is set: one hole at a time, by Horner's rule
-    in w on blocks of ``kernels.SMALL_BLOCK`` bytes, 16 per point, with
+    in w on blocks of ``kernels.BLOCK`` bytes, 16 per point, with
     scalar coefficients."""
     config = sol.config
     gamma = sol.coeffs[:, 0::2] + 1j * sol.coeffs[:, 1::2]  # (N, M)
@@ -249,7 +249,7 @@ def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> n
     zp = pts[:, 0] + 1j * pts[:, 1]
     zc = config.centers[:, 0] + 1j * config.centers[:, 1]
     out = np.zeros(pts.shape[0], dtype=complex)
-    for sl in kernels.blocks(pts.shape[0], 16, kernels.SMALL_BLOCK):
+    for sl in kernels.blocks(pts.shape[0], 16):
         zb, block = zp[sl], out[sl]
         w, acc = np.empty_like(zb), np.empty_like(zb)
         for c, g in zip(zc, gamma):

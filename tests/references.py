@@ -11,9 +11,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from porousflow import homogenized, oracle, potential
-from porousflow.fields import ScalarGridField, VectorGridField
-from porousflow.geometry import rasterize_mu
+from porousflow import analysis, homogenized, oracle, potential
+from porousflow.fields import ScalarGridField, VectorGridField, make_grid
+from porousflow.geometry import fluid_mask, rasterize_mu
 
 
 def dense_reference(targets, sources, q, m, blob=0.0, own=None):
@@ -238,6 +238,17 @@ def part_grad_reference(sol, pts):
     return grad, term_scale(config, np.hypot(coeffs[:, 0::2], coeffs[:, 1::2]), pts)
 
 
+def whole_probe_h1(stream, oracle_sol, region, h):
+    """``analysis.reflection_vs_oracle_h1`` over the whole probe grid at once:
+    its fluid mask, its fluid cell centers and their oracle-minus-reflections
+    gradient as arrays over every cell, and one sum of squares."""
+    probe = make_grid(region.as_tuple(), h)
+    mask = fluid_mask(stream.config, probe)
+    pts = probe.centers_flat()[mask.ravel()]
+    diff = analysis._oracle_minus_reflections_grad(stream, oracle_sol, pts)
+    return float(np.sqrt((diff**2).sum() * h**2))
+
+
 class Reference(NamedTuple):
     reference: Callable
     tol: float
@@ -246,7 +257,8 @@ class Reference(NamedTuple):
 # fast path -> its reference and the largest relative difference from it:
 # pair sums per target, of its sum of |term|; the grid gradient of
 # max|grad|; the sweep of each norm and of the largest increment; the fit of
-# max|coefficient|; the hole gradients per point, of its term_scale
+# max|coefficient|; the hole gradients per point, of its term_scale; the
+# probe norm of itself (band sums against one sum)
 TABLE = {
     "pair_sum": Reference(pair_sum_reference, 1e-12),
     "pair_sum_far": Reference(pair_sum_reference, 1e-14),
@@ -257,4 +269,5 @@ TABLE = {
     "hminus1": Reference(hminus1_fft2, 1e-13),
     "solve_collocation": Reference(lstsq_fit, 1e-12),
     "multipole_part": Reference(part_grad_reference, 1e-12),
+    "reflection_vs_oracle_h1": Reference(whole_probe_h1, 1e-14),
 }

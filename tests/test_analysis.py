@@ -4,11 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import child_output, traced_peak
+from conftest import child_output, point_vortex, traced_peak
 from porousflow import analysis as ana
-from porousflow.fields import ScalarGridField, make_grid
+from porousflow import kernels
+from porousflow.fields import ScalarGridField, grid_shape, make_grid
 from porousflow.geometry import Box, build_lattice, lattice_fraction, rasterize_mu
-from references import TABLE, embedded, hminus1_fft2, mu_minus_k_every_cell
+from references import TABLE, embedded, hminus1_fft2, mu_minus_k_every_cell, whole_probe_h1
 
 
 def test_hminus1_zero():
@@ -324,3 +325,24 @@ def test_oracle_comparisons_reject_points_inside_a_hole(monkeypatch):
     with pytest.raises(ValueError, match="inside a hole"):
         ana.gamma_report(stream, homog, probe, oracle_sol=osol)
 
+
+
+def test_probe_norm_over_row_bands_is_the_whole_grid_sum(monkeypatch, taken_blocks):
+    # a budget of three rows per band at 64 bytes per cell: 10+ bands against
+    # one sum over the whole probe, of which the band sums are a reordering
+    from porousflow import oracle as orc
+    from porousflow import reflections as refl
+
+    cfg = build_lattice(2, 0.2, Box(0.0, 0.0, 1.0, 1.0))
+    src = point_vortex(0.5, 2.0, 2.0)
+    stream = refl.run_reflections(src, cfg, 3)
+    osol = orc.solve_collocation(src, cfg, 8, 64)
+    region, h = cfg.kpm_box.inflate(0.25), cfg.a / 4
+    nx, ny = grid_shape(region.as_tuple(), h)
+    monkeypatch.setattr(kernels, "BLOCK", 3 * 64 * ny)
+    taken_blocks.clear()
+    got = ana.reflection_vs_oracle_h1(stream, osol, region, h)
+    bands = taken_blocks[0]
+    assert len(bands) >= 10 and bands[-1].stop == nx
+    ref = whole_probe_h1(stream, osol, region, h)
+    assert got == pytest.approx(ref, rel=TABLE["reflection_vs_oracle_h1"].tol, abs=0.0)

@@ -196,6 +196,17 @@ def test_oracle_iterations_and_cond_reach_the_outputs(tmp_path):
     assert 1.0 <= record["oracle_cond"] < 1.5
 
 
+def test_sweep_probe_without_fluid_cells_exit_2(tmp_path):
+    # one probe cell wider than the lattice covers a hole at every aspect:
+    # refused before sweep.csv, instead of a table of zero errors
+    code, out = run_cli(tmp_path, SWEEP_RATIO.replace("probe_h = 0.01", "probe_h = 10"),
+                        name="coarse")
+    assert code == 2
+    _config_error(out, "[analysis] probe_h")
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "summary.json").exists()
+
+
 def test_divcurl_smoke(tmp_path):
     code, out = run_cli(tmp_path, DIVCURL_SMALL)
     assert code == 0

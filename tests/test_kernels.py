@@ -6,13 +6,14 @@ hold at once."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import traced_peak
-from porousflow import analysis, euler, fields, kernels, oracle
+from conftest import point_vortex, traced_peak
+from porousflow import analysis, euler, fields, kernels, oracle, reflections
 from porousflow.fields import make_grid
 from porousflow.geometry import Box, build_lattice, lattice_fraction, nearest_center_sq
 from references import TABLE, dense_reference
@@ -407,24 +408,26 @@ def _smoothed_vorticity_case(rng):
 
 
 def _multipole_grad_case(rng):
-    cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    """The hole gradients of 16 holes beside them, over the hole series'
+    blocks of 16 bytes per point (counted: the blocks the call takes)."""
+    cfg = build_lattice(4, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     order = 8
     coeffs = rng.standard_normal((cfg.n_holes, 2 * order))
     sol = oracle.MultipoleSolution(
         cfg, None, order, coeffs, np.zeros(cfg.n_holes), 0.0, 2 * order * cfg.n_holes, 1.0, False
     )
-    pts = rng.random((12 * kernels.BLOCK // (8 * cfg.n_holes) + 5, 2)) * 0.3 + 1.5
-    return (pts.nbytes, kernels.blocks(len(pts), 8 * cfg.n_holes),
-            lambda: oracle.multipole_part_grad(sol, pts))
+    pts = rng.random((10 * kernels.BLOCK // 16 + 5, 2)) * 0.3 + 1.5
+    return pts.nbytes, None, lambda: oracle.multipole_part_grad(sol, pts)
 
 
 def _far_sum_case(rng):
-    """The particles' velocity at k cells far from them (the far path)."""
+    """The particles' velocity at k cells far from them (the far path), over
+    the interpolation's blocks of 8 (p_x + p_y) = 240 bytes of weights per
+    target at 15 nodes per axis (counted: the blocks the call takes)."""
     particles = rng.random((1316, 2)) + [0.0, 6.3]
     q = rng.standard_normal(1316)
-    targets = rng.random((12 * kernels.BLOCK // (8 * 1316) + 5, 2))
-    return (targets.nbytes, kernels.blocks(len(targets), 8 * 1316),
-            lambda: kernels.pair_sum(targets, particles, q, 1, 0.025))
+    targets = rng.random((10 * kernels.BLOCK // 240 + 5, 2))
+    return targets.nbytes, None, lambda: kernels.pair_sum(targets, particles, q, 1, 0.025)
 
 
 def _nearest_center_case(rng):
@@ -460,6 +463,22 @@ def _mu_minus_k_case(rng):
     return k.values.nbytes, None, lambda: analysis.mu_minus_k_field(cfg, k).values
 
 
+@functools.cache
+def _criterion_4a():
+    """(stream, oracle, probe region, a) of criterion 4(a) at a/d = 0.05: a
+    point vortex past 16 holes, a 480 x 480 probe at h = a/4."""
+    src = point_vortex(0.5, 2.0, 2.0)
+    cfg = build_lattice(4, 0.05, Box(0.0, 0.0, 1.0, 1.0))
+    stream = reflections.run_reflections(src, cfg, 3)
+    return stream, oracle.solve_collocation(src, cfg, 8, 64), cfg.kpm_box.inflate(0.25), cfg.a
+
+
+def _probe_norm_case(rng):
+    """Criterion 4(a)'s probe norm (counted: the bands the call takes)."""
+    stream, sol, region, a = _criterion_4a()
+    return 0, None, lambda: analysis.reflection_vs_oracle_h1(stream, sol, region, a / 4)
+
+
 def _basis_case(rng):
     """The collocation operator's A x on 64 holes at 96 points per ring."""
     cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
@@ -473,11 +492,12 @@ def _basis_case(rng):
                                   _grid_source_case, _smoothed_vorticity_case,
                                   _multipole_grad_case, _far_sum_case, _nearest_center_case,
                                   _min_distance_case, _spectral_power_case, _inverse_rows_case,
-                                  _mu_minus_k_case, _basis_case],
+                                  _mu_minus_k_case, _basis_case, _probe_norm_case],
                          ids=["pair_sum", "self_sum", "dipole_sum", "grid_source",
                               "smoothed_vorticity", "multipole_part_grad", "far_sum",
                               "nearest_center_sq", "min_center_distance", "spectral_power",
-                              "irfft2_rows", "mu_minus_k_field", "basis_matvec"])
+                              "irfft2_rows", "mu_minus_k_field", "basis_matvec",
+                              "reflection_vs_oracle_h1"])
 def test_blocked_sums_memory_within_budget(case, taken_blocks):
     inputs, blocks, call = case(np.random.default_rng(3))
     taken_blocks.clear()
@@ -487,3 +507,13 @@ def test_blocked_sums_memory_within_budget(case, taken_blocks):
     # few blocks of another loop, plus copies of the inputs and the output;
     # one dense target x source array would already take ten blocks
     assert peak <= 12 * kernels.BLOCK + 2 * (inputs + np.asarray(out).nbytes)
+
+
+def test_probe_norm_memory_flat_in_spacing():
+    # bands of at most BLOCK bytes: the same peak at h and h/2 (at the
+    # whole-grid evaluation, 14.2 and 56.9 MiB)
+    stream, sol, region, a = _criterion_4a()
+    peaks = [traced_peak(lambda: analysis.reflection_vs_oracle_h1(stream, sol, region, h))[1]
+             for h in (a / 4, a / 8)]
+    assert max(peaks) <= 2 * kernels.BLOCK
+    assert abs(peaks[0] - peaks[1]) < kernels.BLOCK

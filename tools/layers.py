@@ -104,17 +104,18 @@ def cases(scale: float):
     4096 probes, its world grid, its n = 16 mu - k field and phi on its probe
     grid from that k, its oracle fits at 16 and 64 holes and the n = 4
     oracle's hole gradients at 100k points beside the lattice, oracle-sweep's
-    point-vortex fit at a/d = 0.05 and its hole gradients at the probe cells,
-    and homog-sweep's 1024^2 grid with its source, its largest k and its
-    three k norms. ``check`` is None, or (the case's fast path in
-    ``references.TABLE``, the call that gives the largest relative difference
-    from its reference)."""
-    from porousflow import analysis, cli, euler, fields, homogenized, oracle, potential
+    point-vortex fit at a/d = 0.05, its hole gradients at the probe cells and
+    its probe norm against the reflections, and homog-sweep's 1024^2 grid
+    with its source, its largest k and its three k norms. ``check`` is None,
+    or (the case's fast path in ``references.TABLE``, the call that gives the
+    largest relative difference from its reference)."""
+    from porousflow import (analysis, cli, euler, fields, homogenized, oracle, potential,
+                            reflections)
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
     from porousflow.geometry import Box, build_lattice, fluid_mask
     from references import (embedded, hminus1_fft2, lstsq_fit, mu_minus_k_every_cell,
                             pair_sum_reference, part_grad_reference, psi0_grid_reference,
-                            sweep_difference, sweep_reference)
+                            sweep_difference, sweep_reference, whole_probe_h1)
 
     def count(n):
         return max(round(n * scale), 2)
@@ -267,18 +268,30 @@ def cases(scale: float):
         return cli.source_from_config(cfg), cli.geometry_from_config(cfg, 0, epsilon=0.05)
 
     @functools.cache
+    def sweep_probe():
+        """(reflections, oracle, probe region, h) of oracle-sweep at a/d =
+        0.05, as ``cli.cmd_sweep`` makes them: the kpm box inflated by 25% at
+        h = a/4, a 480 x 480 probe at 16 holes, made by the warm-up call; the
+        probe's cells and the holes scale."""
+        source, config = sweep_lattice()
+        return (reflections.run_reflections(source, config, reflections.DEPTH), sweep_fit(),
+                config.kpm_box.inflate(0.25 * config.kpm_box.width), config.a / 4.0 / scale**0.5)
+
+    @functools.cache
     def sweep_oracle():
         """(point-vortex oracle, probe points) of oracle-sweep at a/d = 0.05:
-        the fluid cells of the kpm box inflated by 25% at h = a/4, 229k
-        points at 16 holes, made by the warm-up call; points and holes scale."""
-        config = sweep_lattice()[1]
-        probe = make_grid(config.kpm_box.inflate(0.25 * config.kpm_box.width).as_tuple(),
-                          config.a / 4.0 / scale**0.5)
-        pts = probe.centers_flat()[fluid_mask(config, probe).ravel()]
-        return sweep_fit(), pts
+        the fluid cells of ``sweep_probe``'s grid, 229k points, made by the
+        warm-up call."""
+        _, sol, region, h = sweep_probe()
+        probe = make_grid(region.as_tuple(), h)
+        return sol, probe.centers_flat()[fluid_mask(sweep_lattice()[1], probe).ravel()]
 
     def sweep_fit():
         return oracle.solve_collocation(*sweep_lattice())
+
+    def check_probe_norm():
+        ref = whole_probe_h1(*sweep_probe())
+        return abs(analysis.reflection_vs_oracle_h1(*sweep_probe()) - ref) / ref
 
     def sample_of(n):
         """512 fixed random indices of n targets (all of fewer)."""
@@ -352,6 +365,8 @@ def cases(scale: float):
                                 lambda: oracle.multipole_part_grad(divcurl_oracle(), beside)),
         "multipole_part_grad_sweep": (f"sweep probes x {side_of(4)**2} holes",
                                       lambda: oracle.multipole_part_grad(*sweep_oracle())),
+        "reflection_vs_oracle_h1": (f"sweep probe x {side_of(4)**2} holes",
+                                    lambda: analysis.reflection_vs_oracle_h1(*sweep_probe())),
         "step_perforated": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(0)),
         "step_homogenized": (f"RK4 {side_of(16)**2} holes", lambda: euler_step(1)),
     }
@@ -380,7 +395,8 @@ def cases(scale: float):
               "multipole_part_grad": ("multipole_part",
                                       lambda: check_part_grad(divcurl_oracle(), beside)),
               "multipole_part_grad_sweep": ("multipole_part",
-                                            lambda: check_part_grad(*sweep_oracle()))}
+                                            lambda: check_part_grad(*sweep_oracle())),
+              "reflection_vs_oracle_h1": ("reflection_vs_oracle_h1", check_probe_norm)}
     return {name: (shape, call, checks.get(name)) for name, (shape, call) in table.items()}
 
 
