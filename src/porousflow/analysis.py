@@ -13,7 +13,6 @@ as one multipole series per hole.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,7 +25,6 @@ from .fields import (
     check_padding,
     grid_shape,
     make_grid,
-    spectral_power,
     wavenumbers,
 )
 from .geometry import Box, PorousConfig, fluid_mask, inside_holes, rasterize_mu
@@ -44,13 +42,14 @@ def hminus1(g: ScalarGridField) -> float:
 
     sqrt( (1/|box|) sum_xi |ghat(xi)|^2 / (1 + |xi|^2) ) with ghat = h^2 DFT,
     the zero mode included with weight one, summed over the half spectrum of
-    ``rfft2`` by ``fields.spectral_power``. The support of g must keep
-    clearance at least its own extent from every edge of the box so the box
-    emulates the plane (constants are equivalent-norm only). The norm is
+    ``rfft2``. The support of g must keep clearance at least its own extent
+    from every edge of the box so the box emulates the plane (constants are
+    equivalent-norm only). The norm is
     translation invariant, so only the support's block is transformed: the
     ``rfft`` of its rows padded to the box's ny, then the ``fft`` padded to
-    its nx over blocks of 16 columns, whose weighted power is
-    summed block by block; no array spans the whole box.
+    its nx over blocks of 16 columns, whose weighted power is summed over
+    blocks of rows (``kernels.BLOCK`` bytes, 64 per cell); no array spans
+    the whole box.
     """
     check_padding(g)
     box = g.support_slices()
@@ -69,7 +68,16 @@ def hminus1(g: ScalarGridField) -> float:
         spec[:half.shape[0]] = half[:, cols]
         np.fft.fft(spec, axis=0, out=spec)
         weight = 1.0 / (1.0 + kx**2 + ky[:, cols] ** 2)
-        power += spectral_power(spec, ny, lambda rows: weight[rows], c)
+        # columns but 0 and an even ny's Nyquist stand for their conjugates too
+        weight[:, max(1 - c, 0):max((ny + 1) // 2 - c, 0)] *= 2.0
+        # 512 rows per block and a subtotal per column block order the sum too
+        # (row blocks added straight to ``power`` moved divcurl's f_value)
+        subtotal = 0.0
+        for rows in kernels.blocks(nx, 64 * spec.shape[1]):
+            block = spec[rows].real ** 2  # no view of spec outlives the loop
+            block += spec[rows].imag ** 2
+            subtotal += float(np.multiply(block, weight[rows], out=block).sum())
+        power += subtotal
     # ghat = h^2 DFT and |box| = nx ny h^2, so the sum scales by h^2 / (nx ny)
     return float(np.sqrt(power * g.h**2 / (nx * ny)))
 
@@ -258,12 +266,13 @@ def gamma_report(
     quadrature over the k cells. The hole-free parts cancel exactly, so no
     base quadrature error enters. The homogenized terms come precomputed at
     every probe cell in ``homog`` and are masked to the fluid cells here.
+    Raises ``EmptyProbe`` when no probe cell is fluid.
     """
     config = stream.config
     probe, h = homog.probe, homog.probe.h
     mask = fluid_mask(config, probe).ravel()
     if not mask.any():
-        warnings.warn("gamma report: empty fluid mask", stacklevel=2)
+        raise EmptyProbe(f"no probe cell at h = {h!r} lies fully outside every hole")
     pts = probe.centers_flat()[mask]
 
     # Gamma_1 gradient: (psi_N - psi_bar) + (psi_tilde - psi_c); hole-free

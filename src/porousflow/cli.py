@@ -44,24 +44,37 @@ from .geometry import (
 
 SCHEMA_VERSION = "v1"
 _SOLVER = {"reflection_depth", "tol"}  # summary.json records both for every experiment
-_LATTICE = {"kind", "n", "epsilon", "box", "eps0"}  # RunConfig reads kind for every experiment
-# per experiment, every section and key it reads; RunConfig refuses any other
+_BOX = {"kind", "box", "eps0"}  # RunConfig reads kind for every experiment
+_LATTICE = _BOX | {"n", "epsilon"}
+_GRID, _PROBE = {"solver": _SOLVER | {"grid_h"}}, {"analysis": {"probe", "probe_h"}}
+_SWEEP_VALUES = "[sweep] values"  # the key that makes divcurl and homog a sweep
+# per branch of each experiment (``RunConfig.branch``: the experiment and what
+# selects the branch), every section and key it reads beside its source's
+# (``SOURCE_KEYS``; the homog sweep has none); RunConfig refuses any other
 CONFIG_KEYS = {
-    name: {"run": {"experiment"}, "solver": _SOLVER,
-           "vorticity": {"shape", "center", "radius", "amplitude", "grid_h"}, **keys}
-    for name, keys in {
-        "reflect": {"geometry": _LATTICE | {"count", "a", "dmin"}, "euler": {"blob"}},
-        "divcurl": {"geometry": _LATTICE, "solver": _SOLVER | {"grid_h"},
-                    "analysis": {"probe", "probe_h"}, "sweep": {"values"}},
-        "homog": {"geometry": _LATTICE, "solver": _SOLVER | {"grid_h"}, "sweep": {"values"}},
-        "euler": {"geometry": _LATTICE, "solver": _SOLVER | {"grid_h"},
-                  "euler": {"dt", "t_final", "blob", "particle_h", "margin", "full_solve"},
-                  "analysis": {"probe", "probe_h"}},
-        # each sweep point's epsilon is one of [sweep] values
-        "sweep": {"geometry": _LATTICE - {"epsilon"}, "euler": {"blob"},
-                  "analysis": {"probe_h"}, "sweep": {"values", "mode"}},
+    branch: {"run": {"experiment"}, "solver": _SOLVER, **keys}
+    for branch, keys in {
+        ("reflect", "kind = lattice"): {"geometry": _LATTICE},
+        ("reflect", "kind = random"): {"geometry": _BOX | {"count", "a", "dmin"}},
+        ("reflect", "kind = twohole"): {"geometry": _BOX | {"a", "dmin"}},
+        ("divcurl", ""): {"geometry": _LATTICE, **_GRID, **_PROBE},
+        # each sweep point's n (epsilon in the sweep experiment) is one of [sweep] values
+        ("divcurl", _SWEEP_VALUES): {"geometry": _LATTICE - {"n"}, **_GRID, **_PROBE,
+                              "sweep": {"values"}},
+        ("homog", ""): {"geometry": _LATTICE, **_GRID},
+        ("homog", _SWEEP_VALUES): {"geometry": {"kind"}, **_GRID, "sweep": {"values"}},
+        ("euler", ""): {"geometry": _LATTICE, **_GRID, **_PROBE,
+                        "euler": {"dt", "t_final", "blob", "particle_h", "margin", "full_solve"}},
+        ("euler", "shape = pair"): {"geometry": {"kind"}, "euler": {"dt", "t_final"}},
+        ("sweep", ""): {"geometry": _LATTICE - {"epsilon"}, "analysis": {"probe_h"},
+                        "sweep": {"values", "mode"}},
     }.items()
 }
+# per [vorticity] shape, the keys that its source reads
+_PARTICLE = {"shape", "center", "amplitude"}
+_GRID_SOURCE = {"vorticity": _PARTICLE | {"radius", "grid_h"}}
+SOURCE_KEYS = {"point": {"vorticity": _PARTICLE}, "bump": _GRID_SOURCE, "disk": _GRID_SOURCE,
+               "pair": {"vorticity": _PARTICLE | {"radius"}, "euler": {"blob"}}}
 # the only spellings a boolean key accepts (compared case-insensitively)
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -92,20 +105,31 @@ class RunConfig:
         if self.kind != "lattice" and self.experiment != "reflect":
             raise ConfigError(f"[geometry] kind = {self.kind} has no volume fraction; "
                               f"the {self.experiment} experiment needs kind = lattice")
+        if self.kind not in ("lattice", "random", "twohole"):
+            raise ConfigError(f"unknown geometry kind '{self.kind}'")
+        self.swept = (self.experiment in ("divcurl", "homog")
+                      and self.parser.has_option("sweep", "values"))
+        shape = None if self.swept and self.experiment == "homog" else _vorticity_shape(self)
         # f is resampled onto their world grid, which particles cannot fill
         # (checked before the keys, which a particle source's blob fails)
-        if (self.experiment in ("divcurl", "homog")
-                and _vorticity_shape(self) in ("point", "pair")):
+        if self.experiment in ("divcurl", "homog") and shape in ("point", "pair"):
             raise ConfigError(f"the {self.experiment} experiment needs a grid source: "
                               "[vorticity] shape = bump | disk")
-        keys = CONFIG_KEYS[self.experiment]
+        self.branch = (self.experiment, _SWEEP_VALUES if self.swept
+                       else f"kind = {self.kind}" if self.experiment == "reflect"
+                       else "shape = pair" if self.experiment == "euler" and shape == "pair"
+                       else "")
+        keys = dict(CONFIG_KEYS[self.branch])
+        for section, names in SOURCE_KEYS.get(shape, {}).items():
+            keys[section] = keys.get(section, set()) | names
         for section in self.parser.sections():
-            if not any(section in table for table in CONFIG_KEYS.values()):
+            if not any(section in t for t in (*CONFIG_KEYS.values(), *SOURCE_KEYS.values())):
                 raise ConfigError(f"unknown section [{section}]")
             unknown = set(self.parser.options(section)) - keys.get(section, set())
             if unknown:
+                selected = f" with {self.branch[1]}" if self.branch[1] else ""
                 raise ConfigError(f"unknown key [{section}] {', '.join(sorted(unknown))} "
-                                  f"for the {self.experiment} experiment")
+                                  f"for the {self.experiment} experiment{selected}")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -194,12 +218,11 @@ _SWEPT = {"sweep": ("aspect ratios a/d", 2), "homog": ("k norms", 2),
           "divcurl": ("lattice sizes n_per_side", 1)}
 
 
-def sweep_values(cfg: RunConfig) -> list[float] | None:
-    """[sweep] values, required by the sweep experiment and None where an
-    optional sweep is unset."""
+def sweep_values(cfg: RunConfig) -> list[float]:
+    """[sweep] values, which every sweep requires."""
     what, least = _SWEPT[cfg.experiment]
-    values = cfg.floats("sweep", "values", required=cfg.experiment == "sweep")
-    if values is not None and (len(values) < least or min(values) <= 0.0):
+    values = cfg.floats("sweep", "values", required=True)
+    if len(values) < least or min(values) <= 0.0:
         raise ConfigError(f"[sweep] values needs {least} or more {what} above 0, got {values}")
     return values
 
@@ -229,7 +252,7 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
             config = build_lattice(n, epsilon, box, eps0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    elif kind in ("random", "twohole"):
+    else:  # random or twohole (RunConfig refuses any other kind)
         a = cfg.positive("geometry", "a", required=True)
         dmin = cfg.positive("geometry", "dmin", required=True)
         if kind == "twohole":
@@ -250,8 +273,6 @@ def geometry_from_config(cfg: RunConfig, seed: int, n: int | None = None,
                 config = build_random(count, a, dmin, box, eps0, seed=seed)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-    else:
-        raise ConfigError(f"unknown geometry kind '{kind}'")
     broken = validate(config)
     if broken:
         raise ConfigError(f"[geometry] kind = {kind}: " + "; ".join(broken))
@@ -268,41 +289,30 @@ def volume_fraction(config: PorousConfig, grid: ScalarGridField) -> ScalarGridFi
 
 def _vorticity_shape(cfg: RunConfig) -> str:
     shape = cfg.get("vorticity", "shape", str, "bump")
-    if shape not in ("bump", "disk", "point", "pair"):
+    if shape not in SOURCE_KEYS:
         raise ConfigError(f"unknown vorticity shape '{shape}'")
     return shape
 
 
 def source_from_config(cfg: RunConfig):
+    """The [vorticity] source: particles (point, pair) or a rasterized grid
+    (bump, disk), reading only its shape's keys (``SOURCE_KEYS``)."""
     shape = _vorticity_shape(cfg)
     center = cfg.floats("vorticity", "center", [0.5, 2.0])
     if len(center) != 2:
         raise ConfigError("[vorticity] center needs two numbers")
-    radius = cfg.positive("vorticity", "radius", 0.3)
+    cx, cy = center
     amp = cfg.get("vorticity", "amplitude", float, 1.0)
     if shape == "point":
-        return euler.VortexParticles(
-            np.array([center]), np.array([amp]), blob=0.0
-        )
+        return euler.VortexParticles(np.array([center]), np.array([amp]), blob=0.0)
+    radius = cfg.positive("vorticity", "radius", 0.3)
     if shape == "pair":
-        return euler.VortexParticles(
-            np.array(
-                [
-                    [center[0] - radius, center[1]],
-                    [center[0] + radius, center[1]],
-                ]
-            ),
-            np.array([amp, amp]),
-            blob=cfg.nonnegative("euler", "blob", radius / 25.0),
-        )
+        return euler.VortexParticles(np.array([[cx - radius, cy], [cx + radius, cy]]),
+                                     np.array([amp, amp]),
+                                     blob=cfg.nonnegative("euler", "blob", radius / 25.0))
     h = cfg.positive("vorticity", "grid_h", radius / 24.0)
     pad = 2.0 * h
-    box = (
-        center[0] - radius - pad,
-        center[1] - radius - pad,
-        center[0] + radius + pad,
-        center[1] + radius + pad,
-    )
+    box = (cx - radius - pad, cy - radius - pad, cx + radius + pad, cy + radius + pad)
     if shape == "disk":
         return rasterize(box, h, disk_indicator(center, radius, amp))
     return rasterize(box, h, radial_bump(center, radius, amp, power=2))
@@ -371,8 +381,8 @@ def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
 
 
 def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
-    values = sweep_values(cfg)
-    if values is not None:
+    if cfg.swept:
+        values = sweep_values(cfg)
         # k = knorm times one unit bump, so every k norm is a scale of one series
         h = cfg.positive("solver", "grid_h", 1.0 / 64.0)
         world_box = (-2.0, -2.0, 2.0, 2.0)
@@ -418,7 +428,7 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     is pi epsilon^2 for every n, so a sweep usually solves once; the
     reflections, the oracle and the report run for every n.
     """
-    nsides = sweep_values(cfg)
+    nsides = sweep_values(cfg) if cfg.swept else None
     for nf in nsides or ():
         if not (nf >= 1 and nf.is_integer()):
             raise ConfigError(f"n_per_side must be a whole number >= 1, got {nf!r}")
@@ -447,8 +457,11 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         osol = None
         if config.n_holes <= oracle.MAX_ORACLE_HOLES:
             osol = oracle.solve_collocation(world, config)
-        report = analysis.gamma_report(stream, homog, k, oracle_sol=osol)
-        rows.append((n, report))
+        try:
+            rows.append((n, analysis.gamma_report(stream, homog, k, oracle_sol=osol)))
+        except analysis.EmptyProbe as exc:
+            raise ConfigError(f"[analysis] probe, probe_h: {exc}") from exc
+    for n, report in rows:  # written once every n has its report
         (outdir / f"gamma_n{n}.json").write_text(report.to_json())
     write_table(
         outdir / "gamma.csv",

@@ -229,8 +229,8 @@ def irfft2_rows(spec: np.ndarray, ny: int, rows: slice = slice(None)) -> np.ndar
     spec = spec[..., rows, :]
     out = spec.view(float)[..., :ny]
     for sl in kernels.blocks(spec.shape[-2], 16 * spec.shape[-1]):
-        block = spec[..., sl, :].copy()
-        np.fft.irfft(block, n=ny, axis=-1, out=out[..., sl, :])
+        # the copy is freed before the next one is made: one block at a time
+        np.fft.irfft(spec[..., sl, :].copy(), n=ny, axis=-1, out=out[..., sl, :])
     return out
 
 
@@ -240,30 +240,6 @@ def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarra
     nx, ny = shape
     return (2.0 * np.pi * np.fft.fftfreq(nx, d=h)[:, None],
             2.0 * np.pi * np.fft.rfftfreq(ny, d=h)[None, :])
-
-
-def spectral_power(spec: np.ndarray, ny: int, weight=None, col0: int = 0) -> float:
-    """The sum of weight |F|^2 over the whole spectrum F of real fields, from
-    their half spectrum ``spec`` (..., nx, ny // 2 + 1) in ``rfft2``'s layout,
-    or its columns from ``col0`` on: every column counts twice (for its
-    conjugate) except column 0 and, for even ny, the Nyquist column.
-    ``weight(rows)`` gives the weights of a slice of rows, broadcast against
-    (rows, columns of ``spec``); one by default. The sum runs over row blocks
-    of ``kernels.SMALL_BLOCK`` bytes, so its temporaries stay small on any
-    grid (the block sets the order of the float sum). By Parseval, the l2
-    norm squared of fields with ``spec = rfft2(f)`` is
-    ``spectral_power(spec, ny) / (nx ny)``."""
-    twice = slice(max(1 - col0, 0), max((ny + 1) // 2 - col0, 0))
-    total = 0.0
-    for rows in kernels.blocks(spec.shape[-2], 16 * spec.shape[-1], kernels.SMALL_BLOCK):
-        block = spec[..., rows, :]
-        power = block.real**2
-        power += block.imag**2
-        power[..., twice] *= 2.0
-        if weight is not None:
-            power *= weight(rows)
-        total += float(power.sum())
-    return total
 
 
 def multipliers(shape: tuple[int, int], h: float, cols: slice = slice(None)):

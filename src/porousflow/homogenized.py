@@ -230,16 +230,6 @@ def k1_kernel_sum(
     return kernels.pair_sum(targets, src_centers, src_values, 1) * h * h / (2.0 * np.pi)
 
 
-def _pv_on_cells(centers, w, h, targets, own) -> np.ndarray:
-    """The direct PV operator: the k2 quadrature of the density w (K, 2) on
-    the source cells ``centers``, without cell ``own[i]`` for target i, plus
-    the local term +1/2 w[own[i]] at targets that land on a source cell."""
-    out = k2_kernel_sum(centers, w, h, targets, own=own)
-    hit = own >= 0
-    out[hit] += 0.5 * w[own[hit]]
-    return out
-
-
 def apply_l_direct(g: VectorGridField, k, targets: np.ndarray) -> np.ndarray:
     """Independent backend: PV quadrature excluding the self cell plus the
     local term +1/2 (k M g)(x); evaluated at arbitrary target points."""
@@ -247,7 +237,11 @@ def apply_l_direct(g: VectorGridField, k, targets: np.ndarray) -> np.ndarray:
         raise ValueError("k and g must share the grid")
     centers, kvals = k.nonzero_cells()
     w = (M_DISK * kvals)[:, None] * g.values[k.values != 0.0]
-    return _pv_on_cells(centers, w, k.h, targets, k.nonzero_cell_index(targets))
+    own = k.nonzero_cell_index(targets)
+    out = k2_kernel_sum(centers, w, k.h, targets, own=own)
+    hit = own >= 0
+    out[hit] += 0.5 * w[own[hit]]
+    return out
 
 
 def correction(k, g_cells: np.ndarray, targets, grad: bool = False):
@@ -405,10 +399,10 @@ def solve_on_cells(grad0: np.ndarray, k, tol: float = TOL) -> np.ndarray:
     L T from the series' own sum."""
     centers, kvals = k.nonzero_cells()
     km = (M_DISK * kvals)[:, None]
-    own = np.arange(centers.shape[0])  # each cell excludes itself
 
-    def apply_l(g):
-        return _pv_on_cells(centers, km * g, k.h, centers, own)
+    def apply_l(g):  # the PV sum (the self-sum drops each cell's z = 0) and local term
+        w = km * g
+        return k2_kernel_sum(centers, w, k.h, centers) + 0.5 * w
 
     def norm(p, lp):
         return _l2(lp)

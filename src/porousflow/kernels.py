@@ -17,9 +17,9 @@ and |z|^2 + blob^2, from which K (1/2 log of the third), grad K, H K and
 Delta K (2 blob^2 / the third squared) are made in place, then summed by real
 matrix products with q.
 
-Every bounded loop in porousflow takes its slices from ``blocks``, under a
-budget in bytes of its largest temporary. Targets go in blocks of ``BLOCK``
-bytes, 8 per pair: 1 << 16 pairs stay in cache, as a 1316 x 1316 m = 1 blob
+Every bounded loop in porousflow takes its slices from ``blocks``, under one
+budget, ``BLOCK`` bytes of its largest temporary. Targets go in blocks of 8
+bytes per pair: 1 << 16 pairs stay in cache, as a 1316 x 1316 m = 1 blob
 sum took 55.6, 12.1, 11.3 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and
 1 << 14 (2-core VM).
 
@@ -63,7 +63,6 @@ import math
 import numpy as np
 
 BLOCK = 1 << 19  # bytes of a blocked loop's largest temporary (cache sized)
-SMALL_BLOCK = 1 << 17  # bytes per block of fields.spectral_power
 _STRENGTHS = {0: ((),), 1: ((), (2,)), 2: ((2,),)}  # q.shape[1:] that each m takes
 _LAPLACIAN = "laplacian"  # the block kind of ``laplacian_sum``
 _FAR_RHO = 4.0  # the smallest Bernstein-ellipse parameter of the far path

@@ -238,20 +238,23 @@ def solve_collocation(
 
 
 def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> np.ndarray:
-    """Sum over holes of P(w), or of -(w/z) P'(w) = w^2 sum_m (-m gamma_m / a)
-    w^(m-1) when ``derivative`` is set: one hole at a time, by Horner's rule
-    in w on blocks of ``kernels.BLOCK`` bytes, 16 per point, with
-    scalar coefficients."""
+    """Sum over holes of Re P(w) (n,), or, when ``derivative`` is set, of
+    (Re, -Im) (n, 2) of -(w/z) P'(w) = w^2 sum_m (-m gamma_m / a) w^(m-1):
+    one hole at a time, by Horner's rule in w on blocks of ``kernels.BLOCK``
+    bytes, 16 per point, with scalar coefficients. Each block's sum is taken
+    in the float pairs of the output, so the call holds three complex blocks
+    beside it."""
     config = sol.config
     gamma = sol.coeffs[:, 0::2] + 1j * sol.coeffs[:, 1::2]  # (N, M)
     if derivative:
         gamma = gamma * (-np.arange(1, sol.order + 1) / config.a)
-    zp = pts[:, 0] + 1j * pts[:, 1]
     zc = config.centers[:, 0] + 1j * config.centers[:, 1]
-    out = np.zeros(pts.shape[0], dtype=complex)
+    out = np.zeros((pts.shape[0], 2))
+    total = out.view(complex)[:, 0]  # (Re, Im) of the sum at each point
     for sl in kernels.blocks(pts.shape[0], 16):
-        zb, block = zp[sl], out[sl]
-        w, acc = np.empty_like(zb), np.empty_like(zb)
+        zb = np.empty(sl.stop - sl.start, dtype=complex)
+        zb.real, zb.imag = pts[sl, 0], pts[sl, 1]
+        block, w, acc = total[sl], np.empty_like(zb), np.empty_like(zb)
         for c, g in zip(zc, gamma):
             np.divide(config.a, np.subtract(zb, c, out=w), out=w)
             np.multiply(w, g[-1], out=acc)
@@ -261,19 +264,18 @@ def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> n
             if derivative:
                 acc *= w
             block += acc
-    return out
+    if not derivative:
+        return out[:, 0]
+    return np.conjugate(total, out=total).view(float).reshape(-1, 2)  # (Re, -Im)
 
 
 def multipole_part_eval(sol: MultipoleSolution, x) -> np.ndarray:
     """The hole corrections alone (without psi_0)."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    return _hole_series(sol, pts, derivative=False).real
+    return _hole_series(sol, np.atleast_2d(np.asarray(x, dtype=float)), derivative=False)
 
 
 def multipole_part_grad(sol: MultipoleSolution, x) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    s = _hole_series(sol, pts, derivative=True)
-    return np.stack([s.real, -s.imag], axis=1)
+    return _hole_series(sol, np.atleast_2d(np.asarray(x, dtype=float)), derivative=True)
 
 
 def oracle_eval(sol: MultipoleSolution, x):

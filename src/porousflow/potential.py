@@ -142,6 +142,7 @@ def grad_psi0_on_grid(f: ScalarGridField, window=None):
         for rows in kernels.blocks(plane.shape[0], 8 * plane.shape[1]):
             block = plane[rows] * scale
             total += float(np.vdot(block, block))
+            del block  # freed before the next block is made
 
     box = f.support_slices()
     if box is not None:

@@ -145,8 +145,8 @@ def init_dipoles(source, config: PorousConfig) -> DipoleSet:
 
 def iterate_dipoles(prev: DipoleSet, config: PorousConfig) -> DipoleSet:
     """Next level: A'_l = - sum_{m != l} grad V^a[A_m](x_l - x_m), direct O(N^2)."""
-    own = np.arange(config.n_holes)
-    out = -config.a**2 * kernels.pair_sum(config.centers, config.centers, prev.vectors, 2, own=own)
+    # the targets are the sources, and the m = 2 kernel drops each hole on itself
+    out = -config.a**2 * kernels.pair_sum(config.centers, config.centers, prev.vectors, 2)
     return DipoleSet(prev.level + 1, out)
 
 

@@ -65,6 +65,20 @@ def test_hminus1_matches_complex_fft_reference(shape):
     assert ana.hminus1(g) == pytest.approx(hminus1_fft2(g), rel=TABLE["hminus1"].tol, abs=0.0)
 
 
+@pytest.mark.parametrize("ny", [40, 41])
+def test_hminus1_over_row_blocks_matches_the_fft2_reference(ny, monkeypatch, taken_blocks):
+    # even and odd ny, two column blocks (16 and 5 of the 21 columns), and a
+    # budget of six rows of the narrow block: 66 and 11 row blocks, each
+    # doubled column (the Nyquist one of ny = 40 not) summed block by block
+    nx, h = 66, 0.5
+    g = make_grid((0.0, 0.0, nx * h, ny * h), h)
+    g.values[22:30, 13:21] = np.random.default_rng(ny).standard_normal((8, 8))
+    monkeypatch.setattr(kernels, "BLOCK", 6 * 64 * 5)
+    got = ana.hminus1(g)
+    assert [len(rows) for rows in taken_blocks] == [66, 11]
+    assert got == pytest.approx(hminus1_fft2(g), rel=TABLE["hminus1"].tol, abs=0.0)
+
+
 @pytest.mark.parametrize("period", [(48, 48), (45, 45), (48, 39)])
 def test_hminus1_of_a_window_matches_the_embedded_field(period):
     # a window of random data standing for its whole periodic box, with zero

@@ -86,6 +86,9 @@ probe = 1.3 0.0 2.3 1.0
 probe_h = 0.0625
 """
 
+# divcurl with [sweep] values, which sets n: without [geometry] n
+DIVCURL_SWEEP = DIVCURL_SMALL.replace("\nn = 2\n", "\n")
+
 
 def run_cli(tmp_path, text, name="run", extra=()):
     cfg = tmp_path / f"{name}.cfg"
@@ -532,10 +535,22 @@ def test_sweep_geometry_errors_exit_2(tmp_path):
         _config_error(out, fragment)
 
 
+def test_divcurl_probe_without_fluid_cells_exit_2(tmp_path):
+    # the probe's one cell is fluid at n = 4 and inside a hole at n = 2: the
+    # run fails at n = 2 and writes no n's report
+    text = (DIVCURL_SWEEP.replace("probe = 1.3 0.0 2.3 1.0", "probe = 0.2 0.2 0.3 0.3")
+            .replace("probe_h = 0.0625", "probe_h = 0.1") + "[sweep]\nvalues = 4 2\n")
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, "[analysis] probe, probe_h: no probe cell at h = 0.1")
+    assert not list(out.glob("gamma*"))
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("values", ["4.5", "0", "-2", "2 4.5"])
 def test_divcurl_lattice_sizes_must_be_whole_and_positive(tmp_path, values):
     # checked for every sweep point before any numerics run
-    text = DIVCURL_SMALL + f"[sweep]\nvalues = {values}\n"
+    text = DIVCURL_SWEEP + f"[sweep]\nvalues = {values}\n"
     code, out = run_cli(tmp_path, text, name="nsides")
     assert code == 2
     _config_error(out, "n_per_side")
@@ -621,7 +636,7 @@ def test_divcurl_solves_once_per_distinct_k(tmp_path, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(homogenized, name, counted)
-    text = DIVCURL_SMALL + "[sweep]\nvalues = 4 8\n"
+    text = DIVCURL_SWEEP + "[sweep]\nvalues = 4 8\n"
     for label, fraction, expected_calls in (
         ("same_k", lattice_fraction, 1), ("k_per_n", perturbed, 2)
     ):
@@ -658,7 +673,8 @@ def test_negative_blob_or_margin_exit_2(tmp_path, text, fragment):
     [
         pytest.param(EULER_COMPARE.replace("blob = 0.12", "blob = 0"), "[euler] blob = 0",
                      id="blob"),
-        pytest.param(EULER_COMPARE.replace("shape = bump", "shape = point"),
+        pytest.param(EULER_COMPARE.replace("shape = bump", "shape = point")
+                     .replace("radius = 0.5\n", "").replace("grid_h = 0.03125\n", ""),
                      "[vorticity] shape = point", id="point"),
     ],
 )
@@ -765,8 +781,9 @@ REFLECT_RANDOM = REFLECT_TWOHOLE.replace("kind = twohole", "kind = random\ncount
         pytest.param(REFLECT_TWOHOLE.replace("a = 0.02", "a = 0.2")
                      .replace("dmin = 0.4", "dmin = 3.0"),
                      "a disk outside the box 0 0 1 1", id="twohole_outside_box"),
-        pytest.param(REFLECT_TWOHOLE.replace("amplitude = 2.0", "amplitude = 2.0\nradius = -0.3"),
-                     "[vorticity] radius", id="radius_negative"),
+        pytest.param(REFLECT_TWOHOLE.replace("shape = point", "shape = pair")
+                     .replace("amplitude = 2.0", "amplitude = 2.0\nradius = -0.3"),
+                     "[vorticity] radius must be positive", id="radius_negative"),
         pytest.param(EULER_COMPARE.replace("dt = 0.1", "dt = 0"), "[euler] dt", id="dt_zero"),
         pytest.param(EULER_COMPARE.replace("t_final = 0.3", "t_final = -0.3"),
                      "[euler] t_final", id="t_final_negative"),
@@ -807,35 +824,39 @@ def test_unknown_section_or_key_exit_2(tmp_path, text, fragment):
     assert not (out / "summary.json").exists()
 
 
-# per experiment, test configs that together take every branch on which a
-# read depends: the source's shape (a pair's blob, a grid's spacing), the
-# geometry's kind, the homog sweep and single solve, the euler pair and
-# grid runs, and divcurl with and without a sweep over n
+# per branch (``cli.CONFIG_KEYS``), test configs that take it; together they
+# take every source shape (``cli.SOURCE_KEYS``): a point, a pair with its
+# blob, and a bump and a disk with their spacing
 _GRID_SOURCE = "shape = bump\nradius = 0.3\ngrid_h = 0.05"
+_PAIR_SOURCE = "shape = pair\nradius = 0.1"
 _READ_CONFIGS = {
-    "reflect": [
-        REFLECT_TWOHOLE,
-        REFLECT_RANDOM.replace("shape = point", "shape = pair") + "[euler]\nblob = 0.01\n",
+    ("reflect", "kind = twohole"): [REFLECT_TWOHOLE],
+    ("reflect", "kind = random"): [REFLECT_RANDOM.replace("shape = point", _PAIR_SOURCE)
+                                   + "[euler]\nblob = 0.01\n"],
+    ("reflect", "kind = lattice"): [
         REFLECT_TWOHOLE.replace("kind = twohole\na = 0.02\ndmin = 0.4",
                                 "kind = lattice\nn = 2\nepsilon = 0.1")
-        .replace("shape = point", _GRID_SOURCE),
+        .replace("shape = point", _GRID_SOURCE.replace("bump", "disk")),
     ],
-    "divcurl": [DIVCURL_SMALL, DIVCURL_SMALL + "[sweep]\nvalues = 2\n"],
-    "homog": [HOMOG_SWEEP, HOMOG_LATTICE],
-    "euler": [EULER_PAIR, EULER_COMPARE],
-    "sweep": [
+    ("divcurl", ""): [DIVCURL_SMALL],
+    ("divcurl", "[sweep] values"): [DIVCURL_SWEEP + "[sweep]\nvalues = 2\n"],
+    ("homog", ""): [HOMOG_LATTICE],
+    ("homog", "[sweep] values"): [HOMOG_SWEEP],
+    ("euler", ""): [EULER_COMPARE],
+    ("euler", "shape = pair"): [EULER_PAIR],
+    ("sweep", ""): [
         SWEEP_RATIO,
         SWEEP_RATIO.replace("shape = point", _GRID_SOURCE),
-        SWEEP_RATIO.replace("shape = point", "shape = pair") + "[euler]\nblob = 0.01\n",
+        SWEEP_RATIO.replace("shape = point", _PAIR_SOURCE) + "[euler]\nblob = 0.01\n",
     ],
 }
 
 
 def test_each_experiment_reads_exactly_its_config_keys(tmp_path, monkeypatch):
-    # every key an experiment's table admits is read on some branch, and
-    # every key it reads is in its table
+    # every run reads each key of its branch's table and of its source's
+    # (none in the homog sweep), and no other key
     assert set(_READ_CONFIGS) == set(cli.CONFIG_KEYS)
-    reads = set()
+    reads, shapes = set(), set()
     get = cli.RunConfig.get
 
     def recorded(self, section, key, *args, **kwargs):
@@ -843,14 +864,58 @@ def test_each_experiment_reads_exactly_its_config_keys(tmp_path, monkeypatch):
         return get(self, section, key, *args, **kwargs)
 
     monkeypatch.setattr(cli.RunConfig, "get", recorded)
-    for experiment, texts in _READ_CONFIGS.items():
+    runs = [(branch, text) for branch, texts in _READ_CONFIGS.items() for text in texts]
+    for i, (branch, text) in enumerate(runs):
+        assert cli.RunConfig(text).branch == branch
+        shape = re.search(r"shape = (\w+)", text)
+        tables = [cli.CONFIG_KEYS[branch]]
+        if shape:
+            shapes.add(shape.group(1))
+            tables.append(cli.SOURCE_KEYS[shape.group(1)])
         reads.clear()
-        for i, text in enumerate(texts):
-            assert f"experiment = {experiment}\n" in text
-            code, _ = run_cli(tmp_path, text, name=f"{experiment}{i}")
-            assert code == 0, (experiment, i)
-        table = cli.CONFIG_KEYS[experiment]
-        assert reads == {(section, key) for section in table for key in table[section]}, experiment
+        code, _ = run_cli(tmp_path, text, name=f"run{i}")
+        assert code == 0, branch
+        assert reads == {(section, key) for table in tables for section in table
+                         for key in table[section]}, branch
+    assert shapes == set(cli.SOURCE_KEYS)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        pytest.param(HOMOG_SWEEP + "[vorticity]\ncenter = 9 9\n[geometry]\nepsilon = 0.4\n",
+                     "[vorticity] center for the homog experiment with [sweep] values",
+                     id="homog_sweep_source_epsilon"),
+        pytest.param(EULER_PAIR + "[geometry]\nn = 7\nepsilon = 0.45\n",
+                     "[geometry] epsilon, n for the euler experiment with shape = pair",
+                     id="euler_pair_geometry"),
+        pytest.param(EULER_PAIR.replace("blob = 0.02", "blob = 0.02\nparticle_h = 0.1\nmargin = 1"
+                                        "\nfull_solve = yes"),
+                     "[euler] full_solve, margin, particle_h", id="euler_pair_euler"),
+        pytest.param(EULER_PAIR + "[analysis]\nprobe_h = 0.1\n", "[analysis] probe_h",
+                     id="euler_pair_analysis"),
+        pytest.param(EULER_PAIR + "[solver]\ngrid_h = 0.1\n", "[solver] grid_h",
+                     id="euler_pair_grid_h"),
+        pytest.param(DIVCURL_SMALL + "[sweep]\nvalues = 2 4\n", "[geometry] n",
+                     id="divcurl_sweep_n"),
+        pytest.param(REFLECT_RANDOM.replace("count = 4", "count = 4\nn = 2\nepsilon = 0.1"),
+                     "[geometry] epsilon, n for the reflect experiment with kind = random",
+                     id="random_lattice_keys"),
+        pytest.param(REFLECT_TWOHOLE.replace("kind = twohole",
+                                             "kind = lattice\nn = 2\nepsilon = 0.1\ncount = 4"),
+                     "[geometry] a, count, dmin for the reflect experiment with kind = lattice",
+                     id="lattice_random_keys"),
+        pytest.param(REFLECT_TWOHOLE.replace("amplitude = 2.0", "amplitude = 2.0\ngrid_h = 0.05"),
+                     "[vorticity] grid_h", id="point_grid_h"),
+    ],
+)
+def test_key_the_branch_does_not_read_exit_2(tmp_path, text, fragment):
+    # a key that only another branch of the same experiment reads, or another
+    # source shape, would run silently at exit 0
+    code, out = run_cli(tmp_path, text)
+    assert code == 2
+    _config_error(out, fragment)
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -893,7 +958,7 @@ SWEEP_QUADRATIC = SWEEP_RATIO.replace("mode = ratio", "mode = quadratic")
                      id="homog_zero"),
         pytest.param(HOMOG_SWEEP.replace("values = 0.01 0.02 0.04", "values ="),
                      id="homog_empty"),
-        pytest.param(DIVCURL_SMALL + "[sweep]\nvalues =\n", id="divcurl_empty"),
+        pytest.param(DIVCURL_SWEEP + "[sweep]\nvalues =\n", id="divcurl_empty"),
     ],
 )
 def test_sweep_values_checked_before_numerics(tmp_path, monkeypatch, text):
@@ -928,7 +993,7 @@ def test_readme_config_keys_match_cli():
         entries = re.split(r"\s{2,}", match.group(2))[0].split(";")
         section.update(re.match(r"\s*(\w+)", entry).group(1) for entry in entries)
     every = {}
-    for table in cli.CONFIG_KEYS.values():
+    for table in (*cli.CONFIG_KEYS.values(), *cli.SOURCE_KEYS.values()):
         for section, keys in table.items():
             every.setdefault(section, set()).update(keys)
     assert documented == every

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import point_vortex, traced_peak
-from porousflow import analysis, euler, fields, kernels, oracle, reflections
+from porousflow import analysis, euler, fields, homogenized, kernels, oracle, reflections
 from porousflow.fields import make_grid
 from porousflow.geometry import Box, build_lattice, lattice_fraction, nearest_center_sq
-from references import TABLE, dense_reference
+from references import TABLE, dense_reference, pair_sum_reference
 
 TOL, FAR_TOL = TABLE["pair_sum"].tol, TABLE["pair_sum_far"].tol
 
@@ -109,6 +109,36 @@ def test_self_sum_matches_rectangular_blocks(n, m, blob, complex_q):
     assert got.dtype == rect.dtype
     assert np.all(np.abs(got - rect) <= TOL * scale)
     assert_matches(pts, pts, q, m, blob)
+
+
+def test_hole_and_cell_self_sums_take_the_triangle(monkeypatch):
+    # a reflection level and the Euler full solve's PV sum: the targets are
+    # the sources and the m = 2 kernel drops z = 0 itself, so both pass no
+    # own, take the triangle of tiles, and equal the dense sum without each
+    # point's own term
+    reached, calls = [], []
+    self_sum, pair_sum = kernels._self_sum, kernels.pair_sum
+
+    def spied_self_sum(out, pts, *args):
+        reached.append(pts.shape[-1])
+        self_sum(out, pts, *args)
+
+    def recorded(targets, sources, q, m, blob=0.0, own=None):
+        calls.append((targets, sources, q, m, own, pair_sum(targets, sources, q, m, blob, own)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(kernels, "_self_sum", spied_self_sum)
+    monkeypatch.setattr(kernels, "pair_sum", recorded)
+    rng = np.random.default_rng(8)
+    cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    reflections.iterate_dipoles(reflections.DipoleSet(1, rng.standard_normal((64, 2))), cfg)
+    k = lattice_fraction(cfg, make_grid((0.0, 0.0, 1.0, 1.0), 1.0 / 16.0))
+    homogenized.solve_on_cells(rng.standard_normal((k.values.size, 2)), k, 1e-6)
+    assert len(calls) > 2 and reached == [64] + [256] * (len(calls) - 1)
+    for targets, sources, q, m, own, out in calls:
+        assert m == 2 and own is None
+        ref, scale = pair_sum_reference(targets, sources, q, 2, own=np.arange(len(targets)))
+        assert np.all(np.abs(out - ref) <= TOL * scale[:, None])
 
 
 def test_blocks_cover_the_items_within_the_budget(monkeypatch):
@@ -443,11 +473,12 @@ def _min_distance_case(rng):
     return cfg.centers.nbytes, kernels.blocks(1024, 8 * 1024), cfg.min_center_distance
 
 
-def _spectral_power_case(rng):
-    """The power of a (330, 512) grid from its half spectrum."""
-    spec = np.fft.rfft2(rng.standard_normal((330, 512)))
-    blocks = kernels.blocks(330, 16 * 257, kernels.SMALL_BLOCK)
-    return spec.nbytes, blocks, lambda: fields.spectral_power(spec, 512)
+def _hminus1_case(rng):
+    """The H^-1 norm of a 16 x 16 window of a (5632, 64) box, over 11 row
+    blocks of each 16-column block (counted: the blocks the call takes)."""
+    g = fields.ScalarGridField(np.zeros(2), 0.1, rng.standard_normal((16, 16)), (2808, 24),
+                               (5632, 64))
+    return g.values.nbytes, None, lambda: analysis.hminus1(g)
 
 
 def _inverse_rows_case(rng):
@@ -491,11 +522,11 @@ def _basis_case(rng):
 @pytest.mark.parametrize("case", [_pair_sum_case, _self_sum_case, _dipole_sum_case,
                                   _grid_source_case, _smoothed_vorticity_case,
                                   _multipole_grad_case, _far_sum_case, _nearest_center_case,
-                                  _min_distance_case, _spectral_power_case, _inverse_rows_case,
+                                  _min_distance_case, _hminus1_case, _inverse_rows_case,
                                   _mu_minus_k_case, _basis_case, _probe_norm_case],
                          ids=["pair_sum", "self_sum", "dipole_sum", "grid_source",
                               "smoothed_vorticity", "multipole_part_grad", "far_sum",
-                              "nearest_center_sq", "min_center_distance", "spectral_power",
+                              "nearest_center_sq", "min_center_distance", "hminus1",
                               "irfft2_rows", "mu_minus_k_field", "basis_matvec",
                               "reflection_vs_oracle_h1"])
 def test_blocked_sums_memory_within_budget(case, taken_blocks):
