@@ -37,44 +37,13 @@ from .geometry import (
     PorousConfig,
     build_lattice,
     build_random,
+    fluid_mask,
     lattice_fraction,
     save_config,
     validate,
 )
 
 SCHEMA_VERSION = "v1"
-_SOLVER = {"reflection_depth", "tol"}  # summary.json records both for every experiment
-_BOX = {"kind", "box", "eps0"}  # RunConfig reads kind for every experiment
-_LATTICE = _BOX | {"n", "epsilon"}
-_GRID, _PROBE = {"solver": _SOLVER | {"grid_h"}}, {"analysis": {"probe", "probe_h"}}
-_SWEEP_VALUES = "[sweep] values"  # the key that makes divcurl and homog a sweep
-# per branch of each experiment (``RunConfig.branch``: the experiment and what
-# selects the branch), every section and key it reads beside its source's
-# (``SOURCE_KEYS``; the homog sweep has none); RunConfig refuses any other
-CONFIG_KEYS = {
-    branch: {"run": {"experiment"}, "solver": _SOLVER, **keys}
-    for branch, keys in {
-        ("reflect", "kind = lattice"): {"geometry": _LATTICE},
-        ("reflect", "kind = random"): {"geometry": _BOX | {"count", "a", "dmin"}},
-        ("reflect", "kind = twohole"): {"geometry": _BOX | {"a", "dmin"}},
-        ("divcurl", ""): {"geometry": _LATTICE, **_GRID, **_PROBE},
-        # each sweep point's n (epsilon in the sweep experiment) is one of [sweep] values
-        ("divcurl", _SWEEP_VALUES): {"geometry": _LATTICE - {"n"}, **_GRID, **_PROBE,
-                              "sweep": {"values"}},
-        ("homog", ""): {"geometry": _LATTICE, **_GRID},
-        ("homog", _SWEEP_VALUES): {"geometry": {"kind"}, **_GRID, "sweep": {"values"}},
-        ("euler", ""): {"geometry": _LATTICE, **_GRID, **_PROBE,
-                        "euler": {"dt", "t_final", "blob", "particle_h", "margin", "full_solve"}},
-        ("euler", "shape = pair"): {"geometry": {"kind"}, "euler": {"dt", "t_final"}},
-        ("sweep", ""): {"geometry": _LATTICE - {"epsilon"}, "analysis": {"probe_h"},
-                        "sweep": {"values", "mode"}},
-    }.items()
-}
-# per [vorticity] shape, the keys that its source reads
-_PARTICLE = {"shape", "center", "amplitude"}
-_GRID_SOURCE = {"vorticity": _PARTICLE | {"radius", "grid_h"}}
-SOURCE_KEYS = {"point": {"vorticity": _PARTICLE}, "bump": _GRID_SOURCE, "disk": _GRID_SOURCE,
-               "pair": {"vorticity": _PARTICLE | {"radius"}, "euler": {"blob"}}}
 # the only spellings a boolean key accepts (compared case-insensitively)
 _BOOLEANS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -96,6 +65,7 @@ class RunConfig:
             self.parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
+        self.read = set()  # each (section, key) that ``get`` was asked for
         self.experiment = self.get("run", "experiment", required=True)
         if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment '{self.experiment}'")
@@ -115,21 +85,25 @@ class RunConfig:
         if self.experiment in ("divcurl", "homog") and shape in ("point", "pair"):
             raise ConfigError(f"the {self.experiment} experiment needs a grid source: "
                               "[vorticity] shape = bump | disk")
-        self.branch = (self.experiment, _SWEEP_VALUES if self.swept
+        self.branch = (self.experiment, "[sweep] values" if self.swept
                        else f"kind = {self.kind}" if self.experiment == "reflect"
                        else "shape = pair" if self.experiment == "euler" and shape == "pair"
                        else "")
-        keys = dict(CONFIG_KEYS[self.branch])
-        for section, names in SOURCE_KEYS.get(shape, {}).items():
-            keys[section] = keys.get(section, set()) | names
+
+    def seal(self) -> None:
+        """Refuse a key of the file that the run has not read, or an empty
+        section it has not looked in: such a setting would otherwise run
+        silently at its default. Each experiment's branch calls it once,
+        after its last read and before its first solve."""
         for section in self.parser.sections():
-            if not any(section in t for t in (*CONFIG_KEYS.values(), *SOURCE_KEYS.values())):
-                raise ConfigError(f"unknown section [{section}]")
-            unknown = set(self.parser.options(section)) - keys.get(section, set())
+            read = {key for where, key in self.read if where == section}
+            unknown = set(self.parser.options(section)) - read
             if unknown:
                 selected = f" with {self.branch[1]}" if self.branch[1] else ""
                 raise ConfigError(f"unknown key [{section}] {', '.join(sorted(unknown))} "
                                   f"for the {self.experiment} experiment{selected}")
+            if not read:
+                raise ConfigError(f"unknown section [{section}]")
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -146,6 +120,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def get(self, section, key, cast=str, default=None, required=False):
+        self.read.add((section, key))
         if not self.parser.has_option(section, key):
             if required:
                 raise ConfigError(f"missing [{section}] {key}")
@@ -289,14 +264,14 @@ def volume_fraction(config: PorousConfig, grid: ScalarGridField) -> ScalarGridFi
 
 def _vorticity_shape(cfg: RunConfig) -> str:
     shape = cfg.get("vorticity", "shape", str, "bump")
-    if shape not in SOURCE_KEYS:
+    if shape not in ("point", "pair", "bump", "disk"):
         raise ConfigError(f"unknown vorticity shape '{shape}'")
     return shape
 
 
 def source_from_config(cfg: RunConfig):
     """The [vorticity] source: particles (point, pair) or a rasterized grid
-    (bump, disk), reading only its shape's keys (``SOURCE_KEYS``)."""
+    (bump, disk), reading only its shape's keys."""
     shape = _vorticity_shape(cfg)
     center = cfg.floats("vorticity", "center", [0.5, 2.0])
     if len(center) != 2:
@@ -359,6 +334,7 @@ def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
 def cmd_reflect(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings) -> dict:
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
+    cfg.seal()
     check_clear_of_holes(source, [config])
     depth = settings.reflection_depth
     stream = reflections.run_reflections(source, config, depth)
@@ -385,6 +361,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
         values = sweep_values(cfg)
         # k = knorm times one unit bump, so every k norm is a scale of one series
         h = cfg.positive("solver", "grid_h", 1.0 / 64.0)
+        cfg.seal()
         world_box = (-2.0, -2.0, 2.0, 2.0)
         f = rasterize(world_box, h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
         k = rasterize(world_box, h, radial_bump((0.0, 0.0), 0.5, 1.0, power=3))
@@ -407,6 +384,7 @@ def cmd_homog(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     config = geometry_from_config(cfg, seed)
     source = source_from_config(cfg)
     world = world_grid_for(cfg, config.kpm_box, source)
+    cfg.seal()
     k = volume_fraction(config, world)
     sol = homogenized.solve_psic(world, k, tol=settings.tol)
     sol.grad.to_csv(outdir / "psic_grad.csv")
@@ -441,7 +419,12 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
     # one discrete source for every solver: f resampled on the world grid;
     # every lattice of the sweep fills the same configured box
     world = world_grid_for(cfg, configs[0].kpm_box, source)
+    cfg.seal()
     check_clear_of_holes(world, configs)
+    for config in configs:  # every lattice size's probe has a fluid cell
+        if not fluid_mask(config, make_grid(probe.as_tuple(), probe_h)).any():
+            raise ConfigError(f"[analysis] probe, probe_h: no probe cell at h = {probe_h!r} "
+                              "lies fully outside every hole")
     rows = []
     k_prev = homog = None
     for config in configs:
@@ -457,10 +440,7 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         osol = None
         if config.n_holes <= oracle.MAX_ORACLE_HOLES:
             osol = oracle.solve_collocation(world, config)
-        try:
-            rows.append((n, analysis.gamma_report(stream, homog, k, oracle_sol=osol)))
-        except analysis.EmptyProbe as exc:
-            raise ConfigError(f"[analysis] probe, probe_h: {exc}") from exc
+        rows.append((n, analysis.gamma_report(stream, homog, k, oracle_sol=osol)))
     for n, report in rows:  # written once every n has its report
         (outdir / f"gamma_n{n}.json").write_text(report.to_json())
     write_table(
@@ -500,6 +480,8 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     k_h = cfg.positive("solver", "grid_h", 1.0 / 32.0)
     probe = cfg.box("analysis", "probe", Box(1.5, 1.5, 2.5, 2.5))
     probe_h = cfg.positive("analysis", "probe_h", 0.25)
+    full_solve = cfg.get("euler", "full_solve", bool, False)
+    cfg.seal()
     point = potential._is_particles(source)
     if (source.blob if point else blob) == 0.0:
         # the comparison records the difference of blob-smoothed vorticities
@@ -518,10 +500,7 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     kgrid = make_grid(config.kpm_box.as_tuple(), k_h)
     k = volume_fraction(config, kgrid)
     perf = euler.PerforatedSetting(config, settings.reflection_depth, margin=margin)
-    homog = euler.HomogenizedSetting(
-        k, margin=margin, full_solve=cfg.get("euler", "full_solve", bool, False),
-        tol=settings.tol,
-    )
+    homog = euler.HomogenizedSetting(k, margin=margin, full_solve=full_solve, tol=settings.tol)
     pg = make_grid(probe.as_tuple(), probe_h)
     records = euler.run_comparison(
         particles, perf, homog, t_final, dt, pg.centers_flat()
@@ -538,6 +517,7 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
 
 def _euler_pair(cfg: RunConfig, outdir: Path, dt: float, t_final: float) -> dict:
     parts = source_from_config(cfg)
+    cfg.seal()
     gamma = float(parts.weights[0])
     if not gamma > 0.0:
         # the period is read off the angle unwrapped counterclockwise
@@ -582,6 +562,7 @@ def cmd_sweep(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
                for v in values]
     probe_h = cfg.positive("analysis", "probe_h", None)
     source = source_from_config(cfg)
+    cfg.seal()
     check_clear_of_holes(source, configs)
     rows = []
     for v, config in zip(values, configs):

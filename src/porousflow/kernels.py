@@ -69,12 +69,12 @@ _FAR_RHO = 4.0  # the smallest Bernstein-ellipse parameter of the far path
 _DIGITS = 53 * math.log(2.0)  # rho^-p reaches double precision at p = _DIGITS / ln rho
 
 
-def blocks(n: int, width: int, budget: int | None = None, align: int = 1):
+def blocks(n: int, width: int, align: int = 1):
     """Slices of range(n), each of whole multiples of ``align`` items (the
-    last one may be short) holding at most ``budget`` bytes, ``BLOCK`` by
-    default, at ``width`` bytes per item, and at least one item (``align``
-    items when n allows). The budget is read at each call."""
-    step = align * max((BLOCK if budget is None else budget) // max(width * align, 1), 1)
+    last one may be short) holding at most ``BLOCK`` bytes at ``width`` bytes
+    per item, and at least one item (``align`` items when n allows).
+    ``BLOCK`` is read at each call."""
+    step = align * max(BLOCK // max(width * align, 1), 1)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
@@ -243,7 +243,7 @@ def _self_sum(out, pts, q, m, blob2: float, work) -> None:
     off-diagonal tile K(rows, cols) adds K q[cols] to its rows and K^T q[rows]
     to its columns, negated for the odd m = 1."""
     side = math.isqrt(BLOCK // 8)
-    tiles = list(blocks(pts.shape[-1], 8 * side, 8 * side * side))
+    tiles = list(blocks(pts.shape[-1], BLOCK // side))  # side points each
     for i, rows in enumerate(tiles):
         for cols in tiles[i:]:
             kern = _kernel(pts[..., rows], pts[..., cols], m, blob2, work)

@@ -101,15 +101,11 @@ class HybridStream:
     def norms(self, q: float) -> list[float]:
         return [lev.norm(q) for lev in self.levels]
 
-    def boundary_residual(self, depth: int | None = None) -> float:
-        """Max over holes of the oscillation of psi^(depth) over 64 points of
-        the hole boundary."""
-        return self.boundary_residuals(depth)[-1]
-
     def boundary_residuals(self, depth: int | None = None) -> list[float]:
-        """``boundary_residual(j)`` for j = 1..depth (every level by default)
-        in one pass: psi_0 on the ring once, then one dipole sum per level of
-        the running sum of the level vectors, so depth d costs d sums."""
+        """For j = 1..depth (every level by default), the max over holes of the
+        oscillation of psi^(j) over 64 points of the hole boundary, in one
+        pass: psi_0 on the ring once, then one dipole sum per level of the
+        running sum of the level vectors, so depth d costs d sums."""
         ring = self.config.boundary_points(64)
         base = potential.psi0_eval(self.base, ring)
         sums = np.cumsum([lev.vectors for lev in self.levels[:depth]], axis=0)

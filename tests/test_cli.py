@@ -123,7 +123,7 @@ def test_reflect_writes_boundary_residual_per_level(tmp_path):
     stream = reflections.run_reflections(
         cli.source_from_config(cfg), cli.geometry_from_config(cfg, 0), 4
     )
-    assert written == [stream.boundary_residual(j) for j in (1, 2, 3, 4)]
+    assert written == [stream.boundary_residuals(j)[-1] for j in (1, 2, 3, 4)]
 
 
 def test_reflect_evaluates_psi0_on_the_ring_once(tmp_path, monkeypatch):
@@ -535,13 +535,16 @@ def test_sweep_geometry_errors_exit_2(tmp_path):
         _config_error(out, fragment)
 
 
-def test_divcurl_probe_without_fluid_cells_exit_2(tmp_path):
+def test_divcurl_probe_without_fluid_cells_exit_2(tmp_path, monkeypatch):
     # the probe's one cell is fluid at n = 4 and inside a hole at n = 2: the
-    # run fails at n = 2 and writes no n's report
+    # run fails before any solve, n = 4's included, and writes no n's report
+    solves = []
+    monkeypatch.setattr(reflections, "run_reflections", lambda *args: solves.append(args))
+    monkeypatch.setattr(potential, "grad_psi0_on_grid", lambda *args: solves.append(args))
     text = (DIVCURL_SWEEP.replace("probe = 1.3 0.0 2.3 1.0", "probe = 0.2 0.2 0.3 0.3")
             .replace("probe_h = 0.0625", "probe_h = 0.1") + "[sweep]\nvalues = 4 2\n")
     code, out = run_cli(tmp_path, text)
-    assert code == 2
+    assert code == 2 and solves == []
     _config_error(out, "[analysis] probe, probe_h: no probe cell at h = 0.1")
     assert not list(out.glob("gamma*"))
     assert not (out / "summary.json").exists()
@@ -824,9 +827,9 @@ def test_unknown_section_or_key_exit_2(tmp_path, text, fragment):
     assert not (out / "summary.json").exists()
 
 
-# per branch (``cli.CONFIG_KEYS``), test configs that take it; together they
-# take every source shape (``cli.SOURCE_KEYS``): a point, a pair with its
-# blob, and a bump and a disk with their spacing
+# per branch (``cli.RunConfig.branch``), test configs that take it; together
+# they take every source shape: a point, a pair with its blob, and a bump and a
+# disk with their spacing
 _GRID_SOURCE = "shape = bump\nradius = 0.3\ngrid_h = 0.05"
 _PAIR_SOURCE = "shape = pair\nradius = 0.1"
 _READ_CONFIGS = {
@@ -850,34 +853,56 @@ _READ_CONFIGS = {
         SWEEP_RATIO.replace("shape = point", _PAIR_SOURCE) + "[euler]\nblob = 0.01\n",
     ],
 }
+_RUNS = [(branch, text) for branch, texts in _READ_CONFIGS.items() for text in texts]
 
 
-def test_each_experiment_reads_exactly_its_config_keys(tmp_path, monkeypatch):
-    # every run reads each key of its branch's table and of its source's
-    # (none in the homog sweep), and no other key
-    assert set(_READ_CONFIGS) == set(cli.CONFIG_KEYS)
-    reads, shapes = set(), set()
-    get = cli.RunConfig.get
+@pytest.fixture(scope="module")
+def sealed_reads(tmp_path_factory):
+    """Per run of ``_RUNS``, its exit code and, in order, each (section, key)
+    that it read and each ``seal`` ("seal")."""
+    tmp_path = tmp_path_factory.mktemp("reads")
+    get, seal = cli.RunConfig.get, cli.RunConfig.seal
+    log, runs = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.RunConfig, "get", lambda self, section, key, *args, **kwargs:
+                   log.append((section, key)) or get(self, section, key, *args, **kwargs))
+        mp.setattr(cli.RunConfig, "seal", lambda self: log.append("seal") or seal(self))
+        for i, (_, text) in enumerate(_RUNS):
+            log.clear()
+            code, _ = run_cli(tmp_path, text, name=f"run{i}")
+            runs.append((code, list(log)))
+    return runs
 
-    def recorded(self, section, key, *args, **kwargs):
-        reads.add((section, key))
-        return get(self, section, key, *args, **kwargs)
 
-    monkeypatch.setattr(cli.RunConfig, "get", recorded)
-    runs = [(branch, text) for branch, texts in _READ_CONFIGS.items() for text in texts]
-    for i, (branch, text) in enumerate(runs):
+def test_each_branch_seals_after_its_reads_and_before_any_solve(tmp_path, monkeypatch,
+                                                                sealed_reads):
+    # every branch runs, seals once and reads no key after; a key it does not
+    # read exits 2 with the branch's name before the first solve of the run
+    from porousflow import euler, homogenized, oracle
+
+    assert {re.search(r"shape = (\w+)", text).group(1) for _, text in _RUNS
+            if "shape =" in text} == {"point", "pair", "bump", "disk"}
+    for (branch, text), (code, log) in zip(_RUNS, sealed_reads):
         assert cli.RunConfig(text).branch == branch
-        shape = re.search(r"shape = (\w+)", text)
-        tables = [cli.CONFIG_KEYS[branch]]
-        if shape:
-            shapes.add(shape.group(1))
-            tables.append(cli.SOURCE_KEYS[shape.group(1)])
-        reads.clear()
-        code, _ = run_cli(tmp_path, text, name=f"run{i}")
-        assert code == 0, branch
-        assert reads == {(section, key) for table in tables for section in table
-                         for key in table[section]}, branch
-    assert shapes == set(cli.SOURCE_KEYS)
+        assert code == 0 and log.count("seal") == 1 and log[-1] == "seal", branch
+    solves = []
+
+    def solve(*args, **kwargs):
+        solves.append(args)
+        raise RuntimeError("a solve ran before the config was sealed")
+
+    for module, name in ((reflections, "run_reflections"), (potential, "grad_psi0_on_grid"),
+                         (homogenized, "solve_psic"), (oracle, "solve_collocation"),
+                         (euler, "run_comparison"), (euler, "step")):
+        monkeypatch.setattr(module, name, solve)
+    for i, ((experiment, selected), text) in enumerate(_RUNS):
+        code, out = run_cli(tmp_path, text.replace("[run]\n", "[run]\nunread = 1\n"),
+                            name=f"unread{i}")
+        assert code == 2 and solves == [], (experiment, selected)
+        with_branch = f" with {selected}" if selected else ""
+        _config_error(out, f"unknown key [run] unread for the {experiment} experiment"
+                           + with_branch)
+        assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -982,7 +1007,7 @@ def _readme_block(heading):
     return after.split("```\n")[1]
 
 
-def test_readme_config_keys_match_cli():
+def test_readme_config_keys_match_cli(tmp_path, sealed_reads):
     # each line: an optional [section] column, then ';'-separated entries
     # whose first word is a key, then (after two spaces) a description
     documented = {}
@@ -993,8 +1018,9 @@ def test_readme_config_keys_match_cli():
         entries = re.split(r"\s{2,}", match.group(2))[0].split(";")
         section.update(re.match(r"\s*(\w+)", entry).group(1) for entry in entries)
     every = {}
-    for table in (*cli.CONFIG_KEYS.values(), *cli.SOURCE_KEYS.values()):
-        for section, keys in table.items():
-            every.setdefault(section, set()).update(keys)
+    for _, log in sealed_reads:
+        for section, key in log[:log.index("seal")]:
+            every.setdefault(section, set()).add(key)
     assert documented == every
-    cli.RunConfig(_readme_block("### Example"))
+    code, _ = run_cli(tmp_path, _readme_block("### Example"))
+    assert code == 0

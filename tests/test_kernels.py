@@ -143,21 +143,28 @@ def test_hole_and_cell_self_sums_take_the_triangle(monkeypatch):
 
 def test_blocks_cover_the_items_within_the_budget(monkeypatch):
     # no items, no width, a width above the budget (one item or align group
-    # per slice), align with a short last block, a given and a patched budget
-    cases = [(0, 8, None, 1), (7, 0, None, 1), (1000, 24, None, 1),
-             (10, 2 * kernels.BLOCK, None, 1), (100, 16, 16 * 3 * 4, 3), (10, 64, 16, 4),
+    # per slice), align with a short last block, and patched budgets
+    default = kernels.BLOCK
+    cases = [(0, 8, default, 1), (7, 0, default, 1), (1000, 24, default, 1),
+             (10, 2 * default, default, 1), (100, 16, 16 * 3 * 4, 3), (10, 64, 16, 4),
              (1000, 24, 100, 1)]
     for n, width, budget, align in cases:
-        slices = list(kernels.blocks(n, width, budget, align))
+        monkeypatch.setattr(kernels, "BLOCK", budget)
+        slices = list(kernels.blocks(n, width, align))
         covered = np.concatenate([np.arange(n)[sl] for sl in slices] or [[]])
         assert np.array_equal(covered, np.arange(n))
         for sl in slices:
             size = sl.stop - sl.start
-            assert size >= 1 and size * width <= max(budget or kernels.BLOCK, width * align)
+            assert size >= 1 and size * width <= max(budget, width * align)
         assert all((sl.stop - sl.start) % align == 0 for sl in slices[:-1])
-    assert [sl.stop - sl.start for sl in kernels.blocks(100, 16, 16 * 3 * 4, 3)] == [12] * 8 + [4]
+    monkeypatch.setattr(kernels, "BLOCK", 16 * 3 * 4)
+    assert [sl.stop - sl.start for sl in kernels.blocks(100, 16, 3)] == [12] * 8 + [4]
     monkeypatch.setattr(kernels, "BLOCK", 8 * 30)
     assert [sl.stop - sl.start for sl in kernels.blocks(100, 8)] == [30] * 3 + [10]
+    for budget in (8, 8 * 30, 1000, default):  # the self-sum's side x side tiles
+        monkeypatch.setattr(kernels, "BLOCK", budget)
+        side = math.isqrt(budget // 8)
+        assert next(kernels.blocks(10**6, budget // side)) == slice(0, side)
 
 
 def test_empty_inputs():

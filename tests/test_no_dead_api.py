@@ -25,7 +25,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KEPT = {
     "apply_l_direct": "principal-value quadrature, the tests' reference for the spectral L",
-    "boundary_residual": "one level's residual, the tests' check of boundary_residuals",
     "boundary_deviation": "the oracle's only check of boundary constancy off the collocation angles",
     "circulation": "the oracle's only check of zero circulation around a hole",
     "equivalent_dipoles": "acceptance criterion 3 compares the oracle's dipoles with level 1",
