@@ -51,6 +51,9 @@ _BOOLEANS = {
 }
 
 
+_NO_BLOB = "the euler comparison needs a particle blob above zero to smooth the vorticity; "
+
+
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration (exit code 2)."""
 
@@ -85,6 +88,9 @@ class RunConfig:
         if self.experiment in ("divcurl", "homog") and shape in ("point", "pair"):
             raise ConfigError(f"the {self.experiment} experiment needs a grid source: "
                               "[vorticity] shape = bump | disk")
+        # the comparison records the difference of blob-smoothed vorticities
+        if self.experiment == "euler" and shape == "point":
+            raise ConfigError(_NO_BLOB + "[vorticity] shape = point has blob 0")
         self.branch = (self.experiment, "[sweep] values" if self.swept
                        else f"kind = {self.kind}" if self.experiment == "reflect"
                        else "shape = pair" if self.experiment == "euler" and shape == "pair"
@@ -482,19 +488,9 @@ def cmd_euler(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSettings)
     probe_h = cfg.positive("analysis", "probe_h", 0.25)
     full_solve = cfg.get("euler", "full_solve", bool, False)
     cfg.seal()
-    point = potential._is_particles(source)
-    if (source.blob if point else blob) == 0.0:
-        # the comparison records the difference of blob-smoothed vorticities
-        raise ConfigError(
-            "the euler comparison needs a particle blob above zero to smooth the vorticity; "
-            + ("[vorticity] shape = point has blob 0" if point else "[euler] blob = 0")
-        )
-    if point:
-        particles = source
-    else:
-        particles = euler.discretize_vorticity(
-            source, h_p, blob, kpm_box=config.kpm_box, margin=margin
-        )
+    if blob == 0.0:
+        raise ConfigError(_NO_BLOB + "[euler] blob = 0")
+    particles = euler.discretize_vorticity(source, h_p, blob, kpm_box=config.kpm_box, margin=margin)
     # the homogenized closure integrates over supp k only, so the volume
     # fraction lives on a grid of the porous box itself
     kgrid = make_grid(config.kpm_box.as_tuple(), k_h)

@@ -142,14 +142,8 @@ class HomogenizedSetting:
         return False
 
 
-def velocity_field(state: FlowState, setting, x) -> np.ndarray:
-    """Velocity of the chosen closure at points x from the state's particles."""
-    pts, single = potential._as_points(x)
-    out = _velocity_batch(pts, state.particles, setting)
-    return out[0] if single else out
-
-
-def _velocity_batch(pts: np.ndarray, particles: VortexParticles, setting) -> np.ndarray:
+def velocity(pts: np.ndarray, particles: VortexParticles, setting) -> np.ndarray:
+    """Velocity of the closure ``setting`` at points pts (n, 2) from the particles."""
     if particles.count == 0:
         return np.zeros((pts.shape[0], 2))
     u = potential.velocity0_eval(particles, pts)
@@ -162,20 +156,20 @@ def step(state: FlowState, dt: float, setting) -> FlowState:
         raise ValueError("dt must be positive")
     parts = state.particles
 
-    def velocity(pos):
-        return _velocity_batch(pos, _at(parts, pos), setting)
+    def rate(pos):
+        return velocity(pos, _at(parts, pos), setting)
 
     p0 = parts.positions
-    k1 = velocity(p0)
+    k1 = rate(p0)
     speed = float(np.hypot(k1[:, 0], k1[:, 1]).max()) if parts.count else 0.0
     limit = 0.5 * min(setting.cfl_gap(), setting.margin or np.inf)
     if np.isfinite(limit) and speed * dt > limit:
         raise ValueError(
             f"CFL guard violated: dt*max|u| = {speed * dt:.3g} exceeds {limit:.3g}"
         )
-    k2 = velocity(p0 + 0.5 * dt * k1)
-    k3 = velocity(p0 + 0.5 * dt * k2)
-    k4 = velocity(p0 + dt * k3)
+    k2 = rate(p0 + 0.5 * dt * k1)
+    k3 = rate(p0 + 0.5 * dt * k2)
+    k4 = rate(p0 + dt * k3)
     new_pos = p0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return FlowState(state.t + dt, _at(parts, new_pos))
 
@@ -277,8 +271,8 @@ def _record(state_n, state_c, perf, homog, probe, status_n, status_c):
     if status_n == "halted" and perf.in_hole(state_n.particles):
         vel_diff = np.nan  # the reflections reject particles in a hole
     else:
-        un = _velocity_batch(probe, state_n.particles, perf)
-        uc = _velocity_batch(probe, state_c.particles, homog)
+        un = velocity(probe, state_n.particles, perf)
+        uc = velocity(probe, state_c.particles, homog)
         vel_diff = float(np.hypot(*(un - uc).T).max()) if probe.size else 0.0
     wn = smoothed_vorticity(state_n.particles, probe)
     wc = smoothed_vorticity(state_c.particles, probe)

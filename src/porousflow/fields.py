@@ -79,9 +79,6 @@ class ScalarGridField:
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-    def integral(self) -> float:
-        return float(self.values.sum() * self.h**2)
-
     def inf_norm(self) -> float:
         return float(np.abs(self.values).max()) if self.values.size else 0.0
 

@@ -111,10 +111,6 @@ class PorousConfig:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.sqrt(nearest_center_sq(self.centers, x)) - self.a
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """True where points lie inside some hole (``inside_holes``)."""
-        return inside_holes(self.centers, self.a, x)
-
     def boundary_points(self, samples: int) -> np.ndarray:
         """``samples`` points on each hole boundary, at angles (j + 1/2) 2 pi /
         samples; hole-major, shape (n_holes * samples, 2)."""
@@ -276,30 +272,8 @@ def save_config(config: PorousConfig, path, seed=None):
         lines.append(f"seed = {seed}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_table(_centers_path(path), ["x", "y"], ([fmt(cx), fmt(cy)] for cx, cy in config.centers))
-
-
-def load_config(path) -> PorousConfig:
-    kv = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-    box = Box(
-        float(kv["box.x0"]), float(kv["box.y0"]), float(kv["box.x1"]), float(kv["box.y1"])
-    )
-    with open(_centers_path(path)) as fh:
-        if fh.readline().strip() != "x,y":
-            raise ValueError("centers CSV must have columns x,y")
-        centers = np.array([[float(x), float(y)] for x, y in (line.split(",") for line in fh)])
-    return PorousConfig(centers, float(kv["a"]), float(kv["d"]), float(kv["eps0"]), box)
-
-
-def _centers_path(path):
-    return str(path) + ".centers.csv"
+    write_table(str(path) + ".centers.csv", ["x", "y"],
+                ([fmt(cx), fmt(cy)] for cx, cy in config.centers))
 
 
 def fluid_mask(config: PorousConfig, grid: ScalarGridField) -> np.ndarray:

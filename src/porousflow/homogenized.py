@@ -3,10 +3,13 @@ for disk inclusions (``M_DISK``).
 
 Solved by the fixed-point iteration grad psi_n = grad Delta^{-1} f -
 L[grad psi_{n-1}] with L g = grad Delta^{-1} div(k M g), which contracts for
-small sup k. L has two backends: the Fourier multiplier xi (xi.g_hat)/|xi|^2
-on the padded periodic grid (``apply_l_spectral``) and a direct
-principal-value quadrature of the second-derivative kernel, the independent
-cross-check. The volume-fraction correction
+small sup k. L has two forms: the Fourier multiplier xi (xi.g_hat)/|xi|^2
+on the padded periodic grid (``apply_l_spectral``, and ``_BoxL`` on k's
+support box), and the principal-value quadrature of the second-derivative
+kernel plus the self cell's local term on the nonzero cells of k
+(``solve_on_cells``). The tests take that quadrature at any targets
+(``references.apply_l_direct``), the independent cross-check of the
+multiplier. The volume-fraction correction
 phi = -div Delta^{-1}(k M grad psi) and its gradient have one quadrature,
 ``correction``; phi on a probe grid whose spacing is a whole multiple of k's
 (divcurl's probe) is a convolution where that is less work than the direct
@@ -186,7 +189,7 @@ class _BoxL:
         """||L q|| over the whole grid, for q and lq = L q on the box."""
         w = q * self.km
         total = w.sum(axis=(1, 2))  # 2 nx ny times the mean
-        power = np.vdot(w, lq) - np.vdot(total, total) / (4.0 * self.cells)
+        power = kernels.dot(w, lq) - kernels.dot(total, total) / (4.0 * self.cells)
         return float(np.sqrt(max(power, 0.0)))  # roundoff can take a vanishing form below zero
 
 
@@ -209,13 +212,11 @@ def k2_kernel_sum(
     src_values: np.ndarray,
     h: float,
     targets: np.ndarray,
-    own: np.ndarray | None = None,
 ) -> np.ndarray:
     """Midpoint quadrature of the kernel (d_ij|z|^2 - 2 z_i z_j)/(2 pi |z|^4)
     applied to a vector density w: the unit-radius dipole gradient with
-    A = w. ``own[i] >= 0`` removes source cell ``own[i]`` from target i (the
-    excluded self cell of the PV sum)."""
-    return kernels.pair_sum(targets, src_centers, src_values, 2, own=own) * h * h / (2.0 * np.pi)
+    A = w; the self cell (z = 0) contributes zero."""
+    return kernels.pair_sum(targets, src_centers, src_values, 2) * h * h / (2.0 * np.pi)
 
 
 def k1_kernel_sum(
@@ -228,20 +229,6 @@ def k1_kernel_sum(
     sum of (z . w)/(2 pi |z|^2), the unit-radius dipole value with A = w; the
     self cell (z = 0) contributes zero."""
     return kernels.pair_sum(targets, src_centers, src_values, 1) * h * h / (2.0 * np.pi)
-
-
-def apply_l_direct(g: VectorGridField, k, targets: np.ndarray) -> np.ndarray:
-    """Independent backend: PV quadrature excluding the self cell plus the
-    local term +1/2 (k M g)(x); evaluated at arbitrary target points."""
-    if k.shape != g.values.shape[:2]:
-        raise ValueError("k and g must share the grid")
-    centers, kvals = k.nonzero_cells()
-    w = (M_DISK * kvals)[:, None] * g.values[k.values != 0.0]
-    own = k.nonzero_cell_index(targets)
-    out = k2_kernel_sum(centers, w, k.h, targets, own=own)
-    hit = own >= 0
-    out[hit] += 0.5 * w[own[hit]]
-    return out
 
 
 def correction(k, g_cells: np.ndarray, targets, grad: bool = False):
@@ -344,7 +331,7 @@ def _fixed_point(g0: np.ndarray, g0_norm: float, apply_l, norm, h: float, tol: f
 
 def _l2(a: np.ndarray) -> float:
     """The l2 norm of every value of a."""
-    return float(np.sqrt(np.vdot(a, a)))
+    return float(np.sqrt(kernels.dot(a, a)))
 
 
 def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> HomogSolution:

@@ -18,7 +18,8 @@ Delta K (2 blob^2 / the third squared) are made in place, then summed by real
 matrix products with q.
 
 Every bounded loop in porousflow takes its slices from ``blocks``, under one
-budget, ``BLOCK`` bytes of its largest temporary. Targets go in blocks of 8
+budget, ``BLOCK`` bytes of its largest temporary, and every whole-array inner
+product is ``dot``, whose digits do not depend on the BLAS thread count. Targets go in blocks of 8
 bytes per pair: 1 << 16 pairs stay in cache, as a 1316 x 1316 m = 1 blob
 sum took 55.6, 12.1, 11.3 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and
 1 << 14 (2-core VM).
@@ -77,6 +78,13 @@ def blocks(n: int, width: int, align: int = 1):
     step = align * max(BLOCK // max(width * align, 1), 1)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The sum of a * b over every value, by numpy's own loop (``einsum``
+    without ``optimize``): BLAS ``ddot`` splits a long sum over its threads,
+    so its last digits move with the BLAS thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def pair_sum(targets, sources, q, m: int, blob: float = 0.0, own=None) -> np.ndarray:

@@ -20,12 +20,12 @@ With z = x - c and w = a/z, the cos_m and sin_m columns are (a/r)^m cos(m t)
 = Re w^m and (a/r)^m sin(m t) = -Im w^m. A hole's coefficient pair (alpha_m,
 beta_m) therefore contributes Re(gamma_m w^m) with gamma_m = alpha_m +
 i beta_m, so the hole's field is Re P(w) with P(w) = sum_m gamma_m w^m and its
-gradient is conj(P'(w) dw/dz) = conj(-(w/z) P'(w)). At probe points these
-polynomials are summed one hole at a time, by Horner's rule in w on blocks of
-points with scalar coefficients. A reflections dipole V^a[A] = a^2 A.z/|z|^2
-is the m = 1 term Re(gamma_1 w), gamma_1 = a (A_x + i A_y)
-(``equivalent_dipoles`` is the inverse), so the oracle's gradient less the
-reflections' is one such series.
+gradient is conj(P'(w) dw/dz) = conj(-(w/z) P'(w)). At probe points this
+gradient is summed one hole at a time (``multipole_part_grad``), by Horner's
+rule in w on blocks of points with scalar coefficients. A reflections dipole
+V^a[A] = a^2 A.z/|z|^2 is the m = 1 term Re(gamma_1 w), gamma_1 =
+a (A_x + i A_y), so the oracle's gradient less the reflections' is one such
+series.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, potential
-from .fields import perp
 from .geometry import PorousConfig
 
 MAX_ORACLE_HOLES = 64  # desk-scale guard
-RESIDUAL_TOL = 1e-6  # boundary oscillation above which a solution is flagged
 ORDER = 8  # multipole order per hole
 POINTS = 64  # collocation points per hole
 # stop a right-hand side at ||A^T r|| <= _CG_TOL ||A^T b|| or, for data mostly
@@ -52,14 +50,11 @@ _CERT_TOL = 1e-8  # relative recovery error of the rank certificate v0
 @dataclass
 class MultipoleSolution:
     config: PorousConfig
-    source: object
     order: int
     coeffs: np.ndarray  # (N, 2*order): [cos_1, sin_1, cos_2, sin_2, ...]
-    boundary_constants: np.ndarray  # (N,)
     residual: float
     iterations: int  # CGLS block iterations
     cond: float  # Lanczos estimate of cond(A), A the per-hole-centered basis
-    flagged: bool
 
     def __post_init__(self):
         if not np.isfinite(self.residual):
@@ -97,14 +92,14 @@ class _Basis:
         rings = r.reshape(len(r), -1, self.ring)
         return (rings - rings.mean(axis=2, keepdims=True)).reshape(r.shape)
 
-    def matvec(self, x, center=True):
-        """A x for each row x, or the uncentered basis times x."""
+    def matvec(self, x):
+        """A x for each row x."""
         xm = x.reshape(len(x), -1, self.order, 2).transpose(2, 1, 3, 0)
         xm = xm.reshape(self.order, -1, len(x))
         out = np.zeros((len(self.v), len(x)))
         for rows, m, p in self.powers():
             out[rows] += p @ xm[m]
-        return self._center(out.T) if center else out.T
+        return self._center(out.T)
 
     def rmatvec(self, r, frobenius=False):
         """A^T r for each row r, and ||A||_F^2 if ``frobenius``."""
@@ -114,7 +109,7 @@ class _Basis:
             out[m] += r[:, rows] @ p
             if frobenius:  # each ring's sum of squares less ring * its mean squared
                 sums = np.ones(self.ring) @ p.reshape(-1, self.ring, p.shape[1])
-                norm2 += np.vdot(p, p) - np.vdot(sums, sums) / self.ring
+                norm2 += kernels.dot(p, p) - kernels.dot(sums, sums) / self.ring
         out = np.moveaxis(out.reshape(self.order, len(r), -1, 2), 0, 2).reshape(len(r), -1)
         return (out, norm2) if frobenius else out
 
@@ -189,8 +184,7 @@ def solve_collocation(
     Only the boundary oscillation is fit: the basis and psi_0 are centered
     per hole, which eliminates the unknown boundary constants. The centered
     basis A is the operator ``_Basis``, which holds the (rows, N) complex map
-    v and no (rows x cols) matrix; the per-hole means of psi_0 and of the
-    uncentered fit give the boundary constants afterwards.
+    v and no (rows x cols) matrix.
 
     The fit is block CGLS with two right-hand sides: the data, and a rank
     certificate A v0 for a fixed random v0. A direction in the null space
@@ -210,9 +204,8 @@ def solve_collocation(
     n = config.n_holes
     pts = config.boundary_points(pts_per_hole)
     psi0 = potential.psi0_eval(source, pts).reshape(n, pts_per_hole)
-    psi0_means = psi0.mean(axis=1)
     basis = _Basis(config, order, pts, pts_per_hole)
-    rhs = (psi0_means[:, None] - psi0).ravel()
+    rhs = (psi0.mean(axis=1)[:, None] - psi0).ravel()
     v0 = np.random.default_rng(0).standard_normal(2 * order * n)
     x, iterations, steps = _cgls(basis, np.concatenate([rhs[None], basis.matvec(v0[None])]))
     coeffs = x[0]
@@ -222,32 +215,27 @@ def solve_collocation(
             f"rank-deficient collocation system: the certificate v0 is "
             f"recovered to {miss:.3e} relative (> {_CERT_TOL:g})"
         )
-    fit = basis.matvec(coeffs[None], center=False)
-    residual = float(np.abs(basis._center(fit) - rhs).max())
     return MultipoleSolution(
         config=config,
-        source=source,
         order=order,
         coeffs=coeffs.reshape(n, 2 * order),
-        boundary_constants=psi0_means + fit.reshape(n, -1).mean(axis=1),
-        residual=residual,
+        residual=float(np.abs(basis.matvec(coeffs[None]) - rhs).max()),
         iterations=iterations,
         cond=_lanczos_cond(*steps[1]),
-        flagged=bool(residual > RESIDUAL_TOL),
     )
 
 
-def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> np.ndarray:
-    """Sum over holes of Re P(w) (n,), or, when ``derivative`` is set, of
-    (Re, -Im) (n, 2) of -(w/z) P'(w) = w^2 sum_m (-m gamma_m / a) w^(m-1):
-    one hole at a time, by Horner's rule in w on blocks of ``kernels.BLOCK``
-    bytes, 16 per point, with scalar coefficients. Each block's sum is taken
-    in the float pairs of the output, so the call holds three complex blocks
-    beside it."""
+def multipole_part_grad(sol: MultipoleSolution, x) -> np.ndarray:
+    """The gradient of the hole series alone (without psi_0) at points x,
+    (n, 2): the sum over holes of (Re, -Im) of -(w/z) P'(w) =
+    w^2 sum_m (-m gamma_m / a) w^(m-1), one hole at a time, by Horner's rule
+    in w on blocks of ``kernels.BLOCK`` bytes, 16 per point, with scalar
+    coefficients. Each block's sum is taken in the float pairs of the output,
+    so the call holds three complex blocks beside it."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     config = sol.config
     gamma = sol.coeffs[:, 0::2] + 1j * sol.coeffs[:, 1::2]  # (N, M)
-    if derivative:
-        gamma = gamma * (-np.arange(1, sol.order + 1) / config.a)
+    gamma = gamma * (-np.arange(1, sol.order + 1) / config.a)  # -m gamma_m / a
     zc = config.centers[:, 0] + 1j * config.centers[:, 1]
     out = np.zeros((pts.shape[0], 2))
     total = out.view(complex)[:, 0]  # (Re, Im) of the sum at each point
@@ -261,81 +249,6 @@ def _hole_series(sol: MultipoleSolution, pts: np.ndarray, derivative: bool) -> n
             for gm in g[-2::-1]:
                 acc += gm
                 acc *= w
-            if derivative:
-                acc *= w
+            acc *= w
             block += acc
-    if not derivative:
-        return out[:, 0]
     return np.conjugate(total, out=total).view(float).reshape(-1, 2)  # (Re, -Im)
-
-
-def multipole_part_eval(sol: MultipoleSolution, x) -> np.ndarray:
-    """The hole corrections alone (without psi_0)."""
-    return _hole_series(sol, np.atleast_2d(np.asarray(x, dtype=float)), derivative=False)
-
-
-def multipole_part_grad(sol: MultipoleSolution, x) -> np.ndarray:
-    return _hole_series(sol, np.atleast_2d(np.asarray(x, dtype=float)), derivative=True)
-
-
-def oracle_eval(sol: MultipoleSolution, x):
-    pts, single = potential._as_points(x)
-    _check_outside(sol.config, pts)
-    out = potential.psi0_eval(sol.source, pts) + multipole_part_eval(sol, pts)
-    return float(out[0]) if single else out
-
-
-def oracle_gradient(sol: MultipoleSolution, x) -> np.ndarray:
-    pts, single = potential._as_points(x)
-    _check_outside(sol.config, pts)
-    out = potential.grad_psi0_eval(sol.source, pts) + multipole_part_grad(sol, pts)
-    return out[0] if single else out
-
-
-def oracle_velocity(sol: MultipoleSolution, x) -> np.ndarray:
-    return perp(oracle_gradient(sol, x))
-
-
-def _check_outside(config, pts):
-    if np.any(config.contains(pts)):
-        raise ValueError("oracle evaluated inside a hole")
-
-
-def equivalent_dipoles(sol: MultipoleSolution) -> np.ndarray:
-    """The m=1 coefficients expressed as dipole vectors of V^a[A]."""
-    return sol.coeffs[:, 0:2] / sol.config.a
-
-
-def boundary_deviation(sol: MultipoleSolution) -> float:
-    """Max sampled standard deviation of the solution over hole boundaries,
-    at 256 angles offset from the collocation angles."""
-    theta = (np.arange(256) + 0.3) / 256 * 2.0 * np.pi
-    ring = sol.config.a * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    worst = 0.0
-    for c in sol.config.centers:
-        vals = oracle_eval(sol, c[None, :] + ring)
-        worst = max(worst, float(vals.std()))
-    return worst
-
-
-def _ring(sol: MultipoleSolution, hole: int, radius_factor: float):
-    """Midpoint rule on the circle of radius radius_factor * a around one
-    hole: 512 points, their unit normals and the arc length per point."""
-    r = sol.config.a * radius_factor
-    theta = (np.arange(512) + 0.5) / 512 * 2.0 * np.pi
-    normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = sol.config.centers[hole][None, :] + r * normals
-    return pts, normals, 2.0 * np.pi * r / 512
-
-
-def flux_integral(sol: MultipoleSolution, hole: int) -> float:
-    """Quadrature of the normal derivative around one hole's boundary (should vanish)."""
-    pts, normals, arc = _ring(sol, hole, 1.0)
-    return float((oracle_gradient(sol, pts) * normals).sum() * arc)
-
-
-def circulation(sol: MultipoleSolution, hole: int) -> float:
-    """Line integral of velocity . tangent on the circle of radius 1.5 a
-    around one hole (zero: no log terms)."""
-    pts, normals, arc = _ring(sol, hole, 1.5)
-    return float((oracle_velocity(sol, pts) * perp(normals)).sum() * arc)

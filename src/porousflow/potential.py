@@ -141,7 +141,7 @@ def grad_psi0_on_grid(f: ScalarGridField, window=None):
             return
         for rows in kernels.blocks(plane.shape[0], 8 * plane.shape[1]):
             block = plane[rows] * scale
-            total += float(np.vdot(block, block))
+            total += kernels.dot(block, block)
             del block  # freed before the next block is made
 
     box = f.support_slices()

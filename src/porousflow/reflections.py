@@ -4,7 +4,7 @@ Level 1 places a dipole at each hole cancelling the local gradient of the
 hole-free solution psi_0; each further level cancels the gradients induced at
 every hole by all other holes' dipoles from the previous level. The resulting
 stream function is psi_0 plus the analytic disk-dipole corrections from all
-levels, evaluable pointwise together with its exact gradient.
+levels; the corrections and their exact gradient are evaluable pointwise.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, potential
-from .fields import fmt, perp, write_table
+from .fields import fmt, write_table
 from .geometry import PorousConfig, _near_centers
 
 # The standard working depth: the iteration corrects only the linear part of
@@ -84,19 +84,6 @@ class HybridStream:
         return potential.dipole_sum(
             self.config.centers, self.config.a, self.combined_vectors(), x, grad=True
         )
-
-    def stream_eval(self, x):
-        pts, single = potential._as_points(x)
-        out = potential.psi0_eval(self.base, pts) + self.correction_eval(pts)
-        return float(out[0]) if single else out
-
-    def gradient_eval(self, x) -> np.ndarray:
-        pts, single = potential._as_points(x)
-        out = potential.grad_psi0_eval(self.base, pts) + self.correction_grad(pts)
-        return out[0] if single else out
-
-    def velocity_eval(self, x) -> np.ndarray:
-        return perp(self.gradient_eval(x))
 
     def norms(self, q: float) -> list[float]:
         return [lev.norm(q) for lev in self.levels]

@@ -42,13 +42,14 @@ def scan_points(centers, a, reach, rng) -> np.ndarray:
     return np.concatenate(pts)
 
 
-def child_output(code: str) -> list[str]:
-    """The words that ``code`` prints, run with ``src`` on the path by an
-    interpreter that a fresh, small one starts, not pytest: a forked child's
-    ru_maxrss starts at its parent's peak. Skips where ru_maxrss is not KiB."""
+def child_output(code: str, **variables: str) -> list[str]:
+    """The words that ``code`` prints, run with ``src`` on the path and the
+    environment ``variables`` set by an interpreter that a fresh, small one
+    starts, not pytest: a forked child's ru_maxrss starts at its parent's
+    peak. Skips where ru_maxrss is not KiB."""
     if not sys.platform.startswith("linux"):
         pytest.skip("ru_maxrss is KiB on Linux")
-    env = dict(os.environ)
+    env = dict(os.environ, **variables)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     launcher = ("import subprocess, sys; "

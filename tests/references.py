@@ -1,5 +1,9 @@
 """The direct reference of each fast path, written once, and ``TABLE``: fast
 path -> (its reference, the largest relative difference allowed from it).
+Also the evaluators that only tests read, built on the run path's
+functions: the oracle's and the reflections' stream function and gradient,
+the oracle's flux, circulation, boundary deviation and dipoles, L by
+principal-value quadrature and the reading of a saved configuration.
 The tier-1 tests import them as they import ``conftest``
 (``from references import ...``), and ``tools/layers.py --check`` compares
 its cases with them at the workloads' shapes. Uses numpy and porousflow
@@ -11,9 +15,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from porousflow import analysis, homogenized, oracle, potential
-from porousflow.fields import ScalarGridField, VectorGridField, make_grid
-from porousflow.geometry import fluid_mask, rasterize_mu
+from porousflow import analysis, homogenized, kernels, oracle, potential
+from porousflow.fields import ScalarGridField, VectorGridField, make_grid, perp
+from porousflow.geometry import Box, PorousConfig, fluid_mask, rasterize_mu
 
 
 def dense_reference(targets, sources, q, m, blob=0.0, own=None):
@@ -73,6 +77,21 @@ def psi0_grid_reference(grid, pts):
     ref, scale = pair_sum_reference(pts, grid.centers_flat(), vals * h * h, 0, own=own)
     exact = vals[own] * potential.cell_log_integral(lo[:, 0], lo[:, 0] + h, lo[:, 1], lo[:, 1] + h)
     return ref + exact, scale + np.abs(exact)
+
+
+def apply_l_direct(g, k, targets):
+    """L g at ``targets`` by principal-value quadrature, independent of the
+    Fourier multiplier: the k2 sum of w = k M g over the nonzero cells of k
+    less each target's own cell, plus the local term +1/2 w of that cell."""
+    if k.shape != g.values.shape[:2]:
+        raise ValueError("k and g must share the grid")
+    centers, kvals = k.nonzero_cells()
+    w = (homogenized.M_DISK * kvals)[:, None] * g.values[k.values != 0.0]
+    own = k.nonzero_cell_index(targets)
+    out = kernels.pair_sum(targets, centers, w, 2, own=own) * k.h * k.h / (2.0 * np.pi)
+    hit = own >= 0
+    out[hit] += 0.5 * w[own[hit]]
+    return out
 
 
 def fixed_point(g0, apply_l, h, tol):
@@ -191,8 +210,8 @@ def center_per_hole(arr, n_holes):
 
 def lstsq_fit(source, config, order=oracle.ORDER, pts_per_hole=oracle.POINTS):
     """The dense SVD least-squares fit of the per-hole-centered basis: the
-    coefficients, residual, boundary constants, the centered matrix and
-    max|psi_0| on the boundaries."""
+    coefficients, residual, the centered matrix and max|psi_0| on the
+    boundaries."""
     pts = config.boundary_points(pts_per_hole)
     psi0 = potential.psi0_eval(source, pts)
     basis = basis_matrix(config, order, pts)
@@ -201,10 +220,89 @@ def lstsq_fit(source, config, order=oracle.ORDER, pts_per_hole=oracle.POINTS):
                                          rcond=None)
     if rank < a_mat.shape[1]:
         raise np.linalg.LinAlgError(f"rank {rank} < {a_mat.shape[1]} columns")
-    total = psi0 + basis @ coeffs
-    residual = float(np.abs(center_per_hole(total, config.n_holes)).max())
-    constants = total.reshape(config.n_holes, -1).mean(axis=1)
-    return coeffs, residual, constants, a_mat, np.abs(psi0).max()
+    residual = float(np.abs(center_per_hole(psi0 + basis @ coeffs, config.n_holes)).max())
+    return coeffs, residual, a_mat, np.abs(psi0).max()
+
+
+def _at_points(x, evaluate):
+    """``evaluate`` at points x (n, 2), or at one point x (2,) as its one row."""
+    out = evaluate(np.atleast_2d(np.asarray(x, dtype=float)))
+    return out[0] if np.ndim(x) == 1 else out
+
+
+def oracle_value(source, sol, x):
+    """The oracle's stream function: psi_0 of ``source`` plus the dense basis
+    times the coefficients of ``sol``, its fit for ``source``."""
+    return _at_points(x, lambda pts: potential.psi0_eval(source, pts) + basis_matrix(
+        sol.config, sol.order, pts) @ sol.coeffs.ravel())
+
+
+def oracle_gradient(source, sol, x):
+    """The oracle's gradient: grad psi_0 plus the run's hole series."""
+    return _at_points(x, lambda pts: potential.grad_psi0_eval(source, pts)
+                      + oracle.multipole_part_grad(sol, pts))
+
+
+def equivalent_dipoles(sol):
+    """The oracle's m = 1 coefficients as the dipole vectors A of V^a[A]."""
+    return sol.coeffs[:, :2] / sol.config.a
+
+
+def _circle(center, radius, samples, phase):
+    """``samples`` points on a circle at angles (j + phase) 2 pi / samples,
+    their unit normals and the arc length per point."""
+    theta = (np.arange(samples) + phase) / samples * 2.0 * np.pi
+    normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return center + radius * normals, normals, 2.0 * np.pi * radius / samples
+
+
+def flux_integral(source, sol, hole):
+    """Midpoint rule for the normal derivative around one hole's boundary, at
+    512 points (zero: the series has no log term)."""
+    pts, normals, arc = _circle(sol.config.centers[hole], sol.config.a, 512, 0.5)
+    return float((oracle_gradient(source, sol, pts) * normals).sum() * arc)
+
+
+def circulation(source, sol, hole):
+    """Midpoint rule for velocity . tangent on the circle of radius 1.5 a
+    around one hole, at 512 points (zero: no log terms)."""
+    pts, normals, arc = _circle(sol.config.centers[hole], 1.5 * sol.config.a, 512, 0.5)
+    return float((perp(oracle_gradient(source, sol, pts)) * perp(normals)).sum() * arc)
+
+
+def boundary_deviation(source, sol):
+    """The largest standard deviation of the oracle's stream function over a
+    hole boundary, at 256 angles offset from the collocation angles."""
+    return max(float(oracle_value(source, sol, _circle(c, sol.config.a, 256, 0.3)[0]).std())
+               for c in sol.config.centers)
+
+
+def stream_value(stream, x):
+    """The reflections' stream function: psi_0 plus the dipole corrections."""
+    return _at_points(x, lambda pts: potential.psi0_eval(stream.base, pts)
+                      + stream.correction_eval(pts))
+
+
+def stream_gradient(stream, x):
+    """The reflections' gradient: grad psi_0 plus the dipole corrections'."""
+    return _at_points(x, lambda pts: potential.grad_psi0_eval(stream.base, pts)
+                      + stream.correction_grad(pts))
+
+
+def load_config(path):
+    """The configuration that ``geometry.save_config`` wrote to ``path`` and
+    its sibling .centers.csv."""
+    kv = {}
+    with open(path) as fh:
+        for line in fh:
+            key, _, val = line.partition("=")
+            if val:
+                kv[key.strip()] = float(val)
+    with open(str(path) + ".centers.csv") as fh:
+        assert fh.readline().strip() == "x,y"
+        centers = np.array([[float(v) for v in line.split(",")] for line in fh]).reshape(-1, 2)
+    box = Box(kv["box.x0"], kv["box.y0"], kv["box.x1"], kv["box.y1"])
+    return PorousConfig(centers, kv["a"], kv["d"], kv["eps0"], box)
 
 
 def term_scale(config, mags, pts, grad=True):

@@ -70,8 +70,7 @@ def test_particle_refinement_stabilizes_far_velocity():
 
 def test_velocity_field_empty_particles():
     parts = eu.VortexParticles(np.zeros((0, 2)), np.zeros(0), 0.05)
-    state = eu.FlowState(0.0, parts)
-    u = eu.velocity_field(state, empty_setting(), np.array([0.3, 0.4]))
+    u = eu.velocity(np.array([[0.3, 0.4]]), parts, empty_setting())
     assert np.allclose(u, 0.0)
 
 
@@ -80,13 +79,12 @@ def test_both_settings_agree_without_medium():
     # reduce to the free blob velocity
     omega = blob_omega0()
     parts = eu.discretize_vorticity(omega, 0.08, 0.08)
-    state = eu.FlowState(0.0, parts)
     x = np.array([[0.6, 5.5], [1.5, 7.0]])
     k0 = lattice_fraction(build_lattice(2, 0.1, UNIT), make_grid((0, 0, 1, 1), 1 / 16))
     k0.values *= 0.0
     hset = eu.HomogenizedSetting(k0)
-    u_perf = eu.velocity_field(state, empty_setting(), x)
-    u_hom = eu.velocity_field(state, hset, x)
+    u_perf = eu.velocity(x, parts, empty_setting())
+    u_hom = eu.velocity(x, parts, hset)
     u_free = pot.velocity0_eval(parts, x)
     assert np.abs(u_perf - u_free).max() < 1e-6
     assert np.abs(u_hom - u_free).max() < 1e-6
@@ -275,16 +273,11 @@ def test_full_solve_flag_close_to_first_order():
     # O((sup k)^2) only
     omega = blob_omega0()
     parts = eu.discretize_vorticity(omega, 0.12, 0.12, kpm_box=UNIT, margin=5.0)
-    state = eu.FlowState(0.0, parts)
     cfg = build_lattice(4, 0.1, UNIT)
     k = lattice_fraction(cfg, make_grid((0, 0, 1, 1), 1 / 16))
     x = np.array([[0.5, 2.5], [1.5, 3.0]])
-    u_first = eu.velocity_field(state, eu.HomogenizedSetting(k), x)
-    u_full = eu.velocity_field(
-        state,
-        eu.HomogenizedSetting(k, full_solve=True, tol=1e-12),
-        x,
-    )
+    u_first = eu.velocity(x, parts, eu.HomogenizedSetting(k))
+    u_full = eu.velocity(x, parts, eu.HomogenizedSetting(k, full_solve=True, tol=1e-12))
     u_free = pot.velocity0_eval(parts, x)
     correction = np.abs(u_first - u_free).max()
     assert correction > 0.0
@@ -331,7 +324,7 @@ def test_full_solve_not_contracting_raises():
     k.values *= 40.0
     setting = eu.HomogenizedSetting(k, full_solve=True)
     with pytest.raises(RuntimeError, match="not contracting"):
-        eu.velocity_field(eu.FlowState(0.0, parts), setting, np.array([[0.5, 2.5]]))
+        eu.velocity(np.array([[0.5, 2.5]]), parts, setting)
 
 
 def test_particle_in_hole_halts_and_is_recorded():

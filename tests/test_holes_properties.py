@@ -10,7 +10,7 @@ import pytest
 from conftest import point_vortex
 from porousflow import oracle as orc
 from porousflow import reflections as refl
-from porousflow.geometry import Box, PorousConfig, build_random
+from porousflow.geometry import Box, PorousConfig, build_random, inside_holes
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -56,7 +56,7 @@ def test_oracle_is_independent_of_hole_order(case):
     assert np.abs(sol_moved.coeffs - sol.coeffs[perm]).max() <= 1e-11 * scale
     probes = np.concatenate([cfg.boundary_points(8), cfg.centers + 1.5 * cfg.a,
                              np.array([[0.5, 1.2], [-0.4, 0.6], [1.3, -0.2]])])
-    probes = probes[~cfg.contains(probes)]
+    probes = probes[~inside_holes(cfg.centers, cfg.a, probes)]
     grad = orc.multipole_part_grad(sol, probes)
     grad_moved = orc.multipole_part_grad(sol_moved, probes)
     assert np.abs(grad_moved - grad).max() <= 1e-11 * np.abs(grad).max()

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import point_vortex, traced_peak
+from conftest import child_output, point_vortex, traced_peak
 from porousflow import analysis, euler, fields, homogenized, kernels, oracle, reflections
 from porousflow.fields import make_grid
 from porousflow.geometry import Box, build_lattice, lattice_fraction, nearest_center_sq
@@ -450,9 +450,7 @@ def _multipole_grad_case(rng):
     cfg = build_lattice(4, 0.1, Box(0.0, 0.0, 1.0, 1.0))
     order = 8
     coeffs = rng.standard_normal((cfg.n_holes, 2 * order))
-    sol = oracle.MultipoleSolution(
-        cfg, None, order, coeffs, np.zeros(cfg.n_holes), 0.0, 2 * order * cfg.n_holes, 1.0, False
-    )
+    sol = oracle.MultipoleSolution(cfg, order, coeffs, 0.0, 2 * order * cfg.n_holes, 1.0)
     pts = rng.random((10 * kernels.BLOCK // 16 + 5, 2)) * 0.3 + 1.5
     return pts.nbytes, None, lambda: oracle.multipole_part_grad(sol, pts)
 
@@ -555,3 +553,32 @@ def test_probe_norm_memory_flat_in_spacing():
              for h in (a / 4, a / 8)]
     assert max(peaks) <= 2 * kernels.BLOCK
     assert abs(peaks[0] - peaks[1]) < kernels.BLOCK
+
+
+_NORMS_CHILD = """
+import numpy as np
+from porousflow import homogenized, oracle, potential
+from porousflow.fields import radial_bump, rasterize
+from porousflow.geometry import Box, build_lattice
+rng = np.random.default_rng(9)
+k = rasterize((-3, -3, 3, 3), 1 / 64, radial_bump((0.0, 0.0), 1.0, 0.04, power=3))
+f = rasterize((-3, -3, 3, 3), 1 / 64, radial_bump((0.5, -0.7), 0.6, 1.0, power=2))
+op = homogenized._BoxL(k, k.h, k.shape)
+q, lq = rng.standard_normal((2, 2) + op.km.shape)
+cfg = build_lattice(8, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+basis = oracle._Basis(cfg, oracle.ORDER, cfg.boundary_points(oracle.POINTS), oracle.POINTS)
+r = rng.standard_normal((1, cfg.n_holes * oracle.POINTS))
+print(repr(homogenized._l2(rng.standard_normal(180000))), repr(op.norm(q, lq)),
+      repr(basis.rmatvec(r, frobenius=True)[1]),
+      repr(potential.grad_psi0_on_grid(f, window=k.support_slices())[1]))
+"""
+
+
+def test_norms_do_not_depend_on_the_blas_thread_count():
+    # BLAS ddot splits a long sum over its threads: the homog sweep's norms,
+    # the fixed point's and CGLS's Frobenius norm were ddot, and moved in
+    # their last digits between 1 and 2 BLAS threads
+    one = child_output(_NORMS_CHILD, OPENBLAS_NUM_THREADS="1")
+    two = child_output(_NORMS_CHILD, OPENBLAS_NUM_THREADS="2")
+    assert len(one) == 4
+    assert one == two

@@ -1,12 +1,10 @@
-"""Every public function of the package reaches a run, or is kept for a
-recorded reason.
+"""Every public function of the package reaches a run.
 
 A public top-level function or method counts as used when its name is read
 as a name or an attribute anywhere in ``src/``, ``bench/`` or ``tools/``
 outside its own ``def``, or is the last part of a ``bench/tracer.TARGETS``
-key. Tests do not count: a function that only tests call is either the
-reference or the entry point a test needs (listed in ``KEPT`` with the
-reason) or it goes.
+key. Tests do not count: a function that only tests call belongs in
+``tests/references.py``.
 
 The names come from the compiled code objects, not from ``ast`` walks: the
 same answer, at a third of the cost. A function body's code object lists
@@ -22,19 +20,6 @@ import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-KEPT = {
-    "apply_l_direct": "principal-value quadrature, the tests' reference for the spectral L",
-    "boundary_deviation": "the oracle's only check of boundary constancy off the collocation angles",
-    "circulation": "the oracle's only check of zero circulation around a hole",
-    "equivalent_dipoles": "acceptance criterion 3 compares the oracle's dipoles with level 1",
-    "flux_integral": "acceptance criterion 3 checks the oracle's zero flux through a hole",
-    "integral": "the tests' check of rasterize_mu's disk areas and of psi0's far-field mass",
-    "load_config": "the only check that reflect's geometry.txt round-trips",
-    "stream_eval": "the pointwise stream the residual and finite-difference tests read",
-    "velocity_eval": "the stream evaluator the acceptance tests difference against",
-    "velocity_field": "the entry through which the Euler tests drive _velocity_batch",
-}
 
 
 def _is_function(code) -> bool:
@@ -97,9 +82,5 @@ def test_every_public_function_is_used_or_kept():
     defs = set().union(*map(_public_defs, src))
     used = set().union(*map(_reads, src + _compiled("bench") + _compiled("tools")))
     used |= _tracer_targets()
-    unused = sorted(defs - used - KEPT.keys())
-    assert not unused, f"public functions no run uses and KEPT does not list: {unused}"
-    gone = sorted(KEPT.keys() - defs)
-    assert not gone, f"KEPT names no longer defined: {gone}"
-    called = sorted(KEPT.keys() & used)
-    assert not called, f"KEPT names that now have a caller (drop them from KEPT): {called}"
+    unused = sorted(defs - used)
+    assert not unused, f"public functions no run uses: {unused}"
