@@ -21,7 +21,6 @@ from . import homogenized, kernels, oracle as oracle_mod
 from .fields import (
     ScalarGridField,
     VectorGridField,
-    bilinear_stencil,
     check_padding,
     grid_shape,
     make_grid,
@@ -45,11 +44,14 @@ def hminus1(g: ScalarGridField) -> float:
     ``rfft2``. The support of g must keep clearance at least its own extent
     from every edge of the box so the box emulates the plane (constants are
     equivalent-norm only). The norm is
-    translation invariant, so only the support's block is transformed: the
-    ``rfft`` of its rows padded to the box's ny, then the ``fft`` padded to
-    its nx over blocks of 16 columns, whose weighted power is summed over
-    blocks of rows (``kernels.BLOCK`` bytes, 64 per cell); no array spans
-    the whole box.
+    translation invariant, so only the support's block (bx, by) is
+    transformed: its rows' half spectrum padded to the box's ny, made per
+    column block as the real DFT products src @ cos and src @ -sin of
+    2 pi (j l mod ny) / ny (``kernels.BLOCK`` bytes, 8 max(bx, by) per
+    column, in whole 16-column blocks), then the ``fft`` padded to the box's
+    nx over blocks of 16 columns, whose weighted power is summed over blocks
+    of rows (``kernels.BLOCK`` bytes, 64 per cell); no array spans the whole
+    box or the support's whole half spectrum.
     """
     check_padding(g)
     box = g.support_slices()
@@ -57,27 +59,37 @@ def hminus1(g: ScalarGridField) -> float:
         return 0.0
     nx, ny = g.period
     kx, ky = wavenumbers((nx, ny), g.h)
-    half = np.fft.rfft(g.values[box], n=ny, axis=1)
+    src = g.values[box]
+    bx, by = src.shape
+    angles = 2.0 * np.pi * np.arange(ny) / ny
+    cos_t, sin_t = np.cos(angles), -np.sin(angles)
     power = 0.0
-    # 16 columns, not a byte budget: the block orders the float sum, and a
-    # budget's count (15 columns at nx = 2056) moved divcurl's norms by an ulp
-    for c in range(0, half.shape[1], 16):
-        cols = slice(c, c + 16)
-        # padded here, not by fft's n = nx, which took 1.4 times as long
-        spec = np.zeros((nx, half[:, cols].shape[1]), dtype=complex)
-        spec[:half.shape[0]] = half[:, cols]
-        np.fft.fft(spec, axis=0, out=spec)
-        weight = 1.0 / (1.0 + kx**2 + ky[:, cols] ** 2)
-        # columns but 0 and an even ny's Nyquist stand for their conjugates too
-        weight[:, max(1 - c, 0):max((ny + 1) // 2 - c, 0)] *= 2.0
-        # 512 rows per block and a subtotal per column block order the sum too
-        # (row blocks added straight to ``power`` moved divcurl's f_value)
-        subtotal = 0.0
-        for rows in kernels.blocks(nx, 64 * spec.shape[1]):
-            block = spec[rows].real ** 2  # no view of spec outlives the loop
-            block += spec[rows].imag ** 2
-            subtotal += float(np.multiply(block, weight[rows], out=block).sum())
-        power += subtotal
+    # wider than the fft's 16 columns: at n = 16 the products took 85 ms 16
+    # columns wide and 39-52 ms 96 wide (2-core VM)
+    for wide in kernels.blocks(ny // 2 + 1, 8 * max(bx, by), align=16):
+        idx = np.outer(np.arange(by), np.arange(wide.start, wide.stop)) % ny  # exact integers
+        re, im = src @ cos_t[idx], src @ sin_t[idx]
+        del idx
+        # 16 columns, not a byte budget: the block orders the float sum, and a
+        # budget's count (15 columns at nx = 2056) moved divcurl's norms by an ulp
+        for c in range(wide.start, wide.stop, 16):
+            cols, local = slice(c, c + 16), slice(c - wide.start, c - wide.start + 16)
+            # padded here, not by fft's n = nx, which took 1.4 times as long
+            spec = np.zeros((nx, re[:, local].shape[1]), dtype=complex)
+            spec.real[:bx] = re[:, local]
+            spec.imag[:bx] = im[:, local]
+            np.fft.fft(spec, axis=0, out=spec)
+            weight = 1.0 / (1.0 + kx**2 + ky[:, cols] ** 2)
+            # columns but 0 and an even ny's Nyquist stand for their conjugates too
+            weight[:, max(1 - c, 0):max((ny + 1) // 2 - c, 0)] *= 2.0
+            # 512 rows per block and a subtotal per column block order the sum
+            # too (row blocks added straight to ``power`` moved divcurl's f_value)
+            subtotal = 0.0
+            for rows in kernels.blocks(nx, 64 * spec.shape[1]):
+                block = spec[rows].real ** 2  # no view of spec outlives the loop
+                block += spec[rows].imag ** 2
+                subtotal += float(np.multiply(block, weight[rows], out=block).sum())
+            power += subtotal
     # ghat = h^2 DFT and |box| = nx ny h^2, so the sum scales by h^2 / (nx ny)
     return float(np.sqrt(power * g.h**2 / (nx * ny)))
 
@@ -115,36 +127,28 @@ def mu_minus_k_field(config: PorousConfig, k: ScalarGridField) -> ScalarGridFiel
     so the window equals the whole grid's field bit for bit.
 
     k is sampled only on the rows and columns of cells whose bilinear stencil
-    (edge clamp included) meets a nonzero k cell; elsewhere every stencil
-    value is zero, so the sample is exactly 0 and mu is left as it is. The
-    touched rows are sampled in blocks of ``kernels.BLOCK`` bytes, 16 per point.
+    meets a nonzero k cell (``ScalarGridField.sample_touched``); elsewhere the
+    sample is exactly 0 and mu is left as it is.
     """
     h = config.a / 4.0
     box = config.kpm_box
     extent = max(box.width, box.height)
     world = box.inflate(1.1 * extent + 4.0 * h).as_tuple()
     origin, shape = np.array(world[:2]), grid_shape(world, h)
-    touched, window = [], []
-    for axis in (0, 1):
-        centers = origin[axis] + (np.arange(shape[axis]) + 0.5) * h
-        i0, _ = bilinear_stencil(k.origin[axis], k.h, k.shape[axis], centers)
-        nonzero = np.flatnonzero(k.values.any(axis=1 - axis))
-        touched.append(np.flatnonzero(np.isin(i0, nonzero) | np.isin(i0 + 1, nonzero)))
+    rows, cols, samples = k.sample_touched(
+        *(origin[axis] + (np.arange(shape[axis]) + 0.5) * h for axis in (0, 1)))
+    window = []
+    for axis, touched in enumerate((rows, cols)):
         c = config.centers[:, axis]  # and rasterize_mu's first and last cell of each disk
-        cells = np.concatenate([touched[-1], np.floor((c - config.a - origin[axis]) / h) - 1,
+        cells = np.concatenate([touched, np.floor((c - config.a - origin[axis]) / h) - 1,
                                 np.ceil((c + config.a - origin[axis]) / h)])
         lo, hi = (int(cells.min()), int(cells.max()) + 1) if cells.size else (0, 0)
         window.append((max(lo, 0), min(hi, shape[axis])))
     (x0, x1), (y0, y1) = window
     field = rasterize_mu(config, ScalarGridField(
         origin, h, np.zeros((x1 - x0, y1 - y0)), (x0, y0), shape))
-    xs, ys = field.cell_centers()
-    cols = touched[1] - y0
-    for sl in kernels.blocks(touched[0].size, 16 * cols.size):
-        rows = touched[0][sl] - x0
-        gx, gy = np.meshgrid(xs[rows], ys[cols], indexing="ij")
-        kvals = k.sample_bilinear(np.stack([gx.ravel(), gy.ravel()], axis=1))
-        field.values[np.ix_(rows, cols)] -= kvals.reshape(gx.shape)
+    for sl, kvals in samples:
+        field.values[np.ix_(rows[sl] - x0, cols - y0)] -= kvals
     return field
 
 

@@ -312,7 +312,9 @@ def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
     """Grid whose box pads the porous box ``box`` to four times its extent
     (the periodic backends need three) and covers the vorticity support; f is
     rasterized onto it, so ``source`` must be a grid source (``RunConfig``
-    refuses particle shapes for the experiments that call it)."""
+    refuses particle shapes for the experiments that call it). Only the rows
+    and columns that the source's bilinear stencils reach are sampled
+    (``ScalarGridField.sample_touched``); every other cell stays exactly 0."""
     h = cfg.positive("solver", "grid_h", 1.0 / 128.0)
     world_box = box.inflate(1.5 * max(box.width, box.height))
     sb = source.support_box()
@@ -329,7 +331,9 @@ def world_grid_for(cfg: RunConfig, box: Box, source) -> ScalarGridField:
         ):
             raise ConfigError("vorticity support outside the padded grid")
     world = make_grid(world_box.as_tuple(), h)
-    world.values = source.sample_bilinear(world.centers_flat()).reshape(world.shape)
+    rows, cols, samples = source.sample_touched(*world.cell_centers())
+    for sl, values in samples:
+        world.values[np.ix_(rows[sl], cols)] = values
     return world
 
 

@@ -143,6 +143,29 @@ class ScalarGridField:
         corner = self.origin + np.multiply(self.offset, self.h)
         return _bilinear(corner, self.h, self.values[..., None], x)[:, 0]
 
+    def sample_touched(self, xs: np.ndarray, ys: np.ndarray):
+        """``sample_bilinear`` at the points (xs[i], ys[j]) whose stencil
+        (edge clamp included) meets a nonzero cell; at every other point each
+        stencil value is zero, so the sample is exactly 0. Returns the touched
+        i and j and an iterator over blocks of the touched i of
+        ``kernels.BLOCK`` bytes, 16 per point, yielding each block's slice of
+        them and its (block, touched j) samples."""
+        corner = self.origin + np.multiply(self.offset, self.h)
+        touched = []
+        for axis, c in enumerate((xs, ys)):
+            i0, _ = bilinear_stencil(corner[axis], self.h, self.shape[axis], c)
+            nonzero = np.flatnonzero(self.values.any(axis=1 - axis))
+            touched.append(np.flatnonzero(np.isin(i0, nonzero) | np.isin(i0 + 1, nonzero)))
+        rows, cols = touched
+
+        def samples():
+            for sl in kernels.blocks(rows.size, 16 * cols.size):
+                gx, gy = np.meshgrid(xs[rows[sl]], ys[cols], indexing="ij")
+                pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+                yield sl, self.sample_bilinear(pts).reshape(gx.shape)
+
+        return rows, cols, samples()
+
 
 @dataclass
 class VectorGridField:

@@ -200,10 +200,8 @@ def lattice_fraction(config: PorousConfig, grid: ScalarGridField) -> ScalarGridF
             f"eps0^2 = {config.eps0**2:.4g}"
         )
     xs, ys = grid.cell_centers()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    inside = (
-        (gx > box.x0) & (gx < box.x1) & (gy > box.y0) & (gy < box.y1)
-    )
+    # two 1-D masks: no whole-grid coordinate planes
+    inside = ((xs > box.x0) & (xs < box.x1))[:, None] & ((ys > box.y0) & (ys < box.y1))
     return ScalarGridField(grid.origin.copy(), grid.h, np.where(inside, value, 0.0))
 
 

@@ -101,7 +101,8 @@ def _l_on_grid(p: np.ndarray, k, box, mult) -> np.ndarray:
     P has box mean P/(2 |box|) (the kernel integrated over a large disk contributes
     exactly P/2); that constant is added so that L p follows the
     decay-at-infinity convention. The mean is the whole-grid sum, which
-    rounds differently from a sum over the box alone."""
+    rounds differently from a sum over the box alone. The result is a
+    contiguous array in the spectrum's memory."""
     w = np.zeros((2,) + k.shape)
     np.multiply(p, M_DISK * k.values[box], out=w[(slice(None),) + box])
     mean = w.sum(axis=(1, 2)) / (2.0 * w[0].size)  # P / (2 |box|), P = h^2 sum w
@@ -113,8 +114,14 @@ def _l_on_grid(p: np.ndarray, k, box, mult) -> np.ndarray:
     np.multiply(ky, div_hat, out=spec[1])
     del w, div_hat  # freed before the inverse allocates its output
     out = irfft2_rows(spec, k.shape[1])
-    out += mean[:, None, None]
-    return out
+    # out plus the mean, moved to the front of spec's memory one plane and one
+    # block of rows at a time (a block ends before the next one's rows begin):
+    # a contiguous result, which VectorGridField and g0 - L p take as it is
+    dense = spec.reshape(-1).view(float)[:out.size].reshape(out.shape)
+    for plane in range(2):
+        for rows in kernels.blocks(out.shape[1], 8 * out.shape[2]):
+            np.add(out[plane, rows], mean[plane], out=dense[plane, rows])
+    return dense
 
 
 def _box_kernel(shape, h: float, extent, size) -> list[list[np.ndarray]]:
@@ -346,8 +353,11 @@ def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> Hom
     mult = multipliers(k.shape, h)
     op = _BoxL(k, h, g0.shape[1:])
     (t,), _, _, (increments,) = _fixed_point(g0[op.where], _l2(g0), op, op.norm, h, tol)
-    grad = g0 - _l_on_grid(t, k, op.box, mult)
-    first = g0 - _l_on_grid(g0[op.where], k, op.box, mult)
+    # each g0 - L p in L p's own memory, not in a third whole-grid array
+    grad = _l_on_grid(t, k, op.box, mult)
+    np.subtract(g0, grad, out=grad)
+    first = _l_on_grid(g0[op.where], k, op.box, mult)
+    np.subtract(g0, first, out=first)
     return HomogSolution(VectorGridField(origin.copy(), h, np.moveaxis(grad, 0, 2)),
                          VectorGridField(origin.copy(), h, np.moveaxis(first, 0, 2)),
                          increments)

@@ -25,7 +25,8 @@ sum took 55.6, 12.1, 11.3 and 11.9 ns/pair at 1 << 22, 1 << 18, 1 << 16 and
 1 << 14 (2-core VM).
 
 Far sums interpolate on Chebyshev nodes, as in the black-box FMM (Fong &
-Darve 2009), without ``own`` and for targets that are not the sources. Both
+Darve 2009), for targets that are not the sources and drop no source of
+their own (an ``own`` with no entry >= 0 counts as none). Both
 sides take one distance, the gap between the targets' box and the sources'
 box, which hold every target and target node, and every source and source
 node. With r a box's half-widths and u = gap / r, no singularity of
@@ -34,8 +35,9 @@ ellipse rho = u + sqrt(u^2 + 1) for t and s anywhere in their boxes, so
 Lagrange interpolation on the p_x x p_y Chebyshev nodes of either box, p =
 ceil(53 ln 2 / ln rho) + 2 per axis, reproduces K(t - s) as a function of
 that box's points to roundoff, whichever points the other side sums over. A
-side takes its nodes when rho >= 4 on both axes, p_x p_y <= half its point
-count, the call has more than ``BLOCK // 8`` pairs and its box is not flat:
+side takes its nodes when rho >= 3.5 on both axes (p = 32 at the floor),
+p_x p_y <= half its point count, the call has more than ``BLOCK // 8`` pairs
+and its box is not flat:
 
 - source side: the nodes with the strengths Q = Lx^T diag(q) Ly (Lx, Ly the
   (S, p) Lagrange weights) stand for the S sources;
@@ -48,7 +50,11 @@ Boxes that meet (gap 0, targets around the sources included) sum directly.
 In euler-compare (particles 5.3 from the k cells and holes: 14 or 15 nodes per
 axis on each side) the particle -> cell and cell -> particle sums take both
 sides, particle -> hole the source side only (196 or 225 nodes are more than
-half of 256 holes) and hole -> particle the target side only (likewise).
+half of 256 holes) and hole -> particle the target side only (likewise). In
+divcurl the bump's 4876 cells take the source side (rho 3.7 to 4.3: 27 to 30
+nodes per axis) for the level-1 dipoles at 16 to 256 hole centres and for
+psi_0 at the oracle's 1024 and 4096 collocation points; the target side
+stays direct (rho 1.9 to 3.3, or 16 targets).
 
 When the targets are the sources (and no ``own``), D^m K(-z) = (-1)^m D^m K(z)
 lets one block serve both its rows and its columns, so only the upper
@@ -66,7 +72,7 @@ import numpy as np
 BLOCK = 1 << 19  # bytes of a blocked loop's largest temporary (cache sized)
 _STRENGTHS = {0: ((),), 1: ((), (2,)), 2: ((2,),)}  # q.shape[1:] that each m takes
 _LAPLACIAN = "laplacian"  # the block kind of ``laplacian_sum``
-_FAR_RHO = 4.0  # the smallest Bernstein-ellipse parameter of the far path
+_FAR_RHO = 3.5  # the smallest Bernstein-ellipse parameter of the far path
 _DIGITS = 53 * math.log(2.0)  # rho^-p reaches double precision at p = _DIGITS / ln rho
 
 
@@ -119,6 +125,8 @@ def laplacian_sum(targets, sources, q, blob: float) -> np.ndarray:
 def _sum(targets, sources, q, m, blob2: float, own=None) -> np.ndarray:
     zt = _coords(targets)
     zs = _coords(sources)
+    if own is not None and not np.any(own >= 0):
+        own = None  # no target drops a source, so every path is open
     n_t, n_s = zt.shape[-1], zs.shape[-1]
     out = np.zeros((n_t, 2) if m == q.ndim else n_t)
     # one buffer for every block of the call, sized for its largest direct
@@ -197,7 +205,7 @@ def _far_grid(n: int, centre, half, dist: float):
     """(p, nodes): per axis the p of the far path on the box (centre, half)
     of n points at the gap ``dist`` from the other side's box, and the box's
     (2, p_x p_y) Chebyshev nodes; None where the side stays at its points (a
-    flat box, rho < 4 on an axis or p_x p_y > n / 2)."""
+    flat box, rho < 3.5 on an axis or p_x p_y > n / 2)."""
     p = []
     for r in half.tolist():  # Python floats: a numpy call on 2 values costs ~1 us
         if not r > 0.0:

@@ -63,9 +63,9 @@ def cell_log_integral(dx0, dx1, dy0, dy1):
 # pointwise evaluation
 # ---------------------------------------------------------------------------
 
-def psi0_eval(source, x) -> np.ndarray | float:
-    """psi_0 at points x; scalar input returns a scalar."""
-    pts, single = _as_points(x)
+def psi0_eval(source, x) -> np.ndarray:
+    """psi_0 at points x (n, 2): (n,)."""
+    pts = np.asarray(x, dtype=float)
     out, cells = _source_sum(source, pts, 0)
     if cells is not None:
         # replace the containing cell's contribution by the exact integral
@@ -74,28 +74,18 @@ def psi0_eval(source, x) -> np.ndarray | float:
         lo = centers[own[live]] - source.h / 2 - pts[live]
         hi = centers[own[live]] + source.h / 2 - pts[live]
         out[live] += vals[own[live]] * cell_log_integral(lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
-    out = out / (2.0 * np.pi)
-    return float(out[0]) if single else out
+    return out / (2.0 * np.pi)
 
 
 def grad_psi0_eval(source, x) -> np.ndarray:
-    """grad psi_0 at points x; scalar input returns shape (2,)."""
-    pts, single = _as_points(x)
+    """grad psi_0 at points x (n, 2): (n, 2)."""
     # a grid's containing cell adds its exact symmetric value, 0
-    out = _source_sum(source, pts, 1)[0] / (2.0 * np.pi)
-    return out[0] if single else out
+    return _source_sum(source, np.asarray(x, dtype=float), 1)[0] / (2.0 * np.pi)
 
 
 def velocity0_eval(source, x) -> np.ndarray:
-    """Free-space velocity perp-grad psi_0 = (-d2 psi, d1 psi)."""
+    """Free-space velocity perp-grad psi_0 = (-d2 psi, d1 psi) at points x (n, 2)."""
     return perp(grad_psi0_eval(source, x))
-
-
-def _as_points(x):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
 
 
 def _source_sum(source, pts, m: int):

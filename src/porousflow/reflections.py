@@ -122,8 +122,7 @@ def init_dipoles(source, config: PorousConfig) -> DipoleSet:
     """Level-1 vectors A_l = -grad psi_0(x_l)."""
     if overlaps_hole(source, config):
         raise ValueError("vorticity support overlaps a hole")
-    grads = potential.grad_psi0_eval(source, config.centers)
-    return DipoleSet(1, -np.atleast_2d(grads))
+    return DipoleSet(1, -potential.grad_psi0_eval(source, config.centers))
 
 
 def iterate_dipoles(prev: DipoleSet, config: PorousConfig) -> DipoleSet:

@@ -173,6 +173,13 @@ def hminus1_fft2(g):
     return float(np.sqrt((np.abs(ghat) ** 2 / (1.0 + kx**2 + ky**2)).sum() / (nx * ny * g.h**2)))
 
 
+def sample_every_cell(source, grid):
+    """``source.sample_bilinear`` at every cell center of ``grid``, in one
+    call on ``grid.centers_flat()``: the reference for sampling only the
+    cells that the source's stencils reach."""
+    return source.sample_bilinear(grid.centers_flat()).reshape(grid.shape)
+
+
 def mu_minus_k_every_cell(cfg, k, grid):
     """mu - k on ``grid`` with k sampled at every cell. Bilinear samples are
     pointwise, so blocks of rows give the values of one sample_bilinear call
@@ -364,6 +371,7 @@ TABLE = {
     "grad_psi0_on_grid": Reference(potential.grad_psi0_eval, 1e-13),
     "expansion_errors": Reference(sweep_reference, 1e-12),
     "mu_minus_k_field": Reference(mu_minus_k_every_cell, 0.0),  # bit for bit
+    "world_grid_for": Reference(sample_every_cell, 0.0),  # bit for bit
     "hminus1": Reference(hminus1_fft2, 1e-13),
     "solve_collocation": Reference(lstsq_fit, 1e-12),
     "multipole_part": Reference(part_grad_reference, 1e-12),

@@ -67,15 +67,16 @@ def test_hminus1_matches_complex_fft_reference(shape):
 
 @pytest.mark.parametrize("ny", [40, 41])
 def test_hminus1_over_row_blocks_matches_the_fft2_reference(ny, monkeypatch, taken_blocks):
-    # even and odd ny, two column blocks (16 and 5 of the 21 columns), and a
-    # budget of six rows of the narrow block: 66 and 11 row blocks, each
-    # doubled column (the Nyquist one of ny = 40 not) summed block by block
+    # even and odd ny, two column blocks (16 and 5 of the 21 columns, each its
+    # own block of the row transform's products), and a budget of six rows of
+    # the narrow block: 66 and 11 row blocks, each doubled column (the
+    # Nyquist one of ny = 40 not) summed block by block
     nx, h = 66, 0.5
     g = make_grid((0.0, 0.0, nx * h, ny * h), h)
     g.values[22:30, 13:21] = np.random.default_rng(ny).standard_normal((8, 8))
     monkeypatch.setattr(kernels, "BLOCK", 6 * 64 * 5)
     got = ana.hminus1(g)
-    assert [len(rows) for rows in taken_blocks] == [66, 11]
+    assert [len(rows) for rows in taken_blocks] == [2, 66, 11]
     assert got == pytest.approx(hminus1_fft2(g), rel=TABLE["hminus1"].tol, abs=0.0)
 
 
@@ -211,6 +212,18 @@ def test_predictor_traced_peak_bounded():
     budget, peak = traced_peak(lambda: ana.predictor_f(cfg, k))
     assert budget.mu_minus_k_hm1 == pytest.approx(0.0008782516739463156, rel=1e-12)
     assert peak / 2**20 < 32.0
+
+
+def test_hminus1_traced_peak_bounded():
+    # divcurl's n = 16 mu - k: a (644, 644) support in its 2056^2 box, whose
+    # rows' half spectrum is made in column blocks of kernels.BLOCK bytes
+    # (11.4 MiB with the whole (644, 1029) half spectrum at once)
+    cfg = build_lattice(16, 0.1, Box(0.0, 0.0, 1.0, 1.0))
+    k = lattice_fraction(cfg, make_grid((-1.5, -1.5, 2.5, 2.5), 1.0 / 128.0))
+    g = ana.mu_minus_k_field(cfg, k)
+    value, peak = traced_peak(lambda: ana.hminus1(g))
+    assert value == pytest.approx(0.0008782516739463156, rel=1e-12)
+    assert peak < 10 * kernels.BLOCK
 
 
 def test_predictor_memory_bounded():

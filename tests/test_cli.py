@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from porousflow import cli, potential, reflections
+from references import sample_every_cell
 
 REFLECT_TWOHOLE = """
 [run]
@@ -88,6 +90,20 @@ probe_h = 0.0625
 
 # divcurl with [sweep] values, which sets n: without [geometry] n
 DIVCURL_SWEEP = DIVCURL_SMALL.replace("\nn = 2\n", "\n")
+
+# the divcurl workload's configuration, without its sweep over n: a 512^2
+# world grid at h = 1/128 and a 52 x 52 bump source
+DIVCURL_WORKLOAD = """
+[run]
+experiment = divcurl
+[geometry]
+n = 4
+epsilon = 0.1
+[vorticity]
+shape = bump
+center = 0.5 1.8
+radius = 0.3
+"""
 
 
 def run_cli(tmp_path, text, name="run", extra=()):
@@ -597,6 +613,40 @@ def test_non_finite_numbers_exit_2(tmp_path):
         assert code == 2, name
         _config_error(out, fragment)
         assert not (out / "summary.json").exists()
+
+
+def _divcurl_world(text):
+    """(run config, porous box, grid source) of a divcurl configuration."""
+    cfg = cli.RunConfig(text)
+    return cfg, cli.geometry_from_config(cfg, 0).kpm_box, cli.source_from_config(cfg)
+
+
+@pytest.mark.parametrize("shape", ["bump", "disk", "edge"])
+def test_world_grid_samples_the_source_at_every_cell(shape):
+    # f is sampled only on the rows and columns that the source's bilinear
+    # stencils reach, and equals one sample at every cell byte for byte;
+    # "edge" makes every source cell nonzero, so the edge clamp reaches
+    # every row and column of the world grid
+    text = DIVCURL_WORKLOAD.replace("bump", "disk") if shape == "disk" else DIVCURL_WORKLOAD
+    cfg, box, source = _divcurl_world(text)
+    if shape == "edge":
+        source.values[:] = np.random.default_rng(4).random(source.shape) + 0.5
+    world = cli.world_grid_for(cfg, box, source)
+    assert world.values.tobytes() == sample_every_cell(source, world).tobytes()
+    nonzero = np.count_nonzero(world.values)
+    if shape == "edge":
+        assert nonzero == world.values.size
+    else:
+        assert 0 < nonzero < world.values.size / 50
+
+
+def test_world_grid_traced_peak_bounded():
+    # the divcurl workload's 512^2 world grid (2 MiB) and the samples of the
+    # 83 x 83 cells the bump reaches (28 MiB with a sample at every cell)
+    cfg, box, source = _divcurl_world(DIVCURL_WORKLOAD)
+    world, peak = traced_peak(lambda: cli.world_grid_for(cfg, box, source))
+    assert world.shape == (512, 512)
+    assert peak <= world.values.nbytes + 2**20
 
 
 def _divcurl_one_n(text, n, fraction):

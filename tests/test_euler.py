@@ -59,7 +59,7 @@ def test_discretize_margin_guard():
 
 def test_particle_refinement_stabilizes_far_velocity():
     omega = blob_omega0()
-    x = np.array([0.6, 3.0])
+    x = np.array([[0.6, 3.0]])
     vels = []
     for h_p in (0.08, 0.04):
         parts = eu.discretize_vorticity(omega, h_p, h_p)

@@ -107,7 +107,7 @@ def test_velocities_are_perp_of_gradients():
     stream = refl.run_reflections(src, cfg, 3)
     homog = eu.HomogenizedSetting(lattice_fraction(cfg, make_grid((0.0, 0.0, 1.0, 1.0), 1 / 16)))
     batch = np.array([[0.3, 1.4], [-0.6, 0.2], [1.7, -0.4]])
-    for x in (batch[0], batch):
+    for x in (batch[:1], batch):
         u = pot.velocity0_eval(src, x)
         assert u.shape == x.shape
         assert np.array_equal(u, perp(pot.grad_psi0_eval(src, x)))

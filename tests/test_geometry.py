@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import scan_points
+from conftest import scan_points, traced_peak
 from porousflow.geometry import (
     Box,
     PorousConfig,
@@ -93,6 +93,15 @@ def test_lattice_fraction_independent_of_n():
         for n in (2, 4, 8)
     ]
     assert np.allclose(vals, vals[0])
+
+
+def test_lattice_fraction_traced_peak_bounded():
+    # divcurl's 512^2 world grid: the field (2 MiB) from the outer product of
+    # the two axes' masks (6.5 MiB with a meshgrid of the cell centers)
+    grid = make_grid((-1.5, -1.5, 2.5, 2.5), 1.0 / 128.0)
+    k, peak = traced_peak(lambda: lattice_fraction(build_lattice(16, 0.1, UNIT), grid))
+    assert k.values.shape == (512, 512) and np.count_nonzero(k.values) == 128 * 128
+    assert peak <= k.values.nbytes + 2**20
 
 
 def test_rasterize_mu_single_disk_area():

@@ -217,21 +217,23 @@ def target_counts(monkeypatch):
 
 
 GAP = 0.9375  # from [-1/2, 1/2]^2: u = GAP / (1/2) = 15/8 and rho = u + sqrt(u^2 + 1) = 4
+# the far path's floor rho = 3.5: u = (rho^2 - 1) / (2 rho) = 45/28, 32 nodes per axis
+FLOOR_GAP = 45.0 / 56.0
 
 
-def threshold_case(rng, diagonal=False, n_sources=2000):
+def threshold_case(rng, diagonal=False, n_sources=2000, gap=GAP):
     """Sources filling [-1/2, 1/2]^2, its corners included, and 40 targets
-    filling a unit box beside it, at the far path's rho = 4 threshold: the
-    boxes' gap is GAP, along x (exactly), or diagonal (GAP up to roundoff,
-    rounded outward) with a target on the near corner. Both cases put five
-    targets on the near edge. The sources take 29 nodes per axis, 841 in
-    all; the targets stay direct (841 nodes are more than 40 / 2)."""
+    filling a unit box beside it: the boxes' gap is ``gap`` (GAP: rho = 4),
+    along x (exactly), or diagonal (``gap`` up to roundoff, rounded outward)
+    with a target on the near corner. Both cases put five targets on the
+    near edge. At GAP the sources take 29 nodes per axis, 841 in all; the
+    targets stay direct (841 nodes are more than 40 / 2)."""
     sources = rng.random((n_sources, 2)) - 0.5
     sources[:2] = [[-0.5, -0.5], [0.5, 0.5]]
     if diagonal:
-        near = np.full(2, 0.5 + GAP / math.sqrt(2.0) * (1 + 1e-12))
+        near = np.full(2, 0.5 + gap / math.sqrt(2.0) * (1 + 1e-12))
     else:
-        near = np.array([0.5 + GAP, -0.5])
+        near = np.array([0.5 + gap, -0.5])
     targets = rng.random((40, 2)) + near
     targets[:2] = [near, near + 1.0]
     targets[2:7, 0] = near[0]
@@ -266,18 +268,19 @@ def test_far_laplacian_sum_matches_dense_reference(blob, diagonal, proxy_counts)
     assert proxy_counts == [29 * 29]
 
 
-def target_threshold_case(rng, n_targets=2000):
+def target_threshold_case(rng, n_targets=2000, gap=GAP):
     """Targets filling [-1/2, 1/2]^2, its corners included, and 300 sources
-    filling the unit box GAP above it, at the target side's rho = 4
-    threshold: the box-to-box distance is GAP, and five sources on the near
-    edge sit straight above the targets. Every axis takes 29 nodes, 841 in
-    all; the source side stays direct (841 nodes are more than 300 / 2)."""
+    filling the unit box ``gap`` above it: the box-to-box distance is
+    ``gap``, and five sources on the near edge sit straight above the
+    targets. At GAP (the target side's rho = 4) every axis takes 29 nodes,
+    841 in all; the source side stays direct (841 nodes are more than
+    300 / 2)."""
     targets = rng.random((n_targets, 2)) - 0.5
     targets[:2] = [[-0.5, -0.5], [0.5, 0.5]]
-    sources = rng.random((300, 2)) + [-0.5, 0.5 + GAP]
-    sources[:2] = [[-0.5, 0.5 + GAP], [0.5, 1.5 + GAP]]
+    sources = rng.random((300, 2)) + [-0.5, 0.5 + gap]
+    sources[:2] = [[-0.5, 0.5 + gap], [0.5, 1.5 + gap]]
     sources[2:7, 0] = rng.random(5) * 0.2 - 0.1
-    sources[2:7, 1] = 0.5 + GAP
+    sources[2:7, 1] = 0.5 + gap
     return targets, sources
 
 
@@ -304,6 +307,29 @@ def test_target_side_laplacian_sum_matches_dense_reference(blob, target_counts):
     got = kernels.laplacian_sum(targets, sources, q, blob)
     assert np.all(np.abs(got - terms @ q) <= FAR_TOL * np.maximum(terms @ np.abs(q), 1e-300))
     assert target_counts == [29 * 29]
+
+
+@pytest.mark.parametrize("m,blob", [(0, 0.0), (0, 0.025), (1, 0.0), (1, 0.025), (2, 0.0)])
+@pytest.mark.parametrize("complex_q", [False, True])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_far_path_matches_dense_reference_at_the_floor(m, blob, complex_q, side, proxy_counts,
+                                                       target_counts):
+    # the gap of rho = 3.5 rounded outward: the side with 2100 points takes
+    # 32 x 32 nodes (at most half of them), the other side none
+    rng = np.random.default_rng(400 + 10 * m + complex_q)
+    gap = FLOOR_GAP * (1 + 1e-12)
+    if side == "source":
+        targets, sources = threshold_case(rng, n_sources=2100, gap=gap)
+    else:
+        targets, sources = target_threshold_case(rng, n_targets=2100, gap=gap)
+    q = rng.standard_normal(sources.shape[0])
+    if complex_q:
+        q = q + 1j * rng.standard_normal(sources.shape[0])
+    assert_matches(targets, sources, q, m, blob, tol=FAR_TOL)
+    if side == "source":
+        assert set(proxy_counts) == {32 * 32} and target_counts == []
+    else:
+        assert set(target_counts) == {32 * 32} and proxy_counts == []
 
 
 def _closed_form_weights(xi, p):
@@ -342,13 +368,15 @@ def test_far_path_matches_dense_reference_at_euler_shapes(proxy_counts):
 # the cases whose sum is interpolated from the targets' nodes: not the
 # particles -> holes sum, as 15 x 15 nodes are more than half of 256 targets,
 # and the collinear sum, as its flat box is the sources'
-TARGET_FAR = {"particles_to_cells", "cells_to_particles", "holes_to_particles", "collinear"}
+TARGET_FAR = {"particles_to_cells", "cells_to_particles", "holes_to_particles", "collinear",
+              "no_own"}
 
 
 @pytest.mark.parametrize("case,far", [
     ("particles_to_cells", True), ("particles_to_holes", True), ("cells_to_particles", True),
     ("holes_to_particles", False),  # 15 x 15 nodes are more than half of 256 sources
-    ("own", False), ("self_sum", False), ("collinear", False), ("within_budget", False),
+    ("own", False), ("no_own", True), ("self_sum", False), ("collinear", False),
+    ("within_budget", False),
     ("overlapping", False), ("surrounding", False), ("below_threshold", False),
     ("target_below_threshold", False),
 ])
@@ -358,25 +386,30 @@ def test_far_path_selection(case, far, proxy_counts, target_counts):
     particles = rng.random((1316, 2)) + [0.0, 6.3]
     cells, holes = rng.random((1024, 2)), rng.random((256, 2))
     weights, vectors = rng.standard_normal(1316), rng.standard_normal((1316, 2))
-    threshold_targets, square = threshold_case(rng)
-    square_targets, above = target_threshold_case(rng)
+    _, square = threshold_case(rng)
     # 40 targets 2 from the centre of the square, 1.29 or more from it: boxes
     # that meet, whatever the distance from the targets to the sources
     angles = rng.random(40) * 2.0 * np.pi
     around = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    # 1e-9 inside the floor's gap, with enough points for 32 x 32 nodes
+    below, beside = threshold_case(rng, n_sources=2100, gap=FLOOR_GAP)
+    square_targets, above = target_threshold_case(rng, n_targets=2100, gap=FLOOR_GAP)
+    # one target in a cell of its own: the sum keeps to the direct blocks
+    own = np.full(1024, -1)
+    own[0] = 0
     calls = {
         "particles_to_cells": (cells, particles, weights, 1, 0.025),
         "particles_to_holes": (holes, particles, weights, 1, 0.025),
         "cells_to_particles": (particles, cells, vectors[:1024], 2),
         "holes_to_particles": (particles, holes, vectors[:256], 2),
-        "own": (cells, particles, weights, 1, 0.025, np.full(1024, -1)),
+        "own": (cells, particles, weights, 1, 0.025, own),
+        "no_own": (cells, particles, weights, 1, 0.025, np.full(1024, -1)),
         "self_sum": (particles, particles.copy(), weights, 1, 0.025),
         "collinear": (cells, particles * [1.0, 0.0] + [0.0, 6.8], weights, 0),
         "within_budget": (cells[:49], particles, weights, 1, 0.025),
         "overlapping": (cells, particles - [0.0, 6.0], weights, 1, 0.025),
         "surrounding": (around, square, rng.standard_normal(2000), 0),
-        "below_threshold": (threshold_targets - [1e-9, 0.0], square, rng.standard_normal(2000),
-                            0),
+        "below_threshold": (below - [1e-9, 0.0], beside, rng.standard_normal(2100), 0),
         "target_below_threshold": (square_targets, above - [0.0, 1e-9], rng.standard_normal(300),
                                    0),
     }

@@ -115,7 +115,8 @@ def cases(scale: float):
     from porousflow.geometry import Box, build_lattice, fluid_mask
     from references import (embedded, hminus1_fft2, lstsq_fit, mu_minus_k_every_cell,
                             pair_sum_reference, part_grad_reference, psi0_grid_reference,
-                            sweep_difference, sweep_reference, whole_probe_h1)
+                            sample_every_cell, sweep_difference, sweep_reference,
+                            whole_probe_h1)
 
     def count(n):
         return max(round(n * scale), 2)
@@ -178,12 +179,24 @@ def cases(scale: float):
     n_mu = side_of(16)
 
     @functools.cache
+    def divcurl_source():
+        """(run config, porous box, grid source) of divcurl, made by the
+        warm-up call; the world grid's cells scale."""
+        cfg = cli.RunConfig(DIVCURL + f"[solver]\ngrid_h = {1 / 128 / scale**0.5!r}\n")
+        return cfg, cli.geometry_from_config(cfg, 0, n=4).kpm_box, cli.source_from_config(cfg)
+
+    def world_grid():
+        return cli.world_grid_for(*divcurl_source())
+
+    def check_world_grid():
+        world = world_grid()
+        return relative(world.values, sample_every_cell(divcurl_source()[2], world))
+
+    @functools.cache
     def divcurl_lattice(n):
         """(config, world grid with f, k) of divcurl at lattice side n, made
         by the warm-up call; the world grid's cells scale."""
-        cfg = cli.RunConfig(DIVCURL + f"[solver]\ngrid_h = {1 / 128 / scale**0.5!r}\n")
-        config = cli.geometry_from_config(cfg, 0, n=n)
-        world = cli.world_grid_for(cfg, config.kpm_box, cli.source_from_config(cfg))
+        config, world = cli.geometry_from_config(divcurl_source()[0], 0, n=n), world_grid()
         return config, world, cli.volume_fraction(config, world)
 
     @functools.cache
@@ -350,6 +363,7 @@ def cases(scale: float):
         "grad_psi0_on_grid": (f"grid {side}x{side}",
                               lambda: potential.grad_psi0_on_grid(sweep_grid()[0])),
         "expansion_errors": (f"grid {side}x{side} x3 norms", sweep_series),
+        "world_grid_for": ("divcurl world grid", world_grid),
         "solve_psic_from_grad": ("divcurl world grid", lambda: homogenized.solve_psic_from_grad(
             *divcurl_grid()[:2])),
         "mu_minus_k_field": (f"divcurl n={n_mu}", lambda: analysis.mu_minus_k_field(
@@ -386,7 +400,7 @@ def cases(scale: float):
               **{name: (name, check) for name, check in (
                   ("psi0_eval_grid", check_psi0_grid), ("grad_psi0_on_grid", check_grad_on_grid),
                   ("expansion_errors", check_sweep_series), ("mu_minus_k_field", check_mu_minus_k),
-                  ("hminus1", check_hminus1))},
+                  ("hminus1", check_hminus1), ("world_grid_for", check_world_grid))},
               **{f"solve_collocation_{n}": ("solve_collocation",
                                             functools.partial(check_collocation, side_of(n)))
                  for n in (4, 8)},
