@@ -445,6 +445,7 @@ def cmd_divcurl(cfg: RunConfig, outdir: Path, seed: int, settings: SolverSetting
         if k_prev is None or not np.array_equal(k.values, k_prev.values):
             sol = homogenized.solve_psic_from_grad(g0, k, tol=settings.tol)
             homog = analysis.homogenized_probe(g0, sol.grad, sol.first_order, k, probe, probe_h)
+            del sol  # its two whole-grid fields are not held through the later n
         k_prev = k
         stream = reflections.run_reflections(world, config, settings.reflection_depth)
         osol = None

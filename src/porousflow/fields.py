@@ -227,33 +227,6 @@ def check_padding(f: ScalarGridField) -> None:
         )
 
 
-def rfft2_rows(values: np.ndarray, rows: slice) -> np.ndarray:
-    """``np.fft.rfft2(values)`` of real values (..., nx, ny) that vanish
-    outside ``rows`` of the nx axis: the ``rfft`` of those rows only, zero
-    rows elsewhere, then the ``fft`` along nx in place. numpy's ``rfft2``
-    takes the same two passes in this order, so the result equals it bit
-    for bit (pruning the zero rows after Markel 1971)."""
-    out = np.zeros(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
-    np.fft.rfft(values[..., rows, :], out=out[..., rows, :])
-    return np.fft.fft(out, axis=-2, out=out)
-
-
-def irfft2_rows(spec: np.ndarray, ny: int, rows: slice = slice(None)) -> np.ndarray:
-    """Rows ``rows`` of ``np.fft.irfft2(spec, s=(nx, ny))`` for a half
-    spectrum (..., nx, ny // 2 + 1): the ``ifft`` along nx in place, then the
-    ``irfft`` of those rows only, over row blocks of ``kernels.BLOCK`` bytes.
-    numpy's ``irfft2`` takes the same two passes in this order, so the result
-    equals its rows bit for bit. Each block's output overwrites its own rows of
-    ``spec``, so the result is a view of ``spec``'s memory."""
-    np.fft.ifft(spec, axis=-2, out=spec)
-    spec = spec[..., rows, :]
-    out = spec.view(float)[..., :ny]
-    for sl in kernels.blocks(spec.shape[-2], 16 * spec.shape[-1]):
-        # the copy is freed before the next one is made: one block at a time
-        np.fft.irfft(spec[..., sl, :].copy(), n=ny, axis=-1, out=out[..., sl, :])
-    return out
-
-
 def wavenumbers(shape: tuple[int, int], h: float) -> tuple[np.ndarray, np.ndarray]:
     """Angular wavenumbers of the periodic box of an (nx, ny) grid in the half
     spectrum of ``rfft2``: kx as an (nx, 1) column, ky as a (1, ny // 2 + 1) row."""
@@ -276,7 +249,7 @@ def multipliers(shape: tuple[int, int], h: float, cols: slice = slice(None)):
         k2[nx // 2, :] = np.inf
     if ny % 2 == 0:
         k2[:, col == ny // 2] = np.inf
-    return kx, ky, kx / k2, ky / k2
+    return kx, ky, kx / k2, np.divide(ky, k2, out=k2)  # k2's memory: one block fewer
 
 
 def bilinear_stencil(origin: float, h: float, n: int, c: np.ndarray):

@@ -27,15 +27,19 @@ sum: with w = k M q, L q = P w + mean (P the longitudinal projection, mean
 the constant of ``_l_on_grid``), so ||L q||^2 = <w, L q> - nx ny |mean|^2.
 The series keeps L of each partial sum, so the sweep's norms and the Euler
 closure's solution take no further L; the grid solve's solution and first
-iterate take one whole-grid L each, from one set of multipliers. The
+iterate take one whole-grid L each (``_l_on_grid``). The
 increments are relative to ||grad psi_0|| over the whole grid, which
 ``_fixed_point`` takes as an argument: the grid solve and the Euler closure
 take it from the g0 they hold, and the sweep, which holds g0 on k's box
 only, from ``potential.grad_psi0_on_grid``'s pass with that window.
 
-Both convolutions, L on the box and phi on the probe grid, are
+L on the box, L on the whole grid and phi on the probe grid are all
 ``potential._fft_convolve``, the one zero-padded FFT convolution (Hockney &
-Eastwood 1988) that also gives ``potential.grad_psi0_on_grid``.
+Eastwood 1988) that also gives ``potential.grad_psi0_on_grid``: w = k M q is
+transformed along y on k's rows only, and the loop over column blocks of
+``kernels.BLOCK`` bytes multiplies each block by the box kernel's spectra,
+or by ``fields.multipliers`` made for that block, so the one whole array of
+an L is its output spectrum.
 """
 
 from __future__ import annotations
@@ -45,19 +49,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fields import (
-    ScalarGridField,
-    VectorGridField,
-    check_padding,
-    irfft2_rows,
-    multipliers,
-    rfft2_rows,
-)
+from .fields import ScalarGridField, VectorGridField, check_padding, multipliers
 from .potential import (
     _fast_length,
     _fft_convolve,
     _grad_kernel,
-    _wrapped,
+    _row_spectra,
     grad_psi0_on_grid,
 )
 
@@ -92,35 +89,52 @@ def _support_box(k, shape) -> tuple[slice, slice]:
     return k.support_slices() or (slice(0, 0), slice(0, 0))
 
 
-def _l_on_grid(p: np.ndarray, k, box, mult) -> np.ndarray:
-    """L p on the whole grid (2, nx, ny) for p (2, bx, by) on k's support box:
-    w = k M p in a whole-grid buffer that is zero off the box, transformed
-    over the rows of k only (``fields.rfft2_rows``), times ``mult``, the
-    grid's ``fields.multipliers``, and inverted. Killing the zero mode forces
-    a zero box mean, whereas the free-space field of a density with integral
-    P has box mean P/(2 |box|) (the kernel integrated over a large disk contributes
-    exactly P/2); that constant is added so that L p follows the
-    decay-at-infinity convention. The mean is the whole-grid sum, which
-    rounds differently from a sum over the box alone. The result is a
-    contiguous array in the spectrum's memory."""
-    w = np.zeros((2,) + k.shape)
-    np.multiply(p, M_DISK * k.values[box], out=w[(slice(None),) + box])
-    mean = w.sum(axis=(1, 2)) / (2.0 * w[0].size)  # P / (2 |box|), P = h^2 sum w
-    kx, ky, mx, my = mult
-    spec = rfft2_rows(w, box[0])
-    div_hat = mx * spec[0]
-    div_hat += np.multiply(my, spec[1], out=spec[1])
-    np.multiply(kx, div_hat, out=spec[0])
-    np.multiply(ky, div_hat, out=spec[1])
-    del w, div_hat  # freed before the inverse allocates its output
-    out = irfft2_rows(spec, k.shape[1])
+def _l_on_grid(p: np.ndarray, k, box, h: float) -> np.ndarray:
+    """L p on the whole grid (2, nx, ny) for p (2, bx, by) on k's support box,
+    of spacing h: w = k M p, transformed along y on k's rows only into the
+    output spectrum (2, nx, ny // 2 + 1), the one whole array, then
+    ``potential._fft_convolve`` with the grid's ``fields.multipliers`` made
+    per column block. Killing the zero mode forces a zero box mean, whereas
+    the free-space field of a density with integral P has box mean
+    P/(2 |box|) (the kernel integrated over a large disk contributes exactly
+    P/2); that constant is added so that L p follows the decay-at-infinity
+    convention. The mean is the whole-grid sum, which rounds differently
+    from a sum over the box alone, so each plane of w is summed laid out on
+    the grid in the spectrum's memory, and w is then made in k's rows of it
+    (M k p = p M k, products commute). The result is a contiguous array in
+    the spectrum's memory."""
+    (nx, ny), rows, km = k.shape, box[0], k.values[box]
+    spec = np.empty((2, nx, ny // 2 + 1), dtype=complex)
+    grid = spec.reshape(-1).view(float)[:nx * ny].reshape(nx, ny)
+    total = np.empty(2)
+    for plane in range(2):
+        grid.fill(0.0)
+        np.multiply(M_DISK, km, out=grid[box])
+        grid[box] *= p[plane]
+        total[plane] = grid.sum()
+    mean = total / (2.0 * grid.size)  # P / (2 |box|), P = h^2 sum w
+    src = spec[:, rows]
+    w = np.multiply(M_DISK, km, out=src.view(float)[..., :km.shape[1]])
+    w *= p
+    _row_spectra(w, ny, src, box[1].start)
+    del w
+
+    def product(cols, x):  # xi (xi . x) / |xi|^2, the divergence in x[0]
+        kx, ky, mx, my = multipliers(k.shape, h, cols)
+        np.multiply(mx, x[0], out=x[0])
+        x[0] += np.multiply(my, x[1], out=x[1])
+        np.multiply(ky, x[0], out=x[1])
+        np.multiply(kx, x[0], out=x[0])
+        return x
+
+    out = _fft_convolve(src, rows, k.shape, product, spec)
     # out plus the mean, moved to the front of spec's memory one plane and one
     # block of rows at a time (a block ends before the next one's rows begin):
     # a contiguous result, which VectorGridField and g0 - L p take as it is
     dense = spec.reshape(-1).view(float)[:out.size].reshape(out.shape)
     for plane in range(2):
-        for rows in kernels.blocks(out.shape[1], 8 * out.shape[2]):
-            np.add(out[plane, rows], mean[plane], out=dense[plane, rows])
+        for sl in kernels.blocks(out.shape[1], 8 * out.shape[2]):
+            np.add(out[plane, sl], mean[plane], out=dense[plane, sl])
     return dense
 
 
@@ -132,27 +146,40 @@ def _box_kernel(shape, h: float, extent, size) -> list[list[np.ndarray]]:
     laid out as ``potential._wrapped``. The multipliers are real, so the
     inverse along nx is the conjugate of a real forward transform, taken over
     column blocks of ``kernels.BLOCK`` bytes and kept on its first rows, whose
-    conjugates are the rows of negative dx. The kernel is even, so its
+    conjugates are the rows of negative dx; each half is inverted along ny
+    over blocks of the box rows it fills. The kernel is even, so its
     spectra are real (the imaginary roundoff goes)."""
     (nx, ny), (bx, by) = shape, extent
     if not bx:  # the zero k: no displacement is kept
         return [[np.zeros((size[0], size[1] // 2 + 1))] * 2] * 2
-    dx, dy = (_wrapped(b, m) for b, m in zip(extent, size))
     halves = np.empty((3, bx, ny // 2 + 1), dtype=complex)
     for cols in kernels.blocks(ny // 2 + 1, 8 * nx):
         kx, ky, mx, my = multipliers(shape, h, cols)
         for half, product in zip(halves, (kx * mx, kx * my, ky * my)):
             # nx ifft along nx, dx = 0..bx-1
             half[:, cols] = np.fft.rfft(product, axis=0)[:bx].conj()
+
+    def put(planes, rows, block):
+        """The grid's kernel rows from their half spectra into ``rows`` of the
+        box; the grid's columns are periodic, so a negative dy wraps to the
+        back of both."""
+        kern = np.fft.irfft(block, n=ny, axis=1)
+        planes[rows, :by] = kern[:, :by]
+        planes[rows, size[1] - by + 1:] = kern[:, ny - by + 1:]
+
     spectra = []
     for half in halves:
-        kern = np.fft.irfft(np.concatenate([half, half[:0:-1].conj()]), n=ny, axis=1)
-        # kern's rows hold dx = 0..bx-1, then -(bx-1)..-1, and its columns are
-        # the grid's periodic ones, so a negative d wraps to the back of both
-        planes = kern.take(dx, axis=0, mode="wrap").take(dy, axis=1, mode="wrap")
-        planes[np.abs(dx) >= bx] = 0.0
-        planes[:, np.abs(dy) >= by] = 0.0
-        spectra.append(np.fft.rfft2(planes).real / nx)
+        planes = np.zeros(size)
+        for sl in kernels.blocks(bx, 8 * ny):
+            put(planes, sl, half[sl])  # dx = j
+            lo = max(sl.start, 1)  # dx = -j, at the back of the box
+            put(planes, slice(size[0] - sl.stop + 1, size[0] - lo + 1),
+                half[lo:sl.stop][::-1].conj())
+        # rfft2's two passes, the second in place, with the plane freed first
+        spec = np.fft.rfft(planes, axis=1)
+        del planes
+        spectra.append(np.fft.fft(spec, axis=0, out=spec).real / nx)
+        del spec
     xx, xy, yy = spectra
     return [[xx, xy], [xy, yy]]
 
@@ -165,11 +192,13 @@ class _BoxL:
     displacements satisfy |i - j| <= b - 1 < M, so each box output is the
     whole-grid sum up to roundoff.
 
-    ``op(p)`` is L p on the box: w = k M p in the corner of one reused
-    (2, Mx, My) buffer, convolved with the kernel spectra by
-    ``potential._fft_convolve``, plus the mean of L p (``_l_on_grid``'s
-    convention). ``norm(q, lq)`` is ||L q|| over the whole grid as the box
-    sum <w, L q> - nx ny |mean|^2 (see the module docstring).
+    ``op(p)`` is L p on the box: w = k M p, made in the rows of the output
+    spectrum (2, bx, My // 2 + 1) and transformed along y there, then
+    convolved with the kernel spectra by ``potential._fft_convolve``, both
+    outputs of a column block from one transform of the sources, plus the
+    mean of L p (``_l_on_grid``'s convention). ``norm(q, lq)`` is ||L q||
+    over the whole grid as the box sum <w, L q> - nx ny |mean|^2 (see the
+    module docstring).
     """
 
     def __init__(self, k, h: float, shape):
@@ -177,20 +206,28 @@ class _BoxL:
         self.where = (slice(None),) + self.box  # both planes on the box
         self.km = M_DISK * k.values[self.box]
         self.cells = k.values.size
-        extent = self.km.shape
-        size = tuple(_fast_length(2 * b - 1) for b in extent)
-        self.kernel = _box_kernel(k.shape, h, extent, size)
-        self.w = np.zeros((2,) + size)
+        self.size = tuple(_fast_length(2 * b - 1) for b in self.km.shape)
+        self.kernel = _box_kernel(k.shape, h, self.km.shape, self.size)
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
         """L p on the box, for p (2, bx, by) on the box."""
-        bx, by = self.km.shape
-        w = self.w[:, :bx, :by]
-        np.multiply(p, self.km, out=w)
+        (bx, by), my = self.km.shape, self.size[1]
+        spec = np.empty((2, bx, my // 2 + 1), dtype=complex)
+        w = np.multiply(p, self.km, out=spec.view(float)[..., :by])  # in spec's rows
         mean = w.sum(axis=(1, 2)) / (2.0 * self.cells)
-        # each output's first spectrum is a copy, which takes its product
-        kernel = ([row[0].astype(complex), row[1]] for row in self.kernel)
-        return _fft_convolve(self.w, bx, kernel, (2, bx, by)) + mean[:, None, None]
+        _row_spectra(w, my, spec)
+        del w
+        lp = _fft_convolve(spec, slice(0, bx), self.size, self._product, spec)
+        return lp[..., :by] + mean[:, None, None]
+
+    def _product(self, cols, x):
+        """Both outputs' spectra on columns ``cols`` from the sources' x."""
+        out = np.empty_like(x)
+        for o, row in zip(out, self.kernel):
+            # the source spectrum first: swapped complex products can round differently
+            np.multiply(x[0], row[0][:, cols], out=o)
+            o += x[1] * row[1][:, cols]
+        return out
 
     def norm(self, q: np.ndarray, lq: np.ndarray) -> float:
         """||L q|| over the whole grid, for q and lq = L q on the box."""
@@ -210,7 +247,7 @@ def apply_l_spectral(g: VectorGridField, k) -> VectorGridField:
     inverse real transform of both planes gives L g on the whole grid.
     """
     box = _support_box(k, g.values.shape[:2])
-    out = _l_on_grid(g.planes[(slice(None),) + box], k, box, multipliers(k.shape, g.h))
+    out = _l_on_grid(g.planes[(slice(None),) + box], k, box, g.h)
     return VectorGridField(g.origin.copy(), g.h, np.moveaxis(out, 0, 2))
 
 
@@ -278,13 +315,21 @@ def _k1_on_grid(k, w: np.ndarray, probe: ScalarGridField, step: int) -> np.ndarr
     size = tuple(_fast_length(ns + no) for ns, no in zip(n_src, n_out))
     if size[0] * size[1] * FFT_CELL_PAIRS > probe.values.size * w.shape[0]:
         return None
-    planes = np.zeros((2,) + size)
-    planes[:, :n_src[0], :n_src[1]][:, k.values[box] != 0.0] = w.T  # nonzero_cells() order
+    planes = np.zeros((2,) + n_src)
+    planes[:, k.values[box] != 0.0] = w.T  # nonzero_cells() order
+    src = np.fft.rfft(planes, n=size[1], axis=-1)
+    del planes
     # first probe center minus first box cell center, in cells of k
     offset = (probe.origin - k.origin) / k.h + 0.5 * (step - 1) - lo
-    kern = [list(_grad_kernel(n_src, size, k.h, offset))]
-    s = _fft_convolve(planes, n_src[0], kern, (1,) + n_out)[0]
-    return s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi)
+    kx, ky = _grad_kernel(n_src, size, k.h, offset)
+
+    def product(cols, x):  # x . (kernel x, kernel y), the source spectrum first
+        np.multiply(x[0], kx[:, cols], out=x[0])
+        x[0] += x[1] * ky[:, cols]
+        return x[:1]
+
+    s = _fft_convolve(src, slice(0, n_src[0]), size, product, kx[None, :n_out[0]])[0]
+    return s[::step, :n_out[1]:step].ravel() * k.h**2 / (2.0 * np.pi)
 
 
 def _fixed_point(g0: np.ndarray, g0_norm: float, apply_l, norm, h: float, tol: float,
@@ -345,18 +390,14 @@ def solve_psic_from_grad(psi0_grad: VectorGridField, k, tol: float = TOL) -> Hom
     """The fixed point on the grid (spectral backend) from a precomputed
     free-space gradient: ``_fixed_point`` at the one scale c = 1 on k's
     box (``_BoxL``), whose solution g0 - L T and first iterate g0 - L g0 are
-    the two whole-grid applications of L (``_l_on_grid``), which share one
-    set of multipliers."""
+    the two whole-grid applications of L (``_l_on_grid``)."""
     g0, origin, h = psi0_grad.planes, psi0_grad.origin, psi0_grad.h
-    # made before the series: made after it, they left divcurl's peak RSS
-    # 1 MB higher (glibc heap layout), before it 1 MB lower than one per L
-    mult = multipliers(k.shape, h)
     op = _BoxL(k, h, g0.shape[1:])
     (t,), _, _, (increments,) = _fixed_point(g0[op.where], _l2(g0), op, op.norm, h, tol)
     # each g0 - L p in L p's own memory, not in a third whole-grid array
-    grad = _l_on_grid(t, k, op.box, mult)
+    grad = _l_on_grid(t, k, op.box, h)
     np.subtract(g0, grad, out=grad)
-    first = _l_on_grid(g0[op.where], k, op.box, mult)
+    first = _l_on_grid(g0[op.where], k, op.box, h)
     np.subtract(g0, first, out=first)
     return HomogSolution(VectorGridField(origin.copy(), h, np.moveaxis(grad, 0, 2)),
                          VectorGridField(origin.copy(), h, np.moveaxis(first, 0, 2)),

@@ -6,22 +6,26 @@ integral on the cell containing the target) or a set of blob-regularized
 vortex particles. The gradient at every cell of a grid field is one
 zero-padded FFT convolution over the bounding box of f's nonzero cells
 (after Hockney & Eastwood 1988) by ``_fft_convolve``, the one such
-convolution, which ``homogenized`` also uses for L on k's box and for the
-correction on a probe grid; it holds one whole-box array at a time beside
-its sources and outputs, the rest in row blocks of ``kernels.BLOCK``
-bytes. The homog sweep reads the gradient only on k's box, and its norm
-over the whole grid: given that window, the same pass keeps the window and
-sums each output plane's squares where it is inverted, so no whole-grid
-output is made. Also provides the disk-dipole correction field
+convolution, which ``homogenized`` also uses for L and for the correction on
+a probe grid. It runs over column blocks of the half spectrum of
+``kernels.BLOCK`` bytes: each source is transformed along y on its own rows
+only, and per block along x, multiplied and inverted along x, so the only
+whole array per output is the one that takes its rows (here the kernel
+spectrum being built). The homog sweep reads the gradient only on k's box,
+and its norm over the whole grid: given that window, the same pass keeps the
+window and sums each output plane's squares where it is inverted, so no
+whole-grid output is made. Also provides the disk-dipole correction field
 V^a[A](x) = a^2 A.(x-c)/|x-c|^2, summed over holes, with its exact gradient.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import kernels
-from .fields import ScalarGridField, VectorGridField, irfft2_rows, perp, rfft2_rows
+from .fields import ScalarGridField, VectorGridField, perp
 from .geometry import inside_holes
 
 
@@ -111,7 +115,8 @@ def grad_psi0_on_grid(f: ScalarGridField, window=None):
     The sum is one zero-padded FFT convolution of f cropped to the bounding
     box of its nonzero cells, placed on the grid by the box's offset; the
     padded box is rounded up to a 2^a 3^b 5^c length per axis, where the
-    transforms are fastest.
+    transforms are fastest. The source is transformed along y once; each
+    output plane takes its kernel's spectrum, in whose memory it is inverted.
 
     With ``window``, a pair of slices of the grid, returns instead
     (grad psi_0 on the window as (2, wx, wy) planes, equal bit for bit to
@@ -123,26 +128,27 @@ def grad_psi0_on_grid(f: ScalarGridField, window=None):
     where = ... if window is None else tuple(window)
     out = np.zeros((2,) + f.values[where].shape)
     total = 0.0  # the whole grid's sum of squares, with a window
-
-    def take(i, plane):
-        nonlocal total
-        np.multiply(plane[where], scale, out=out[i])
-        if window is None:
-            return
-        for rows in kernels.blocks(plane.shape[0], 8 * plane.shape[1]):
-            block = plane[rows] * scale
-            total += kernels.dot(block, block)
-            del block  # freed before the next block is made
-
     box = f.support_slices()
     if box is not None:
-        src = f.values[box]
+        (nx, ny), src = f.shape, f.values[box]
         offset = tuple(-sl.start for sl in box)
         size = tuple(_fast_length(ns + no) for ns, no in zip(src.shape, f.shape))
-        pad = [(0, 0)] + [(0, nb - ns) for ns, nb in zip(src.shape, size)]
-        # map, unlike a loop variable, keeps no spent spectrum while making the next
-        kernel = map(lambda k: [k], _grad_kernel(src.shape, size, f.h, offset))
-        _fft_convolve(np.pad(src[None], pad), src.shape[0], kernel, (2,) + f.shape, take)
+        src_hat = np.fft.rfft(src[None], n=size[1], axis=-1)
+        rows = slice(0, src.shape[0])
+        spectra = _grad_kernel(src.shape, size, f.h, offset)
+        for i in range(2):
+            # next(), unlike a for over enumerate, whose cached result tuple
+            # holds the spent spectrum while the next one is made
+            kern = next(spectra)
+            plane = _fft_convolve(src_hat, rows, size, lambda cols, x: np.multiply(
+                x, kern[:, cols], out=x), kern[None, :nx])[0, :, :ny]
+            np.multiply(plane[where], scale, out=out[i])
+            if window is not None:
+                for sl in kernels.blocks(nx, 8 * ny):
+                    block = plane[sl] * scale
+                    total += kernels.dot(block, block)
+                    del block  # freed before the next block is made
+            del kern, plane  # the spent spectrum, freed before the next is made
     if window is None:
         return VectorGridField(f.origin.copy(), f.h, np.moveaxis(out, 0, 2))
     return out, float(np.sqrt(total))
@@ -182,9 +188,9 @@ def _grad_kernel(n_src, size, h, offset):
     row blocks built in one buffer in place, then the ``fft`` along Mx."""
     dx, dy = ((_wrapped(ns, nb) + off) * h for ns, nb, off in zip(n_src, size, offset))
     row_blocks = list(kernels.blocks(size[0], 8 * size[1]))
-    buf = np.empty((row_blocks[0].stop, size[1]))
     for axis in (0, 1):
         spec = np.empty((size[0], size[1] // 2 + 1), dtype=complex)
+        buf = np.empty((row_blocks[0].stop, size[1]))
         for rows in row_blocks:
             x = dx[rows, None]
             r2 = np.multiply(dy, dy, out=buf[:x.shape[0]])
@@ -192,40 +198,55 @@ def _grad_kernel(n_src, size, h, offset):
             np.divide(1.0, r2, out=r2, where=r2 > 0.0)  # 1 / |d|^2, 0 at d = 0
             r2 *= dy if axis else x
             np.fft.rfft(r2, axis=1, out=spec[rows])
+        del buf, r2  # not held while the caller reads the spectrum
         yield np.fft.fft(spec, axis=0, out=spec)
         del spec  # the caller's is freed before the next is made
 
 
-def _fft_convolve(padded, rows: int, kernel, out_shape, take=None) -> np.ndarray | None:
-    """The one zero-padded FFT convolution: output i of the returned array
-    of ``out_shape`` (n_out, nx, ny) sums source plane j of ``padded`` (n, Mx, My),
-    zero but on its first ``rows`` rows and own columns, convolved with
-    kernel (i, j). ``kernel`` yields per output the spectra (``rfft2`` on the
-    box) of its kernel from each source, the first of which is overwritten
-    with the output's spectrum (a generator makes one output's at a time).
-    The sources are transformed over their rows only, the outputs inverted
-    over theirs in that spectrum's memory. With ``take``, no output array
-    is made: ``take(i, plane)`` is given each output as that view, valid
-    until it returns, and None is returned."""
-    spec = rfft2_rows(padded, slice(0, rows))
-    my = padded.shape[2]
-    del padded  # a padded copy made for the call is freed here
-    out = None
-    if take is None:
-        out = np.empty(out_shape)
-        take = out.__setitem__
-    n_out, nx, ny = out_shape
-    kernel = iter(kernel)  # zip would hold the spent row while the next is made
-    for i in range(n_out):
-        row = next(kernel)
-        prod = row[0]
-        # the source spectrum first: swapped complex products can round differently
-        np.multiply(spec[0], prod, out=prod)
-        for s, k in zip(spec[1:], row[1:]):
-            prod += s * k
-        take(i, irfft2_rows(prod, my, slice(0, nx))[:, :ny])
-        del row, prod  # freed before the next output's spectra are made
+def _row_spectra(values, n: int, out, col: int = 0):
+    """The ``rfft`` of length n of each row of ``values`` (..., r, c), placed
+    at columns col..col + c - 1 of a zero row, into ``out`` (..., r,
+    n // 2 + 1), over row blocks of ``kernels.BLOCK`` bytes. ``values`` may
+    be a view of ``out``'s memory, each row in its own row: a block is copied
+    before its rows of ``out`` are written."""
+    lead = values.shape[:-2]
+    for sl in kernels.blocks(values.shape[-2], 8 * n * math.prod(lead)):
+        padded = np.zeros(lead + (sl.stop - sl.start, n))
+        padded[..., col:col + values.shape[-1]] = values[..., sl, :]
+        np.fft.rfft(padded, axis=-1, out=out[..., sl, :])
+        del padded  # freed before the next block's is made
     return out
+
+
+def _fft_convolve(src, rows: slice, size, product, out) -> np.ndarray:
+    """The one zero-padded FFT convolution on the (Mx, My) box ``size``.
+
+    ``src`` (n, r, My // 2 + 1) holds the ``rfft`` along y of the n sources'
+    rows, which are rows ``rows`` of the box (zero elsewhere). The loop runs
+    over column blocks of the half spectrum, ``kernels.BLOCK`` bytes of
+    sources each: the sources' block is transformed along x,
+    ``product(cols, x)`` returns the outputs' spectra (n_out, Mx, c) on those
+    columns from the sources' x (n, Mx, c), which it may overwrite, and rows
+    0..m-1 of their inverse along x go to ``out`` (n_out, m, My // 2 + 1).
+    ``out`` is the only whole array per output: it may share ``src``'s memory
+    or be a kernel spectrum that ``product`` reads, as each block reads its
+    own columns before it writes them. Returns those rows inverted along y
+    over row blocks, each block's output over its own rows of ``out``: an
+    (n_out, m, My) view of its memory. Every pass is numpy's ``rfft2`` /
+    ``irfft2`` pass along that axis on the same values, so the result equals
+    the whole-array transforms bit for bit."""
+    mx, my = size
+    for cols in kernels.blocks(src.shape[-1], 16 * mx * src.shape[0]):
+        x = np.zeros((src.shape[0], mx, cols.stop - cols.start), dtype=complex)
+        x[:, rows] = src[..., cols]
+        spec = product(cols, np.fft.fft(x, axis=1, out=x))
+        out[..., cols] = np.fft.ifft(spec, axis=1, out=spec)[:, :out.shape[1]]
+        del x, spec  # freed before the next block's are made
+    res = out.view(float)[..., :my]
+    for sl in kernels.blocks(out.shape[1], 16 * out.shape[0] * out.shape[2]):
+        # the copy is freed before the next one is made: one block at a time
+        np.fft.irfft(out[:, sl].copy(), n=my, axis=-1, out=res[:, sl])
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ path -> (its reference, the largest relative difference allowed from it).
 Also the evaluators that only tests read, built on the run path's
 functions: the oracle's and the reflections' stream function and gradient,
 the oracle's flux, circulation, boundary deviation and dipoles, L by
-principal-value quadrature and the reading of a saved configuration.
+principal-value quadrature, the reading of a saved configuration, and the
+whole-array forms of the spectral layer's column-blocked convolution.
 The tier-1 tests import them as they import ``conftest``
 (``from references import ...``), and ``tools/layers.py --check`` compares
 its cases with them at the workloads' shapes. Uses numpy and porousflow
@@ -16,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from porousflow import analysis, homogenized, kernels, oracle, potential
-from porousflow.fields import ScalarGridField, VectorGridField, make_grid, perp
+from porousflow.fields import ScalarGridField, VectorGridField, make_grid, multipliers, perp
 from porousflow.geometry import Box, PorousConfig, fluid_mask, rasterize_mu
 
 
@@ -92,6 +93,112 @@ def apply_l_direct(g, k, targets):
     hit = own >= 0
     out[hit] += 0.5 * w[own[hit]]
     return out
+
+
+def rfft2_rows(values: np.ndarray, rows: slice) -> np.ndarray:
+    """``np.fft.rfft2(values)`` of real values (..., nx, ny) that vanish
+    outside ``rows`` of the nx axis: the ``rfft`` of those rows only, zero
+    rows elsewhere, then the ``fft`` along nx in place. numpy's ``rfft2``
+    takes the same two passes in this order, so the result equals it bit
+    for bit (pruning the zero rows after Markel 1971)."""
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] // 2 + 1,), dtype=complex)
+    np.fft.rfft(values[..., rows, :], out=out[..., rows, :])
+    return np.fft.fft(out, axis=-2, out=out)
+
+
+def irfft2_rows(spec: np.ndarray, ny: int, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of ``np.fft.irfft2(spec, s=(nx, ny))`` for a half
+    spectrum (..., nx, ny // 2 + 1): the ``ifft`` along nx in place, then the
+    ``irfft`` of those rows only, over row blocks of ``kernels.BLOCK`` bytes.
+    numpy's ``irfft2`` takes the same two passes in this order, so the result
+    equals its rows bit for bit. Each block's output overwrites its own rows of
+    ``spec``, so the result is a view of ``spec``'s memory."""
+    np.fft.ifft(spec, axis=-2, out=spec)
+    spec = spec[..., rows, :]
+    out = spec.view(float)[..., :ny]
+    for sl in kernels.blocks(spec.shape[-2], 16 * spec.shape[-1]):
+        # the copy is freed before the next one is made: one block at a time
+        np.fft.irfft(spec[..., sl, :].copy(), n=ny, axis=-1, out=out[..., sl, :])
+    return out
+
+
+def fft_convolve_whole(padded, rows: int, kernel, out_shape) -> np.ndarray:
+    """``potential._fft_convolve`` over whole arrays, the reference of its
+    column blocks: output i of ``out_shape`` (n_out, nx, ny) sums source
+    plane j of ``padded`` (n, Mx, My), zero but on its first ``rows`` rows
+    and own columns, convolved with kernel (i, j), whose spectra (``rfft2``
+    on the box) ``kernel`` yields per output as a list, the first of which
+    takes the output's spectrum. The sources' whole spectrum, each output's
+    whole spectrum and the inverse along nx over every row are made at once."""
+    spec = rfft2_rows(padded, slice(0, rows))
+    out = np.empty(out_shape)
+    n_out, nx, ny = out_shape
+    for i, row in zip(range(n_out), kernel):
+        prod = row[0]
+        # the source spectrum first: swapped complex products can round differently
+        np.multiply(spec[0], prod, out=prod)
+        for s, k in zip(spec[1:], row[1:]):
+            prod += s * k
+        out[i] = irfft2_rows(prod, padded.shape[2], slice(0, nx))[:, :ny]
+    return out
+
+
+def l_on_grid_whole(p, k, box, h):
+    """``homogenized._l_on_grid`` over whole arrays, the reference of its
+    column blocks: w = k M p in a whole-grid buffer, its whole spectrum
+    times the grid's whole ``fields.multipliers``, inverted over every row,
+    plus the mean, the whole-grid sum of w over 2 nx ny."""
+    w = np.zeros((2,) + k.shape)
+    np.multiply(p, homogenized.M_DISK * k.values[box], out=w[(slice(None),) + box])
+    mean = w.sum(axis=(1, 2)) / (2.0 * w[0].size)
+    kx, ky, mx, my = multipliers(k.shape, h)
+    spec = rfft2_rows(w, box[0])
+    div_hat = mx * spec[0]
+    div_hat += np.multiply(my, spec[1], out=spec[1])
+    np.multiply(kx, div_hat, out=spec[0])
+    np.multiply(ky, div_hat, out=spec[1])
+    return irfft2_rows(spec, k.shape[1]) + mean[:, None, None]
+
+
+def box_l_whole(op, p):
+    """``homogenized._BoxL``'s L p by ``fft_convolve_whole``: w = k M p in the
+    corner of a whole (2, Mx, My) box, the kernel's first spectrum of each
+    output copied to take its product, plus the mean (``op`` gives k's box,
+    the grid's cell count and the kernel spectra)."""
+    bx, by = op.km.shape
+    size = tuple(potential._fast_length(2 * b - 1) for b in op.km.shape)
+    w = np.zeros((2,) + size)
+    np.multiply(p, op.km, out=w[:, :bx, :by])
+    mean = w[:, :bx, :by].sum(axis=(1, 2)) / (2.0 * op.cells)
+    kernel = ([row[0].astype(complex), row[1]] for row in op.kernel)
+    return fft_convolve_whole(w, bx, kernel, (2, bx, by)) + mean[:, None, None]
+
+
+def correction_direct(k, g_cells, probe):
+    """``homogenized.correction`` at every cell center of ``probe`` by the
+    direct k1 sum over the nonzero cells of k."""
+    centers, kvals = k.nonzero_cells()
+    w = (homogenized.M_DISK * kvals)[:, None] * g_cells
+    return -homogenized.k1_kernel_sum(centers, w, k.h, probe.centers_flat())
+
+
+def k1_on_grid_whole(k, g_cells, probe):
+    """``homogenized.correction`` on a probe grid whose spacing is a whole
+    multiple of k's, by ``fft_convolve_whole``: the density on the zero-padded
+    whole box, both kernel spectra at once, and every probe-spaced output."""
+    box = k.support_slices()
+    step = round(probe.h / k.h)
+    centers, kvals = k.nonzero_cells()
+    w = (homogenized.M_DISK * kvals)[:, None] * g_cells
+    n_src = tuple(sl.stop - sl.start for sl in box)
+    n_out = tuple((n - 1) * step + 1 for n in probe.shape)
+    size = tuple(potential._fast_length(ns + no) for ns, no in zip(n_src, n_out))
+    planes = np.zeros((2,) + size)
+    planes[:, :n_src[0], :n_src[1]][:, k.values[box] != 0.0] = w.T
+    offset = (probe.origin - k.origin) / k.h + 0.5 * (step - 1) - [sl.start for sl in box]
+    kern = [list(potential._grad_kernel(n_src, size, k.h, offset))]
+    s = fft_convolve_whole(planes, n_src[0], kern, (1,) + n_out)[0]
+    return -(s[::step, ::step].ravel() * k.h**2 / (2.0 * np.pi))
 
 
 def fixed_point(g0, apply_l, h, tol):
@@ -361,15 +468,20 @@ class Reference(NamedTuple):
 
 # fast path -> its reference and the largest relative difference from it:
 # pair sums per target, of its sum of |term|; the grid gradient of
-# max|grad|; the sweep of each norm and of the largest increment; the fit of
-# max|coefficient|; the hole gradients per point, of its term_scale; the
-# probe norm of itself (band sums against one sum)
+# max|grad|; the sweep of each norm and of the largest increment; the grid
+# solve of max|grad|; the fit of max|coefficient|; the hole gradients per
+# point, of its term_scale; the probe norm of itself (band sums against one
+# sum); the column-blocked convolutions bit for bit
 TABLE = {
     "pair_sum": Reference(pair_sum_reference, 1e-12),
     "pair_sum_far": Reference(pair_sum_reference, 1e-14),
     "psi0_eval_grid": Reference(psi0_grid_reference, 1e-12),
     "grad_psi0_on_grid": Reference(potential.grad_psi0_eval, 1e-13),
     "expansion_errors": Reference(sweep_reference, 1e-12),
+    "solve_psic_from_grad": Reference(spectral_fixed_point, 1e-12),
+    "fft_convolve": Reference(fft_convolve_whole, 0.0),  # bit for bit
+    "l_on_grid": Reference(l_on_grid_whole, 0.0),  # bit for bit
+    "correction_on_grid": Reference(correction_direct, 1e-12),
     "mu_minus_k_field": Reference(mu_minus_k_every_cell, 0.0),  # bit for bit
     "world_grid_for": Reference(sample_every_cell, 0.0),  # bit for bit
     "hminus1": Reference(hminus1_fft2, 1e-13),

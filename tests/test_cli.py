@@ -400,29 +400,24 @@ def test_homog_sweep_byte_identical(tmp_path):
 
 def test_homog_sweep_applies_l_once_per_step_and_once_per_norm(tmp_path, monkeypatch):
     # every k norm is a scale of one series, run on k's support box: each step
-    # transforms k M p on the small convolution box over the support's rows
-    # and inverts both planes there, and every norm, the step's and the
-    # solutions', is a box sum of arrays the series holds, so no other
-    # transform runs after grad_psi0_on_grid's
+    # is one convolution of both planes of k M p on the small convolution box,
+    # transformed over the support's rows, whose output rows are the support's,
+    # and every norm, the step's and the solutions', is a box sum of arrays
+    # the series holds, so no other convolution runs after grad_psi0_on_grid's
     from porousflow import homogenized, potential
     from porousflow.fields import radial_bump, rasterize
     from porousflow.potential import _fast_length
 
-    forwards, inverses, full = [], [], []
-    rfft2_rows, irfft2_rows = potential.rfft2_rows, potential.irfft2_rows
+    calls, full = [], []
+    convolve = potential._fft_convolve
     apply_l = homogenized.apply_l_spectral
 
-    def forward(values, rows):
-        forwards.append((values.shape[-2],) + rows.indices(values.shape[-2]))
-        return rfft2_rows(values, rows)
-
-    def inverse(spec, ny, rows=slice(None)):
-        inverses.append((spec.shape[-2],) + rows.indices(spec.shape[-2]))
-        return irfft2_rows(spec, ny, rows)
+    def counted(src, rows, size, product, out):
+        calls.append((src.shape[0], rows.indices(size[0]), tuple(size), out.shape[:2]))
+        return convolve(src, rows, size, product, out)
 
     for module in (potential, homogenized):
-        monkeypatch.setattr(module, "rfft2_rows", forward)
-        monkeypatch.setattr(module, "irfft2_rows", inverse)
+        monkeypatch.setattr(module, "_fft_convolve", counted)
     monkeypatch.setattr(homogenized, "apply_l_spectral",
                         lambda *args: full.append(1) or apply_l(*args))
     code, out = run_cli(tmp_path, HOMOG_SWEEP)
@@ -430,18 +425,16 @@ def test_homog_sweep_applies_l_once_per_step_and_once_per_norm(tmp_path, monkeyp
     iterations = json.loads((out / "summary.json").read_text())["results"]["iterations"]
     assert max(iterations) == 7
     nx = round(4.0 / 0.03125)  # the sweep's 4 x 4 world at its grid_h
-    # grad_psi0_on_grid: one forward over f's support rows and two inverses
-    # over the grid's rows, on its padded box
+    # grad_psi0_on_grid: one convolution per output plane, of f's support
+    # rows on its padded box, inverted over the grid's rows
     f = rasterize((-2.0, -2.0, 2.0, 2.0), 0.03125, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
-    f_rows = f.support_slices()[0]
-    f_box = _fast_length(f_rows.stop - f_rows.start + nx)
-    assert forwards[0] == (f_box, 0, f_rows.stop - f_rows.start, 1)
-    assert inverses[:2] == [(f_box, 0, nx, 1)] * 2
+    f_rows, f_cols = (sl.stop - sl.start for sl in f.support_slices())
+    f_box = (_fast_length(f_rows + nx), _fast_length(f_cols + nx))
+    assert calls[:2] == [(1, (0, f_rows, 1), f_box, (1, nx))] * 2
     # the unit bump of radius 0.5 at the world's center spans a quarter of the
     # rows, bx = nx / 4, so the box has fast_length(2 bx - 1) = 64 rows, not nx
     bx = nx // 4
-    assert forwards[1:] == [(_fast_length(2 * bx - 1), 0, bx, 1)] * 7
-    assert inverses[2:] == [(_fast_length(2 * bx - 1), 0, bx, 1)] * 2 * 7
+    assert calls[2:] == [(2, (0, bx, 1), (64, 64), (2, bx))] * 7
     assert _fast_length(2 * bx - 1) == 64 and bx == 32
     assert not full
 

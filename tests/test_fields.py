@@ -8,18 +8,9 @@ from porousflow import euler as eu
 from porousflow import fields, kernels
 from porousflow import potential as pot
 from porousflow import reflections as refl
-from porousflow.fields import (
-    ScalarGridField,
-    VectorGridField,
-    fmt,
-    irfft2_rows,
-    make_grid,
-    perp,
-    rasterize,
-    rfft2_rows,
-)
+from porousflow.fields import ScalarGridField, VectorGridField, fmt, make_grid, perp, rasterize
 from porousflow.geometry import Box, build_lattice, lattice_fraction
-from references import stream_gradient
+from references import irfft2_rows, rfft2_rows, stream_gradient
 
 
 def test_cell_centers_layout():

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import child_output, point_vortex, traced_peak
-from porousflow import analysis, euler, fields, homogenized, kernels, oracle, reflections
+from porousflow import (analysis, euler, fields, homogenized, kernels, oracle, potential,
+                        reflections)
 from porousflow.fields import make_grid
 from porousflow.geometry import Box, build_lattice, lattice_fraction, nearest_center_sq
 from references import TABLE, dense_reference, pair_sum_reference
@@ -519,10 +520,18 @@ def _hminus1_case(rng):
     return g.values.nbytes, None, lambda: analysis.hminus1(g)
 
 
-def _inverse_rows_case(rng):
-    """The inverse of a (1280, 512) grid's half spectrum, in its own memory."""
-    spec = np.fft.rfft2(rng.standard_normal((1280, 512)))
-    return spec.nbytes, kernels.blocks(1280, 16 * 257), lambda: fields.irfft2_rows(spec, 512)
+def _fft_convolve_case(rng):
+    """The convolution on a (1280, 512) box of a source on its first 640
+    rows, whose row spectrum takes the output: the column blocks and the
+    inverse's row blocks, in that spectrum's own memory."""
+    src = np.fft.rfft(rng.standard_normal((1, 640, 512)), axis=-1)
+    kern = np.fft.rfft2(rng.standard_normal((1280, 512)))
+
+    def call():
+        return potential._fft_convolve(src, slice(0, 640), (1280, 512),
+                                       lambda cols, x: np.multiply(x, kern[:, cols], out=x), src)
+
+    return src.nbytes + kern.nbytes, kernels.blocks(257, 16 * 1280), call
 
 
 def _mu_minus_k_case(rng):
@@ -560,12 +569,12 @@ def _basis_case(rng):
 @pytest.mark.parametrize("case", [_pair_sum_case, _self_sum_case, _dipole_sum_case,
                                   _grid_source_case, _smoothed_vorticity_case,
                                   _multipole_grad_case, _far_sum_case, _nearest_center_case,
-                                  _min_distance_case, _hminus1_case, _inverse_rows_case,
+                                  _min_distance_case, _hminus1_case, _fft_convolve_case,
                                   _mu_minus_k_case, _basis_case, _probe_norm_case],
                          ids=["pair_sum", "self_sum", "dipole_sum", "grid_source",
                               "smoothed_vorticity", "multipole_part_grad", "far_sum",
                               "nearest_center_sq", "min_center_distance", "hminus1",
-                              "irfft2_rows", "mu_minus_k_field", "basis_matvec",
+                              "fft_convolve", "mu_minus_k_field", "basis_matvec",
                               "reflection_vs_oracle_h1"])
 def test_blocked_sums_memory_within_budget(case, taken_blocks):
     inputs, blocks, call = case(np.random.default_rng(3))

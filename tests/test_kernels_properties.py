@@ -5,11 +5,14 @@ hypothesis is not installed)."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from porousflow import kernels
 from references import dense_reference
-from test_kernels import complex_sum
+from test_kernels import FAR_TOL, assert_matches, complex_sum
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -83,3 +86,56 @@ def test_self_sum_conserves_impulse(seed, n, blob):
     q = rng.standard_normal(n)
     out = complex_sum(pts, pts, q, 1, blob)
     assert abs(q @ out) <= 1e-12 * (np.abs(q) @ np.abs(out))
+
+
+
+def _far_sides(call):
+    """``call()`` and the node count of each side that took the far path."""
+    seen = []
+    strengths, interpolate = kernels._strengths, kernels._interpolate
+
+    def source_side(zs, q, centre, half, p):
+        seen.append(p[0] * p[1])
+        return strengths(zs, q, centre, half, p)
+
+    def target_side(out, zt, centre, half, p, at_nodes):
+        seen.append(p[0] * p[1])
+        interpolate(out, zt, centre, half, p, at_nodes)
+
+    kernels._strengths, kernels._interpolate = source_side, target_side
+    try:
+        return call(), seen
+    finally:
+        kernels._strengths, kernels._interpolate = strengths, interpolate
+
+
+# the gap per half-width of the far path's floor rho = 3.5: u = (rho^2 - 1) / (2 rho)
+_FLOOR_U = (kernels._FAR_RHO**2 - 1.0) / (2.0 * kernels._FAR_RHO)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-6, 0.3), st.floats(0.0, 0.5 * np.pi),
+       st.sampled_from(["source", "target"]), _cases, st.booleans())
+def test_far_sums_just_above_the_floor_match_the_dense_reference(seed, above, angle, side, case,
+                                                                 complex_q):
+    """Random boxes 2100 points and 40 points wide, at a gap just above the
+    floor rho = 3.5 on each axis of the larger: that side takes its nodes,
+    and every sum stays within 1e-14 of each target's sum of |term|."""
+    m, blob = case
+    rng = np.random.default_rng(seed)
+    many_half = rng.uniform(0.2, 1.0, 2)
+    few_half = rng.uniform(0.05, 1.0, 2)
+    many = (rng.random((2100, 2)) * 2.0 - 1.0) * many_half
+    many[:2] = [-many_half, many_half]  # the box's corners
+    few = (rng.random((40, 2)) * 2.0 - 1.0) * few_half
+    few[:2] = [-few_half, few_half]
+    gap = _FLOOR_U * many_half.max() * (1.0 + above)
+    sign = rng.choice([-1.0, 1.0], 2)
+    few += sign * (many_half + few_half + gap * np.array([math.cos(angle), math.sin(angle)]))
+    targets, sources = (few, many) if side == "source" else (many, few)
+    q = rng.standard_normal(sources.shape[0])
+    if complex_q or m == 2:
+        q = q + 1j * rng.standard_normal(sources.shape[0])
+    _, seen = _far_sides(lambda: assert_matches(targets, sources, q, m, blob, tol=FAR_TOL))
+    # one pair sum per real part of the strengths (two when they are complex)
+    assert seen and all(count <= 1024 for count in seen)

@@ -7,16 +7,8 @@ from conftest import point_vortex, traced_peak
 from porousflow import kernels
 from porousflow import potential as pot
 from porousflow.euler import VortexParticles
-from porousflow.fields import (
-    ScalarGridField,
-    disk_indicator,
-    irfft2_rows,
-    make_grid,
-    radial_bump,
-    rasterize,
-    rfft2_rows,
-)
-from references import TABLE, pair_sum_reference
+from porousflow.fields import ScalarGridField, disk_indicator, make_grid, radial_bump, rasterize
+from references import TABLE, irfft2_rows, pair_sum_reference, rfft2_rows
 
 TOL = TABLE["pair_sum"].tol
 
@@ -240,6 +232,25 @@ def test_grid_gradient_holds_one_kernel_spectrum_at_a_time():
     f = rasterize((-2.0, -2.0, 2.0, 2.0), 1 / 256, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
     peak = traced_peak(lambda: pot.grad_psi0_on_grid(f))[1]
     assert peak < 48 * 2**20
+
+
+def test_windowed_gradient_holds_one_box_spectrum():
+    # the homog sweep's 1024^2 grid and window: one kernel's spectrum on the
+    # (1200, 1200) box at a time, which the output plane is inverted in, the
+    # source's row spectrum (its 154 rows), the window and the column blocks,
+    # 14.2 MiB; the whole-box sources' spectrum beside the kernel's and a
+    # zero-padded source copy took 24.2
+    h = 1 / 256
+    f = rasterize((-2.0, -2.0, 2.0, 2.0), h, radial_bump((1.2, 0.3), 0.3, 1.0, power=2))
+    k = rasterize((-2.0, -2.0, 2.0, 2.0), h, radial_bump((0.0, 0.0), 0.5, 1.0, power=3))
+    window = k.support_slices()
+    pot.grad_psi0_on_grid(f, window=window)
+    (g0, _), peak = traced_peak(lambda: pot.grad_psi0_on_grid(f, window=window))
+    rows = f.support_slices()[0]
+    mx, my = (pot._fast_length(n + 154) for n in f.shape)
+    assert (mx, my) == (1200, 1200) and rows.stop - rows.start == 154
+    half = (my // 2 + 1) * 16  # bytes of one row of a half spectrum
+    assert peak <= mx * half + 154 * half + g0.nbytes + 2**20
 
 
 def _whole_plane_kernel(n_src, size, h, offset):

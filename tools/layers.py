@@ -10,7 +10,7 @@ not depend on the order of the cases.
 
 ``--src`` is the ``src`` directory of the tree to measure (default: this
 repository's), so two trees can be measured in alternation, each in a fresh
-interpreter. Every case calls a public function that older trees have with
+interpreter. Every case calls a function that older trees have with
 the same arguments (most are names that ``bench/tracer.py`` pins), so the
 script runs unchanged on them; ``expansion_errors`` takes g0 on k's box from
 ``grad_psi0_on_grid``'s window, and the whole-grid g0 on trees without
@@ -106,17 +106,19 @@ def cases(scale: float):
     oracle's hole gradients at 100k points beside the lattice, oracle-sweep's
     point-vortex fit at a/d = 0.05, its hole gradients at the probe cells and
     its probe norm against the reflections, and homog-sweep's 1024^2 grid
-    with its source, its largest k and its three k norms. ``check`` is None,
+    with its source, its largest k, one L on that k's box and its three k
+    norms. ``check`` is None,
     or (the case's fast path in ``references.TABLE``, the call that gives the
     largest relative difference from its reference)."""
     from porousflow import (analysis, cli, euler, fields, homogenized, oracle, potential,
                             reflections)
     from porousflow.fields import ScalarGridField, make_grid, radial_bump, rasterize
     from porousflow.geometry import Box, build_lattice, fluid_mask
-    from references import (embedded, hminus1_fft2, lstsq_fit, mu_minus_k_every_cell,
+    from references import (box_l_whole, correction_direct, embedded, hminus1_fft2,
+                            l_on_grid_whole, lstsq_fit, mu_minus_k_every_cell,
                             pair_sum_reference, part_grad_reference, psi0_grid_reference,
-                            sample_every_cell, sweep_difference, sweep_reference,
-                            whole_probe_h1)
+                            sample_every_cell, spectral_fixed_point, sweep_difference,
+                            sweep_reference, whole_probe_h1)
 
     def count(n):
         return max(round(n * scale), 2)
@@ -166,6 +168,24 @@ def cases(scale: float):
             fields.gradient_multipliers.cache_clear()
         return homogenized.expansion_errors(*sweep_g0(), sweep_grid()[1], sweep_scales)
 
+    def check_apply_l():
+        """L of the sweep's g0 against the whole-array form, bit for bit."""
+        g, k = sweep_gradient(), sweep_grid()[1]
+        box = k.support_slices()
+        got = homogenized.apply_l_spectral(g, k).planes
+        return relative(got, l_on_grid_whole(g.planes[(slice(None),) + box], k, box, g.h))
+
+    @functools.cache
+    def sweep_box_l():
+        """(L on the sweep's k box, g0 there), made by the warm-up call."""
+        k = sweep_grid()[1]
+        return homogenized._BoxL(k, k.h, k.shape), sweep_gradient().planes[
+            (slice(None),) + k.support_slices()]
+
+    def check_box_l():
+        op, p = sweep_box_l()
+        return relative(op(p), box_l_whole(op, p))
+
     def check_sweep_series():
         """Each scale's norms and increments against the fixed point iterated
         on the whole grid from the whole-grid g0."""
@@ -205,6 +225,16 @@ def cases(scale: float):
         warm-up call; the mu grid's cells scale too."""
         config, world, k = divcurl_lattice(n_mu)
         return potential.grad_psi0_on_grid(world), k, analysis.mu_minus_k_field(config, k)
+
+    def check_solve():
+        """divcurl's grid solve and first iterate against the fixed point
+        iterated on the whole grid; inf when the iteration counts differ."""
+        g0, k = divcurl_grid()[:2]
+        sol = homogenized.solve_psic_from_grad(g0, k)
+        grad, first, increments = spectral_fixed_point(g0, k, homogenized.TOL)
+        if sol.iterations != len(increments):
+            return np.inf
+        return max(relative(sol.grad.values, grad), relative(sol.first_order.values, first))
 
     def check_hminus1():
         g = divcurl_grid()[2]
@@ -363,6 +393,7 @@ def cases(scale: float):
         "grad_psi0_on_grid": (f"grid {side}x{side}",
                               lambda: potential.grad_psi0_on_grid(sweep_grid()[0])),
         "expansion_errors": (f"grid {side}x{side} x3 norms", sweep_series),
+        "box_l": (f"k box of {side}x{side}", lambda: sweep_box_l()[0](sweep_box_l()[1])),
         "world_grid_for": ("divcurl world grid", world_grid),
         "solve_psic_from_grad": ("divcurl world grid", lambda: homogenized.solve_psic_from_grad(
             *divcurl_grid()[:2])),
@@ -399,6 +430,7 @@ def cases(scale: float):
                  for name, (path, *args) in pairs.items()},
               **{name: (name, check) for name, check in (
                   ("psi0_eval_grid", check_psi0_grid), ("grad_psi0_on_grid", check_grad_on_grid),
+                  ("solve_psic_from_grad", check_solve),
                   ("expansion_errors", check_sweep_series), ("mu_minus_k_field", check_mu_minus_k),
                   ("hminus1", check_hminus1), ("world_grid_for", check_world_grid))},
               **{f"solve_collocation_{n}": ("solve_collocation",
@@ -410,7 +442,11 @@ def cases(scale: float):
                                       lambda: check_part_grad(divcurl_oracle(), beside)),
               "multipole_part_grad_sweep": ("multipole_part",
                                             lambda: check_part_grad(*sweep_oracle())),
-              "reflection_vs_oracle_h1": ("reflection_vs_oracle_h1", check_probe_norm)}
+              "reflection_vs_oracle_h1": ("reflection_vs_oracle_h1", check_probe_norm),
+              "apply_l_spectral": ("l_on_grid", check_apply_l),
+              "box_l": ("fft_convolve", check_box_l),
+              "correction_probe": ("correction_on_grid", lambda: relative(
+                  homogenized.correction(*divcurl_probe()), correction_direct(*divcurl_probe())))}
     return {name: (shape, call, checks.get(name)) for name, (shape, call) in table.items()}
 
 
